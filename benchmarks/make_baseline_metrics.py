@@ -1,12 +1,13 @@
 """Generate ``benchmarks/BASELINE_metrics.json`` — the scientific baseline.
 
 Runs the paper's headline configuration cells in-process (seeds 0..N-1,
-batch engine where available) and snapshots their episode-level metric
-distributions with seeded bootstrap CIs via
-:func:`repro.obsv.compare.metric_snapshot`. The committed snapshot is the
-baseline side of ``python -m repro.obsv regress <current> <baseline>
---metrics``: any future build whose cell means leave these CIs fails the
-gate, the scientific twin of the ``BASELINE_telemetry.json`` perf gate.
+through :func:`repro.eval.run_seeds`, which picks the engine) and
+snapshots their episode-level metric distributions with seeded bootstrap
+CIs via :func:`repro.obsv.compare.metric_snapshot`. The committed
+snapshot is the baseline side of ``python -m repro.obsv regress
+<current> <baseline> --metrics``: any future build whose cell means
+leave these CIs fails the gate, the scientific twin of the
+``BASELINE_telemetry.json`` perf gate.
 
 Cells cover both victims nominal and under the learned action-space
 attacks (claims anchor to EXPERIMENTS.md):
@@ -33,7 +34,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.eval import run_episode, run_episode_batch
+from repro.eval import run_seeds
 from repro.experiments import registry
 from repro.obsv.compare import StatConfig, metric_snapshot
 from repro.obsv.loader import split_episodes
@@ -94,20 +95,8 @@ def _cells() -> list[dict]:
 
 def run_cell(cell: dict, episodes: int) -> tuple[list, dict | None]:
     """Run one cell and return (episode traces, provenance payload)."""
-    attacker = cell["attacker"]() if cell["attacker"] else None
     writer = TraceWriter(None)
-    seeds = list(range(episodes))
-    try:
-        run_episode_batch(
-            cell["victim"], attacker=attacker, seeds=seeds, trace=writer
-        )
-    except TypeError:
-        # No batched twin for this agent: scalar fallback, same seeds.
-        for seed in seeds:
-            run_episode(
-                cell["victim"], attacker=attacker, seed=seed,
-                trace=writer, episode_id=seed,
-            )
+    run_seeds(cell["victim"], cell["attacker"], range(episodes), trace=writer)
     provenance = next(
         (e for e in writer.events if e.get("event") == "provenance"), None
     )

@@ -8,8 +8,8 @@ tracks its scalar counterpart to numerical tolerance (see
 :mod:`repro.sim.batch` for the determinism contract).
 
 Use :func:`as_batch_actor` to derive the twin from a configured scalar
-agent; unsupported agents raise :class:`TypeError` rather than silently
-degrading.
+agent; unsupported agents raise :class:`~repro.sim.batch.NoBatchTwin`
+rather than silently degrading.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from repro.agents.e2e.observation import DrivingObservation
 from repro.agents.modular.agent import ModularAgent, ModularAgentConfig
 from repro.agents.modular.behavior import BatchBehaviorPlanner
 from repro.agents.modular.pid import BatchPid
+from repro.rl.pnn import ProgressivePolicy
 from repro.rl.policy import SquashedGaussianPolicy
+from repro.sim.batch import NoBatchTwin
 from repro.sim.config import EPSILON_MECH
 
 
@@ -77,13 +79,13 @@ class BatchPolicyActor:
     name = "end-to-end"
 
     def __init__(self, agent: EndToEndAgent, n: int) -> None:
-        if not isinstance(agent.policy, SquashedGaussianPolicy):
-            raise TypeError(
-                "batched rollout requires a SquashedGaussianPolicy; got "
-                f"{type(agent.policy).__name__}"
+        policy = agent.policy
+        if not isinstance(policy, (SquashedGaussianPolicy, ProgressivePolicy)):
+            raise NoBatchTwin(
+                f"no batched rollout for a {type(policy).__name__} policy"
             )
         if not agent.deterministic:
-            raise TypeError(
+            raise NoBatchTwin(
                 "batched rollout supports deterministic driving policies only"
             )
         template = agent.observation
@@ -93,14 +95,25 @@ class BatchPolicyActor:
             frames=template._stack.k,
             reference_speed=template.reference_speed,
         )
-        self.plan = self.policy.inference_plan(n)
+        # A progressive column has no fused plan: it runs the forward its
+        # scalar act() runs.
+        self.plan = (
+            self.policy.inference_plan(n)
+            if isinstance(self.policy, SquashedGaussianPolicy)
+            else None
+        )
 
     def reset(self, batch) -> None:
         self.observation.reset()
 
     def act_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
         obs = self.observation.observe_batch(batch)
-        actions = self.policy.act_batch(obs, deterministic=True, plan=self.plan)
+        if self.plan is None:
+            actions = np.tanh(self.policy.forward_np(obs)[0])
+        else:
+            actions = self.policy.act_batch(
+                obs, deterministic=True, plan=self.plan
+            )
         steer = np.clip(actions[:, 0], -EPSILON_MECH, EPSILON_MECH)
         thrust = np.clip(actions[:, 1], -EPSILON_MECH, EPSILON_MECH)
         return steer, thrust
@@ -109,15 +122,23 @@ class BatchPolicyActor:
 def as_batch_actor(victim, batch):
     """The lockstep twin of a scalar driving agent, sized for ``batch``.
 
-    Raises :class:`TypeError` for agents with no batched path (custom
-    agents, stochastic policies, progressive columns).
+    A budget-informed :class:`~repro.defense.pnn_defense.SimplexSwitchedAgent`
+    routes every tick of an episode to the same column, so its twin drives
+    that column. Raises :class:`~repro.sim.batch.NoBatchTwin` for agents
+    with no batched path (custom agents, stochastic policies, the
+    detector-switched agent, whose column can change mid-episode).
     """
+    # Imported here: the defense package builds on the agents package.
+    from repro.defense.pnn_defense import SimplexSwitchedAgent
+
     if isinstance(victim, ModularAgent):
         return BatchModularActor(
             batch.road, batch.n, config=victim.config, dt=victim._lateral.dt
         )
+    if isinstance(victim, SimplexSwitchedAgent):
+        victim = victim.active
     if isinstance(victim, EndToEndAgent):
         return BatchPolicyActor(victim, batch.n)
-    raise TypeError(
+    raise NoBatchTwin(
         f"no batched twin for agent type {type(victim).__name__}"
     )

@@ -8,6 +8,7 @@ so victims and evaluation protocols never see attack internals.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from repro.core.observations import CameraAttackObservation, ImuAttackObservatio
 from repro.core.rewards import BETA, _omega, _omega_batch
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.sensors.base import Sensor
+from repro.sim.batch import NoBatchTwin
 from repro.sim.vehicle import Control
 from repro.sim.world import World
 from repro.utils.serialization import load_checkpoint, save_checkpoint
@@ -266,24 +268,27 @@ class BatchOracleAttacker:
 
 
 class BatchLearnedAttacker:
-    """Batched deterministic rollout of a :class:`LearnedAttacker`.
+    """Batched deterministic rollout of one :class:`LearnedAttacker` per row.
 
     Rebuilds the camera observation pipeline with batch support and runs
-    the policy through its fused inference plan. Only deterministic
-    camera attackers are supported: the IMU trace sensor has no batched
-    observation path, and stochastic evaluation is done on the scalar
-    path where noise streams are per-episode by construction.
+    the policy through its fused inference plan. Rows share the first
+    attacker's policy and channel configuration; row ``i`` draws channel
+    noise from attacker ``i``'s rng. Only deterministic camera attackers
+    are supported: the IMU trace sensor has no batched observation path,
+    and stochastic evaluation is done on the scalar path where noise
+    streams are per-episode by construction.
     """
 
-    def __init__(self, attacker: LearnedAttacker, n: int) -> None:
+    def __init__(self, attackers: Sequence[LearnedAttacker]) -> None:
+        attacker = attackers[0]
         sensor = attacker.sensor
         if not isinstance(sensor, CameraAttackObservation):
-            raise TypeError(
+            raise NoBatchTwin(
                 "batched attack rollout requires a camera sensor; "
                 f"got {type(sensor).__name__}"
             )
         if not attacker.deterministic:
-            raise TypeError(
+            raise NoBatchTwin(
                 "batched attack rollout supports deterministic policies only"
             )
         self.name = attacker.name
@@ -292,8 +297,17 @@ class BatchLearnedAttacker:
             camera_config=sensor._stack.inner.config,
             frames=sensor._stack.k,
         )
-        self.channel = BatchInjectionChannel(attacker.channel.config, n=n)
-        self.plan = self.policy.inference_plan(n)
+        rngs = [a.channel.rng for a in attackers]
+        config = attacker.channel.config
+        if config.noise_std > 0.0 and len({id(r) for r in rngs}) < len(rngs):
+            raise NoBatchTwin(
+                "a noisy channel needs its own rng per episode; "
+                "build one attacker per episode"
+            )
+        self.channel = BatchInjectionChannel(
+            config, n=len(attackers), rngs=rngs
+        )
+        self.plan = self.policy.inference_plan(len(attackers))
 
     @property
     def budget(self) -> float:
@@ -314,23 +328,28 @@ class BatchLearnedAttacker:
         return self.channel.inject(self.normalized_actions(batch), ~batch.done)
 
 
-def as_batch_attacker(attacker, batch):
-    """The lockstep twin of a scalar attacker, sized for ``batch``.
+def as_batch_attacker(attackers: Sequence):
+    """The lockstep twin of one scalar attacker per batch row.
 
-    Raises :class:`TypeError` for attackers with no batched path (IMU
-    sensors, stochastic policies, custom injectors).
+    ``attackers[i]`` is episode ``i``'s attacker (``None`` = nominal);
+    rows share the first one's type and configuration. Raises
+    :class:`~repro.sim.batch.NoBatchTwin` for attackers with no batched
+    path (IMU sensors, stochastic policies, custom injectors, a noisy
+    channel shared by several rows).
     """
+    n = len(attackers)
+    attacker = attackers[0]
     if attacker is None or isinstance(attacker, NullAttacker):
-        return BatchNullAttacker(batch.n)
+        return BatchNullAttacker(n)
     if isinstance(attacker, OracleAttacker):
         return BatchOracleAttacker(
-            batch.n,
+            n,
             budget=attacker.budget,
             beta=attacker.beta,
             max_range=attacker.max_range,
         )
     if isinstance(attacker, LearnedAttacker):
-        return BatchLearnedAttacker(attacker, batch.n)
-    raise TypeError(
+        return BatchLearnedAttacker(attackers)
+    raise NoBatchTwin(
         f"no batched twin for attacker type {type(attacker).__name__}"
     )

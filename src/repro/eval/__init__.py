@@ -1,7 +1,9 @@
 """Evaluation: the canonical episode runner and the paper's metrics."""
 
 from repro.eval.batch import run_episode_batch
-from repro.eval.episodes import EpisodeResult, run_episode, run_episodes
+from repro.eval.episodes import (
+    EpisodeResult, run_episode, run_episodes, run_seeds,
+)
 from repro.eval.recorder import Trajectory, record_episode
 from repro.eval.statistics import (
     Comparison,
@@ -45,6 +47,7 @@ __all__ = [
     "run_episode",
     "run_episode_batch",
     "run_episodes",
+    "run_seeds",
     "success_rate",
     "time_to_collision_stats",
 ]

@@ -19,7 +19,7 @@ e.g. via ``repro.obsv.replay.diff_ticks``.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,227 +47,259 @@ def run_episode_batch(
     reward_config: DrivingRewardConfig | None = None,
     adversarial_config: AdversarialRewardConfig | None = None,
     trace: TraceWriter | None = None,
-    episode_ids: Sequence[int | str] | None = None,
 ) -> list[EpisodeResult]:
     """Run one episode per seed in lockstep and measure each.
 
     Args:
         victim_factory: builds the (scalar) victim; its batched twin
-            drives every episode. Raises :class:`TypeError` for agents
-            with no batched path.
+            drives every episode.
         attacker: a scalar attacker template (``None`` = nominal); its
             batched twin injects per episode.
         seeds: spawn-jitter seeds, one episode per seed — the same seeds
             passed to :func:`~repro.eval.episodes.run_episode` give the
-            same spawns.
+            same spawns. Trace records carry them as episode ids.
         trace: optional JSONL event writer (defaults to the process-wide
             writer); records match the scalar runner's schema.
-        episode_ids: ids stamped on trace events (default: the seeds).
 
     Returns:
         One :class:`~repro.eval.episodes.EpisodeResult` per seed, in
         seed order.
+
+    Raises:
+        NoBatchTwin: a :class:`TypeError`; the victim or attacker has no
+            batched twin (see :class:`Lockstep`).
     """
-    scenario = scenario or ScenarioConfig()
     seeds = list(seeds)
     if not seeds:
         return []
-    batch = make_batch_world(scenario, seeds=seeds)
-    n = batch.n
+    twins = Lockstep(victim_factory, [attacker] * len(seeds), seeds, scenario)
+    return twins.run(reward_config, adversarial_config, trace)
 
-    template = make_world(
-        scenario, rng=np.random.default_rng(seeds[0]), road=batch.road
-    )
-    victim = victim_factory(template)
-    actor = as_batch_actor(victim, batch)
-    actor.reset(batch)
-    battacker = as_batch_attacker(attacker, batch)
 
-    planner = BatchBehaviorPlanner(batch.road)
-    planner.reset(batch)
-    nominal_reward = DrivingReward(reward_config)
-    adversarial_reward = AdversarialReward(adversarial_config)
+class Lockstep:
+    """One lockstep pass: a batch world and the batched twins driving it.
 
-    trace = trace if trace is not None else default_writer()
-    ids = list(episode_ids) if episode_ids is not None else list(seeds)
-    if len(ids) != n:
-        raise ValueError(f"need one episode id per seed: got {len(ids)}")
-    if trace is not None:
-        stamp_provenance(trace, scenario)
+    Building one is the twin lookup: it raises
+    :class:`~repro.sim.batch.NoBatchTwin` before any tick when the victim
+    or the attackers (``attackers[i]`` is episode ``i``'s, ``None`` =
+    nominal) have no batched twin. :meth:`run` then plays the episodes,
+    once.
+    """
+
+    def __init__(
+        self,
+        victim_factory: VictimFactory,
+        attackers: Sequence,
+        seeds: Sequence[int],
+        scenario: ScenarioConfig | None = None,
+    ) -> None:
+        self.scenario = scenario or ScenarioConfig()
+        self.seeds = list(seeds)
+        # The attacker lookup needs no world, so it runs first.
+        self.attacker = as_batch_attacker(attackers)
+        self.batch = make_batch_world(self.scenario, seeds=self.seeds)
+        template = make_world(
+            self.scenario,
+            rng=np.random.default_rng(self.seeds[0]),
+            road=self.batch.road,
+        )
+        self.victim = victim_factory(template)
+        self.actor = as_batch_actor(self.victim, self.batch)
+
+    def run(
+        self,
+        reward_config: DrivingRewardConfig | None = None,
+        adversarial_config: AdversarialRewardConfig | None = None,
+        trace: TraceWriter | None = None,
+    ) -> list[EpisodeResult]:
+        """Play the episodes; one result per seed, in seed order."""
+        scenario, seeds, batch = self.scenario, self.seeds, self.batch
+        victim, actor, battacker = self.victim, self.actor, self.attacker
+        n = batch.n
+        actor.reset(batch)
+
+        planner = BatchBehaviorPlanner(batch.road)
+        planner.reset(batch)
+        nominal_reward = DrivingReward(reward_config)
+        adversarial_reward = AdversarialReward(adversarial_config)
+
+        trace = trace if trace is not None else default_writer()
+        if trace is not None:
+            stamp_provenance(trace, scenario)
+            for i in range(n):
+                trace.emit(
+                    "episode_start",
+                    episode=seeds[i],
+                    seed=seeds[i],
+                    victim=str(getattr(victim, "name", "agent")),
+                    attacker=str(getattr(battacker, "name", "none")),
+                    budget=float(getattr(battacker, "budget", 0.0)),
+                    scenario=(
+                        "default" if scenario == ScenarioConfig() else "custom"
+                    ),
+                )
+
+        nominal_total = np.zeros(n)
+        adversarial_total = np.zeros(n)
+        deviation_sq_sum = np.zeros(n)
+        deviation_max = np.zeros(n)
+        deviation_ticks = np.zeros(n, dtype=np.int64)
+        first_attack_time = np.full(n, np.nan)
+        strike_level = max(
+            ACTIVE_THRESHOLD, 0.5 * float(getattr(battacker, "budget", 0.0))
+        )
+        active_ticks = np.zeros(n, dtype=np.int64)
+        activations = np.zeros(n, dtype=np.int64)
+        previously_active = np.zeros(n, dtype=bool)
+        previous_gap = np.full(n, np.nan)
+        lane_width = batch.road.config.lane_width
+
+        tracer = get_tracer()
+        batch_path = ""
+        batch_start = time.perf_counter()
+        with span("episode_batch"):
+            if tracer.enabled:
+                batch_path = tracer.current_path()
+            while not batch.all_done:
+                live = ~batch.done
+                plan = planner.update(batch)
+                steer, thrust = actor.act_batch(batch)
+                delta = battacker.deltas(batch)
+                result = batch.tick(steer, thrust, steer_delta=delta)
+
+                striking = live & (np.abs(delta) >= strike_level)
+                stamp = striking & np.isnan(first_attack_time)
+                first_attack_time[stamp] = result.time[stamp] - scenario.dt
+
+                collided = result.collision_kind != KIND_NONE
+                nominal_step = nominal_reward.step_batch(batch, plan, collided)
+                adversarial_step = adversarial_reward.step_batch(
+                    batch, delta, result.collision_kind
+                )
+                nominal_total[live] += nominal_step[live]
+                adversarial_total[live] += adversarial_step[live]
+
+                ego_s, ego_d, _ = batch.ego_frenet()
+                deviation = (
+                    np.abs(ego_d - plan.reference_offset(ego_s)) / lane_width
+                )
+                deviation_sq_sum[live] += deviation[live] ** 2
+                deviation_max[live] = np.maximum(
+                    deviation_max[live], deviation[live]
+                )
+                deviation_ticks[live] += 1
+
+                is_active = live & (np.abs(delta) >= ACTIVE_THRESHOLD)
+                active_ticks[is_active] += 1
+                activations[is_active & ~previously_active] += 1
+                previously_active[live] = is_active[live]
+
+                if trace is not None:
+                    gap = batch.nearest_npc_gap() if batch.m else None
+                    for i in np.flatnonzero(live):
+                        fields = dict(
+                            episode=seeds[i],
+                            tick=int(result.step[i]),
+                            t=float(result.time[i]),
+                            delta=float(delta[i]),
+                            x=float(batch.x[i, 0]),
+                            y=float(batch.y[i, 0]),
+                            yaw=float(batch.yaw[i, 0]),
+                            speed=float(batch.speed[i, 0]),
+                            reward_nominal=float(nominal_step[i]),
+                            reward_adversarial=float(adversarial_step[i]),
+                            lateral=float(deviation[i]),
+                        )
+                        if gap is not None:
+                            fields["npc_gap"] = float(gap[i])
+                            if not np.isnan(previous_gap[i]):
+                                closing = (previous_gap[i] - gap[i]) / scenario.dt
+                                if closing > 1e-6:
+                                    fields["ttc"] = float(gap[i] / closing)
+                            previous_gap[i] = gap[i]
+                        trace.emit("tick", **fields)
+
+        if batch_path:
+            # Scalar-path parity: credit each episode its share of the batch
+            # wall-clock as a child span, weighted by the steps it ran. The
+            # lockstep loop advances all rows together, so per-step cost is
+            # the fairest per-episode attribution available without timing
+            # each row separately (which the vectorized loop cannot do).
+            batch_total = time.perf_counter() - batch_start
+            steps = np.maximum(batch.step_count.astype(float), 1.0)
+            shares = steps / steps.sum()
+            offset = batch_start
+            for i in range(n):
+                duration = float(batch_total * shares[i])
+                # No parent child_total credit: the tick spans inside the
+                # batch already credited it, and double-counting would zero
+                # out episode_batch's self time in profiles.
+                tracer.record(
+                    f"{batch_path}/episode", duration, start=offset
+                )
+                offset += duration
+
+        registry = get_registry()
+        results: list[EpisodeResult] = []
         for i in range(n):
-            trace.emit(
-                "episode_start",
-                episode=ids[i],
-                seed=seeds[i],
-                victim=str(getattr(victim, "name", "agent")),
-                attacker=str(getattr(battacker, "name", "none")),
-                budget=float(getattr(battacker, "budget", 0.0)),
-                scenario=(
-                    "default" if scenario == ScenarioConfig() else "custom"
-                ),
+            registry.counter("episodes_total").inc()
+            if activations[i]:
+                registry.counter("attack_activations_total").inc(
+                    int(activations[i])
+                )
+            if active_ticks[i]:
+                registry.counter("attack_active_ticks_total").inc(
+                    int(active_ticks[i])
+                )
+            registry.histogram("episode_steps").observe(int(batch.step_count[i]))
+            registry.histogram("episode_nominal_return").observe(
+                float(nominal_total[i])
+            )
+            registry.histogram("episode_adversarial_return").observe(
+                float(adversarial_total[i])
             )
 
-    nominal_total = np.zeros(n)
-    adversarial_total = np.zeros(n)
-    deviation_sq_sum = np.zeros(n)
-    deviation_max = np.zeros(n)
-    deviation_ticks = np.zeros(n, dtype=np.int64)
-    first_attack_time = np.full(n, np.nan)
-    strike_level = max(
-        ACTIVE_THRESHOLD, 0.5 * float(getattr(battacker, "budget", 0.0))
-    )
-    active_ticks = np.zeros(n, dtype=np.int64)
-    activations = np.zeros(n, dtype=np.int64)
-    previously_active = np.zeros(n, dtype=bool)
-    previous_gap = np.full(n, np.nan)
-    lane_width = batch.road.config.lane_width
-
-    tracer = get_tracer()
-    batch_path = ""
-    batch_start = time.perf_counter()
-    with span("episode_batch"):
-        if tracer.enabled:
-            batch_path = tracer.current_path()
-        while not batch.all_done:
-            live = ~batch.done
-            plan = planner.update(batch)
-            steer, thrust = actor.act_batch(batch)
-            delta = battacker.deltas(batch)
-            result = batch.tick(steer, thrust, steer_delta=delta)
-
-            striking = live & (np.abs(delta) >= strike_level)
-            stamp = striking & np.isnan(first_attack_time)
-            first_attack_time[stamp] = result.time[stamp] - scenario.dt
-
-            collided = result.collision_kind != KIND_NONE
-            nominal_step = nominal_reward.step_batch(batch, plan, collided)
-            adversarial_step = adversarial_reward.step_batch(
-                batch, delta, result.collision_kind
-            )
-            nominal_total[live] += nominal_step[live]
-            adversarial_total[live] += adversarial_step[live]
-
-            ego_s, ego_d, _ = batch.ego_frenet()
-            deviation = (
-                np.abs(ego_d - plan.reference_offset(ego_s)) / lane_width
-            )
-            deviation_sq_sum[live] += deviation[live] ** 2
-            deviation_max[live] = np.maximum(
-                deviation_max[live], deviation[live]
-            )
-            deviation_ticks[live] += 1
-
-            is_active = live & (np.abs(delta) >= ACTIVE_THRESHOLD)
-            active_ticks[is_active] += 1
-            activations[is_active & ~previously_active] += 1
-            previously_active[live] = is_active[live]
+            collision = batch.collision(i)
+            time_to_collision = None
+            if collision is not None and not np.isnan(first_attack_time[i]):
+                time_to_collision = collision.time - float(first_attack_time[i])
 
             if trace is not None:
-                gap = batch.nearest_npc_gap() if batch.m else None
-                for i in np.flatnonzero(live):
-                    fields = dict(
-                        episode=ids[i],
-                        tick=int(result.step[i]),
-                        t=float(result.time[i]),
-                        delta=float(delta[i]),
-                        x=float(batch.x[i, 0]),
-                        y=float(batch.y[i, 0]),
-                        yaw=float(batch.yaw[i, 0]),
-                        speed=float(batch.speed[i, 0]),
-                        reward_nominal=float(nominal_step[i]),
-                        reward_adversarial=float(adversarial_step[i]),
-                        lateral=float(deviation[i]),
-                    )
-                    if gap is not None:
-                        fields["npc_gap"] = float(gap[i])
-                        if not np.isnan(previous_gap[i]):
-                            closing = (previous_gap[i] - gap[i]) / scenario.dt
-                            if closing > 1e-6:
-                                fields["ttc"] = float(gap[i] / closing)
-                        previous_gap[i] = gap[i]
-                    trace.emit("tick", **fields)
+                trace.emit(
+                    "episode_end",
+                    episode=seeds[i],
+                    steps=int(batch.step_count[i]),
+                    duration=float(batch.time[i]),
+                    collision=(
+                        collision.kind.name if collision is not None else None
+                    ),
+                    collision_with=(
+                        collision.other if collision is not None else None
+                    ),
+                    nominal_return=float(nominal_total[i]),
+                    adversarial_return=float(adversarial_total[i]),
+                    passed_npcs=int(batch.passed_npcs[i]),
+                )
 
-    if batch_path:
-        # Scalar-path parity: credit each episode its share of the batch
-        # wall-clock as a child span, weighted by the steps it ran. The
-        # lockstep loop advances all rows together, so per-step cost is
-        # the fairest per-episode attribution available without timing
-        # each row separately (which the vectorized loop cannot do).
-        batch_total = time.perf_counter() - batch_start
-        steps = np.maximum(batch.step_count.astype(float), 1.0)
-        shares = steps / steps.sum()
-        offset = batch_start
-        for i in range(n):
-            duration = float(batch_total * shares[i])
-            # No parent child_total credit: the tick spans inside the
-            # batch already credited it, and double-counting would zero
-            # out episode_batch's self time in profiles.
-            tracer.record(
-                f"{batch_path}/episode", duration, start=offset
+            mean_effort = getattr(battacker, "mean_effort", 0.0)
+            if isinstance(mean_effort, np.ndarray):
+                mean_effort = float(mean_effort[i])
+            results.append(
+                EpisodeResult(
+                    steps=int(batch.step_count[i]),
+                    duration=float(batch.time[i]),
+                    collision=collision,
+                    passed_npcs=int(batch.passed_npcs[i]),
+                    nominal_return=float(nominal_total[i]),
+                    adversarial_return=float(adversarial_total[i]),
+                    mean_effort=float(mean_effort),
+                    deviation_rmse=float(
+                        np.sqrt(deviation_sq_sum[i] / max(deviation_ticks[i], 1))
+                    ),
+                    deviation_max=float(deviation_max[i]),
+                    time_to_collision=time_to_collision,
+                )
             )
-            offset += duration
-
-    registry = get_registry()
-    results: list[EpisodeResult] = []
-    for i in range(n):
-        registry.counter("episodes_total").inc()
-        if activations[i]:
-            registry.counter("attack_activations_total").inc(
-                int(activations[i])
-            )
-        if active_ticks[i]:
-            registry.counter("attack_active_ticks_total").inc(
-                int(active_ticks[i])
-            )
-        registry.histogram("episode_steps").observe(int(batch.step_count[i]))
-        registry.histogram("episode_nominal_return").observe(
-            float(nominal_total[i])
-        )
-        registry.histogram("episode_adversarial_return").observe(
-            float(adversarial_total[i])
-        )
-
-        collision = batch.collision(i)
-        time_to_collision = None
-        if collision is not None and not np.isnan(first_attack_time[i]):
-            time_to_collision = collision.time - float(first_attack_time[i])
-
         if trace is not None:
-            trace.emit(
-                "episode_end",
-                episode=ids[i],
-                steps=int(batch.step_count[i]),
-                duration=float(batch.time[i]),
-                collision=(
-                    collision.kind.name if collision is not None else None
-                ),
-                collision_with=(
-                    collision.other if collision is not None else None
-                ),
-                nominal_return=float(nominal_total[i]),
-                adversarial_return=float(adversarial_total[i]),
-                passed_npcs=int(batch.passed_npcs[i]),
-            )
-
-        mean_effort = getattr(battacker, "mean_effort", 0.0)
-        if isinstance(mean_effort, np.ndarray):
-            mean_effort = float(mean_effort[i])
-        results.append(
-            EpisodeResult(
-                steps=int(batch.step_count[i]),
-                duration=float(batch.time[i]),
-                collision=collision,
-                passed_npcs=int(batch.passed_npcs[i]),
-                nominal_return=float(nominal_total[i]),
-                adversarial_return=float(adversarial_total[i]),
-                mean_effort=float(mean_effort),
-                deviation_rmse=float(
-                    np.sqrt(deviation_sq_sum[i] / max(deviation_ticks[i], 1))
-                ),
-                deviation_max=float(deviation_max[i]),
-                time_to_collision=time_to_collision,
-            )
-        )
-    if trace is not None:
-        trace.flush()
-    return results
+            trace.flush()
+        return results

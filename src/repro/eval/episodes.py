@@ -9,9 +9,8 @@ from attack initiation to collision.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -21,16 +20,24 @@ from repro.agents.modular.behavior import BehaviorPlanner
 from repro.core.attackers import NullAttacker
 from repro.core.injection import ACTIVE_THRESHOLD
 from repro.core.rewards import AdversarialReward, AdversarialRewardConfig
+from repro.sim.batch import NoBatchTwin
 from repro.sim.collision import Collision, CollisionKind
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import make_world
 from repro.sim.world import World
+from repro.telemetry.log import get_logger
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.provenance import stamp_provenance
 from repro.telemetry.spans import span
 from repro.telemetry.trace import TraceWriter, default_writer
 
 VictimFactory = Callable[[World], DrivingAgent]
+
+#: Most seeds one lockstep pass advances: throughput flattens past it
+#: (README, "Batched evaluation").
+LOCKSTEP_SEEDS = 64
+
+log = get_logger("eval.episodes")
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,29 @@ def run_episode(
             none). Telemetry is read-only: it never changes the episode.
         episode_id: id stamped on trace events (defaults to ``seed``).
     """
+    return _run_episode(
+        victim_factory, attacker, seed, scenario, reward_config,
+        adversarial_config, trace, episode_id,
+    )[0]
+
+
+def _run_episode(
+    victim_factory: VictimFactory,
+    attacker,
+    seed: int,
+    scenario: ScenarioConfig | None,
+    reward_config: DrivingRewardConfig | None,
+    adversarial_config: AdversarialRewardConfig | None,
+    trace: TraceWriter | None,
+    episode_id: int | str | None,
+    observe: Callable[[World, float], None] | None = None,
+) -> tuple[EpisodeResult, World]:
+    """:func:`run_episode`, also returning the final world.
+
+    ``observe(world, delta)`` sees the fresh world (``delta`` 0) and the
+    world after every tick with that tick's injected delta; it must only
+    read the world.
+    """
     scenario = scenario or ScenarioConfig()
     world = make_world(scenario, rng=np.random.default_rng(seed))
     victim = victim_factory(world)
@@ -132,12 +162,16 @@ def run_episode(
     previously_active = False
     previous_gap: float | None = None
 
+    if observe is not None:
+        observe(world, 0.0)
     with span("episode"):
         while not world.done:
             plan = planner.update(world)
             control = victim.act(world)
             delta = float(attacker.delta(world, control))
             result = world.tick(control, steer_delta=delta)
+            if observe is not None:
+                observe(world, delta)
             if abs(delta) >= strike_level and first_attack_time is None:
                 first_attack_time = result.time - scenario.dt
 
@@ -227,7 +261,7 @@ def run_episode(
         )
         trace.flush()
 
-    return EpisodeResult(
+    episode = EpisodeResult(
         steps=result.step,
         duration=result.time,
         collision=result.collision,
@@ -239,6 +273,60 @@ def run_episode(
         deviation_max=float(np.max(deviations)),
         time_to_collision=time_to_collision,
     )
+    return episode, world
+
+
+def run_seeds(
+    victim_factory: VictimFactory,
+    attacker_factory: Callable[[], object] | None,
+    seeds: Iterable[int],
+    scenario: ScenarioConfig | None = None,
+    reward_config: DrivingRewardConfig | None = None,
+    adversarial_config: AdversarialRewardConfig | None = None,
+    trace: TraceWriter | None = None,
+) -> list[EpisodeResult]:
+    """Run one episode per seed on the engine the input allows.
+
+    Seeds run in chunks of up to :data:`LOCKSTEP_SEEDS`. A chunk of two or
+    more seeds advances in lockstep (:class:`~repro.eval.batch.Lockstep`)
+    when the victim and the attacker both have a batched twin; any other
+    chunk runs :func:`run_episode` per seed. Only the twin lookup picks
+    the engine: it raises :class:`~repro.sim.batch.NoBatchTwin` before the
+    first tick. Any other error propagates.
+
+    ``attacker_factory`` is called once per episode so attackers with
+    internal state (sensors, channels) start fresh each time; lockstep
+    row ``i`` draws channel noise from episode ``i``'s attacker. Trace
+    records carry each episode's seed as its id.
+    """
+    # Imported here: repro.eval.batch builds on this module.
+    from repro.eval.batch import Lockstep
+
+    seeds = list(seeds)
+    results: list[EpisodeResult] = []
+    for start in range(0, len(seeds), LOCKSTEP_SEEDS):
+        chunk = seeds[start : start + LOCKSTEP_SEEDS]
+        attackers = [
+            attacker_factory() if attacker_factory is not None else None
+            for _ in chunk
+        ]
+        lockstep = None
+        if len(chunk) >= 2:
+            try:
+                lockstep = Lockstep(victim_factory, attackers, chunk, scenario)
+            except NoBatchTwin as error:
+                log.debug("eval.scalar_engine", reason=str(error))
+        if lockstep is not None:
+            results += lockstep.run(reward_config, adversarial_config, trace)
+            continue
+        results += [
+            run_episode(
+                victim_factory, attacker, seed, scenario, reward_config,
+                adversarial_config, trace,
+            )
+            for seed, attacker in zip(chunk, attackers)
+        ]
+    return results
 
 
 def run_episodes(
@@ -246,55 +334,14 @@ def run_episodes(
     attacker_factory: Callable[[], object] | None = None,
     n_episodes: int = 10,
     seed: int = 0,
-    batch_size: int | None = None,
     **kwargs,
 ) -> list[EpisodeResult]:
-    """Run ``n_episodes`` with consecutive seeds.
+    """Run ``n_episodes`` with consecutive seeds from ``seed``.
 
-    ``attacker_factory`` is called once per episode so attackers with
-    internal state (sensors, channels) start fresh each time.
-
-    ``batch_size`` > 1 routes chunks of seeds through the lockstep
-    :func:`~repro.eval.batch.run_episode_batch` engine (``None`` reads
-    ``REPRO_EVAL_BATCH``, default 1 = the scalar reference path). Agents
-    or attackers without a batched twin fall back to the scalar loop.
+    Forwards to :func:`run_seeds`, which picks the engine and calls
+    ``attacker_factory`` once per episode.
     """
-    if batch_size is None:
-        batch_size = int(os.environ.get("REPRO_EVAL_BATCH", "1"))
-    seeds = [seed + episode for episode in range(n_episodes)]
-    if batch_size > 1:
-        from repro.eval.batch import run_episode_batch
-
-        try:
-            results = []
-            for start in range(0, n_episodes, batch_size):
-                chunk = seeds[start : start + batch_size]
-                attacker = (
-                    attacker_factory()
-                    if attacker_factory is not None
-                    else None
-                )
-                results.extend(
-                    run_episode_batch(
-                        victim_factory,
-                        attacker=attacker,
-                        seeds=chunk,
-                        **kwargs,
-                    )
-                )
-            return results
-        except TypeError:
-            # No batched twin for this victim/attacker: scalar fallback.
-            pass
-    results = []
-    for episode_seed in seeds:
-        attacker = attacker_factory() if attacker_factory is not None else None
-        results.append(
-            run_episode(
-                victim_factory,
-                attacker=attacker,
-                seed=episode_seed,
-                **kwargs,
-            )
-        )
-    return results
+    return run_seeds(
+        victim_factory, attacker_factory, range(seed, seed + n_episodes),
+        **kwargs,
+    )

@@ -52,7 +52,7 @@ from repro.obsv.dashboard import (
     to_html,
 )
 from repro.obsv.store import DEFAULT_STORE_NAME, TelemetryStore, is_store_path
-from repro.obsv.watch import TraceTail
+from repro.obsv.watch import MultiTail, worker_labelled
 from repro.telemetry.context import shard_worker
 from repro.telemetry.log import get_logger
 
@@ -116,12 +116,12 @@ class EventBus:
 
 
 class ShardFollower(threading.Thread):
-    """Tails every ``*.jsonl`` in a run directory, multiplexed.
+    """Streams a run directory's shards through a :class:`MultiTail`.
 
     New shard files appearing mid-run (a late worker) are picked up on
-    the next poll. Events missing a ``worker`` stamp inherit the id from
-    their shard filename. Each event is pushed to the bus and fed to the
-    watchdog rule-set; firings are pushed as alert messages, with the
+    the next poll, and events missing a ``worker`` stamp inherit the id
+    from their shard filename. Each event is pushed to the bus and fed to
+    the watchdog rule-set; firings are pushed as alert messages, with the
     loop label tagged ``@w<worker>`` so one diverging worker is
     distinguishable from the rest of the pool.
     """
@@ -135,25 +135,17 @@ class ShardFollower(threading.Thread):
         pattern: str = "*.jsonl",
     ) -> None:
         super().__init__(name="obsv-serve-follower", daemon=True)
-        self.directory = Path(directory)
-        self.pattern = pattern
         self.bus = bus
         self.poll = max(float(poll), 0.05)
         self.watchdog = Watchdog(config)
         self.alerts: list[dict] = []
         self.events_seen = 0
-        self._tails: dict[Path, TraceTail] = {}
         # NB: not named _stop — threading.Thread.join() calls a private
         # Thread._stop() internally and an Event attribute would shadow it.
         self._halt = threading.Event()
-        # Shards already on disk stream only what is appended after this
-        # point; the SSE feed is "what is happening", the store holds the
-        # backlog. Shards appearing later stream from their first byte.
-        for path in sorted(self.directory.glob(pattern)) if (
-            self.directory.is_dir()
-        ) else []:
-            tail = self._tails[path] = TraceTail(path)
-            tail.skip_to_end()
+        # The SSE feed is "what is happening"; the store holds the backlog.
+        self._tail = MultiTail(directory, pattern)
+        self._tail.skip_to_end()
 
     def stop(self) -> None:
         self._halt.set()
@@ -167,39 +159,18 @@ class ShardFollower(threading.Thread):
 
     def poll_once(self) -> int:
         """One multiplexed pass over all shards; returns events pushed."""
-        if not self.directory.is_dir():
-            return 0
-        pushed = 0
-        for path in sorted(self.directory.glob(self.pattern)):
-            tail = self._tails.get(path)
-            if tail is None:
-                tail = self._tails[path] = TraceTail(path)
-            worker = shard_worker(path)
-            for event in tail.poll():
-                if worker is not None and "worker" not in event:
-                    event["worker"] = worker
-                self.events_seen += 1
-                pushed += 1
-                self.bus.publish({"type": "event", "data": event})
-                for alert in self._observe(event):
-                    self.alerts.append(alert)
-                    self.bus.publish({"type": "alert", "data": alert})
-        return pushed
-
-    def _observe(self, event: dict) -> list[dict]:
-        worker = event.get("worker")
-        if worker is not None and event.get("loop") is not None:
-            # Per-worker loop key: rules trip (and alerts are labelled)
-            # per worker, not across the merged pool.
-            event = {**event, "loop": f"{event['loop']}@w{worker}"}
-        fired = self.watchdog.observe(event)
-        out = []
-        for alert in fired:
-            record = alert.to_event()
-            if worker is not None:
-                record["worker"] = int(worker)
-            out.append(record)
-        return out
+        events = self._tail.poll()
+        for event in events:
+            self.events_seen += 1
+            self.bus.publish({"type": "event", "data": event})
+            # Rules trip (and alerts are labelled) per worker.
+            for alert in self.watchdog.observe(worker_labelled(event)):
+                record = alert.to_event()
+                if event.get("worker") is not None:
+                    record["worker"] = int(event["worker"])
+                self.alerts.append(record)
+                self.bus.publish({"type": "alert", "data": record})
+        return len(events)
 
 
 class DashboardServer:

@@ -134,12 +134,24 @@ class MultiTail:
         self.pattern = pattern
         self._tails: dict[Path, TraceTail] = {}
 
-    def poll(self) -> list[dict]:
-        """New events across all shards, shard-ordered within the batch."""
+    def _shards(self) -> list[Path]:
         if not self.directory.is_dir():
             return []
+        return sorted(self.directory.glob(self.pattern))
+
+    def skip_to_end(self) -> None:
+        """Poll only what shards already on disk append from now on.
+
+        Shards that appear later still stream from their first byte.
+        """
+        for path in self._shards():
+            tail = self._tails[path] = TraceTail(path)
+            tail.skip_to_end()
+
+    def poll(self) -> list[dict]:
+        """New events across all shards, shard-ordered within the batch."""
         events: list[dict] = []
-        for path in sorted(self.directory.glob(self.pattern)):
+        for path in self._shards():
             tail = self._tails.get(path)
             if tail is None:
                 tail = self._tails[path] = TraceTail(path)
@@ -151,7 +163,7 @@ class MultiTail:
         return events
 
 
-def _worker_labelled(event: dict) -> dict:
+def worker_labelled(event: dict) -> dict:
     """Copy of ``event`` with the loop keyed per worker (``loop@w<k>``).
 
     Makes the multiplexed view keep one row — and the watchdog one
@@ -502,7 +514,7 @@ def watch_trace(
             # Recorded alerts (a previous watch session) sit *after* the
             # events that tripped them; arm the dedup before replaying
             # the batch so re-watching never duplicates an alert.
-            events = [_worker_labelled(event) for event in events]
+            events = [worker_labelled(event) for event in events]
             for event in events:
                 if event.get("event") == "alert":
                     watchdog.observe(event)

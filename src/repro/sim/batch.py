@@ -60,6 +60,14 @@ _KIND_TO_ENUM = {
 _TWO_PI = 2.0 * math.pi
 
 
+class NoBatchTwin(TypeError):
+    """An agent or attacker has no lockstep twin: run it on the scalar engine.
+
+    Raised only by the twin lookups, before any tick, so an engine choice
+    can catch it without hiding errors raised while episodes run.
+    """
+
+
 def _normalize_angles(angles: np.ndarray) -> np.ndarray:
     """Vectorized :func:`repro.utils.geometry.normalize_angle`."""
     return (angles + math.pi) % _TWO_PI - math.pi

@@ -6,17 +6,27 @@ and end-to-end — must produce the same episodes whether run through
 :func:`repro.eval.run_episode_batch`. Discrete outcomes (steps,
 collisions, passed NPCs) must match exactly; floats must match within
 the replay tolerances of :mod:`repro.obsv.replay`, whose diff machinery
-does the tick-by-tick comparison here.
+does the tick-by-tick comparison here. :func:`repro.eval.run_episodes`
+picks the engine from its input; the routing tests pin that choice.
 """
 
 import numpy as np
 import pytest
 
+from repro.agents.e2e import EndToEndAgent
 from repro.agents.modular import ModularAgent
-from repro.core import OracleAttacker
+from repro.core import (
+    InjectionChannel,
+    InjectionChannelConfig,
+    LearnedAttacker,
+    OracleAttacker,
+)
+from repro.defense import DetectorSwitchedAgent
 from repro.eval import run_episode, run_episode_batch, run_episodes
 from repro.experiments import registry
+from repro.experiments.fig6 import victim_factory_for
 from repro.obsv.replay import DEFAULT_TOLERANCES, diff_ticks
+from repro.sim.batch import BatchWorld
 from repro.telemetry.trace import TraceWriter
 
 pytestmark = pytest.mark.batch
@@ -30,10 +40,28 @@ needs_artifacts = pytest.mark.skipif(
     ),
     reason="shipped artifacts missing; run examples/train_all.py",
 )
+needs_all_artifacts = pytest.mark.skipif(
+    not all(registry.has_artifact(n) for n in registry.ALL_ARTIFACTS),
+    reason="shipped artifacts missing; run examples/train_all.py",
+)
 
 
 def modular_victim(world):
     return ModularAgent(world.road)
+
+
+def noisy_camera_attacker():
+    """The camera attacker behind an IEMI-noisy channel, seeded per call."""
+    base = registry.camera_attacker(1.0)
+    return LearnedAttacker(
+        base.policy,
+        base.sensor,
+        channel=InjectionChannel(
+            InjectionChannelConfig(budget=1.0, noise_std=0.2),
+            rng=np.random.default_rng(11),
+        ),
+        name="camera",
+    )
 
 
 def _ticks_by_episode(writer: TraceWriter) -> dict:
@@ -44,25 +72,8 @@ def _ticks_by_episode(writer: TraceWriter) -> dict:
     return ticks
 
 
-def assert_equivalent(victim_factory, attacker_factory, seeds=SEEDS):
-    scalar_writer = TraceWriter()
-    scalar = [
-        run_episode(
-            victim_factory,
-            attacker=attacker_factory(),
-            seed=seed,
-            trace=scalar_writer,
-        )
-        for seed in seeds
-    ]
-    batch_writer = TraceWriter()
-    batched = run_episode_batch(
-        victim_factory,
-        attacker=attacker_factory(),
-        seeds=seeds,
-        trace=batch_writer,
-    )
-
+def assert_same_outcomes(seeds, scalar, batched):
+    """Discrete outcomes exact, per-episode floats within 1e-9."""
     assert len(batched) == len(scalar)
     for seed, a, b in zip(seeds, scalar, batched):
         # Discrete outcomes: exact.
@@ -91,6 +102,27 @@ def assert_equivalent(victim_factory, attacker_factory, seeds=SEEDS):
             assert b.time_to_collision == pytest.approx(
                 a.time_to_collision, abs=1e-9
             )
+
+
+def assert_equivalent(victim_factory, attacker_factory, seeds=SEEDS):
+    scalar_writer = TraceWriter()
+    scalar = [
+        run_episode(
+            victim_factory,
+            attacker=attacker_factory(),
+            seed=seed,
+            trace=scalar_writer,
+        )
+        for seed in seeds
+    ]
+    batch_writer = TraceWriter()
+    batched = run_episode_batch(
+        victim_factory,
+        attacker=attacker_factory(),
+        seeds=seeds,
+        trace=batch_writer,
+    )
+    assert_same_outcomes(seeds, scalar, batched)
 
     # Tick-by-tick through the replay diff machinery.
     scalar_ticks = _ticks_by_episode(scalar_writer)
@@ -131,44 +163,137 @@ class TestEndToEndEquivalence:
         assert any(r.collision is not None for r in scalar)
 
 
-class TestRunEpisodesBatchRouting:
-    def test_batch_size_routes_and_matches_scalar(self):
-        scalar = run_episodes(modular_victim, n_episodes=5, seed=3)
-        batched = run_episodes(
-            modular_victim, n_episodes=5, seed=3, batch_size=2
+    @needs_all_artifacts
+    @pytest.mark.parametrize("agent", ["pnn sigma=0.2", "pnn sigma=0.4"])
+    def test_pnn_camera_attacked(self, agent):
+        # eps 0.5 is above both switch thresholds: the progressive column
+        # drives.
+        assert_equivalent(
+            victim_factory_for(agent, 0.5),
+            lambda: registry.camera_attacker(0.5),
+            seeds=SEEDS[:2],
         )
-        for a, b in zip(scalar, batched):
-            assert a.steps == b.steps
-            assert a.nominal_return == pytest.approx(
-                b.nominal_return, abs=1e-9
-            )
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_BATCH", "3")
-        scalar = run_episodes(modular_victim, n_episodes=3, seed=11)
-        monkeypatch.delenv("REPRO_EVAL_BATCH")
-        reference = run_episodes(modular_victim, n_episodes=3, seed=11)
-        for a, b in zip(scalar, reference):
-            assert a.steps == b.steps
 
-    def test_unsupported_victim_falls_back_to_scalar(self):
-        # No batched twin -> TypeError inside the batch route -> scalar.
+class TestLockstepDeterminism:
+    """A lockstep episode's result against the batch it runs in."""
+
+    def test_modular_oracle_bit_identical(self):
+        alone, pair, seven = (
+            run_episode_batch(
+                modular_victim,
+                attacker=OracleAttacker(budget=1.0),
+                seeds=range(3, 3 + size),
+            )[0]
+            for size in (1, 2, 7)
+        )
+        assert alone == pair == seven  # frozen dataclass: exact floats
+
+    @needs_artifacts
+    def test_policy_victim_within_1e9(self):
+        # Batched matrix products round differently per batch size, so a
+        # policy victim's floats may move in the last bits.
+        alone, pair, seven = (
+            run_episode_batch(registry.e2e_victim, seeds=range(3, 3 + size))
+            for size in (1, 2, 7)
+        )
+        assert_same_outcomes([3], alone, pair[:1])
+        assert_same_outcomes([3], alone, seven[:1])
+
+
+@pytest.fixture()
+def lockstep_ticks(monkeypatch):
+    """Counts lockstep ticks: an empty list means the scalar engine ran."""
+    ticks = []
+    tick = BatchWorld.tick
+
+    def counting_tick(self, *args, **kwargs):
+        ticks.append(self.n)
+        return tick(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchWorld, "tick", counting_tick)
+    return ticks
+
+
+class TestEngineChoice:
+    def test_batchable_matches_run_episode(self, lockstep_ticks):
         results = run_episodes(
-            lambda world: _OddVictim(world),
-            n_episodes=2,
-            seed=0,
-            batch_size=2,
+            modular_victim, lambda: OracleAttacker(budget=1.0),
+            n_episodes=3, seed=3,
         )
-        assert len(results) == 2
-        reference = run_episodes(
-            lambda world: _OddVictim(world), n_episodes=2, seed=0
+        assert lockstep_ticks and set(lockstep_ticks) == {3}
+        reference = [
+            run_episode(
+                modular_victim, attacker=OracleAttacker(budget=1.0), seed=s
+            )
+            for s in (3, 4, 5)
+        ]
+        assert_same_outcomes([3, 4, 5], reference, results)
+
+    @pytest.mark.parametrize(
+        "victim, attacker, n_episodes",
+        [
+            ("odd", None, 2),
+            pytest.param("modular", "imu", 2, marks=needs_all_artifacts),
+            pytest.param("detector", "camera", 2, marks=needs_all_artifacts),
+            # One noisy channel cannot feed two rows from one rng.
+            pytest.param("e2e", "shared noisy", 2, marks=needs_artifacts),
+            ("modular", None, 1),
+        ],
+    )
+    def test_no_twin_runs_scalar(
+        self, lockstep_ticks, victim, attacker, n_episodes
+    ):
+        victims = {
+            "odd": lambda world: _OddVictim(world),
+            "modular": modular_victim,
+            "e2e": registry.e2e_victim,
+            "detector": lambda world: DetectorSwitchedAgent(
+                EndToEndAgent(registry._e2e_state()[0]),
+                registry.pnn_column(),
+                sigma=0.2,
+            ),
+        }
+        attackers = {
+            None: None,
+            "imu": lambda: registry.imu_attacker(1.0),
+            "camera": lambda: registry.camera_attacker(1.0),
+        }
+        if attacker == "shared noisy":
+            shared = noisy_camera_attacker()
+            attackers[attacker] = lambda: shared
+        results = run_episodes(
+            victims[victim], attackers[attacker],
+            n_episodes=n_episodes, seed=0,
         )
-        for a, b in zip(results, reference):
-            assert a.steps == b.steps
+        assert len(results) == n_episodes
+        assert lockstep_ticks == []
+
+    def test_lockstep_error_propagates(self, monkeypatch):
+        def broken_tick(*args, **kwargs):
+            raise TypeError("engine bug")
+
+        monkeypatch.setattr(BatchWorld, "tick", broken_tick)
+        with pytest.raises(TypeError, match="engine bug"):
+            run_episodes(modular_victim, n_episodes=2, seed=0)
+
+    @needs_artifacts
+    def test_noisy_channel_lockstep(self, lockstep_ticks):
+        results = run_episodes(
+            registry.e2e_victim, noisy_camera_attacker, n_episodes=2, seed=5
+        )
+        assert lockstep_ticks
+        reference = [
+            run_episode(
+                registry.e2e_victim, attacker=noisy_camera_attacker(), seed=s
+            )
+            for s in (5, 6)
+        ]
+        assert_same_outcomes([5, 6], reference, results)
 
 
 class _OddVictim:
-    """A custom agent with no batched twin (exercises the fallback)."""
+    """A custom agent with no batched twin (exercises the scalar engine)."""
 
     name = "odd"
 

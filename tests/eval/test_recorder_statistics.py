@@ -11,10 +11,13 @@ from repro.eval import (
     compare_nominal_rewards,
     mann_whitney,
     record_episode,
+    run_episode,
     run_episodes,
     success_rate_ci,
 )
+from repro.obsv.replay import DEFAULT_TOLERANCES, diff_ticks
 from repro.sim import Control, make_world
+from repro.telemetry.trace import TraceWriter
 
 
 def modular_victim(world):
@@ -107,6 +110,27 @@ class TestRecordEpisode:
             modular_victim, attacker=OracleAttacker(budget=1.0), seed=1
         )
         assert any(abs(d) > 0.5 for d in trajectory.deltas)
+
+    def test_trace_matches_run_episode(self):
+        def records(run):
+            writer = TraceWriter()
+            run(
+                modular_victim, attacker=OracleAttacker(budget=1.0), seed=1,
+                trace=writer,
+            )
+            return (
+                [e for e in writer.events if e["event"] == "tick"],
+                [e for e in writer.events if e["event"] == "episode_end"],
+            )
+
+        recorded_ticks, recorded_end = records(record_episode)
+        ticks, end = records(run_episode)
+        exact = {name: 0.0 for name in DEFAULT_TOLERANCES}
+        diffs, _, compared = diff_ticks(ticks, recorded_ticks, exact)
+        assert compared > 0 and not diffs
+        assert recorded_ticks == ticks
+        assert recorded_end == end
+        assert "nominal_return" in end[0] and "ttc" in ticks[-1]
 
 
 class TestMannWhitney:
