@@ -56,7 +56,6 @@ class DrivingEnv:
         self.injector = injector
         self.world: World | None = None
         self.planner: BehaviorPlanner | None = None
-        self._episode = 0
 
     @property
     def observation_dim(self) -> int:
@@ -64,7 +63,6 @@ class DrivingEnv:
 
     def reset(self) -> np.ndarray:
         """Start a fresh episode and return the first observation."""
-        self._episode += 1
         self.world = make_world(self.scenario, rng=self.rng)
         self.planner = BehaviorPlanner(self.world.road)
         self.planner.reset(self.world)

@@ -26,15 +26,14 @@ from repro.agents.e2e.env import DrivingEnv, SteerInjector
 from repro.agents.e2e.observation import DrivingObservation
 from repro.agents.modular.agent import ModularAgent
 from repro.rl.bc import BcConfig, BehaviorCloner
-from repro.rl.checkpoint import SacLoopGuard
-from repro.rl.health import HealthEmitter
+from repro.rl.checkpoint import run_sac_loop
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.rl.sac import Sac, SacConfig
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import make_world
+from repro.sim.vehicle import Control
 from repro.telemetry.log import get_logger
-from repro.telemetry.spans import span
-from repro.telemetry.trace import TraceWriter, default_writer
+from repro.telemetry.trace import TraceWriter
 
 log = get_logger("agents.e2e.training")
 
@@ -69,35 +68,52 @@ class DriverTrainConfig:
 def collect_expert_dataset(
     n_episodes: int,
     rng: np.random.Generator,
-    action_noise: float = 0.15,
+    action_noise: float = 0.0,
     scenario: ScenarioConfig | None = None,
+    attacker: SteerInjector | None = None,
+    student: EndToEndAgent | None = None,
+    expert_factory=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roll out the modular expert, recording (observation, expert action).
+    """Roll out episodes, recording (observation, expert action) pairs.
 
-    Exploration noise perturbs the executed action so the dataset covers
-    slightly off-nominal states the cloned policy will visit.
+    The expert (``expert_factory(road)``, default the modular pipeline)
+    labels every state. It also drives unless a ``student`` is given, in
+    which case the student drives while the expert labels (a DAgger
+    round), covering the off-path states the student actually reaches.
+    ``attacker`` injects its steering perturbation into every tick (the
+    adversarial-training datasets of Section VI). A nonzero
+    ``action_noise`` perturbs the executed action (labels stay clean) so
+    the dataset covers slightly off-nominal states; the noise is drawn
+    from ``rng`` only when nonzero.
     """
     scenario = scenario or ScenarioConfig()
+    expert_factory = expert_factory or ModularAgent
+    encoder = DrivingObservation(reference_speed=scenario.ego_speed)
     observations: list[np.ndarray] = []
     actions: list[np.ndarray] = []
-    encoder = DrivingObservation(reference_speed=scenario.ego_speed)
     for _ in range(n_episodes):
         world = make_world(scenario, rng=rng)
-        expert = ModularAgent(world.road)
+        expert = expert_factory(world.road)
         expert.reset(world)
+        if student is not None:
+            student.reset(world)
         encoder.reset()
+        if attacker is not None:
+            attacker.reset(world)
         while not world.done:
-            obs = encoder.observe(world)
-            control = expert.act(world)
-            label = np.array([control.steer, control.thrust])
-            observations.append(obs)
-            actions.append(label)
-            executed = np.clip(
-                label + rng.normal(0.0, action_noise, size=2), -1.0, 1.0
-            )
-            world.tick(
-                type(control)(steer=float(executed[0]), thrust=float(executed[1]))
-            )
+            observations.append(encoder.observe(world))
+            label = expert.act(world)
+            actions.append(np.array([label.steer, label.thrust]))
+            executed = label if student is None else student.act(world)
+            if action_noise:
+                noisy = np.clip(
+                    np.array([executed.steer, executed.thrust])
+                    + rng.normal(0.0, action_noise, size=2),
+                    -1.0, 1.0,
+                )
+                executed = Control(steer=float(noisy[0]), thrust=float(noisy[1]))
+            delta = 0.0 if attacker is None else attacker.delta(world, executed)
+            world.tick(executed, steer_delta=delta)
     return np.asarray(observations), np.asarray(actions)
 
 
@@ -186,66 +202,19 @@ def refine_driver_sac(
 
     Returns the refined policy and its evaluation metrics; the caller
     decides whether to keep it. The ``injector`` hook makes this the same
-    primitive adversarial fine-tuning (Section VI-A) builds on.
-    ``trace`` (or the ``REPRO_TRACE`` default writer) receives one
-    ``train_step`` event per environment step, plus ``update_health``
-    records when ``config.sac.health_every`` (or ``REPRO_HEALTH_EVERY``)
-    is set.
-
-    Crash-safe: episode boundaries (reset deferred to the next
-    iteration) snapshot a resumable
-    :class:`~repro.rl.checkpoint.TrainState` when
-    ``config.sac.checkpoint_every`` is set, and ``config.sac.resume``
-    continues bit-identically from the newest snapshot.
+    primitive adversarial fine-tuning (Section VI-A) builds on. Training
+    runs :func:`~repro.rl.checkpoint.run_sac_loop` under ``loop_label``,
+    which emits ``train_step``/``update_health`` records into ``trace``
+    and snapshots and resumes per ``config.sac``.
     """
-    trace = trace if trace is not None else default_writer()
     env = DrivingEnv(scenario=scenario, rng=rng, injector=injector)
     sac = Sac(
         env.observation_dim, env.action_dim, config.sac, rng=rng, actor=policy
     )
-    health = HealthEmitter(trace, loop_label, every=config.sac.health_every)
-    guard = SacLoopGuard(sac, loop_label, rng, trace=trace)
-    start = guard.start()
-    env._episode = guard.env_episode
-    obs = None
-    episode_return = 0.0
-    with span("train.driver_sac"):
-        for step in range(start, config.sac_steps):
-            guard.on_step(step)
-            if obs is None:  # episode boundary: snapshot, then reset
-                guard.at_boundary(step, env._episode, env._episode)
-                obs = env.reset()
-                episode_return = 0.0
-            action = sac.act(obs)
-            next_obs, reward, done, info = env.step(action)
-            sac.observe(
-                obs, action, reward, next_obs,
-                done and not info["truncated"],
-            )
-            episode_return += reward
-            obs = next_obs
-            if trace is not None:
-                trace.emit(
-                    "train_step", loop=loop_label, step=step,
-                    reward=float(reward), done=bool(done),
-                )
-            if done:
-                if env._episode % 10 == 0:
-                    (log.info if progress else log.debug)(
-                        "sac.episode", loop=loop_label, step=step,
-                        episode=env._episode,
-                        episode_return=episode_return,
-                    )
-                obs = None
-            if step % config.sac.update_every == 0 and len(sac.replay) >= (
-                config.sac.batch_size
-            ):
-                stats = sac.update()
-                health.after_update(sac, step, stats)
-                guard.after_update(step, stats)
-    guard.finish(config.sac_steps, env._episode, env._episode)
-    if trace is not None:
-        trace.flush()
+    run_sac_loop(
+        sac, env, config.sac_steps, rng, loop_label, trace=trace,
+        progress=progress,
+    )
 
     agent = EndToEndAgent(policy, observation=DrivingObservation())
     metrics = evaluate_driver(

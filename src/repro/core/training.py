@@ -28,15 +28,13 @@ from repro.core.observations import CameraAttackObservation, ImuAttackObservatio
 from repro.eval.episodes import run_episodes
 from repro.eval.metrics import success_rate
 from repro.rl.bc import BcConfig, BehaviorCloner
-from repro.rl.checkpoint import SacLoopGuard
-from repro.rl.health import HealthEmitter
+from repro.rl.checkpoint import run_sac_loop
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.rl.sac import Sac, SacConfig
+from repro.sensors.base import Sensor
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import make_world
 from repro.telemetry.log import get_logger
-from repro.telemetry.spans import span
-from repro.telemetry.trace import TraceWriter, default_writer
 
 log = get_logger("core.training")
 
@@ -72,35 +70,39 @@ class AttackTrainConfig:
     seed: int = 0
 
 
-def collect_oracle_demonstrations(
+def collect_demonstrations(
+    teacher: OracleAttacker | LearnedAttacker,
+    sensor: Sensor,
     victim_factory: VictimFactory,
     n_episodes: int,
     rng: np.random.Generator,
     scenario: ScenarioConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle attack rollouts recorded through the camera sensor.
+    """Attack rollouts driven by ``teacher`` and recorded through ``sensor``.
+
+    The teacher (the scripted oracle, or the camera attacker for
+    learning-from-teacher) exposes ``normalized_action`` and ``channel``
+    and *executes* its attack, so the recorded observations carry the
+    attack-induced motion the student must learn to recognize.
 
     Returns ``(observations, normalized_actions)`` where actions are the
-    oracle's decisions in ``[-1, 1]``.
+    teacher's decisions in ``[-1, 1]``.
     """
     scenario = scenario or ScenarioConfig()
-    sensor = CameraAttackObservation()
     observations: list[np.ndarray] = []
     actions: list[float] = []
     for _ in range(n_episodes):
         world = make_world(scenario, rng=rng)
         victim = victim_factory(world)
         victim.reset(world)
-        oracle = OracleAttacker(budget=1.0)
-        oracle.reset(world)
+        teacher.reset(world)
         sensor.reset()
         while not world.done:
-            obs = sensor.observe(world)
-            action = oracle.normalized_action(world)
-            observations.append(obs)
+            observations.append(sensor.observe(world))
+            action = teacher.normalized_action(world)
             actions.append(action)
             control = victim.act(world)
-            world.tick(control, steer_delta=oracle.channel.inject(action))
+            world.tick(control, steer_delta=teacher.channel.inject(action))
     return np.asarray(observations), np.asarray(actions)[:, None]
 
 
@@ -139,150 +141,73 @@ def _make_attacker(
     )
 
 
-def _fit_best_of(
-    observations: np.ndarray,
-    actions: np.ndarray,
-    sensor,
+def _train_attacker(
     victim_factory: VictimFactory,
     config: AttackTrainConfig,
     rng: np.random.Generator,
-    label: str,
-    progress: bool,
-) -> tuple[SquashedGaussianPolicy, dict[str, float]]:
-    """Fit ``bc_restarts`` policies on the dataset and keep the best one
-    by evaluated mean adversarial return (ties broken by success rate)."""
-    best_policy: SquashedGaussianPolicy | None = None
-    best_metrics: dict[str, float] | None = None
-    for restart in range(max(config.bc_restarts, 1)):
-        policy = SquashedGaussianPolicy(
-            sensor.observation_dim, 1, ATTACKER_HIDDEN, rng=rng
-        )
-        losses = BehaviorCloner(policy, config.bc, rng=rng).fit(
-            observations, actions
-        )
-        attacker = _make_attacker(policy, sensor, config.budget, label)
-        metrics = evaluate_attacker(
-            attacker, victim_factory, config.eval_episodes
-        )
-        (log.info if progress else log.debug)(
-            "bc.restart", label=label, restart=restart,
-            loss=float(losses[-1]), **metrics,
-        )
-        better = best_metrics is None or (
-            metrics["mean_adversarial_return"],
-            metrics["success_rate"],
-        ) > (
-            best_metrics["mean_adversarial_return"],
-            best_metrics["success_rate"],
-        )
-        if better:
-            best_policy, best_metrics = policy, metrics
-    return best_policy, best_metrics
-
-
-def _sac_refine(
-    policy: SquashedGaussianPolicy,
-    env: AttackEnv,
-    config: AttackTrainConfig,
-    rng: np.random.Generator,
-    progress: bool = False,
-    trace: TraceWriter | None = None,
-    loop_label: str = "sac-attack",
-) -> None:
-    """In-place SAC refinement of an attack policy in ``env``.
-
-    Crash-safe: the loop defers ``env.reset`` to the top of the next
-    iteration so episode boundaries are pure learner state, snapshots
-    resumable :class:`~repro.rl.checkpoint.TrainState` checkpoints there
-    when ``config.sac.checkpoint_every`` (or ``REPRO_CHECKPOINT_EVERY``)
-    is set, and resumes bit-identically when ``config.sac.resume`` (or
-    ``REPRO_RESUME``) finds one.
-    """
-    trace = trace if trace is not None else default_writer()
-    sac = Sac(env.observation_dim, env.action_dim, config.sac, rng=rng,
-              actor=policy)
-    health = HealthEmitter(trace, loop_label, every=config.sac.health_every)
-    guard = SacLoopGuard(sac, loop_label, rng, trace=trace)
-    start = guard.start()
-    obs = None
-    episode_return, episode = 0.0, guard.episode
-    with span("train.sac_refine"):
-        for step in range(start, config.sac_steps):
-            guard.on_step(step)
-            if obs is None:  # episode boundary: snapshot, then reset
-                guard.at_boundary(step, episode)
-                obs = env.reset()
-                episode_return = 0.0
-            action = sac.act(obs)
-            next_obs, reward, done, info = env.step(action)
-            sac.observe(obs, action, reward, next_obs,
-                        done and not info["truncated"])
-            episode_return += reward
-            obs = next_obs
-            if trace is not None:
-                trace.emit(
-                    "train_step", loop=loop_label, step=step,
-                    reward=float(reward), done=bool(done), episode=episode,
-                )
-            if done:
-                episode += 1
-                if episode % 20 == 0:
-                    (log.info if progress else log.debug)(
-                        "sac.episode", loop=loop_label, step=step,
-                        episode=episode, episode_return=episode_return,
-                    )
-                obs = None
-            if step % config.sac.update_every == 0 and len(sac.replay) >= (
-                config.sac.batch_size
-            ):
-                stats = sac.update()
-                health.after_update(sac, step, stats)
-                guard.after_update(step, stats)
-    guard.finish(config.sac_steps, episode)
-    if trace is not None:
-        trace.flush()
-
-
-def train_camera_attacker(
-    victim_factory: VictimFactory,
-    config: AttackTrainConfig | None = None,
+    demonstrator: OracleAttacker | LearnedAttacker,
+    sensor_type: type[Sensor],
+    name: str,
+    bc_label: str,
+    loop_label: str,
+    teacher: LearnedAttacker | None = None,
     progress: bool = False,
 ) -> tuple[LearnedAttacker, dict[str, float]]:
-    """Full camera-attacker pipeline; returns (attacker, eval metrics)."""
-    config = config or AttackTrainConfig()
-    rng = np.random.default_rng(config.seed)
+    """Clone ``demonstrator`` seen through ``sensor_type``, then refine.
 
-    observations, actions = collect_oracle_demonstrations(
-        victim_factory, config.bc_episodes, rng
+    Fits ``bc_restarts`` policies on the demonstrations and keeps the
+    best by evaluated mean adversarial return (ties broken by success
+    rate). SAC then refines it in the adversarial MDP (``teacher`` adds
+    the ``p_se`` term), and the refined weights are kept only if they
+    do not lower the mean adversarial return.
+    """
+    observations, actions = collect_demonstrations(
+        demonstrator, sensor_type(), victim_factory, config.bc_episodes, rng
     )
-    sensor = CameraAttackObservation()
-    policy, metrics = _fit_best_of(
-        observations,
-        actions,
-        sensor,
-        victim_factory,
-        config,
-        rng,
-        label="bc-attack",
-        progress=progress,
-    )
-    attacker = _make_attacker(policy, sensor, config.budget, "camera")
+    sensor = sensor_type()
+    policy: SquashedGaussianPolicy | None = None
+    metrics: dict[str, float] | None = None
+    for restart in range(max(config.bc_restarts, 1)):
+        candidate = SquashedGaussianPolicy(
+            sensor.observation_dim, 1, ATTACKER_HIDDEN, rng=rng
+        )
+        losses = BehaviorCloner(candidate, config.bc, rng=rng).fit(
+            observations, actions
+        )
+        candidate_metrics = evaluate_attacker(
+            _make_attacker(candidate, sensor, config.budget, bc_label),
+            victim_factory,
+            config.eval_episodes,
+        )
+        (log.info if progress else log.debug)(
+            "bc.restart", label=bc_label, restart=restart,
+            loss=float(losses[-1]), **candidate_metrics,
+        )
+        if metrics is None or (
+            candidate_metrics["mean_adversarial_return"],
+            candidate_metrics["success_rate"],
+        ) > (metrics["mean_adversarial_return"], metrics["success_rate"]):
+            policy, metrics = candidate, candidate_metrics
+    attacker = _make_attacker(policy, sensor, config.budget, name)
 
     if config.sac_steps > 0:
         before = {k: v.copy() for k, v in policy.state_dict().items()}
         env = AttackEnv(
             victim_factory,
-            CameraAttackObservation(),
+            sensor_type(),
             budget=config.budget,
             rng=rng,
+            teacher=teacher,
         )
-        _sac_refine(policy, env, config, rng, progress)
-        refined = _make_attacker(policy, sensor, config.budget, "camera")
+        sac = Sac(env.observation_dim, env.action_dim, config.sac, rng=rng,
+                  actor=policy)
+        run_sac_loop(sac, env, config.sac_steps, rng, loop_label,
+                     progress=progress)
         refined_metrics = evaluate_attacker(
-            refined, victim_factory, config.eval_episodes
+            attacker, victim_factory, config.eval_episodes
         )
         (log.info if progress else log.debug)(
-            "sac.eval", loop="sac-attack", **refined_metrics
+            "sac.eval", loop=loop_label, **refined_metrics
         )
         if (
             refined_metrics["mean_adversarial_return"]
@@ -294,37 +219,24 @@ def train_camera_attacker(
     return attacker, metrics
 
 
-def collect_teacher_traces(
-    teacher: LearnedAttacker,
+def train_camera_attacker(
     victim_factory: VictimFactory,
-    n_episodes: int,
-    rng: np.random.Generator,
-    scenario: ScenarioConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Learning-from-teacher data: IMU observations + teacher actions.
-
-    The teacher *executes* its attack so the IMU trace carries the
-    attack-induced motion signature the student must learn to recognize.
-    """
-    scenario = scenario or ScenarioConfig()
-    student_sensor = ImuAttackObservation()
-    observations: list[np.ndarray] = []
-    actions: list[float] = []
-    for _ in range(n_episodes):
-        world = make_world(scenario, rng=rng)
-        victim = victim_factory(world)
-        victim.reset(world)
-        teacher.reset(world)
-        student_sensor.reset()
-        while not world.done:
-            obs = student_sensor.observe(world)
-            teacher_action = teacher.normalized_action(world)
-            observations.append(obs)
-            actions.append(teacher_action)
-            control = victim.act(world)
-            delta = teacher.channel.inject(teacher_action)
-            world.tick(control, steer_delta=delta)
-    return np.asarray(observations), np.asarray(actions)[:, None]
+    config: AttackTrainConfig | None = None,
+    progress: bool = False,
+) -> tuple[LearnedAttacker, dict[str, float]]:
+    """Full camera-attacker pipeline; returns (attacker, eval metrics)."""
+    config = config or AttackTrainConfig()
+    return _train_attacker(
+        victim_factory,
+        config,
+        np.random.default_rng(config.seed),
+        demonstrator=OracleAttacker(budget=1.0),
+        sensor_type=CameraAttackObservation,
+        name="camera",
+        bc_label="bc-attack",
+        loop_label="sac-attack",
+        progress=progress,
+    )
 
 
 def train_imu_attacker(
@@ -335,46 +247,15 @@ def train_imu_attacker(
 ) -> tuple[LearnedAttacker, dict[str, float]]:
     """Learning-from-teacher pipeline for the covert IMU attacker."""
     config = config or AttackTrainConfig()
-    rng = np.random.default_rng(config.seed + 1)
-
-    observations, actions = collect_teacher_traces(
-        teacher, victim_factory, config.bc_episodes, rng
-    )
-    sensor = ImuAttackObservation()
-    policy, metrics = _fit_best_of(
-        observations,
-        actions,
-        sensor,
+    return _train_attacker(
         victim_factory,
         config,
-        rng,
-        label="distill-imu",
+        np.random.default_rng(config.seed + 1),
+        demonstrator=teacher,
+        sensor_type=ImuAttackObservation,
+        name="imu",
+        bc_label="distill-imu",
+        loop_label="sac-imu",
+        teacher=teacher,
         progress=progress,
     )
-    attacker = _make_attacker(policy, sensor, config.budget, "imu")
-
-    if config.sac_steps > 0:
-        before = {k: v.copy() for k, v in policy.state_dict().items()}
-        env = AttackEnv(
-            victim_factory,
-            ImuAttackObservation(),
-            budget=config.budget,
-            rng=rng,
-            teacher=teacher,
-        )
-        _sac_refine(policy, env, config, rng, progress, loop_label="sac-imu")
-        refined = _make_attacker(policy, sensor, config.budget, "imu")
-        refined_metrics = evaluate_attacker(
-            refined, victim_factory, config.eval_episodes
-        )
-        (log.info if progress else log.debug)(
-            "sac.eval", loop="sac-imu", **refined_metrics
-        )
-        if (
-            refined_metrics["mean_adversarial_return"]
-            >= metrics["mean_adversarial_return"]
-        ):
-            metrics = refined_metrics
-        else:
-            policy.load_state_dict(before)
-    return attacker, metrics

@@ -10,7 +10,6 @@ from repro.defense.finetune import (
     FinetuneConfig,
     adversarial_finetune,
     adversarial_finetune_sac,
-    collect_adversarial_dataset,
 )
 from repro.defense.rescue import RescueConfig, RescueExpert
 from repro.defense.pnn_defense import (
@@ -32,6 +31,5 @@ __all__ = [
     "RescueExpert",
     "adversarial_finetune",
     "adversarial_finetune_sac",
-    "collect_adversarial_dataset",
     "train_pnn_column",
 ]

@@ -26,14 +26,16 @@ import numpy as np
 
 from repro.agents.e2e.agent import EndToEndAgent
 from repro.agents.e2e.observation import DrivingObservation
-from repro.agents.e2e.training import DriverTrainConfig, refine_driver_sac
-from repro.agents.modular.agent import ModularAgent
+from repro.agents.e2e.training import (
+    DriverTrainConfig,
+    collect_expert_dataset,
+    refine_driver_sac,
+)
 from repro.core.attackers import LearnedAttacker
 from repro.defense.budget import BUDGET_GRID, BudgetRandomizedAttacker
 from repro.rl.bc import BcConfig, BehaviorCloner
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.sim.config import ScenarioConfig
-from repro.sim.scenario import make_world
 from repro.telemetry.log import get_logger
 
 log = get_logger("defense.finetune")
@@ -63,47 +65,6 @@ class FinetuneConfig:
     seed: int = 0
 
 
-def collect_adversarial_dataset(
-    attacker: BudgetRandomizedAttacker,
-    n_episodes: int,
-    rng: np.random.Generator,
-    scenario: ScenarioConfig | None = None,
-    student: EndToEndAgent | None = None,
-    expert_factory=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expert recovery demonstrations under randomized-budget attacks.
-
-    The rescue-augmented expert labels every state with its
-    counter-steer / brake command. When ``student`` is ``None`` the expert
-    also drives (plain behaviour cloning); otherwise the *student* drives
-    while the expert labels (a DAgger round), which covers the off-path
-    states the student actually reaches once the attack pushes it around.
-    """
-    scenario = scenario or ScenarioConfig()
-    if expert_factory is None:
-        expert_factory = ModularAgent
-    encoder = DrivingObservation(reference_speed=scenario.ego_speed)
-    observations: list[np.ndarray] = []
-    actions: list[np.ndarray] = []
-    for _ in range(n_episodes):
-        world = make_world(scenario, rng=rng)
-        expert = expert_factory(world.road)
-        expert.reset(world)
-        if student is not None:
-            student.reset(world)
-        encoder.reset()
-        attacker.reset(world)
-        while not world.done:
-            obs = encoder.observe(world)
-            label = expert.act(world)
-            observations.append(obs)
-            actions.append(np.array([label.steer, label.thrust]))
-            executed = label if student is None else student.act(world)
-            delta = attacker.delta(world, executed)
-            world.tick(executed, steer_delta=delta)
-    return np.asarray(observations), np.asarray(actions)
-
-
 def adversarial_finetune(
     base: EndToEndAgent,
     attacker: LearnedAttacker,
@@ -124,13 +85,14 @@ def adversarial_finetune(
     agent = EndToEndAgent(policy, observation=DrivingObservation())
     cloner = BehaviorCloner(policy, config.bc, rng=rng)
 
-    observations, actions = collect_adversarial_dataset(
-        randomized, config.episodes, rng, expert_factory=config.expert_factory
+    observations, actions = collect_expert_dataset(
+        config.episodes, rng, attacker=randomized,
+        expert_factory=config.expert_factory,
     )
     losses = cloner.fit(observations, actions)
     for round_index in range(config.dagger_rounds):
-        new_obs, new_actions = collect_adversarial_dataset(
-            randomized, config.episodes, rng, student=agent,
+        new_obs, new_actions = collect_expert_dataset(
+            config.episodes, rng, attacker=randomized, student=agent,
             expert_factory=config.expert_factory,
         )
         observations = np.concatenate([observations, new_obs])

@@ -16,9 +16,9 @@ import numpy as np
 from repro.agents.base import DrivingAgent
 from repro.agents.e2e.agent import EndToEndAgent
 from repro.agents.e2e.observation import DrivingObservation
+from repro.agents.e2e.training import collect_expert_dataset
 from repro.core.attackers import LearnedAttacker
 from repro.defense.budget import BudgetRandomizedAttacker
-from repro.defense.finetune import collect_adversarial_dataset
 from repro.defense.rescue import RescueConfig, RescueExpert
 from repro.rl.bc import BcConfig, BehaviorCloner
 from repro.rl.pnn import ProgressivePolicy
@@ -82,14 +82,14 @@ def train_pnn_column(
     # Adversarial episodes only (rho = 0: every episode carries an attack).
     randomized = BudgetRandomizedAttacker(attacker, rho=0.0, rng=rng)
     cloner = BehaviorCloner(progressive, config.bc, rng=rng)
-    observations, actions = collect_adversarial_dataset(
-        randomized, config.episodes, rng, expert_factory=expert_factory
+    observations, actions = collect_expert_dataset(
+        config.episodes, rng, attacker=randomized, expert_factory=expert_factory
     )
     losses = cloner.fit(observations, actions)
     student = EndToEndAgent(progressive, observation=DrivingObservation())
     for _ in range(config.dagger_rounds):
-        new_obs, new_actions = collect_adversarial_dataset(
-            randomized, config.episodes, rng, student=student,
+        new_obs, new_actions = collect_expert_dataset(
+            config.episodes, rng, attacker=randomized, student=student,
             expert_factory=expert_factory,
         )
         observations = np.concatenate([observations, new_obs])

@@ -7,10 +7,8 @@ from repro.eval.episodes import (
 from repro.eval.recorder import Trajectory, record_episode
 from repro.eval.statistics import (
     Comparison,
-    bootstrap_mean_ci,
     compare_nominal_rewards,
     mann_whitney,
-    success_rate_ci,
 )
 from repro.eval.metrics import (
     HUMAN_REACTION_TIME,
@@ -31,11 +29,9 @@ __all__ = [
     "Comparison",
     "EpisodeResult",
     "Trajectory",
-    "bootstrap_mean_ci",
     "compare_nominal_rewards",
     "mann_whitney",
     "record_episode",
-    "success_rate_ci",
     "HUMAN_REACTION_TIME",
     "TimeToCollisionStats",
     "adversarial_reward_stats",

@@ -39,13 +39,16 @@ class BoxStats:
         if arr.size == 0:
             nan = float("nan")
             return cls(nan, nan, nan, nan, nan, nan)
+        minimum, maximum = float(arr.min()), float(arr.max())
         return cls(
-            mean=float(arr.mean()),
+            # Floating-point summation can land the mean an ulp outside
+            # the sample's range (e.g. three equal values); clamp it.
+            mean=min(max(float(arr.mean()), minimum), maximum),
             median=float(np.median(arr)),
             q1=float(np.percentile(arr, 25)),
             q3=float(np.percentile(arr, 75)),
-            minimum=float(arr.min()),
-            maximum=float(arr.max()),
+            minimum=minimum,
+            maximum=maximum,
         )
 
 

@@ -1,8 +1,9 @@
 """Statistical comparisons between agents and attack configurations.
 
 The paper reports distributions (box plots) without significance testing;
-this module adds the missing rigor: nonparametric two-sample tests and
-bootstrap confidence intervals used by ``EXPERIMENTS.md`` and the benches.
+this module adds the nonparametric two-sample test behind the
+Mann-Whitney p-values in ``EXPERIMENTS.md``. Confidence intervals come
+from ``obsv compare`` (:mod:`repro.obsv.compare`).
 """
 
 from __future__ import annotations
@@ -54,42 +55,3 @@ def compare_nominal_rewards(
     return mann_whitney(
         [r.nominal_return for r in a], [r.nominal_return for r in b]
     )
-
-
-def bootstrap_mean_ci(
-    values: "list[float] | np.ndarray",
-    confidence: float = 0.95,
-    n_resamples: int = 2_000,
-    seed: int = 0,
-) -> tuple[float, float, float]:
-    """Bootstrap percentile CI of the mean: ``(mean, low, high)``."""
-    values = np.asarray(list(values), dtype=float)
-    if values.size == 0:
-        raise ValueError("empty sample")
-    rng = np.random.default_rng(seed)
-    resamples = rng.choice(
-        values, size=(n_resamples, values.size), replace=True
-    ).mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(resamples, [alpha, 1.0 - alpha])
-    return float(values.mean()), float(low), float(high)
-
-
-def success_rate_ci(
-    results: list[EpisodeResult], confidence: float = 0.95
-) -> tuple[float, float, float]:
-    """Wilson score interval for the attack success rate."""
-    n = len(results)
-    if n == 0:
-        raise ValueError("no episodes")
-    successes = sum(r.attack_successful for r in results)
-    rate = successes / n
-    z = float(stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
-    denom = 1.0 + z * z / n
-    center = (rate + z * z / (2.0 * n)) / denom
-    margin = (
-        z
-        * np.sqrt(rate * (1.0 - rate) / n + z * z / (4.0 * n * n))
-        / denom
-    )
-    return rate, max(center - margin, 0.0), min(center + margin, 1.0)

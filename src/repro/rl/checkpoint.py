@@ -1,7 +1,12 @@
-"""Resumable training state for the SAC loops.
+"""The crash-safe SAC training loop and its resumable state.
 
-A :class:`TrainState` captures everything a SAC training loop needs to
-continue *bit-identically* after a crash: actor/critic/target weights,
+:func:`run_sac_loop` is the one SAC loop in the repo: attacker
+refinement (``sac-attack``, ``sac-imu``), driver refinement
+(``sac-driver``) and adversarial fine-tuning (``sac-finetune``) all run
+it on their own environment and learner.
+
+A :class:`TrainState` captures everything the loop needs to continue
+*bit-identically* after a crash: actor/critic/target weights,
 optimizer moments, the replay buffer contents, the shared RNG stream
 state, and the loop counters. Snapshots are taken at episode boundaries
 only — between an episode's final ``update`` and the next ``env.reset``
@@ -13,7 +18,7 @@ have made.
 keep-last-K rotation, corrupt-snapshot fallback), and
 :class:`SacLoopGuard` packages the whole protocol — resume, fault
 hooks, periodic snapshots, and watchdog checkpoint-and-halt — behind
-four calls that all three SAC loops share.
+the four calls the loop makes.
 
 Configuration comes from :class:`repro.rl.sac.SacConfig`
 (``checkpoint_every``, ``checkpoint_dir``, ``checkpoint_keep``,
@@ -33,8 +38,11 @@ import numpy as np
 
 from repro import faults
 from repro.obsv.alerts import Alert, Watchdog
+from repro.rl.health import HealthEmitter
 from repro.telemetry.log import get_logger
 from repro.telemetry.metrics import get_registry
+from repro.telemetry.spans import span
+from repro.telemetry.trace import default_writer
 from repro.utils.serialization import (
     CheckpointCorruptError,
     load_checkpoint,
@@ -111,10 +119,8 @@ class TrainState:
     loop: str
     #: The next environment-step index the loop will execute.
     step: int
-    #: Episodes finished so far (the loop-local counter).
+    #: Episodes finished so far.
     episode: int
-    #: ``env._episode`` for envs that track it (log cadence on resume).
-    env_episode: int
     total_updates: int
     #: ``rng.bit_generator.state`` — a JSON-able dict of Python ints.
     rng_state: dict
@@ -127,7 +133,6 @@ class TrainState:
             "loop": self.loop,
             "step": self.step,
             "episode": self.episode,
-            "env_episode": self.env_episode,
             "total_updates": self.total_updates,
             "final": self.final,
         }
@@ -138,7 +143,6 @@ def capture(
     loop: str,
     step: int,
     episode: int,
-    env_episode: int,
     rng: np.random.Generator,
     final: bool = False,
 ) -> TrainState:
@@ -164,7 +168,6 @@ def capture(
         loop=loop,
         step=int(step),
         episode=int(episode),
-        env_episode=int(env_episode),
         total_updates=int(sac.total_updates),
         rng_state=rng.bit_generator.state,
         arrays=arrays,
@@ -202,7 +205,11 @@ def save_state(state: TrainState, path: str | Path) -> Path:
 
 
 def load_state(path: str | Path) -> TrainState:
-    """Read a snapshot written by :func:`save_state` (verified)."""
+    """Read a snapshot written by :func:`save_state` (verified).
+
+    Counters this version does not keep are ignored, so snapshots
+    written by older versions still load and resume.
+    """
     arrays, meta = load_checkpoint(path)
     info = meta.get("train_state")
     if not isinstance(info, dict):
@@ -213,7 +220,6 @@ def load_state(path: str | Path) -> TrainState:
         loop=str(info.get("loop", "")),
         step=int(info["step"]),
         episode=int(info.get("episode", 0)),
-        env_episode=int(info.get("env_episode", 0)),
         total_updates=int(info.get("total_updates", 0)),
         rng_state=info["rng_state"],
         arrays=arrays,
@@ -256,11 +262,7 @@ class Snapshotter:
         prefix = _ALERT_PREFIX if tag == "alert" else "state_"
         path = self.directory / f"{prefix}step{state.step:08d}.npz"
         try:
-            save_checkpoint(path, state.arrays, {
-                "train_state": dict(
-                    state.counters(), rng_state=state.rng_state
-                )
-            })
+            save_state(state, path)
         except OSError as error:
             self._failures.inc()
             log.warning(
@@ -335,21 +337,13 @@ class TrainingHalted(RuntimeError):
 
 
 class SacLoopGuard:
-    """Crash-safety protocol for one SAC training loop.
+    """Crash-safety protocol for one run of :func:`run_sac_loop`.
 
-    Usage inside a loop body::
-
-        guard = SacLoopGuard(sac, loop_label, rng, trace=trace)
-        start = guard.start()                       # 0, or resumed counters
-        for step in range(start, total_steps):
-            guard.on_step(step)                     # fault-injection hook
-            if obs is None:                         # episode boundary
-                guard.at_boundary(step)             # periodic snapshot
-                obs = env.reset()
-            ...
-            stats = sac.update()
-            guard.after_update(step, stats)         # watchdog halt
-        guard.finish(total_steps)                   # final snapshot
+    :meth:`start` resumes (returning the first step to run),
+    :meth:`on_step` is the fault-injection hook, :meth:`at_boundary`
+    takes periodic snapshots before each ``env.reset``,
+    :meth:`after_update` feeds the watchdog, and :meth:`finish` writes
+    the final snapshot.
     """
 
     def __init__(
@@ -375,10 +369,8 @@ class SacLoopGuard:
                 base, self.every, checkpoint_keep(cfg.checkpoint_keep), loop
             )
         self._watchdog = Watchdog(watch_config) if self.halt else None
-        # Loop counters, advanced by the loop via at_boundary/after_update.
-        self.step = 0
+        #: Finished episodes as of the last boundary (or resumed snapshot).
         self.episode = 0
-        self.env_episode = 0
 
     def start(self) -> int:
         """Resume from the newest snapshot if configured; returns the
@@ -387,9 +379,7 @@ class SacLoopGuard:
             state = self.snapshotter.latest_state()
             if state is not None:
                 restore(state, self.sac, self.rng)
-                self.step = state.step
                 self.episode = state.episode
-                self.env_episode = state.env_episode
                 log.info(
                     "checkpoint.resumed", loop=self.loop, step=state.step,
                     episode=state.episode, updates=state.total_updates,
@@ -400,22 +390,16 @@ class SacLoopGuard:
 
     def on_step(self, step: int) -> None:
         """Call at the top of every loop iteration (fault hook)."""
-        self.step = step
         plan = faults.active_plan()
         if plan is not None:
             plan.on_train_step(self.loop, step)
 
-    def at_boundary(
-        self, step: int, episode: int, env_episode: int = 0
-    ) -> None:
+    def at_boundary(self, step: int, episode: int) -> None:
         """Call at each episode boundary, before the next ``env.reset``."""
         self.episode = episode
-        self.env_episode = env_episode
         if self.snapshotter is not None and self.every > 0:
             self.snapshotter.maybe_save(
-                capture(
-                    self.sac, self.loop, step, episode, env_episode, self.rng
-                )
+                capture(self.sac, self.loop, step, episode, self.rng)
             )
 
     def after_update(self, step: int, stats: dict) -> None:
@@ -442,22 +426,95 @@ class SacLoopGuard:
         path = None
         if self.snapshotter is not None:
             path = self.snapshotter.save(
-                capture(
-                    self.sac, self.loop, step, self.episode,
-                    self.env_episode, self.rng,
-                ),
+                capture(self.sac, self.loop, step, self.episode, self.rng),
                 tag="alert",
             )
         if self.trace is not None:
             self.trace.emit("alert", **alert.to_event())
         raise TrainingHalted(alert, path)
 
-    def finish(self, step: int, episode: int, env_episode: int = 0) -> None:
+    def finish(self, step: int, episode: int) -> None:
         """Write the final snapshot after the loop completes."""
         if self.snapshotter is not None and self.every > 0:
             self.snapshotter.save(
                 capture(
-                    self.sac, self.loop, step, episode, env_episode,
-                    self.rng, final=True,
+                    self.sac, self.loop, step, episode, self.rng, final=True
                 )
             )
+
+
+# -- the loop -----------------------------------------------------------------------
+
+
+def run_sac_loop(
+    sac,
+    env,
+    steps: int,
+    rng: np.random.Generator,
+    loop: str,
+    trace=None,
+    progress: bool = False,
+) -> None:
+    """Train ``sac`` in place for ``steps`` environment steps of ``env``.
+
+    ``env`` follows ``reset() -> obs`` / ``step(action) -> (obs, reward,
+    done, info)`` with ``info["truncated"]`` marking time-limit ends,
+    which are not bootstrapping terminals. The reset is deferred to the
+    top of the next iteration, so an episode boundary is pure learner
+    state: :class:`SacLoopGuard` snapshots there when
+    ``sac.config.checkpoint_every`` (or ``REPRO_CHECKPOINT_EVERY``) is
+    set, and ``sac.config.resume`` (or ``REPRO_RESUME``) continues
+    bit-identically from the newest snapshot. Snapshots capture ``rng``,
+    so for an exact resume it must be the generator the env and the
+    learner draw from.
+
+    ``trace`` (or the ``REPRO_TRACE`` default writer) receives one
+    ``train_step`` record per step, tagged ``loop`` and with the index
+    of the ``episode`` it belongs to, plus ``update_health`` records
+    every ``sac.config.health_every`` (or ``REPRO_HEALTH_EVERY``)
+    updates.
+    """
+    trace = trace if trace is not None else default_writer()
+    config = sac.config
+    health = HealthEmitter(trace, loop, every=config.health_every)
+    guard = SacLoopGuard(sac, loop, rng, trace=trace)
+    start = guard.start()
+    episode = guard.episode
+    obs = None
+    episode_return = 0.0
+    with span("train.sac"):
+        for step in range(start, steps):
+            guard.on_step(step)
+            if obs is None:  # episode boundary: snapshot, then reset
+                guard.at_boundary(step, episode)
+                obs = env.reset()
+                episode_return = 0.0
+            action = sac.act(obs)
+            next_obs, reward, done, info = env.step(action)
+            sac.observe(
+                obs, action, reward, next_obs, done and not info["truncated"]
+            )
+            episode_return += reward
+            obs = next_obs
+            if trace is not None:
+                trace.emit(
+                    "train_step", loop=loop, step=step,
+                    reward=float(reward), done=bool(done), episode=episode,
+                )
+            if done:
+                episode += 1
+                if episode % 20 == 0:
+                    (log.info if progress else log.debug)(
+                        "sac.episode", loop=loop, step=step,
+                        episode=episode, episode_return=episode_return,
+                    )
+                obs = None
+            if step % config.update_every == 0 and len(sac.replay) >= (
+                config.batch_size
+            ):
+                stats = sac.update()
+                health.after_update(sac, step, stats)
+                guard.after_update(step, stats)
+    guard.finish(steps, episode)
+    if trace is not None:
+        trace.flush()

@@ -1,13 +1,13 @@
-"""Per-update learner health emission shared by the SAC training loops.
+"""Per-update learner health emission for the SAC training loop.
 
-Every SAC loop in the repo (attacker refinement, driver refinement,
-adversarial fine-tuning) funnels its post-update statistics through a
-:class:`HealthEmitter`, which writes schema-checked ``update_health``
-records (see :mod:`repro.telemetry.trace`) into the loop's trace writer
-every ``health_every`` gradient updates. The records carry everything the
-live watchdogs in :mod:`repro.obsv.alerts` evaluate: losses, alpha,
-Q-value mean/max, policy entropy, actor/critic gradient norms,
-replay-buffer occupancy, and environment steps per second.
+The SAC loop (:func:`repro.rl.checkpoint.run_sac_loop`, behind attacker
+refinement, driver refinement and adversarial fine-tuning) funnels its
+post-update statistics through a :class:`HealthEmitter`, which writes
+schema-checked ``update_health`` records (see :mod:`repro.telemetry.trace`)
+into the loop's trace writer every ``health_every`` gradient updates. The
+records carry everything the live watchdogs in :mod:`repro.obsv.alerts`
+evaluate: losses, alpha, Q-value mean/max, policy entropy, actor/critic
+gradient norms, replay-buffer occupancy, and environment steps per second.
 
 Emission is off by default (``health_every = 0``); enable it per-config
 (:attr:`repro.rl.sac.SacConfig.health_every`) or process-wide with the

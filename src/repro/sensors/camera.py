@@ -45,7 +45,7 @@ _MARKING_HALF_WIDTH = 0.2
 def _classify_points(world: World, points: np.ndarray) -> np.ndarray:
     """Semantic class per world point, shape ``(n,)`` of ``uint8``."""
     road = world.road
-    _, d = road.to_frenet_batch(points)
+    _, d, _ = road.frenet_batch(points)
     classes = np.full(len(points), int(SemanticClass.OFF_ROAD), dtype=np.uint8)
     on_road = np.abs(d) <= road.half_width
     classes[on_road] = int(SemanticClass.ROAD)

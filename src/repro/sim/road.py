@@ -102,42 +102,6 @@ class Road:
             return s, float(position[1]) - self._base_y, 0.0
         return project_to_polyline(position, self.centerline, self.arclength)
 
-    def to_frenet_batch(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized Frenet conversion for many points at once.
-
-        Args:
-            points: world positions, shape ``(n, 2)``.
-
-        Returns:
-            ``(s, d)`` arrays of shape ``(n,)``. Used by the camera
-            rasterizer, where per-point :meth:`to_frenet` calls would
-            dominate the frame time.
-        """
-        pts = np.asarray(points, dtype=float)
-        if self._axis_aligned:
-            s = np.clip(pts[:, 0] - self._base_x, 0.0, self.length)
-            return s, pts[:, 1] - self._base_y
-        starts = self.centerline[:-1]
-        segs = self.centerline[1:] - starts
-        seg_len2 = np.maximum(np.einsum("ij,ij->i", segs, segs), 1e-12)
-        # (n, m) projections of each point onto each segment.
-        rel = pts[:, None, :] - starts[None, :, :]
-        t = np.einsum("nmj,mj->nm", rel, segs) / seg_len2[None, :]
-        t = np.clip(t, 0.0, 1.0)
-        foot = starts[None, :, :] + t[..., None] * segs[None, :, :]
-        diff = pts[:, None, :] - foot
-        dist2 = np.einsum("nmj,nmj->nm", diff, diff)
-        idx = np.argmin(dist2, axis=1)
-        rows = np.arange(len(pts))
-        seg_len = np.sqrt(seg_len2)
-        tangents = segs / seg_len[:, None]
-        chosen_t = t[rows, idx]
-        s = self.arclength[idx] + chosen_t * seg_len[idx]
-        normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
-        offs = diff[rows, idx]
-        d = np.einsum("nj,nj->n", offs, normals[idx])
-        return s, d
-
     def frenet_batch(
         self, points: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,7 +110,9 @@ class Road:
         Mirrors the scalar conversion element-for-element (the axis-aligned
         fast path is exact; the generic path picks the same nearest segment
         and evaluates the same projection formulas). Used by the batch
-        engine, where one call replaces N per-episode conversions.
+        engine, where one call replaces N per-episode conversions, and by
+        the camera rasterizer, where per-point :meth:`to_frenet` calls
+        would dominate the frame time.
         """
         pts = np.asarray(points, dtype=float)
         if self._axis_aligned:

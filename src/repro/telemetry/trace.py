@@ -11,7 +11,8 @@ tier-1 smoke test — can rely on field names and types:
 * ``episode_end``    — steps, duration, collision kind (or ``null``),
   returns, NPCs passed.
 * ``train_step``     — per-environment-step training record: loop label,
-  step index, reward, done flag (plus optional loss fields).
+  step index, reward, done flag, episode index (plus optional loss
+  fields).
 * ``span``           — one finished wall-clock span (Chrome-exportable).
 
 Setting the ``REPRO_TRACE`` environment variable to a path installs a

@@ -44,7 +44,8 @@ def run_attack(args) -> None:
     from repro.agents.modular import ModularAgent
     from repro.core import CameraAttackObservation
     from repro.core.attack_env import AttackEnv
-    from repro.core.training import AttackTrainConfig, _sac_refine
+    from repro.rl.checkpoint import run_sac_loop
+    from repro.rl.sac import Sac
 
     rng = np.random.default_rng(42)
     env = AttackEnv(
@@ -57,9 +58,9 @@ def run_attack(args) -> None:
     policy = SquashedGaussianPolicy(
         env.observation_dim, 1, (16, 16), np.random.default_rng(2)
     )
-    config = AttackTrainConfig(sac_steps=args.steps)
-    config.sac = tiny_sac(args)
-    _sac_refine(policy, env, config, rng, trace=TraceWriter())
+    sac = Sac(env.observation_dim, env.action_dim, tiny_sac(args), rng=rng,
+              actor=policy)
+    run_sac_loop(sac, env, args.steps, rng, "sac-attack", trace=TraceWriter())
 
 
 def run_driver(args) -> None:

@@ -11,11 +11,11 @@ from repro.core import (
     InjectionChannel,
     InjectionChannelConfig,
     LearnedAttacker,
+    OracleAttacker,
 )
 from repro.core.training import (
     AttackTrainConfig,
-    collect_oracle_demonstrations,
-    collect_teacher_traces,
+    collect_demonstrations,
     evaluate_attacker,
     train_camera_attacker,
     train_imu_attacker,
@@ -112,16 +112,18 @@ class TestAttackEnv:
 
 class TestDatasets:
     def test_oracle_demonstrations_shapes(self):
-        obs, actions = collect_oracle_demonstrations(
-            modular_victim, n_episodes=1, rng=np.random.default_rng(0)
+        obs, actions = collect_demonstrations(
+            OracleAttacker(budget=1.0), CameraAttackObservation(),
+            modular_victim, n_episodes=1, rng=np.random.default_rng(0),
         )
         assert obs.ndim == 2
         assert actions.shape == (len(obs), 1)
         assert np.all(np.abs(actions) <= 1.0)
 
     def test_oracle_demonstrations_contain_attacks(self):
-        obs, actions = collect_oracle_demonstrations(
-            modular_victim, n_episodes=2, rng=np.random.default_rng(0)
+        obs, actions = collect_demonstrations(
+            OracleAttacker(budget=1.0), CameraAttackObservation(),
+            modular_victim, n_episodes=2, rng=np.random.default_rng(0),
         )
         assert np.any(actions != 0.0)
         assert np.any(actions == 0.0)  # lurk phase present
@@ -132,8 +134,9 @@ class TestDatasets:
             sensor.observation_dim, 1, (8,), np.random.default_rng(3)
         )
         teacher = LearnedAttacker(policy, sensor)
-        obs, actions = collect_teacher_traces(
-            teacher, modular_victim, n_episodes=1, rng=np.random.default_rng(0)
+        obs, actions = collect_demonstrations(
+            teacher, ImuAttackObservation(), modular_victim, n_episodes=1,
+            rng=np.random.default_rng(0),
         )
         assert obs.shape[1] == ImuAttackObservation().observation_dim
         assert actions.shape == (len(obs), 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.agents.e2e import DrivingObservation, EndToEndAgent
+from repro.agents.e2e.training import collect_expert_dataset
 from repro.core import (
     CameraAttackObservation,
     InjectionChannel,
@@ -17,7 +18,6 @@ from repro.defense import (
     PnnTrainConfig,
     SimplexSwitchedAgent,
     adversarial_finetune,
-    collect_adversarial_dataset,
     train_pnn_column,
 )
 from repro.defense.rescue import RescueConfig, RescueExpert
@@ -99,8 +99,8 @@ class TestCollectAdversarialDataset:
         wrapper = BudgetRandomizedAttacker(
             make_attacker(), rho=0.5, rng=np.random.default_rng(0)
         )
-        obs, actions = collect_adversarial_dataset(
-            wrapper, 1, np.random.default_rng(0)
+        obs, actions = collect_expert_dataset(
+            1, np.random.default_rng(0), attacker=wrapper
         )
         assert len(obs) == len(actions)
         assert actions.shape[1] == 2
@@ -111,8 +111,8 @@ class TestCollectAdversarialDataset:
             make_attacker(), rho=0.0, rng=np.random.default_rng(0)
         )
         student = make_base_agent()
-        obs, actions = collect_adversarial_dataset(
-            wrapper, 1, np.random.default_rng(0), student=student
+        obs, actions = collect_expert_dataset(
+            1, np.random.default_rng(0), attacker=wrapper, student=student
         )
         assert len(obs) > 0
 
@@ -120,10 +120,10 @@ class TestCollectAdversarialDataset:
         wrapper = BudgetRandomizedAttacker(
             make_attacker(), rho=0.0, rng=np.random.default_rng(0)
         )
-        obs, actions = collect_adversarial_dataset(
-            wrapper,
+        obs, actions = collect_expert_dataset(
             1,
             np.random.default_rng(0),
+            attacker=wrapper,
             expert_factory=lambda road: RescueExpert(
                 road, RescueConfig(deviation_threshold=0.1)
             ),

@@ -7,13 +7,11 @@ from repro.agents.modular import ModularAgent
 from repro.core import OracleAttacker
 from repro.eval import (
     Trajectory,
-    bootstrap_mean_ci,
     compare_nominal_rewards,
     mann_whitney,
     record_episode,
     run_episode,
     run_episodes,
-    success_rate_ci,
 )
 from repro.obsv.replay import DEFAULT_TOLERANCES, diff_ticks
 from repro.sim import Control, make_world
@@ -166,29 +164,3 @@ class TestMannWhitney:
         )
         comparison = compare_nominal_rewards(nominal, attacked)
         assert comparison.mean_a > comparison.mean_b
-
-
-class TestBootstrapAndWilson:
-    def test_bootstrap_ci_contains_mean(self):
-        values = np.random.default_rng(2).normal(5.0, 1.0, 50)
-        mean, low, high = bootstrap_mean_ci(values)
-        assert low <= mean <= high
-        assert high - low < 1.5
-
-    def test_bootstrap_empty_raises(self):
-        with pytest.raises(ValueError):
-            bootstrap_mean_ci([])
-
-    def test_wilson_interval_bounds(self):
-        results = run_episodes(
-            modular_victim,
-            lambda: OracleAttacker(budget=1.0),
-            n_episodes=4,
-            seed=0,
-        )
-        rate, low, high = success_rate_ci(results)
-        assert 0.0 <= low <= rate <= high <= 1.0
-
-    def test_wilson_empty_raises(self):
-        with pytest.raises(ValueError):
-            success_rate_ci([])

@@ -15,7 +15,6 @@ from repro.agents.e2e.training import DriverTrainConfig, refine_driver_sac
 from repro.agents.modular import ModularAgent
 from repro.core import CameraAttackObservation
 from repro.core.attack_env import AttackEnv
-from repro.core.training import AttackTrainConfig, _sac_refine
 from repro.faults import FaultInjected
 from repro.rl.checkpoint import (
     Snapshotter,
@@ -24,6 +23,7 @@ from repro.rl.checkpoint import (
     checkpoint_interval,
     load_state,
     restore,
+    run_sac_loop,
     save_state,
 )
 from repro.rl.nn.layers import Mlp
@@ -33,7 +33,7 @@ from repro.rl.replay import ReplayBuffer
 from repro.rl.sac import Sac, SacConfig
 from repro.sim.config import ScenarioConfig
 from repro.telemetry.trace import TraceWriter
-from repro.utils.serialization import save_checkpoint
+from repro.utils.serialization import load_checkpoint, save_checkpoint
 
 #: Short episodes -> frequent boundaries -> frequent snapshot windows.
 SCENARIO = ScenarioConfig(max_steps=25)
@@ -60,6 +60,50 @@ def tiny_sac(**overrides):
     )
     defaults.update(overrides)
     return SacConfig(**defaults)
+
+
+def run_attack_loop(ckpt_dir, resume=False, trace=None, **sac_overrides):
+    """The camera attacker's SAC loop on a fresh policy (``sac-attack``)."""
+    rng = np.random.default_rng(42)
+    env = AttackEnv(
+        lambda w: ModularAgent(w.road),
+        CameraAttackObservation(),
+        budget=1.0,
+        scenario=SCENARIO,
+        rng=rng,
+    )
+    policy = SquashedGaussianPolicy(
+        env.observation_dim, 1, (16, 16), np.random.default_rng(2)
+    )
+    config = tiny_sac(
+        checkpoint_every=EVERY, checkpoint_dir=str(ckpt_dir),
+        checkpoint_keep=10, resume=resume, **sac_overrides,
+    )
+    sac = Sac(env.observation_dim, env.action_dim, config, rng=rng,
+              actor=policy)
+    run_sac_loop(sac, env, STEPS, rng, "sac-attack",
+                 trace=trace if trace is not None else TraceWriter())
+
+
+def run_driver_loop(ckpt_dir, resume=False, trace=None):
+    """Driver refinement (``sac-driver``) on a fresh policy."""
+    from repro.agents.e2e.observation import DrivingObservation
+
+    rng = np.random.default_rng(42)
+    policy = SquashedGaussianPolicy(
+        DrivingObservation().observation_dim, 2, (16, 16),
+        np.random.default_rng(2),
+    )
+    config = DriverTrainConfig(sac_steps=STEPS, eval_episodes=1)
+    config.sac = tiny_sac(
+        checkpoint_every=EVERY, checkpoint_dir=str(ckpt_dir),
+        checkpoint_keep=10, resume=resume,
+    )
+    refine_driver_sac(
+        policy, config, rng,
+        trace=trace if trace is not None else TraceWriter(),
+        scenario=SCENARIO,
+    )
 
 
 class TestOptimizerState:
@@ -158,7 +202,7 @@ class TestTrainStateRoundtrip:
 
     def test_capture_restore_save_load(self, tmp_path):
         sac, rng = self._make_sac(11)
-        state = capture(sac, "test-loop", 57, 4, 9, rng)
+        state = capture(sac, "test-loop", 57, 4, rng)
         path = save_state(state, tmp_path / "snap")
         loaded = load_state(path)
         assert loaded.counters() == state.counters()
@@ -186,7 +230,7 @@ class TestTrainStateRoundtrip:
 
 class TestSnapshotter:
     def _state(self, sac, rng, step):
-        return capture(sac, "loop", step, 0, 0, rng)
+        return capture(sac, "loop", step, 0, rng)
 
     def test_cadence_and_rotation(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -203,7 +247,7 @@ class TestSnapshotter:
         sac = Sac(2, 1, tiny_sac(), rng=rng)
         snap = Snapshotter(tmp_path, every=1, keep=5, loop="loop")
         snap.save(self._state(sac, rng, 10))
-        good = capture(sac, "loop", 20, 0, 0, rng)
+        good = capture(sac, "loop", 20, 0, rng)
         snap.save(good)
         newest = snap.save(self._state(sac, rng, 30))
         faults.truncate_tail(newest, drop_bytes=200)
@@ -283,46 +327,10 @@ def _crash_then_resume(run, ckpt_dir, loop, monkeypatch):
 
 class TestResumeDeterminism:
     def test_attack_loop(self, tmp_path, monkeypatch):
-        def run(ckpt_dir, resume):
-            rng = np.random.default_rng(42)
-            env = AttackEnv(
-                lambda w: ModularAgent(w.road),
-                CameraAttackObservation(),
-                budget=1.0,
-                scenario=SCENARIO,
-                rng=rng,
-            )
-            policy = SquashedGaussianPolicy(
-                env.observation_dim, 1, (16, 16), np.random.default_rng(2)
-            )
-            config = AttackTrainConfig(sac_steps=STEPS)
-            config.sac = tiny_sac(
-                checkpoint_every=EVERY, checkpoint_dir=str(ckpt_dir),
-                checkpoint_keep=10, resume=resume,
-            )
-            _sac_refine(policy, env, config, rng, trace=TraceWriter())
-
-        _crash_then_resume(run, tmp_path, "sac-attack", monkeypatch)
+        _crash_then_resume(run_attack_loop, tmp_path, "sac-attack", monkeypatch)
 
     def test_driver_loop(self, tmp_path, monkeypatch):
-        from repro.agents.e2e.observation import DrivingObservation
-
-        def run(ckpt_dir, resume):
-            rng = np.random.default_rng(42)
-            policy = SquashedGaussianPolicy(
-                DrivingObservation().observation_dim, 2, (16, 16),
-                np.random.default_rng(2),
-            )
-            config = DriverTrainConfig(sac_steps=STEPS, eval_episodes=1)
-            config.sac = tiny_sac(
-                checkpoint_every=EVERY, checkpoint_dir=str(ckpt_dir),
-                checkpoint_keep=10, resume=resume,
-            )
-            refine_driver_sac(
-                policy, config, rng, trace=TraceWriter(), scenario=SCENARIO
-            )
-
-        _crash_then_resume(run, tmp_path, "sac-driver", monkeypatch)
+        _crash_then_resume(run_driver_loop, tmp_path, "sac-driver", monkeypatch)
 
     def test_finetune_loop(self, tmp_path, monkeypatch):
         from repro.agents.e2e import EndToEndAgent
@@ -362,30 +370,82 @@ class TestResumeDeterminism:
 
         _crash_then_resume(run, tmp_path, "sac-finetune", monkeypatch)
 
+    def test_snapshot_with_env_episode_counter(self, tmp_path, monkeypatch):
+        """Snapshots from before the loop counted its own episodes carry
+        an extra ``env_episode`` counter; they still resume identically."""
+
+        def run(ckpt_dir, resume):
+            if not resume:
+                run_driver_loop(ckpt_dir)
+                return
+            snapshots = sorted(
+                (ckpt_dir / "sac-driver").glob("state_step*.npz")
+            )
+            for path in snapshots:
+                arrays, meta = load_checkpoint(path)
+                meta["train_state"]["env_episode"] = meta["train_state"][
+                    "episode"
+                ]
+                save_checkpoint(path, arrays, meta)
+            newest = load_state(snapshots[-1])
+            trace = TraceWriter()
+            run_driver_loop(ckpt_dir, resume=True, trace=trace)
+            # It resumed from the rewritten snapshot, not from scratch.
+            first = next(e for e in trace.events if e["event"] == "train_step")
+            assert first["step"] == newest.step > 0
+            assert first["episode"] == newest.episode
+
+        _crash_then_resume(run, tmp_path, "sac-driver", monkeypatch)
+
+
+LOOPS = [
+    pytest.param(run_attack_loop, "sac-attack", id="attack"),
+    pytest.param(run_driver_loop, "sac-driver", id="driver"),
+]
+
+
+class TestLoopContract:
+    """Every loop label records and counts episodes the same way."""
+
+    @pytest.mark.parametrize("run, loop", LOOPS)
+    def test_train_step_records_carry_episode(self, tmp_path, run, loop):
+        trace = TraceWriter()
+        run(tmp_path, trace=trace)
+        records = [e for e in trace.events if e["event"] == "train_step"]
+        assert [e["step"] for e in records] == list(range(STEPS))
+        assert {e["loop"] for e in records} == {loop}
+        # Episode indices start at 0 and advance after each done step.
+        episode = 0
+        for record in records:
+            assert record["episode"] == episode
+            episode += record["done"]
+        assert episode >= 2
+
+    @pytest.mark.parametrize("run, loop", LOOPS)
+    def test_train_state_counts_finished_episodes(self, tmp_path, run, loop):
+        trace = TraceWriter()
+        run(tmp_path, trace=trace)
+        done_steps = [
+            e["step"] for e in trace.events
+            if e["event"] == "train_step" and e["done"]
+        ]
+        snapshots = sorted((tmp_path / loop).glob("state_step*.npz"))
+        assert len(snapshots) >= 2
+        for path in snapshots:
+            state = load_state(path)
+            assert state.episode == sum(s < state.step for s in done_steps)
+        # The run ends mid-episode: the unfinished one is not counted.
+        assert state.final and done_steps[-1] < STEPS - 1
+        assert state.episode == len(done_steps)
+
 
 class TestWatchdogHalt:
     def test_nan_grads_halt_with_emergency_snapshot(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "nan_grads@update=3")
         faults.reset_active_plan()
-        rng = np.random.default_rng(42)
-        env = AttackEnv(
-            lambda w: ModularAgent(w.road),
-            CameraAttackObservation(),
-            budget=1.0,
-            scenario=SCENARIO,
-            rng=rng,
-        )
-        policy = SquashedGaussianPolicy(
-            env.observation_dim, 1, (16, 16), np.random.default_rng(2)
-        )
-        config = AttackTrainConfig(sac_steps=STEPS)
-        config.sac = tiny_sac(
-            checkpoint_every=EVERY, checkpoint_dir=str(tmp_path),
-            halt_on_alert=True,
-        )
         trace = TraceWriter()
         with pytest.raises(TrainingHalted) as excinfo:
-            _sac_refine(policy, env, config, rng, trace=trace)
+            run_attack_loop(tmp_path, trace=trace, halt_on_alert=True)
         halted = excinfo.value
         assert halted.alert.rule == "nan_loss"
         assert halted.checkpoint is not None

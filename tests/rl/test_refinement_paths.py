@@ -17,11 +17,11 @@ from repro.agents.e2e.training import (
 from repro.agents.modular import ModularAgent
 from repro.core import CameraAttackObservation
 from repro.core.attack_env import AttackEnv
-from repro.core.training import AttackTrainConfig, _sac_refine
 from repro.defense import FinetuneConfig, adversarial_finetune_sac
 from repro.rl.bc import BcConfig
+from repro.rl.checkpoint import run_sac_loop
 from repro.rl.policy import SquashedGaussianPolicy
-from repro.rl.sac import SacConfig
+from repro.rl.sac import Sac, SacConfig
 
 
 def tiny_sac(**overrides):
@@ -78,9 +78,10 @@ class TestAttackerSacRefinement:
         policy = SquashedGaussianPolicy(
             env.observation_dim, 1, (16, 16), np.random.default_rng(2)
         )
-        config = AttackTrainConfig(sac_steps=50)
-        config.sac = tiny_sac()
-        _sac_refine(policy, env, config, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        sac = Sac(env.observation_dim, env.action_dim, tiny_sac(), rng=rng,
+                  actor=policy)
+        run_sac_loop(sac, env, 50, rng, "sac-attack")
         # Policy still produces valid actions afterwards.
         action = policy.act(np.zeros(env.observation_dim))
         assert abs(float(action[0])) <= 1.0
