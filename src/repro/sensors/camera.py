@@ -23,8 +23,10 @@ import numpy as np
 
 from repro.sensors.base import Sensor
 from repro.sim.batch import BatchWorld
+from repro.sim.road import Road
 from repro.sim.world import World
 from repro.telemetry.spans import timed
+from repro.utils.geometry import reach
 
 
 class SemanticClass(enum.IntEnum):
@@ -42,26 +44,62 @@ _MAX_CLASS = float(max(SemanticClass))
 _MARKING_HALF_WIDTH = 0.2
 
 
-def _classify_points(world: World, points: np.ndarray) -> np.ndarray:
-    """Semantic class per world point, shape ``(n,)`` of ``uint8``."""
-    road = world.road
-    _, d, _ = road.frenet_batch(points)
-    classes = np.full(len(points), int(SemanticClass.OFF_ROAD), dtype=np.uint8)
+def _classify_road(road: Road, d: np.ndarray) -> np.ndarray:
+    """Off-road / road / lane-marking class per lateral offset ``d``
+    (any shape), ``uint8``."""
+    classes = np.full(d.shape, int(SemanticClass.OFF_ROAD), dtype=np.uint8)
     on_road = np.abs(d) <= road.half_width
     classes[on_road] = int(SemanticClass.ROAD)
-    boundaries = np.array(
-        [
-            -road.half_width + i * road.config.lane_width
-            for i in range(road.config.n_lanes + 1)
-        ]
-    )
-    near_marking = (
-        np.min(np.abs(d[:, None] - boundaries[None, :]), axis=1)
-        <= _MARKING_HALF_WIDTH
-    )
+    near_marking = np.zeros(d.shape, dtype=bool)
+    for i in range(road.config.n_lanes + 1):
+        boundary = -road.half_width + i * road.config.lane_width
+        near_marking |= np.abs(d - boundary) <= _MARKING_HALF_WIDTH
     classes[on_road & near_marking] = int(SemanticClass.LANE_MARKING)
-    for npc in world.npcs:
-        box = npc.vehicle.footprint()
+    return classes
+
+
+def _cloud_gap2(
+    xs: np.ndarray, ys: np.ndarray, cx: np.ndarray, cy: np.ndarray
+) -> np.ndarray:
+    """Squared distance from centres ``(cx, cy)`` to the bounding box of
+    the points ``(xs, ys)``, each ``[..., P]``; the centres broadcast
+    against ``[..., 1]``."""
+    gap_x = np.maximum(
+        np.maximum(
+            xs.min(axis=-1, keepdims=True) - cx,
+            cx - xs.max(axis=-1, keepdims=True),
+        ),
+        0.0,
+    )
+    gap_y = np.maximum(
+        np.maximum(
+            ys.min(axis=-1, keepdims=True) - cy,
+            cy - ys.max(axis=-1, keepdims=True),
+        ),
+        0.0,
+    )
+    return gap_x * gap_x + gap_y * gap_y
+
+
+def _classify_points(world: World, points: np.ndarray) -> np.ndarray:
+    """Semantic class per world point, shape ``(n,)`` of ``uint8``.
+
+    NPCs whose footprint :func:`reach` does not touch the bounding box of
+    ``points`` cannot paint any of them and are skipped.
+    """
+    _, d, _ = world.road.frenet_batch(points)
+    classes = _classify_road(world.road, d)
+    boxes = [npc.vehicle.footprint() for npc in world.npcs]
+    gap2 = _cloud_gap2(
+        points[:, 0],
+        points[:, 1],
+        np.array([box.center[0] for box in boxes]),
+        np.array([box.center[1] for box in boxes]),
+    )
+    for box, box_gap2 in zip(boxes, gap2):
+        limit = reach((box.length, box.width))
+        if box_gap2 > limit * limit:
+            continue
         rel = points - np.asarray(box.center)
         cos_yaw, sin_yaw = math.cos(box.yaw), math.sin(box.yaw)
         local_x = rel[:, 0] * cos_yaw + rel[:, 1] * sin_yaw
@@ -74,46 +112,41 @@ def _classify_points(world: World, points: np.ndarray) -> np.ndarray:
 
 
 def _classify_points_batch(
-    batch: BatchWorld, points: np.ndarray
+    batch: BatchWorld, px: np.ndarray, py: np.ndarray
 ) -> np.ndarray:
-    """Semantic class per point for every episode, shape ``[N, P]``.
+    """Semantic class per point ``(px, py)`` for every episode, ``[N, P]``.
 
     The road/marking layers depend only on geometry shared by the whole
-    batch, so they run over the flattened ``N * P`` points in one pass; the
-    vehicle layer paints each NPC column across all episodes at once, in
-    the same ascending index order as the scalar renderer (later NPCs
-    overwrite earlier ones on overlap).
+    batch, so they run over the flattened ``N * P`` points in one pass.
+    The vehicle layer paints each NPC column on the episodes whose points'
+    bounding box its footprint :func:`reach` touches; it cannot paint a
+    point of any other episode.
     """
-    road = batch.road
-    n, p = points.shape[0], points.shape[1]
-    _, d, _ = road.frenet_batch(points.reshape(-1, 2))
-    d = d.reshape(n, p)
-    classes = np.full((n, p), int(SemanticClass.OFF_ROAD), dtype=np.uint8)
-    on_road = np.abs(d) <= road.half_width
-    classes[on_road] = int(SemanticClass.ROAD)
-    boundaries = np.array(
-        [
-            -road.half_width + i * road.config.lane_width
-            for i in range(road.config.n_lanes + 1)
-        ]
+    n, p = px.shape
+    _, d, _ = batch.road.frenet_batch(
+        np.stack([px.ravel(), py.ravel()], axis=1)
     )
-    near_marking = (
-        np.min(np.abs(d[..., None] - boundaries), axis=-1)
-        <= _MARKING_HALF_WIDTH
+    classes = _classify_road(batch.road, d.reshape(n, p))
+    vcfg = batch.config.vehicle
+    half_l, half_w = vcfg.length / 2.0, vcfg.width / 2.0
+    limit = reach((vcfg.length, vcfg.width))
+    reachable = (
+        _cloud_gap2(px, py, batch.x[:, 1:], batch.y[:, 1:]) <= limit * limit
     )
-    classes[on_road & near_marking] = int(SemanticClass.LANE_MARKING)
-    half_l = batch.config.vehicle.length / 2.0
-    half_w = batch.config.vehicle.width / 2.0
     for j in range(batch.m):
+        rows = np.flatnonzero(reachable[:, j])
+        if not len(rows):
+            continue
         col = 1 + j
-        rel_x = points[..., 0] - batch.x[:, col, None]
-        rel_y = points[..., 1] - batch.y[:, col, None]
-        cos_yaw = np.cos(batch.yaw[:, col, None])
-        sin_yaw = np.sin(batch.yaw[:, col, None])
+        rel_x = px[rows] - batch.x[rows, col, None]
+        rel_y = py[rows] - batch.y[rows, col, None]
+        cos_yaw = np.cos(batch.yaw[rows, col, None])
+        sin_yaw = np.sin(batch.yaw[rows, col, None])
         local_x = rel_x * cos_yaw + rel_y * sin_yaw
         local_y = -rel_x * sin_yaw + rel_y * cos_yaw
         inside = (np.abs(local_x) <= half_l) & (np.abs(local_y) <= half_w)
-        classes[inside] = int(SemanticClass.VEHICLE)
+        row, point = np.nonzero(inside)
+        classes[rows[row], point] = int(SemanticClass.VEHICLE)
     return classes
 
 
@@ -185,8 +218,7 @@ class BevCamera(Sensor):
             + ly[None, :] * cos_yaw[:, None]
             + batch.y[:, 0, None]
         )
-        points = np.stack([px, py], axis=-1)
-        classes = _classify_points_batch(batch, points)
+        classes = _classify_points_batch(batch, px, py)
         return classes.reshape(batch.n, self.config.rows, self.config.cols)
 
     def observe_batch(self, batch: BatchWorld) -> np.ndarray:

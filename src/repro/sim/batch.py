@@ -10,7 +10,8 @@ re-expresses the same physics over ``[N, ...]`` numpy arrays so one
   the ego, columns ``1..M`` the NPCs in spawn order);
 * the kinematic bicycle model, Eq. (1) actuation smoothing, the
   lane-keeping NPC drivers, and the vehicle-pair/barrier collision checks
-  are all evaluated as whole-batch array expressions;
+  are all evaluated as whole-batch array expressions (the vehicle-pair
+  test only for pairs within :func:`~repro.utils.geometry.reach`);
 * finished episodes are *frozen* via a per-episode ``done`` mask — their
   rows stop updating while the batch continues, so every episode sees
   exactly the trajectory it would have seen running alone.
@@ -39,9 +40,10 @@ from repro.sim.collision import (
 )
 from repro.sim.config import EPSILON_MECH, ScenarioConfig
 from repro.sim.npc import LaneKeepGains
-from repro.sim.road import Road
+from repro.sim.road import Road, default_road
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
+from repro.utils.geometry import reach
 
 #: Integer collision codes used by the SoA bookkeeping arrays.
 KIND_NONE = 0
@@ -58,6 +60,9 @@ _KIND_TO_ENUM = {
 }
 
 _TWO_PI = 2.0 * math.pi
+#: Angle of each separating axis from its box's yaw: the ego's heading
+#: and its normal, then the NPC's.
+_AXIS_OFFSETS = np.array([0.0, math.pi / 2.0, 0.0, math.pi / 2.0])
 
 
 class NoBatchTwin(TypeError):
@@ -156,6 +161,11 @@ class BatchWorld:
                 [-half_l, -half_w],
                 [half_l, -half_w],
             ]
+        )
+        #: Centre distance within which an ego and an NPC footprint can
+        #: overlap; farther pairs skip the separating-axis test.
+        self._contact_reach = reach(
+            (cfg.length, cfg.width), (cfg.length, cfg.width)
         )
         # Signed lateral offset of each NPC's lane center, [N, M].
         centre = (road.config.n_lanes - 1) / 2.0
@@ -317,78 +327,74 @@ class BatchWorld:
 
     # -- collision detection -----------------------------------------------
 
-    def _corners(self) -> np.ndarray:
-        """World-frame footprint corners of every actor, [N, A, 4, 2]."""
-        cos, sin = np.cos(self.yaw), np.sin(self.yaw)
+    def _footprint_corners(
+        self, rows: np.ndarray, cols: np.ndarray | int
+    ) -> np.ndarray:
+        """World-frame footprint corners of actor ``cols`` in episodes
+        ``rows`` (ego = column 0), ``[K, 4, 2]``."""
+        yaw = self.yaw[rows, cols]
+        cos, sin = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
         lx = self._corner_local[:, 0]
         ly = self._corner_local[:, 1]
-        cx = (
-            lx[None, None, :] * cos[:, :, None]
-            - ly[None, None, :] * sin[:, :, None]
-            + self.x[:, :, None]
-        )
-        cy = (
-            lx[None, None, :] * sin[:, :, None]
-            + ly[None, None, :] * cos[:, :, None]
-            + self.y[:, :, None]
-        )
+        cx = lx * cos - ly * sin + self.x[rows, cols][:, None]
+        cy = lx * sin + ly * cos + self.y[rows, cols][:, None]
         return np.stack([cx, cy], axis=-1)
+
+    def _overlapping(
+        self, ego_corners: np.ndarray, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        """Separating-axis test of the ego against NPC ``cols`` in episodes
+        ``rows``; ``ego_corners`` are those rows' ego corners. ``[K]`` bool."""
+        npc_corners = self._footprint_corners(rows, 1 + cols)
+        # SAT axes: ego's two face normals + the NPC's two, mirroring
+        # OrientedBox.axes (heading_vector(yaw) and yaw + pi/2), [K, 4].
+        ego_yaw = self.yaw[rows, 0, None]
+        npc_yaw = self.yaw[rows, 1 + cols, None]
+        a = np.concatenate([ego_yaw, ego_yaw, npc_yaw, npc_yaw], axis=1)
+        a = a + _AXIS_OFFSETS
+        axes = np.stack([np.cos(a), np.sin(a)], axis=-1)
+        # Projections of both footprints on every axis, [K, axis, corner].
+        proj_e = np.einsum("kcj,kaj->kac", ego_corners, axes)
+        proj_o = np.einsum("kcj,kaj->kac", npc_corners, axes)
+        separated = (proj_e.max(axis=2) < proj_o.min(axis=2)) | (
+            proj_o.max(axis=2) < proj_e.min(axis=2)
+        )
+        return ~separated.any(axis=1)
 
     def _detect_collisions(self) -> tuple[np.ndarray, np.ndarray]:
         """First collision per episode: ``(kind[N], other[N])`` arrays.
 
         Mirrors the scalar ``World._detect_collision``: NPCs are tested in
         spawn order (the lowest-index overlapping NPC wins), the barrier
-        only when no vehicle contact exists.
+        only when no vehicle contact exists. Only (episode, NPC) pairs
+        whose centres lie within the contact :func:`reach` run the
+        separating-axis test; the others cannot overlap.
         """
         kind = np.zeros(self.n, dtype=np.int8)
         other = np.full(self.n, -1, dtype=int)
-        corners = self._corners()
-        ego_corners = corners[:, 0]  # [N, 4, 2]
-        if self.m > 0:
-            npc_corners = corners[:, 1:]  # [N, M, 4, 2]
-            # SAT axes: ego's two face normals + each NPC's two, mirroring
-            # OrientedBox.axes (heading_vector(yaw) and yaw + pi/2).
-            hit = np.ones((self.n, self.m), dtype=bool)
-            for yaw_src, owner in (
-                (self.yaw[:, :1], "ego"),
-                (self.yaw[:, 1:], "npc"),
-            ):
-                for offset in (0.0, math.pi / 2.0):
-                    a = yaw_src + offset
-                    axis = np.stack([np.cos(a), np.sin(a)], axis=-1)
-                    if owner == "ego":
-                        axis = np.broadcast_to(
-                            axis, (self.n, self.m, 2)
-                        )
-                    # Projections of both footprints on the axis, [N, M, 4].
-                    proj_e = np.einsum(
-                        "nkj,nmj->nmk", ego_corners, axis
-                    )
-                    proj_o = np.einsum(
-                        "nmkj,nmj->nmk", npc_corners, axis
-                    )
-                    separated = (
-                        proj_e.max(axis=2) < proj_o.min(axis=2)
-                    ) | (proj_o.max(axis=2) < proj_e.min(axis=2))
-                    hit &= ~separated
-            any_hit = hit.any(axis=1)
-            if any_hit.any():
-                first = np.argmax(hit, axis=1)
-                rows = np.flatnonzero(any_hit)
-                cols = first[rows]
-                dx = self.x[rows, 1 + cols] - self.x[rows, 0]
-                dy = self.y[rows, 1 + cols] - self.y[rows, 0]
-                bearing = np.abs(
-                    _normalize_angles(
-                        np.arctan2(dy, dx) - self.yaw[rows, 0]
-                    )
+        ego_corners = self._footprint_corners(np.arange(self.n), 0)
+        dx = self.x[:, 1:] - self.x[:, :1]
+        dy = self.y[:, 1:] - self.y[:, :1]
+        rows, cols = np.nonzero(
+            dx * dx + dy * dy <= self._contact_reach * self._contact_reach
+        )
+        if len(rows):
+            hit = self._overlapping(ego_corners[rows], rows, cols)
+            # nonzero lists pairs row-major, so each row's first hit is
+            # its lowest-index NPC.
+            rows, first = np.unique(rows[hit], return_index=True)
+            cols = cols[hit][first]
+            bearing = np.abs(
+                _normalize_angles(
+                    np.arctan2(dy[rows, cols], dx[rows, cols])
+                    - self.yaw[rows, 0]
                 )
-                k = np.full(len(rows), KIND_SIDE, dtype=np.int8)
-                k[bearing <= _FRONT_SECTOR] = KIND_FRONT
-                k[bearing >= _REAR_SECTOR] = KIND_REAR
-                kind[rows] = k
-                other[rows] = cols
+            )
+            k = np.full(len(rows), KIND_SIDE, dtype=np.int8)
+            k[bearing <= _FRONT_SECTOR] = KIND_FRONT
+            k[bearing >= _REAR_SECTOR] = KIND_REAR
+            kind[rows] = k
+            other[rows] = cols
         # Barrier: any ego footprint corner beyond the roadside barriers,
         # only where no vehicle collision was found.
         clear = kind == KIND_NONE
@@ -500,7 +506,7 @@ def make_batch_world(
     (the ``rng=None`` scalar behaviour).
     """
     config = config or ScenarioConfig()
-    road = road or Road.straight(config.road)
+    road = road or default_road(config.road)
     if seeds is None:
         if n is None:
             raise ValueError("provide seeds or n")

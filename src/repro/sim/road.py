@@ -48,8 +48,12 @@ class Road:
         if len(centerline) < 2:
             raise ValueError("centerline needs at least two points")
         self.config = config
-        self.centerline = np.asarray(centerline, dtype=float)
+        # Read-only, like the waypoints and the graph: one road may be
+        # shared by every world of its config (see :func:`default_road`).
+        self.centerline = np.array(centerline, dtype=float)
         self.arclength = polyline_arclength(self.centerline)
+        self.centerline.flags.writeable = False
+        self.arclength.flags.writeable = False
         self.length = float(self.arclength[-1])
         # Fast path: an axis-aligned straight road (the default scenario)
         # converts to Frenet in O(1) instead of projecting onto the polyline.
@@ -215,10 +219,10 @@ class Road:
 
     # -- waypoints and routing ----------------------------------------------
 
-    def _build_waypoints(self) -> list[list[Waypoint]]:
+    def _build_waypoints(self) -> tuple[tuple[Waypoint, ...], ...]:
         spacing = self.config.waypoint_spacing
         count = int(self.length / spacing) + 1
-        lanes: list[list[Waypoint]] = []
+        lanes: list[tuple[Waypoint, ...]] = []
         for lane in range(self.config.n_lanes):
             points: list[Waypoint] = []
             for index in range(count):
@@ -233,8 +237,8 @@ class Road:
                         yaw=yaw,
                     )
                 )
-            lanes.append(points)
-        return lanes
+            lanes.append(tuple(points))
+        return tuple(lanes)
 
     def _build_graph(self) -> nx.DiGraph:
         """Directed graph: forward edges along lanes, diagonal lane changes."""
@@ -262,9 +266,9 @@ class Road:
                             target,
                             weight=cost * 1.05,
                         )
-        return graph
+        return nx.freeze(graph)
 
-    def waypoints(self, lane: int) -> list[Waypoint]:
+    def waypoints(self, lane: int) -> tuple[Waypoint, ...]:
         """All waypoints of ``lane`` ordered by arc-length."""
         self._check_lane(lane)
         return self._waypoints[lane]
@@ -297,7 +301,16 @@ class Road:
             )
 
 
+def default_road(config: RoadConfig | None = None) -> Road:
+    """The shared straight freeway of ``config`` (the paper's by default).
+
+    Built once per distinct config and shared by every world built from
+    it; a road is immutable, so sharing is safe. ``default_road()`` and
+    ``default_road(RoadConfig())`` return the same road.
+    """
+    return _straight_road(config or RoadConfig())
+
+
 @lru_cache(maxsize=8)
-def default_road() -> Road:
-    """The shared straight freeway used by the paper's scenario."""
-    return Road.straight(RoadConfig())
+def _straight_road(config: RoadConfig) -> Road:
+    return Road.straight(config)

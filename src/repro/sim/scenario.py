@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.sim.config import ScenarioConfig
 from repro.sim.npc import LaneKeepingDriver
-from repro.sim.road import Road
+from repro.sim.road import Road, default_road
 from repro.sim.vehicle import Vehicle, VehicleState
 from repro.sim.world import NpcActor, World
 
@@ -28,14 +28,15 @@ def make_world(
         config: scenario parameters; defaults to the paper's setup.
         rng: stream for spawn jitter. ``None`` disables all randomization,
             which is useful for exactly repeatable unit tests.
-        road: override the road (defaults to the straight freeway).
+        road: override the road (defaults to the shared straight freeway
+            of ``config.road``, :func:`~repro.sim.road.default_road`).
 
     Returns:
         A ready-to-tick :class:`World` with the ego at rest-speed 16 m/s and
         six NPCs ahead at 6 m/s.
     """
     config = config or ScenarioConfig()
-    road = road or Road.straight(config.road)
+    road = road or default_road(config.road)
 
     ego_start_s = 10.0
     ego_position, ego_yaw = road.lane_center(config.ego_lane, ego_start_s)

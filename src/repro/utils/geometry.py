@@ -14,6 +14,26 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+#: Slack added to every bounding-circle reach, meters. A pair farther
+#: apart than the reach is then separated by far more than the rounding
+#: of the exact footprint tests, so culling it never changes their answer.
+REACH_MARGIN = 1e-6
+
+
+def reach(*extents: tuple[float, float]) -> float:
+    """Centre distance beyond which rectangles of these sizes cannot touch.
+
+    Each extent is a ``(length, width)``; the reach is the sum of their
+    circumradii plus :data:`REACH_MARGIN`. Two footprints whose centres
+    lie farther apart than ``reach((l1, w1), (l2, w2))`` cannot overlap,
+    and a footprint farther than ``reach((l, w))`` from a point cannot
+    contain it, so the exact test may be skipped for them.
+    """
+    return (
+        sum(math.hypot(length / 2.0, width / 2.0) for length, width in extents)
+        + REACH_MARGIN
+    )
+
 
 def normalize_angle(angle: float) -> float:
     """Wrap an angle to the interval ``[-pi, pi)``.
@@ -96,7 +116,16 @@ class OrientedBox:
         )
 
     def intersects(self, other: "OrientedBox") -> bool:
-        """Separating-axis test between two oriented boxes."""
+        """Separating-axis test between two oriented boxes.
+
+        Boxes whose centres lie beyond :func:`reach` are disjoint without
+        building corners.
+        """
+        dx = other.center[0] - self.center[0]
+        dy = other.center[1] - self.center[1]
+        limit = reach((self.length, self.width), (other.length, other.width))
+        if dx * dx + dy * dy > limit * limit:
+            return False
         corners_a, corners_b = self.corners(), other.corners()
         for axis in np.concatenate([self.axes(), other.axes()]):
             proj_a = corners_a @ axis

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.config import RoadConfig
+from repro.sim import curved_world, make_batch_world, make_world
+from repro.sim.config import RoadConfig, ScenarioConfig
+from repro.sim.presets import two_lane
 from repro.sim.road import Road, default_road
 
 
@@ -29,6 +31,35 @@ class TestConstruction:
 
     def test_default_road_cached(self):
         assert default_road() is default_road()
+
+
+class TestSharedRoad:
+    def test_default_worlds_share_one_road(self):
+        road = make_world().road
+        assert make_world(ScenarioConfig()).road is road
+        assert make_batch_world(n=2).road is road
+        assert default_road(RoadConfig()) is default_road() is road
+
+    def test_other_configs_get_their_own_road(self):
+        config = two_lane()
+        road = make_world(config).road
+        assert road is not default_road()
+        assert road.n_lanes == 2
+        assert make_batch_world(config, n=1).road is road
+        assert curved_world().road is not default_road()
+
+    def test_shared_road_is_immutable(self):
+        road = default_road()
+        with pytest.raises(TypeError):
+            road.waypoints(0)[0] = road.waypoints(0)[1]
+        with pytest.raises(AttributeError):
+            road.waypoints(0).append(road.waypoints(0)[0])
+        with pytest.raises(nx.NetworkXError):
+            road.graph.add_edge((0, 0), (3, 5))
+        with pytest.raises(nx.NetworkXError):
+            road.graph.remove_node((0, 0))
+        with pytest.raises(ValueError):
+            road.centerline[0, 1] = 1.0
 
 
 class TestLanes:
