@@ -17,7 +17,7 @@ span timings; this package *reads* them:
   entropy collapse, reward plateau, buffer starvation, throughput
   regression) over streaming trace events.
 * :mod:`repro.obsv.watch` — live monitor that tails a growing training
-  trace (or a directory of per-worker shards, multiplexed), renders a
+  trace (or every trace in a run directory, multiplexed), renders a
   refreshing terminal view, and fires the watchdogs.
 * :mod:`repro.obsv.serve` — localhost HTTP server fronting one run:
   live HTML dashboard, flamegraph, JSON query API, run comparison

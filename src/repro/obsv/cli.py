@@ -11,7 +11,8 @@ Subcommands:
   directory of JSONL traces or an ingested telemetry store.
 * ``compare <a> <b>`` — statistical A/B comparison of two recorded runs
   (trace files, run directories, or stores; ``--run-a``/``--run-b``
-  pick logical runs inside a store): seeded bootstrap CIs, permutation
+  pick labelled runs inside a store, and are refused on any other
+  source): seeded bootstrap CIs, permutation
   tests, effect sizes, Holm correction. Deterministic under a fixed
   ``--stat-seed``; ``--json``/``--html`` for machine/browser output.
 * ``regress <current> <baseline>`` — compare bench telemetry snapshots
@@ -28,12 +29,12 @@ Subcommands:
 * ``ingest <dir>`` — load a run directory's traces and snapshots into a
   SQLite telemetry store (default ``<dir>/obsv.sqlite``).
 * ``query <store>`` — filter/aggregate stored events, export CSV.
-* ``watch <trace.jsonl|dir>`` — tail a growing training trace (or a
-  directory of per-worker shards, multiplexed) with a live terminal
+* ``watch <trace.jsonl|dir>`` — tail a growing training trace (or
+  every trace in a run directory, multiplexed) with a live terminal
   view and watchdog alerts (``--exit-on-alert`` for CI).
 * ``serve <dir|store.sqlite>`` — HTTP dashboard server on localhost:
   live HTML dashboard, flamegraph, JSON query API, and an SSE stream of
-  new events and watchdog alerts across every shard in the run.
+  new events and watchdog alerts across every trace in the run.
 * ``verify-artifacts [dir]`` — audit every ``.npz`` checkpoint under a
   directory (default ``artifacts/``) with checksum/load validation;
   exits 1 on corruption.
@@ -161,9 +162,20 @@ def _cmd_compare(args) -> int:
         confidence=args.confidence,
         alpha=args.alpha,
     )
-    episodes_a, prov_a, label_a = compare_mod.load_run(
-        args.a, label=args.run_a
-    )
+    if args.b is None and not args.snapshot:
+        sys.stderr.write("compare: run B is required (or use --snapshot)\n")
+        return 1
+    try:
+        episodes_a, prov_a, label_a = compare_mod.load_run(
+            args.a, label=args.run_a
+        )
+        if not args.snapshot:
+            episodes_b, prov_b, label_b = compare_mod.load_run(
+                args.b, label=args.run_b
+            )
+    except ValueError as error:
+        sys.stderr.write(f"compare: {error}\n")
+        return 1
     if args.snapshot:
         if not episodes_a:
             sys.stderr.write(
@@ -177,12 +189,6 @@ def _cmd_compare(args) -> int:
             json.dumps(snapshot, indent=2, sort_keys=True) + "\n", args.out
         )
         return 0
-    if args.b is None:
-        sys.stderr.write("compare: run B is required (or use --snapshot)\n")
-        return 1
-    episodes_b, prov_b, label_b = compare_mod.load_run(
-        args.b, label=args.run_b
-    )
     missing = [
         source
         for source, episodes in ((args.a, episodes_a), (args.b, episodes_b))
@@ -397,8 +403,7 @@ def _cmd_query(args) -> int:
     with TelemetryStore(args.store) as store:
         filters = dict(
             kind=args.kind, episode=args.episode, loop=args.loop,
-            run=args.run, name=args.name, worker=args.worker,
-            label=args.label,
+            run=args.run, name=args.name, label=args.label,
         )
         if args.field and args.agg:
             rows = store.aggregate(
@@ -587,11 +592,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     comp.add_argument(
         "--run-a", default=None,
-        help="logical run label inside store A (e.g. a sweep run id)",
+        help="run label inside store A (the REPRO_RUN_ID it was recorded"
+             " under); refused unless A is a store",
     )
     comp.add_argument(
         "--run-b", default=None,
-        help="logical run label inside store B",
+        help="run label inside store B; refused unless B is a store",
     )
     comp.add_argument(
         "--stat-seed", type=int, default=0,
@@ -729,12 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--name", help="span/profile name filter (e.g. episode/world.tick)"
     )
     quer.add_argument(
-        "--worker", type=int, default=None,
-        help="worker id filter (events from shard trace.w<K>.jsonl)",
-    )
-    quer.add_argument(
         "--label", default=None,
-        help="logical run label filter (the cross-process run id)",
+        help="run label filter (the REPRO_RUN_ID the trace was recorded"
+             " under)",
     )
     quer.add_argument(
         "--field", help="numeric event field to extract/aggregate"
@@ -781,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "dir",
-        help="run directory of *.jsonl shards, or a telemetry store",
+        help="run directory of *.jsonl traces, or a telemetry store",
     )
     srv.add_argument(
         "--host", default="127.0.0.1",
@@ -793,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--poll", type=float, default=0.5,
-        help="seconds between shard polls for the SSE stream",
+        help="seconds between trace polls for the SSE stream",
     )
     srv.set_defaults(fn=_cmd_serve)
 
@@ -802,8 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wat.add_argument(
         "trace",
-        help="JSONL trace file being written, or a directory of"
-             " per-worker shards (multiplexed into one view)",
+        help="JSONL trace file being written, or a run directory of"
+             " traces (multiplexed into one view)",
     )
     wat.add_argument(
         "--poll", type=float, default=None,

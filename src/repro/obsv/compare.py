@@ -681,9 +681,11 @@ def load_run(
     """Episodes + provenance + display label from one run source.
 
     Accepts a JSONL trace file, a run directory (every ``*.jsonl`` in
-    it), or a telemetry store (optionally narrowed to one logical run
-    ``label``). Missing/empty sources return no episodes rather than
-    raising — the CLI degrades with a warning instead of a traceback.
+    it), or a telemetry store (optionally narrowed to one run ``label``).
+    Missing/empty sources return no episodes rather than raising — the
+    CLI degrades with a warning instead of a traceback. A ``label`` on a
+    trace file or a run directory of traces raises ``ValueError``: only
+    a store can narrow to one run.
     """
     from repro.obsv.store import TelemetryStore, is_store_path
     from repro.telemetry.trace import read_trace, validate_event
@@ -696,6 +698,11 @@ def load_run(
         trace_paths = sorted(source.glob("*.jsonl"))
         if not trace_paths and store_path.exists():
             return load_run(store_path, label=label)
+        if label is not None:
+            raise ValueError(
+                f"run label {label!r} needs a telemetry store, but"
+                f" {source} is a run directory of traces"
+            )
         episodes: list[EpisodeTrace] = []
         provenance = None
         for path in trace_paths:
@@ -719,6 +726,11 @@ def load_run(
             )
         name = source.name if label is None else f"{source.name}:{label}"
         return episodes, provenance, name
+    if label is not None:
+        raise ValueError(
+            f"run label {label!r} needs a telemetry store, but {source}"
+            " is a trace file"
+        )
     events = [e for e in read_trace(source) if not validate_event(e)]
     from repro.obsv.loader import split_episodes
 
@@ -729,11 +741,7 @@ def load_run(
     )
 
 
-def load_metric_source(
-    source: str | Path,
-    stat: StatConfig,
-    label: str | None = None,
-) -> dict | None:
+def load_metric_source(source: str | Path, stat: StatConfig) -> dict | None:
     """A metric snapshot from a snapshot JSON *or* a raw run source.
 
     ``obsv regress --metrics`` accepts either a precomputed snapshot
@@ -749,7 +757,7 @@ def load_metric_source(
         if is_metric_snapshot(document):
             return document
         return None
-    episodes, provenance, _ = load_run(path, label=label)
+    episodes, provenance, _ = load_run(path)
     if not episodes:
         return None
     return metric_snapshot(episodes, stat, provenance=provenance)

@@ -6,30 +6,28 @@ store) and exposes:
 
 * ``/``              — the HTML dashboard (same renderer as ``obsv
   dashboard --html``), re-ingesting the run directory on each request —
-  ingest is mtime-checked and idempotent, so unchanged shards cost one
+  ingest is mtime-checked and idempotent, so unchanged traces cost one
   ``stat`` each and the page is always current;
 * ``/dashboard.md``  — the markdown variant;
 * ``/flamegraph``    — self-contained HTML flamegraph built from the
   stored ``BENCH_telemetry.json`` / ``PROFILE_report.json`` span tree;
 * ``/compare``       — run-picker + side-by-side statistical comparison
-  (the ``obsv compare`` engine over two run labels or trace shards in
+  (the ``obsv compare`` engine over two run labels or trace files in
   this store), with ``/api/compare`` returning the same report as JSON;
 * ``/api/status``, ``/api/runs``, ``/api/snapshots`` — JSON inventory;
 * ``/api/events``, ``/api/series``, ``/api/aggregate`` — the
   :class:`~repro.obsv.store.TelemetryStore` query API over HTTP, with
   the same filters as ``obsv query`` (``kind``, ``episode``, ``loop``,
-  ``run``, ``name``, ``worker``, ``limit``, ``field``, ``agg``,
-  ``group_by``);
+  ``run``, ``name``, ``limit``, ``field``, ``agg``, ``group_by``);
 * ``/events``        — a Server-Sent-Events stream: every event newly
-  appended to any trace shard in the run directory is pushed as a
-  ``data:`` frame (worker-labelled), and watchdog firings
-  (:class:`~repro.obsv.alerts.Watchdog`, the same rule-set as ``obsv
-  watch``) arrive as ``event: alert`` frames — ``obsv watch`` in a
-  browser, across all workers at once.
+  appended to any trace in the run directory is pushed as a ``data:``
+  frame, and watchdog firings (:class:`~repro.obsv.alerts.Watchdog`,
+  the same rule-set as ``obsv watch``) arrive as ``event: alert``
+  frames — ``obsv watch`` in a browser.
 
 Every request handler opens its own short-lived store connection
 (SQLite connections are thread-bound and ``ThreadingHTTPServer`` runs
-one thread per request), and the shard follower holds none at all, so
+one thread per request), and the trace follower holds none at all, so
 the server never fights a concurrent ``obsv ingest`` for the write lock.
 """
 
@@ -52,13 +50,12 @@ from repro.obsv.dashboard import (
     to_html,
 )
 from repro.obsv.store import DEFAULT_STORE_NAME, TelemetryStore, is_store_path
-from repro.obsv.watch import MultiTail, worker_labelled
-from repro.telemetry.context import shard_worker
+from repro.obsv.watch import MultiTail
 from repro.telemetry.log import get_logger
 
 log = get_logger("obsv.serve")
 
-#: Default seconds between shard-follower polls.
+#: Default seconds between trace-follower polls.
 DEFAULT_POLL_S = 0.5
 
 #: Query parameters accepted by every ``/api`` event endpoint.
@@ -115,15 +112,12 @@ class EventBus:
                 pass  # a stalled client loses messages, not the server
 
 
-class ShardFollower(threading.Thread):
-    """Streams a run directory's shards through a :class:`MultiTail`.
+class TraceFollower(threading.Thread):
+    """Streams a run directory's traces through a :class:`MultiTail`.
 
-    New shard files appearing mid-run (a late worker) are picked up on
-    the next poll, and events missing a ``worker`` stamp inherit the id
-    from their shard filename. Each event is pushed to the bus and fed to
-    the watchdog rule-set; firings are pushed as alert messages, with the
-    loop label tagged ``@w<worker>`` so one diverging worker is
-    distinguishable from the rest of the pool.
+    Trace files appearing mid-run are picked up on the next poll. Each
+    event is pushed to the bus and fed to the watchdog rule-set; firings
+    are pushed as alert messages.
     """
 
     def __init__(
@@ -158,16 +152,13 @@ class ShardFollower(threading.Thread):
                 log.warning("serve.follower_error", error=str(error))
 
     def poll_once(self) -> int:
-        """One multiplexed pass over all shards; returns events pushed."""
+        """One multiplexed pass over all traces; returns events pushed."""
         events = self._tail.poll()
         for event in events:
             self.events_seen += 1
             self.bus.publish({"type": "event", "data": event})
-            # Rules trip (and alerts are labelled) per worker.
-            for alert in self.watchdog.observe(worker_labelled(event)):
+            for alert in self.watchdog.observe(event):
                 record = alert.to_event()
-                if event.get("worker") is not None:
-                    record["worker"] = int(event["worker"])
                 self.alerts.append(record)
                 self.bus.publish({"type": "alert", "data": record})
         return len(events)
@@ -203,9 +194,9 @@ class DashboardServer:
         self._port = port
         self.poll = max(float(poll), 0.05)
         self.bus = EventBus()
-        self.follower: ShardFollower | None = None
+        self.follower: TraceFollower | None = None
         if self.trace_dir is not None:
-            self.follower = ShardFollower(
+            self.follower = TraceFollower(
                 self.trace_dir, self.bus, poll=self.poll,
                 config=watch_config,
             )
@@ -402,7 +393,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- comparison ---------------------------------------------------------------
 
     def _compare_choices(self) -> tuple[list[str], list[str]]:
-        """(run labels, trace shard basenames) selectable for comparison."""
+        """(run labels, trace file basenames) selectable for comparison."""
         with self.app._store() as store:
             rows = store.run_provenance()
         labels = sorted({row["label"] for row in rows if row["label"]})
@@ -413,7 +404,7 @@ class _Handler(BaseHTTPRequestHandler):
         """Resolve one ``a``/``b`` parameter to (episodes, provenance, name).
 
         A known run label queries the store; anything else must name a
-        trace shard inside the served run directory — arbitrary paths
+        trace file inside the served run directory — arbitrary paths
         are rejected so the HTTP surface cannot read outside the run.
         """
         labels, _ = self._compare_choices()
@@ -487,7 +478,7 @@ class _Handler(BaseHTTPRequestHandler):
                 '<button type="submit">Compare</button></p>'
                 "</form>"
                 f"<p>{len(labels)} run label(s), {len(sources)} trace"
-                " shard(s) available.</p>"
+                " file(s) available.</p>"
             )
         return _HTML_TEMPLATE.format(body=body)
 
@@ -532,8 +523,6 @@ class _Handler(BaseHTTPRequestHandler):
         }
         if "run" in params:
             filters["run"] = int(params["run"])
-        if "worker" in params:
-            filters["worker"] = int(params["worker"])
         return filters
 
     def _api_status(self) -> None:
@@ -568,7 +557,6 @@ class _Handler(BaseHTTPRequestHandler):
                     "source": info.source,
                     "kind": info.kind,
                     "events": info.events,
-                    "worker": shard_worker(info.source),
                 }
                 for info in runs
             ]

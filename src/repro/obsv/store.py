@@ -8,35 +8,32 @@ files and metrics/bench snapshots into an indexed SQLite database
 dashboard, ``repro.obsv regress``, and the ``query`` subcommand — hit
 indexes instead of re-decoding JSON lines.
 
-Layout (schema version 4):
+Layout (schema version 5):
 
 * ``runs``      — one row per ingested source file (trace or snapshot),
   keyed by absolute path with mtime/size for change detection; re-ingest
   of an unchanged file is a no-op, a changed file is replaced. Since v4
-  each trace run also hoists its **provenance**: the logical run label
-  (the cross-process ``run`` context stamp), the git SHA / dirty flag /
-  config hash from the trace's ``provenance`` event
+  each trace run also hoists its **provenance**: the run label (the
+  ``run`` field ``REPRO_RUN_ID`` stamps on each record), the git SHA /
+  dirty flag / config hash from the trace's ``provenance`` event
   (:mod:`repro.telemetry.provenance`), and the full provenance payload —
   so "which runs came from commit X with config Y?" is one indexed
   query, and aggregates can group by run label, git SHA, or config hash.
 * ``events``    — one row per trace event. The full record is kept as a
   JSON payload column; the hot filter fields (kind, episode, loop, step,
-  tick, t, name, worker) are hoisted into indexed columns. ``name``
-  (added in v2) carries span paths from ``span``/``profile`` events, so
-  per-span self-time series are one indexed filter away. ``worker``
-  (added in v3) carries the cross-process context stamp
-  (:mod:`repro.telemetry.context`); shard files ingested without stamps
-  inherit the worker id encoded in their filename
-  (``trace.w<worker>.jsonl``), so multi-process sweeps filter and group
-  per worker either way.
+  tick, t, name) are hoisted into indexed columns. ``name`` (added in
+  v2) carries span paths from ``span``/``profile`` events, so per-span
+  self-time series are one indexed filter away.
 * ``snapshots`` — whole metrics / bench JSON documents by name
   (``EXPERIMENTS_metrics.json``, ``BENCH_telemetry.json``,
   ``PROFILE_report.json``, ...).
 * ``meta``      — key/value store (schema version, source directory).
 
 Opening an older store migrates it in place (``ALTER TABLE`` adding the
-``name`` / ``worker`` columns, backfilled from payloads); stores newer
-than this build refuse to open.
+``name`` column and the ``runs`` provenance columns, backfilled from
+payloads); stores newer than this build refuse to open. v5 dropped the
+``events.worker`` column: a v4 store keeps it, unused, and needs only
+the version stamp.
 
 Field-level reads (``series`` / ``aggregate``) use the SQLite ``json1``
 functions when available and fall back to decoding payloads in Python
@@ -63,7 +60,7 @@ log = get_logger("obsv.store")
 #: Default store filename inside an ingested run directory.
 DEFAULT_STORE_NAME = "obsv.sqlite"
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Aggregations exposed by :meth:`TelemetryStore.aggregate` / the CLI.
 AGGREGATES = ("count", "mean", "min", "max", "sum")
@@ -73,9 +70,7 @@ AGGREGATES = ("count", "mean", "min", "max", "sum")
 PROVENANCE_KEYS = ("label", "git_sha", "config_hash")
 
 #: Columns usable as GROUP BY keys (all indexed or trivially cheap).
-GROUP_KEYS = (
-    "kind", "episode", "loop", "run", "name", "worker"
-) + PROVENANCE_KEYS
+GROUP_KEYS = ("kind", "episode", "loop", "run", "name") + PROVENANCE_KEYS
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -105,7 +100,6 @@ CREATE TABLE IF NOT EXISTS events (
     tick    INTEGER,
     t       REAL,
     name    TEXT,
-    worker  INTEGER,
     payload TEXT NOT NULL,
     PRIMARY KEY (run_id, seq)
 );
@@ -137,7 +131,7 @@ class RunInfo:
     events: int
     mtime: float
     size: int
-    #: Logical run label (the cross-process ``run`` context stamp).
+    #: Run label (the ``run`` field ``REPRO_RUN_ID`` stamps on records).
     label: str | None = None
     #: Git revision from the trace's provenance event.
     git_sha: str | None = None
@@ -200,13 +194,10 @@ class TelemetryStore:
             )
         elif int(existing) < SCHEMA_VERSION:
             self._migrate(int(existing))
-        # v2/v3 indexes; created here (not in _DDL) so they land after an
-        # older store's migration has added the columns.
+        # The v2 index; created here (not in _DDL) so it lands after an
+        # older store's migration has added the column.
         self._conn.execute(
             "CREATE INDEX IF NOT EXISTS idx_events_name ON events(name)"
-        )
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_events_worker ON events(worker)"
         )
 
     def _probe_json1(self) -> bool:
@@ -252,34 +243,6 @@ class TelemetryStore:
                                 " WHERE run_id = ? AND seq = ?",
                                 (str(value), run_id, seq),
                             )
-            if from_version < 3:
-                columns = {
-                    row[1]
-                    for row in conn.execute("PRAGMA table_info(events)")
-                }
-                if "worker" not in columns:
-                    conn.execute(
-                        "ALTER TABLE events ADD COLUMN worker INTEGER"
-                    )
-                if json1:
-                    conn.execute(
-                        "UPDATE events SET worker ="
-                        " json_extract(payload, '$.worker')"
-                        " WHERE json_extract(payload, '$.worker')"
-                        " IS NOT NULL"
-                    )
-                else:
-                    rows = conn.execute(
-                        "SELECT run_id, seq, payload FROM events"
-                    ).fetchall()
-                    for run_id, seq, payload in rows:
-                        value = json.loads(payload).get("worker")
-                        if value is not None:
-                            conn.execute(
-                                "UPDATE events SET worker = ?"
-                                " WHERE run_id = ? AND seq = ?",
-                                (int(value), run_id, seq),
-                            )
             if from_version < 4:
                 columns = {
                     row[1]
@@ -297,7 +260,7 @@ class TelemetryStore:
                             f"ALTER TABLE runs ADD COLUMN {column} {col_type}"
                         )
                 # Backfill each trace run from its stored events: the
-                # label is the first cross-process `run` stamp, the rest
+                # label is the first `run` stamp, the rest
                 # comes from the trace's provenance event (pre-v4 traces
                 # usually have neither — their columns stay NULL).
                 run_ids = [
@@ -440,11 +403,7 @@ class TelemetryStore:
 
         Schema-invalid events are skipped, mirroring the non-strict JSONL
         loader, so store-backed consumers see the same event stream.
-        Shard files (``trace.w<worker>.jsonl``) hoist the worker id from
-        the filename for records missing an explicit ``worker`` stamp.
         """
-        from repro.telemetry.context import shard_worker
-
         path = Path(path).resolve()
         mtime, size = self._stat(path)
         existing = self._existing_run(str(path))
@@ -456,9 +415,8 @@ class TelemetryStore:
         ):
             return existing
         events = [e for e in read_trace(path) if not validate_event(e)]
-        worker_hint = shard_worker(path)
-        # Hoist provenance onto the run row: the logical run label (first
-        # cross-process `run` stamp) and the trace's provenance event.
+        # Hoist provenance onto the run row: the run label (the first
+        # `run` stamp) and the trace's provenance event.
         label = next(
             (
                 str(e["run"])
@@ -508,8 +466,8 @@ class TelemetryStore:
             conn.executemany(
                 "INSERT INTO events "
                 "(run_id, seq, kind, episode, loop, step, tick, t, name,"
-                " worker, payload) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " payload) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     (
                         run_id,
@@ -525,9 +483,6 @@ class TelemetryStore:
                         None
                         if event.get("name") is None
                         else str(event["name"]),
-                        worker_hint
-                        if event.get("worker") is None
-                        else int(event["worker"]),
                         json.dumps(event, separators=(",", ":")),
                     )
                     for seq, event in enumerate(events)
@@ -583,11 +538,10 @@ class TelemetryStore:
         """Ingest a run directory: traces plus the standard snapshots.
 
         Mirrors what the dashboard reads from a directory — every
-        ``*.jsonl`` trace (sorted by name, which includes per-worker
-        shard files ``trace.w<k>.jsonl``) and, when present,
+        ``*.jsonl`` trace (sorted by name) and, when present,
         ``EXPERIMENTS_metrics.json`` / ``BENCH_telemetry.json``.
-        Each shard ingests as its own run row, so re-ingesting a growing
-        sweep only re-reads the shards that actually changed.
+        Each trace ingests as its own run row, so re-ingesting a growing
+        run directory only re-reads the traces that actually changed.
         """
         directory = Path(directory).resolve()
         summary = {"traces": 0, "events": 0, "snapshots": 0}
@@ -660,14 +614,12 @@ class TelemetryStore:
         loop: str | None,
         run: int | None,
         name: str | None = None,
-        worker: int | None = None,
         label: str | None = None,
         prefix: str = "",
     ) -> tuple[str, list]:
         """Build the filter clause.
 
-        ``label`` selects events whose run row carries that logical run
-        label (a subquery, so it works without joining). ``prefix``
+        ``label`` selects events whose run row carries that run label (a subquery, so it works without joining). ``prefix``
         qualifies the event columns (``"e."``) for joined queries where
         ``kind`` / ``run_id`` would otherwise be ambiguous.
         """
@@ -687,9 +639,6 @@ class TelemetryStore:
         if name is not None:
             clauses.append(f"{prefix}name = ?")
             params.append(name)
-        if worker is not None:
-            clauses.append(f"{prefix}worker = ?")
-            params.append(int(worker))
         if label is not None:
             clauses.append(
                 f"{prefix}run_id IN (SELECT run_id FROM runs WHERE label = ?)"
@@ -706,13 +655,10 @@ class TelemetryStore:
         run: int | None = None,
         limit: int | None = None,
         name: str | None = None,
-        worker: int | None = None,
         label: str | None = None,
     ) -> list[dict]:
         """Decoded event records in ingestion order."""
-        where, params = self._where(
-            kind, episode, loop, run, name, worker, label
-        )
+        where, params = self._where(kind, episode, loop, run, name, label)
         sql = f"SELECT payload FROM events{where} ORDER BY run_id, seq"
         if limit is not None:
             sql += " LIMIT ?"
@@ -730,7 +676,7 @@ class TelemetryStore:
         Events are grouped per source trace file (run) before splitting,
         exactly as the JSONL loader does per file, so episode ids reused
         across files do not merge. ``label`` restricts to the trace files
-        of one logical run (e.g. every shard of a sweep).
+        of one labelled run.
         """
         where, params = self._where(None, None, None, run, label=label)
         sql = (
@@ -778,14 +724,11 @@ class TelemetryStore:
         loop: str | None = None,
         run: int | None = None,
         name: str | None = None,
-        worker: int | None = None,
         label: str | None = None,
     ) -> list[float]:
         """One numeric event field over time (events lacking it skipped)."""
         self._check_field(field)
-        where, params = self._where(
-            kind, episode, loop, run, name, worker, label
-        )
+        where, params = self._where(kind, episode, loop, run, name, label)
         if self._json1:
             sql = (
                 f"SELECT json_extract(payload, '$.{field}') "
@@ -802,8 +745,7 @@ class TelemetryStore:
         return [
             float(event[field])
             for event in self.events(
-                kind, episode, loop, run, name=name, worker=worker,
-                label=label,
+                kind, episode, loop, run, name=name, label=label
             )
             if field in event and event[field] is not None
         ]
@@ -818,7 +760,6 @@ class TelemetryStore:
         run: int | None = None,
         group_by: str | None = None,
         name: str | None = None,
-        worker: int | None = None,
         label: str | None = None,
     ) -> list[tuple]:
         """Aggregate one event field, optionally grouped.
@@ -851,7 +792,7 @@ class TelemetryStore:
                 "sum": f"SUM({expr})",
             }[agg]
             where, params = self._where(
-                kind, episode, loop, run, name, worker, label, prefix=prefix
+                kind, episode, loop, run, name, label, prefix=prefix
             )
             not_null = f"{expr} IS NOT NULL"
             where = (
@@ -874,17 +815,14 @@ class TelemetryStore:
             except sqlite3.OperationalError:
                 pass  # NaN/Infinity payloads are not valid JSON for json1
         return self._aggregate_python(
-            field, agg, kind, episode, loop, run, group_by, name, worker,
-            label,
+            field, agg, kind, episode, loop, run, group_by, name, label
         )
 
     def _aggregate_python(
         self, field, agg, kind, episode, loop, run, group_by, name=None,
-        worker=None, label=None,
+        label=None,
     ) -> list[tuple]:
-        where, params = self._where(
-            kind, episode, loop, run, name, worker, label
-        )
+        where, params = self._where(kind, episode, loop, run, name, label)
         sql = f"SELECT run_id, payload FROM events{where} ORDER BY run_id, seq"
         run_keys: dict[int, object] | None = None
         if group_by in PROVENANCE_KEYS:

@@ -21,13 +21,10 @@ run:
 returns — that is the mode tests and post-hoc "did anything trip?"
 checks use on completed traces.
 
-``path`` may also be a **directory** of per-worker trace shards (what a
-sharded run writes — ``trace.w0.jsonl``, ``trace.w1.jsonl``, ...): every
-``*.jsonl`` file is tailed and multiplexed into one view, shards that
-appear mid-run are picked up on the next poll, events missing a
-``worker`` stamp inherit the id from their shard filename, loops are
-displayed (and watchdog'd) per worker as ``<loop>@w<k>``, and fired
-alerts are appended to ``<dir>/alerts.jsonl`` instead of any one shard.
+``path`` may also be a **run directory**: every ``*.jsonl`` trace in
+it is tailed and multiplexed into one view, traces that appear mid-run
+are picked up on the next poll, and fired alerts are appended to
+``<dir>/alerts.jsonl`` instead of any one trace.
 
 With ``baseline_metrics`` (a metric snapshot from ``obsv compare
 --snapshot`` / ``benchmarks/BASELINE_metrics.json``), the view also
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -51,7 +47,6 @@ from pathlib import Path
 
 from repro.obsv.alerts import Alert, WatchConfig, Watchdog
 from repro.obsv.render import fmt, sparkline
-from repro.telemetry.context import shard_worker
 from repro.telemetry.log import get_logger
 from repro.telemetry.trace import TraceWriter
 
@@ -123,10 +118,8 @@ class TraceTail:
 class MultiTail:
     """Tails every ``*.jsonl`` in a directory, multiplexed into one feed.
 
-    Rescans the directory on each poll, so shards created after the
-    watch started (a late worker joining the pool) are picked up live.
-    Events missing a ``worker`` stamp inherit the id parsed from their
-    shard filename (``trace.w3.jsonl`` → ``worker=3``).
+    Rescans the directory on each poll, so traces created after the
+    watch started are picked up live.
     """
 
     def __init__(self, directory: str | Path, pattern: str = "*.jsonl") -> None:
@@ -134,47 +127,29 @@ class MultiTail:
         self.pattern = pattern
         self._tails: dict[Path, TraceTail] = {}
 
-    def _shards(self) -> list[Path]:
+    def _traces(self) -> list[Path]:
         if not self.directory.is_dir():
             return []
         return sorted(self.directory.glob(self.pattern))
 
     def skip_to_end(self) -> None:
-        """Poll only what shards already on disk append from now on.
+        """Poll only what traces already on disk append from now on.
 
-        Shards that appear later still stream from their first byte.
+        Traces that appear later still stream from their first byte.
         """
-        for path in self._shards():
+        for path in self._traces():
             tail = self._tails[path] = TraceTail(path)
             tail.skip_to_end()
 
     def poll(self) -> list[dict]:
-        """New events across all shards, shard-ordered within the batch."""
+        """New events across all traces, file-ordered within the batch."""
         events: list[dict] = []
-        for path in self._shards():
+        for path in self._traces():
             tail = self._tails.get(path)
             if tail is None:
                 tail = self._tails[path] = TraceTail(path)
-            worker = shard_worker(path)
-            for event in tail.poll():
-                if worker is not None and "worker" not in event:
-                    event["worker"] = worker
-                events.append(event)
+            events.extend(tail.poll())
         return events
-
-
-def worker_labelled(event: dict) -> dict:
-    """Copy of ``event`` with the loop keyed per worker (``loop@w<k>``).
-
-    Makes the multiplexed view keep one row — and the watchdog one
-    rule-state — per (loop, worker) pair, so a single diverging worker
-    is visible against the rest of the pool. Events without a worker
-    stamp (or without a loop) pass through unchanged.
-    """
-    worker = event.get("worker")
-    if worker is None or event.get("loop") is None:
-        return event
-    return {**event, "loop": f"{event['loop']}@w{worker}"}
 
 
 @dataclass
@@ -202,7 +177,6 @@ class WatchState:
     ticks_seen: int = 0
     loops: dict = field(default_factory=dict)
     alerts: dict = field(default_factory=dict)  # (rule, loop) -> Alert
-    workers: set = field(default_factory=set)  # worker ids seen
     #: Live episode-end metric samples per (victim|attacker|budget) cell
     #: — the inputs to the baseline-drift annotations.
     cells: dict = field(default_factory=dict)
@@ -216,8 +190,6 @@ class WatchState:
 
     def ingest(self, event: dict) -> None:
         self.events += 1
-        if event.get("worker") is not None:
-            self.workers.add(int(event["worker"]))
         kind = event.get("event")
         if kind == "train_step":
             view = self.loop(str(event.get("loop", "")))
@@ -358,12 +330,7 @@ def render_status(
     drift_min_n: int = DRIFT_MIN_N,
 ) -> str:
     """The full refreshing terminal view as one multi-line string."""
-    header = f"repro.obsv watch — {path} ({state.events} events)"
-    if state.workers:
-        header += (
-            f"  workers {','.join(str(w) for w in sorted(state.workers))}"
-        )
-    lines = [header]
+    lines = [f"repro.obsv watch — {path} ({state.events} events)"]
     for name, view in sorted(state.loops.items()):
         health = view.health
         parts = [f"loop {name or '?'}: step {view.step}"]
@@ -478,7 +445,7 @@ def watch_trace(
 ) -> int:
     """Tail ``path``, render the live view, and evaluate the watchdogs.
 
-    ``path`` may be one JSONL trace or a directory of per-worker shards
+    ``path`` may be one JSONL trace or a run directory of them
     (multiplexed; see module docstring). Returns 0, or 1 when
     ``exit_on_alert`` is set and any rule fired. ``idle_exit`` stops the
     follow loop after that many seconds without new events (None =
@@ -514,7 +481,6 @@ def watch_trace(
             # Recorded alerts (a previous watch session) sit *after* the
             # events that tripped them; arm the dedup before replaying
             # the batch so re-watching never duplicates an alert.
-            events = [worker_labelled(event) for event in events]
             for event in events:
                 if event.get("event") == "alert":
                     watchdog.observe(event)
@@ -532,11 +498,7 @@ def watch_trace(
                 if write_alerts:
                     if writer is None:
                         writer = TraceWriter(alert_sink)
-                    record = alert.to_event()
-                    tagged = re.search(r"@w(\d+)$", alert.loop or "")
-                    if tagged:
-                        record["worker"] = int(tagged.group(1))
-                    writer.emit("alert", **record)
+                    writer.emit("alert", **alert.to_event())
                     writer.flush()
                 if on_alert:
                     _run_alert_hook(on_alert, alert, alert_sink)

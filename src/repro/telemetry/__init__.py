@@ -1,6 +1,6 @@
 """Observability layer: structured logging, metrics, spans, and traces.
 
-The four submodules are intentionally dependency-free (stdlib + numpy) and
+The submodules are intentionally dependency-free (stdlib + numpy) and
 deterministic-safe — none of them ever touches an RNG or mutates simulation
 state, so instrumented runs are bit-identical to uninstrumented ones.
 
@@ -14,21 +14,12 @@ state, so instrumented runs are bit-identical to uninstrumented ones.
 * :mod:`repro.telemetry.trace` — JSONL event writer for per-tick episode
   traces and per-step training traces, with a schema validator and a
   Chrome ``trace_event`` export (``REPRO_TRACE`` installs a default
-  process-wide writer).
-* :mod:`repro.telemetry.context` — cross-process trace context
-  (run/worker identity, parent span path) inherited through
-  ``REPRO_RUN_ID`` / ``REPRO_WORKER_ID``, plus per-worker trace shard
-  files (``REPRO_TRACE_SHARD``) and their merge API.
+  process-wide writer; ``REPRO_RUN_ID`` labels every record with a run
+  id that ``obsv query --label`` and ``obsv compare --run-a`` select by).
+* :mod:`repro.telemetry.provenance` — the git SHA, config hash, weights
+  checksums and ``REPRO_*`` settings stamped at the top of each trace.
 """
 
-from repro.telemetry.context import (
-    TraceContext,
-    current_context,
-    merge_shards,
-    new_run_id,
-    shard_path,
-    shard_worker,
-)
 from repro.telemetry.log import configure, get_logger
 from repro.telemetry.metrics import MetricsRegistry, get_registry
 from repro.telemetry.spans import get_tracer, span, timed
@@ -42,12 +33,6 @@ from repro.telemetry.trace import (
 )
 
 __all__ = [
-    "TraceContext",
-    "current_context",
-    "merge_shards",
-    "new_run_id",
-    "shard_path",
-    "shard_worker",
     "configure",
     "get_logger",
     "MetricsRegistry",

@@ -17,14 +17,7 @@ process and stamps it into traces as a ``provenance`` event (see
   (read without loading the arrays; legacy checkpoints fall back to
   recomputing via :func:`~repro.utils.serialization.checksum_arrays`).
 * **REPRO_* environment snapshot** — every knob that changes behaviour
-  (trace sharding, eval batch width, histogram caps, ...).
-
-Cross-process propagation mirrors :mod:`repro.telemetry.context`: the
-coordinator serializes its :class:`Provenance` into the
-``REPRO_PROVENANCE`` environment variable (:func:`child_env`), workers
-inherit it for free, and :func:`collect` returns the inherited block
-verbatim — so every shard of a sweep carries an *identical* stamp and
-downstream grouping by (git SHA, config hash) reassembles the run.
+  (the run label, span tracing, histogram caps, ...).
 
 Stamping is one event per :class:`~repro.telemetry.trace.TraceWriter`
 (:func:`stamp_provenance` is idempotent per writer), emitted before the
@@ -43,15 +36,8 @@ import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: Environment variable carrying the serialized coordinator provenance.
-ENV_PROVENANCE = "REPRO_PROVENANCE"
-
 #: Version of the provenance block itself (bump on field changes).
 PROVENANCE_SCHEMA_VERSION = 1
-
-#: REPRO_* variables excluded from the env snapshot: the provenance
-#: payload itself, and secrets-shaped values if any ever appear.
-_ENV_EXCLUDE = (ENV_PROVENANCE,)
 
 
 @dataclass(frozen=True)
@@ -95,10 +81,6 @@ class Provenance:
             python=str(payload.get("python", "")),
             numpy=str(payload.get("numpy", "")),
         )
-
-    def child_env(self) -> dict[str, str]:
-        """Environment entries worker processes must inherit."""
-        return {ENV_PROVENANCE: json.dumps(self.to_json(), sort_keys=True)}
 
 
 _GIT_CACHE: tuple[str, bool] | None = None
@@ -211,7 +193,7 @@ def env_snapshot() -> dict[str, str]:
     return {
         key: value
         for key, value in sorted(os.environ.items())
-        if key.startswith("REPRO_") and key not in _ENV_EXCLUDE
+        if key.startswith("REPRO_")
     }
 
 
@@ -219,22 +201,11 @@ def collect(
     config: object | None = None,
     weights: dict[str, str | Path | None] | None = None,
 ) -> Provenance:
-    """Build (or inherit) the provenance block for this process.
-
-    When ``REPRO_PROVENANCE`` is set — a coordinator exported it via
-    :meth:`Provenance.child_env` — the inherited block is returned
-    verbatim so every worker of a sweep stamps identically. Otherwise
-    git / config / weights / env are collected fresh.
+    """Collect the provenance block for this process.
 
     ``weights`` maps checkpoint names to paths (or precomputed
     ``sha256:...`` strings); unreadable entries are dropped.
     """
-    inherited = os.environ.get(ENV_PROVENANCE, "").strip()
-    if inherited:
-        try:
-            return Provenance.from_json(json.loads(inherited))
-        except (ValueError, TypeError):
-            pass  # malformed env: fall through to fresh collection
     import numpy as np
 
     sha, dirty = git_revision()

@@ -228,10 +228,9 @@ class Tracer:
     def current_path(self) -> str:
         """The innermost open span path on this thread ("" when none).
 
-        Multi-process launchers capture this at spawn time and hand it to
-        workers as :attr:`~repro.telemetry.context.TraceContext.parent`,
-        so child-process spans nest under the coordinator's span in the
-        merged Chrome export.
+        The lockstep engine reads it inside its ``episode_batch`` span to
+        name the ``<path>/episode`` spans it :meth:`record`-s afterwards,
+        one per episode's share of the batch wall-clock.
         """
         stack = self._stack()
         return stack[-1] if stack else ""

@@ -18,7 +18,9 @@ tier-1 smoke test — can rely on field names and types:
 Setting the ``REPRO_TRACE`` environment variable to a path installs a
 process-wide default writer that :func:`default_writer` hands to the
 episode runner and the training loops, so any entry point emits a trace
-without code changes. :func:`to_chrome_trace` converts events (or the
+without code changes. ``REPRO_RUN_ID`` labels every record a writer
+emits with a ``run`` id, which the telemetry store keeps as the run's
+label. :func:`to_chrome_trace` converts events (or the
 span tracer's raw events) into the Chrome ``trace_event`` JSON format for
 flame-graph viewing in ``chrome://tracing`` / Perfetto.
 """
@@ -190,20 +192,12 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
 }
 
 
-#: Cross-process context fields (:mod:`repro.telemetry.context`) accepted
-#: — and type-checked — on every event kind.
-CONTEXT_FIELDS: dict[str, tuple] = {
-    #: Logical run/sweep id shared by all workers of one launch.
-    "run": (str,),
-    #: Worker index within the run.
-    "worker": (int,),
-    #: Pid of the emitting process.
-    "pid": (int,),
-    #: Coordinator span path this worker's spans nest under.
-    "parent": (str,),
-}
+#: Environment variable naming the run a writer labels its records with.
+ENV_RUN_ID = "REPRO_RUN_ID"
+
+# The run label is accepted, and type-checked, on every event kind.
 for _schema in SCHEMAS.values():
-    _schema["optional"].update(CONTEXT_FIELDS)
+    _schema["optional"]["run"] = (str,)
 del _schema
 
 
@@ -271,23 +265,15 @@ class TraceWriter:
         self,
         path: str | Path | IO[str] | None = None,
         validate: bool = False,
-        context: "TraceContext | None | bool" = True,
     ) -> None:
         """``path=None`` keeps events in ``self.events`` (tests, tooling);
         ``validate=True`` schema-checks each event at emit time.
 
-        ``context`` controls cross-process stamping: the default inherits
-        the process-wide :func:`~repro.telemetry.context.current_context`
-        (``None`` outside multi-process runs, so single-process traces
-        are unchanged), an explicit :class:`TraceContext` overrides it,
-        and ``context=None`` disables stamping.
+        ``REPRO_RUN_ID``, read here, labels every record as ``run`` (a
+        field the caller passes wins); unset, records carry no label.
         """
-        from repro.telemetry.context import current_context
-
         self.validate = validate
-        self.context = current_context() if context is True else (
-            context or None
-        )
+        self.run = os.environ.get(ENV_RUN_ID, "").strip() or None
         self.events: list[dict] = []
         self._own_handle = False
         self._handle: IO[str] | None = None
@@ -305,8 +291,8 @@ class TraceWriter:
     def emit(self, event: str, **fields) -> dict:
         """Write one event; returns the record that was emitted."""
         record = {"event": event, **fields}
-        if self.context is not None:
-            self.context.stamp(record)
+        if self.run is not None:
+            record.setdefault("run", self.run)
         if self.validate:
             errors = validate_event(json.loads(self._dumps(record)))
             if errors:
@@ -375,23 +361,6 @@ def read_trace(path: str | Path, strict: bool = False) -> list[dict]:
     return events
 
 
-def _chrome_lane(event: dict) -> tuple[int, int]:
-    """The (pid, tid) lane a context-stamped event renders into.
-
-    Unstamped single-process events keep the historical ``(0, 0)`` lane.
-    Stamped events use the real writer pid as the Chrome pid and the
-    worker id as the tid, so a merged multi-worker trace fans out into
-    one process track per worker instead of collapsing onto one lane.
-    """
-    worker = event.get("worker")
-    pid = event.get("pid")
-    if pid is None and worker is None:
-        return 0, 0
-    if pid is None:
-        pid = int(worker)
-    return int(pid), int(worker) if worker is not None else 0
-
-
 def to_chrome_trace(
     events: Iterable, path: str | Path | None = None, dropped: int = 0
 ) -> dict:
@@ -402,105 +371,42 @@ def to_chrome_trace(
     the raw ``(path, start_s, duration_s)`` tuples collected by
     :class:`~repro.telemetry.spans.Tracer` with ``record_events`` on.
 
-    Context-stamped events (:mod:`repro.telemetry.context`) land in one
-    pid/tid lane per worker — real pid as the Chrome pid, worker id as
-    the tid — with ``process_name`` / ``thread_name`` metadata events
-    labelling each lane, and span names from workers spawned under an
-    open coordinator span are prefixed with that parent path so the
-    merged export reads as one call tree.
-
     ``dropped`` is the number of events lost to the recording cap
     (:data:`~repro.telemetry.spans.MAX_RAW_EVENTS`); when nonzero a
     ``spans_truncated`` instant marker is embedded after the last slice
     so viewers see the recording was cut, not the run.
     """
     slices = []
-    lanes: dict[tuple[int, int], dict] = {}
-
-    def note_lane(event: dict, pid: int, tid: int) -> None:
-        if "worker" not in event and "pid" not in event:
-            return
-        lanes.setdefault(
-            (pid, tid),
-            {"worker": event.get("worker"), "run": event.get("run")},
-        )
-
     for event in events:
         if isinstance(event, tuple):
             name, start, duration = event
-            slices.append(
-                {
-                    "name": name,
-                    "ph": "X",
-                    "ts": round(start * 1e6, 3),
-                    "dur": round(duration * 1e6, 3),
-                    "pid": 0,
-                    "tid": 0,
-                }
-            )
         elif event.get("event") == "span":
-            pid, tid = _chrome_lane(event)
-            note_lane(event, pid, tid)
-            name = event["name"]
-            parent = event.get("parent")
-            if parent:
-                name = f"{parent}/{name}"
-            slices.append(
-                {
-                    "name": name,
-                    "ph": "X",
-                    "ts": round(event["start_s"] * 1e6, 3),
-                    "dur": round(event["duration_s"] * 1e6, 3),
-                    "pid": pid,
-                    "tid": tid,
-                }
+            name, start, duration = (
+                event["name"], event["start_s"], event["duration_s"]
             )
         else:
-            pid, tid = _chrome_lane(event)
-            note_lane(event, pid, tid)
             slices.append(
                 {
                     "name": event.get("event", "event"),
                     "ph": "i",
                     "ts": round(float(event.get("t", 0.0)) * 1e6, 3),
-                    "pid": pid,
-                    "tid": tid,
+                    "pid": 0,
+                    "tid": 0,
                     "s": "g",
                     "args": event,
                 }
             )
-    metadata = []
-    for (pid, tid), info in sorted(lanes.items()):
-        worker = info.get("worker")
-        label = (
-            f"worker {worker} (pid {pid})"
-            if worker is not None
-            else f"pid {pid}"
-        )
-        if info.get("run"):
-            label += f" — run {info['run']}"
-        metadata.append(
+            continue
+        slices.append(
             {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": label},
+                "name": name,
+                "ph": "X",
+                "ts": round(start * 1e6, 3),
+                "dur": round(duration * 1e6, 3),
+                "pid": 0,
+                "tid": 0,
             }
         )
-        metadata.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {
-                    "name": f"worker {worker}" if worker is not None
-                    else "main"
-                },
-            }
-        )
-    slices = metadata + slices
     if dropped:
         last_ts = max(
             (s["ts"] + s.get("dur", 0.0) for s in slices if "ts" in s),
@@ -532,32 +438,14 @@ _DEFAULT_CHECKED = False
 def default_writer() -> TraceWriter | None:
     """The process-wide writer installed via ``REPRO_TRACE`` (else None).
 
-    With ``REPRO_TRACE_SHARD`` set (truthy) and a worker id in the
-    ambient context, the path is redirected to that worker's shard file
-    (``trace.jsonl`` -> ``trace.w<worker>.jsonl``), so every process of
-    a pool appends to its own file instead of contending on one.
-
     The environment variable is read once; call :func:`reset_default_writer`
     to re-read it (tests).
     """
-    from repro.telemetry.context import (
-        current_context,
-        shard_enabled,
-        shard_path,
-    )
-
     global _DEFAULT_WRITER, _DEFAULT_CHECKED
     if not _DEFAULT_CHECKED:
         _DEFAULT_CHECKED = True
         target = os.environ.get("REPRO_TRACE")
         if target:
-            context = current_context()
-            if (
-                shard_enabled()
-                and context is not None
-                and context.worker is not None
-            ):
-                target = shard_path(target, context.worker)
             _DEFAULT_WRITER = TraceWriter(target)
     return _DEFAULT_WRITER
 

@@ -68,7 +68,7 @@ class TestCli:
         assert main(["dashboard", str(oracle_trace.parent), "--html"]) == 0
         assert "<!DOCTYPE html>" in capsys.readouterr().out
 
-    def test_serve_and_worker_flags_parse(self):
+    def test_serve_and_query_flags_parse(self):
         from repro.obsv.cli import build_parser
 
         parser = build_parser()
@@ -79,10 +79,14 @@ class TestCli:
         assert args.port == 8123
         assert args.host == "127.0.0.1"
         args = parser.parse_args(
-            ["query", "s.sqlite", "--worker", "3", "--group-by", "worker"]
+            ["query", "s.sqlite", "--label", "A", "--group-by", "label"]
         )
-        assert args.worker == 3
-        assert args.group_by == "worker"
+        assert args.label == "A"
+        assert args.group_by == "label"
+        for argv in (["query", "s.sqlite", "--worker", "3"],
+                     ["query", "s.sqlite", "--group-by", "worker"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
     def test_regress_exit_codes(self, tmp_path, capsys):
         base = {

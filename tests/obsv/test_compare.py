@@ -50,7 +50,7 @@ BASELINE = (
 
 
 def record_run(path, seed=0, n=6):
-    writer = TraceWriter(path, context=None)
+    writer = TraceWriter(path)
     run_episodes(
         lambda w: ModularAgent(w.road),
         lambda: OracleAttacker(budget=1.0),
@@ -294,6 +294,18 @@ class TestHardening:
     def test_load_run_missing_source(self, tmp_path):
         episodes, provenance, label = load_run(tmp_path / "nope.jsonl")
         assert episodes == [] and provenance is None
+
+    def test_run_label_refused_without_a_store(self, demo_runs, capsys):
+        a, b, _ = demo_runs
+        for source in (a, a.parent):
+            with pytest.raises(ValueError, match=str(source)):
+                load_run(source, label="no-such-label")
+        rc = main(["compare", str(a), str(b), "--run-a", "no-such-label"])
+        assert rc == 1
+        assert str(a) in capsys.readouterr().err
+        rc = main(["compare", str(a), str(b), "--run-b", "no-such-label"])
+        assert rc == 1
+        assert str(b) in capsys.readouterr().err
 
     def test_watch_baseline_unreadable(self, tmp_path):
         missing = tmp_path / "missing.json"

@@ -1,7 +1,7 @@
 """``obsv serve``: HTTP dashboard, JSON query API, SSE stream, shutdown.
 
 Everything runs against an ephemeral localhost port with a tiny
-hand-written two-shard run directory, so the whole module stays well
+hand-written run directory of two traces, so the whole module stays well
 inside the tier-1 time budget.
 """
 
@@ -18,31 +18,27 @@ from repro.telemetry.trace import TraceWriter
 pytestmark = [pytest.mark.obsv, pytest.mark.serve]
 
 
-def _write_shard(directory, worker, n_ticks=3):
-    with TraceWriter(
-        directory / f"trace.w{worker}.jsonl", context=None
-    ) as writer:
+def _write_trace(directory, episode, n_ticks=3):
+    with TraceWriter(directory / f"trace{episode}.jsonl") as writer:
         writer.emit(
-            "episode_start", episode=worker, seed=worker,
-            run="srv-run", worker=worker, pid=1000 + worker,
+            "episode_start", episode=episode, seed=episode, run="srv-run"
         )
         for tick in range(1, n_ticks + 1):
             writer.emit(
-                "tick", episode=worker, tick=tick, t=0.1 * tick,
+                "tick", episode=episode, tick=tick, t=0.1 * tick,
                 delta=0.0, x=1.0, y=0.0, yaw=0.0, speed=10.0,
-                run="srv-run", worker=worker, pid=1000 + worker,
+                run="srv-run",
             )
         writer.emit(
-            "episode_end", episode=worker, steps=n_ticks,
-            duration=0.1 * n_ticks, run="srv-run", worker=worker,
-            pid=1000 + worker,
+            "episode_end", episode=episode, steps=n_ticks,
+            duration=0.1 * n_ticks, run="srv-run",
         )
 
 
 @pytest.fixture()
 def run_dir(tmp_path):
-    for worker in (0, 1):
-        _write_shard(tmp_path, worker)
+    for episode in (0, 1):
+        _write_trace(tmp_path, episode)
     return tmp_path
 
 
@@ -75,23 +71,29 @@ class TestHTTP:
         text = _get(server.url + "dashboard.md")
         assert "#" in text
 
-    def test_status_counts_both_shards(self, server):
+    def test_status_counts_both_traces(self, server):
         status = _get_json(server.url + "api/status")
         assert status["runs"] == 2
         assert status["events"] == 10
         assert status["live"] is True
 
-    def test_runs_inventory_labels_workers(self, server):
+    def test_runs_inventory_lists_each_trace(self, server):
         runs = _get_json(server.url + "api/runs")
-        assert [r["worker"] for r in runs] == [0, 1]
+        assert [r["source"].rsplit("/", 1)[-1] for r in runs] == [
+            "trace0.jsonl", "trace1.jsonl"
+        ]
         assert all(r["events"] == 5 for r in runs)
+        assert all(set(r) == {"run_id", "source", "kind", "events"}
+                   for r in runs)
 
-    def test_events_endpoint_filters_by_worker(self, server):
+    def test_events_endpoint_filters_by_run(self, server):
+        runs = _get_json(server.url + "api/runs")
+        second = runs[1]["run_id"]
         events = _get_json(
-            server.url + "api/events?kind=tick&worker=1"
+            server.url + f"api/events?kind=tick&run={second}"
         )
         assert len(events) == 3
-        assert {e["worker"] for e in events} == {1}
+        assert {e["episode"] for e in events} == {1}
 
     def test_series_endpoint(self, server):
         payload = _get_json(
@@ -99,12 +101,12 @@ class TestHTTP:
         )
         assert payload["values"] == [10.0] * 6
 
-    def test_aggregate_endpoint_groups_by_worker(self, server):
+    def test_aggregate_endpoint_groups_by_episode(self, server):
         payload = _get_json(
             server.url
-            + "api/aggregate?field=tick&agg=count&group_by=worker"
+            + "api/aggregate?field=tick&agg=count&group_by=episode"
         )
-        assert sorted(payload["rows"]) == [[0, 3], [1, 3]]
+        assert sorted(payload["rows"]) == [["0", 3], ["1", 3]]
 
     def test_unknown_route_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -155,13 +157,14 @@ class TestSSE:
         thread = threading.Thread(target=listen, daemon=True)
         thread.start()
         assert ready.wait(timeout=10), "no SSE hello frame"
-        with TraceWriter(run_dir / "trace.w1.jsonl", context=None) as w:
+        with TraceWriter(run_dir / "trace1.jsonl") as w:
             w.emit("train_step", loop="demo", step=7, reward=0.5)
         thread.join(timeout=10)
         assert not thread.is_alive(), "no SSE data frame arrived"
         (event,) = frames
-        assert event["step"] == 7
-        assert event["worker"] == 1  # stamped from the shard filename
+        assert event == {
+            "event": "train_step", "loop": "demo", "step": 7, "reward": 0.5
+        }
 
     def test_watchdog_alert_streams_as_alert_frame(self, server, run_dir):
         alerts = []
@@ -187,7 +190,7 @@ class TestSSE:
         thread = threading.Thread(target=listen, daemon=True)
         thread.start()
         assert ready.wait(timeout=10), "no SSE hello frame"
-        with TraceWriter(run_dir / "trace.w0.jsonl", context=None) as w:
+        with TraceWriter(run_dir / "trace0.jsonl") as w:
             w.emit(
                 "update_health", loop="sac", step=1, update=1,
                 critic_loss=float("nan"),
@@ -196,10 +199,10 @@ class TestSSE:
         assert not thread.is_alive(), "no alert frame arrived"
         (alert,) = alerts
         assert alert["rule"] == "nan_loss"
-        assert alert["loop"] == "sac@w0"  # tagged with the worker id
-        assert alert["worker"] == 0
+        assert alert["loop"] == "sac"
+        assert "worker" not in alert
 
-    def test_new_shard_appearing_mid_run_is_picked_up(self, server,
+    def test_new_trace_appearing_mid_run_is_picked_up(self, server,
                                                       run_dir):
         frames = []
         ready = threading.Event()
@@ -221,11 +224,11 @@ class TestSSE:
         thread = threading.Thread(target=listen, daemon=True)
         thread.start()
         assert ready.wait(timeout=10)
-        with TraceWriter(run_dir / "trace.w9.jsonl", context=None) as w:
+        with TraceWriter(run_dir / "late.jsonl") as w:
             w.emit("train_step", loop="late", step=1)
         thread.join(timeout=10)
         assert not thread.is_alive()
-        assert frames[0]["worker"] == 9
+        assert frames[0] == {"event": "train_step", "loop": "late", "step": 1}
 
 
 class TestHelpers:

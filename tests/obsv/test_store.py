@@ -110,29 +110,6 @@ class TestIngest:
             info = store.ingest_trace(trace)
             assert info.events == 1
 
-    def test_worker_column_hoisted_and_filterable(self, tmp_path):
-        shard = tmp_path / "trace.w2.jsonl"
-        with TraceWriter(shard) as writer:
-            writer.emit("train_step", loop="l", step=1)  # filename hint
-            writer.emit("train_step", loop="l", step=2, worker=7)  # stamp
-        plain = write_training_trace(tmp_path / "plain.jsonl", loops=("x",))
-        with TelemetryStore(tmp_path / "s.sqlite") as store:
-            store.ingest_trace(shard)
-            store.ingest_trace(plain)
-            assert [
-                e["step"] for e in store.events(kind="train_step", worker=2)
-            ] == [1]
-            assert [
-                e["step"] for e in store.events(kind="train_step", worker=7)
-            ] == [2]
-            # unsharded, unstamped events have no worker: not matched
-            assert store.events(kind="update_health", worker=2) == []
-            counts = dict(
-                store.aggregate("step", agg="count", kind="train_step",
-                                group_by="worker")
-            )
-            assert counts == {2: 1, 7: 1}
-
     def test_is_store_path(self, tmp_path):
         store_path = tmp_path / "anything.bin"
         TelemetryStore(store_path).close()
@@ -357,11 +334,105 @@ def make_v1_store(path):
     return path
 
 
+#: The schema-4 DDL, with the ``events.worker`` column and its index
+#: that schema 5 dropped.
+_V4_DDL = """
+CREATE TABLE meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE runs (
+    run_id      INTEGER PRIMARY KEY AUTOINCREMENT,
+    source      TEXT NOT NULL UNIQUE,
+    kind        TEXT NOT NULL,
+    mtime       REAL NOT NULL,
+    size        INTEGER NOT NULL,
+    events      INTEGER NOT NULL DEFAULT 0,
+    label       TEXT,
+    git_sha     TEXT,
+    dirty       INTEGER,
+    config_hash TEXT,
+    provenance  TEXT
+);
+CREATE TABLE events (
+    run_id  INTEGER NOT NULL REFERENCES runs(run_id),
+    seq     INTEGER NOT NULL,
+    kind    TEXT NOT NULL,
+    episode TEXT,
+    loop    TEXT,
+    step    INTEGER,
+    tick    INTEGER,
+    t       REAL,
+    name    TEXT,
+    worker  INTEGER,
+    payload TEXT NOT NULL,
+    PRIMARY KEY (run_id, seq)
+);
+CREATE INDEX idx_events_kind ON events(kind);
+CREATE INDEX idx_events_episode ON events(episode);
+CREATE INDEX idx_events_loop ON events(loop);
+CREATE INDEX idx_events_name ON events(name);
+CREATE INDEX idx_events_worker ON events(worker);
+CREATE TABLE snapshots (
+    name    TEXT PRIMARY KEY,
+    source  TEXT NOT NULL,
+    payload TEXT NOT NULL
+);
+"""
+
+
+def make_v4_store(path):
+    """Hand-build a schema-4 store holding one worker-stamped run."""
+    import sqlite3
+
+    conn = sqlite3.connect(str(path))
+    conn.executescript(_V4_DDL)
+    conn.execute("INSERT INTO meta VALUES ('schema_version', '4')")
+    conn.execute(
+        "INSERT INTO runs (source, kind, mtime, size, events, label)"
+        " VALUES ('old.w1.jsonl', 'trace', 0.0, 1, 2, 'old-run')"
+    )
+    rows = [
+        {"event": "update_health", "loop": "sac-a", "step": 0,
+         "update": 1, "q_max": 4.0, "run": "old-run", "worker": 1},
+        {"event": "update_health", "loop": "sac-a", "step": 10,
+         "update": 2, "q_max": 6.0, "run": "old-run", "worker": 1},
+    ]
+    for seq, record in enumerate(rows):
+        conn.execute(
+            "INSERT INTO events (run_id, seq, kind, loop, step, worker,"
+            " payload) VALUES (1, ?, ?, ?, ?, 1, ?)",
+            (seq, record["event"], record["loop"], record["step"],
+             json.dumps(record)),
+        )
+    conn.commit()
+    conn.close()
+    return path
+
+
 class TestSchemaMigration:
+    def test_v4_store_opens_and_takes_new_ingests(self, run_dir, tmp_path):
+        path = make_v4_store(tmp_path / "v4.sqlite")
+        with TelemetryStore(path) as store:
+            assert store.get_meta("schema_version") == "5"
+            store.ingest_trace(run_dir / "episodes.jsonl")
+            old = store.events(kind="update_health", label="old-run")
+            assert [e["step"] for e in old] == [0, 10]
+            assert dict(
+                store.aggregate(
+                    "q_max", agg="mean", kind="update_health",
+                    group_by="label",
+                )
+            ) == {"old-run": 5.0}
+            assert len(store.events(kind="episode_start")) == 2
+            episodes = store.episodes()
+            assert [e.episode for e in episodes] == [3, 4]
+            assert all(e.complete for e in episodes)
+
     def test_v1_store_migrates_in_place(self, tmp_path):
         path = make_v1_store(tmp_path / "old.sqlite")
         with TelemetryStore(path) as store:
-            assert store.get_meta("schema_version") == "4"
+            assert store.get_meta("schema_version") == "5"
             # name backfilled from payloads: the old rows are filterable
             rows = store.events(kind="profile", name="episode")
             assert len(rows) == 1 and rows[0]["calls"] == 2
@@ -372,7 +443,7 @@ class TestSchemaMigration:
         path = make_v1_store(tmp_path / "old.sqlite")
         TelemetryStore(path).close()  # migrate
         with TelemetryStore(path) as store:  # reopen: no-op
-            assert store.get_meta("schema_version") == "4"
+            assert store.get_meta("schema_version") == "5"
             rows = store.aggregate(
                 "self_s", agg="sum", kind="profile", group_by="name"
             )

@@ -1,10 +1,10 @@
 """Concurrent multi-process store ingest: idempotent and loss-free.
 
-N real processes ingest the same shard directory into one SQLite store
-at the same time. The ``BEGIN IMMEDIATE`` write path plus the
-under-the-lock re-check in ``ingest_trace`` must leave exactly one run
-row per shard and exactly the shard's events — no duplicates from the
-ingest race, no losses from lock contention.
+N real processes ingest the same run directory into one SQLite store at
+the same time. The ``BEGIN IMMEDIATE`` write path plus the under-the-lock
+re-check in ``ingest_trace`` must leave exactly one run row per trace
+file and exactly the file's events — no duplicates from the ingest race,
+no losses from lock contention.
 """
 
 import json
@@ -17,8 +17,8 @@ from repro.obsv.store import TelemetryStore
 
 pytestmark = [pytest.mark.obsv, pytest.mark.watch]
 
-N_SHARDS = 3
-TICKS_PER_SHARD = 20
+N_TRACES = 3
+TICKS_PER_TRACE = 20
 
 _INGEST_SCRIPT = """
 import sys
@@ -31,28 +31,41 @@ print(summary["events"])
 """
 
 
-def _write_shards(directory):
-    for worker in range(N_SHARDS):
-        path = directory / f"trace.w{worker}.jsonl"
-        with path.open("w", encoding="utf-8") as handle:
-            for tick in range(1, TICKS_PER_SHARD + 1):
-                handle.write(
-                    json.dumps(
-                        {
-                            "event": "tick", "episode": worker,
-                            "tick": tick, "t": 0.1 * tick, "delta": 0.0,
-                            "x": 1.0, "y": 0.0, "yaw": 0.0, "speed": 5.0,
-                            "worker": worker,
-                        }
-                    )
-                    + "\n"
-                )
+def _tick(episode, tick, t):
+    return json.dumps(
+        {
+            "event": "tick", "episode": episode, "tick": tick, "t": t,
+            "delta": 0.0, "x": 1.0, "y": 0.0, "yaw": 0.0, "speed": 5.0,
+        }
+    ) + "\n"
+
+
+def _write_traces(directory):
+    for k in range(N_TRACES):
+        with (directory / f"trace{k}.jsonl").open(
+            "w", encoding="utf-8"
+        ) as handle:
+            for tick in range(1, TICKS_PER_TRACE + 1):
+                handle.write(_tick(k, tick, 0.1 * tick))
+
+
+def _ticks_per_file(store):
+    """Tick count per source filename, through ``group_by="run"``."""
+    names = {
+        info.run_id: info.source.rsplit("/", 1)[-1] for info in store.runs()
+    }
+    return {
+        names[run_id]: count
+        for run_id, count in store.aggregate(
+            "tick", agg="count", group_by="run"
+        )
+    }
 
 
 def test_parallel_ingest_is_idempotent_and_loss_free(tmp_path):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    _write_shards(run_dir)
+    _write_traces(run_dir)
     store_path = tmp_path / "obsv.sqlite"
     # Create the store first so the subprocesses race only on ingest,
     # not on schema creation.
@@ -77,51 +90,35 @@ def test_parallel_ingest_is_idempotent_and_loss_free(tmp_path):
 
     with TelemetryStore(store_path) as store:
         runs = store.runs()
-        # One run row per shard — the race never duplicates a source.
+        # One run row per trace file — the race never duplicates a source.
         assert sorted(info.source.rsplit("/", 1)[-1] for info in runs) == [
-            f"trace.w{k}.jsonl" for k in range(N_SHARDS)
+            f"trace{k}.jsonl" for k in range(N_TRACES)
         ]
         # Every event ingested exactly once.
-        per_worker = dict(
-            store.aggregate("tick", agg="count", group_by="worker")
-        )
-        assert per_worker == {
-            worker: TICKS_PER_SHARD for worker in range(N_SHARDS)
+        assert _ticks_per_file(store) == {
+            f"trace{k}.jsonl": TICKS_PER_TRACE for k in range(N_TRACES)
         }
 
 
 def test_reingest_after_append_replaces_run_in_place(tmp_path):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    _write_shards(run_dir)
+    _write_traces(run_dir)
     store_path = tmp_path / "obsv.sqlite"
     with TelemetryStore(store_path) as store:
         store.ingest_dir(run_dir)
         first = {info.source: info.run_id for info in store.runs()}
-    # A shard grows (the run is still going) and is re-ingested.
-    shard = run_dir / "trace.w0.jsonl"
-    with shard.open("a", encoding="utf-8") as handle:
-        handle.write(
-            json.dumps(
-                {
-                    "event": "tick", "episode": 0,
-                    "tick": TICKS_PER_SHARD + 1, "t": 9.9, "delta": 0.0,
-                    "x": 1.0, "y": 0.0, "yaw": 0.0, "speed": 5.0,
-                    "worker": 0,
-                }
-            )
-            + "\n"
-        )
+    # A trace grows (the run is still going) and is re-ingested.
+    with (run_dir / "trace0.jsonl").open("a", encoding="utf-8") as handle:
+        handle.write(_tick(0, TICKS_PER_TRACE + 1, 9.9))
     with TelemetryStore(store_path) as store:
         store.ingest_dir(run_dir)
-        assert len(store.runs()) == N_SHARDS  # replaced, not appended
-        per_worker = dict(
-            store.aggregate("tick", agg="count", group_by="worker")
-        )
-        assert per_worker[0] == TICKS_PER_SHARD + 1
-        assert per_worker[1] == TICKS_PER_SHARD
-        # untouched shards kept their run ids (ingest was a no-op there)
+        assert len(store.runs()) == N_TRACES  # replaced, not appended
+        per_file = _ticks_per_file(store)
+        assert per_file["trace0.jsonl"] == TICKS_PER_TRACE + 1
+        assert per_file["trace1.jsonl"] == TICKS_PER_TRACE
+        # untouched traces kept their run ids (ingest was a no-op there)
         after = {info.source: info.run_id for info in store.runs()}
-        unchanged = [s for s in first if not s.endswith("trace.w0.jsonl")]
+        unchanged = [s for s in first if not s.endswith("trace0.jsonl")]
         for source in unchanged:
             assert after[source] == first[source]

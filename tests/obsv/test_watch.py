@@ -285,57 +285,53 @@ def write_status_events():
 
 
 class TestWatchDirectory:
-    """A directory of per-worker shards multiplexes into one view."""
+    """Every trace in a run directory multiplexes into one view."""
 
-    def _write_shards(self, directory):
-        for worker in (0, 1):
-            with TraceWriter(
-                directory / f"trace.w{worker}.jsonl", context=None
-            ) as writer:
+    def _write_traces(self, directory):
+        for name in ("a", "b"):
+            with TraceWriter(directory / f"{name}.jsonl") as writer:
                 writer.emit(
                     "update_health", loop="sac", step=10, update=1,
                     critic_loss=0.5, q_max=2.0,
                 )
 
-    def test_multitail_stamps_worker_and_sees_new_shards(self, tmp_path):
-        self._write_shards(tmp_path)
+    def test_multitail_follows_every_trace_and_new_files(self, tmp_path):
+        self._write_traces(tmp_path)
         tail = MultiTail(tmp_path)
         events = tail.poll()
-        assert sorted(e["worker"] for e in events) == [0, 1]
+        assert [e["event"] for e in events] == ["update_health"] * 2
+        assert all("worker" not in e for e in events)
         assert tail.poll() == []  # incremental
-        with TraceWriter(tmp_path / "trace.w5.jsonl", context=None) as w:
+        with TraceWriter(tmp_path / "late.jsonl") as w:
             w.emit("train_step", loop="sac", step=1)
         (late,) = tail.poll()
-        assert late["worker"] == 5
+        assert late == {"event": "train_step", "loop": "sac", "step": 1}
 
-    def test_directory_view_shows_per_worker_loops(self, tmp_path, capsys):
-        self._write_shards(tmp_path)
+    def test_directory_view_merges_traces(self, tmp_path, capsys):
+        self._write_traces(tmp_path)
         assert main(["watch", str(tmp_path), "--once"]) == 0
         out = capsys.readouterr().out
-        assert "loop sac@w0" in out
-        assert "loop sac@w1" in out
-        assert "workers 0,1" in out
+        assert "(2 events)" in out
+        assert "loop sac: step 10" in out
+        assert "@w" not in out and "workers" not in out
 
-    def test_directory_alerts_tagged_and_written_to_sidecar(
-        self, tmp_path, capsys
-    ):
-        write_diverging_trace(tmp_path / "trace.w3.jsonl")
+    def test_directory_alerts_written_to_sidecar(self, tmp_path, capsys):
+        write_diverging_trace(tmp_path / "trace.jsonl")
         rc = main(["watch", str(tmp_path), "--once", "--exit-on-alert"])
         assert rc == 1
-        out = capsys.readouterr().out
-        assert "sac-test@w3" in out
+        assert "sac-test" in capsys.readouterr().out
         sidecar = tmp_path / "alerts.jsonl"
         assert sidecar.exists()
         (alert,) = read_trace(sidecar)
         assert alert["event"] == "alert"
         assert alert["rule"] == "q_divergence"
-        assert alert["loop"] == "sac-test@w3"
-        assert alert["worker"] == 3
+        assert alert["loop"] == "sac-test"
+        assert "worker" not in alert
         assert validate_event(alert) == []
-        # The shards themselves were never written to.
+        # The trace itself was never written to.
         assert all(
             e.get("event") != "alert"
-            for e in read_trace(tmp_path / "trace.w3.jsonl")
+            for e in read_trace(tmp_path / "trace.jsonl")
         )
 
 

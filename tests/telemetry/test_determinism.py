@@ -112,110 +112,6 @@ def test_trajectory_bit_identical_under_full_profiling():
     assert report.spans
 
 
-def test_parallel_sweep_bit_identical_to_serial(tmp_path):
-    """Process-pool evaluation is a pure distribution strategy: the same
-    seeds produce bit-identical episode results and trace records whether
-    they run in one process or across a worker pool."""
-    from repro.eval.parallel import run_sweep
-    from repro.telemetry.trace import read_trace
-
-    serial = run_sweep(
-        n_episodes=4, workers=1, out_dir=tmp_path / "serial",
-        run_id="detrun",
-    )
-    parallel = run_sweep(
-        n_episodes=4, workers=2, out_dir=tmp_path / "parallel",
-        run_id="detrun",
-    )
-    # Frozen dataclasses: exact float equality, per episode, in order.
-    assert parallel.results == serial.results
-
-    def trajectory(out_dir):
-        """Trace records per shard, minus process-dependent stamps.
-
-        ``pid`` differs between runs by construction, ``span`` events
-        carry wall-clock timings, and the ``provenance`` preamble is
-        run metadata (checked separately below) — none are trajectory.
-        Everything else must match bit-for-bit (the serial path shards
-        identically: worker k gets seeds k::2).
-        """
-        records = {}
-        for shard in sorted(out_dir.glob("trace.w*.jsonl")):
-            events = [
-                {key: value for key, value in event.items() if key != "pid"}
-                for event in read_trace(shard)
-                if event.get("event") not in ("span", "provenance")
-            ]
-            records[shard.name] = events
-        return records
-
-    def provenance(out_dir):
-        """One provenance preamble per shard, identical across shards
-        and execution strategies once process identity is stripped."""
-        blocks = []
-        for shard in sorted(out_dir.glob("trace.w*.jsonl")):
-            events = list(read_trace(shard))
-            stamps = [e for e in events if e["event"] == "provenance"]
-            assert len(stamps) == 1, f"{shard.name}: want 1 provenance"
-            assert events[0] is stamps[0], (
-                f"{shard.name}: provenance must open the shard"
-            )
-            blocks.append(
-                {
-                    k: v
-                    for k, v in stamps[0].items()
-                    if k not in ("pid", "worker")
-                }
-            )
-        return blocks
-
-    serial_two_way = run_sweep(
-        n_episodes=4, workers=1, out_dir=tmp_path / "serial2",
-        run_id="detrun",
-    )
-    assert serial_two_way.results == serial.results
-    # workers=1 runs every spec serially but shards the trace the same
-    # way workers=2 does only when the partition matches; compare the
-    # merged per-seed streams instead of assuming equal file layouts.
-    serial_events = [
-        event
-        for events in trajectory(tmp_path / "serial").values()
-        for event in events
-    ]
-    parallel_events = [
-        event
-        for events in trajectory(tmp_path / "parallel").values()
-        for event in events
-    ]
-
-    def by_episode(events):
-        grouped = {}
-        for event in events:
-            grouped.setdefault(event.get("episode"), []).append(event)
-        return grouped
-
-    serial_grouped = by_episode(serial_events)
-    parallel_grouped = by_episode(parallel_events)
-    assert set(serial_grouped) == set(parallel_grouped) == {0, 1, 2, 3}
-
-    # Every shard carries the same provenance block regardless of how
-    # the sweep was distributed: the pool workers inherit it through the
-    # environment, the serial path stamps it directly.
-    serial_prov = provenance(tmp_path / "serial")
-    parallel_prov = provenance(tmp_path / "parallel")
-    assert serial_prov and parallel_prov
-    assert all(block == serial_prov[0] for block in parallel_prov)
-    for episode in serial_grouped:
-        # Worker assignment differs (serial packs everything into w0),
-        # so compare after dropping the worker stamp too.
-        strip = lambda evs: [
-            {k: v for k, v in e.items() if k != "worker"} for e in evs
-        ]
-        assert strip(parallel_grouped[episode]) == strip(
-            serial_grouped[episode]
-        ), f"episode {episode} trajectory diverged across the pool"
-
-
 def test_profiled_episode_replays_faithfully(tmp_path):
     """Seeded replay diff: an episode traced while the sampler and span
     probes were running re-simulates to the recorded trajectory."""

@@ -1,4 +1,4 @@
-"""Tests for run provenance: collection, stamping, propagation."""
+"""Tests for run provenance: collection and stamping."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.sim.config import ScenarioConfig
 from repro.telemetry.provenance import (
-    ENV_PROVENANCE,
     Provenance,
     checkpoint_checksum,
     collect,
@@ -81,36 +80,15 @@ class TestCheckpointChecksum:
 
 class TestCollect:
     def test_fresh_block_has_all_fields(self, monkeypatch):
-        monkeypatch.delenv(ENV_PROVENANCE, raising=False)
         monkeypatch.setenv("REPRO_TEST_KNOB", "1")
         block = collect()
         assert block.config_hash == config_hash(None)
         assert block.env.get("REPRO_TEST_KNOB") == "1"
-        assert ENV_PROVENANCE not in block.env
         assert block.python and block.numpy
 
-    def test_inherited_env_block_returned_verbatim(self, monkeypatch):
-        parent = Provenance(
-            git_sha="f" * 40, git_dirty=True, config_hash="abc",
-            weights={"e2e_driver.npz": "sha256:123"},
-        )
-        monkeypatch.setenv(
-            ENV_PROVENANCE, parent.child_env()[ENV_PROVENANCE]
-        )
-        child = collect(config=ScenarioConfig(dt=0.01))
-        assert child == parent  # config argument ignored: stamp inherited
-
-    def test_malformed_env_falls_back_to_fresh(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROVENANCE, "{not json")
-        block = collect()
-        assert block.config_hash == config_hash(None)
-
-    def test_weights_checksums_resolved_and_missing_dropped(
-        self, tmp_path, monkeypatch
-    ):
+    def test_weights_checksums_resolved_and_missing_dropped(self, tmp_path):
         from repro.utils.serialization import save_checkpoint
 
-        monkeypatch.delenv(ENV_PROVENANCE, raising=False)
         path = tmp_path / "w.npz"
         save_checkpoint(path, {"w": np.ones(2)})
         block = collect(weights={
@@ -123,19 +101,16 @@ class TestCollect:
 
 
 class TestEnvSnapshot:
-    def test_only_repro_vars_and_no_payload(self, monkeypatch):
+    def test_only_repro_vars(self, monkeypatch):
         monkeypatch.setenv("REPRO_FOO", "x")
         monkeypatch.setenv("NOT_REPRO", "y")
-        monkeypatch.setenv(ENV_PROVENANCE, "{}")
         snap = env_snapshot()
         assert snap.get("REPRO_FOO") == "x"
         assert "NOT_REPRO" not in snap
-        assert ENV_PROVENANCE not in snap
 
 
 class TestStamping:
-    def test_one_event_per_writer_and_schema_valid(self, monkeypatch):
-        monkeypatch.delenv(ENV_PROVENANCE, raising=False)
+    def test_one_event_per_writer_and_schema_valid(self):
         writer = TraceWriter(None)
         record = stamp_provenance(writer, ScenarioConfig())
         assert record is not None
