@@ -53,7 +53,6 @@ class DriverTrainConfig:
             hidden=DRIVER_HIDDEN,
             batch_size=128,
             buffer_capacity=60_000,
-            start_steps=0,
             actor_lr=1e-4,
             critic_lr=3e-4,
             alpha=0.02,

@@ -51,7 +51,6 @@ class AttackTrainConfig:
             hidden=ATTACKER_HIDDEN,
             batch_size=128,
             buffer_capacity=40_000,
-            start_steps=0,
             actor_lr=2e-5,
             critic_lr=3e-4,
             alpha=0.005,

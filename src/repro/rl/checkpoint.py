@@ -25,6 +25,8 @@ Configuration comes from :class:`repro.rl.sac.SacConfig`
 ``resume``, ``halt_on_alert``) with process-wide environment overrides
 ``REPRO_CHECKPOINT_EVERY``, ``REPRO_CHECKPOINT_DIR``,
 ``REPRO_CHECKPOINT_KEEP``, ``REPRO_RESUME``, ``REPRO_HALT_ON_ALERT``.
+A malformed override raises ``ValueError`` naming the variable; the two
+flags accept ``1``/``true``/``yes``/``on`` and ``0``/``false``/``no``/``off``.
 """
 
 from __future__ import annotations
@@ -66,16 +68,30 @@ _WATCH_FIELDS = (
 # -- configuration ------------------------------------------------------------------
 
 
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("", "0", "false", "no", "off")
+
+
 def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw.strip() else default
-    except ValueError:
+    raw = os.environ.get(name, "").strip()
+    if not raw:
         return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
+    raw = os.environ.get(name, "").strip().lower()
+    if raw in _TRUE:
+        return True
+    if raw in _FALSE:
+        return False
+    raise ValueError(
+        f"{name} must be one of {', '.join(_TRUE + _FALSE[1:])} "
+        f"(or unset), got {os.environ[name]!r}"
+    )
 
 
 def checkpoint_interval(configured: int | None = None) -> int:

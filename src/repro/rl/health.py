@@ -42,14 +42,21 @@ def health_interval(configured: int | None = None) -> int:
 
     An explicit positive ``configured`` value wins; otherwise the
     ``REPRO_HEALTH_EVERY`` environment variable is consulted.
+
+    Raises:
+        ValueError: ``REPRO_HEALTH_EVERY`` is set but not an integer.
     """
     if configured:
         return max(int(configured), 0)
-    raw = os.environ.get("REPRO_HEALTH_EVERY", "")
-    try:
-        return max(int(raw), 0) if raw.strip() else 0
-    except ValueError:
+    raw = os.environ.get("REPRO_HEALTH_EVERY", "").strip()
+    if not raw:
         return 0
+    try:
+        return max(int(raw), 0)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_HEALTH_EVERY must be an integer, got {raw!r}"
+        ) from None
 
 
 class HealthEmitter:

@@ -4,9 +4,10 @@ The policy nets are the benchmark's hottest code (200k+ forwards per
 bench session), and the planned fused/batched inference work needs the
 number that justifies it: achieved MFLOP/s and arithmetic intensity
 (FLOPs per byte moved). This module counts floating-point work and
-memory traffic of the layers in :mod:`repro.rl.nn.layers` — both the
-taped autograd path (forward *and* backward) and the tape-free
-``forward_np`` fast path.
+memory traffic of the layers in :mod:`repro.rl.nn.layers` — the taped
+autograd path (forward *and* backward), the tape-free ``forward_np``
+fast path, and the tape-free SAC update (``forward_train`` and
+``backward``).
 
 Counting is **off by default** and hooked in with a single module-global
 truthiness check per op (``autograd.FLOP_HOOK``), so disabled runs pay
@@ -20,7 +21,8 @@ Conventions (the usual roofline bookkeeping):
 
 * matmul ``[m,k] @ [k,n]`` — ``2*m*k*n`` FLOPs (multiply + add),
   ``8*(m*k + k*n + m*n)`` bytes (read A and B, write C, float64);
-* its backward — two matmuls, ``4*m*k*n`` FLOPs;
+* its backward — two matmuls, ``4*m*k*n`` FLOPs, or ``2*m*k*n`` for
+  each product the tape-free update computes on its own;
 * elementwise ops (bias add, relu, tanh, ...) — one FLOP per element,
   ``16`` bytes per element (read + write). ``tanh`` is counted as one
   FLOP like everything else; hardware cost differs, but the counter
@@ -110,6 +112,17 @@ class FlopCounter:
                 2.0 * m * k * n,
                 _ITEMSIZE * (m * k + k * n + m * n),
             )
+
+    def matmul_grad(self, m: int, k: int, n: int) -> None:
+        """One backward ``[m,k] @ [k,n]`` product on its own.
+
+        The tape-free SAC update computes a layer's weight gradient and
+        its input gradient only where they are read, so it reports each
+        backward product by itself, under the taped pair's label.
+        """
+        self._record(
+            "matmul_bwd", 2.0 * m * k * n, _ITEMSIZE * (m * k + k * n + m * n)
+        )
 
     def elementwise(self, op: str, count: int) -> None:
         """``count`` one-FLOP-per-element operations (add, relu, tanh...)."""

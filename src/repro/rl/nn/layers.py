@@ -115,6 +115,25 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
 
+    def write_grads(
+        self,
+        x: np.ndarray,
+        grad: np.ndarray,
+        weight_grad: np.ndarray,
+        bias_grad: np.ndarray,
+    ) -> None:
+        """Tape-free weight and bias gradients of ``y = x @ W + b``.
+
+        Writes them for ``grad`` (d loss / d y) into the two buffers, with
+        the ops the autodiff tape uses, and points the parameters'
+        ``grad`` at the buffers.
+        """
+        self.weight.grad = np.matmul(x.T, grad, out=weight_grad)
+        self.bias.grad = np.sum(grad, axis=0, out=bias_grad)
+        hook = autograd.FLOP_HOOK
+        if hook is not None:
+            hook.matmul_grad(self.in_dim, grad.shape[0], self.out_dim)
+
     @property
     def in_dim(self) -> int:
         return self.weight.data.shape[0]
@@ -153,6 +172,40 @@ class InferencePlan:
 
     def fits(self, batch: int) -> bool:
         return batch <= self.max_batch
+
+
+class TrainingPlan:
+    """Buffers for one :class:`Mlp`'s tape-free training step.
+
+    The training twin of :class:`InferencePlan`: :meth:`Mlp.forward_train`
+    runs the fused forward through the ``forward`` inference plan, whose
+    per-layer outputs :meth:`Mlp.backward` then reads, and the backward
+    writes each layer's weight and bias gradients into buffers allocated
+    once and points the parameters' ``grad`` at them. A plan holds one
+    batch size and serves one network; its contents are valid until the
+    next forward that uses it.
+    """
+
+    def __init__(self, mlp: "Mlp", batch: int) -> None:
+        for activation in (mlp.activation, mlp.output_activation):
+            if activation not in (relu, tanh, None):
+                raise TypeError(
+                    f"no closed-form derivative for activation {activation!r}"
+                )
+        self.batch = int(batch)
+        self.forward = mlp.inference_plan(self.batch)
+        #: The input of the last forward (not copied; see forward_train).
+        self.input: np.ndarray | None = None
+        #: Input gradients of every layer but the first.
+        self.input_grads = [
+            np.empty((self.batch, layer.in_dim)) for layer in mlp.layers[1:]
+        ]
+        self.weight_grads = [
+            np.empty_like(layer.weight.data) for layer in mlp.layers
+        ]
+        self.bias_grads = [
+            np.empty_like(layer.bias.data) for layer in mlp.layers
+        ]
 
 
 def relu(x: Tensor) -> Tensor:
@@ -264,6 +317,85 @@ class Mlp(Module):
         if self.output_activation is not None:
             x = _apply_np(self.output_activation, x)
         return x
+
+    def training_plan(self, batch: int) -> TrainingPlan:
+        """Buffers for :meth:`forward_train` and :meth:`backward`."""
+        return TrainingPlan(self, batch)
+
+    def _activation_at(self, index: int) -> Activation | None:
+        if index < len(self.layers) - 1:
+            return self.activation
+        return self.output_activation
+
+    def forward_train(self, x: np.ndarray, plan: TrainingPlan) -> np.ndarray:
+        """:meth:`forward_np` through ``plan``, keeping every activation.
+
+        ``x`` must be a ``[plan batch, in_dim]`` matrix that stays
+        unchanged until :meth:`backward` has run; the result aliases the
+        plan's last output buffer.
+        """
+        if x.ndim != 2 or x.shape[0] != plan.batch:
+            raise ValueError(
+                f"training plan holds batch {plan.batch}, got shape {x.shape}"
+            )
+        plan.input = x
+        return self.forward_np(x, plan=plan.forward)
+
+    def backward(
+        self,
+        grad: np.ndarray,
+        plan: TrainingPlan,
+        weights: bool = True,
+        input_columns: slice | None = None,
+    ) -> np.ndarray | None:
+        """Backpropagate through the last :meth:`forward_train` on ``plan``.
+
+        Args:
+            grad: d loss / d output, ``[batch, out_dim]``; overwritten.
+            weights: write every layer's weight and bias gradient into the
+                plan and point the parameters' ``grad`` at them. Without,
+                the pass only propagates toward the input.
+            input_columns: the input columns whose gradient to return;
+                ``None`` computes no input gradient at all.
+
+        Each parameter gets exactly one gradient contribution, computed
+        with the same ops as the autodiff tape.
+        """
+        hook = autograd.FLOP_HOOK
+        for index in range(len(self.layers) - 1, -1, -1):
+            layer = self.layers[index]
+            activation = self._activation_at(index)
+            out = plan.forward.out(index, plan.batch)
+            if activation is relu:
+                grad *= out > 0.0
+            elif activation is tanh:
+                grad *= 1.0 - out * out
+            batch, width = grad.shape
+            if hook is not None and activation is not None:
+                hook.elementwise(
+                    "relu_bwd" if activation is relu else "tanh_bwd", grad.size
+                )
+            if weights:
+                layer.write_grads(
+                    plan.forward.out(index - 1, plan.batch)
+                    if index
+                    else plan.input,
+                    grad,
+                    plan.weight_grads[index],
+                    plan.bias_grads[index],
+                )
+            if index:
+                grad = np.matmul(
+                    grad, layer.weight.data.T, out=plan.input_grads[index - 1]
+                )
+                if hook is not None:
+                    hook.matmul_grad(batch, width, layer.in_dim)
+            elif input_columns is not None:
+                weight = layer.weight.data[input_columns]
+                if hook is not None:
+                    hook.matmul_grad(batch, width, weight.shape[0])
+                return grad @ weight.T
+        return None
 
 
 def _activation_op(activation: Activation) -> str:

@@ -66,7 +66,13 @@ class Sgd(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with bias correction."""
+    """Adam (Kingma & Ba, 2015) with bias correction.
+
+    The step runs in place: the moments, the clipping scale and the update
+    are computed with the same numpy ops in the same order as the textbook
+    expressions, but into two scratch buffers allocated once, so a step
+    allocates no parameter-sized arrays and gives the same bits.
+    """
 
     def __init__(
         self,
@@ -83,24 +89,47 @@ class Adam(Optimizer):
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+        # Two scratch arrays per parameter, as views of two shared flat
+        # buffers sized for the largest parameter.
+        size = max((p.data.size for p in self.params), default=0)
+        flat = np.empty((2, size))
+        self._scratch = [
+            (flat[0, :p.data.size].reshape(p.data.shape),
+             flat[1, :p.data.size].reshape(p.data.shape))
+            for p in self.params
+        ]
 
-    def step(self) -> None:
+    def step(self) -> float:
+        """Apply one update; returns the global gradient norm before
+        clipping (the norm ``max_grad_norm`` is checked against)."""
         self._t += 1
-        if self.max_grad_norm is not None:
-            self._clip_grads()
+        norm = self._clip_grads()
         bias1 = 1.0 - self.beta1 ** self._t
         bias2 = 1.0 - self.beta2 ** self._t
-        for param, m, v in zip(self.params, self._m, self._v):
+        for param, m, v, (a, b) in zip(
+            self.params, self._m, self._v, self._scratch
+        ):
             if param.grad is None:
                 continue
             grad = param.grad
+            # m = beta1 * m + (1 - beta1) * grad
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            np.multiply(grad, 1.0 - self.beta1, out=a)
+            m += a
+            # v = beta2 * v + (1 - beta2) * grad * grad
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(grad, 1.0 - self.beta2, out=a)
+            a *= grad
+            v += a
+            # data -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(v, bias2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, bias1, out=b)
+            b *= self.lr
+            b /= a
+            param.data -= b
+        return norm
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Moment estimates and step count, keyed by parameter index."""
@@ -114,14 +143,22 @@ class Adam(Optimizer):
         _load_slots("Adam", self._v, state, "v")
         self._t = int(state["t"])
 
-    def _clip_grads(self) -> None:
+    def _clip_grads(self) -> float:
+        """Scale the gradients to ``max_grad_norm`` if their global L2 norm
+        exceeds it; returns the norm before scaling."""
         total = 0.0
-        for param in self.params:
+        for param, (a, _) in zip(self.params, self._scratch):
             if param.grad is not None:
-                total += float(np.sum(param.grad * param.grad))
+                np.multiply(param.grad, param.grad, out=a)
+                total += float(np.sum(a))
         norm = np.sqrt(total)
-        if norm > self.max_grad_norm and norm > 0.0:
+        if (
+            self.max_grad_norm is not None
+            and norm > self.max_grad_norm
+            and norm > 0.0
+        ):
             scale = self.max_grad_norm / norm
             for param in self.params:
                 if param.grad is not None:
                     param.grad *= scale
+        return float(norm)

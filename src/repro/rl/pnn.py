@@ -27,9 +27,9 @@ class ProgressivePolicy(Module):
     layer of *both* columns (lateral connections), as do the output heads.
     Only column-2 weights (including laterals) are trainable.
 
-    The object implements the same interface as
-    :class:`SquashedGaussianPolicy`, so it drops into :class:`~repro.rl.sac.Sac`
-    as the actor.
+    The object implements the acting and autodiff interface of
+    :class:`SquashedGaussianPolicy`, so behaviour cloning and DAgger train
+    column 2 through :meth:`distribution`.
     """
 
     def __init__(
@@ -81,9 +81,6 @@ class ProgressivePolicy(Module):
         )
         return mean, log_std
 
-    def rsample(self, obs: Tensor, noise: np.ndarray) -> tuple[Tensor, Tensor]:
-        return SquashedGaussianPolicy.rsample(self, obs, noise)
-
     # -- numpy inference path --------------------------------------------------------
 
     def _features_np(self, obs: np.ndarray) -> np.ndarray:
@@ -120,8 +117,3 @@ class ProgressivePolicy(Module):
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
         return SquashedGaussianPolicy.act(self, obs, deterministic, rng)
-
-    def sample_np(
-        self, obs: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return SquashedGaussianPolicy.sample_np(self, obs, rng)

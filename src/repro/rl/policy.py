@@ -2,7 +2,9 @@
 
 The actor is a tanh-squashed diagonal Gaussian (actions in ``[-1, 1]^n``),
 the critic an action-value MLP. Both offer a fast numpy inference path for
-rollouts and target computation, and an autodiff path for updates.
+rollouts and target computation. SAC trains both tape-free, through
+closed-form backward passes into preallocated buffers; behaviour cloning
+trains the actor through the autodiff path (:meth:`distribution`).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import math
 import numpy as np
 
 from repro.rl.nn import autograd
-from repro.rl.nn.autograd import Tensor, concat, gaussian_log_prob
-from repro.rl.nn.layers import InferencePlan, Linear, Mlp, Module, relu
+from repro.rl.nn.autograd import GAUSSIAN_LOG_NORM, Tensor
+from repro.rl.nn.layers import Linear, Mlp, Module, relu
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -48,6 +50,27 @@ class PolicyInferencePlan:
         return self._action[:batch]
 
 
+class PolicyTrainingPlan:
+    """Buffers for the policy's tape-free SAC training step.
+
+    Holds the trunk's :class:`~repro.rl.nn.layers.TrainingPlan`, the
+    heads' gradient buffers and what :meth:`SquashedGaussianPolicy.backward`
+    reads of the last :meth:`~SquashedGaussianPolicy.forward_train`.
+    """
+
+    def __init__(self, policy: "SquashedGaussianPolicy", batch: int) -> None:
+        self.trunk = policy.trunk.training_plan(batch)
+        self.features_grad = np.empty((batch, policy.hidden[-1]))
+        self.head_grads = [
+            (np.empty_like(head.weight.data), np.empty_like(head.bias.data))
+            for head in (policy.mean_head, policy.log_std_head)
+        ]
+        #: tanh of the raw log-std head, ``std * noise`` and the action.
+        self.squashed_log_std: np.ndarray | None = None
+        self.std_noise: np.ndarray | None = None
+        self.action: np.ndarray | None = None
+
+
 class SquashedGaussianPolicy(Module):
     """Stochastic policy ``pi(a | s) = tanh(N(mu(s), sigma(s)))``."""
 
@@ -80,28 +103,109 @@ class SquashedGaussianPolicy(Module):
         )
         return mean, log_std
 
-    def rsample(
-        self, obs: Tensor, noise: np.ndarray
-    ) -> tuple[Tensor, Tensor]:
+    # -- tape-free training path ----------------------------------------------
+
+    def training_plan(self, batch: int) -> PolicyTrainingPlan:
+        """Buffers for :meth:`forward_train` and :meth:`backward`."""
+        return PolicyTrainingPlan(self, batch)
+
+    def forward_train(
+        self, obs: np.ndarray, noise: np.ndarray, plan: PolicyTrainingPlan
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Reparameterized sample and its log-probability.
 
         Args:
-            obs: batch of observations, shape ``(n, obs_dim)``.
-            noise: standard-normal draws, shape ``(n, action_dim)``.
+            obs: batch of observations, shape ``(plan batch, obs_dim)``.
+            noise: standard-normal draws, shape ``(plan batch, action_dim)``.
 
         Returns:
-            ``(action, log_prob)`` with the tanh change-of-variables
-            correction applied in its numerically stable softplus form.
+            ``(action, log_prob)``. The log-density carries the tanh
+            change-of-variables correction in its stable softplus form
+            and forms ``z`` as the autodiff tape divides (times the
+            reciprocal std), so it matches the taped computation bit for
+            bit.
         """
-        mean, log_std = self.distribution(obs)
-        std = log_std.exp()
-        pre_squash = mean + std * Tensor(noise)
-        action = pre_squash.tanh()
-        log_prob = gaussian_log_prob(pre_squash, mean, log_std)
+        features = self.trunk.forward_train(obs, plan.trunk)
+        mean = features @ self.mean_head.weight.data + self.mean_head.bias.data
+        squashed = np.tanh(
+            features @ self.log_std_head.weight.data
+            + self.log_std_head.bias.data
+        )
+        log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (
+            squashed + 1.0
+        )
+        std = np.exp(log_std)
+        std_noise = std * noise
+        pre_squash = mean + std_noise
+        action = np.tanh(pre_squash)
+        z = (pre_squash - mean) * (1.0 / std)
+        log_prob = np.sum(
+            -(z * z) * 0.5 - log_std - GAUSSIAN_LOG_NORM, axis=-1
+        )
         # log(1 - tanh(x)^2) = 2 * (log 2 - x - softplus(-2x))
-        correction = ((-pre_squash + _LOG2) - (pre_squash * -2.0).softplus()) * 2.0
+        correction = (
+            (_LOG2 - pre_squash) - np.logaddexp(0.0, -2.0 * pre_squash)
+        ) * 2.0
         log_prob = log_prob - correction.sum(axis=-1)
+        plan.squashed_log_std, plan.std_noise, plan.action = (
+            squashed, std_noise, action,
+        )
+        hook = autograd.FLOP_HOOK
+        if hook is not None:
+            batch = obs.shape[0]
+            for head in (self.mean_head, self.log_std_head):
+                hook.matmul(batch, head.in_dim, head.out_dim)
+                hook.elementwise("add_fwd", batch * head.out_dim)
+            hook.elementwise("tanh_fwd", 2 * batch * self.action_dim)
         return action, log_prob
+
+    def backward(
+        self,
+        action_grad: np.ndarray,
+        log_prob_grad: float,
+        plan: PolicyTrainingPlan,
+    ) -> None:
+        """Parameter gradients of the last :meth:`forward_train` on ``plan``.
+
+        Args:
+            action_grad: d loss / d action, ``(batch, action_dim)``.
+            log_prob_grad: d loss / d log_prob, the same for every row.
+
+        Writes every gradient into the plan and points the parameters'
+        ``grad`` at it. Under the reparameterization ``z`` is the noise, so
+        the log-density reaches the pre-squash sample ``u`` only through
+        the tanh correction (d/du log(1 - tanh(u)^2) = -2 tanh(u)) and the
+        log-std only through its ``-log_std`` term.
+        """
+        action = plan.action
+        pre_grad = (
+            action_grad * (1.0 - action * action)
+            + (2.0 * log_prob_grad) * action
+        )
+        log_std_grad = pre_grad * plan.std_noise - log_prob_grad
+        squashed = plan.squashed_log_std
+        raw_grad = (
+            log_std_grad
+            * (0.5 * (LOG_STD_MAX - LOG_STD_MIN))
+            * (1.0 - squashed * squashed)
+        )
+        features = plan.trunk.forward.out(-1, plan.trunk.batch)
+        for head, grad, (weight_grad, bias_grad) in zip(
+            (self.mean_head, self.log_std_head),
+            (pre_grad, raw_grad),
+            plan.head_grads,
+        ):
+            head.write_grads(features, grad, weight_grad, bias_grad)
+        features_grad = np.matmul(
+            pre_grad, self.mean_head.weight.data.T, out=plan.features_grad
+        )
+        features_grad += raw_grad @ self.log_std_head.weight.data.T
+        hook = autograd.FLOP_HOOK
+        if hook is not None:
+            batch = action.shape[0]
+            for head in (self.mean_head, self.log_std_head):
+                hook.matmul_grad(batch, head.out_dim, head.in_dim)
+        self.trunk.backward(features_grad, plan.trunk)
 
     # -- numpy inference path ------------------------------------------------------
 
@@ -208,10 +312,17 @@ class SquashedGaussianPolicy(Module):
         return np.tanh(mean + np.exp(log_std) * noise)
 
     def sample_np(
-        self, obs: np.ndarray, rng: np.random.Generator
+        self,
+        obs: np.ndarray,
+        rng: np.random.Generator,
+        plan: PolicyInferencePlan | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Numpy-only sample + log-prob (for SAC target computation)."""
-        mean, log_std = self.forward_np(obs)
+        """Numpy-only sample + log-prob (for SAC target computation).
+
+        ``plan`` runs the forward pass in its buffers (see
+        :meth:`forward_np`); the results are fresh arrays either way.
+        """
+        mean, log_std = self.forward_np(obs, plan=plan)
         std = np.exp(log_std)
         noise = rng.standard_normal(mean.shape)
         pre_squash = mean + std * noise
@@ -228,7 +339,12 @@ class SquashedGaussianPolicy(Module):
 
 
 class QNetwork(Module):
-    """Action-value critic ``Q(s, a)``."""
+    """Action-value critic ``Q(s, a)``.
+
+    ``net`` maps the joint ``[obs, action]`` row to Q. SAC trains it
+    through :meth:`~repro.rl.nn.layers.Mlp.forward_train` and
+    :meth:`~repro.rl.nn.layers.Mlp.backward` on that joint input.
+    """
 
     def __init__(
         self,
@@ -241,11 +357,6 @@ class QNetwork(Module):
         self.obs_dim = obs_dim
         self.action_dim = action_dim
         self.net = Mlp((obs_dim + action_dim, *hidden, 1), rng=rng)
-
-    def __call__(self, obs: Tensor, action: Tensor) -> Tensor:
-        """Q values, shape ``(n,)``."""
-        joint = concat([obs, action], axis=-1)
-        return self.net(joint).sum(axis=-1)
 
     def forward_np(self, obs: np.ndarray, action: np.ndarray) -> np.ndarray:
         joint = np.concatenate([obs, action], axis=-1)

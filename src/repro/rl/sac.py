@@ -4,6 +4,12 @@ The DRL algorithm used by the paper for the end-to-end driving agent, the
 adversarial attack policies, and adversarial fine-tuning. Twin Q critics
 with polyak-averaged targets, a tanh-Gaussian actor, and automatic
 entropy-temperature tuning.
+
+The update is tape-free: closed-form backward passes write only the
+gradients the update reads into buffers allocated once per learner, and
+Adam and the polyak average run in place. The critic step computes the
+same ops as the autodiff tape, so it matches it bit for bit; the actor
+step differs from the tape in the last bits (at most 1e-12 relative).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import faults
-from repro.rl.nn.autograd import Tensor, minimum
+from repro.rl.nn.autograd import Tensor
 from repro.rl.nn.optim import Adam
 from repro.rl.policy import QNetwork, SquashedGaussianPolicy
 from repro.rl.replay import ReplayBuffer
@@ -39,12 +45,8 @@ class SacConfig:
     target_entropy: float | None = None
     batch_size: int = 128
     buffer_capacity: int = 100_000
-    #: Environment steps of uniform-random exploration before the policy.
-    start_steps: int = 1_000
     #: Steps between gradient updates (1 = every step).
     update_every: int = 1
-    #: Gradient updates performed per update round.
-    updates_per_round: int = 1
     #: Number of initial updates that train the critics only. Warm-started
     #: (behaviour-cloned) actors would otherwise be dragged toward the
     #: randomly initialized critics' argmax and forget the warm start.
@@ -87,9 +89,17 @@ class Sac:
 
         Args:
             actor: optional pre-built policy (e.g. a behaviour-cloned warm
-                start or a progressive-network policy); defaults to a fresh
-                :class:`SquashedGaussianPolicy`.
+                start); defaults to a fresh :class:`SquashedGaussianPolicy`.
+
+        Raises:
+            TypeError: ``actor`` is not a :class:`SquashedGaussianPolicy`
+                (the closed-form update is written for that policy).
         """
+        if actor is not None and not isinstance(actor, SquashedGaussianPolicy):
+            raise TypeError(
+                f"Sac trains a SquashedGaussianPolicy actor, "
+                f"got {type(actor).__name__}"
+            )
         self.config = config or SacConfig()
         self.obs_dim = obs_dim
         self.action_dim = action_dim
@@ -128,6 +138,27 @@ class Sac:
         self.replay = ReplayBuffer(cfg.buffer_capacity, obs_dim, action_dim)
         self.total_updates = 0
 
+        # Update buffers, allocated once. The joint [obs, action] critic
+        # input is shared by all four critics.
+        n = cfg.batch_size
+        self._joint = np.empty((n, obs_dim + action_dim))
+        self._q_plans = [q.net.training_plan(n) for q in (self.q1, self.q2)]
+        self._actor_plan = self.actor.training_plan(n)
+        self._target_q_plans = [
+            q.net.inference_plan(n) for q in (self.q1_target, self.q2_target)
+        ]
+        self._target_actor_plan = self.actor.inference_plan(n)
+        self._polyak_pairs = [
+            pair
+            for q, q_target in (
+                (self.q1, self.q1_target), (self.q2, self.q2_target)
+            )
+            for pair in zip(q.parameters(), q_target.parameters())
+        ]
+        self._polyak_scratch = np.empty(
+            max(source.data.size for source, _ in self._polyak_pairs)
+        )
+
         # Cached telemetry handles; the gauges track the *latest* SAC
         # instance to update (one learner is live at a time in practice).
         registry = get_registry()
@@ -148,10 +179,6 @@ class Sac:
     def act(self, obs: np.ndarray, deterministic: bool = False) -> np.ndarray:
         """Policy action in ``[-1, 1]^action_dim``."""
         return self.actor.act(obs, deterministic=deterministic, rng=self.rng)
-
-    def random_action(self) -> np.ndarray:
-        """Uniform exploration action (used for the first ``start_steps``)."""
-        return self.rng.uniform(-1.0, 1.0, size=self.action_dim)
 
     # -- learning ------------------------------------------------------------------
 
@@ -186,109 +213,136 @@ class Sac:
             "buffer_capacity": self.replay.capacity,
         }
 
-    @staticmethod
-    def _grad_norm(params) -> float:
-        """Global L2 norm over a parameter list's current gradients."""
-        total = 0.0
-        for param in params:
-            if param.grad is not None:
-                total += float(np.sum(param.grad * param.grad))
-        return float(np.sqrt(total))
-
     def _update(self) -> dict[str, float]:
         cfg = self.config
-        batch = self.replay.sample(cfg.batch_size, self.rng)
+        n = cfg.batch_size
+        batch = self.replay.sample(n, self.rng)
         obs = batch["obs"]
         actions = batch["actions"]
         rewards = batch["rewards"]
         next_obs = batch["next_obs"]
         dones = batch["dones"]
 
-        # Bellman targets (no gradients needed -> numpy fast path).
-        next_actions, next_log_prob = self.actor.sample_np(next_obs, self.rng)
-        q_next = np.minimum(
-            self.q1_target.forward_np(next_obs, next_actions),
-            self.q2_target.forward_np(next_obs, next_actions),
+        # Bellman targets (no gradients needed -> fused inference plans).
+        next_actions, next_log_prob = self.actor.sample_np(
+            next_obs, self.rng, plan=self._target_actor_plan
         )
+        joint = self._joint
+        joint[:, :self.obs_dim] = next_obs
+        joint[:, self.obs_dim:] = next_actions
+        q1_next, q2_next = (
+            q.net.forward_np(joint, plan=plan)[:, 0]
+            for q, plan in zip(
+                (self.q1_target, self.q2_target), self._target_q_plans
+            )
+        )
+        q_next = np.minimum(q1_next, q2_next)
         alpha = self.alpha
         targets = rewards + cfg.gamma * (1.0 - dones) * (
             q_next - alpha * next_log_prob
         )
 
-        # Critic update.
-        obs_t = Tensor(obs)
-        act_t = Tensor(actions)
-        target_t = Tensor(targets)
-        q1_pred = self.q1(obs_t, act_t)
-        q2_pred = self.q2(obs_t, act_t)
-        critic_loss = ((q1_pred - target_t) ** 2.0).mean() + (
-            (q2_pred - target_t) ** 2.0
-        ).mean()
-        self.critic_opt.zero_grad()
-        critic_loss.backward()
-        plan = faults.active_plan()
-        if plan is not None:
-            plan.on_gradients("critic", self.critic_opt.params, self.total_updates)
-        critic_grad_norm = self._grad_norm(self.critic_opt.params)
-        self.critic_opt.step()
+        # Critic step: mean squared Bellman error of each critic, whose
+        # gradient d/dq is 2 * error / n.
+        joint[:, :self.obs_dim] = obs
+        joint[:, self.obs_dim:] = actions
+        critic_loss = 0.0
+        q_preds = []
+        for q, plan in zip((self.q1, self.q2), self._q_plans):
+            q_pred = q.net.forward_train(joint, plan)
+            error = q_pred - targets[:, None]
+            critic_loss = critic_loss + np.sum(error ** 2.0) * (1.0 / n)
+            q.net.backward(error * (2.0 * (1.0 / n)), plan)
+            q_preds.append(q_pred[:, 0])
+        fault_plan = faults.active_plan()
+        if fault_plan is not None:
+            fault_plan.on_gradients(
+                "critic", self.critic_opt.params, self.total_updates
+            )
+        critic_grad_norm = self.critic_opt.step()
+        q1_pred, q2_pred = q_preds
+        q_mean = float(q1_pred.mean())
+        q_max = float(max(np.abs(q1_pred).max(), np.abs(q2_pred).max()))
 
-        # Actor update (critic gradients are discarded via zero_grad).
+        # Actor step: mean of alpha * log_prob - min(q1, q2) at fresh
+        # reparameterized actions. Only the action columns of dQ/d input
+        # are computed, and no critic weight gradients.
         actor_loss_value = 0.0
         actor_grad_norm = 0.0
         log_prob = None
         if self.total_updates >= cfg.actor_delay:
-            noise = self.rng.standard_normal((cfg.batch_size, self.action_dim))
-            new_actions, log_prob = self.actor.rsample(obs_t, noise)
-            q_new = minimum(
-                self.q1(obs_t, new_actions), self.q2(obs_t, new_actions)
+            noise = self.rng.standard_normal((n, self.action_dim))
+            new_actions, log_prob = self.actor.forward_train(
+                obs, noise, self._actor_plan
             )
-            actor_loss = (log_prob * alpha - q_new).mean()
-            self.actor_opt.zero_grad()
-            self.critic_opt.zero_grad()
-            actor_loss.backward()
-            actor_grad_norm = self._grad_norm(self.actor_opt.params)
-            self.actor_opt.step()
-            self.critic_opt.zero_grad()
-            actor_loss_value = float(actor_loss.data)
+            joint[:, self.obs_dim:] = new_actions
+            q1_new, q2_new = (
+                q.net.forward_train(joint, plan)
+                for q, plan in zip((self.q1, self.q2), self._q_plans)
+            )
+            q_new = np.minimum(q1_new, q2_new)[:, 0]
+            actor_loss_value = float(
+                np.sum(log_prob * alpha - q_new) * (1.0 / n)
+            )
+            # d loss / d q_k is -1/n, routed to the smaller critic (split
+            # evenly on exact ties).
+            ties = 0.5 * (q1_new == q2_new)
+            dq1, dq2 = (
+                q.net.backward(
+                    -(1.0 / n) * (smaller + ties),
+                    plan,
+                    weights=False,
+                    input_columns=slice(self.obs_dim, None),
+                )
+                for q, plan, smaller in zip(
+                    (self.q1, self.q2),
+                    self._q_plans,
+                    (q1_new < q2_new, q2_new < q1_new),
+                )
+            )
+            self.actor.backward(dq1 + dq2, alpha * (1.0 / n), self._actor_plan)
+            actor_grad_norm = self.actor_opt.step()
 
-        # Temperature update.
+        # Temperature step: loss -log_alpha * mean(log_prob + target).
         alpha_loss_value = 0.0
         if cfg.autotune_alpha and log_prob is not None:
-            entropy_gap = Tensor(log_prob.data + self.target_entropy)
-            alpha_loss = -(self.log_alpha * entropy_gap).mean()
-            self.alpha_opt.zero_grad()
-            alpha_loss.backward()
+            entropy_gap = log_prob + self.target_entropy
+            self.log_alpha.grad = np.asarray(
+                np.sum(entropy_gap * (-1.0 / n))
+            )
+            alpha_loss_value = float(
+                -(np.sum(self.log_alpha.data * entropy_gap) * (1.0 / n))
+            )
             self.alpha_opt.step()
-            alpha_loss_value = float(alpha_loss.data)
 
-        self._polyak(self.q1, self.q1_target)
-        self._polyak(self.q2, self.q2_target)
+        self._polyak()
         self.total_updates += 1
         # Entropy estimate from the freshest log-probs available: the
         # actor's reparameterized batch when the actor trained this round,
         # else the target-sampling batch (critic-only warmup).
-        log_probs = log_prob.data if log_prob is not None else next_log_prob
+        log_probs = log_prob if log_prob is not None else next_log_prob
         return {
-            "critic_loss": float(critic_loss.data),
+            "critic_loss": float(critic_loss),
             "actor_loss": actor_loss_value,
             "alpha_loss": alpha_loss_value,
             "alpha": self.alpha,
-            "q1_mean": float(q1_pred.data.mean()),
-            "q_mean": float(q1_pred.data.mean()),
-            "q_max": float(
-                max(np.abs(q1_pred.data).max(), np.abs(q2_pred.data).max())
-            ),
+            "q_mean": q_mean,
+            "q_max": q_max,
             "entropy": float(-np.mean(log_probs)),
             "actor_grad_norm": actor_grad_norm,
             "critic_grad_norm": critic_grad_norm,
         }
 
-    def _polyak(self, source: QNetwork, target: QNetwork) -> None:
+    def _polyak(self) -> None:
+        """``target = (1 - tau) * target + tau * source``, in place."""
         tau = self.config.tau
-        source_params = source.named_parameters()
-        for name, param in target.named_parameters().items():
-            param.data *= 1.0 - tau
-            param.data += tau * source_params[name].data
+        for source, target in self._polyak_pairs:
+            scratch = self._polyak_scratch[:source.data.size].reshape(
+                source.data.shape
+            )
+            target.data *= 1.0 - tau
+            np.multiply(source.data, tau, out=scratch)
+            target.data += scratch
 
     # -- checkpoints ------------------------------------------------------------------
 

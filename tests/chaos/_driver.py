@@ -30,7 +30,6 @@ def tiny_sac(args) -> SacConfig:
         hidden=(16, 16),
         batch_size=16,
         buffer_capacity=2_000,
-        start_steps=0,
         update_every=4,
         checkpoint_every=args.every,
         checkpoint_dir=args.ckpt_dir,

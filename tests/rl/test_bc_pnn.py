@@ -78,6 +78,16 @@ class TestProgressivePolicy:
         actions = pnn.act(obs, rng=np.random.default_rng(4))
         assert np.all(np.abs(actions) <= 1.0)
 
+    @staticmethod
+    def distribution_loss(pnn):
+        """A BC-style loss through ``distribution``, the path PNN trains on."""
+        obs = np.random.default_rng(5).normal(size=(16, 4))
+        target = np.random.default_rng(6).uniform(-1.0, 1.0, size=(16, 2))
+        mean, log_std = pnn.distribution(Tensor(obs))
+        return ((mean.tanh() - Tensor(target)) ** 2.0).mean() + (
+            (log_std + 1.5) ** 2.0
+        ).mean()
+
     def test_training_leaves_column1_unchanged(self):
         base, pnn = self.make()
         before = {k: v.copy() for k, v in base.state_dict().items()}
@@ -85,11 +95,8 @@ class TestProgressivePolicy:
         from repro.rl.nn.optim import Adam
 
         opt = Adam(pnn.trainable_parameters(), lr=1e-2)
-        obs = np.random.default_rng(5).normal(size=(16, 4))
-        noise = np.random.default_rng(6).standard_normal((16, 2))
         for _ in range(5):
-            _, logp = pnn.rsample(Tensor(obs), noise)
-            loss = (logp ** 2.0).mean()
+            loss = self.distribution_loss(pnn)
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -105,10 +112,7 @@ class TestProgressivePolicy:
         from repro.rl.nn.optim import Adam
 
         opt = Adam(pnn.trainable_parameters(), lr=1e-2)
-        obs = np.random.default_rng(5).normal(size=(16, 4))
-        noise = np.random.default_rng(6).standard_normal((16, 2))
-        _, logp = pnn.rsample(Tensor(obs), noise)
-        (logp ** 2.0).mean().backward()
+        self.distribution_loss(pnn).backward()
         opt.step()
         assert not np.allclose(before, pnn.column2_layers[0].weight.data)
 
@@ -123,20 +127,15 @@ class TestProgressivePolicy:
         mean_after, _ = pnn.forward_np(obs)
         assert not np.allclose(mean_before, mean_after)
 
-    def test_usable_as_sac_actor(self):
+    def test_sac_refuses_pnn_actor(self):
+        """PNN columns train by BC/DAgger; SAC's closed-form update is
+        written for a plain squashed-Gaussian actor."""
         base = SquashedGaussianPolicy(2, 1, (16, 16), np.random.default_rng(0))
         pnn = ProgressivePolicy(base, np.random.default_rng(1))
-        sac = Sac(
-            2, 1,
-            SacConfig(hidden=(16, 16), batch_size=32, buffer_capacity=500),
-            rng=np.random.default_rng(2),
-            actor=pnn,
-        )
-        rng = np.random.default_rng(3)
-        for _ in range(64):
-            sac.observe(
-                rng.normal(size=2), rng.uniform(-1, 1, 1), rng.normal(),
-                rng.normal(size=2), False,
+        with pytest.raises(TypeError, match="ProgressivePolicy"):
+            Sac(
+                2, 1,
+                SacConfig(hidden=(16, 16), batch_size=32, buffer_capacity=500),
+                rng=np.random.default_rng(2),
+                actor=pnn,
             )
-        stats = sac.update()
-        assert np.isfinite(stats["actor_loss"])

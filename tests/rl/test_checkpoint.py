@@ -21,11 +21,15 @@ from repro.rl.checkpoint import (
     TrainingHalted,
     capture,
     checkpoint_interval,
+    checkpoint_keep,
+    halt_enabled,
     load_state,
     restore,
+    resume_enabled,
     run_sac_loop,
     save_state,
 )
+from repro.rl.health import health_interval
 from repro.rl.nn.layers import Mlp
 from repro.rl.nn.optim import Adam, Sgd
 from repro.rl.policy import SquashedGaussianPolicy
@@ -55,7 +59,6 @@ def tiny_sac(**overrides):
         hidden=(16, 16),
         batch_size=16,
         buffer_capacity=2_000,
-        start_steps=0,
         update_every=4,
     )
     defaults.update(overrides)
@@ -282,6 +285,49 @@ class TestSnapshotter:
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "40")
         assert checkpoint_interval(0) == 40
         assert checkpoint_interval(25) == 25  # explicit config wins
+
+
+class TestMalformedKnobs:
+    """A malformed loop knob fails loudly, naming the knob and the value,
+    instead of turning into "off"."""
+
+    @pytest.mark.parametrize(
+        "name, read",
+        [
+            ("REPRO_CHECKPOINT_EVERY", lambda: checkpoint_interval(0)),
+            ("REPRO_CHECKPOINT_KEEP", lambda: checkpoint_keep(0)),
+            ("REPRO_HEALTH_EVERY", lambda: health_interval(0)),
+        ],
+    )
+    def test_non_integer_rejected(self, monkeypatch, name, read):
+        monkeypatch.setenv(name, "abc")
+        with pytest.raises(ValueError, match=f"{name}.*'abc'"):
+            read()
+
+    @pytest.mark.parametrize(
+        "name, read",
+        [
+            ("REPRO_RESUME", resume_enabled),
+            ("REPRO_HALT_ON_ALERT", halt_enabled),
+        ],
+    )
+    def test_flags_accept_only_documented_spellings(
+        self, monkeypatch, name, read
+    ):
+        for raw in ("1", "true", " YES ", "on"):
+            monkeypatch.setenv(name, raw)
+            assert read() is True
+        for raw in ("", "0", "false", "No", "off"):
+            monkeypatch.setenv(name, raw)
+            assert read() is False
+        monkeypatch.setenv(name, "ture")
+        with pytest.raises(ValueError, match=f"{name}.*'ture'"):
+            read()
+
+    def test_malformed_resume_stops_the_loop(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESUME", "ture")
+        with pytest.raises(ValueError, match="REPRO_RESUME"):
+            run_attack_loop(tmp_path)
 
 
 # -- resume determinism: the tentpole acceptance proof ------------------------------

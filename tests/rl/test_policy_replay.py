@@ -50,11 +50,13 @@ class TestSquashedGaussianPolicy:
         _, log_std = policy.forward_np(obs)
         assert np.all(log_std >= -5.0) and np.all(log_std <= 2.0)
 
-    def test_rsample_logprob_matches_numpy_formula(self, policy):
-        """The autodiff log-prob must agree with the numpy fast path."""
+    def test_forward_train_logprob_matches_numpy_formula(self, policy):
+        """The training log-prob must agree with the numpy fast path."""
         obs = np.random.default_rng(5).normal(size=(8, 6))
         noise = np.random.default_rng(6).standard_normal((8, 2))
-        action_t, logp_t = policy.rsample(Tensor(obs), noise)
+        action_t, logp_t = policy.forward_train(
+            obs, noise, policy.training_plan(8)
+        )
 
         mean, log_std = policy.forward_np(obs)
         std = np.exp(log_std)
@@ -64,8 +66,8 @@ class TestSquashedGaussianPolicy:
         logp -= np.sum(
             2.0 * (np.log(2.0) - pre - np.logaddexp(0.0, -2.0 * pre)), axis=-1
         )
-        np.testing.assert_allclose(logp_t.data, logp, atol=1e-10)
-        np.testing.assert_allclose(action_t.data, np.tanh(pre), atol=1e-12)
+        np.testing.assert_allclose(logp_t, logp, atol=1e-10)
+        np.testing.assert_allclose(action_t, np.tanh(pre), atol=1e-12)
 
     def test_sample_np_logprob_reasonable(self, policy):
         obs = np.zeros((100, 6))
@@ -73,11 +75,13 @@ class TestSquashedGaussianPolicy:
         assert actions.shape == (100, 2)
         assert np.all(np.isfinite(logp))
 
-    def test_rsample_gradients_reach_trunk(self, policy):
+    def test_backward_gradients_reach_trunk(self, policy):
         obs = np.random.default_rng(8).normal(size=(4, 6))
         noise = np.random.default_rng(9).standard_normal((4, 2))
-        _, logp = policy.rsample(Tensor(obs), noise)
-        logp.mean().backward()
+        plan = policy.training_plan(4)
+        policy.forward_train(obs, noise, plan)
+        # d mean(log_prob) / d log_prob = 1/4 per row; the action unused.
+        policy.backward(np.zeros((4, 2)), 0.25, plan)
         grads = [p.grad for p in policy.parameters()]
         assert all(g is not None for g in grads)
         assert any(np.any(g != 0) for g in grads)
@@ -86,18 +90,18 @@ class TestSquashedGaussianPolicy:
 class TestQNetwork:
     def test_output_shape(self):
         q = QNetwork(6, 2, hidden=(16, 16), rng=np.random.default_rng(0))
-        obs = Tensor(np.zeros((5, 6)))
-        act = Tensor(np.zeros((5, 2)))
-        assert q(obs, act).shape == (5,)
+        assert q.forward_np(np.zeros((5, 6)), np.zeros((5, 2))).shape == (5,)
 
     def test_forward_np_matches(self):
+        """The inference path and SAC's training forward on the joint
+        ``[obs, action]`` input give the same bits."""
         q = QNetwork(6, 2, hidden=(16, 16), rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
         obs = rng.normal(size=(5, 6))
         act = rng.normal(size=(5, 2))
-        np.testing.assert_allclose(
-            q.forward_np(obs, act), q(Tensor(obs), Tensor(act)).data
-        )
+        joint = np.concatenate([obs, act], axis=-1)
+        trained = q.net.forward_train(joint, q.net.training_plan(5))
+        np.testing.assert_array_equal(q.forward_np(obs, act), trained[:, 0])
 
     def test_depends_on_action(self):
         q = QNetwork(6, 2, hidden=(16, 16), rng=np.random.default_rng(0))

@@ -29,7 +29,6 @@ def tiny_sac(**overrides):
         hidden=(16, 16),
         batch_size=16,
         buffer_capacity=2_000,
-        start_steps=0,
         update_every=4,
     )
     defaults.update(overrides)
