@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.eval.episodes import EpisodeResult
 
@@ -42,6 +41,10 @@ def mann_whitney(
     if np.all(a == a[0]) and np.all(b == b[0]) and a[0] == b[0]:
         # Identical constant samples: no evidence of difference.
         return Comparison(0.0, 1.0, float(a.mean()), float(b.mean()))
+    # Imported here: scipy.stats costs about a second and 60 MiB to
+    # import, and only this test needs it.
+    from scipy import stats
+
     statistic, p_value = stats.mannwhitneyu(a, b, alternative="two-sided")
     return Comparison(
         float(statistic), float(p_value), float(a.mean()), float(b.mean())

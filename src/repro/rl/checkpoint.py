@@ -106,7 +106,11 @@ def checkpoint_interval(configured: int | None = None) -> int:
 
 
 def checkpoint_keep(configured: int | None = None) -> int:
-    """How many periodic snapshots to retain (minimum 1)."""
+    """How many periodic snapshots to retain (minimum 1).
+
+    An explicit positive ``configured`` value wins; otherwise
+    ``REPRO_CHECKPOINT_KEEP`` is consulted, and 3 when it is unset.
+    """
     if configured:
         return max(int(configured), 1)
     return max(_env_int("REPRO_CHECKPOINT_KEEP", 3), 1)

@@ -63,8 +63,9 @@ class SacConfig:
     #: Directory for training snapshots (``REPRO_CHECKPOINT_DIR``
     #: overrides None); the loop label is appended as a subdirectory.
     checkpoint_dir: str | None = None
-    #: Keep the newest K periodic snapshots (``REPRO_CHECKPOINT_KEEP``).
-    checkpoint_keep: int = 3
+    #: Keep the newest K periodic snapshots (0 = ``REPRO_CHECKPOINT_KEEP``,
+    #: else 3).
+    checkpoint_keep: int = 0
     #: Resume from the latest snapshot in the checkpoint directory
     #: (``REPRO_RESUME``). With no snapshot present, train from scratch.
     resume: bool = False

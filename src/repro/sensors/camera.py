@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -112,15 +113,16 @@ def _classify_points(world: World, points: np.ndarray) -> np.ndarray:
 
 
 def _classify_points_batch(
-    batch: BatchWorld, px: np.ndarray, py: np.ndarray
+    batch: BatchWorld, px: np.ndarray, py: np.ndarray, cells: np.ndarray
 ) -> np.ndarray:
     """Semantic class per point ``(px, py)`` for every episode, ``[N, P]``.
 
     The road/marking layers depend only on geometry shared by the whole
     batch, so they run over the flattened ``N * P`` points in one pass.
-    The vehicle layer paints each NPC column on the episodes whose points'
-    bounding box its footprint :func:`reach` touches; it cannot paint a
-    point of any other episode.
+    The vehicle layer runs the exact footprint test of NPC ``j`` of
+    episode ``i`` only on the points ``cells[i, j]`` (``[N, M, K]`` flat
+    indices into the ``[N, P]`` point arrays), which must hold every point
+    that NPC can cover.
     """
     n, p = px.shape
     _, d, _ = batch.road.frenet_batch(
@@ -129,25 +131,60 @@ def _classify_points_batch(
     classes = _classify_road(batch.road, d.reshape(n, p))
     vcfg = batch.config.vehicle
     half_l, half_w = vcfg.length / 2.0, vcfg.width / 2.0
-    limit = reach((vcfg.length, vcfg.width))
-    reachable = (
-        _cloud_gap2(px, py, batch.x[:, 1:], batch.y[:, 1:]) <= limit * limit
-    )
-    for j in range(batch.m):
-        rows = np.flatnonzero(reachable[:, j])
-        if not len(rows):
-            continue
-        col = 1 + j
-        rel_x = px[rows] - batch.x[rows, col, None]
-        rel_y = py[rows] - batch.y[rows, col, None]
-        cos_yaw = np.cos(batch.yaw[rows, col, None])
-        sin_yaw = np.sin(batch.yaw[rows, col, None])
-        local_x = rel_x * cos_yaw + rel_y * sin_yaw
-        local_y = -rel_x * sin_yaw + rel_y * cos_yaw
-        inside = (np.abs(local_x) <= half_l) & (np.abs(local_y) <= half_w)
-        row, point = np.nonzero(inside)
-        classes[rows[row], point] = int(SemanticClass.VEHICLE)
+    rel_x = px.take(cells) - batch.x[:, 1:, None]
+    rel_y = py.take(cells) - batch.y[:, 1:, None]
+    cos_yaw = np.cos(batch.yaw[:, 1:, None])
+    sin_yaw = np.sin(batch.yaw[:, 1:, None])
+    local_x = rel_x * cos_yaw + rel_y * sin_yaw
+    local_y = -rel_x * sin_yaw + rel_y * cos_yaw
+    inside = (np.abs(local_x) <= half_l) & (np.abs(local_y) <= half_w)
+    classes.put(cells[inside], int(SemanticClass.VEHICLE))
     return classes
+
+
+def _lattice_window(
+    centre: np.ndarray, radius: float, origin: float, step: float, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Windows over the lattice ``origin + k * step`` (``0 <= k < count``)
+    that hold every lattice point within ``radius`` of each ``centre``.
+
+    Returns each window's first index and the offsets ``0 .. size - 1``.
+    A span of ``2 * radius`` holds at most ``floor(2 * radius / step) + 1``
+    lattice points, so every window has that many (at most ``count``),
+    from the first point at or past ``centre - radius``; a window that
+    would run off the lattice is slid back onto it.
+    """
+    size = min(math.floor(2.0 * radius / step) + 1, count)
+    first = np.ceil((centre - radius - origin) / step).astype(np.intp)
+    return np.minimum(np.maximum(first, 0), count - size), np.arange(size)
+
+
+def _poses(world: World) -> bytes:
+    """The ``x, y, yaw`` of every actor of ``world``, ego first, as bytes."""
+    states = [world.ego.state] + [npc.vehicle.state for npc in world.npcs]
+    return np.array([(s.x, s.y, s.yaw) for s in states]).tobytes()
+
+
+def _batch_poses(batch: BatchWorld) -> tuple:
+    """The ``x, y, yaw`` of every actor of every episode, as a key."""
+    return batch.x.shape, np.stack([batch.x, batch.y, batch.yaw]).tobytes()
+
+
+def _shared_frame(
+    memo: dict,
+    config: BevCameraConfig,
+    poses: object,
+    render: Callable[[], np.ndarray],
+) -> np.ndarray:
+    """The frame ``memo`` holds for ``config`` if it was rendered from
+    ``poses``; else ``render()``'s, made read-only and stored there."""
+    held = memo.get(config)
+    if held is not None and held[0] == poses:
+        return held[1]
+    frame = render()
+    frame.flags.writeable = False
+    memo[config] = (poses, frame)
+    return frame
 
 
 @dataclass(frozen=True)
@@ -159,6 +196,19 @@ class BevCameraConfig:
     half_width: float = 9.0
     rows: int = 24
     cols: int = 12
+
+    def __post_init__(self) -> None:
+        if self.rows < 2 or self.cols < 2:
+            raise ValueError(
+                f"a BEV grid needs at least 2 rows and 2 columns, got "
+                f"{self.rows}x{self.cols}"
+            )
+        if self.forward + self.backward <= 0.0 or self.half_width <= 0.0:
+            raise ValueError(
+                "a BEV grid needs a positive extent along and across the "
+                f"heading, got forward={self.forward}, "
+                f"backward={self.backward}, half_width={self.half_width}"
+            )
 
     @property
     def cells(self) -> int:
@@ -172,6 +222,13 @@ class BevCamera(Sensor):
     (row 0 = farthest back), columns span ``[-half_width, half_width]``
     laterally (column 0 = rightmost). :meth:`observe` returns the grid
     flattened with class codes normalized to ``[0, 1]``.
+
+    A world state is rasterised once per camera config: :meth:`observe`
+    and :meth:`observe_batch` keep the normalized frame in the world's
+    ``frame_memo`` and hand the same read-only array to every camera of
+    that config until an actor's ``x``, ``y`` or ``yaw`` changes. So the
+    victim and the attacker watching one camera share a frame, while each
+    :class:`~repro.sensors.base.FrameStack` keeps its own history.
     """
 
     def __init__(self, config: BevCameraConfig | None = None) -> None:
@@ -181,6 +238,8 @@ class BevCamera(Sensor):
         ys = np.linspace(-cfg.half_width, cfg.half_width, cfg.cols)
         grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
         self._local = np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)
+        self._row_step = (cfg.forward + cfg.backward) / (cfg.rows - 1)
+        self._col_step = 2.0 * cfg.half_width / (cfg.cols - 1)
 
     @timed("camera.bev.render")
     def render(self, world: World) -> np.ndarray:
@@ -193,8 +252,13 @@ class BevCamera(Sensor):
         return classes.reshape(self.config.rows, self.config.cols)
 
     def observe(self, world: World) -> np.ndarray:
-        return (
-            self.render(world).astype(np.float64).ravel() / _MAX_CLASS
+        """The normalized grid, flattened; shared and read-only."""
+        return _shared_frame(
+            world.frame_memo,
+            self.config,
+            _poses(world),
+            lambda: self.render(world).astype(np.float64).ravel()
+            / _MAX_CLASS,
         )
 
     @timed("camera.bev.render_batch")
@@ -203,8 +267,13 @@ class BevCamera(Sensor):
 
         One call replaces N :meth:`render` invocations: the local grid is
         rotated/translated into every episode's ego frame by broadcasting,
-        and classification runs over the stacked point cloud.
+        and classification runs over the stacked point cloud. Each NPC is
+        tested only on the lattice window of cells within
+        :func:`~repro.utils.geometry.reach` of its centre, taken in the
+        ego grid frame (2 x 3 cells for the policy camera); no cell
+        outside it can lie in its footprint.
         """
+        cfg = self.config
         cos_yaw = np.cos(batch.yaw[:, 0])
         sin_yaw = np.sin(batch.yaw[:, 0])
         lx, ly = self._local[:, 0], self._local[:, 1]
@@ -218,16 +287,40 @@ class BevCamera(Sensor):
             + ly[None, :] * cos_yaw[:, None]
             + batch.y[:, 0, None]
         )
-        classes = _classify_points_batch(batch, px, py)
-        return classes.reshape(batch.n, self.config.rows, self.config.cols)
+        # NPC centres in the ego grid frame: along and across the heading.
+        dx = batch.x[:, 1:] - batch.x[:, :1]
+        dy = batch.y[:, 1:] - batch.y[:, :1]
+        along = dx * cos_yaw[:, None] + dy * sin_yaw[:, None]
+        across = dy * cos_yaw[:, None] - dx * sin_yaw[:, None]
+        # A painted point lies within the footprint's circumradius of its
+        # centre, up to ~1e-12 m of rounding; the reach's 1e-6 m margin
+        # covers that, so the windows hold every cell the NPC can paint.
+        vcfg = batch.config.vehicle
+        radius = reach((vcfg.length, vcfg.width))
+        row0, drow = _lattice_window(
+            along, radius, -cfg.backward, self._row_step, cfg.rows
+        )
+        col0, dcol = _lattice_window(
+            across, radius, -cfg.half_width, self._col_step, cfg.cols
+        )
+        # Flat index of each window's first cell, then of all its cells.
+        episode = cfg.cells * np.arange(batch.n)[:, None]
+        first = episode + row0 * cfg.cols + col0
+        cells = first[..., None] + (drow[:, None] * cfg.cols + dcol).ravel()
+        classes = _classify_points_batch(batch, px, py, cells)
+        return classes.reshape(batch.n, cfg.rows, cfg.cols)
 
     def observe_batch(self, batch: BatchWorld) -> np.ndarray:
-        """Flattened normalized grids for every episode, ``[N, cells]``."""
-        return (
-            self.render_batch(batch)
+        """Flattened normalized grids for every episode, ``[N, cells]``;
+        shared and read-only, as for :meth:`observe`."""
+        return _shared_frame(
+            batch.frame_memo,
+            self.config,
+            _batch_poses(batch),
+            lambda: self.render_batch(batch)
             .astype(np.float64)
             .reshape(batch.n, -1)
-            / _MAX_CLASS
+            / _MAX_CLASS,
         )
 
     def reset(self) -> None:

@@ -150,6 +150,9 @@ class BatchWorld:
         self.collision_other = np.full(self.n, -1, dtype=int)
         self.collision_step = np.zeros(self.n, dtype=int)
         self.collision_time = np.zeros(self.n)
+        #: Sensor frames of the current actor poses, keyed by sensor
+        #: config (see :meth:`repro.sensors.camera.BevCamera.observe_batch`).
+        self.frame_memo: dict = {}
 
         cfg = config.vehicle
         half_l, half_w = cfg.length / 2.0, cfg.width / 2.0

@@ -73,6 +73,9 @@ class World:
         self.collisions: list[Collision] = []
         self._done = False
         self._passed: set[str] = set()
+        #: Sensor frames of the current actor poses, keyed by sensor
+        #: config (see :meth:`repro.sensors.camera.BevCamera.observe`).
+        self.frame_memo: dict = {}
 
     # -- ticking ---------------------------------------------------------------
 

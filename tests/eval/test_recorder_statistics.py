@@ -1,8 +1,14 @@
 """Tests for trajectory recording and the statistics helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.agents.modular import ModularAgent
 from repro.core import OracleAttacker
 from repro.eval import (
@@ -153,6 +159,31 @@ class TestMannWhitney:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             mann_whitney([], [1.0])
+
+    def test_scipy_imported_only_when_testing(self):
+        """The entry points' imports leave ``scipy`` out of a fresh
+        interpreter; the first Mann-Whitney test brings it in."""
+        code = (
+            "import sys\n"
+            "import repro, repro.eval, repro.experiments.registry\n"
+            "import repro.experiments.report, repro.obsv\n"
+            "assert 'scipy' not in sys.modules\n"
+            "repro.eval.mann_whitney([0.0, 1.0], [2.0, 3.0])\n"
+            "assert 'scipy' in sys.modules\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
 
     def test_compare_nominal_rewards(self):
         nominal = run_episodes(modular_victim, None, n_episodes=3, seed=0)

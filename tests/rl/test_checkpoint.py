@@ -286,6 +286,30 @@ class TestSnapshotter:
         assert checkpoint_interval(0) == 40
         assert checkpoint_interval(25) == 25  # explicit config wins
 
+    def test_keep_env_applies_under_default_config(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_CHECKPOINT_KEEP", raising=False)
+        assert checkpoint_keep(SacConfig().checkpoint_keep) == 3
+        monkeypatch.setenv("REPRO_CHECKPOINT_KEEP", "1")
+        rng = np.random.default_rng(42)
+        env = AttackEnv(
+            lambda w: ModularAgent(w.road),
+            CameraAttackObservation(),
+            budget=1.0,
+            scenario=SCENARIO,
+            rng=rng,
+        )
+        # Every SacConfig field but the cadence and the directory at its
+        # default: a periodic snapshot every 30 steps, only one kept.
+        config = SacConfig(
+            checkpoint_every=EVERY, checkpoint_dir=str(tmp_path)
+        )
+        sac = Sac(env.observation_dim, env.action_dim, config, rng=rng)
+        run_sac_loop(sac, env, STEPS, rng, "sac-attack", trace=TraceWriter())
+        kept = sorted((tmp_path / "sac-attack").glob("state_step*.npz"))
+        assert len(kept) == 1
+
 
 class TestMalformedKnobs:
     """A malformed loop knob fails loudly, naming the knob and the value,

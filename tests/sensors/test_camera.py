@@ -18,6 +18,21 @@ class TestBevCamera:
         camera = BevCamera(BevCameraConfig(rows=10, cols=6))
         assert camera.observation_dim == 60
 
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            dict(rows=1),
+            dict(cols=1),
+            dict(rows=0, cols=0),
+            dict(forward=-8.0),
+            dict(half_width=0.0),
+        ],
+    )
+    def test_degenerate_grid_rejected(self, geometry):
+        # A grid without a positive lattice step on both axes.
+        with pytest.raises(ValueError, match="BEV grid"):
+            BevCameraConfig(**geometry)
+
     def test_observe_normalized(self, quiet_world):
         camera = BevCamera()
         obs = camera.observe(quiet_world)

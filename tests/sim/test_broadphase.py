@@ -5,7 +5,9 @@ kept here: the separating-axis test on every pair, and every NPC painted
 on every point with lane markings found by one ``min`` over all
 boundaries. Poses are drawn around the touching distance, half of them
 corner to corner (the only contact a reach can just miss), so a reach too
-small on both engines at once still fails.
+small on both engines at once still fails. The batch camera's lattice
+window is checked the same way: ``render_batch`` against every NPC
+painted on every point of every row.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.agents.e2e.observation import POLICY_CAMERA
 from repro.sensors import camera as camera_module
 from repro.sensors.camera import (
     BevCamera,
@@ -42,6 +45,7 @@ CONFIG = ScenarioConfig()
 VEHICLE = CONFIG.vehicle
 SIZE = (VEHICLE.length, VEHICLE.width)
 BEV = BevCamera()
+POLICY_BEV = BevCamera(POLICY_CAMERA)
 PANORAMA = PanoramaCamera(PanoramaCameraConfig(height=12, width=40))
 
 yaws = st.one_of(
@@ -99,6 +103,16 @@ def cloud(camera, x: float, y: float, yaw: float) -> np.ndarray:
     return camera._local @ rot.T + np.array([x, y])
 
 
+def batch_cloud(camera, batch: BatchWorld) -> tuple[np.ndarray, np.ndarray]:
+    """The world points ``(px, py)``, each ``[N, P]``, that
+    ``camera.render_batch`` classifies, computed as it computes them."""
+    cos_yaw, sin_yaw = np.cos(batch.yaw[:, :1]), np.sin(batch.yaw[:, :1])
+    lx, ly = camera._local[:, 0], camera._local[:, 1]
+    px = lx * cos_yaw - ly * sin_yaw + batch.x[:, :1]
+    py = lx * sin_yaw + ly * cos_yaw + batch.y[:, :1]
+    return px, py
+
+
 @st.composite
 def near_contact_rows(draw, camera):
     """Ego poses and NPC poses near contact with the ego or near the edge
@@ -128,8 +142,12 @@ def near_contact_rows(draw, camera):
                 index, outward = draw(st.sampled_from(extremes))
                 pose = draw(near(points[index], None, *SIZE, bearing=outward))
             else:
+                # Bearings relative to the ego heading, so the sampled
+                # ones run along the grid axes: a corner there is where a
+                # just-too-small lattice window misses a painted point.
                 index = draw(st.integers(0, len(points) - 1))
-                pose = draw(near(points[index], None, *SIZE))
+                bearing = normalize_angle(eyaw + draw(yaws))
+                pose = draw(near(points[index], None, *SIZE, bearing=bearing))
             x[i, j], y[i, j], yaw[i, j] = pose
     done = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     return x, y, yaw, done
@@ -286,6 +304,13 @@ def brute_classify(world: World, points: np.ndarray) -> np.ndarray:
     return classes
 
 
+def assert_batch_render_exact(camera, batch: BatchWorld) -> None:
+    """``render_batch`` equals every NPC painted on every point."""
+    grids = camera.render_batch(batch)
+    reference = brute_classify_batch(batch, *batch_cloud(camera, batch))
+    assert np.array_equal(grids, reference.reshape(grids.shape))
+
+
 # -- the culled sites against the references --------------------------------
 
 
@@ -322,15 +347,15 @@ class TestBroadphaseMatchesBruteForce:
         assert np.array_equal(kind, ref_kind)
         assert np.array_equal(other, ref_other)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(near_contact_rows(BEV))
     def test_render_batch(self, rows):
-        batch = make_batch(*rows)
-        grids = BEV.render_batch(batch)
-        with mock.patch.object(
-            camera_module, "_classify_points_batch", brute_classify_batch
-        ):
-            assert np.array_equal(grids, BEV.render_batch(batch))
+        assert_batch_render_exact(BEV, make_batch(*rows))
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_contact_rows(POLICY_BEV))
+    def test_render_batch_policy_camera(self, rows):
+        assert_batch_render_exact(POLICY_BEV, make_batch(*rows))
 
     @settings(max_examples=100, deadline=None)
     @given(near_contact_rows(BEV))
