@@ -3,16 +3,19 @@
 ``repro.telemetry`` produces JSONL episode traces, metrics snapshots, and
 span timings; this package *reads* them:
 
+* :mod:`repro.obsv.store` — SQLite telemetry store: a rebuildable index
+  of trace files and snapshots with a filter/aggregate query API, plus
+  the two functions every reader below goes through — ``open_run`` turns
+  a trace file, run directory or store into a store, ``load_snapshot``
+  reads a snapshot from a JSON file or a store.
 * :mod:`repro.obsv.forensics` — per-episode post-mortems: lurk/strike
   phase segmentation, safety-margin timelines, collision geometry.
 * :mod:`repro.obsv.replay` — re-simulates a recorded episode from its
   seed and diffs the regenerated tick stream against the trace.
 * :mod:`repro.obsv.dashboard` — aggregates traces + metrics + bench
-  telemetry into one markdown/HTML dashboard (JSONL- or store-backed).
+  telemetry of one run into one markdown/HTML dashboard.
 * :mod:`repro.obsv.regress` — compares ``BENCH_telemetry.json`` files and
   flags perf/behaviour regressions against a committed baseline.
-* :mod:`repro.obsv.store` — SQLite telemetry store: ingests traces and
-  metrics snapshots into indexed tables with a filter/aggregate query API.
 * :mod:`repro.obsv.alerts` — watchdog rules (NaN loss, Q divergence,
   entropy collapse, reward plateau, buffer starvation, throughput
   regression) over streaming trace events.
@@ -28,53 +31,9 @@ span timings; this package *reads* them:
   correction) and the metric-snapshot regression gate behind
   ``obsv regress --metrics``.
 
+The package re-exports nothing, so importing one submodule (the training
+loop imports :mod:`repro.obsv.alerts`) does not import the others.
+
 Entry point: ``python -m repro.obsv
-{forensics,replay,dashboard,compare,regress,ingest,query,watch,serve}``.
+{forensics,replay,dashboard,compare,regress,profile,ingest,query,watch,serve,verify-artifacts}``.
 """
-
-from repro.obsv.alerts import Alert, WatchConfig, Watchdog
-from repro.obsv.compare import (
-    RunComparison,
-    StatConfig,
-    compare_metric_snapshots,
-    compare_runs,
-    load_run,
-    metric_snapshot,
-)
-from repro.obsv.forensics import EpisodeForensics, Phase, analyze, segment_phases
-from repro.obsv.loader import EpisodeTrace, load_episodes, split_episodes
-from repro.obsv.regress import Breach, RegressionThresholds, compare_snapshots
-from repro.obsv.replay import FieldDiff, ReplayError, ReplayReport, replay_episode
-from repro.obsv.store import TelemetryStore, export_csv, is_store_path
-from repro.obsv.watch import WatchState, watch_trace
-
-__all__ = [
-    "Alert",
-    "Breach",
-    "RunComparison",
-    "StatConfig",
-    "compare_metric_snapshots",
-    "compare_runs",
-    "load_run",
-    "metric_snapshot",
-    "EpisodeForensics",
-    "EpisodeTrace",
-    "FieldDiff",
-    "Phase",
-    "RegressionThresholds",
-    "ReplayError",
-    "ReplayReport",
-    "TelemetryStore",
-    "WatchConfig",
-    "WatchState",
-    "Watchdog",
-    "analyze",
-    "compare_snapshots",
-    "export_csv",
-    "is_store_path",
-    "load_episodes",
-    "replay_episode",
-    "segment_phases",
-    "split_episodes",
-    "watch_trace",
-]

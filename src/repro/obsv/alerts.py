@@ -79,22 +79,25 @@ class WatchConfig:
 
     @classmethod
     def from_env(cls, **overrides) -> "WatchConfig":
-        """Defaults, overridden by ``REPRO_WATCH_*`` env vars, then kwargs."""
+        """Defaults, overridden by ``REPRO_WATCH_*`` env vars, then kwargs.
+
+        A set variable that does not parse raises ``ValueError``.
+        """
         values: dict = {}
-        for fld, env in _ENV_FLOATS.items():
-            raw = os.environ.get(env, "").strip()
-            if raw:
+        for fields, parse, what in (
+            (_ENV_FLOATS, float, "a number"),
+            (_ENV_INTS, int, "an integer"),
+        ):
+            for fld, env in fields.items():
+                raw = os.environ.get(env, "").strip()
+                if not raw:
+                    continue
                 try:
-                    values[fld] = float(raw)
+                    values[fld] = parse(raw)
                 except ValueError:
-                    pass
-        for fld, env in _ENV_INTS.items():
-            raw = os.environ.get(env, "").strip()
-            if raw:
-                try:
-                    values[fld] = int(raw)
-                except ValueError:
-                    pass
+                    raise ValueError(
+                        f"{env} must be {what}, got {raw!r}"
+                    ) from None
         values.update(
             {k: v for k, v in overrides.items() if v is not None}
         )

@@ -6,21 +6,19 @@ Subcommands:
   ``--json``); ``--episode ID`` picks one episode, default analyses all.
 * ``replay <trace.jsonl>`` — re-simulate episodes from their seeds and
   diff against the recording; exits 1 on any out-of-tolerance field.
-* ``dashboard <dir|store.sqlite>`` — aggregate traces + metrics + bench
-  telemetry into markdown (or ``--html``); accepts either a run
-  directory of JSONL traces or an ingested telemetry store.
+* ``dashboard <run>`` — aggregate traces + metrics + bench telemetry
+  into markdown (or ``--html``).
 * ``compare <a> <b>`` — statistical A/B comparison of two recorded runs
-  (trace files, run directories, or stores; ``--run-a``/``--run-b``
-  pick labelled runs inside a store, and are refused on any other
-  source): seeded bootstrap CIs, permutation
-  tests, effect sizes, Holm correction. Deterministic under a fixed
-  ``--stat-seed``; ``--json``/``--html`` for machine/browser output.
+  (``--run-a``/``--run-b`` pick the labelled run inside either side):
+  seeded bootstrap CIs, permutation tests, effect sizes, Holm
+  correction. Deterministic under a fixed ``--stat-seed``;
+  ``--json``/``--html`` for machine/browser output.
 * ``regress <current> <baseline>`` — compare bench telemetry snapshots
   (JSON files or stores holding one); exits 1 on threshold breaches
   (``--json`` for the machine-readable breach report). With
   ``--metrics`` the comparison is *scientific* instead: current
-  episode metrics (from a metric snapshot JSON, trace, run directory,
-  or store) are gated against a committed baseline's bootstrap CIs
+  episode metrics (from a metric snapshot JSON or any run) are gated
+  against a committed baseline's bootstrap CIs
   (``benchmarks/BASELINE_metrics.json``).
 * ``profile [snapshot]`` — self-time attribution, FLOP rates, and
   allocation figures from a profile/bench snapshot (or ``--demo`` for a
@@ -38,6 +36,10 @@ Subcommands:
 * ``verify-artifacts [dir]`` — audit every ``.npz`` checkpoint under a
   directory (default ``artifacts/``) with checksum/load validation;
   exits 1 on corruption.
+
+A run (``<run>``, ``<a>``, ``<b>``) is a JSONL trace file, a run
+directory of them, or a telemetry store; traces and directories are
+ingested into memory on every read (``ingest`` pays for that once).
 """
 
 from __future__ import annotations
@@ -51,18 +53,14 @@ from repro.obsv import forensics as forensics_mod
 from repro.obsv import regress as regress_mod
 from repro.obsv import replay as replay_mod
 from repro.obsv.alerts import WatchConfig
-from repro.obsv.dashboard import (
-    build_dashboard,
-    build_dashboard_from_store,
-    to_html,
-)
+from repro.obsv.dashboard import build_dashboard, to_html
 from repro.obsv.loader import load_episodes, select_episode
 from repro.obsv.store import (
     DEFAULT_STORE_NAME,
     GROUP_KEYS,
     TelemetryStore,
     export_csv,
-    is_store_path,
+    load_snapshot,
 )
 from repro.obsv.watch import DRIFT_MIN_N, watch_trace
 from repro.telemetry.log import get_logger
@@ -128,29 +126,12 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_dashboard(args) -> int:
-    target = Path(args.dir)
-    if target.is_file() and is_store_path(target):
-        markdown = build_dashboard_from_store(target)
-    else:
-        markdown = build_dashboard(
-            args.dir, metrics_path=args.metrics, bench_path=args.bench
-        )
+    try:
+        markdown = build_dashboard(args.dir)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"dashboard: {error}")
     _emit(to_html(markdown) if args.html else markdown, args.out)
     return 0
-
-
-def _load_bench_snapshot(path: str) -> dict:
-    """A bench snapshot from a JSON file or an ingested telemetry store."""
-    target = Path(path)
-    if target.is_file() and is_store_path(target):
-        with TelemetryStore(target) as store:
-            snapshot = store.snapshot("BENCH_telemetry.json")
-        if snapshot is None:
-            raise SystemExit(
-                f"store {path} holds no BENCH_telemetry.json snapshot"
-            )
-        return snapshot
-    return json.loads(target.read_text(encoding="utf-8"))
 
 
 def _cmd_compare(args) -> int:
@@ -222,37 +203,15 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _metrics_snapshot_from(path: str) -> dict:
-    """A metric snapshot document from a JSON file or a telemetry store."""
-    from repro.obsv import compare as compare_mod
-
-    target = Path(path)
-    if target.is_file() and is_store_path(target):
-        with TelemetryStore(target) as store:
-            for name in store.snapshots():
-                snapshot = store.snapshot(name)
-                if compare_mod.is_metric_snapshot(snapshot):
-                    return snapshot
-        raise SystemExit(f"store {path} holds no metric snapshot")
-    try:
-        document = json.loads(target.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise SystemExit(f"regress: baseline not found: {path}")
-    except ValueError:
-        raise SystemExit(f"regress: baseline is not JSON: {path}")
-    if not compare_mod.is_metric_snapshot(document):
-        raise SystemExit(
-            f"regress: {path} is not a metric snapshot (kind != 'metrics')"
-        )
-    return document
-
-
 def _cmd_regress_metrics(args) -> int:
     from repro.obsv import compare as compare_mod
 
-    baseline = _metrics_snapshot_from(args.baseline)
-    stat = compare_mod.stat_config_from_snapshot(baseline)
-    current = compare_mod.load_metric_source(args.current, stat)
+    try:
+        baseline = load_snapshot(args.baseline, kind="metrics")
+        stat = compare_mod.stat_config_from_snapshot(baseline)
+        current = compare_mod.load_metric_source(args.current, stat)
+    except ValueError as error:
+        raise SystemExit(f"regress: {error}")
     if current is None:
         sys.stderr.write(
             f"regress: no metrics available from {args.current}\n"
@@ -278,11 +237,12 @@ def _cmd_regress(args) -> int:
             span_mean_ratio=args.max_ratio,
             span_self_ratio=args.max_ratio,
         )
-    breaches = regress_mod.compare_snapshots(
-        _load_bench_snapshot(args.current),
-        _load_bench_snapshot(args.baseline),
-        thresholds,
-    )
+    try:
+        current = load_snapshot(args.current)
+        baseline = load_snapshot(args.baseline)
+    except ValueError as error:
+        raise SystemExit(f"regress: {error}")
+    breaches = regress_mod.compare_snapshots(current, baseline, thresholds)
     if args.json:
         sys.stdout.write(regress_mod.report_json(breaches))
     else:
@@ -329,7 +289,10 @@ def _profile_from_snapshot(path: str):
     from repro.obsv.prof import ProfileReport
     from repro.obsv.prof.selftime import root_total_s
 
-    snapshot = _load_bench_snapshot(path)
+    try:
+        snapshot = load_snapshot(path)
+    except ValueError as error:
+        raise SystemExit(f"profile: {error}")
     if snapshot.get("kind") == "profile":
         return ProfileReport(
             wall_clock_s=float(snapshot.get("wall_clock_s", 0.0)),
@@ -364,6 +327,14 @@ def _cmd_profile(args) -> int:
         report = _profile_from_snapshot(args.input)
     else:
         raise SystemExit("profile needs an input snapshot or --demo")
+    try:
+        text = (
+            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+            if args.json
+            else report.to_markdown(top=args.top)
+        )
+    except ValueError as error:  # a span snapshot without self times
+        raise SystemExit(f"profile: {args.input}: {error}")
     if args.flamegraph:
         report.flamegraph_html(path=args.flamegraph)
         log.info("obsv.profile.flamegraph", path=args.flamegraph)
@@ -373,13 +344,7 @@ def _cmd_profile(args) -> int:
             "obsv.profile.bundle",
             **{key: str(value) for key, value in paths.items()},
         )
-    if args.json:
-        _emit(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
-            args.out,
-        )
-    else:
-        _emit(report.to_markdown(top=args.top), args.out)
+    _emit(text, args.out)
     return 0
 
 
@@ -506,6 +471,15 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_watch(args) -> int:
+    try:
+        baseline = (
+            None
+            if args.baseline_metrics is None
+            else load_snapshot(args.baseline_metrics, kind="metrics")
+        )
+    except ValueError as error:
+        sys.stderr.write(f"watch: {error}\n")
+        return 1
     config = WatchConfig.from_env(
         q_limit=args.q_limit,
         entropy_floor=args.entropy_floor,
@@ -523,7 +497,7 @@ def _cmd_watch(args) -> int:
         write_alerts=not args.no_write_alerts,
         idle_exit=args.idle_exit,
         on_alert=args.on_alert,
-        baseline_metrics=args.baseline_metrics,
+        baseline_metrics=baseline,
         drift_min_n=args.drift_min_n,
     )
 
@@ -566,13 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
     repl.set_defaults(fn=_cmd_replay)
 
     dash = sub.add_parser(
-        "dashboard", help="aggregate a run directory into one document"
+        "dashboard", help="aggregate a run into one document"
     )
     dash.add_argument(
-        "dir", help="directory holding *.jsonl traces, or a telemetry store"
+        "dir",
+        help="run directory of *.jsonl traces, trace file, or telemetry"
+             " store",
     )
-    dash.add_argument("--metrics", help="metrics snapshot JSON path")
-    dash.add_argument("--bench", help="BENCH_telemetry.json path")
     dash.add_argument("--html", action="store_true",
                       help="emit a self-contained HTML page")
     dash.add_argument("--out", help="write to this file instead of stdout")
@@ -592,12 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     comp.add_argument(
         "--run-a", default=None,
-        help="run label inside store A (the REPRO_RUN_ID it was recorded"
-             " under); refused unless A is a store",
+        help="run label inside A (the REPRO_RUN_ID it was recorded under)",
     )
     comp.add_argument(
-        "--run-b", default=None,
-        help="run label inside store B; refused unless B is a store",
+        "--run-b", default=None, help="run label inside B",
     )
     comp.add_argument(
         "--stat-seed", type=int, default=0,
@@ -839,8 +811,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wat.add_argument(
         "--baseline-metrics", metavar="FILE", default=None,
-        help="metric snapshot (obsv compare --snapshot) to annotate"
-             " live per-cell drift against",
+        help="metric snapshot (obsv compare --snapshot), or a store"
+             " holding one, to annotate live per-cell drift against",
     )
     wat.add_argument(
         "--drift-min-n", type=int, default=DRIFT_MIN_N,

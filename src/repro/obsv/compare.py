@@ -31,7 +31,6 @@ cancels scenario difficulty and typically tightens CIs several-fold.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,6 +41,7 @@ from repro.core.injection import ACTIVE_THRESHOLD
 from repro.obsv.loader import EpisodeTrace
 from repro.obsv.regress import Breach
 from repro.obsv.render import fmt, markdown_table
+from repro.obsv.store import load_snapshot, open_run
 
 #: Version stamp written into metric snapshots.
 METRICS_SCHEMA_VERSION = 1
@@ -617,10 +617,6 @@ def stat_config_from_snapshot(document: dict) -> StatConfig:
     )
 
 
-def is_metric_snapshot(document: object) -> bool:
-    return isinstance(document, dict) and document.get("kind") == "metrics"
-
-
 def compare_metric_snapshots(
     current: dict,
     baseline: dict,
@@ -665,13 +661,7 @@ def compare_metric_snapshots(
     return breaches
 
 
-# -- input resolution (traces / dirs / stores) --------------------------------------
-
-
-def _provenance_from_events(events) -> dict | None:
-    from repro.telemetry.provenance import scan_provenance
-
-    return scan_provenance(events)
+# -- run sources (traces / dirs / stores) -------------------------------------------
 
 
 def load_run(
@@ -680,65 +670,29 @@ def load_run(
 ) -> tuple[list[EpisodeTrace], dict | None, str]:
     """Episodes + provenance + display label from one run source.
 
-    Accepts a JSONL trace file, a run directory (every ``*.jsonl`` in
-    it), or a telemetry store (optionally narrowed to one run ``label``).
-    Missing/empty sources return no episodes rather than raising — the
-    CLI degrades with a warning instead of a traceback. A ``label`` on a
-    trace file or a run directory of traces raises ``ValueError``: only
-    a store can narrow to one run.
+    ``source`` is anything :func:`repro.obsv.store.open_run` accepts: a
+    JSONL trace file, a run directory (every ``*.jsonl`` in it), or a
+    telemetry store. ``label`` narrows it to the trace files of one
+    labelled run (the ``REPRO_RUN_ID`` they were recorded under). A
+    missing source returns no episodes rather than raising — the CLI
+    degrades with a warning instead of a traceback.
     """
-    from repro.obsv.store import TelemetryStore, is_store_path
-    from repro.telemetry.trace import read_trace, validate_event
-
-    source = Path(source)
-    if not source.exists():
-        return [], None, str(source)
-    if source.is_dir():
-        store_path = source / "obsv.sqlite"
-        trace_paths = sorted(source.glob("*.jsonl"))
-        if not trace_paths and store_path.exists():
-            return load_run(store_path, label=label)
-        if label is not None:
-            raise ValueError(
-                f"run label {label!r} needs a telemetry store, but"
-                f" {source} is a run directory of traces"
-            )
-        episodes: list[EpisodeTrace] = []
-        provenance = None
-        for path in trace_paths:
-            events = [
-                e for e in read_trace(path) if not validate_event(e)
-            ]
-            if provenance is None:
-                provenance = _provenance_from_events(events)
-            from repro.obsv.loader import split_episodes
-
-            episodes.extend(split_episodes(events))
-        return episodes, provenance, source.name
-    if is_store_path(source):
-        with TelemetryStore(source) as store:
+    try:
+        with open_run(source) as store:
             episodes = store.episodes(label=label)
-            rows = store.run_provenance()
-            if label is not None:
-                rows = [r for r in rows if r["label"] == label]
             provenance = next(
-                (r["provenance"] for r in rows if r["provenance"]), None
+                (
+                    row["provenance"]
+                    for row in store.run_provenance()
+                    if row["provenance"]
+                    and (label is None or row["label"] == label)
+                ),
+                None,
             )
-        name = source.name if label is None else f"{source.name}:{label}"
-        return episodes, provenance, name
-    if label is not None:
-        raise ValueError(
-            f"run label {label!r} needs a telemetry store, but {source}"
-            " is a trace file"
-        )
-    events = [e for e in read_trace(source) if not validate_event(e)]
-    from repro.obsv.loader import split_episodes
-
-    return (
-        split_episodes(events),
-        _provenance_from_events(events),
-        source.name,
-    )
+    except FileNotFoundError:
+        return [], None, str(source)
+    name = Path(source).name
+    return episodes, provenance, name if label is None else f"{name}:{label}"
 
 
 def load_metric_source(source: str | Path, stat: StatConfig) -> dict | None:
@@ -746,17 +700,13 @@ def load_metric_source(source: str | Path, stat: StatConfig) -> dict | None:
 
     ``obsv regress --metrics`` accepts either a precomputed snapshot
     document or traces/dirs/stores, which are snapshotted on the fly
-    with the baseline's stat config so CIs line up.
+    with the baseline's stat config so CIs line up. A ``.json`` file
+    that is not a metric snapshot raises ``ValueError``; a run source
+    without episodes gives None.
     """
     path = Path(source)
     if path.is_file() and path.suffix == ".json":
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError:
-            return None
-        if is_metric_snapshot(document):
-            return document
-        return None
+        return load_snapshot(path, kind="metrics")
     episodes, provenance, _ = load_run(path)
     if not episodes:
         return None

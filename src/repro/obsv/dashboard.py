@@ -1,6 +1,10 @@
-"""Experiment dashboard: one document summarizing a run directory.
+"""Experiment dashboard: one document summarizing a run.
 
-Aggregates three artifact families the observability layer produces:
+A run is anything :func:`repro.obsv.store.open_run` accepts — a run
+directory, a JSONL trace or a telemetry store — and every form renders
+through the store, so a run directory and the store ``obsv ingest``
+built from it give the same document. It aggregates three artifact
+families the observability layer produces:
 
 * **episode traces** (``*.jsonl``) — per (victim, attacker, budget) cell:
   episode counts, side-collision (attack success) and collision rates,
@@ -18,12 +22,12 @@ self-contained HTML page.
 from __future__ import annotations
 
 import html as _html
-import json
 from pathlib import Path
 
 from repro.core.injection import ACTIVE_THRESHOLD
-from repro.obsv.loader import EpisodeTrace, load_episodes
+from repro.obsv.loader import EpisodeTrace
 from repro.obsv.render import fmt, markdown_table, sparkline
+from repro.obsv.store import open_run
 
 #: Hex digits of git SHA / config hash shown in the provenance table.
 _SHORT_HASH = 10
@@ -78,67 +82,31 @@ def _episode_rows(episodes: list[EpisodeTrace]) -> list[list[str]]:
     return rows
 
 
-def _scan_trace_provenance(path: Path) -> dict:
-    """Label + provenance summary of one trace file (dir-walk backend).
-
-    Mirrors the hoisting :meth:`repro.obsv.store.TelemetryStore.ingest_trace`
-    performs — the run label is the first cross-process ``run`` stamp, the
-    rest comes from the trace's ``provenance`` event — so the dashboard's
-    provenance table is byte-identical between both backends.
-    """
-    label = prov = None
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue
-                if not isinstance(event, dict):
-                    continue
-                if label is None and event.get("run") is not None:
-                    label = str(event["run"])
-                if prov is None and event.get("event") == "provenance":
-                    prov = event
-                if label is not None and prov is not None:
-                    break
-    except OSError:
-        pass
-    prov = prov or {}
-    return {
-        "source": path.name,
-        "label": label,
-        "git_sha": prov.get("git_sha"),
-        "dirty": prov.get("git_dirty"),
-        "config_hash": prov.get("config_hash"),
-    }
-
-
 def _short(value: str | None) -> str:
     if not value:
         return "-"
     return value if value == "unknown" else value[:_SHORT_HASH]
 
 
-def _provenance_section(rows: list[dict] | None) -> list[str]:
-    """Markdown for the run-provenance table (empty when nothing known)."""
-    rows = rows or []
-    if not any(r.get("git_sha") or r.get("label") for r in rows):
+def _provenance_section(rows: list[dict]) -> list[str]:
+    """Markdown for the run-provenance table (empty when nothing known).
+
+    ``rows`` are :meth:`~repro.obsv.store.TelemetryStore.run_provenance`
+    rows.
+    """
+    if not any(r["git_sha"] or r["label"] for r in rows):
         return []
     lines = ["## Run provenance", ""]
     table = []
-    for row in sorted(rows, key=lambda r: str(r.get("source", ""))):
-        dirty = row.get("dirty")
+    for row in sorted(rows, key=lambda r: Path(r["source"]).name):
+        dirty = row["dirty"]
         table.append(
             [
-                f"`{row.get('source', '?')}`",
-                str(row.get("label") or "-"),
-                _short(row.get("git_sha")),
+                f"`{Path(row['source']).name}`",
+                str(row["label"] or "-"),
+                _short(row["git_sha"]),
                 "-" if dirty is None else ("yes" if dirty else "no"),
-                _short(row.get("config_hash")),
+                _short(row["config_hash"]),
             ]
         )
     lines.extend(
@@ -148,15 +116,6 @@ def _provenance_section(rows: list[dict] | None) -> list[str]:
     )
     lines.append("")
     return lines
-
-
-def _load_json(path: str | Path | None) -> dict | None:
-    if path is None:
-        return None
-    path = Path(path)
-    if not path.exists():
-        return None
-    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _detector_section(counters: dict, gauges: dict) -> list[str]:
@@ -173,23 +132,23 @@ def _detector_section(counters: dict, gauges: dict) -> list[str]:
     return lines
 
 
-def _render_dashboard(
-    source_label: str,
-    episodes: list[EpisodeTrace],
-    trace_file_count: int,
-    metrics: dict | None,
-    metrics_name: str,
-    bench: dict | None,
-    bench_name: str,
-    max_spans: int = 12,
-    provenance_rows: list[dict] | None = None,
-) -> str:
-    """Render the markdown document from already-loaded inputs.
+def build_dashboard(source: str | Path, max_spans: int = 12) -> str:
+    """Render the markdown dashboard for one run.
 
-    Both backends — the JSONL directory walk and the SQLite telemetry
-    store — feed this renderer, which is what keeps their output
-    byte-identical for the same run directory.
+    ``source`` is a run directory (its ``*.jsonl`` traces plus
+    ``EXPERIMENTS_metrics.json`` / ``BENCH_telemetry.json``), a trace
+    file, or a telemetry store.
     """
+    with open_run(source) as store:
+        source_label = store.get_meta("source_dir") or str(source)
+        episodes = store.episodes()
+        trace_file_count = sum(
+            1 for info in store.runs() if info.kind == "trace"
+        )
+        metrics = store.snapshot("EXPERIMENTS_metrics.json")
+        bench = store.snapshot("BENCH_telemetry.json")
+        provenance_rows = store.run_provenance()
+
     lines: list[str] = ["# Experiment dashboard", ""]
     out = lines.append
     out(f"Source directory: `{source_label}`")
@@ -222,7 +181,7 @@ def _render_dashboard(
         gauges = metrics.get("gauges", {})
         lines.extend(_detector_section(counters, gauges))
         if counters:
-            out(f"## Counters (`{metrics_name}`)")
+            out("## Counters (`EXPERIMENTS_metrics.json`)")
             out("")
             rows = [[f"`{name}`", fmt(value, 0)]
                     for name, value in sorted(counters.items())]
@@ -230,7 +189,7 @@ def _render_dashboard(
             out("")
 
     if bench is not None:
-        out(f"## Bench telemetry (`{bench_name}`)")
+        out("## Bench telemetry (`BENCH_telemetry.json`)")
         out("")
         out(
             f"Session wall-clock {fmt(bench.get('wall_clock_s'), 1)} s on"
@@ -261,86 +220,6 @@ def _render_dashboard(
             )
             out("")
     return "\n".join(lines) + "\n"
-
-
-def build_dashboard(
-    trace_dir: str | Path,
-    metrics_path: str | Path | None = None,
-    bench_path: str | Path | None = None,
-    max_spans: int = 12,
-) -> str:
-    """Render the markdown dashboard for one run directory.
-
-    ``metrics_path``/``bench_path`` default to ``EXPERIMENTS_metrics.json``
-    and ``BENCH_telemetry.json`` inside (or next to) ``trace_dir``.
-    """
-    trace_dir = Path(trace_dir)
-    if metrics_path is None:
-        metrics_path = trace_dir / "EXPERIMENTS_metrics.json"
-    if bench_path is None:
-        bench_path = trace_dir / "BENCH_telemetry.json"
-
-    trace_files = sorted(trace_dir.glob("*.jsonl"))
-    episodes: list[EpisodeTrace] = []
-    provenance_rows: list[dict] = []
-    for path in trace_files:
-        episodes.extend(load_episodes(path))
-        provenance_rows.append(_scan_trace_provenance(path))
-    return _render_dashboard(
-        str(trace_dir),
-        episodes,
-        len(trace_files),
-        _load_json(metrics_path),
-        Path(metrics_path).name,
-        _load_json(bench_path),
-        Path(bench_path).name,
-        max_spans=max_spans,
-        provenance_rows=provenance_rows,
-    )
-
-
-def build_dashboard_from_store(
-    store_path: str | Path, max_spans: int = 12
-) -> str:
-    """Render the same dashboard from an ingested telemetry store.
-
-    For a store populated by ``TelemetryStore.ingest_dir`` the output is
-    identical to :func:`build_dashboard` over the original directory —
-    no JSONL re-parsing involved.
-    """
-    from repro.obsv.store import TelemetryStore
-
-    with TelemetryStore(store_path) as store:
-        source = store.get_meta("source_dir") or str(store_path)
-        episodes = store.episodes()
-        trace_file_count = sum(
-            1 for info in store.runs() if info.kind == "trace"
-        )
-        metrics = store.snapshot("EXPERIMENTS_metrics.json")
-        bench = store.snapshot("BENCH_telemetry.json")
-        provenance_rows = [
-            {
-                "source": Path(row["source"]).name,
-                "label": row["label"],
-                "git_sha": row["git_sha"],
-                "dirty": (
-                    None if row["dirty"] is None else bool(row["dirty"])
-                ),
-                "config_hash": row["config_hash"],
-            }
-            for row in store.run_provenance()
-        ]
-    return _render_dashboard(
-        source,
-        episodes,
-        trace_file_count,
-        metrics,
-        "EXPERIMENTS_metrics.json",
-        bench,
-        "BENCH_telemetry.json",
-        max_spans=max_spans,
-        provenance_rows=provenance_rows,
-    )
 
 
 _HTML_TEMPLATE = """<!DOCTYPE html>

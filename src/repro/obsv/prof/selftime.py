@@ -8,14 +8,11 @@ frame. Summed over every path it reconstructs the root spans' inclusive
 total exactly, which is what lets a profile claim "these rows account
 for the session".
 
-Two sources feed this module:
-
-* schema-2 snapshots (``BENCH_telemetry.json`` written by the bench
-  conftest, or any :meth:`Tracer.snapshot`) carry exact
-  ``self_total_s`` per span from the tracer's child bookkeeping;
-* schema-1 snapshots (older baselines) lack it, so self time is derived
-  from the path tree (``a/b`` is a direct child of ``a``) — exact unless
-  a span *name* itself contains ``/``.
+Its input is a schema-2 span snapshot (``BENCH_telemetry.json`` written
+by the bench conftest, a ``PROFILE_report.json``, or any
+:meth:`Tracer.snapshot`), which carries exact ``self_total_s`` per span
+from the tracer's child bookkeeping. A span without it (a schema-1
+snapshot) is refused.
 """
 
 from __future__ import annotations
@@ -41,34 +38,23 @@ class SelfTimeRow:
     self_frac: float
 
 
-def _derived_self(spans: dict[str, dict]) -> dict[str, float]:
-    """Self time per path from the path tree (schema-1 fallback)."""
-    child_sum: dict[str, float] = {path: 0.0 for path in spans}
-    for path, stats in spans.items():
-        if "/" not in path:
-            continue
-        parent = path.rsplit("/", 1)[0]
-        if parent in child_sum:
-            child_sum[parent] += float(stats.get("total_s", 0.0))
-    return {
-        path: max(float(stats.get("total_s", 0.0)) - child_sum[path], 0.0)
-        for path, stats in spans.items()
-    }
-
-
 def attribute(spans: dict[str, dict]) -> list[SelfTimeRow]:
-    """Self-time rows for a span snapshot, largest self time first."""
-    if not spans:
-        return []
-    fallback = None
-    self_times: dict[str, float] = {}
-    for path, stats in spans.items():
-        if "self_total_s" in stats:
-            self_times[path] = float(stats["self_total_s"])
-        else:
-            if fallback is None:
-                fallback = _derived_self(spans)
-            self_times[path] = fallback[path]
+    """Self-time rows for a span snapshot, largest self time first.
+
+    Raises ``ValueError`` naming the first span without ``self_total_s``.
+    """
+    missing = next(
+        (path for path, stats in spans.items() if "self_total_s" not in stats),
+        None,
+    )
+    if missing is not None:
+        raise ValueError(
+            f"span {missing!r} has no self_total_s (a schema-1 snapshot?);"
+            " self time needs a schema-2 span snapshot"
+        )
+    self_times = {
+        path: float(stats["self_total_s"]) for path, stats in spans.items()
+    }
     grand_total = sum(self_times.values())
     rows = []
     for path, stats in spans.items():

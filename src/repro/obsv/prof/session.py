@@ -61,11 +61,12 @@ class ProfileConfig:
         try:
             hz = float(raw_hz) if raw_hz else 0.0
         except ValueError:
-            hz = 0.0
-        return cls(
-            hz=max(hz, 0.0),
-            mem=parse_mem_spec(env.get("REPRO_PROF_MEM")),
-        )
+            hz = -1.0
+        if not 0.0 <= hz < float("inf"):
+            raise ValueError(
+                f"REPRO_PROF_HZ must be a non-negative number, got {raw_hz!r}"
+            )
+        return cls(hz=hz, mem=parse_mem_spec(env.get("REPRO_PROF_MEM")))
 
 
 class FlopSpanProbe(SpanProbe):

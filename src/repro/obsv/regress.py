@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 
 def _env_ratio(default: float = 1.5) -> float:
@@ -201,17 +200,6 @@ def compare_snapshots(
                 )
             )
     return breaches
-
-
-def compare_files(
-    current_path: str | Path,
-    baseline_path: str | Path,
-    thresholds: RegressionThresholds | None = None,
-) -> list[Breach]:
-    """:func:`compare_snapshots` over two JSON files."""
-    current = json.loads(Path(current_path).read_text(encoding="utf-8"))
-    baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-    return compare_snapshots(current, baseline, thresholds)
 
 
 def report(breaches: list[Breach]) -> str:

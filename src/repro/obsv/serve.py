@@ -44,11 +44,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.obsv.alerts import WatchConfig, Watchdog
 from repro.obsv.compare import StatConfig, compare_runs, load_run
-from repro.obsv.dashboard import (
-    _HTML_TEMPLATE,
-    build_dashboard_from_store,
-    to_html,
-)
+from repro.obsv.dashboard import _HTML_TEMPLATE, build_dashboard, to_html
 from repro.obsv.store import DEFAULT_STORE_NAME, TelemetryStore, is_store_path
 from repro.obsv.watch import MultiTail
 from repro.telemetry.log import get_logger
@@ -360,7 +356,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _page_dashboard(self, html: bool) -> None:
         self.app.refresh_store()
-        markdown = build_dashboard_from_store(self.app.store_path)
+        markdown = build_dashboard(self.app.store_path)
         if html:
             self._send(to_html(markdown), "text/html; charset=utf-8")
         else:

@@ -1,4 +1,4 @@
-"""SQLite-backed telemetry store: ingest traces once, query them forever.
+"""SQLite-backed telemetry store: a rebuildable index of trace files.
 
 The JSONL traces the telemetry layer emits are append-friendly but
 read-hostile: every dashboard render, regression check, or ad-hoc
@@ -8,36 +8,43 @@ files and metrics/bench snapshots into an indexed SQLite database
 dashboard, ``repro.obsv regress``, and the ``query`` subcommand — hit
 indexes instead of re-decoding JSON lines.
 
-Layout (schema version 5):
+Layout (schema version 6):
 
 * ``runs``      — one row per ingested source file (trace or snapshot),
   keyed by absolute path with mtime/size for change detection; re-ingest
-  of an unchanged file is a no-op, a changed file is replaced. Since v4
-  each trace run also hoists its **provenance**: the run label (the
-  ``run`` field ``REPRO_RUN_ID`` stamps on each record), the git SHA /
-  dirty flag / config hash from the trace's ``provenance`` event
+  of an unchanged file is a no-op, a changed file is replaced. Each trace
+  run also hoists its **provenance**: the run label (the ``run`` field
+  ``REPRO_RUN_ID`` stamps on each record), the git SHA / dirty flag /
+  config hash from the trace's ``provenance`` event
   (:mod:`repro.telemetry.provenance`), and the full provenance payload —
   so "which runs came from commit X with config Y?" is one indexed
   query, and aggregates can group by run label, git SHA, or config hash.
 * ``events``    — one row per trace event. The full record is kept as a
   JSON payload column; the hot filter fields (kind, episode, loop, step,
-  tick, t, name) are hoisted into indexed columns. ``name`` (added in
-  v2) carries span paths from ``span``/``profile`` events, so per-span
-  self-time series are one indexed filter away.
+  tick, t, name) are hoisted into indexed columns. ``name`` carries span
+  paths from ``span``/``profile`` events, so per-span self-time series
+  are one indexed filter away.
 * ``snapshots`` — whole metrics / bench JSON documents by name
   (``EXPERIMENTS_metrics.json``, ``BENCH_telemetry.json``,
   ``PROFILE_report.json``, ...).
 * ``meta``      — key/value store (schema version, source directory).
 
-Opening an older store migrates it in place (``ALTER TABLE`` adding the
-``name`` column and the ``runs`` provenance columns, backfilled from
-payloads); stores newer than this build refuse to open. v5 dropped the
-``events.worker`` column: a v4 store keeps it, unused, and needs only
-the version stamp.
+Event payloads are strict JSON, so every field-level read (``series`` /
+``aggregate``) runs through SQLite's ``json1`` functions: a NaN field is
+written as ``null`` (it reads as missing), and ±inf as ``±1e999``, which
+``json1`` and :func:`json.loads` both read back as ±inf.
 
-Field-level reads (``series`` / ``aggregate``) use the SQLite ``json1``
-functions when available and fall back to decoding payloads in Python
-otherwise, so the store works on minimal SQLite builds too.
+The store indexes the files its ``runs`` table lists; it is never the
+only copy of them. Opening a store of an older schema rebuilds it from
+those files into a new file, which replaces the old one only after every
+source is re-ingested — a missing source raises ``ValueError`` and
+leaves the old store untouched. Stores newer than this build refuse to
+open.
+
+Every ``obsv`` reader goes through two functions here: :func:`open_run`
+turns a run argument (a trace file, a run directory or a store) into a
+store, and :func:`load_snapshot` reads a snapshot argument (a JSON file
+or a store).
 """
 
 from __future__ import annotations
@@ -45,11 +52,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import re
 import sqlite3
+import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from repro.obsv.loader import EpisodeTrace, split_episodes
 from repro.telemetry.log import get_logger
@@ -60,12 +71,12 @@ log = get_logger("obsv.store")
 #: Default store filename inside an ingested run directory.
 DEFAULT_STORE_NAME = "obsv.sqlite"
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Aggregations exposed by :meth:`TelemetryStore.aggregate` / the CLI.
 AGGREGATES = ("count", "mean", "min", "max", "sum")
 
-#: Provenance keys (hoisted onto ``runs`` in v4) usable as GROUP BY keys;
+#: Provenance keys (hoisted onto ``runs``) usable as GROUP BY keys;
 #: grouping by one joins events to their run row.
 PROVENANCE_KEYS = ("label", "git_sha", "config_hash")
 
@@ -106,6 +117,7 @@ CREATE TABLE IF NOT EXISTS events (
 CREATE INDEX IF NOT EXISTS idx_events_kind ON events(kind);
 CREATE INDEX IF NOT EXISTS idx_events_episode ON events(episode);
 CREATE INDEX IF NOT EXISTS idx_events_loop ON events(loop);
+CREATE INDEX IF NOT EXISTS idx_events_name ON events(name);
 CREATE TABLE IF NOT EXISTS snapshots (
     name    TEXT PRIMARY KEY,
     source  TEXT NOT NULL,
@@ -119,6 +131,23 @@ _RUN_COLUMNS = (
     "run_id, source, kind, events, mtime, size,"
     " label, git_sha, dirty, config_hash"
 )
+
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+_encode_lenient = json.JSONEncoder(separators=(",", ":")).encode
+#: A JSON string literal (kept as is), or a non-finite float token.
+_NON_FINITE = re.compile(r'("(?:[^"\\]|\\.)*")|-?Infinity|NaN')
+_STRICT_TOKENS = {"NaN": "null", "Infinity": "1e999", "-Infinity": "-1e999"}
+
+
+def _strict_json(value: object) -> str:
+    """``value`` as compact strict JSON: NaN as ``null``, ±inf as ±1e999."""
+    try:
+        return _encode(value)
+    except ValueError:
+        return _NON_FINITE.sub(
+            lambda match: match.group(1) or _STRICT_TOKENS[match.group()],
+            _encode_lenient(value),
+        )
 
 
 @dataclass(frozen=True)
@@ -153,7 +182,7 @@ def is_store_path(path: str | Path) -> bool:
 
 
 class TelemetryStore:
-    """Queryable SQLite mirror of trace files and telemetry snapshots."""
+    """Queryable SQLite index of trace files and telemetry snapshots."""
 
     def __init__(
         self,
@@ -162,7 +191,7 @@ class TelemetryStore:
         lock_backoff: float = 0.05,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        """Open (or create) a store.
+        """Open (or create) a store; ``":memory:"`` makes a private one.
 
         Writes run in explicit ``BEGIN IMMEDIATE`` transactions and retry
         ``database is locked`` errors up to ``lock_retries`` times with
@@ -176,138 +205,90 @@ class TelemetryStore:
         self._lock_retries = max(int(lock_retries), 0)
         self._lock_backoff = float(lock_backoff)
         self._sleep = sleep
+        self._conn = self._connect()
+        # Read the version before any DDL runs: an older store's file
+        # must stay untouched until its rebuild has succeeded.
+        version = self._schema_version()
+        if version is not None and version > SCHEMA_VERSION:
+            self._conn.close()
+            raise ValueError(
+                f"store {self.path} has schema v{version}, "
+                f"this build reads v{SCHEMA_VERSION}"
+            )
+        if version is not None and version < SCHEMA_VERSION:
+            self._rebuild(version)
+            return
+        self._conn.executescript(_DDL)
+        if version is None:
+            self.set_meta("schema_version", str(SCHEMA_VERSION))
+
+    def _connect(self) -> sqlite3.Connection:
         # Autocommit mode: _write issues its own BEGIN IMMEDIATE, and the
         # small native timeout keeps per-statement waits short so the
         # Python-level backoff governs contention.
-        self._conn = sqlite3.connect(
+        return sqlite3.connect(
             str(self.path), timeout=0.25, isolation_level=None
         )
-        self._conn.executescript(_DDL)
-        self._json1 = self._probe_json1()
-        existing = self.get_meta("schema_version")
-        if existing is None:
-            self.set_meta("schema_version", str(SCHEMA_VERSION))
-        elif int(existing) > SCHEMA_VERSION:
-            raise ValueError(
-                f"store {self.path} has schema v{existing}, "
-                f"this build reads v{SCHEMA_VERSION}"
-            )
-        elif int(existing) < SCHEMA_VERSION:
-            self._migrate(int(existing))
-        # The v2 index; created here (not in _DDL) so it lands after an
-        # older store's migration has added the column.
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_events_name ON events(name)"
-        )
 
-    def _probe_json1(self) -> bool:
-        try:
-            self._conn.execute("SELECT json_extract('{}', '$.x')")
-            return True
-        except sqlite3.OperationalError:
-            return False
+    def _schema_version(self) -> int | None:
+        """The stamped schema version (None for a new, empty store)."""
+        has_meta = self._conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table'"
+            " AND name = 'meta'"
+        ).fetchone()
+        version = self.get_meta("schema_version") if has_meta else None
+        return None if version is None else int(version)
 
-    def _migrate(self, from_version: int) -> None:
-        """Upgrade an older store in place (one transaction)."""
+    def _rebuild(self, version: int) -> None:
+        """Re-ingest an older store's sources into a new file, then swap.
+
+        The new file replaces the old one only once every source has been
+        re-ingested, so a failure leaves the old store as it was.
+        """
+        inode = os.stat(self.path).st_ino
+        old = self._conn
+        sources = old.execute(
+            "SELECT source, kind FROM runs ORDER BY run_id"
+        ).fetchall()
+        names = dict(old.execute("SELECT source, name FROM snapshots"))
+        meta = old.execute(
+            "SELECT key, value FROM meta WHERE key != 'schema_version'"
+        ).fetchall()
+        old.close()
+        for source, _ in sources:
+            if not Path(source).is_file():
+                raise ValueError(
+                    f"store {self.path} has schema v{version} and is"
+                    f" rebuilt from its sources, but {source} is missing"
+                )
         log.info(
-            "store.migrate", path=str(self.path),
-            from_version=from_version, to_version=SCHEMA_VERSION,
+            "store.rebuild", path=str(self.path), from_version=version,
+            to_version=SCHEMA_VERSION, sources=len(sources),
         )
-        json1 = self._json1
-
-        def txn(conn: sqlite3.Connection) -> None:
-            if from_version < 2:
-                columns = {
-                    row[1]
-                    for row in conn.execute("PRAGMA table_info(events)")
-                }
-                if "name" not in columns:
-                    conn.execute("ALTER TABLE events ADD COLUMN name TEXT")
-                # Backfill from payloads so pre-migration span events are
-                # filterable too.
-                if json1:
-                    conn.execute(
-                        "UPDATE events SET name ="
-                        " json_extract(payload, '$.name')"
-                        " WHERE json_extract(payload, '$.name') IS NOT NULL"
-                    )
-                else:
-                    rows = conn.execute(
-                        "SELECT run_id, seq, payload FROM events"
-                    ).fetchall()
-                    for run_id, seq, payload in rows:
-                        value = json.loads(payload).get("name")
-                        if value is not None:
-                            conn.execute(
-                                "UPDATE events SET name = ?"
-                                " WHERE run_id = ? AND seq = ?",
-                                (str(value), run_id, seq),
-                            )
-            if from_version < 4:
-                columns = {
-                    row[1]
-                    for row in conn.execute("PRAGMA table_info(runs)")
-                }
-                for column, col_type in (
-                    ("label", "TEXT"),
-                    ("git_sha", "TEXT"),
-                    ("dirty", "INTEGER"),
-                    ("config_hash", "TEXT"),
-                    ("provenance", "TEXT"),
-                ):
-                    if column not in columns:
-                        conn.execute(
-                            f"ALTER TABLE runs ADD COLUMN {column} {col_type}"
-                        )
-                # Backfill each trace run from its stored events: the
-                # label is the first `run` stamp, the rest
-                # comes from the trace's provenance event (pre-v4 traces
-                # usually have neither — their columns stay NULL).
-                run_ids = [
-                    row[0]
-                    for row in conn.execute(
-                        "SELECT run_id FROM runs WHERE kind = 'trace'"
-                    )
-                ]
-                for run_id in run_ids:
-                    label = prov = None
-                    for (payload,) in conn.execute(
-                        "SELECT payload FROM events WHERE run_id = ?"
-                        " ORDER BY seq",
-                        (run_id,),
-                    ):
-                        event = json.loads(payload)
-                        if label is None and event.get("run") is not None:
-                            label = str(event["run"])
-                        if prov is None and event.get("event") == "provenance":
-                            prov = event
-                        if label is not None and prov is not None:
-                            break
-                    if label is None and prov is None:
-                        continue
-                    conn.execute(
-                        "UPDATE runs SET label = ?, git_sha = ?, dirty = ?,"
-                        " config_hash = ?, provenance = ? WHERE run_id = ?",
-                        (
-                            label,
-                            None if prov is None else prov.get("git_sha"),
-                            None
-                            if prov is None
-                            else int(bool(prov.get("git_dirty"))),
-                            None if prov is None else prov.get("config_hash"),
-                            None
-                            if prov is None
-                            else json.dumps(prov, separators=(",", ":")),
-                            run_id,
-                        ),
-                    )
-            conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema_version', ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                (str(SCHEMA_VERSION),),
-            )
-
-        self._write(txn)
+        handle, scratch = tempfile.mkstemp(
+            prefix=f"{self.path.name}.", suffix=".rebuild",
+            dir=self.path.parent,
+        )
+        os.close(handle)
+        try:
+            with TelemetryStore(
+                scratch, self._lock_retries, self._lock_backoff, self._sleep
+            ) as fresh:
+                for source, kind in sources:
+                    if kind == "trace":
+                        fresh.ingest_trace(source)
+                    else:
+                        fresh.ingest_snapshot(source, names.get(source))
+                for key, value in meta:
+                    fresh.set_meta(key, value)
+            if os.stat(self.path).st_ino == inode:
+                os.replace(scratch, self.path)
+            else:  # another process swapped its rebuild in first: keep it
+                Path(scratch).unlink()
+        except BaseException:
+            Path(scratch).unlink(missing_ok=True)
+            raise
+        self._conn = self._connect()
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -431,9 +412,7 @@ class TelemetryStore:
         git_sha = None if prov is None else prov.get("git_sha")
         dirty = None if prov is None else int(bool(prov.get("git_dirty")))
         config_hash = None if prov is None else prov.get("config_hash")
-        prov_json = (
-            None if prov is None else json.dumps(prov, separators=(",", ":"))
-        )
+        prov_json = None if prov is None else _strict_json(prov)
 
         def txn(conn: sqlite3.Connection) -> int:
             # Re-check under the write lock: another process may have
@@ -483,7 +462,7 @@ class TelemetryStore:
                         None
                         if event.get("name") is None
                         else str(event["name"]),
-                        json.dumps(event, separators=(",", ":")),
+                        _strict_json(event),
                     )
                     for seq, event in enumerate(events)
                 ),
@@ -537,11 +516,11 @@ class TelemetryStore:
     ) -> dict[str, int]:
         """Ingest a run directory: traces plus the standard snapshots.
 
-        Mirrors what the dashboard reads from a directory — every
-        ``*.jsonl`` trace (sorted by name) and, when present,
-        ``EXPERIMENTS_metrics.json`` / ``BENCH_telemetry.json``.
-        Each trace ingests as its own run row, so re-ingesting a growing
-        run directory only re-reads the traces that actually changed.
+        Every ``*.jsonl`` trace (sorted by name) and, when present,
+        ``EXPERIMENTS_metrics.json`` / ``BENCH_telemetry.json`` /
+        ``PROFILE_report.json``. Each trace ingests as its own run row,
+        so re-ingesting a growing run directory only re-reads the traces
+        that actually changed.
         """
         directory = Path(directory).resolve()
         summary = {"traces": 0, "events": 0, "snapshots": 0}
@@ -585,27 +564,19 @@ class TelemetryStore:
             sql += " AND run_id = ?"
             params.append(int(run))
         sql += " ORDER BY run_id"
-        rows = []
-        for row in self._conn.execute(sql, params):
-            payload = None
-            if row[7]:
-                try:
-                    payload = json.loads(row[7])
-                except ValueError:
-                    payload = None
-            rows.append(
-                {
-                    "run_id": row[0],
-                    "source": row[1],
-                    "label": row[2],
-                    "git_sha": row[3],
-                    "dirty": row[4],
-                    "config_hash": row[5],
-                    "events": row[6],
-                    "provenance": payload,
-                }
-            )
-        return rows
+        return [
+            {
+                "run_id": row[0],
+                "source": row[1],
+                "label": row[2],
+                "git_sha": row[3],
+                "dirty": row[4],
+                "config_hash": row[5],
+                "events": row[6],
+                "provenance": None if row[7] is None else json.loads(row[7]),
+            }
+            for row in self._conn.execute(sql, params)
+        ]
 
     def _where(
         self,
@@ -619,9 +590,10 @@ class TelemetryStore:
     ) -> tuple[str, list]:
         """Build the filter clause.
 
-        ``label`` selects events whose run row carries that run label (a subquery, so it works without joining). ``prefix``
-        qualifies the event columns (``"e."``) for joined queries where
-        ``kind`` / ``run_id`` would otherwise be ambiguous.
+        ``label`` selects events whose run row carries that run label (a
+        subquery, so it works without joining). ``prefix`` qualifies the
+        event columns (``"e."``) for joined queries where ``kind`` /
+        ``run_id`` would otherwise be ambiguous.
         """
         clauses, params = [], []
         if kind is not None:
@@ -729,25 +701,14 @@ class TelemetryStore:
         """One numeric event field over time (events lacking it skipped)."""
         self._check_field(field)
         where, params = self._where(kind, episode, loop, run, name, label)
-        if self._json1:
-            sql = (
-                f"SELECT json_extract(payload, '$.{field}') "
-                f"FROM events{where} ORDER BY run_id, seq"
-            )
-            try:
-                return [
-                    float(row[0])
-                    for row in self._conn.execute(sql, params)
-                    if row[0] is not None
-                ]
-            except sqlite3.OperationalError:
-                pass  # NaN/Infinity payloads are not valid JSON for json1
+        sql = (
+            f"SELECT json_extract(payload, '$.{field}') "
+            f"FROM events{where} ORDER BY run_id, seq"
+        )
         return [
-            float(event[field])
-            for event in self.events(
-                kind, episode, loop, run, name=name, label=label
-            )
-            if field in event and event[field] is not None
+            float(row[0])
+            for row in self._conn.execute(sql, params)
+            if row[0] is not None
         ]
 
     def aggregate(
@@ -776,92 +737,109 @@ class TelemetryStore:
             raise ValueError(
                 f"group_by must be one of {GROUP_KEYS}, got {group_by!r}"
             )
+        self._check_field(field)
         joined = group_by in PROVENANCE_KEYS
-        group_col = "run_id" if group_by == "run" else group_by
-        if joined:
-            group_col = f"r.{group_by}"
-        if self._json1:
-            self._check_field(field)
-            prefix = "e." if joined else ""
-            expr = f"json_extract({prefix}payload, '$.{field}')"
-            sql_agg = {
-                "count": f"COUNT({expr})",
-                "mean": f"AVG({expr})",
-                "min": f"MIN({expr})",
-                "max": f"MAX({expr})",
-                "sum": f"SUM({expr})",
-            }[agg]
-            where, params = self._where(
-                kind, episode, loop, run, name, label, prefix=prefix
-            )
-            not_null = f"{expr} IS NOT NULL"
-            where = (
-                where + f" AND {not_null}" if where else f" WHERE {not_null}"
-            )
-            table = (
-                "events e JOIN runs r ON e.run_id = r.run_id"
-                if joined
-                else "events"
-            )
-            if group_col is None:
-                sql = f"SELECT {sql_agg} FROM {table}{where}"
-            else:
-                sql = (
-                    f"SELECT {group_col}, {sql_agg} FROM {table}{where} "
-                    f"GROUP BY {group_col} ORDER BY {group_col}"
-                )
-            try:
-                return list(self._conn.execute(sql, params))
-            except sqlite3.OperationalError:
-                pass  # NaN/Infinity payloads are not valid JSON for json1
-        return self._aggregate_python(
-            field, agg, kind, episode, loop, run, group_by, name, label
-        )
-
-    def _aggregate_python(
-        self, field, agg, kind, episode, loop, run, group_by, name=None,
-        label=None,
-    ) -> list[tuple]:
-        where, params = self._where(kind, episode, loop, run, name, label)
-        sql = f"SELECT run_id, payload FROM events{where} ORDER BY run_id, seq"
-        run_keys: dict[int, object] | None = None
-        if group_by in PROVENANCE_KEYS:
-            # Map each source run row to its provenance key up front (the
-            # Python twin of the json1 path's JOIN).
-            run_keys = {
-                info.run_id: getattr(info, group_by)
-                for info in self.runs()
-            }
-        groups: dict[object, list[float]] = {}
-        for run_id, payload in self._conn.execute(sql, params):
-            event = json.loads(payload)
-            if field not in event or event[field] is None:
-                continue
-            if group_by is None:
-                key = None
-            elif group_by == "run":
-                key = run_id
-            elif run_keys is not None:
-                key = run_keys.get(run_id)
-            else:
-                key = event.get(
-                    "event" if group_by == "kind" else group_by
-                )
-            groups.setdefault(key, []).append(float(event[field]))
-        reduced = {
-            "count": len,
-            "mean": lambda v: sum(v) / len(v),
-            "min": min,
-            "max": max,
-            "sum": sum,
+        prefix = "e." if joined else ""
+        expr = f"json_extract({prefix}payload, '$.{field}')"
+        sql_agg = {
+            "count": "COUNT", "mean": "AVG", "min": "MIN", "max": "MAX",
+            "sum": "SUM",
         }[agg]
-        if group_by is None:
-            values = groups.get(None, [])
-            return [(reduced(values) if values else None,)]
-        return sorted(
-            ((key, reduced(values)) for key, values in groups.items()),
-            key=lambda kv: (kv[0] is None, str(kv[0])),
+        where, params = self._where(
+            kind, episode, loop, run, name, label, prefix=prefix
         )
+        not_null = f"{expr} IS NOT NULL"
+        where = where + f" AND {not_null}" if where else f" WHERE {not_null}"
+        table = (
+            "events e JOIN runs r ON e.run_id = r.run_id"
+            if joined
+            else "events"
+        )
+        if group_by is None:
+            sql = f"SELECT {sql_agg}({expr}) FROM {table}{where}"
+        else:
+            group_col = "run_id" if group_by == "run" else group_by
+            if joined:
+                group_col = f"r.{group_by}"
+            sql = (
+                f"SELECT {group_col}, {sql_agg}({expr}) FROM {table}{where} "
+                f"GROUP BY {group_col} ORDER BY {group_col}"
+            )
+        return list(self._conn.execute(sql, params))
+
+
+@contextmanager
+def open_run(source: str | Path) -> Iterator[TelemetryStore]:
+    """The store behind a run argument: a trace file, a run directory or
+    a store.
+
+    A store opens as it is. A trace file, or a run directory (its traces
+    and snapshots, as :meth:`TelemetryStore.ingest_dir` reads them), is
+    ingested into an in-memory store, so each read pays for the ingest;
+    ``obsv ingest`` pays for it once. A missing source raises
+    ``FileNotFoundError``.
+    """
+    path = Path(source)
+    if not path.exists():
+        raise FileNotFoundError(f"{source}: no such file or directory")
+    is_store = path.is_file() and is_store_path(path)
+    store = TelemetryStore(path if is_store else ":memory:")
+    try:
+        if path.is_dir():
+            store.ingest_dir(path)
+        elif not is_store:
+            store.ingest_trace(path)
+        yield store
+    finally:
+        store.close()
+
+
+def load_snapshot(source: str | Path, kind: str = "bench") -> dict:
+    """A snapshot document from a JSON file or a telemetry store.
+
+    ``kind="bench"`` reads a bench or profile snapshot: a file may hold
+    any JSON document, and a store yields its ``BENCH_telemetry.json``.
+    ``kind="metrics"`` reads a metric snapshot (``"kind": "metrics"``,
+    what ``obsv compare --snapshot`` writes): a file must be one, and a
+    store yields the first it holds. Raises ``ValueError`` naming
+    ``source`` when it is missing, is not JSON, or is not such a
+    snapshot.
+    """
+    if kind not in ("bench", "metrics"):
+        raise ValueError(f"kind must be 'bench' or 'metrics', got {kind!r}")
+    path = Path(source)
+    if not path.is_file():
+        raise ValueError(f"{source}: no such file")
+    if is_store_path(path):
+        with TelemetryStore(path) as store:
+            if kind == "bench":
+                found = store.snapshot("BENCH_telemetry.json")
+            else:
+                found = next(
+                    (
+                        document
+                        for document in map(store.snapshot, store.snapshots())
+                        if _is_metric_snapshot(document)
+                    ),
+                    None,
+                )
+        if found is None:
+            what = "BENCH_telemetry.json" if kind == "bench" else "metric"
+            raise ValueError(f"store {source} holds no {what} snapshot")
+        return found
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as error:
+        raise ValueError(f"{source} is not JSON ({error})") from None
+    if kind == "metrics" and not _is_metric_snapshot(document):
+        raise ValueError(
+            f"{source} is not a metric snapshot (kind != 'metrics')"
+        )
+    return document
+
+
+def _is_metric_snapshot(document: object) -> bool:
+    return isinstance(document, dict) and document.get("kind") == "metrics"
 
 
 def export_csv(

@@ -47,6 +47,7 @@ from pathlib import Path
 
 from repro.obsv.alerts import Alert, WatchConfig, Watchdog
 from repro.obsv.render import fmt, sparkline
+from repro.obsv.store import load_snapshot
 from repro.telemetry.log import get_logger
 from repro.telemetry.trace import TraceWriter
 
@@ -57,14 +58,21 @@ DEFAULT_POLL_S = 2.0
 
 
 def poll_interval(configured: float | None = None) -> float:
-    """Effective poll interval: explicit value, else env, else default."""
+    """Effective poll interval: explicit value, else env, else default.
+
+    A ``REPRO_WATCH_POLL`` that is not a number raises ``ValueError``.
+    """
     if configured is not None:
         return max(float(configured), 0.05)
     raw = os.environ.get("REPRO_WATCH_POLL", "").strip()
-    try:
-        return max(float(raw), 0.05) if raw else DEFAULT_POLL_S
-    except ValueError:
+    if not raw:
         return DEFAULT_POLL_S
+    try:
+        return max(float(raw), 0.05)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_WATCH_POLL must be a number, got {raw!r}"
+        ) from None
 
 
 class TraceTail:
@@ -260,28 +268,6 @@ class WatchState:
 DRIFT_MIN_N = 5
 
 
-def load_baseline_metrics(path: str | Path) -> dict | None:
-    """A metric snapshot document for drift annotations (None on failure).
-
-    Degrades instead of raising: a missing / non-JSON / wrong-kind file
-    logs a warning and the watch simply runs without drift annotations.
-    """
-    from repro.obsv.compare import is_metric_snapshot
-
-    path = Path(path)
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as error:
-        log.warning(
-            "watch.baseline_unreadable", path=str(path), error=str(error)
-        )
-        return None
-    if not is_metric_snapshot(document):
-        log.warning("watch.baseline_not_metrics", path=str(path))
-        return None
-    return document
-
-
 def metric_drift(
     state: WatchState, baseline: dict, min_n: int = DRIFT_MIN_N
 ) -> list[tuple[str, str, float, int, float, float]]:
@@ -450,18 +436,16 @@ def watch_trace(
     ``exit_on_alert`` is set and any rule fired. ``idle_exit`` stops the
     follow loop after that many seconds without new events (None =
     follow until interrupted). ``baseline_metrics`` (a snapshot path or
-    already-decoded document) switches on live drift annotations.
+    already-decoded document) switches on live drift annotations; a path
+    that is not a metric snapshot raises ``ValueError``
+    (:func:`repro.obsv.store.load_snapshot`).
     """
     path = Path(path)
     out = out if out is not None else sys.stdout
     interval = poll_interval(poll)
-    baseline: dict | None
-    if isinstance(baseline_metrics, dict):
-        baseline = baseline_metrics
-    elif baseline_metrics is not None:
-        baseline = load_baseline_metrics(baseline_metrics)
-    else:
-        baseline = None
+    baseline = baseline_metrics
+    if baseline is not None and not isinstance(baseline, dict):
+        baseline = load_snapshot(baseline, kind="metrics")
     if path.is_dir():
         tail: TraceTail | MultiTail = MultiTail(path)
         alert_sink = path / "alerts.jsonl"

@@ -27,11 +27,18 @@ _HIST_CAP_ENV = "REPRO_HIST_MAX_SAMPLES"
 
 
 def _env_hist_cap() -> int:
-    raw = os.environ.get(_HIST_CAP_ENV, "")
-    try:
-        return max(int(raw), 0) if raw.strip() else 0
-    except ValueError:
+    raw = os.environ.get(_HIST_CAP_ENV, "").strip()
+    if not raw:
         return 0
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(
+            f"{_HIST_CAP_ENV} must be a non-negative integer, got {raw!r}"
+        )
+    return cap
 
 
 def _label_key(labels: dict[str, object]) -> tuple[tuple[str, str], ...]:

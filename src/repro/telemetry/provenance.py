@@ -248,10 +248,3 @@ def stamp_provenance(
     writer._provenance_stamped = True
     return record
 
-
-def scan_provenance(events) -> dict | None:
-    """The first ``provenance`` event payload in a decoded event stream."""
-    for event in events:
-        if isinstance(event, dict) and event.get("event") == "provenance":
-            return event
-    return None

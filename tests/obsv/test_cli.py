@@ -84,7 +84,9 @@ class TestCli:
         assert args.label == "A"
         assert args.group_by == "label"
         for argv in (["query", "s.sqlite", "--worker", "3"],
-                     ["query", "s.sqlite", "--group-by", "worker"]):
+                     ["query", "s.sqlite", "--group-by", "worker"],
+                     ["dashboard", "runs", "--metrics", "m.json"],
+                     ["dashboard", "runs", "--bench", "b.json"]):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
 

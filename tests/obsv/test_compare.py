@@ -6,7 +6,7 @@ under a fixed ``--stat-seed``; ``obsv regress --metrics`` exits nonzero
 on an injected metric drift while passing on the committed
 ``benchmarks/BASELINE_metrics.json``; and the partial-input hardening
 satellite (missing metrics files, empty dirs, missing sources degrade
-instead of raising).
+instead of raising, while an unreadable watch baseline is refused).
 """
 
 import json
@@ -33,11 +33,7 @@ from repro.obsv.compare import (
     metric_snapshot,
 )
 from repro.obsv.dashboard import build_dashboard
-from repro.obsv.watch import (
-    WatchState,
-    load_baseline_metrics,
-    metric_drift,
-)
+from repro.obsv.watch import WatchState, metric_drift, watch_trace
 from repro.telemetry.trace import TraceWriter
 
 pytestmark = pytest.mark.obsv
@@ -49,7 +45,9 @@ BASELINE = (
 )
 
 
-def record_run(path, seed=0, n=6):
+def record_run(path, seed=0, n=6, label=None, monkeypatch=None):
+    if label is not None:
+        monkeypatch.setenv("REPRO_RUN_ID", label)
     writer = TraceWriter(path)
     run_episodes(
         lambda w: ModularAgent(w.road),
@@ -59,6 +57,8 @@ def record_run(path, seed=0, n=6):
         trace=writer,
     )
     writer.close()
+    if label is not None:
+        monkeypatch.delenv("REPRO_RUN_ID")
     return path
 
 
@@ -295,27 +295,56 @@ class TestHardening:
         episodes, provenance, label = load_run(tmp_path / "nope.jsonl")
         assert episodes == [] and provenance is None
 
-    def test_run_label_refused_without_a_store(self, demo_runs, capsys):
-        a, b, _ = demo_runs
-        for source in (a, a.parent):
-            with pytest.raises(ValueError, match=str(source)):
-                load_run(source, label="no-such-label")
-        rc = main(["compare", str(a), str(b), "--run-a", "no-such-label"])
+    def test_run_label_selects_in_any_source(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        run_dir = tmp_path / "labelled"
+        run_dir.mkdir()
+        one = record_run(
+            run_dir / "one.jsonl", seed=0, n=2, label="L1",
+            monkeypatch=monkeypatch,
+        )
+        record_run(
+            run_dir / "two.jsonl", seed=5, n=2, label="L2",
+            monkeypatch=monkeypatch,
+        )
+        episodes, provenance, name = load_run(run_dir, label="L2")
+        assert sorted(e.seed for e in episodes) == [5, 6]
+        assert provenance["env"]["REPRO_RUN_ID"] == "L2"
+        assert name == "labelled:L2"
+        episodes, _, name = load_run(one, label="L1")
+        assert sorted(e.seed for e in episodes) == [0, 1]
+        assert name == "one.jsonl:L1"
+        assert load_run(one, label="L2")[0] == []
+        argv = [
+            "compare", str(run_dir), str(run_dir), "--run-a", "L1",
+            "--run-b", "L2", "--json", "--resamples", "50",
+        ]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["a"], report["b"]) == ("labelled:L1", "labelled:L2")
+        rc = main(["compare", str(one), str(one), "--run-b", "L2"])
         assert rc == 1
-        assert str(a) in capsys.readouterr().err
-        rc = main(["compare", str(a), str(b), "--run-b", "no-such-label"])
-        assert rc == 1
-        assert str(b) in capsys.readouterr().err
+        assert "no complete episodes" in capsys.readouterr().err
 
-    def test_watch_baseline_unreadable(self, tmp_path):
+    def test_watch_baseline_unreadable(self, demo_runs, tmp_path, capsys):
+        a, _, _ = demo_runs
         missing = tmp_path / "missing.json"
-        assert load_baseline_metrics(missing) is None
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
-        assert load_baseline_metrics(bad) is None
         wrong = tmp_path / "wrong.json"
         wrong.write_text('{"kind": "bench"}', encoding="utf-8")
-        assert load_baseline_metrics(wrong) is None
+        for baseline in (missing, bad, wrong):
+            rc = main([
+                "watch", str(a), "--once", "--no-write-alerts",
+                "--baseline-metrics", str(baseline),
+            ])
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert str(baseline) in captured.err
+            assert captured.out == ""  # refused before watching
+            with pytest.raises(ValueError, match=str(baseline)):
+                watch_trace(a, once=True, baseline_metrics=baseline)
 
 
 # -- watch drift annotations ----------------------------------------------------------

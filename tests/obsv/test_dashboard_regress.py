@@ -7,9 +7,13 @@ import pytest
 from repro.agents.modular import ModularAgent
 from repro.core.attackers import OracleAttacker
 from repro.eval.episodes import run_episodes
-from repro.obsv import RegressionThresholds, compare_snapshots
+from repro.obsv.cli import main
 from repro.obsv.dashboard import build_dashboard, to_html
-from repro.obsv.regress import compare_files, report
+from repro.obsv.regress import (
+    RegressionThresholds,
+    compare_snapshots,
+    report,
+)
 from repro.obsv.render import sparkline
 from repro.telemetry.trace import TraceWriter
 
@@ -148,13 +152,24 @@ class TestRegress:
         monkeypatch.setenv("REPRO_OBSV_MAX_RATIO", "2.5")
         assert compare_snapshots(current, BASE_BENCH) == []
 
-    def test_compare_files_and_report(self, tmp_path):
+    def test_compare_files_and_report(self, tmp_path, capsys):
         current = tmp_path / "current.json"
         baseline = tmp_path / "baseline.json"
         current.write_text(json.dumps(doctored(wall_clock_s=500.0)))
         baseline.write_text(json.dumps(BASE_BENCH))
-        breaches = compare_files(current, baseline)
-        assert breaches
-        text = report(breaches)
+        assert main(["regress", str(current), str(baseline)]) == 1
+        text = capsys.readouterr().out
+        assert text == report(
+            compare_snapshots(doctored(wall_clock_s=500.0), BASE_BENCH)
+        )
         assert "BREACH" in text and "wall_clock" in text
         assert report([]).startswith("regress: OK")
+
+    def test_unreadable_snapshot_is_named(self, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(BASE_BENCH))
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        for current in (bad, tmp_path / "missing.json"):
+            with pytest.raises(SystemExit, match=str(current)):
+                main(["regress", str(current), str(baseline)])

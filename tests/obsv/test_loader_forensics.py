@@ -8,9 +8,8 @@ from repro.agents.modular import ModularAgent
 from repro.core.attackers import NullAttacker, OracleAttacker
 from repro.core.injection import ACTIVE_THRESHOLD
 from repro.eval.episodes import run_episode
-from repro.obsv import analyze, load_episodes, segment_phases, split_episodes
-from repro.obsv.forensics import strike_threshold
-from repro.obsv.loader import select_episode
+from repro.obsv.forensics import analyze, segment_phases, strike_threshold
+from repro.obsv.loader import load_episodes, select_episode, split_episodes
 from repro.telemetry.trace import TraceWriter, validate_trace
 
 pytestmark = pytest.mark.obsv

@@ -62,14 +62,17 @@ class TestSelfTime:
             parent.total_s, abs=5e-6
         )
 
-    def test_schema1_fallback_derives_from_path_tree(self):
+    def test_schema1_snapshot_refused(self, tmp_path):
         spans = {
-            "episode": {"count": 1, "total_s": 1.0},
+            "episode": {"count": 1, "total_s": 1.0, "self_total_s": 0.3},
             "episode/world.tick": {"count": 10, "total_s": 0.7},
         }
-        by_path = {row.path: row for row in attribute(spans)}
-        assert by_path["episode"].self_s == pytest.approx(0.3)
-        assert by_path["episode/world.tick"].self_s == pytest.approx(0.7)
+        with pytest.raises(ValueError, match="'episode/world.tick'"):
+            attribute(spans)
+        snapshot = tmp_path / "BENCH_telemetry.json"
+        snapshot.write_text(json.dumps({"schema": 1, "spans": spans}))
+        with pytest.raises(SystemExit, match="episode/world.tick"):
+            main(["profile", str(snapshot)])
 
     def test_rows_sorted_by_self_time_and_markdown_renders(self):
         spans = {
@@ -264,7 +267,6 @@ class TestProfileSession:
         )
         assert config.hz == 50.0 and config.mem == {"agent.act"}
         assert ProfileConfig.from_env({}).hz == 0.0
-        assert ProfileConfig.from_env({"REPRO_PROF_HZ": "junk"}).hz == 0.0
 
     def test_session_report_covers_wall_clock(self):
         tracer = Tracer(enabled=False)

@@ -6,7 +6,8 @@ from repro.agents.modular import ModularAgent
 from repro.core.attackers import NullAttacker, OracleAttacker
 from repro.eval.episodes import run_episode
 from repro.eval.recorder import record_episode
-from repro.obsv import ReplayError, replay_episode, split_episodes
+from repro.obsv.loader import split_episodes
+from repro.obsv.replay import ReplayError, replay_episode
 from repro.telemetry.trace import TraceWriter
 
 pytestmark = pytest.mark.obsv

@@ -1,20 +1,25 @@
-"""Tests for the SQLite telemetry store: ingest, query, parity."""
+"""Tests for the SQLite telemetry store: ingest, query, parity, rebuild."""
 
 import json
 import math
+import sqlite3
 
 import pytest
 
 from repro.agents.modular import ModularAgent
 from repro.core.attackers import OracleAttacker
 from repro.eval.episodes import run_episodes
+from repro.obsv import store as store_mod
 from repro.obsv.cli import main
-from repro.obsv.dashboard import build_dashboard, build_dashboard_from_store
+from repro.obsv.dashboard import build_dashboard
 from repro.obsv.store import (
     AGGREGATES,
+    GROUP_KEYS,
     TelemetryStore,
     export_csv,
     is_store_path,
+    load_snapshot,
+    open_run,
 )
 from repro.telemetry.trace import TraceWriter
 
@@ -154,20 +159,60 @@ class TestQuery:
         with pytest.raises(ValueError):
             store.series("q; DROP TABLE events")
 
-    def test_nan_payloads_fall_back(self, tmp_path):
+    def test_nan_payloads_read_as_null(self, tmp_path):
         writer = TraceWriter(tmp_path / "nan.jsonl")
         writer.emit(
             "update_health", loop="x", step=0, update=1,
             critic_loss=float("nan"), q_max=2.0,
+            message="critic_loss went NaN, q Infinity",
         )
         writer.close()
         with TelemetryStore(tmp_path / "s.sqlite") as store:
             store.ingest_trace(tmp_path / "nan.jsonl")
-            # json1 chokes on NaN payloads; the Python fallback must not.
-            values = store.series("critic_loss", kind="update_health")
-            assert len(values) == 1 and math.isnan(values[0])
+            assert store.series("critic_loss", kind="update_health") == []
+            (event,) = store.events(kind="update_health")
+            assert event["critic_loss"] is None
+            # Only the float token changes, never the text of a string.
+            assert event["message"] == "critic_loss went NaN, q Infinity"
             rows = store.aggregate("q_max", agg="max")
             assert rows[0][-1] == 2.0
+
+    def test_non_finite_fields_answer_through_json1(
+        self, tmp_path, monkeypatch
+    ):
+        """NaN, +inf and -inf fields: every read is one json1 query."""
+        writer = TraceWriter(tmp_path / "inf.jsonl")
+        for step, q in enumerate(
+            (1.0, float("inf"), float("nan"), float("-inf"), 3.0)
+        ):
+            writer.emit(
+                "update_health", loop=f"l{step % 2}", step=step,
+                update=step + 1, q_max=q, name="sac", run="r",
+            )
+        writer.close()
+        with TelemetryStore(tmp_path / "s.sqlite") as store:
+            store.ingest_trace(tmp_path / "inf.jsonl")
+            raw = store._conn.execute(
+                "SELECT json_valid(payload) FROM events"
+            ).fetchall()
+            assert raw == [(1,)] * 5
+            steps = [e["q_max"] for e in store.events(kind="update_health")]
+            assert steps[:2] == [1.0, math.inf]
+            assert steps[2] is None and steps[3:] == [-math.inf, 3.0]
+            # No payload is decoded in Python on the query path.
+            monkeypatch.setattr(store_mod, "json", None)
+            assert store.series("q_max") == [1.0, math.inf, -math.inf, 3.0]
+            expected = {
+                "count": 4, "min": -math.inf, "max": math.inf, "sum": None,
+                "mean": None,
+            }
+            for agg in AGGREGATES:
+                ((value,),) = store.aggregate("q_max", agg=agg)
+                # inf + -inf is NaN, which SQLite answers as NULL.
+                assert value == expected[agg], agg
+            for group_by in GROUP_KEYS:
+                rows = store.aggregate("q_max", agg="count", group_by=group_by)
+                assert sum(count for _, count in rows) == 4, group_by
 
 
 class TestExportCsv:
@@ -184,8 +229,26 @@ class TestParity:
         with TelemetryStore(store_path) as store:
             store.ingest_dir(run_dir)
         from_dir = build_dashboard(run_dir.resolve())
-        from_store = build_dashboard_from_store(store_path)
+        from_store = build_dashboard(store_path)
         assert from_store == from_dir
+        assert f"Source directory: `{run_dir.resolve()}`" in from_dir
+
+    def test_open_run_accepts_every_source_form(self, run_dir, tmp_path):
+        store_path = tmp_path / "s.sqlite"
+        with TelemetryStore(store_path) as store:
+            store.ingest_dir(run_dir)
+        trace = run_dir / "episodes.jsonl"
+        with open_run(trace) as from_trace:
+            assert from_trace.path.name == ":memory:"
+            assert [r.source for r in from_trace.runs()] == [str(trace)]
+            expected = from_trace.episodes()
+        for source in (run_dir, store_path):
+            with open_run(source) as store:
+                assert store.episodes() == expected
+                assert store.snapshots() == ["EXPERIMENTS_metrics.json"]
+        with pytest.raises(FileNotFoundError, match="missing"):
+            with open_run(tmp_path / "missing"):
+                pass
 
     def test_episode_reconstruction(self, run_dir, tmp_path):
         from repro.obsv.loader import load_episodes
@@ -305,34 +368,6 @@ CREATE TABLE snapshots (
 """
 
 
-def make_v1_store(path):
-    """Hand-build a schema-1 store (no events.name column)."""
-    import sqlite3
-
-    conn = sqlite3.connect(str(path))
-    conn.executescript(_V1_DDL)
-    conn.execute("INSERT INTO meta VALUES ('schema_version', '1')")
-    conn.execute(
-        "INSERT INTO runs (source, kind, mtime, size, events)"
-        " VALUES ('old.jsonl', 'trace', 0.0, 1, 3)"
-    )
-    rows = [
-        {"event": "profile", "name": "episode", "calls": 2,
-         "total_s": 1.0, "self_s": 0.25},
-        {"event": "profile", "name": "episode/world.tick", "calls": 10,
-         "total_s": 0.75, "self_s": 0.75},
-        {"event": "update_health", "loop": "sac-a", "step": 0, "update": 1},
-    ]
-    for seq, record in enumerate(rows):
-        conn.execute(
-            "INSERT INTO events (run_id, seq, kind, loop, payload)"
-            " VALUES (1, ?, ?, ?, ?)",
-            (seq, record["event"], record.get("loop"), json.dumps(record)),
-        )
-    conn.commit()
-    conn.close()
-    return path
-
 
 #: The schema-4 DDL, with the ``events.worker`` column and its index
 #: that schema 5 dropped.
@@ -381,40 +416,144 @@ CREATE TABLE snapshots (
 """
 
 
-def make_v4_store(path):
-    """Hand-build a schema-4 store holding one worker-stamped run."""
-    import sqlite3
 
-    conn = sqlite3.connect(str(path))
-    conn.executescript(_V4_DDL)
-    conn.execute("INSERT INTO meta VALUES ('schema_version', '4')")
-    conn.execute(
-        "INSERT INTO runs (source, kind, mtime, size, events, label)"
-        " VALUES ('old.w1.jsonl', 'trace', 0.0, 1, 2, 'old-run')"
+#: The schema-5 DDL: schema 6 keeps these tables; only payloads changed.
+_V5_DDL = """
+CREATE TABLE meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE runs (
+    run_id      INTEGER PRIMARY KEY AUTOINCREMENT,
+    source      TEXT NOT NULL UNIQUE,
+    kind        TEXT NOT NULL,
+    mtime       REAL NOT NULL,
+    size        INTEGER NOT NULL,
+    events      INTEGER NOT NULL DEFAULT 0,
+    label       TEXT,
+    git_sha     TEXT,
+    dirty       INTEGER,
+    config_hash TEXT,
+    provenance  TEXT
+);
+CREATE TABLE events (
+    run_id  INTEGER NOT NULL REFERENCES runs(run_id),
+    seq     INTEGER NOT NULL,
+    kind    TEXT NOT NULL,
+    episode TEXT,
+    loop    TEXT,
+    step    INTEGER,
+    tick    INTEGER,
+    t       REAL,
+    name    TEXT,
+    payload TEXT NOT NULL,
+    PRIMARY KEY (run_id, seq)
+);
+CREATE INDEX idx_events_kind ON events(kind);
+CREATE INDEX idx_events_episode ON events(episode);
+CREATE INDEX idx_events_loop ON events(loop);
+CREATE INDEX idx_events_name ON events(name);
+CREATE TABLE snapshots (
+    name    TEXT PRIMARY KEY,
+    source  TEXT NOT NULL,
+    payload TEXT NOT NULL
+);
+"""
+
+
+def write_records(path, records):
+    path.write_text(
+        "".join(json.dumps(record) + "\n" for record in records),
+        encoding="utf-8",
     )
-    rows = [
-        {"event": "update_health", "loop": "sac-a", "step": 0,
-         "update": 1, "q_max": 4.0, "run": "old-run", "worker": 1},
-        {"event": "update_health", "loop": "sac-a", "step": 10,
-         "update": 2, "q_max": 6.0, "run": "old-run", "worker": 1},
-    ]
-    for seq, record in enumerate(rows):
+    return path
+
+
+def make_old_store(path, version, ddl, sources, snapshots=(), meta=()):
+    """Hand-build a store of an older schema listing ``sources``.
+
+    Its event rows hold stale payloads (a NaN token json1 rejects): a
+    rebuild must re-read the source files, never the old rows.
+    """
+    conn = sqlite3.connect(str(path))
+    conn.executescript(ddl)
+    conn.execute(
+        "INSERT INTO meta VALUES ('schema_version', ?)", (str(version),)
+    )
+    conn.executemany("INSERT INTO meta VALUES (?, ?)", meta)
+    for source in sources:
+        cursor = conn.execute(
+            "INSERT INTO runs (source, kind, mtime, size, events)"
+            " VALUES (?, 'trace', 0.0, 1, 1)",
+            (str(source),),
+        )
         conn.execute(
-            "INSERT INTO events (run_id, seq, kind, loop, step, worker,"
-            " payload) VALUES (1, ?, ?, ?, ?, 1, ?)",
-            (seq, record["event"], record["loop"], record["step"],
-             json.dumps(record)),
+            "INSERT INTO events (run_id, seq, kind, payload)"
+            " VALUES (?, 0, 'stale', '{\"q\":NaN}')",
+            (cursor.lastrowid,),
+        )
+    for name, source in snapshots:
+        conn.execute(
+            "INSERT INTO runs (source, kind, mtime, size, events)"
+            " VALUES (?, 'snapshot', 0.0, 1, 0)",
+            (str(source),),
+        )
+        conn.execute(
+            "INSERT INTO snapshots VALUES (?, ?, '{}')", (name, str(source))
         )
     conn.commit()
     conn.close()
     return path
 
 
+def make_v1_store(path, directory):
+    """A schema-1 store (no events.name column) over one profile trace."""
+    trace = write_records(
+        directory / "old.jsonl",
+        [
+            {"event": "profile", "name": "episode", "calls": 2,
+             "total_s": 1.0, "self_s": 0.25},
+            {"event": "profile", "name": "episode/world.tick", "calls": 10,
+             "total_s": 0.75, "self_s": 0.75},
+            {"event": "update_health", "loop": "sac-a", "step": 0,
+             "update": 1},
+        ],
+    )
+    return make_old_store(path, 1, _V1_DDL, [trace])
+
+
+def make_v4_store(path, directory):
+    """A schema-4 store over one worker-stamped trace."""
+    trace = write_records(
+        directory / "old.w1.jsonl",
+        [
+            {"event": "update_health", "loop": "sac-a", "step": 0,
+             "update": 1, "q_max": 4.0, "run": "old-run", "worker": 1},
+            {"event": "update_health", "loop": "sac-a", "step": 10,
+             "update": 2, "q_max": 6.0, "run": "old-run", "worker": 1},
+        ],
+    )
+    return make_old_store(path, 4, _V4_DDL, [trace])
+
+
+def store_view(store):
+    """Everything a reader can see of a store."""
+    return (
+        store.runs(),
+        store.events(),
+        store.episodes(),
+        store.run_provenance(),
+        store.snapshots(),
+        [store.snapshot(name) for name in store.snapshots()],
+        store.get_meta("source_dir"),
+    )
+
+
 class TestSchemaMigration:
     def test_v4_store_opens_and_takes_new_ingests(self, run_dir, tmp_path):
-        path = make_v4_store(tmp_path / "v4.sqlite")
+        path = make_v4_store(tmp_path / "v4.sqlite", tmp_path)
         with TelemetryStore(path) as store:
-            assert store.get_meta("schema_version") == "5"
+            assert store.get_meta("schema_version") == "6"
             store.ingest_trace(run_dir / "episodes.jsonl")
             old = store.events(kind="update_health", label="old-run")
             assert [e["step"] for e in old] == [0, 10]
@@ -430,31 +569,103 @@ class TestSchemaMigration:
             assert all(e.complete for e in episodes)
 
     def test_v1_store_migrates_in_place(self, tmp_path):
-        path = make_v1_store(tmp_path / "old.sqlite")
+        """The store at the old path is upgraded: rebuilt from its source
+        into a new file that replaces it, leaving no scratch file."""
+        path = make_v1_store(tmp_path / "old.sqlite", tmp_path)
         with TelemetryStore(path) as store:
-            assert store.get_meta("schema_version") == "5"
-            # name backfilled from payloads: the old rows are filterable
+            assert store.get_meta("schema_version") == "6"
+            assert store.events(kind="stale") == []
+            # The name column is filled from the re-read trace.
             rows = store.events(kind="profile", name="episode")
             assert len(rows) == 1 and rows[0]["calls"] == 2
-            # and rows without a payload name stay NULL / unmatched
             assert store.events(kind="update_health", name="episode") == []
+        assert list(tmp_path.glob("*.rebuild")) == []
 
     def test_migration_is_idempotent_and_queryable(self, tmp_path):
-        path = make_v1_store(tmp_path / "old.sqlite")
-        TelemetryStore(path).close()  # migrate
+        path = make_v1_store(tmp_path / "old.sqlite", tmp_path)
+        TelemetryStore(path).close()  # rebuild
+        rebuilt = path.read_bytes()
         with TelemetryStore(path) as store:  # reopen: no-op
-            assert store.get_meta("schema_version") == "5"
+            assert store.get_meta("schema_version") == "6"
             rows = store.aggregate(
                 "self_s", agg="sum", kind="profile", group_by="name"
             )
             assert dict(rows) == {
                 "episode": 0.25, "episode/world.tick": 0.75
             }
+        assert path.read_bytes() == rebuilt
+
+    def test_v5_store_rebuild_equals_fresh_ingest(self, run_dir, tmp_path):
+        traces = sorted(run_dir.glob("*.jsonl"))
+        snapshot = run_dir / "EXPERIMENTS_metrics.json"
+        path = make_old_store(
+            tmp_path / "v5.sqlite", 5, _V5_DDL, traces,
+            snapshots=[(snapshot.name, snapshot)],
+            meta=[("source_dir", str(run_dir.resolve()))],
+        )
+        with TelemetryStore(path) as rebuilt:
+            assert rebuilt.get_meta("schema_version") == "6"
+            view = store_view(rebuilt)
+        with TelemetryStore(tmp_path / "fresh.sqlite") as fresh:
+            fresh.ingest_dir(run_dir)
+            assert store_view(fresh) == view
+
+    def test_missing_source_refuses_and_keeps_the_store(
+        self, run_dir, tmp_path
+    ):
+        gone = tmp_path / "gone.jsonl"
+        path = make_old_store(
+            tmp_path / "v5.sqlite", 5, _V5_DDL,
+            [run_dir / "episodes.jsonl", gone],
+        )
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=str(gone)):
+            TelemetryStore(path)
+        assert path.read_bytes() == before
+
+    def test_failed_rebuild_keeps_the_store(self, run_dir, tmp_path):
+        broken = run_dir / "BENCH_telemetry.json"
+        broken.write_text("{not json", encoding="utf-8")
+        path = make_old_store(
+            tmp_path / "v5.sqlite", 5, _V5_DDL,
+            [run_dir / "episodes.jsonl"], snapshots=[(broken.name, broken)],
+        )
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            TelemetryStore(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.rebuild")) == []
+
+    def test_racing_rebuild_keeps_the_first_swap(
+        self, run_dir, tmp_path, monkeypatch
+    ):
+        """Two openers of one old store: the one that finishes second
+        keeps the other's file, so writes through either land in it."""
+        path = make_old_store(
+            tmp_path / "v5.sqlite", 5, _V5_DDL, [run_dir / "episodes.jsonl"]
+        )
+        ingest = TelemetryStore.ingest_trace
+        raced = []
+
+        def racing_ingest(store, source, force=False):
+            if not raced:
+                raced.append(source)
+                with TelemetryStore(path) as other:  # rebuilds and swaps
+                    other.set_meta("writer", "other")
+            return ingest(store, source, force)
+
+        monkeypatch.setattr(TelemetryStore, "ingest_trace", racing_ingest)
+        with TelemetryStore(path) as store:
+            assert store.get_meta("writer") == "other"
+            store.set_meta("writer", "first")
+        with TelemetryStore(path) as store:
+            assert store.get_meta("writer") == "first"
+            assert len(store.events(kind="episode_start")) == 2
+        assert list(tmp_path.glob("*.rebuild")) == []
 
     def test_newer_schema_refuses_to_open(self, tmp_path):
         path = tmp_path / "future.sqlite"
         TelemetryStore(path).close()
-        import sqlite3
 
         conn = sqlite3.connect(str(path))
         conn.execute("UPDATE meta SET value = '99' WHERE key ="
@@ -463,6 +674,38 @@ class TestSchemaMigration:
         conn.close()
         with pytest.raises(ValueError, match="schema v99"):
             TelemetryStore(path)
+
+
+class TestLoadSnapshot:
+    def test_file_and_store(self, run_dir, tmp_path):
+        bench = run_dir / "BENCH_telemetry.json"
+        bench.write_text('{"wall_clock_s": 1.0}', encoding="utf-8")
+        metrics = run_dir / "m.json"
+        metrics.write_text('{"kind": "metrics", "cells": {}}')
+        store_path = tmp_path / "s.sqlite"
+        with TelemetryStore(store_path) as store:
+            store.ingest_dir(run_dir)
+            store.ingest_snapshot(metrics)
+        assert load_snapshot(bench) == {"wall_clock_s": 1.0}
+        assert load_snapshot(store_path) == {"wall_clock_s": 1.0}
+        assert load_snapshot(metrics, kind="metrics")["kind"] == "metrics"
+        assert load_snapshot(store_path, kind="metrics")["kind"] == "metrics"
+
+    def test_refusals_name_the_source(self, run_dir, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        empty_store = tmp_path / "empty.sqlite"
+        TelemetryStore(empty_store).close()
+        cases = [
+            (tmp_path / "missing.json", "bench"),
+            (bad, "bench"),
+            (run_dir / "EXPERIMENTS_metrics.json", "metrics"),
+            (empty_store, "bench"),
+            (empty_store, "metrics"),
+        ]
+        for source, kind in cases:
+            with pytest.raises(ValueError, match=str(source)):
+                load_snapshot(source, kind=kind)
 
 
 class TestNameColumn:

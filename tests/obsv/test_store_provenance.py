@@ -1,14 +1,13 @@
-"""Store v4: provenance columns, label filters, provenance group-bys.
+"""Store provenance columns, label filters, provenance group-bys.
 
-The satellite coverage for the provenance subsystem: trace runs hoist
-their logical run label + provenance stamp onto the ``runs`` table,
-aggregates can group by provenance keys (label / git SHA / config
-hash) in both the json1 and Python-fallback paths, and pre-v4 stores
-— including mixed stores where only some traces carry provenance —
-migrate in place with a backfill.
+The coverage for the provenance subsystem: trace runs hoist their
+logical run label + provenance stamp onto the ``runs`` table, aggregates
+can group by provenance keys (label / git SHA / config hash) through
+json1, and pre-provenance stores — including mixed stores where only
+some traces carry provenance — are rebuilt from their traces with the
+columns filled.
 """
 
-import json
 import sqlite3
 
 import pytest
@@ -154,20 +153,6 @@ class TestProvenanceGroupBy:
         )
         assert dict(rows) == self.EXPECTED[key]
 
-    @pytest.mark.parametrize("key", PROVENANCE_KEYS)
-    def test_python_fallback_matches_json1(self, mixed_store, key):
-        json1 = mixed_store.aggregate(
-            "q_max", agg="mean", kind="update_health", group_by=key
-        )
-        mixed_store._json1 = False
-        try:
-            fallback = mixed_store.aggregate(
-                "q_max", agg="mean", kind="update_health", group_by=key
-            )
-        finally:
-            mixed_store._json1 = True
-        assert dict(fallback) == dict(json1)
-
     def test_count_per_git_sha(self, mixed_store):
         rows = mixed_store.aggregate(
             "q_max", agg="count", kind="update_health", group_by="git_sha"
@@ -210,36 +195,22 @@ CREATE TABLE snapshots (
 """
 
 
-def make_v3_store(path):
-    """Hand-build a schema-3 store holding one stamped + one bare trace."""
+def make_v3_store(path, directory):
+    """A schema-3 store (no provenance columns) over one stamped + one
+    bare trace; its rows are empty, so only the traces can fill them."""
+    write_labelled_trace(
+        directory / "stamped.jsonl", "sweepA", SHA_A, "cfg-one", [5.0]
+    )
+    write_plain_trace(directory / "bare.jsonl", [7.0])
     conn = sqlite3.connect(str(path))
     conn.executescript(_V3_DDL)
     conn.execute("INSERT INTO meta VALUES ('schema_version', '3')")
-    stamped = [
-        {"event": "provenance", "schema": 1, "git_sha": SHA_A,
-         "git_dirty": False, "config_hash": "cfg-one", "run": "sweepA"},
-        {"event": "update_health", "loop": "sac", "step": 0, "update": 1,
-         "q_max": 5.0, "run": "sweepA"},
-    ]
-    bare = [
-        {"event": "update_health", "loop": "sac", "step": 0, "update": 1,
-         "q_max": 7.0},
-    ]
-    for run_id, (source, events) in enumerate(
-        (("stamped.jsonl", stamped), ("bare.jsonl", bare)), start=1
-    ):
+    for name in ("stamped.jsonl", "bare.jsonl"):
         conn.execute(
-            "INSERT INTO runs (run_id, source, kind, mtime, size, events)"
-            " VALUES (?, ?, 'trace', 0.0, 1, ?)",
-            (run_id, source, len(events)),
+            "INSERT INTO runs (source, kind, mtime, size, events)"
+            " VALUES (?, 'trace', 0.0, 1, 0)",
+            (str(directory / name),),
         )
-        for seq, record in enumerate(events):
-            conn.execute(
-                "INSERT INTO events (run_id, seq, kind, loop, payload)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (run_id, seq, record["event"], record.get("loop"),
-                 json.dumps(record)),
-            )
     conn.commit()
     conn.close()
     return path
@@ -247,9 +218,9 @@ def make_v3_store(path):
 
 class TestV3Migration:
     def test_migrates_and_backfills_provenance(self, tmp_path):
-        path = make_v3_store(tmp_path / "old.sqlite")
+        path = make_v3_store(tmp_path / "old.sqlite", tmp_path)
         with TelemetryStore(path) as store:
-            assert store.get_meta("schema_version") == "5"
+            assert store.get_meta("schema_version") == "6"
             by_label = {info.label: info for info in store.runs()}
             assert by_label["sweepA"].git_sha == SHA_A
             assert by_label["sweepA"].config_hash == "cfg-one"
@@ -257,10 +228,10 @@ class TestV3Migration:
             assert by_label[None].git_sha is None
 
     def test_migrated_store_supports_provenance_queries(self, tmp_path):
-        path = make_v3_store(tmp_path / "old.sqlite")
-        TelemetryStore(path).close()  # migrate
+        path = make_v3_store(tmp_path / "old.sqlite", tmp_path)
+        TelemetryStore(path).close()  # rebuild
         with TelemetryStore(path) as store:  # reopen: no-op
-            assert store.get_meta("schema_version") == "5"
+            assert store.get_meta("schema_version") == "6"
             rows = store.aggregate(
                 "q_max", agg="mean", kind="update_health",
                 group_by="git_sha",
@@ -271,7 +242,7 @@ class TestV3Migration:
             ) == [5.0]
 
     def test_migration_is_idempotent(self, tmp_path):
-        path = make_v3_store(tmp_path / "old.sqlite")
+        path = make_v3_store(tmp_path / "old.sqlite", tmp_path)
         for _ in range(2):
             with TelemetryStore(path) as store:
-                assert store.get_meta("schema_version") == "5"
+                assert store.get_meta("schema_version") == "6"

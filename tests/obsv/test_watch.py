@@ -158,7 +158,6 @@ class TestWatchConfig:
     def test_env_and_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_WATCH_Q_LIMIT", "123.5")
         monkeypatch.setenv("REPRO_WATCH_PLATEAU_WINDOW", "7")
-        monkeypatch.setenv("REPRO_WATCH_STARVATION_UPDATES", "junk")
         config = WatchConfig.from_env(entropy_floor=-1.0)
         assert config.q_limit == 123.5
         assert config.plateau_window == 7

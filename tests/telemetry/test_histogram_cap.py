@@ -93,12 +93,5 @@ class TestCappedBehaviour:
         assert hist.count == 100
         assert hist.sample_size == 8
 
-    def test_env_cap_garbage_is_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HIST_MAX_SAMPLES", "not-a-number")
-        hist = Histogram()
-        for v in range(300):
-            hist.observe(float(v))
-        assert hist.sample_size == 300
-
     def test_empty_summary_unchanged(self):
         assert Histogram(max_samples=4).summary() == {"count": 0}

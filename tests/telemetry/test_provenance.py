@@ -14,7 +14,6 @@ from repro.telemetry.provenance import (
     env_snapshot,
     git_revision,
     reset_git_cache,
-    scan_provenance,
     stamp_provenance,
 )
 from repro.telemetry.trace import TraceWriter, validate_event
@@ -132,9 +131,7 @@ class TestStamping:
         kinds = [e["event"] for e in writer.events]
         assert kinds[0] == "provenance"
         assert kinds.count("provenance") == 1  # idempotent across episodes
-        assert scan_provenance(writer.events)["config_hash"] == (
-            config_hash(None)
-        )
+        assert writer.events[0]["config_hash"] == config_hash(None)
 
     def test_roundtrip_json(self):
         block = collect()
