@@ -11,9 +11,10 @@ results match scalar runs of the same seeds (see :mod:`repro.sim.batch`
 for the determinism contract).
 
 Trace records carry the same fields and schema as the scalar runner —
-only the interleaving differs (ticks from concurrent episodes alternate,
-and all ``episode_end`` records follow the loop). Diff by episode id,
-e.g. via ``repro.obsv.replay.diff_ticks``.
+only the order differs (every ``episode_start`` precedes the loop and
+every ``episode_end`` follows it). The loop logs each tick's ``[N]``
+arrays and each episode's ``episode_end`` carries its live rows as tick
+columns. Diff by episode id, e.g. via ``repro.obsv.replay.diff_ticks``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,12 @@ from repro.sim.scenario import make_world
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.provenance import stamp_provenance
 from repro.telemetry.spans import get_tracer, span
-from repro.telemetry.trace import TraceWriter, default_writer
+from repro.telemetry.trace import (
+    TICK_COLUMNS,
+    TraceWriter,
+    default_writer,
+    tick_columns,
+)
 
 
 def run_episode_batch(
@@ -153,6 +159,10 @@ class Lockstep:
         previously_active = np.zeros(n, dtype=bool)
         previous_gap = np.full(n, np.nan)
         lane_width = batch.road.config.lane_width
+        # Traced, per tick: the first C of TICK_COLUMNS for every row
+        # ([C, N]), and which rows were live.
+        tick_log: list[np.ndarray] = []
+        live_log: list[np.ndarray] = []
 
         tracer = get_tracer()
         batch_path = ""
@@ -195,29 +205,20 @@ class Lockstep:
                 previously_active[live] = is_active[live]
 
                 if trace is not None:
-                    gap = batch.nearest_npc_gap() if batch.m else None
-                    for i in np.flatnonzero(live):
-                        fields = dict(
-                            episode=seeds[i],
-                            tick=int(result.step[i]),
-                            t=float(result.time[i]),
-                            delta=float(delta[i]),
-                            x=float(batch.x[i, 0]),
-                            y=float(batch.y[i, 0]),
-                            yaw=float(batch.yaw[i, 0]),
-                            speed=float(batch.speed[i, 0]),
-                            reward_nominal=float(nominal_step[i]),
-                            reward_adversarial=float(adversarial_step[i]),
-                            lateral=float(deviation[i]),
-                        )
-                        if gap is not None:
-                            fields["npc_gap"] = float(gap[i])
-                            if not np.isnan(previous_gap[i]):
-                                closing = (previous_gap[i] - gap[i]) / scenario.dt
-                                if closing > 1e-6:
-                                    fields["ttc"] = float(gap[i] / closing)
-                            previous_gap[i] = gap[i]
-                        trace.emit("tick", **fields)
+                    columns = [
+                        result.step, result.time, delta, batch.x[:, 0],
+                        batch.y[:, 0], batch.yaw[:, 0], batch.speed[:, 0],
+                        nominal_step, adversarial_step, deviation,
+                    ]
+                    if batch.m:
+                        gap = batch.nearest_npc_gap()
+                        closing = (previous_gap - gap) / scenario.dt
+                        ttc = np.full(n, np.nan)
+                        np.divide(gap, closing, out=ttc, where=closing > 1e-6)
+                        previous_gap[live] = gap[live]
+                        columns += [gap, ttc]
+                    tick_log.append(np.stack(columns))
+                    live_log.append(live)
 
         if batch_path:
             # Scalar-path parity: credit each episode its share of the batch
@@ -239,6 +240,10 @@ class Lockstep:
                 )
                 offset += duration
 
+        if trace is not None:
+            logged = np.stack(tick_log)  # [ticks, C, N]
+            was_live = np.stack(live_log)  # [ticks, N]
+            names = tuple(TICK_COLUMNS)[: logged.shape[1]]
         registry = get_registry()
         results: list[EpisodeResult] = []
         for i in range(n):
@@ -279,6 +284,7 @@ class Lockstep:
                     nominal_return=float(nominal_total[i]),
                     adversarial_return=float(adversarial_total[i]),
                     passed_npcs=int(batch.passed_npcs[i]),
+                    ticks=_episode_ticks(names, logged, was_live, i),
                 )
 
             mean_effort = getattr(battacker, "mean_effort", 0.0)
@@ -303,3 +309,14 @@ class Lockstep:
         if trace is not None:
             trace.flush()
         return results
+
+
+def _episode_ticks(
+    names: Sequence[str], logged: np.ndarray, was_live: np.ndarray, i: int
+) -> dict[str, list]:
+    """Episode ``i``'s tick columns from the loop's ``[ticks, C, N]`` log
+    and its ``[ticks, N]`` live mask."""
+    rows = logged[was_live[:, i], :, i]
+    columns = dict(zip(names, rows.T))
+    columns["tick"] = columns["tick"].astype(np.int64)
+    return tick_columns(columns)

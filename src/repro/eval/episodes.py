@@ -29,7 +29,12 @@ from repro.telemetry.log import get_logger
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.provenance import stamp_provenance
 from repro.telemetry.spans import span
-from repro.telemetry.trace import TraceWriter, default_writer
+from repro.telemetry.trace import (
+    TICK_COLUMNS,
+    TraceWriter,
+    default_writer,
+    tick_columns,
+)
 
 VictimFactory = Callable[[World], DrivingAgent]
 
@@ -90,8 +95,9 @@ def run_episode(
         victim_factory: builds the victim for the fresh world.
         attacker: a ``SteerInjector`` (``None`` = nominal driving).
         seed: controls spawn jitter; equal seeds give equal worlds.
-        trace: optional JSONL event writer receiving ``episode_start`` /
-            per-``tick`` / ``episode_end`` records; defaults to the
+        trace: optional JSONL event writer receiving ``episode_start``
+            and ``episode_end`` records (the latter carries the tick
+            fields as columns); defaults to the
             process-wide writer installed via ``REPRO_TRACE`` (usually
             none). Telemetry is read-only: it never changes the episode.
         episode_id: id stamped on trace events (defaults to ``seed``).
@@ -161,6 +167,7 @@ def _run_episode(
     activations = 0
     previously_active = False
     previous_gap: float | None = None
+    ticks: list[tuple] = []  # traced: one row of TICK_COLUMNS per tick
 
     if observe is not None:
         observe(world, 0.0)
@@ -196,19 +203,7 @@ def _run_episode(
 
             if trace is not None:
                 state = world.ego.state
-                fields = dict(
-                    episode=episode_id,
-                    tick=result.step,
-                    t=result.time,
-                    delta=delta,
-                    x=state.x,
-                    y=state.y,
-                    yaw=state.yaw,
-                    speed=state.speed,
-                    reward_nominal=nominal_step,
-                    reward_adversarial=adversarial_step,
-                    lateral=deviations[-1],
-                )
+                gap = ttc = None
                 nearest = world.nearest_npc()
                 if nearest is not None:
                     gap = float(
@@ -217,13 +212,16 @@ def _run_episode(
                             - world.ego.state.position
                         )
                     )
-                    fields["npc_gap"] = gap
                     if previous_gap is not None:
                         closing = (previous_gap - gap) / scenario.dt
                         if closing > 1e-6:
-                            fields["ttc"] = gap / closing
+                            ttc = gap / closing
                     previous_gap = gap
-                trace.emit("tick", **fields)
+                ticks.append((
+                    result.step, result.time, delta, state.x, state.y,
+                    state.yaw, state.speed, nominal_step, adversarial_step,
+                    deviations[-1], gap, ttc,
+                ))
 
     time_to_collision = None
     if result.collision is not None and first_attack_time is not None:
@@ -258,6 +256,7 @@ def _run_episode(
             nominal_return=nominal_total,
             adversarial_return=adversarial_total,
             passed_npcs=world.passed_npcs,
+            ticks=tick_columns(dict(zip(TICK_COLUMNS, zip(*ticks)))),
         )
         trace.flush()
 

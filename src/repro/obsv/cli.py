@@ -104,6 +104,8 @@ def _cmd_forensics(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    if args.tolerance is not None:
+        replay_mod.check_tolerance(args.tolerance, "--tolerance")
     episodes = _episodes_for(args)
     failures = 0
     chunks = []
@@ -230,13 +232,15 @@ def _cmd_regress_metrics(args) -> int:
 def _cmd_regress(args) -> int:
     if args.metrics:
         return _cmd_regress_metrics(args)
-    thresholds = regress_mod.RegressionThresholds.from_env()
     if args.max_ratio is not None:
+        ratio = regress_mod.check_ratio(args.max_ratio, "--max-ratio")
         thresholds = regress_mod.RegressionThresholds(
-            wall_clock_ratio=args.max_ratio,
-            span_mean_ratio=args.max_ratio,
-            span_self_ratio=args.max_ratio,
+            wall_clock_ratio=ratio,
+            span_mean_ratio=ratio,
+            span_self_ratio=ratio,
         )
+    else:
+        thresholds = regress_mod.RegressionThresholds.from_env()
     try:
         current = load_snapshot(args.current)
         baseline = load_snapshot(args.baseline)

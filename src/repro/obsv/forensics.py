@@ -286,7 +286,7 @@ def analyze(
 ) -> EpisodeForensics:
     """Run the full post-mortem over one episode trace."""
     if not episode.ticks:
-        raise ValueError(f"episode {episode.episode!r} has no tick events")
+        raise ValueError(f"episode {episode.episode!r} has no ticks")
     ticks = episode.ticks
     deltas = episode.deltas()
     level = strike_threshold(episode.budget, deltas, strike_fraction)

@@ -3,7 +3,10 @@
 A trace file may interleave events from many episodes (``run_episodes``
 stamps consecutive seeds as episode ids) plus non-episode events
 (``train_step``, ``span``); :func:`split_episodes` keeps only the episode
-vocabulary and buckets it by episode id, preserving tick order.
+vocabulary and buckets it by episode id. It is the one reader of the
+trace-format-2 tick layout: each ``episode_end`` carries its episode's
+tick fields as columns, which it expands into one dict per tick, in
+tick order.
 """
 
 from __future__ import annotations
@@ -12,12 +15,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.telemetry.trace import read_trace, validate_event
+from repro.telemetry.trace import format_1_error, read_trace, validate_event
 
 
 @dataclass
 class EpisodeTrace:
-    """All events of one recorded episode, in emission order."""
+    """One recorded episode: its start and end records and its ticks.
+
+    ``ticks`` holds one dict per tick, the fields of that tick plus the
+    ``event`` kind ``"tick"``, the ``episode`` id and the ``run`` label
+    of the end record; a tick without a field (a ``null`` in its column)
+    lacks the key. ``end`` is the ``episode_end`` record without its
+    ``ticks`` columns.
+    """
 
     episode: int | str
     start: dict | None = None
@@ -69,6 +79,33 @@ class EpisodeTrace:
         return [float(t[fld]) for t in self.ticks if fld in t]
 
 
+def tick_count(end: dict) -> int:
+    """How many ticks an ``episode_end`` record carries."""
+    columns = end.get("ticks") or {}
+    return len(next(iter(columns.values()), ()))
+
+
+def episode_ticks(end: dict) -> list[dict]:
+    """An ``episode_end`` record's tick columns as one dict per tick
+    (the :attr:`EpisodeTrace.ticks` layout)."""
+    columns = end.get("ticks") or {}
+    names = list(columns)
+    sparse = [name for name, values in columns.items() if None in values]
+    base = {"event": "tick", "episode": end.get("episode")}
+    run = end.get("run")
+    ticks = []
+    for values in zip(*columns.values()):
+        tick = dict(base)
+        tick.update(zip(names, values))
+        for name in sparse:
+            if tick[name] is None:
+                del tick[name]
+        if run is not None:
+            tick["run"] = run
+        ticks.append(tick)
+    return ticks
+
+
 def split_episodes(events: Iterable[dict]) -> list[EpisodeTrace]:
     """Group decoded trace events into per-episode buckets.
 
@@ -76,13 +113,16 @@ def split_episodes(events: Iterable[dict]) -> list[EpisodeTrace]:
     no episode id (``train_step``, ``span``) are dropped. Episode ids may
     repeat within one file (e.g. several ``run_episodes`` sweeps sharing a
     seed): a fresh ``episode_start`` for an id that already has one opens a
-    new bucket rather than merging two distinct episodes.
+    new bucket rather than merging two distinct episodes. A format-1
+    ``tick`` record raises :class:`~repro.telemetry.trace.TraceFormatError`.
     """
     episodes: list[EpisodeTrace] = []
     open_buckets: dict[object, EpisodeTrace] = {}
-    for event in events:
+    for index, event in enumerate(events):
         kind = event.get("event")
-        if kind not in ("episode_start", "tick", "episode_end"):
+        if kind not in ("episode_start", "episode_end"):
+            if kind == "tick":
+                raise format_1_error(f"event {index}")
             continue
         key = event.get("episode")
         bucket = open_buckets.get(key)
@@ -91,10 +131,9 @@ def split_episodes(events: Iterable[dict]) -> list[EpisodeTrace]:
             episodes.append(bucket)
         if kind == "episode_start":
             bucket.start = event
-        elif kind == "tick":
-            bucket.ticks.append(event)
         else:
-            bucket.end = event
+            bucket.ticks = episode_ticks(event)
+            bucket.end = {k: v for k, v in event.items() if k != "ticks"}
     return episodes
 
 
@@ -105,6 +144,8 @@ def load_episodes(
 
     ``strict=True`` raises on the first schema-invalid event; by default
     invalid events are skipped so a partially corrupt trace still loads.
+    A format-1 trace raises
+    :class:`~repro.telemetry.trace.TraceFormatError` either way.
     """
     events = []
     for index, event in enumerate(read_trace(path)):

@@ -14,19 +14,35 @@ any breach; ``--json`` emits the machine-readable breach report for CI.
 
 Thresholds are ratios, not absolutes — bench machines differ — and spans
 with very few calls are skipped as noise. The default ratio can be set
-via ``REPRO_OBSV_MAX_RATIO``.
+via ``REPRO_OBSV_MAX_RATIO`` (a finite number > 0; anything else raises).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 
+def check_ratio(value: object, knob: str) -> float:
+    """``value`` as a breach ratio: a finite number > 0.
+
+    Raises ``ValueError`` naming ``knob`` and the value otherwise (a NaN
+    ratio would switch every ratio gate off: nothing is above it).
+    """
+    try:
+        ratio = float(value)
+    except (TypeError, ValueError):
+        ratio = math.nan
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise ValueError(f"{knob} must be a finite number > 0, got {value!r}")
+    return ratio
+
+
 def _env_ratio(default: float = 1.5) -> float:
-    raw = os.environ.get("REPRO_OBSV_MAX_RATIO")
-    return float(raw) if raw else default
+    raw = os.environ.get("REPRO_OBSV_MAX_RATIO", "")
+    return check_ratio(raw, "REPRO_OBSV_MAX_RATIO") if raw.strip() else default
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from repro.obsv.loader import EpisodeTrace
+from repro.obsv.loader import EpisodeTrace, split_episodes
 from repro.telemetry.trace import TraceWriter
 
-#: Fields of a tick record compared during replay, with absolute
+#: Fields of a tick compared during replay, with absolute
 #: tolerances. The simulator is bit-deterministic, so the defaults are
 #: essentially exact equality modulo JSON float round-tripping.
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -157,10 +157,24 @@ def _resolve_attacker(name: str, budget: float, victim: str):
     )
 
 
+def check_tolerance(value: object, knob: str) -> float:
+    """``value`` as an absolute tolerance: a number >= 0, not NaN.
+
+    Raises ``ValueError`` naming ``knob`` and the value otherwise.
+    """
+    try:
+        tolerance = float(value)
+    except (TypeError, ValueError):
+        tolerance = math.nan
+    if not tolerance >= 0:
+        raise ValueError(f"{knob} must be a number >= 0, got {value!r}")
+    return tolerance
+
+
 def default_tolerance() -> float | None:
     """Uniform tolerance override from ``REPRO_OBSV_TOLERANCE`` (else None)."""
-    raw = os.environ.get("REPRO_OBSV_TOLERANCE")
-    return float(raw) if raw else None
+    raw = os.environ.get("REPRO_OBSV_TOLERANCE", "")
+    return check_tolerance(raw, "REPRO_OBSV_TOLERANCE") if raw.strip() else None
 
 
 def diff_ticks(
@@ -258,10 +272,8 @@ def replay_episode(
         trace=writer,
         episode_id=episode.episode,
     )
-    replayed_ticks = [e for e in writer.events if e["event"] == "tick"]
-    replayed_end = next(
-        (e for e in writer.events if e["event"] == "episode_end"), None
-    )
+    (replayed,) = split_episodes(writer.events)
+    replayed_ticks, replayed_end = replayed.ticks, replayed.end
 
     report = ReplayReport(
         episode=episode.episode,

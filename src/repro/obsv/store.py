@@ -8,7 +8,7 @@ files and metrics/bench snapshots into an indexed SQLite database
 dashboard, ``repro.obsv regress``, and the ``query`` subcommand — hit
 indexes instead of re-decoding JSON lines.
 
-Layout (schema version 6):
+Layout (schema version 7):
 
 * ``runs``      — one row per ingested source file (trace or snapshot),
   keyed by absolute path with mtime/size for change detection; re-ingest
@@ -19,27 +19,32 @@ Layout (schema version 6):
   (:mod:`repro.telemetry.provenance`), and the full provenance payload —
   so "which runs came from commit X with config Y?" is one indexed
   query, and aggregates can group by run label, git SHA, or config hash.
-* ``events``    — one row per trace event. The full record is kept as a
+* ``events``    — one row per trace record. The full record is kept as a
   JSON payload column; the hot filter fields (kind, episode, loop, step,
-  tick, t, name) are hoisted into indexed columns. ``name`` carries span
-  paths from ``span``/``profile`` events, so per-span self-time series
-  are one indexed filter away.
+  name) are hoisted into indexed columns. ``name`` carries span paths
+  from ``span``/``profile`` events, so per-span self-time series are one
+  indexed filter away. An episode's ticks are one row, its
+  ``episode_end`` record, whose payload holds them as columns
+  (trace format 2); ``events``, ``series`` and ``aggregate`` answer
+  ``kind="tick"`` by unnesting those columns.
 * ``snapshots`` — whole metrics / bench JSON documents by name
   (``EXPERIMENTS_metrics.json``, ``BENCH_telemetry.json``,
   ``PROFILE_report.json``, ...).
 * ``meta``      — key/value store (schema version, source directory).
 
 Event payloads are strict JSON, so every field-level read (``series`` /
-``aggregate``) runs through SQLite's ``json1`` functions: a NaN field is
-written as ``null`` (it reads as missing), and ±inf as ``±1e999``, which
-``json1`` and :func:`json.loads` both read back as ±inf.
+``aggregate``) runs through SQLite's ``json1`` functions. A record's
+payload is its trace line when that holds no non-finite number; else it
+is re-encoded with a NaN field written as ``null`` (it reads as
+missing) and ±inf as ``±1e999``, which ``json1`` and :func:`json.loads`
+both read back as ±inf. Tick columns unnest through ``json_each``.
 
 The store indexes the files its ``runs`` table lists; it is never the
 only copy of them. Opening a store of an older schema rebuilds it from
 those files into a new file, which replaces the old one only after every
-source is re-ingested — a missing source raises ``ValueError`` and
-leaves the old store untouched. Stores newer than this build refuse to
-open.
+source is re-ingested — a missing source, or a trace-format-1 source,
+raises ``ValueError`` and leaves the old store untouched. Stores newer
+than this build refuse to open.
 
 Every ``obsv`` reader goes through two functions here: :func:`open_run`
 turns a run argument (a trace file, a run directory or a store) into a
@@ -62,16 +67,27 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.obsv.loader import EpisodeTrace, split_episodes
+from repro.obsv.loader import EpisodeTrace, episode_ticks, split_episodes
 from repro.telemetry.log import get_logger
-from repro.telemetry.trace import read_trace, validate_event
+from repro.telemetry.trace import TraceFormatError, iter_trace, validate_event
 
 log = get_logger("obsv.store")
 
 #: Default store filename inside an ingested run directory.
 DEFAULT_STORE_NAME = "obsv.sqlite"
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
+
+#: The event kind the store unnests from ``episode_end`` tick columns.
+TICK_KIND = "tick"
+
+#: Fields a tick takes from its ``episode_end`` record rather than from
+#: a column, as the SQL expression that reads them off the record.
+_TICK_INHERITED = {
+    "event": "'tick'",
+    "episode": "json_extract(e.payload, '$.episode')",
+    "run": "json_extract(e.payload, '$.run')",
+}
 
 #: Aggregations exposed by :meth:`TelemetryStore.aggregate` / the CLI.
 AGGREGATES = ("count", "mean", "min", "max", "sum")
@@ -108,8 +124,6 @@ CREATE TABLE IF NOT EXISTS events (
     episode TEXT,
     loop    TEXT,
     step    INTEGER,
-    tick    INTEGER,
-    t       REAL,
     name    TEXT,
     payload TEXT NOT NULL,
     PRIMARY KEY (run_id, seq)
@@ -148,6 +162,14 @@ def _strict_json(value: object) -> str:
             lambda match: match.group(1) or _STRICT_TOKENS[match.group()],
             _encode_lenient(value),
         )
+
+
+def _strict_line(line: str, event: object) -> str:
+    """The record decoded from ``line`` as strict JSON: the line itself
+    when it holds no non-finite token, else :func:`_strict_json`."""
+    if "NaN" in line or "Infinity" in line:
+        return _strict_json(event)
+    return line
 
 
 @dataclass(frozen=True)
@@ -275,10 +297,16 @@ class TelemetryStore:
                 scratch, self._lock_retries, self._lock_backoff, self._sleep
             ) as fresh:
                 for source, kind in sources:
-                    if kind == "trace":
-                        fresh.ingest_trace(source)
-                    else:
+                    if kind != "trace":
                         fresh.ingest_snapshot(source, names.get(source))
+                        continue
+                    try:
+                        fresh.ingest_trace(source)
+                    except TraceFormatError as error:
+                        raise TraceFormatError(
+                            f"store {self.path} has schema v{version} and"
+                            f" is rebuilt from its sources, but {error}"
+                        ) from None
                 for key, value in meta:
                     fresh.set_meta(key, value)
             if os.stat(self.path).st_ino == inode:
@@ -383,7 +411,9 @@ class TelemetryStore:
         """Load one JSONL trace file (idempotent on unchanged files).
 
         Schema-invalid events are skipped, mirroring the non-strict JSONL
-        loader, so store-backed consumers see the same event stream.
+        loader, so store-backed consumers see the same event stream. A
+        trace-format-1 file raises
+        :class:`~repro.telemetry.trace.TraceFormatError`.
         """
         path = Path(path).resolve()
         mtime, size = self._stat(path)
@@ -395,7 +425,12 @@ class TelemetryStore:
             and existing.size == size
         ):
             return existing
-        events = [e for e in read_trace(path) if not validate_event(e)]
+        records = [
+            (event, line)
+            for event, line in iter_trace(path)
+            if not validate_event(event)
+        ]
+        events = [event for event, _ in records]
         # Hoist provenance onto the run row: the run label (the first
         # `run` stamp) and the trace's provenance event.
         label = next(
@@ -444,9 +479,8 @@ class TelemetryStore:
             run_id = cursor.lastrowid
             conn.executemany(
                 "INSERT INTO events "
-                "(run_id, seq, kind, episode, loop, step, tick, t, name,"
-                " payload) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "(run_id, seq, kind, episode, loop, step, name, payload) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     (
                         run_id,
@@ -457,14 +491,12 @@ class TelemetryStore:
                         else str(event["episode"]),
                         event.get("loop"),
                         event.get("step"),
-                        event.get("tick"),
-                        event.get("t"),
                         None
                         if event.get("name") is None
                         else str(event["name"]),
-                        _strict_json(event),
+                        _strict_line(line, event),
                     )
-                    for seq, event in enumerate(events)
+                    for seq, (event, line) in enumerate(records)
                 ),
             )
             return run_id
@@ -629,16 +661,28 @@ class TelemetryStore:
         name: str | None = None,
         label: str | None = None,
     ) -> list[dict]:
-        """Decoded event records in ingestion order."""
-        where, params = self._where(kind, episode, loop, run, name, label)
+        """Decoded event records in ingestion order.
+
+        ``kind="tick"`` lists each matching episode's ticks, episode by
+        episode, as :attr:`~repro.obsv.loader.EpisodeTrace.ticks` holds
+        them. The loader expands them, not json1: SQLite renders a float
+        it writes as JSON with 15 significant digits, not bit for bit.
+        """
+        tick = kind == TICK_KIND
+        where, params = self._where(
+            "episode_end" if tick else kind, episode, loop, run, name, label
+        )
         sql = f"SELECT payload FROM events{where} ORDER BY run_id, seq"
-        if limit is not None:
+        if limit is not None and not tick:
             sql += " LIMIT ?"
             params.append(int(limit))
-        return [
-            json.loads(row[0])
-            for row in self._conn.execute(sql, params)
+        records = [
+            json.loads(row[0]) for row in self._conn.execute(sql, params)
         ]
+        if tick:
+            records = [t for end in records for t in episode_ticks(end)]
+            records = records[:limit] if limit is not None else records
+        return records
 
     def episodes(
         self, run: int | None = None, label: str | None = None
@@ -651,6 +695,9 @@ class TelemetryStore:
         of one labelled run.
         """
         where, params = self._where(None, None, None, run, label=label)
+        where += (" AND" if where else " WHERE") + (
+            " kind IN ('episode_start', 'episode_end')"
+        )
         sql = (
             f"SELECT run_id, payload FROM events{where} ORDER BY run_id, seq"
         )
@@ -688,6 +735,50 @@ class TelemetryStore:
             raise ValueError(f"bad field name {field!r}")
         return field
 
+    def _field_rows(
+        self,
+        field: str,
+        kind: str | None,
+        episode: object | None,
+        loop: str | None,
+        run: int | None,
+        name: str | None,
+        label: str | None,
+    ) -> tuple[str, list]:
+        """SQL for one row per value of ``field``, with the columns
+        ``run_id, seq, idx, kind, episode, loop, name, value``.
+
+        A stored record gives one row (``idx`` -1). With ``kind`` "tick"
+        or None, each ``episode_end`` also gives one row per tick, its
+        tick columns unnested by ``json_each`` (``idx`` is the tick's
+        index).
+        """
+        self._check_field(field)
+        parts, params = [], []
+        if kind != TICK_KIND:
+            where, args = self._where(kind, episode, loop, run, name, label)
+            parts.append(
+                "SELECT run_id, seq, -1 AS idx, kind, episode, loop, name,"
+                f" json_extract(payload, '$.{field}') AS value"
+                f" FROM events{where}"
+            )
+            params += args
+        if kind in (None, TICK_KIND):
+            where, args = self._where(
+                "episode_end", episode, loop, run, name, label, prefix="e."
+            )
+            inherited = _TICK_INHERITED.get(field)
+            column = "tick" if inherited else field
+            parts.append(
+                "SELECT e.run_id, e.seq, j.key AS idx, 'tick' AS kind,"
+                " e.episode, e.loop, e.name,"
+                f" {inherited or 'j.value'} AS value"
+                f" FROM events e, json_each(e.payload, '$.ticks.{column}') j"
+                f"{where}"
+            )
+            params += args
+        return " UNION ALL ".join(parts), params
+
     def series(
         self,
         field: str,
@@ -698,13 +789,15 @@ class TelemetryStore:
         name: str | None = None,
         label: str | None = None,
     ) -> list[float]:
-        """One numeric event field over time (events lacking it skipped)."""
-        self._check_field(field)
-        where, params = self._where(kind, episode, loop, run, name, label)
-        sql = (
-            f"SELECT json_extract(payload, '$.{field}') "
-            f"FROM events{where} ORDER BY run_id, seq"
+        """One numeric event field over time (events lacking it skipped).
+
+        ``kind="tick"`` reads a tick field episode by episode; with no
+        ``kind``, tick fields are read too.
+        """
+        rows, params = self._field_rows(
+            field, kind, episode, loop, run, name, label
         )
+        sql = f"SELECT value FROM ({rows}) ORDER BY run_id, seq, idx"
         return [
             float(row[0])
             for row in self._conn.execute(sql, params)
@@ -729,7 +822,8 @@ class TelemetryStore:
         grouped by one of :data:`GROUP_KEYS`. Grouping by a provenance
         key (:data:`PROVENANCE_KEYS`) joins each event to its run row,
         so one query answers "collision delta per git SHA" across a
-        store holding many ingested runs.
+        store holding many ingested runs. Tick fields are read as in
+        :meth:`series`.
         """
         if agg not in AGGREGATES:
             raise ValueError(f"agg must be one of {AGGREGATES}, got {agg!r}")
@@ -737,33 +831,26 @@ class TelemetryStore:
             raise ValueError(
                 f"group_by must be one of {GROUP_KEYS}, got {group_by!r}"
             )
-        self._check_field(field)
-        joined = group_by in PROVENANCE_KEYS
-        prefix = "e." if joined else ""
-        expr = f"json_extract({prefix}payload, '$.{field}')"
+        rows, params = self._field_rows(
+            field, kind, episode, loop, run, name, label
+        )
         sql_agg = {
             "count": "COUNT", "mean": "AVG", "min": "MIN", "max": "MAX",
             "sum": "SUM",
         }[agg]
-        where, params = self._where(
-            kind, episode, loop, run, name, label, prefix=prefix
-        )
-        not_null = f"{expr} IS NOT NULL"
-        where = where + f" AND {not_null}" if where else f" WHERE {not_null}"
-        table = (
-            "events e JOIN runs r ON e.run_id = r.run_id"
-            if joined
-            else "events"
-        )
-        if group_by is None:
-            sql = f"SELECT {sql_agg}({expr}) FROM {table}{where}"
+        table = f"({rows}) v"
+        if group_by in PROVENANCE_KEYS:
+            table += " JOIN runs r ON v.run_id = r.run_id"
+            group_col = f"r.{group_by}"
         else:
-            group_col = "run_id" if group_by == "run" else group_by
-            if joined:
-                group_col = f"r.{group_by}"
+            group_col = "v.run_id" if group_by == "run" else f"v.{group_by}"
+        where = " WHERE v.value IS NOT NULL"
+        if group_by is None:
+            sql = f"SELECT {sql_agg}(v.value) FROM {table}{where}"
+        else:
             sql = (
-                f"SELECT {group_col}, {sql_agg}({expr}) FROM {table}{where} "
-                f"GROUP BY {group_col} ORDER BY {group_col}"
+                f"SELECT {group_col}, {sql_agg}(v.value) FROM {table}{where}"
+                f" GROUP BY {group_col} ORDER BY {group_col}"
             )
         return list(self._conn.execute(sql, params))
 

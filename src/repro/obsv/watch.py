@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obsv.alerts import Alert, WatchConfig, Watchdog
+from repro.obsv.loader import tick_count
 from repro.obsv.render import fmt, sparkline
 from repro.obsv.store import load_snapshot
 from repro.telemetry.log import get_logger
@@ -228,6 +229,7 @@ class WatchState:
                     f"|{budget:.2f}"
                 )
         elif kind == "episode_end":
+            self.ticks_seen += tick_count(event)
             key = self._episode_cell.pop(event.get("episode"), None)
             if key is not None:
                 samples = self.cells.setdefault(key, {})
@@ -244,8 +246,6 @@ class WatchState:
                     value = event.get(name)
                     if isinstance(value, (int, float)):
                         samples.setdefault(name, []).append(float(value))
-        elif kind == "tick":
-            self.ticks_seen += 1
         elif kind == "alert":
             key = (str(event.get("rule")), str(event.get("loop", "")))
             if key not in self.alerts:

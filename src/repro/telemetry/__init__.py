@@ -11,8 +11,9 @@ state, so instrumented runs are bit-identical to uninstrumented ones.
 * :mod:`repro.telemetry.spans` — nested wall-clock span tracer with a
   ``span("name")`` context manager and ``@timed`` decorator
   (``REPRO_SPANS`` enables at import time; near-free when disabled).
-* :mod:`repro.telemetry.trace` — JSONL event writer for per-tick episode
-  traces and per-step training traces, with a schema validator and a
+* :mod:`repro.telemetry.trace` — JSONL event writer for episode traces
+  (each episode's ticks as columns on its ``episode_end`` record) and
+  per-step training traces, with a schema validator and a
   Chrome ``trace_event`` export (``REPRO_TRACE`` installs a default
   process-wide writer; ``REPRO_RUN_ID`` labels every record with a run
   id that ``obsv query --label`` and ``obsv compare --run-a`` select by).
@@ -24,6 +25,7 @@ from repro.telemetry.log import configure, get_logger
 from repro.telemetry.metrics import MetricsRegistry, get_registry
 from repro.telemetry.spans import get_tracer, span, timed
 from repro.telemetry.trace import (
+    TraceFormatError,
     TraceWriter,
     default_writer,
     read_trace,
@@ -40,6 +42,7 @@ __all__ = [
     "get_tracer",
     "span",
     "timed",
+    "TraceFormatError",
     "TraceWriter",
     "default_writer",
     "read_trace",

@@ -8,7 +8,7 @@ as one JSON object per line.
 Environment switches (read once, at first use):
 
 * ``REPRO_LOG_LEVEL`` — ``debug`` / ``info`` / ``warning`` / ``error``
-  (default ``info``).
+  (default ``info``; any other value raises ``ValueError``).
 * ``REPRO_LOG_JSON`` — any truthy value switches to JSON-lines output.
 
 Disabled levels cost one ``isEnabledFor`` check — field rendering is never
@@ -102,10 +102,17 @@ def configure(
     root = logging.getLogger(ROOT_NAME)
     if _configured and not force:
         return root
+    knob = "level"
     if level is None:
-        level = os.environ.get("REPRO_LOG_LEVEL", "info")
+        knob = "REPRO_LOG_LEVEL"
+        level = os.environ.get(knob, "").strip() or "info"
     if isinstance(level, str):
-        level = _LEVELS.get(level.strip().lower(), logging.INFO)
+        name = level.strip().lower()
+        if name not in _LEVELS:
+            raise ValueError(
+                f"{knob} must be one of {', '.join(_LEVELS)}, got {level!r}"
+            )
+        level = _LEVELS[name]
     if json_lines is None:
         json_lines = _truthy(os.environ.get("REPRO_LOG_JSON"))
     for handler in list(root.handlers):

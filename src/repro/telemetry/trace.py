@@ -1,4 +1,4 @@
-"""JSONL event traces: per-tick episode records and per-step training records.
+"""JSONL event traces: per-episode records and per-step training records.
 
 A :class:`TraceWriter` appends one JSON object per event either to a file
 or to an in-memory list (``path=None``). The event vocabulary is small and
@@ -6,14 +6,18 @@ schema-checked (:func:`validate_event`), so downstream tooling — and the
 tier-1 smoke test — can rely on field names and types:
 
 * ``episode_start``  — episode id, seed, victim/attacker names.
-* ``tick``           — per-control-step record: tick index, sim time,
-  injected delta, ego pose (x, y, yaw, speed), reward terms.
 * ``episode_end``    — steps, duration, collision kind (or ``null``),
-  returns, NPCs passed.
+  returns, NPCs passed, and the episode's per-control-step fields as
+  columns (``ticks``: tick index, sim time, injected delta, ego pose
+  (x, y, yaw, speed), reward terms; see :data:`TICK_COLUMNS`).
 * ``train_step``     — per-environment-step training record: loop label,
   step index, reward, done flag, episode index (plus optional loss
   fields).
 * ``span``           — one finished wall-clock span (Chrome-exportable).
+
+This is trace format 2 (:data:`TRACE_FORMAT`). Format 1 wrote one
+``tick`` record per control step; readers refuse it
+(:class:`TraceFormatError`) and never migrate it.
 
 Setting the ``REPRO_TRACE`` environment variable to a path installs a
 process-wide default writer that :func:`default_writer` hands to the
@@ -30,9 +34,41 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 _NUMBER = (int, float)
+
+#: The trace format this build writes and reads. Format 2 carries an
+#: episode's per-tick fields as columns on its ``episode_end`` record;
+#: format 1 wrote one ``tick`` record per tick.
+TRACE_FORMAT = 2
+
+#: The columns of an ``episode_end`` record's ``ticks`` object, in the
+#: order it lists them, with the types one value may take. Every column
+#: holds one value per tick of the episode.
+TICK_COLUMNS: dict[str, tuple] = {
+    "tick": (int,),
+    "t": _NUMBER,
+    "delta": _NUMBER,
+    "x": _NUMBER,
+    "y": _NUMBER,
+    "yaw": _NUMBER,
+    "speed": _NUMBER,
+    "reward_nominal": _NUMBER,
+    "reward_adversarial": _NUMBER,
+    #: Lateral deviation from the reference path, normalized by the lane
+    #: width.
+    "lateral": _NUMBER,
+    #: Center-to-center distance to the nearest NPC, meters.
+    "npc_gap": _NUMBER,
+    #: Estimated time-to-collision against the nearest NPC from the gap
+    #: closing rate, seconds (``null`` on ticks where it is not closing).
+    "ttc": _NUMBER,
+}
+
+#: Columns that hold a value on every tick; in the others ``null`` marks
+#: a tick without that field.
+REQUIRED_TICK_COLUMNS = ("tick", "t", "delta", "x", "y", "yaw", "speed")
 
 #: required / optional field -> accepted types, per event kind.
 SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
@@ -49,30 +85,6 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "scenario": (str,),
         },
     },
-    "tick": {
-        "required": {
-            "episode": (int, str),
-            "tick": (int,),
-            "t": _NUMBER,
-            "delta": _NUMBER,
-            "x": _NUMBER,
-            "y": _NUMBER,
-            "yaw": _NUMBER,
-            "speed": _NUMBER,
-        },
-        "optional": {
-            "reward_nominal": _NUMBER,
-            "reward_adversarial": _NUMBER,
-            #: Center-to-center distance to the nearest NPC, meters.
-            "npc_gap": _NUMBER,
-            #: Estimated time-to-collision against the nearest NPC from
-            #: the gap closing rate, seconds (omitted when not closing).
-            "ttc": _NUMBER,
-            #: Lateral deviation from the reference path, normalized by
-            #: the lane width.
-            "lateral": _NUMBER,
-        },
-    },
     "episode_end": {
         "required": {
             "episode": (int, str),
@@ -86,6 +98,8 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "nominal_return": _NUMBER,
             "adversarial_return": _NUMBER,
             "passed_npcs": (int,),
+            #: The episode's tick fields as columns (:data:`TICK_COLUMNS`).
+            "ticks": (dict,),
         },
     },
     "train_step": {
@@ -201,11 +215,75 @@ for _schema in SCHEMAS.values():
 del _schema
 
 
+class TraceFormatError(ValueError):
+    """A trace written in a format this build does not read."""
+
+
+def format_1_error(where: str) -> TraceFormatError:
+    """The refusal of a format-1 ``tick`` record found at ``where``."""
+    return TraceFormatError(
+        f"{where}: a 'tick' record, so this is trace format 1; this build"
+        f" reads trace format {TRACE_FORMAT}, where each episode_end"
+        " carries its ticks as columns. Format-1 traces are not migrated:"
+        " record the run again."
+    )
+
+
+def _tick_column_errors(ticks: dict, steps: object) -> list[str]:
+    """Schema errors of an ``episode_end`` record's ``ticks`` columns.
+
+    Every value is type-checked, one pass per column over the types it
+    holds. Columns not in :data:`TICK_COLUMNS` are allowed (forward
+    compatibility) but must be lists of the same length.
+    """
+    errors = []
+    lengths = set()
+    for name, column in ticks.items():
+        if not isinstance(column, list):
+            errors.append(
+                f"episode_end: ticks column {name!r} is a"
+                f" {type(column).__name__}, expected a list"
+            )
+            continue
+        lengths.add(len(column))
+        types = TICK_COLUMNS.get(name)
+        if types is None:
+            continue
+        if name not in REQUIRED_TICK_COLUMNS:
+            types = (*types, type(None))
+        bad = sorted(
+            found.__name__
+            for found in set(map(type, column))
+            if (found is bool and bool not in types)
+            or not issubclass(found, types)
+        )
+        if bad:
+            errors.append(
+                f"episode_end: ticks column {name!r} holds {', '.join(bad)},"
+                f" expected one of {tuple(t.__name__ for t in types)}"
+            )
+    missing = [name for name in REQUIRED_TICK_COLUMNS if name not in ticks]
+    if missing:
+        errors.append(f"episode_end: ticks lacks column(s) {missing}")
+    if len(lengths) > 1:
+        errors.append(
+            f"episode_end: ticks columns differ in length {sorted(lengths)}"
+        )
+    elif isinstance(steps, int) and lengths and lengths != {steps}:
+        errors.append(
+            f"episode_end: ticks columns hold {lengths.pop()} values,"
+            f" steps is {steps}"
+        )
+    return errors
+
+
 def validate_event(event: object) -> list[str]:
     """Schema errors for one decoded event (empty list = valid).
 
     Unknown extra fields are allowed (forward compatibility); unknown
     event kinds, missing required fields, and wrong field types are not.
+    An ``episode_end`` record's ``ticks`` columns are checked value by
+    value.
     """
     if not isinstance(event, dict):
         return [f"event must be an object, got {type(event).__name__}"]
@@ -236,20 +314,55 @@ def validate_event(event: object) -> list[str]:
                 f"{type(event[field]).__name__}, expected one of "
                 f"{tuple(t.__name__ for t in types)}"
             )
+    ticks = event.get("ticks")
+    if kind == "episode_end" and isinstance(ticks, dict):
+        errors += _tick_column_errors(ticks, event.get("steps"))
     return errors
 
 
 def validate_trace(source: str | Path | Iterable[dict]) -> list[str]:
-    """Validate a JSONL file (path) or an iterable of decoded events."""
+    """Validate a JSONL file (path) or an iterable of decoded events.
+
+    A format-1 trace raises :class:`TraceFormatError`.
+    """
     if isinstance(source, (str, Path)):
         events: Iterable = read_trace(source)
     else:
         events = source
     errors: list[str] = []
     for index, event in enumerate(events):
+        if isinstance(event, dict) and event.get("event") == "tick":
+            raise format_1_error(f"event {index}")
         for error in validate_event(event):
             errors.append(f"event {index}: {error}")
     return errors
+
+
+def tick_columns(columns: dict) -> dict[str, list]:
+    """The ``ticks`` object of an ``episode_end`` record.
+
+    ``columns`` maps :data:`TICK_COLUMNS` names to one sequence or numpy
+    array per field, one value per tick. The result lists them in
+    :data:`TICK_COLUMNS` order as plain lists. In a column outside
+    :data:`REQUIRED_TICK_COLUMNS` a ``None`` or NaN marks a tick without
+    that field and is written as ``null``; such a column with no value
+    on any tick is left out.
+    """
+    unknown = set(columns) - set(TICK_COLUMNS)
+    if unknown:
+        raise ValueError(f"unknown tick columns {sorted(unknown)}")
+    ticks = {}
+    for name in TICK_COLUMNS:
+        if name not in columns:
+            continue
+        column = columns[name]
+        values = column.tolist() if hasattr(column, "tolist") else list(column)
+        if name not in REQUIRED_TICK_COLUMNS:
+            values = [None if v is None or v != v else v for v in values]
+            if values.count(None) == len(values):
+                continue
+        ticks[name] = values
+    return ticks
 
 
 def _json_default(value):
@@ -334,12 +447,20 @@ def read_trace(path: str | Path, strict: bool = False) -> list[dict]:
     behind, or any other garbage — are skipped with a warning and counted
     in the ``trace_torn_lines_total`` metric, so post-mortem tooling can
     read the trace of the very crash it is investigating. ``strict=True``
-    restores the raise-on-garbage behaviour.
+    restores the raise-on-garbage behaviour. A format-1 ``tick`` record
+    raises :class:`TraceFormatError`, strict or not.
     """
+    return [event for event, _ in iter_trace(path, strict)]
+
+
+def iter_trace(
+    path: str | Path, strict: bool = False
+) -> Iterator[tuple[object, str]]:
+    """:func:`read_trace` as ``(event, line)`` pairs, ``line`` being the
+    stripped text the event was decoded from."""
     from repro.telemetry.log import get_logger
     from repro.telemetry.metrics import get_registry
 
-    events = []
     skipped = 0
     with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -347,7 +468,7 @@ def read_trace(path: str | Path, strict: bool = False) -> list[dict]:
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
+                event = json.loads(line)
             except json.JSONDecodeError as error:
                 if strict:
                     raise
@@ -356,9 +477,12 @@ def read_trace(path: str | Path, strict: bool = False) -> list[dict]:
                     "trace.torn_line", path=str(path), line=lineno,
                     error=str(error),
                 )
+                continue
+            if isinstance(event, dict) and event.get("event") == "tick":
+                raise format_1_error(f"{path}, line {lineno}")
+            yield event, line
     if skipped:
         get_registry().counter("trace_torn_lines_total").inc(skipped)
-    return events
 
 
 def to_chrome_trace(

@@ -152,7 +152,11 @@ def load_checkpoint(
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load keeps the file it opens when the zip parse of a torn
+        # archive raises; opening it here closes it either way.
+        with open(path, "rb") as handle, np.load(
+            handle, allow_pickle=False
+        ) as data:
             arrays = {
                 name: data[name] for name in data.files if name != _META_KEY
             }
@@ -211,7 +215,9 @@ def verify_checkpoint(path: str | Path) -> CheckpointReport:
         arrays, _ = load_checkpoint(path)
         # Loadable: distinguish checksummed (v2) from legacy by re-reading
         # the raw metadata blob (load_checkpoint strips the format key).
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as handle, np.load(
+            handle, allow_pickle=False
+        ) as data:
             legacy = True
             if _META_KEY in data.files:
                 meta = json.loads(

@@ -25,6 +25,7 @@ from repro.defense import DetectorSwitchedAgent
 from repro.eval import run_episode, run_episode_batch, run_episodes
 from repro.experiments import registry
 from repro.experiments.fig6 import victim_factory_for
+from repro.obsv.loader import split_episodes
 from repro.obsv.replay import DEFAULT_TOLERANCES, diff_ticks
 from repro.sim.batch import BatchWorld
 from repro.telemetry.trace import TraceWriter
@@ -65,11 +66,10 @@ def noisy_camera_attacker():
 
 
 def _ticks_by_episode(writer: TraceWriter) -> dict:
-    ticks: dict = {}
-    for event in writer.events:
-        if event["event"] == "tick":
-            ticks.setdefault(event["episode"], []).append(event)
-    return ticks
+    return {
+        episode.episode: episode.ticks
+        for episode in split_episodes(writer.events)
+    }
 
 
 def assert_same_outcomes(seeds, scalar, batched):

@@ -19,6 +19,7 @@ from repro.eval import (
     run_episode,
     run_episodes,
 )
+from repro.obsv.loader import split_episodes
 from repro.obsv.replay import DEFAULT_TOLERANCES, diff_ticks
 from repro.sim import Control, make_world
 from repro.telemetry.trace import TraceWriter
@@ -122,8 +123,9 @@ class TestRecordEpisode:
                 modular_victim, attacker=OracleAttacker(budget=1.0), seed=1,
                 trace=writer,
             )
+            (episode,) = split_episodes(writer.events)
             return (
-                [e for e in writer.events if e["event"] == "tick"],
+                episode.ticks,
                 [e for e in writer.events if e["event"] == "episode_end"],
             )
 

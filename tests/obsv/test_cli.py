@@ -54,8 +54,9 @@ class TestCli:
         lines = oracle_trace.read_text().splitlines()
         events = [json.loads(line) for line in lines]
         for event in events:
-            if event["event"] == "tick" and event["tick"] == 10:
-                event["x"] += 1.0
+            if event["event"] == "episode_end":
+                columns = event["ticks"]
+                columns["x"][columns["tick"].index(10)] += 1.0
         doctored.write_text(
             "\n".join(json.dumps(e) for e in events) + "\n"
         )

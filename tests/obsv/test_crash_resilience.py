@@ -16,27 +16,33 @@ from repro.obsv.cli import main
 from repro.obsv.loader import load_episodes
 from repro.obsv.store import TelemetryStore
 from repro.telemetry.metrics import get_registry
-from repro.telemetry.trace import TraceWriter, read_trace
+from repro.telemetry.trace import TraceWriter, read_trace, tick_columns
 from repro.utils.serialization import save_checkpoint
 
 pytestmark = pytest.mark.obsv
 
 
 def write_torn_trace(path, events=6):
-    """A healthy JSONL trace whose final line was torn by a crash."""
+    """A healthy JSONL trace whose final line, the second episode's
+    ``episode_end``, was torn by a crash."""
+    ticks = range(1, events + 1)
     with TraceWriter(path) as writer:
         writer.emit("episode_start", episode=1, seed=7, attacker="none")
-        for tick in range(events):
-            writer.emit(
-                "tick", episode=1, tick=tick, t=tick * 0.05, delta=0.05,
-                x=float(tick), y=0.0, yaw=0.0, speed=1.0,
-            )
         writer.emit(
             "episode_end", episode=1, steps=events, duration=events * 0.05,
             collision="NONE",
+            ticks=tick_columns({
+                "tick": ticks, "t": [tick * 0.05 for tick in ticks],
+                "delta": [0.05] * events, "x": [float(t) for t in ticks],
+                "y": [0.0] * events, "yaw": [0.0] * events,
+                "speed": [1.0] * events,
+            }),
         )
+        writer.emit("episode_start", episode=2, seed=8, attacker="none")
     with path.open("a", encoding="utf-8") as handle:
-        handle.write('{"event": "tick", "episode": 1, "tick": 99, "x": 1')
+        handle.write(
+            '{"event": "episode_end", "episode": 2, "ticks": {"tick": [1, 2'
+        )
     return path
 
 
@@ -46,8 +52,9 @@ class TestTornTrace:
         get_registry().reset()
         try:
             events = read_trace(path)
-            assert len(events) == 8  # start + 6 ticks + end; tail dropped
-            assert all(event["event"] != "tick" or event["tick"] != 99
+            assert len(events) == 3  # start, end, start; tail dropped
+            assert all(event.get("episode") != 2
+                       or event["event"] != "episode_end"
                        for event in events)
             counter = get_registry().counter("trace_torn_lines_total")
             assert counter.value == 1
@@ -62,15 +69,17 @@ class TestTornTrace:
     def test_load_episodes_survives_torn_tail(self, tmp_path):
         path = write_torn_trace(tmp_path / "trace.jsonl")
         episodes = load_episodes(path)
-        assert len(episodes) == 1
+        assert len(episodes) == 2
         assert episodes[0].complete
         assert len(episodes[0].ticks) == 6
+        # The killed episode left no tick data.
+        assert not episodes[1].complete and episodes[1].ticks == []
 
     def test_ingest_trace_survives_torn_tail(self, tmp_path):
         path = write_torn_trace(tmp_path / "trace.jsonl")
         with TelemetryStore(tmp_path / "obsv.sqlite") as store:
             info = store.ingest_trace(path)
-            assert info.events == 8
+            assert info.events == 3
             ticks = store.events(kind="tick")
             assert len(ticks) == 6
 

@@ -94,7 +94,8 @@ class TestLoader:
         start = next(e for e in events if e["event"] == "episode_start")
         assert start["budget"] == 1.0
         assert start["scenario"] == "default"
-        ticks = [e for e in events if e["event"] == "tick"]
+        (episode,) = split_episodes(events)
+        ticks = episode.ticks
         assert all("npc_gap" in t and "lateral" in t for t in ticks)
         assert any("ttc" in t for t in ticks)
         assert events[-1]["collision_with"] is not None

@@ -13,25 +13,26 @@ import urllib.request
 import pytest
 
 from repro.obsv.serve import DashboardServer, EventBus, json_safe
-from repro.telemetry.trace import TraceWriter
+from repro.telemetry.trace import TraceWriter, tick_columns
 
 pytestmark = [pytest.mark.obsv, pytest.mark.serve]
 
 
 def _write_trace(directory, episode, n_ticks=3):
+    ticks = range(1, n_ticks + 1)
     with TraceWriter(directory / f"trace{episode}.jsonl") as writer:
         writer.emit(
             "episode_start", episode=episode, seed=episode, run="srv-run"
         )
-        for tick in range(1, n_ticks + 1):
-            writer.emit(
-                "tick", episode=episode, tick=tick, t=0.1 * tick,
-                delta=0.0, x=1.0, y=0.0, yaw=0.0, speed=10.0,
-                run="srv-run",
-            )
         writer.emit(
             "episode_end", episode=episode, steps=n_ticks,
             duration=0.1 * n_ticks, run="srv-run",
+            ticks=tick_columns({
+                "tick": ticks, "t": [0.1 * tick for tick in ticks],
+                "delta": [0.0] * n_ticks, "x": [1.0] * n_ticks,
+                "y": [0.0] * n_ticks, "yaw": [0.0] * n_ticks,
+                "speed": [10.0] * n_ticks,
+            }),
         )
 
 
@@ -74,7 +75,7 @@ class TestHTTP:
     def test_status_counts_both_traces(self, server):
         status = _get_json(server.url + "api/status")
         assert status["runs"] == 2
-        assert status["events"] == 10
+        assert status["events"] == 4
         assert status["live"] is True
 
     def test_runs_inventory_lists_each_trace(self, server):
@@ -82,7 +83,7 @@ class TestHTTP:
         assert [r["source"].rsplit("/", 1)[-1] for r in runs] == [
             "trace0.jsonl", "trace1.jsonl"
         ]
-        assert all(r["events"] == 5 for r in runs)
+        assert all(r["events"] == 2 for r in runs)
         assert all(set(r) == {"run_id", "source", "kind", "events"}
                    for r in runs)
 
@@ -131,7 +132,7 @@ class TestHTTP:
         # Point at the bare store after hiding the run directory link.
         with DashboardServer(store_path) as server:
             status = _get_json(server.url + "api/status")
-            assert status["events"] == 10
+            assert status["events"] == 4
 
 
 class TestSSE:

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,7 @@ from repro.obsv.store import (
     load_snapshot,
     open_run,
 )
-from repro.telemetry.trace import TraceWriter
+from repro.telemetry.trace import TraceFormatError, TraceWriter
 
 pytestmark = [pytest.mark.obsv, pytest.mark.watch]
 
@@ -461,6 +463,16 @@ CREATE TABLE snapshots (
 """
 
 
+#: Schema 6 kept schema 5's tables; schema 7 dropped ``events.tick`` and
+#: ``events.t``.
+_V6_DDL = _V5_DDL
+
+#: A trace-format-1 eval trace (per-tick ``tick`` records).
+FORMAT_1_TRACE = (
+    Path(__file__).parents[1] / "telemetry" / "data" / "format1_golden.jsonl"
+)
+
+
 def write_records(path, records):
     path.write_text(
         "".join(json.dumps(record) + "\n" for record in records),
@@ -553,7 +565,7 @@ class TestSchemaMigration:
     def test_v4_store_opens_and_takes_new_ingests(self, run_dir, tmp_path):
         path = make_v4_store(tmp_path / "v4.sqlite", tmp_path)
         with TelemetryStore(path) as store:
-            assert store.get_meta("schema_version") == "6"
+            assert store.get_meta("schema_version") == "7"
             store.ingest_trace(run_dir / "episodes.jsonl")
             old = store.events(kind="update_health", label="old-run")
             assert [e["step"] for e in old] == [0, 10]
@@ -573,7 +585,7 @@ class TestSchemaMigration:
         into a new file that replaces it, leaving no scratch file."""
         path = make_v1_store(tmp_path / "old.sqlite", tmp_path)
         with TelemetryStore(path) as store:
-            assert store.get_meta("schema_version") == "6"
+            assert store.get_meta("schema_version") == "7"
             assert store.events(kind="stale") == []
             # The name column is filled from the re-read trace.
             rows = store.events(kind="profile", name="episode")
@@ -586,7 +598,7 @@ class TestSchemaMigration:
         TelemetryStore(path).close()  # rebuild
         rebuilt = path.read_bytes()
         with TelemetryStore(path) as store:  # reopen: no-op
-            assert store.get_meta("schema_version") == "6"
+            assert store.get_meta("schema_version") == "7"
             rows = store.aggregate(
                 "self_s", agg="sum", kind="profile", group_by="name"
             )
@@ -604,7 +616,7 @@ class TestSchemaMigration:
             meta=[("source_dir", str(run_dir.resolve()))],
         )
         with TelemetryStore(path) as rebuilt:
-            assert rebuilt.get_meta("schema_version") == "6"
+            assert rebuilt.get_meta("schema_version") == "7"
             view = store_view(rebuilt)
         with TelemetryStore(tmp_path / "fresh.sqlite") as fresh:
             fresh.ingest_dir(run_dir)
@@ -661,6 +673,32 @@ class TestSchemaMigration:
         with TelemetryStore(path) as store:
             assert store.get_meta("writer") == "first"
             assert len(store.events(kind="episode_start")) == 2
+        assert list(tmp_path.glob("*.rebuild")) == []
+
+    def test_v6_store_of_a_training_trace_rebuilds(self, tmp_path):
+        trace = write_training_trace(tmp_path / "training.jsonl")
+        path = make_old_store(tmp_path / "v6.sqlite", 6, _V6_DDL, [trace])
+        with TelemetryStore(path) as store:
+            assert store.get_meta("schema_version") == "7"
+            assert len(store.events(kind="update_health")) == 10
+            columns = {
+                row[1]
+                for row in store._conn.execute("PRAGMA table_info(events)")
+            }
+        assert "tick" not in columns and "t" not in columns
+        assert list(tmp_path.glob("*.rebuild")) == []
+
+    def test_v6_store_of_a_format_1_trace_refuses(self, tmp_path):
+        path = make_old_store(
+            tmp_path / "v6.sqlite", 6, _V6_DDL, [FORMAT_1_TRACE]
+        )
+        before = path.read_bytes()
+        expected = (
+            f"schema v6.*{re.escape(str(FORMAT_1_TRACE))}.*trace format 1"
+        )
+        with pytest.raises(TraceFormatError, match=expected):
+            TelemetryStore(path)
+        assert path.read_bytes() == before
         assert list(tmp_path.glob("*.rebuild")) == []
 
     def test_newer_schema_refuses_to_open(self, tmp_path):

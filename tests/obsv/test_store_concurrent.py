@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from repro.obsv.store import TelemetryStore
+from repro.telemetry.trace import tick_columns
 
 pytestmark = [pytest.mark.obsv, pytest.mark.watch]
 
@@ -31,13 +32,22 @@ print(summary["events"])
 """
 
 
-def _tick(episode, tick, t):
-    return json.dumps(
-        {
-            "event": "tick", "episode": episode, "tick": tick, "t": t,
-            "delta": 0.0, "x": 1.0, "y": 0.0, "yaw": 0.0, "speed": 5.0,
-        }
-    ) + "\n"
+def _episode(episode, ticks):
+    """An episode's start and end records, holding ``ticks`` ticks."""
+    steps = range(1, ticks + 1)
+    columns = tick_columns({
+        "tick": steps, "t": [0.1 * tick for tick in steps],
+        "delta": [0.0] * ticks, "x": [1.0] * ticks, "y": [0.0] * ticks,
+        "yaw": [0.0] * ticks, "speed": [5.0] * ticks,
+    })
+    return "".join(
+        json.dumps(record) + "\n"
+        for record in (
+            {"event": "episode_start", "episode": episode, "seed": 0},
+            {"event": "episode_end", "episode": episode, "steps": ticks,
+             "duration": 0.1 * ticks, "ticks": columns},
+        )
+    )
 
 
 def _write_traces(directory):
@@ -45,8 +55,7 @@ def _write_traces(directory):
         with (directory / f"trace{k}.jsonl").open(
             "w", encoding="utf-8"
         ) as handle:
-            for tick in range(1, TICKS_PER_TRACE + 1):
-                handle.write(_tick(k, tick, 0.1 * tick))
+            handle.write(_episode(k, TICKS_PER_TRACE))
 
 
 def _ticks_per_file(store):
@@ -110,7 +119,7 @@ def test_reingest_after_append_replaces_run_in_place(tmp_path):
         first = {info.source: info.run_id for info in store.runs()}
     # A trace grows (the run is still going) and is re-ingested.
     with (run_dir / "trace0.jsonl").open("a", encoding="utf-8") as handle:
-        handle.write(_tick(0, TICKS_PER_TRACE + 1, 9.9))
+        handle.write(_episode(N_TRACES, 1))
     with TelemetryStore(store_path) as store:
         store.ingest_dir(run_dir)
         assert len(store.runs()) == N_TRACES  # replaced, not appended

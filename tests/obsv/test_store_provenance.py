@@ -220,7 +220,7 @@ class TestV3Migration:
     def test_migrates_and_backfills_provenance(self, tmp_path):
         path = make_v3_store(tmp_path / "old.sqlite", tmp_path)
         with TelemetryStore(path) as store:
-            assert store.get_meta("schema_version") == "6"
+            assert store.get_meta("schema_version") == "7"
             by_label = {info.label: info for info in store.runs()}
             assert by_label["sweepA"].git_sha == SHA_A
             assert by_label["sweepA"].config_hash == "cfg-one"
@@ -231,7 +231,7 @@ class TestV3Migration:
         path = make_v3_store(tmp_path / "old.sqlite", tmp_path)
         TelemetryStore(path).close()  # rebuild
         with TelemetryStore(path) as store:  # reopen: no-op
-            assert store.get_meta("schema_version") == "6"
+            assert store.get_meta("schema_version") == "7"
             rows = store.aggregate(
                 "q_max", agg="mean", kind="update_health",
                 group_by="git_sha",
@@ -245,4 +245,4 @@ class TestV3Migration:
         path = make_v3_store(tmp_path / "old.sqlite", tmp_path)
         for _ in range(2):
             with TelemetryStore(path) as store:
-                assert store.get_meta("schema_version") == "6"
+                assert store.get_meta("schema_version") == "7"

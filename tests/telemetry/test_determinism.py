@@ -6,6 +6,7 @@ from repro.agents.modular import ModularAgent
 from repro.core.attackers import OracleAttacker
 from repro.eval.episodes import run_episode
 from repro.eval.recorder import record_episode
+from repro.obsv.loader import split_episodes
 from repro.telemetry.log import configure
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import get_tracer
@@ -46,8 +47,10 @@ def test_record_episode_trajectory_bit_identical(full_telemetry):
     assert instrumented.to_csv() == baseline.to_csv()
     assert instrumented.to_jsonl() == baseline.to_jsonl()
     assert (base_world.collisions == inst_world.collisions)
-    # the instrumented run really did emit a trace
-    assert full_telemetry.count >= len(baseline)
+    # the instrumented run really did emit a trace: one tick per frame
+    # after the fresh world's
+    (episode,) = split_episodes(full_telemetry.events)
+    assert len(episode.ticks) == len(baseline) - 1
 
 
 def test_run_episode_result_identical_under_telemetry(full_telemetry):

@@ -1,13 +1,18 @@
 """A malformed measurement knob fails loudly, naming the knob and the
 value, instead of turning into its default."""
 
+import functools
 import re
 
 import pytest
 
 from repro.obsv.alerts import WatchConfig
+from repro.obsv.cli import main
 from repro.obsv.prof.session import ProfileConfig
+from repro.obsv.regress import RegressionThresholds
+from repro.obsv.replay import default_tolerance
 from repro.obsv.watch import poll_interval
+from repro.telemetry.log import configure
 from repro.telemetry.metrics import Histogram
 
 pytestmark = pytest.mark.telemetry
@@ -41,9 +46,75 @@ pytestmark = pytest.mark.telemetry
             "REPRO_WATCH_STARVATION_UPDATES", "2.5", WatchConfig.from_env,
             id="watch-int-threshold",
         ),
+        pytest.param(
+            "REPRO_OBSV_MAX_RATIO", "nan", RegressionThresholds.from_env,
+            id="max-ratio-nan",
+        ),
+        pytest.param(
+            "REPRO_OBSV_MAX_RATIO", "inf", RegressionThresholds.from_env,
+            id="max-ratio-inf",
+        ),
+        pytest.param(
+            "REPRO_OBSV_MAX_RATIO", "0", RegressionThresholds.from_env,
+            id="max-ratio-zero",
+        ),
+        pytest.param(
+            "REPRO_OBSV_MAX_RATIO", "1.5x", RegressionThresholds.from_env,
+            id="max-ratio-text",
+        ),
+        pytest.param(
+            "REPRO_OBSV_TOLERANCE", "nan", default_tolerance,
+            id="tolerance-nan",
+        ),
+        pytest.param(
+            "REPRO_OBSV_TOLERANCE", "-1e-9", default_tolerance,
+            id="tolerance-negative",
+        ),
+        pytest.param(
+            "REPRO_OBSV_TOLERANCE", "tight", default_tolerance,
+            id="tolerance-text",
+        ),
+        pytest.param(
+            "REPRO_LOG_LEVEL", "verbos", functools.partial(
+                configure, force=True
+            ),
+            id="log-level",
+        ),
     ],
 )
 def test_malformed_knob_raises(monkeypatch, name, value, read):
     monkeypatch.setenv(name, value)
     with pytest.raises(ValueError, match=f"{name}.*{re.escape(repr(value))}"):
         read()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(
+            ["regress", "current.json", "baseline.json", "--max-ratio",
+             "nan"],
+            "--max-ratio", id="regress-max-ratio-nan",
+        ),
+        pytest.param(
+            ["regress", "current.json", "baseline.json", "--max-ratio", "-2"],
+            "--max-ratio", id="regress-max-ratio-negative",
+        ),
+        pytest.param(
+            ["replay", "trace.jsonl", "--tolerance", "nan"], "--tolerance",
+            id="replay-tolerance-nan",
+        ),
+    ],
+)
+def test_malformed_flag_raises(argv, flag):
+    with pytest.raises(ValueError, match=f"{flag}.*{argv[-1]}"):
+        main(argv)
+
+
+def test_well_formed_knobs_still_read(monkeypatch):
+    monkeypatch.setenv("REPRO_OBSV_MAX_RATIO", "3")
+    assert RegressionThresholds.from_env().wall_clock_ratio == 3.0
+    monkeypatch.setenv("REPRO_OBSV_TOLERANCE", "0")
+    assert default_tolerance() == 0.0
+    monkeypatch.setenv("REPRO_OBSV_TOLERANCE", "")
+    assert default_tolerance() is None

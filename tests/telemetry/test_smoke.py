@@ -39,14 +39,13 @@ def test_instrumented_episode_emits_schema_valid_trace(spans_enabled):
     # Every emitted event passes the schema checker.
     assert validate_trace(writer.events) == []
 
-    # Envelope: the provenance preamble, then one start, one end, one
-    # tick record per control step.
+    # Envelope: the provenance preamble, then one start and one end,
+    # whose tick columns hold one value per control step.
     kinds = [event["event"] for event in writer.events]
-    assert kinds[0] == "provenance"
-    assert kinds[1] == "episode_start" and kinds[-1] == "episode_end"
-    ticks = [event for event in writer.events if event["event"] == "tick"]
-    assert len(ticks) == result.steps
-    assert [t["tick"] for t in ticks] == list(range(1, result.steps + 1))
+    assert kinds == ["provenance", "episode_start", "episode_end"]
+    columns = writer.events[-1]["ticks"]
+    assert {len(values) for values in columns.values()} == {result.steps}
+    assert columns["tick"] == list(range(1, result.steps + 1))
 
     # The end record mirrors the measured EpisodeResult.
     end = writer.events[-1]

@@ -1,6 +1,8 @@
 """Tests for checkpoint save/load, integrity checking, and atomicity."""
 
+import gc
 import json
+import warnings
 import zipfile
 
 import numpy as np
@@ -73,6 +75,23 @@ class TestCheckpointIntegrity:
         message = str(excinfo.value)
         assert str(path) in message
         assert "verify-artifacts" in message
+
+    def test_truncated_archive_closes_its_file(self, tmp_path):
+        path = save_checkpoint(tmp_path / "m", {"w": np.ones(1000)})
+        data = path.read_bytes()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for size in (100, len(data) // 2):
+                path.write_bytes(data[:size])
+                with pytest.raises(CheckpointCorruptError):
+                    load_checkpoint(path)
+                assert not verify_checkpoint(path).ok
+            gc.collect()
+        leaked = [
+            str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)
+        ]
+        assert leaked == []
 
     def test_bit_flip_fails_checksum(self, tmp_path):
         path = save_checkpoint(tmp_path / "m", {"w": np.arange(64.0)})
