@@ -53,7 +53,7 @@ class BatchModularActor:
 
     def act_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
         plan = self.planner.update(batch)
-        ego_s, _, _ = batch.ego_frenet()
+        ego_s = batch.geometry().ego[0]
         speed = batch.speed[:, 0]
 
         cfg = self.config

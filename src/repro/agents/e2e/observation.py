@@ -50,7 +50,7 @@ class DrivingObservation:
         """The full policy observation for the current tick."""
         frames = self._stack.observe(world)
         state = world.ego.state
-        _, d, _ = world.road.to_frenet(state.position)
+        _, d, _ = world.geometry().ego
         ego = np.array(
             [
                 state.speed / self.reference_speed,
@@ -65,7 +65,7 @@ class DrivingObservation:
     def observe_batch(self, batch) -> np.ndarray:
         """Policy observations for every episode of a batch, ``[N, dim]``."""
         frames = self._stack.observe_batch(batch)
-        _, d, _ = batch.ego_frenet()
+        _, d, _ = batch.geometry().ego
         ego = np.stack(
             [
                 batch.speed[:, 0] / self.reference_speed,

@@ -24,7 +24,7 @@ import numpy as np
 from repro.agents.modular.behavior import Plan
 from repro.sim.collision import Collision
 from repro.sim.world import World
-from repro.utils.geometry import unit
+from repro.utils.geometry import unit, unit_rows
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class DrivingReward:
         """
         cfg = self.config
         state = world.ego.state
-        ego_s, ego_d, _ = world.road.to_frenet(state.position)
+        ego_s, ego_d, _ = world.geometry().ego
 
         target_s = ego_s + cfg.lookahead
         target_d = plan.reference_offset(target_s)
@@ -116,17 +116,12 @@ class DrivingReward:
             collided: boolean mask of episodes that collided this tick.
         """
         cfg = self.config
-        ego_s, ego_d, _ = batch.ego_frenet()
+        ego_s, ego_d, _ = batch.geometry().ego
 
         target_s = ego_s + cfg.lookahead
         target_d = plan.reference_offset(target_s)
         target_xy, _ = batch.road.to_world_batch(target_s, target_d)
-        waypoint = target_xy - batch.ego_position
-        norm = np.sqrt(np.einsum("nj,nj->n", waypoint, waypoint))
-        safe = np.where(norm < 1e-12, 1.0, norm)
-        unit_wp = np.where(
-            (norm < 1e-12)[:, None], 0.0, waypoint / safe[:, None]
-        )
+        unit_wp, _ = unit_rows(target_xy - batch.ego_position)
         progress = np.minimum(
             np.einsum("nj,nj->n", batch.ego_velocity, unit_wp)
             / cfg.reference_speed,

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.agents.base import DrivingAgent
 from repro.agents.modular.behavior import BehaviorConfig, BehaviorPlanner, Plan
 from repro.agents.modular.pid import (
@@ -27,7 +25,7 @@ from repro.sim.road import Road
 from repro.sim.vehicle import Control
 from repro.sim.world import World
 from repro.telemetry.spans import timed
-from repro.utils.geometry import normalize_angle
+from repro.utils.geometry import clamp, normalize_angle
 
 
 @dataclass(frozen=True)
@@ -76,16 +74,14 @@ class ModularAgent(DrivingAgent):
         plan = self.planner.update(world)
         self._plan = plan
         state = world.ego.state
-        ego_s, _, _ = world.road.to_frenet(state.position)
+        ego_s = world.geometry().ego[0]
 
         # Lateral control: bearing to a lookahead point on the reference path.
         cfg = self.config
-        lookahead = float(
-            np.clip(
-                cfg.lookahead_gain * state.speed,
-                cfg.lookahead_min,
-                cfg.lookahead_max,
-            )
+        lookahead = clamp(
+            cfg.lookahead_gain * state.speed,
+            cfg.lookahead_min,
+            cfg.lookahead_max,
         )
         target_s = ego_s + lookahead
         target_d = plan.reference_offset(target_s)

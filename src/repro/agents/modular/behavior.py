@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.road import Road
-from repro.sim.world import World
+from repro.sim.world import World, WorldGeometry
+from repro.utils.geometry import clamp
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class BehaviorPlanner:
 
     def reset(self, world: World) -> None:
         """Initialize the plan to the ego's spawn lane."""
-        _, d, _ = world.road.to_frenet(world.ego.state.position)
+        _, d, _ = world.geometry().ego
         lane = world.road.lane_at(d)
         self._target_lane = lane if lane is not None else 0
         self._transition = None
@@ -112,23 +113,24 @@ class BehaviorPlanner:
     def update(self, world: World) -> Plan:
         """Advance the behavioural state machine and return this tick's plan."""
         cfg = self.config
-        ego_s, _, _ = world.road.to_frenet(world.ego.state.position)
+        geometry = world.geometry()
+        ego_s = geometry.ego[0]
         if self._transition is not None and ego_s >= self._transition.s1:
             self._transition = None
 
         target_speed = cfg.target_speed
         if self._transition is None:
-            leader = self._leader(world, self._target_lane, ego_s)
+            leader = self._leader(world, geometry, self._target_lane)
             if leader is not None:
                 gap = leader[0] - ego_s
                 if gap < cfg.overtake_trigger:
-                    started = self._try_lane_change(world, ego_s)
+                    started = self._try_lane_change(world, geometry)
                     if not started:
-                        target_speed = self._acc_speed(world, leader, ego_s)
+                        target_speed = self._acc_speed(leader, ego_s)
         else:
-            leader = self._leader(world, self._target_lane, ego_s)
+            leader = self._leader(world, geometry, self._target_lane)
             if leader is not None and leader[0] - ego_s < cfg.overtake_trigger:
-                target_speed = self._acc_speed(world, leader, ego_s)
+                target_speed = self._acc_speed(leader, ego_s)
 
         return Plan(
             target_lane=self._target_lane,
@@ -140,12 +142,12 @@ class BehaviorPlanner:
     # -- internals ---------------------------------------------------------
 
     def _leader(
-        self, world: World, lane: int, ego_s: float
+        self, world: World, geometry: WorldGeometry, lane: int
     ) -> tuple[float, float] | None:
         """Closest NPC ahead of the ego in ``lane``: ``(s, speed)`` or None."""
+        ego_s = geometry.ego[0]
         best: tuple[float, float] | None = None
-        for npc in world.npcs:
-            s, d, _ = world.road.to_frenet(npc.vehicle.state.position)
+        for npc, (s, d, _) in zip(world.npcs, geometry.npcs):
             npc_lane = world.road.lane_at(d)
             if npc_lane != lane or s <= ego_s:
                 continue
@@ -153,28 +155,30 @@ class BehaviorPlanner:
                 best = (s, npc.vehicle.state.speed)
         return best
 
-    def _lane_is_free(self, world: World, lane: int, ego_s: float) -> bool:
+    def _lane_is_free(
+        self, world: World, geometry: WorldGeometry, lane: int
+    ) -> bool:
         cfg = self.config
-        for npc in world.npcs:
-            s, d, _ = world.road.to_frenet(npc.vehicle.state.position)
+        ego_s = geometry.ego[0]
+        for s, d, _ in geometry.npcs:
             if world.road.lane_at(d) != lane:
                 continue
             if -cfg.change_rear_gap <= s - ego_s <= cfg.change_front_gap:
                 return False
         return True
 
-    def _try_lane_change(self, world: World, ego_s: float) -> bool:
+    def _try_lane_change(self, world: World, geometry: WorldGeometry) -> bool:
         """Attempt an overtake; aggressive mode may use any adjacent lane."""
         cfg = self.config
+        ego_s, ego_d, _ = geometry.ego
         candidates = [self._target_lane + 1, self._target_lane - 1]
         for lane in candidates:
             if not 0 <= lane < self.road.n_lanes:
                 continue
-            if not self._lane_is_free(world, lane, ego_s):
+            if not self._lane_is_free(world, geometry, lane):
                 continue
             speed = max(world.ego.state.speed, 4.0)
             distance = max(speed * cfg.change_time, cfg.min_change_distance)
-            _, ego_d, _ = world.road.to_frenet(world.ego.state.position)
             self._transition = LaneTransition(
                 s0=ego_s,
                 d0=ego_d,
@@ -185,15 +189,13 @@ class BehaviorPlanner:
             return True
         return False
 
-    def _acc_speed(
-        self, world: World, leader: tuple[float, float], ego_s: float
-    ) -> float:
+    def _acc_speed(self, leader: tuple[float, float], ego_s: float) -> float:
         """Adaptive-cruise fallback speed when boxed in behind a leader."""
         cfg = self.config
         gap = leader[0] - ego_s
         leader_speed = leader[1]
         speed = leader_speed + cfg.acc_gain * (gap - cfg.min_gap)
-        return float(np.clip(speed, 0.0, cfg.target_speed))
+        return clamp(speed, 0.0, cfg.target_speed)
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ class BatchBehaviorPlanner:
 
     def reset(self, batch) -> None:
         """Initialize every episode's plan to its ego's spawn lane."""
-        _, d, _ = batch.ego_frenet()
+        _, d, _ = batch.geometry().ego
         lane = self._lane_at(d)
         self._target_lane = np.where(lane >= 0, lane, 0)
         self._changing = np.zeros(batch.n, dtype=bool)
@@ -273,7 +275,8 @@ class BatchBehaviorPlanner:
             raise RuntimeError("call reset(batch) before update(batch)")
         cfg = self.config
         n = batch.n
-        ego_s, ego_d, _ = batch.ego_frenet()
+        geometry = batch.geometry()
+        ego_s, ego_d, _ = geometry.ego
         ego_speed = batch.speed[:, 0]
 
         # 1. Clear transitions whose blend interval the ego has passed.
@@ -281,12 +284,8 @@ class BatchBehaviorPlanner:
 
         # 2. Leader search in the current target lane (positions decide
         #    lane membership, matching the scalar planner).
-        npc_s = batch._npc_s()
-        pts = np.stack(
-            [batch.x[:, 1:].ravel(), batch.y[:, 1:].ravel()], axis=1
-        )
-        _, npc_d, _ = self.road.frenet_batch(pts)
-        npc_lane = self._lane_at(npc_d.reshape(n, batch.m))
+        npc_s, npc_d, _ = geometry.npcs
+        npc_lane = self._lane_at(npc_d)
         npc_speed = batch.speed[:, 1:]
 
         ahead = (npc_lane == self._target_lane[:, None]) & (
@@ -374,7 +373,7 @@ class GlobalRoutePlanner:
 
     def plan(self, world: World, goal_lane: int | None = None) -> list:
         """Waypoints from the ego's position to the end of the road."""
-        ego_s, ego_d, _ = world.road.to_frenet(world.ego.state.position)
+        ego_s, ego_d, _ = world.geometry().ego
         lane = world.road.lane_at(ego_d)
         if lane is None:
             lane = 0

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.geometry import clamp
+
 
 @dataclass(frozen=True)
 class PidGains:
@@ -42,12 +44,10 @@ class Pid:
 
     def step(self, error: float) -> float:
         """Advance the loop by one tick and return the saturated output."""
-        self._integral = float(
-            np.clip(
-                self._integral + error * self.dt,
-                -self.integral_limit,
-                self.integral_limit,
-            )
+        self._integral = clamp(
+            self._integral + error * self.dt,
+            -self.integral_limit,
+            self.integral_limit,
         )
         derivative = 0.0
         if self._last_error is not None:
@@ -55,7 +55,7 @@ class Pid:
         self._last_error = error
         g = self.gains
         output = g.kp * error + g.ki * self._integral + g.kd * derivative
-        return float(np.clip(output, -self.output_limit, self.output_limit))
+        return clamp(output, -self.output_limit, self.output_limit)
 
     def reset(self) -> None:
         self._integral = 0.0

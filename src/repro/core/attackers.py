@@ -18,7 +18,7 @@ from repro.core.injection import (
     InjectionChannelConfig,
 )
 from repro.core.observations import CameraAttackObservation, ImuAttackObservation
-from repro.core.rewards import BETA, _omega, _omega_batch
+from repro.core.rewards import BETA
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.sensors.base import Sensor
 from repro.sim.batch import NoBatchTwin
@@ -82,19 +82,15 @@ class OracleAttacker:
 
     def normalized_action(self, world: World) -> float:
         """The oracle's decision in [-1, 1] (before budget scaling)."""
-        npc = world.nearest_npc()
-        if npc is None:
+        nearest = world.geometry().nearest
+        if nearest is None or nearest.distance > self.max_range:
             return 0.0
-        ego = world.ego
-        offset = npc.vehicle.state.position - ego.state.position
-        if float(np.linalg.norm(offset)) > self.max_range:
-            return 0.0
-        omega = _omega(world)
-        if omega is None or abs(omega) > self.beta:
+        if nearest.omega is None or abs(nearest.omega) > self.beta:
             return 0.0
         # Steer toward the target: positive steer turns right (toward
         # negative lateral offsets in the ego frame).
-        local = ego.footprint().to_local(npc.vehicle.state.position)
+        npc = world.npcs[nearest.index]
+        local = world.ego.footprint().to_local(npc.vehicle.state.position)
         return -1.0 if local[1] > 0.0 else 1.0
 
     def delta(self, world: World, control: Control) -> float:
@@ -249,15 +245,17 @@ class BatchOracleAttacker:
         """The oracle's per-episode decisions in [-1, 1]."""
         if batch.m == 0:
             return np.zeros(batch.n)
-        rows = np.arange(batch.n)
-        j = batch.nearest_npc_index()
-        offset = batch.npc_positions[rows, j] - batch.ego_position
-        dist = np.sqrt(np.einsum("nj,nj->n", offset, offset))
-        omega, _, has_dir = _omega_batch(batch)
+        nearest = batch.geometry().nearest
         window = (
-            (dist <= self.max_range) & has_dir & (np.abs(omega) <= self.beta)
+            (nearest.distance <= self.max_range)
+            & nearest.moving
+            & (np.abs(nearest.omega) <= self.beta)
         )
         # Ego-frame lateral offset of the target (footprint().to_local y).
+        offset = (
+            batch.npc_positions[np.arange(batch.n), nearest.index]
+            - batch.ego_position
+        )
         yaw = batch.yaw[:, 0]
         local_y = -offset[:, 0] * np.sin(yaw) + offset[:, 1] * np.cos(yaw)
         side = np.where(local_y > 0.0, -1.0, 1.0)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.config import EPSILON_MECH
+from repro.utils.geometry import clamp
 
 #: Smallest |delta| that counts as a meaningful injection: below this the
 #: attacker is considered to be lurking (used for the attack-effort
@@ -80,12 +81,12 @@ class InjectionChannel:
     def inject(self, normalized_action: float) -> float:
         """Physical steering perturbation for a policy output in [-1, 1]."""
         cfg = self.config
-        delta = float(np.clip(normalized_action, -1.0, 1.0)) * cfg.budget
+        delta = clamp(normalized_action, -1.0, 1.0) * cfg.budget
         if cfg.quantization > 0.0:
             delta = round(delta / cfg.quantization) * cfg.quantization
         if cfg.noise_std > 0.0:
             delta += float(self.rng.normal(0.0, cfg.noise_std))
-        delta = float(np.clip(delta, -cfg.budget, cfg.budget))
+        delta = clamp(delta, -cfg.budget, cfg.budget)
         self.total_effort += abs(delta)
         self.steps += 1
         if abs(delta) > ACTIVE_THRESHOLD:

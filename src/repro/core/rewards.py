@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.collision import Collision, CollisionKind
-from repro.sim.world import World
-from repro.utils.geometry import unit
+from repro.sim.world import Nearest, World
+from repro.utils.geometry import unit, unit_rows
 
 #: The paper's critical-moment threshold, cos(pi/6).
 BETA = math.cos(math.pi / 6.0)
@@ -74,48 +74,15 @@ def collision_label(collision: Collision | None) -> int:
 
 def critical_moment(world: World, beta: float = BETA) -> bool:
     """Whether the ego/nearest-NPC geometry is inside the attack window."""
-    return _omega(world) is not None and abs(_omega(world)) <= beta
+    return _critical(world.geometry().nearest, beta)
 
 
-def _omega(world: World) -> float | None:
-    npc = world.nearest_npc()
-    if npc is None:
-        return None
-    e2n = unit(npc.vehicle.state.position - world.ego.state.position)
-    npc_dir = unit(npc.vehicle.state.velocity)
-    if not np.any(npc_dir):
-        return None
-    return float(e2n @ npc_dir)
-
-
-def _unit_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`~repro.utils.geometry.unit`: ``(units, nonzero)``."""
-    norm = np.sqrt(np.einsum("nj,nj->n", vectors, vectors))
-    zero = norm < 1e-12
-    safe = np.where(zero, 1.0, norm)
-    return np.where(zero[:, None], 0.0, vectors / safe[:, None]), ~zero
-
-
-def _omega_batch(
-    batch,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`_omega` over a batch world.
-
-    Returns ``(omega[N], e2n[N, 2], valid[N])`` for each episode's nearest
-    NPC; rows where the scalar ``_omega`` would return ``None`` (no NPC or
-    a zero NPC velocity) have ``valid`` False and ``omega`` 0.
-    """
-    n = batch.n
-    if batch.m == 0:
-        return np.zeros(n), np.zeros((n, 2)), np.zeros(n, dtype=bool)
-    rows = np.arange(n)
-    j = batch.nearest_npc_index()
-    npc_pos = batch.npc_positions[rows, j]
-    npc_vel = batch.npc_velocities[rows, j]
-    e2n, _ = _unit_rows(npc_pos - batch.ego_position)
-    npc_dir, has_dir = _unit_rows(npc_vel)
-    omega = np.einsum("nj,nj->n", e2n, npc_dir)
-    return np.where(has_dir, omega, 0.0), e2n, has_dir
+def _critical(nearest: Nearest | None, beta: float) -> bool:
+    return (
+        nearest is not None
+        and nearest.omega is not None
+        and abs(nearest.omega) <= beta
+    )
 
 
 class AdversarialReward:
@@ -144,16 +111,14 @@ class AdversarialReward:
         label = collision_label(collision)
         collision_term = cfg.collision_reward * label
 
-        omega = _omega(world)
-        critical = omega is not None and abs(omega) <= cfg.beta
+        nearest = world.geometry().nearest
+        critical = _critical(nearest, cfg.beta)
 
         potential = 0.0
         maneuver = 0.0
         if critical:
-            npc = world.nearest_npc()
-            e2n = unit(npc.vehicle.state.position - world.ego.state.position)
             ego_dir = unit(world.ego.state.velocity)
-            potential = float(e2n @ ego_dir)
+            potential = float(nearest.direction @ ego_dir)
         else:
             maneuver = -cfg.maneuver_weight * abs(delta)
 
@@ -193,17 +158,12 @@ class AdversarialReward:
         )
         collision_term = cfg.collision_reward * label
 
-        omega, e2n, has_dir = _omega_batch(batch)
-        critical = has_dir & (np.abs(omega) <= cfg.beta)
+        nearest = batch.geometry().nearest
+        critical = nearest.moving & (np.abs(nearest.omega) <= cfg.beta)
 
-        ego_vel = batch.ego_velocity
-        norm = np.sqrt(np.einsum("nj,nj->n", ego_vel, ego_vel))
-        safe = np.where(norm < 1e-12, 1.0, norm)
-        ego_dir = np.where(
-            (norm < 1e-12)[:, None], 0.0, ego_vel / safe[:, None]
-        )
+        ego_dir, _ = unit_rows(batch.ego_velocity)
         potential = np.where(
-            critical, np.einsum("nj,nj->n", e2n, ego_dir), 0.0
+            critical, np.einsum("nj,nj->n", nearest.direction, ego_dir), 0.0
         )
         maneuver = np.where(
             critical, 0.0, -cfg.maneuver_weight * np.abs(delta)

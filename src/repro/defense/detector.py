@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.agents.base import DrivingAgent
 from repro.agents.e2e.agent import EndToEndAgent
 from repro.defense.pnn_defense import SimplexSwitchedAgent
@@ -33,6 +31,7 @@ from repro.rl.pnn import ProgressivePolicy
 from repro.sim.vehicle import Control
 from repro.sim.world import World
 from repro.telemetry.metrics import get_registry
+from repro.utils.geometry import clamp
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ class ResidualAttackDetector:
 
     def observe_command(self, world: World, command: Control) -> None:
         """Record the command about to be issued (pre-tick)."""
-        self._last_command = float(np.clip(command.steer, -1.0, 1.0))
+        self._last_command = clamp(command.steer, -1.0, 1.0)
         self._last_actuation = world.ego.state.steer_actuation
 
     def update(self, world: World) -> float:

@@ -57,7 +57,7 @@ class RescueExpert(DrivingAgent):
         plan = self.inner.current_plan
         if plan is None:
             return 0.0
-        ego_s, ego_d, _ = world.road.to_frenet(world.ego.state.position)
+        ego_s, ego_d, _ = world.geometry().ego
         return abs(ego_d - plan.reference_offset(ego_s))
 
     def act(self, world: World) -> Control:

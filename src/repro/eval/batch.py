@@ -189,7 +189,8 @@ class Lockstep:
                 nominal_total[live] += nominal_step[live]
                 adversarial_total[live] += adversarial_step[live]
 
-                ego_s, ego_d, _ = batch.ego_frenet()
+                geometry = batch.geometry()
+                ego_s, ego_d, _ = geometry.ego
                 deviation = (
                     np.abs(ego_d - plan.reference_offset(ego_s)) / lane_width
                 )
@@ -211,7 +212,7 @@ class Lockstep:
                         nominal_step, adversarial_step, deviation,
                     ]
                     if batch.m:
-                        gap = batch.nearest_npc_gap()
+                        gap = geometry.nearest.distance
                         closing = (previous_gap - gap) / scenario.dt
                         ttc = np.full(n, np.nan)
                         np.divide(gap, closing, out=ttc, where=closing > 1e-6)

@@ -190,7 +190,8 @@ def _run_episode(
             ).total
             nominal_total += nominal_step
             adversarial_total += adversarial_step
-            ego_s, ego_d, _ = world.road.to_frenet(world.ego.state.position)
+            geometry = world.geometry()
+            ego_s, ego_d, _ = geometry.ego
             deviation = abs(ego_d - plan.reference_offset(ego_s))
             deviations.append(deviation / world.road.config.lane_width)
 
@@ -204,14 +205,8 @@ def _run_episode(
             if trace is not None:
                 state = world.ego.state
                 gap = ttc = None
-                nearest = world.nearest_npc()
-                if nearest is not None:
-                    gap = float(
-                        np.linalg.norm(
-                            nearest.vehicle.state.position
-                            - world.ego.state.position
-                        )
-                    )
+                if geometry.nearest is not None:
+                    gap = geometry.nearest.distance
                     if previous_gap is not None:
                         closing = (previous_gap - gap) / scenario.dt
                         if closing > 1e-6:

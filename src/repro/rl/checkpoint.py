@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import faults
+from repro.knobs import env_flag
 from repro.obsv.alerts import Alert, Watchdog
 from repro.rl.health import HealthEmitter
 from repro.telemetry.log import get_logger
@@ -68,10 +69,6 @@ _WATCH_FIELDS = (
 # -- configuration ------------------------------------------------------------------
 
 
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("", "0", "false", "no", "off")
-
-
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name, "").strip()
     if not raw:
@@ -80,18 +77,6 @@ def _env_int(name: str, default: int) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _env_flag(name: str) -> bool:
-    raw = os.environ.get(name, "").strip().lower()
-    if raw in _TRUE:
-        return True
-    if raw in _FALSE:
-        return False
-    raise ValueError(
-        f"{name} must be one of {', '.join(_TRUE + _FALSE[1:])} "
-        f"(or unset), got {os.environ[name]!r}"
-    )
 
 
 def checkpoint_interval(configured: int | None = None) -> int:
@@ -122,11 +107,11 @@ def checkpoint_dir(configured: str | None = None) -> str:
 
 
 def resume_enabled(configured: bool = False) -> bool:
-    return bool(configured) or _env_flag("REPRO_RESUME")
+    return bool(configured) or env_flag("REPRO_RESUME")
 
 
 def halt_enabled(configured: bool = False) -> bool:
-    return bool(configured) or _env_flag("REPRO_HALT_ON_ALERT")
+    return bool(configured) or env_flag("REPRO_HALT_ON_ALERT")
 
 
 # -- state capture ------------------------------------------------------------------

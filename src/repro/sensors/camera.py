@@ -159,17 +159,6 @@ def _lattice_window(
     return np.minimum(np.maximum(first, 0), count - size), np.arange(size)
 
 
-def _poses(world: World) -> bytes:
-    """The ``x, y, yaw`` of every actor of ``world``, ego first, as bytes."""
-    states = [world.ego.state] + [npc.vehicle.state for npc in world.npcs]
-    return np.array([(s.x, s.y, s.yaw) for s in states]).tobytes()
-
-
-def _batch_poses(batch: BatchWorld) -> tuple:
-    """The ``x, y, yaw`` of every actor of every episode, as a key."""
-    return batch.x.shape, np.stack([batch.x, batch.y, batch.yaw]).tobytes()
-
-
 def _shared_frame(
     memo: dict,
     config: BevCameraConfig,
@@ -226,8 +215,9 @@ class BevCamera(Sensor):
     A world state is rasterised once per camera config: :meth:`observe`
     and :meth:`observe_batch` keep the normalized frame in the world's
     ``frame_memo`` and hand the same read-only array to every camera of
-    that config until an actor's ``x``, ``y`` or ``yaw`` changes. So the
-    victim and the attacker watching one camera share a frame, while each
+    that config until the world's ``pose_key`` changes (an actor's ``x``,
+    ``y``, ``yaw`` or ``speed``). So the victim and the attacker watching
+    one camera share a frame, while each
     :class:`~repro.sensors.base.FrameStack` keeps its own history.
     """
 
@@ -256,7 +246,7 @@ class BevCamera(Sensor):
         return _shared_frame(
             world.frame_memo,
             self.config,
-            _poses(world),
+            world.pose_key(),
             lambda: self.render(world).astype(np.float64).ravel()
             / _MAX_CLASS,
         )
@@ -316,7 +306,7 @@ class BevCamera(Sensor):
         return _shared_frame(
             batch.frame_memo,
             self.config,
-            _batch_poses(batch),
+            batch.pose_key(),
             lambda: self.render_batch(batch)
             .astype(np.float64)
             .reshape(batch.n, -1)

@@ -43,7 +43,7 @@ from repro.sim.npc import LaneKeepGains
 from repro.sim.road import Road, default_road
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
-from repro.utils.geometry import reach
+from repro.utils.geometry import clamp, reach, unit_rows
 
 #: Integer collision codes used by the SoA bookkeeping arrays.
 KIND_NONE = 0
@@ -104,6 +104,76 @@ class BatchTickResult:
         return self.collision_kind != KIND_NONE
 
 
+@dataclass(frozen=True)
+class BatchNearest:
+    """Each episode's NPC closest to its ego by Euclidean distance (SoA
+    mirror of :class:`repro.sim.world.Nearest`), arrays over episodes.
+
+    With no NPCs every row reads ``index`` -1, ``distance`` inf, zero
+    vectors, ``moving`` False and ``omega`` 0.
+    """
+
+    index: np.ndarray
+    distance: np.ndarray
+    #: Unit vectors from each ego to its nearest NPC, ``[N, 2]``.
+    direction: np.ndarray
+    #: Unit vectors along each nearest NPC's velocity, ``[N, 2]``.
+    heading: np.ndarray
+    #: Rows whose nearest NPC moves (the scalar ``omega`` is not None).
+    moving: np.ndarray
+    #: ``direction . heading`` where ``moving``, else 0.
+    omega: np.ndarray
+
+
+@dataclass(frozen=True)
+class BatchGeometry:
+    """Where every actor of every episode sits relative to the road and to
+    its ego, for one batch state (SoA mirror of
+    :class:`repro.sim.world.WorldGeometry`); read-only arrays worked out
+    once by :meth:`BatchWorld.geometry`."""
+
+    #: The :meth:`BatchWorld.pose_key` of the state it describes.
+    key: tuple
+    #: Ego ``(s, d, tangent_yaw)``, ``[N]`` each.
+    ego: tuple[np.ndarray, np.ndarray, np.ndarray]
+    #: NPC ``(s, d, lane_yaw)``, ``[N, M]`` each.
+    npcs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    nearest: BatchNearest
+
+    @classmethod
+    def of(cls, batch: "BatchWorld", key: tuple) -> "BatchGeometry":
+        n, m = batch.n, batch.m
+        if m:
+            rows = np.arange(n)
+            ego, npc = batch.ego_position, batch.npc_positions
+            npcs = tuple(
+                a.reshape(n, m)
+                for a in batch.road.frenet_batch(npc.reshape(-1, 2))
+            )
+            diff = npc - ego[:, None, :]
+            dist = np.sqrt(np.einsum("nmj,nmj->nm", diff, diff))
+            index = np.argmin(dist, axis=1)
+            direction, _ = unit_rows(diff[rows, index])
+            heading, moving = unit_rows(batch.npc_velocities[rows, index])
+            omega = np.where(
+                moving, np.einsum("nj,nj->n", direction, heading), 0.0
+            )
+            nearest = BatchNearest(
+                index, dist[rows, index], direction, heading, moving, omega
+            )
+        else:
+            empty = np.zeros((n, 0))
+            npcs = (empty, empty, empty)
+            nearest = BatchNearest(
+                np.full(n, -1), np.full(n, np.inf), np.zeros((n, 2)),
+                np.zeros((n, 2)), np.zeros(n, dtype=bool), np.zeros(n),
+            )
+        ego = batch.ego_frenet()
+        for array in (*ego, *npcs, *vars(nearest).values()):
+            array.flags.writeable = False
+        return cls(key=key, ego=ego, npcs=npcs, nearest=nearest)
+
+
 class BatchWorld:
     """N independent episodes of the overtaking scenario, ticked in lockstep.
 
@@ -153,6 +223,7 @@ class BatchWorld:
         #: Sensor frames of the current actor poses, keyed by sensor
         #: config (see :meth:`repro.sensors.camera.BevCamera.observe_batch`).
         self.frame_memo: dict = {}
+        self._geometry: BatchGeometry | None = None
 
         cfg = config.vehicle
         half_l, half_w = cfg.length / 2.0, cfg.width / 2.0
@@ -277,8 +348,8 @@ class BatchWorld:
                         kind=_KIND_TO_ENUM[int(kind[i])].name,
                     ).inc()
 
-            ego_s, _, _ = self.ego_frenet()
-            npc_s = self._npc_s()
+            geometry = self.geometry()
+            ego_s, npc_s = geometry.ego[0], geometry.npcs[0]
             overtaken = (
                 ego_s[:, None] > npc_s + vcfg.length
             )
@@ -304,15 +375,7 @@ class BatchWorld:
 
     def _npc_controls(self) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized lane-keeping feedback for every NPC, [N, M] each."""
-        if self.m == 0:
-            empty = np.zeros((self.n, 0))
-            return empty, empty
-        pts = np.stack(
-            [self.x[:, 1:].ravel(), self.y[:, 1:].ravel()], axis=1
-        )
-        _, d, lane_yaw = self.road.frenet_batch(pts)
-        d = d.reshape(self.n, self.m)
-        lane_yaw = lane_yaw.reshape(self.n, self.m)
+        _, d, lane_yaw = self.geometry().npcs
         cross_track = d - self._npc_lane_offset
         heading_error = _normalize_angles(self.yaw[:, 1:] - lane_yaw)
         g = self.gains
@@ -443,32 +506,30 @@ class BatchWorld:
         )
 
     def ego_frenet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ego ``(s, d, tangent_yaw)`` arrays on the road reference line."""
+        """Ego ``(s, d, tangent_yaw)`` arrays on the road reference line,
+        worked out afresh; :meth:`geometry` holds them for the current
+        state."""
         return self.road.frenet_batch(self.ego_position)
 
-    def _npc_s(self) -> np.ndarray:
-        """NPC arc-length positions, ``[N, M]``."""
-        if self.m == 0:
-            return np.zeros((self.n, 0))
-        pts = np.stack(
-            [self.x[:, 1:].ravel(), self.y[:, 1:].ravel()], axis=1
-        )
-        s, _, _ = self.road.frenet_batch(pts)
-        return s.reshape(self.n, self.m)
+    # -- geometry of the current state ---------------------------------------
 
-    def nearest_npc_index(self) -> np.ndarray:
-        """Index of the Euclidean-closest NPC per episode, ``[N]``."""
-        if self.m == 0:
-            raise ValueError("batch has no NPCs")
-        diff = self.npc_positions - self.ego_position[:, None, :]
-        return np.argmin(
-            np.sqrt(np.einsum("nmj,nmj->nm", diff, diff)), axis=1
+    def pose_key(self) -> tuple:
+        """The ``x, y, yaw`` and ``speed`` of every actor of every episode,
+        as a key: equal keys mean an unchanged state, whatever changed it
+        (a tick or an in-place write to the state arrays)."""
+        return self.x.shape, b"".join(
+            [a.tobytes() for a in (self.x, self.y, self.yaw, self.speed)]
         )
 
-    def nearest_npc_gap(self) -> np.ndarray:
-        """Distance from the ego to its nearest NPC per episode, ``[N]``."""
-        diff = self.npc_positions - self.ego_position[:, None, :]
-        return np.sqrt(np.einsum("nmj,nmj->nm", diff, diff)).min(axis=1)
+    def geometry(self) -> BatchGeometry:
+        """The current state's :class:`BatchGeometry`, worked out on the
+        first call after the state changed (one :meth:`ego_frenet` call)
+        and shared until it changes again. Read it at once; do not keep
+        it across a tick."""
+        key = self.pose_key()
+        if self._geometry is None or self._geometry.key != key:
+            self._geometry = BatchGeometry.of(self, key)
+        return self._geometry
 
     @property
     def passed_npcs(self) -> np.ndarray:
@@ -545,7 +606,7 @@ def make_batch_world(
                 npc_speed += float(
                     rng.uniform(-config.speed_jitter, config.speed_jitter)
                 )
-            s = float(np.clip(s, 0.0, road.length - 10.0))
+            s = clamp(s, 0.0, road.length - 10.0)
             position, npc_yaw = road.lane_center(lane, s)
             col = 1 + index
             x[i, col] = float(position[0])

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.sim.road import Road
 from repro.sim.vehicle import Control, Vehicle
-from repro.utils.geometry import angle_diff
+from repro.utils.geometry import angle_diff, clamp
 
 
 @dataclass(frozen=True)
@@ -42,10 +40,16 @@ class LaneKeepingDriver:
         self.target_speed = float(target_speed)
         self.gains = gains or LaneKeepGains()
 
-    def control(self, vehicle: Vehicle) -> Control:
-        """Compute the steering/thrust variations for one control step."""
+    def control(
+        self, vehicle: Vehicle, frenet: tuple[float, float, float]
+    ) -> Control:
+        """Compute the steering/thrust variations for one control step.
+
+        ``frenet`` is the vehicle's ``(s, d, lane_yaw)`` on the road, as
+        :meth:`repro.sim.world.World.geometry` works it out.
+        """
         state = vehicle.state
-        _, d, lane_yaw = self.road.to_frenet(state.position)
+        _, d, lane_yaw = frenet
         cross_track = self.road.lateral_deviation(d, self.lane)
         heading_error = angle_diff(state.yaw, lane_yaw)
         steer = (
@@ -54,6 +58,6 @@ class LaneKeepingDriver:
         )
         thrust = self.gains.speed * (self.target_speed - state.speed)
         return Control(
-            steer=float(np.clip(steer, -1.0, 1.0)),
-            thrust=float(np.clip(thrust, -1.0, 1.0)),
+            steer=clamp(steer, -1.0, 1.0),
+            thrust=clamp(thrust, -1.0, 1.0),
         )

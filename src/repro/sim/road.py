@@ -4,16 +4,17 @@ The road is defined by a reference centerline (straight or gently curved)
 with ``n_lanes`` parallel lanes. Positions convert between the world frame
 and Frenet coordinates ``(s, d)`` — arc-length along the reference line and
 signed lateral offset (positive left). A directed waypoint graph over all
-lanes supports route planning with lane-change edges.
+lanes supports route planning with lane-change edges; the waypoints and
+the graph are built on first use, and only then is networkx imported.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.sim.config import RoadConfig
@@ -22,6 +23,9 @@ from repro.utils.geometry import (
     polyline_arclength,
     project_to_polyline,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,6 @@ class Road:
         )
         self._base_x = float(self.centerline[0, 0])
         self._base_y = float(self.centerline[0, 1])
-        self._waypoints = self._build_waypoints()
-        self._graph = self._build_graph()
 
     # -- constructors ------------------------------------------------------
 
@@ -219,7 +221,8 @@ class Road:
 
     # -- waypoints and routing ----------------------------------------------
 
-    def _build_waypoints(self) -> tuple[tuple[Waypoint, ...], ...]:
+    @cached_property
+    def _waypoints(self) -> tuple[tuple[Waypoint, ...], ...]:
         spacing = self.config.waypoint_spacing
         count = int(self.length / spacing) + 1
         lanes: list[tuple[Waypoint, ...]] = []
@@ -240,8 +243,11 @@ class Road:
             lanes.append(tuple(points))
         return tuple(lanes)
 
-    def _build_graph(self) -> nx.DiGraph:
+    @cached_property
+    def graph(self) -> nx.DiGraph:
         """Directed graph: forward edges along lanes, diagonal lane changes."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         lane_change_span = max(
             2, int(math.ceil(8.0 / self.config.waypoint_spacing))
@@ -287,12 +293,10 @@ class Road:
         self, start: tuple[int, int], goal: tuple[int, int]
     ) -> list[Waypoint]:
         """Dijkstra route between waypoint graph nodes ``(lane, index)``."""
-        nodes = nx.shortest_path(self._graph, start, goal, weight="weight")
-        return [self.waypoint(lane, index) for lane, index in nodes]
+        import networkx as nx
 
-    @property
-    def graph(self) -> nx.DiGraph:
-        return self._graph
+        nodes = nx.shortest_path(self.graph, start, goal, weight="weight")
+        return [self.waypoint(lane, index) for lane, index in nodes]
 
     def _check_lane(self, lane: int) -> None:
         if not 0 <= lane < self.config.n_lanes:

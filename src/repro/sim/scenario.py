@@ -15,6 +15,7 @@ from repro.sim.npc import LaneKeepingDriver
 from repro.sim.road import Road, default_road
 from repro.sim.vehicle import Vehicle, VehicleState
 from repro.sim.world import NpcActor, World
+from repro.utils.geometry import clamp
 
 
 def make_world(
@@ -59,7 +60,7 @@ def make_world(
         if rng is not None:
             s += float(rng.uniform(-config.spawn_jitter, config.spawn_jitter))
             speed += float(rng.uniform(-config.speed_jitter, config.speed_jitter))
-        s = float(np.clip(s, 0.0, road.length - 10.0))
+        s = clamp(s, 0.0, road.length - 10.0)
         position, yaw = road.lane_center(lane, s)
         vehicle = Vehicle(
             f"npc_{index}",

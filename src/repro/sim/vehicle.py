@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.sim.config import EPSILON_MECH, VehicleConfig
-from repro.utils.geometry import OrientedBox, normalize_angle
+from repro.utils.geometry import OrientedBox, clamp, normalize_angle
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class Control:
     def clipped(self, limit: float = EPSILON_MECH) -> "Control":
         """Clamp both channels to the mechanical limit ``[-limit, limit]``."""
         return Control(
-            steer=float(np.clip(self.steer, -limit, limit)),
-            thrust=float(np.clip(self.thrust, -limit, limit)),
+            steer=clamp(self.steer, -limit, limit),
+            thrust=clamp(self.thrust, -limit, limit),
         )
 
 
@@ -146,7 +146,7 @@ class Vehicle:
         else:
             accel = thrust_act * cfg.max_brake
         accel -= cfg.drag * state.speed * state.speed
-        new_speed = float(np.clip(state.speed + accel * dt, 0.0, cfg.max_speed))
+        new_speed = clamp(state.speed + accel * dt, 0.0, cfg.max_speed)
         achieved_accel = (new_speed - state.speed) / dt
 
         # Positive steer = right turn = negative (clockwise) yaw rate.
@@ -154,7 +154,7 @@ class Vehicle:
         yaw_rate = -new_speed / cfg.wheelbase * math.tan(wheel_angle)
         if new_speed > 1e-6:
             limit = cfg.max_lateral_accel / new_speed
-            yaw_rate = float(np.clip(yaw_rate, -limit, limit))
+            yaw_rate = clamp(yaw_rate, -limit, limit)
         lateral_accel = yaw_rate * new_speed
 
         mid_yaw = state.yaw + 0.5 * yaw_rate * dt

@@ -11,6 +11,7 @@ horizon, or the ego running out of road.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.sim.road import Road
 from repro.sim.vehicle import Control, Vehicle
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
+from repro.utils.geometry import unit
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,72 @@ class NpcActor:
     driver: LaneKeepingDriver
 
 
+@dataclass(frozen=True)
+class Nearest:
+    """The NPC closest to the ego by Euclidean distance."""
+
+    #: Index of the NPC in :attr:`World.npcs`.
+    index: int
+    distance: float
+    #: Unit vector from the ego to the NPC (zeros when they coincide).
+    direction: np.ndarray
+    #: Unit vector along the NPC's velocity (zeros when it stands still).
+    heading: np.ndarray
+    #: ``direction . heading``, the paper's ``omega`` (Section IV-D);
+    #: None when the NPC stands still.
+    omega: float | None
+
+
+@dataclass(frozen=True)
+class WorldGeometry:
+    """Where every actor of one world state sits relative to the road and
+    to the ego, worked out once by :meth:`World.geometry`."""
+
+    #: The :meth:`World.pose_key` of the state it describes.
+    key: bytes
+    #: Ego ``(s, d, tangent_yaw)`` on the road reference line.
+    ego: tuple[float, float, float]
+    #: Each NPC's ``(s, d, lane_yaw)``, in :attr:`World.npcs` order.
+    npcs: tuple[tuple[float, float, float], ...]
+    #: None when the world has no NPCs.
+    nearest: Nearest | None
+
+    @classmethod
+    def of(cls, world: "World", key: bytes) -> "WorldGeometry":
+        road = world.road
+        ego_position = world.ego.state.position
+        positions = [npc.vehicle.state.position for npc in world.npcs]
+        nearest = None
+        if positions:
+            offsets = [position - ego_position for position in positions]
+            distances = [float(np.linalg.norm(o)) for o in offsets]
+            index = int(np.argmin(distances))
+            # :func:`unit` of the offset, reusing the norm it would take.
+            offset, distance = offsets[index], distances[index]
+            direction = (
+                np.zeros_like(offset)
+                if distance < 1e-12
+                else offset / distance
+            )
+            heading = unit(world.npcs[index].vehicle.state.velocity)
+            direction.flags.writeable = heading.flags.writeable = False
+            nearest = Nearest(
+                index=index,
+                distance=distance,
+                direction=direction,
+                heading=heading,
+                omega=(
+                    float(direction @ heading) if heading.any() else None
+                ),
+            )
+        return cls(
+            key=key,
+            ego=road.to_frenet(ego_position),
+            npcs=tuple(road.to_frenet(position) for position in positions),
+            nearest=nearest,
+        )
+
+
 class World:
     """Owns all simulation state and advances it tick by tick."""
 
@@ -76,6 +144,7 @@ class World:
         #: Sensor frames of the current actor poses, keyed by sensor
         #: config (see :meth:`repro.sensors.camera.BevCamera.observe`).
         self.frame_memo: dict = {}
+        self._geometry: WorldGeometry | None = None
 
     # -- ticking ---------------------------------------------------------------
 
@@ -100,8 +169,10 @@ class World:
                 thrust=ego_control.thrust,
             ).clipped()
             self.ego.apply_control(perturbed)
-            for npc in self.npcs:
-                npc.vehicle.apply_control(npc.driver.control(npc.vehicle))
+            for npc, frenet in zip(self.npcs, self.geometry().npcs):
+                npc.vehicle.apply_control(
+                    npc.driver.control(npc.vehicle, frenet)
+                )
 
             dt, substeps = self.config.dt, self.config.substeps
             self.ego.step(dt, substeps)
@@ -116,9 +187,11 @@ class World:
                 get_registry().counter(
                     "collisions_total", kind=collision.kind.name
                 ).inc()
-            self._update_passed()
-            ego_s, _, _ = self.road.to_frenet(self.ego.state.position)
-            out_of_road = ego_s >= self.road.length - self.ego.config.length
+            geometry = self.geometry()
+            self._update_passed(geometry)
+            out_of_road = (
+                geometry.ego[0] >= self.road.length - self.ego.config.length
+            )
             self._done = (
                 collision is not None
                 or self.step_count >= self.config.max_steps
@@ -161,11 +234,10 @@ class World:
 
     # -- progress metrics ----------------------------------------------------------
 
-    def _update_passed(self) -> None:
-        ego_s, _, _ = self.road.to_frenet(self.ego.state.position)
+    def _update_passed(self, geometry: WorldGeometry) -> None:
+        ego_s = geometry.ego[0]
         margin = self.ego.config.length
-        for npc in self.npcs:
-            npc_s, _, _ = self.road.to_frenet(npc.vehicle.state.position)
+        for npc, (npc_s, _, _) in zip(self.npcs, geometry.npcs):
             if ego_s > npc_s + margin:
                 self._passed.add(npc.vehicle.name)
 
@@ -174,17 +246,24 @@ class World:
         """How many NPC vehicles the ego has fully overtaken so far."""
         return len(self._passed)
 
-    def ego_frenet(self) -> tuple[float, float, float]:
-        """Ego ``(s, d, tangent_yaw)`` on the road reference line."""
-        return self.road.to_frenet(self.ego.state.position)
+    # -- geometry of the current state --------------------------------------
 
-    def nearest_npc(self) -> NpcActor | None:
-        """The NPC closest to the ego by Euclidean distance (None if empty)."""
-        if not self.npcs:
-            return None
-        ego_pos = self.ego.state.position
-        distances = [
-            float(np.linalg.norm(npc.vehicle.state.position - ego_pos))
-            for npc in self.npcs
-        ]
-        return self.npcs[int(np.argmin(distances))]
+    def pose_key(self) -> bytes:
+        """The ``x, y, yaw`` and ``speed`` of every actor, ego first, as
+        bytes: equal keys mean an unchanged state, whatever changed it (a
+        tick, a teleport or a write to a pose field)."""
+        ego = self.ego.state
+        values = [ego.x, ego.y, ego.yaw, ego.speed]
+        for npc in self.npcs:
+            state = npc.vehicle.state
+            values += (state.x, state.y, state.yaw, state.speed)
+        return struct.pack(f"{len(values)}d", *values)
+
+    def geometry(self) -> WorldGeometry:
+        """The current state's :class:`WorldGeometry`, worked out on the
+        first call after the state changed and shared until it changes
+        again. Read it at once; do not keep it across a tick."""
+        key = self.pose_key()
+        if self._geometry is None or self._geometry.key != key:
+            self._geometry = WorldGeometry.of(self, key)
+        return self._geometry

@@ -9,7 +9,8 @@ Environment switches (read once, at first use):
 
 * ``REPRO_LOG_LEVEL`` — ``debug`` / ``info`` / ``warning`` / ``error``
   (default ``info``; any other value raises ``ValueError``).
-* ``REPRO_LOG_JSON`` — any truthy value switches to JSON-lines output.
+* ``REPRO_LOG_JSON`` — an on/off knob (:func:`repro.knobs.env_flag`);
+  on switches to JSON-lines output.
 
 Disabled levels cost one ``isEnabledFor`` check — field rendering is never
 performed for suppressed records.
@@ -22,6 +23,8 @@ import logging
 import os
 import sys
 
+from repro.knobs import env_flag
+
 ROOT_NAME = "repro"
 
 _LEVELS = {
@@ -33,12 +36,6 @@ _LEVELS = {
 }
 
 _configured = False
-
-
-def _truthy(value: str | None) -> bool:
-    return value is not None and value.strip().lower() not in (
-        "", "0", "false", "no", "off",
-    )
 
 
 def _render_value(value: object) -> str:
@@ -114,7 +111,7 @@ def configure(
             )
         level = _LEVELS[name]
     if json_lines is None:
-        json_lines = _truthy(os.environ.get("REPRO_LOG_JSON"))
+        json_lines = env_flag("REPRO_LOG_JSON")
     for handler in list(root.handlers):
         root.removeHandler(handler)
     handler = logging.StreamHandler(stream or sys.stderr)

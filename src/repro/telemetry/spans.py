@@ -20,7 +20,8 @@ children* spent (``child_total``), so the snapshot reports **self time**
 The tracer is **disabled by default**: ``span()`` then returns a shared
 no-op context manager and ``@timed`` wrappers fall through with a single
 attribute check, so instrumented hot loops stay within noise of the
-uninstrumented code. Set ``REPRO_SPANS`` (truthy) to enable at import, or
+uninstrumented code. Set ``REPRO_SPANS=1`` (an on/off knob, see
+:func:`repro.knobs.env_flag`) to enable at import, or
 call ``get_tracer().enable()`` programmatically. Timing uses
 ``time.perf_counter`` only — no RNG, no simulation state.
 
@@ -34,10 +35,10 @@ Probes
 from __future__ import annotations
 
 import functools
-import os
 import threading
 import time
 
+from repro.knobs import env_flag
 from repro.telemetry.metrics import Histogram
 
 #: Cap on retained raw events for the Chrome export (oldest kept). Spans
@@ -310,10 +311,7 @@ class Tracer:
         )
 
 
-_TRACER = Tracer(
-    enabled=os.environ.get("REPRO_SPANS", "").strip().lower()
-    not in ("", "0", "false", "no", "off")
-)
+_TRACER = Tracer(enabled=env_flag("REPRO_SPANS"))
 
 
 def get_tracer() -> Tracer:

@@ -488,12 +488,14 @@ def iter_trace(
 def to_chrome_trace(
     events: Iterable, path: str | Path | None = None, dropped: int = 0
 ) -> dict:
-    """Convert events into Chrome ``trace_event`` JSON (flame graphs).
+    """Convert spans into Chrome ``trace_event`` JSON (flame graphs).
 
-    Accepts either decoded trace events (``span`` events are rendered as
-    complete ``"ph": "X"`` slices, everything else as instant events) or
-    the raw ``(path, start_s, duration_s)`` tuples collected by
-    :class:`~repro.telemetry.spans.Tracer` with ``record_events`` on.
+    Accepts decoded trace records, the raw ``(path, start_s, duration_s)``
+    tuples collected by :class:`~repro.telemetry.spans.Tracer` with
+    ``record_events`` on, or a mix. Each ``span`` record and each tuple
+    becomes a complete ``"ph": "X"`` slice. Other records carry no span
+    timing, so they are left out; ``otherData.skipped_records`` counts
+    them.
 
     ``dropped`` is the number of events lost to the recording cap
     (:data:`~repro.telemetry.spans.MAX_RAW_EVENTS`); when nonzero a
@@ -501,6 +503,7 @@ def to_chrome_trace(
     so viewers see the recording was cut, not the run.
     """
     slices = []
+    skipped = 0
     for event in events:
         if isinstance(event, tuple):
             name, start, duration = event
@@ -509,17 +512,7 @@ def to_chrome_trace(
                 event["name"], event["start_s"], event["duration_s"]
             )
         else:
-            slices.append(
-                {
-                    "name": event.get("event", "event"),
-                    "ph": "i",
-                    "ts": round(float(event.get("t", 0.0)) * 1e6, 3),
-                    "pid": 0,
-                    "tid": 0,
-                    "s": "g",
-                    "args": event,
-                }
-            )
+            skipped += 1
             continue
         slices.append(
             {
@@ -547,7 +540,11 @@ def to_chrome_trace(
                 "args": {"dropped": int(dropped)},
             }
         )
-    document = {"traceEvents": slices, "displayTimeUnit": "ms"}
+    document = {
+        "traceEvents": slices,
+        "displayTimeUnit": "ms",
+        "otherData": {"skipped_records": skipped},
+    }
     if path is not None:
         Path(path).write_text(
             json.dumps(document, default=_json_default), encoding="utf-8"

@@ -35,6 +35,18 @@ def reach(*extents: tuple[float, float]) -> float:
     )
 
 
+def clamp(x: float, lo: float, hi: float) -> float:
+    """``x`` limited to ``[lo, hi]``, as a Python float.
+
+    Equals numpy's ``np.clip(x, lo, hi)`` converted to ``float``, bit for
+    bit, when ``lo <= hi``: a value on a bound is kept as it is (so
+    ``-0.0`` stays ``-0.0``) and NaN passes through. It skips numpy's
+    array round-trip, which costs about ten times the comparison on a
+    scalar.
+    """
+    return float(lo if x < lo else hi if x > hi else x)
+
+
 def normalize_angle(angle: float) -> float:
     """Wrap an angle to the interval ``[-pi, pi)``.
 
@@ -64,6 +76,17 @@ def unit(vector: np.ndarray) -> np.ndarray:
     if norm < 1e-12:
         return np.zeros_like(vector)
     return vector / norm
+
+
+def unit_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`unit` of ``[N, 2]`` vectors: ``(units, nonzero)``.
+
+    Rows shorter than ``1e-12`` become zeros and read False in ``nonzero``.
+    """
+    norm = np.sqrt(np.einsum("nj,nj->n", vectors, vectors))
+    zero = norm < 1e-12
+    safe = np.where(zero, 1.0, norm)
+    return np.where(zero[:, None], 0.0, vectors / safe[:, None]), ~zero
 
 
 def heading_vector(yaw: float) -> np.ndarray:

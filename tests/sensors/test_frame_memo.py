@@ -83,7 +83,7 @@ class TestOneRenderPerState:
         assert renders.call_count == ticks.call_count
         # The same run with every lookup missing renders twice per tick.
         with mock.patch.object(
-            camera_module, "_batch_poses", lambda batch: object()
+            BatchWorld, "pose_key", lambda batch: object()
         ), counting(BevCamera, "render_batch") as renders:
             unshared = run_episode_batch(
                 e2e_victim, camera_attacker(), SEEDS, scenario=SCENARIO

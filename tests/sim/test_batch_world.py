@@ -116,12 +116,12 @@ class TestQueries:
             make_world(cfg, rng=np.random.default_rng(s)) for s in SEEDS
         ]
         s_arr, d_arr, _ = batch.ego_frenet()
-        gaps = batch.nearest_npc_gap()
+        gaps = batch.geometry().nearest.distance
         for i, world in enumerate(worlds):
             s, d, _ = world.road.to_frenet(world.ego.state.position)
             assert s_arr[i] == pytest.approx(s, abs=1e-12)
             assert d_arr[i] == pytest.approx(d, abs=1e-12)
-            nearest = world.nearest_npc()
+            nearest = world.npcs[world.geometry().nearest.index]
             gap = float(
                 np.linalg.norm(
                     nearest.vehicle.state.position - world.ego.state.position

@@ -1,0 +1,264 @@
+"""Geometry once per world state.
+
+``World.geometry()`` and ``BatchWorld.geometry()`` work out the ego's and
+every NPC's Frenet coordinates and the nearest NPC once per state, keyed
+by ``pose_key`` (the key the camera frame memo uses too), and every
+consumer reads them. A state changed any way (a tick, a teleport, a
+write to a pose field or to a batch array) is worked out afresh; the
+counts here are of ``Road.to_frenet`` and ``BatchWorld.ego_frenet``
+calls, the latter being the layer the perfbench table wraps.
+"""
+
+import contextlib
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from repro.agents.e2e import EndToEndAgent
+from repro.agents.e2e.observation import DrivingObservation
+from repro.agents.modular import ModularAgent
+from repro.core import (
+    CameraAttackObservation,
+    ImuAttackObservation,
+    InjectionChannel,
+    InjectionChannelConfig,
+    LearnedAttacker,
+    OracleAttacker,
+)
+from repro.eval import run_episode, run_episode_batch
+from repro.rl.policy import SquashedGaussianPolicy
+from repro.sim import ScenarioConfig, make_batch_world
+from repro.sim.batch import BatchWorld
+from repro.sim.road import Road
+from repro.sim.world import World
+from repro.utils.geometry import unit
+
+SCENARIO = ScenarioConfig(max_steps=60)
+SEEDS = [2, 5, 11, 17]
+
+
+@contextlib.contextmanager
+def counting(owner, name):
+    """Count calls of ``owner.name`` while still running it."""
+    with mock.patch.object(
+        owner, name, autospec=True, side_effect=getattr(owner, name)
+    ) as patched:
+        yield patched
+
+
+def e2e_victim(world=None) -> EndToEndAgent:
+    encoder = DrivingObservation()
+    policy = SquashedGaussianPolicy(
+        encoder.observation_dim, 2, (16,), np.random.default_rng(1)
+    )
+    return EndToEndAgent(policy, observation=encoder)
+
+
+def learned_attacker(sensor) -> LearnedAttacker:
+    policy = SquashedGaussianPolicy(
+        sensor.observation_dim, 1, (16,), np.random.default_rng(3)
+    )
+    return LearnedAttacker(
+        policy,
+        sensor,
+        channel=InjectionChannel(InjectionChannelConfig(budget=0.5)),
+        name=type(sensor).__name__,
+    )
+
+
+def expected_scalar(world: World):
+    """The world's geometry worked out from scratch, the way each
+    consumer used to: ``(ego, npcs, nearest index, distance, omega)``."""
+    road, ego = world.road, world.ego.state
+    npcs = [road.to_frenet(n.vehicle.state.position) for n in world.npcs]
+    distances = [
+        float(np.linalg.norm(n.vehicle.state.position - ego.position))
+        for n in world.npcs
+    ]
+    index = int(np.argmin(distances))
+    npc = world.npcs[index].vehicle.state
+    heading = unit(npc.velocity)
+    omega = (
+        float(unit(npc.position - ego.position) @ heading)
+        if np.any(heading)
+        else None
+    )
+    return road.to_frenet(ego.position), npcs, index, distances[index], omega
+
+
+def assert_fresh(world: World) -> None:
+    geometry = world.geometry()
+    ego, npcs, index, distance, omega = expected_scalar(world)
+    assert geometry.key == world.pose_key()
+    assert geometry.ego == ego
+    assert list(geometry.npcs) == npcs
+    assert geometry.nearest.index == index
+    assert geometry.nearest.distance == distance
+    assert geometry.nearest.omega == omega
+
+
+class TestScalarStaleness:
+    """A changed state misses the memo, also without a tick."""
+
+    def change(self, world: World, move) -> None:
+        before = world.geometry()
+        move(world)
+        assert_fresh(world)
+        assert world.geometry() is not before
+
+    def test_teleport(self, quiet_world):
+        def move(world):
+            npc = world.npcs[0].vehicle.state
+            world.npcs[0].vehicle.teleport(
+                world.ego.state.x + 3.0, npc.y, npc.yaw, npc.speed
+            )
+
+        self.change(quiet_world, move)
+        assert quiet_world.geometry().nearest.index == 0
+
+    def test_pose_field_write(self, quiet_world):
+        def move(world):
+            world.ego.state.y += 1.5
+            world.ego.state.yaw = 0.3
+
+        self.change(quiet_world, move)
+
+    def test_speed_write(self, quiet_world):
+        def move(world):
+            for npc in world.npcs:
+                npc.vehicle.state.speed = 0.0
+
+        self.change(quiet_world, move)
+        assert quiet_world.geometry().nearest.omega is None
+
+    def test_tick(self, quiet_world):
+        self.change(
+            quiet_world, lambda world: world.tick(world.ego.pending_control)
+        )
+
+    def test_npcs_cleared(self, quiet_world):
+        quiet_world.geometry()
+        quiet_world.npcs.clear()
+        geometry = quiet_world.geometry()
+        assert geometry.npcs == () and geometry.nearest is None
+
+    def test_shared_and_read_only(self, quiet_world):
+        with counting(Road, "to_frenet") as conversions:
+            geometry = quiet_world.geometry()
+            assert quiet_world.geometry() is geometry
+        # One conversion per actor, however many reads.
+        assert conversions.call_count == 1 + len(quiet_world.npcs)
+        with pytest.raises(ValueError):
+            geometry.nearest.direction[0] = 1.0
+
+
+def expected_batch(batch: BatchWorld):
+    """Per-episode geometry of ``batch`` from scratch, as consumers used
+    to work it out: ``(ego_s, ego_d, npc_s, npc_d, index, distance)``."""
+    ego_s, ego_d, _ = batch.road.frenet_batch(batch.ego_position)
+    pts = batch.npc_positions.reshape(-1, 2)
+    npc_s, npc_d, _ = batch.road.frenet_batch(pts)
+    diff = batch.npc_positions - batch.ego_position[:, None, :]
+    dist = np.sqrt(np.einsum("nmj,nmj->nm", diff, diff))
+    shape = (batch.n, batch.m)
+    return (
+        ego_s, ego_d, npc_s.reshape(shape), npc_d.reshape(shape),
+        np.argmin(dist, axis=1), dist.min(axis=1),
+    )
+
+
+def assert_batch_fresh(batch: BatchWorld) -> None:
+    geometry = batch.geometry()
+    ego_s, ego_d, npc_s, npc_d, index, distance = expected_batch(batch)
+    np.testing.assert_array_equal(geometry.ego[0], ego_s)
+    np.testing.assert_array_equal(geometry.ego[1], ego_d)
+    np.testing.assert_array_equal(geometry.npcs[0], npc_s)
+    np.testing.assert_array_equal(geometry.npcs[1], npc_d)
+    np.testing.assert_array_equal(geometry.nearest.index, index)
+    np.testing.assert_array_equal(geometry.nearest.distance, distance)
+
+
+class TestBatchStaleness:
+    def change(self, move) -> BatchWorld:
+        batch = make_batch_world(SCENARIO, seeds=[0, 1])
+        before = batch.geometry()
+        move(batch)
+        assert_batch_fresh(batch)
+        assert batch.geometry() is not before
+        return batch
+
+    def test_in_place_position_write(self):
+        def move(batch):
+            batch.x[:, 1:] -= 8.0
+            batch.x[0, 0] += 1.0
+
+        self.change(move)
+
+    def test_in_place_speed_write(self):
+        def move(batch):
+            batch.speed[:, 1:] = 0.0
+
+        batch = self.change(move)
+        assert not batch.geometry().nearest.moving.any()
+        np.testing.assert_array_equal(batch.geometry().nearest.omega, 0.0)
+
+    def test_tick(self):
+        self.change(lambda batch: batch.tick(np.zeros(2), np.ones(2)))
+
+    def test_shared_and_read_only(self):
+        batch = make_batch_world(SCENARIO, seeds=[0, 1])
+        with counting(BatchWorld, "ego_frenet") as conversions:
+            geometry = batch.geometry()
+            assert batch.geometry() is geometry
+        assert conversions.call_count == 1
+        with pytest.raises(ValueError):
+            geometry.ego[0][0] = 1.0
+        with pytest.raises(ValueError):
+            geometry.nearest.omega[0] = 1.0
+
+
+class TestOncePerState:
+    @pytest.mark.parametrize(
+        "victim, attacker",
+        [
+            pytest.param(
+                e2e_victim,
+                lambda: learned_attacker(CameraAttackObservation()),
+                id="e2e-camera",
+            ),
+            pytest.param(
+                lambda world: ModularAgent(world.road),
+                lambda: OracleAttacker(budget=1.0),
+                id="modular-oracle",
+            ),
+        ],
+    )
+    def test_lockstep_batch_works_out_the_ego_once_per_state(
+        self, victim, attacker
+    ):
+        with counting(BatchWorld, "ego_frenet") as conversions, counting(
+            BatchWorld, "tick"
+        ) as ticks:
+            run_episode_batch(victim, attacker(), SEEDS, scenario=SCENARIO)
+        assert ticks.call_count > 0
+        # The spawn state, then one state per tick.
+        assert conversions.call_count == ticks.call_count + 1
+
+    def test_scalar_episode_converts_each_actor_once_per_tick(self):
+        with counting(Road, "to_frenet") as conversions, counting(
+            World, "tick"
+        ) as ticks:
+            run_episode(
+                e2e_victim,
+                learned_attacker(ImuAttackObservation()),
+                seed=3,
+                scenario=SCENARIO,
+            )
+        # Per tick: the ego, each of the six NPCs and up to four barrier
+        # corners (the test stops at the first corner off the road); the
+        # spawn state adds one per actor.
+        actors = 1 + SCENARIO.n_npcs
+        assert ticks.call_count > 10
+        per_tick = (conversions.call_count - actors) / ticks.call_count
+        assert actors <= per_tick <= actors + 4 == 11

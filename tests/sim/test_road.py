@@ -1,6 +1,8 @@
 """Tests for road geometry, Frenet frames and the routing graph."""
 
 import math
+import subprocess
+import sys
 
 import networkx as nx
 import numpy as np
@@ -173,3 +175,30 @@ class TestRoutingGraph:
     def test_no_backward_route(self, road):
         with pytest.raises(nx.NetworkXNoPath):
             road.shortest_route((0, 10), (0, 0))
+
+
+class TestLazyRouting:
+    """Only route planning reads the waypoints and the lane graph, so
+    they are built, and networkx imported, on first use."""
+
+    def test_evaluation_leaves_networkx_unloaded(self):
+        code = (
+            "import sys, numpy, repro.eval\n"
+            "from repro.sim import make_world\n"
+            "world = make_world(rng=numpy.random.default_rng(0))\n"
+            "world.tick(world.ego.pending_control)\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
+
+    def test_first_use_builds_the_same_graph(self):
+        fresh = Road.straight(RoadConfig())
+        assert "graph" not in vars(fresh)
+        assert set(fresh.graph.edges) == set(default_road().graph.edges)
+        assert fresh.graph is fresh.graph

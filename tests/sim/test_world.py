@@ -116,11 +116,11 @@ class TestProgressMetrics:
         assert world.passed_npcs == 0
 
     def test_nearest_npc(self, quiet_world):
-        nearest = quiet_world.nearest_npc()
+        nearest = quiet_world.npcs[quiet_world.geometry().nearest.index]
         assert nearest.vehicle.name == "npc_0"
 
     def test_ego_frenet(self, quiet_world):
-        s, d, yaw = quiet_world.ego_frenet()
+        s, d, yaw = quiet_world.geometry().ego
         assert s == pytest.approx(10.0)
         assert d == pytest.approx(quiet_world.road.lane_offset(1))
 
@@ -152,7 +152,8 @@ class TestNpcBehaviour:
         )
         driver = LaneKeepingDriver(road, 2, 6.0)
         for _ in range(100):
-            vehicle.apply_control(driver.control(vehicle))
+            frenet = road.to_frenet(vehicle.state.position)
+            vehicle.apply_control(driver.control(vehicle, frenet))
             vehicle.step(0.1)
         _, d, _ = road.to_frenet(vehicle.state.position)
         assert road.lateral_deviation(d, 2) == pytest.approx(0.0, abs=0.15)

@@ -2,7 +2,10 @@
 value, instead of turning into its default."""
 
 import functools
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -80,6 +83,12 @@ pytestmark = pytest.mark.telemetry
             ),
             id="log-level",
         ),
+        pytest.param(
+            "REPRO_LOG_JSON", "flase", functools.partial(
+                configure, force=True
+            ),
+            id="log-json",
+        ),
     ],
 )
 def test_malformed_knob_raises(monkeypatch, name, value, read):
@@ -118,3 +127,49 @@ def test_well_formed_knobs_still_read(monkeypatch):
     assert default_tolerance() == 0.0
     monkeypatch.setenv("REPRO_OBSV_TOLERANCE", "")
     assert default_tolerance() is None
+
+
+@pytest.mark.parametrize("value", ["flase", "2"])
+def test_malformed_spans_switch_fails_at_import(value):
+    """``REPRO_SPANS`` is read when ``repro.telemetry.spans`` is imported:
+    a value that is neither on nor off stops the process there, instead
+    of switching spans on."""
+    env = {**os.environ, "REPRO_SPANS": value}
+    done = subprocess.run(
+        [sys.executable, "-c", "import repro.telemetry.spans"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode != 0
+    assert re.search(
+        f"ValueError: REPRO_SPANS .*{re.escape(repr(value))}", done.stderr
+    )
+
+
+@pytest.mark.parametrize(
+    "value, enabled",
+    [("1", True), ("On", True), (" yes ", True), ("off", False), ("", False)],
+)
+def test_on_off_knobs_read_the_same_spellings(monkeypatch, value, enabled):
+    from repro.knobs import env_flag
+
+    for name in ("REPRO_SPANS", "REPRO_LOG_JSON", "REPRO_RESUME"):
+        monkeypatch.setenv(name, value)
+        assert env_flag(name) is enabled
+
+
+def test_spans_switch_on_at_import():
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from repro.telemetry.spans import get_tracer; "
+            "print(get_tracer().enabled)",
+        ],
+        env={**os.environ, "REPRO_SPANS": "On"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "True"

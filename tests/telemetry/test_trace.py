@@ -160,16 +160,26 @@ def test_chrome_export_from_span_tuples(tmp_path):
 
 
 def test_chrome_export_from_trace_events():
+    """Only spans are exported; other records (an ``episode_end`` with its
+    tick columns, a start) are counted, not turned into instants at ts 0
+    carrying the whole record."""
     document = to_chrome_trace(
         [
+            {"event": "episode_start", "episode": 0, "seed": 0},
             {"event": "span", "name": "sac.update", "start_s": 0.5,
              "duration_s": 0.001},
             _end(),
+            ("episode/world.tick", 0.75, 0.002),
         ]
     )
-    complete, instant = document["traceEvents"]
-    assert complete["ph"] == "X" and complete["name"] == "sac.update"
-    assert instant["ph"] == "i" and instant["name"] == "episode_end"
+    assert document["traceEvents"] == [
+        {"name": "sac.update", "ph": "X", "ts": 5e5, "dur": 1000.0,
+         "pid": 0, "tid": 0},
+        {"name": "episode/world.tick", "ph": "X", "ts": 7.5e5,
+         "dur": 2000.0, "pid": 0, "tid": 0},
+    ]
+    assert document["otherData"] == {"skipped_records": 2}
+    assert to_chrome_trace([])["otherData"] == {"skipped_records": 0}
 
 
 def test_default_writer_reads_env(tmp_path, monkeypatch):

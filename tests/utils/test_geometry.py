@@ -1,6 +1,7 @@
 """Unit and property tests for geometry primitives."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro.utils.geometry import (
     OrientedBox,
     angle_diff,
+    clamp,
     heading_vector,
     interpolate_polyline,
     normalize_angle,
@@ -17,6 +19,7 @@ from repro.utils.geometry import (
     project_to_polyline,
     rotate,
     unit,
+    unit_rows,
 )
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
@@ -85,6 +88,60 @@ class TestUnit:
 
     def test_zero_vector(self):
         np.testing.assert_array_equal(unit(np.zeros(2)), np.zeros(2))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("d", x)
+
+
+#: Signed zeros, infinities and NaN, in every slot of the clamp.
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324]
+
+
+class TestClamp:
+    """``clamp`` is an exact stand-in for ``float(np.clip(x, lo, hi))``."""
+
+    @given(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(allow_nan=False, allow_infinity=True),
+        st.floats(allow_nan=False, allow_infinity=True),
+    )
+    @settings(max_examples=2000, deadline=None)
+    def test_matches_numpy_bit_for_bit(self, x, a, b):
+        lo, hi = min(a, b), max(a, b)
+        assert _bits(clamp(x, lo, hi)) == _bits(float(np.clip(x, lo, hi)))
+
+    def test_edge_values(self):
+        bounds = [v for v in _EDGES if not math.isnan(v)]
+        for x in _EDGES:
+            for lo in bounds:
+                for hi in (hi for hi in bounds if hi >= lo):
+                    expected = float(np.clip(x, lo, hi))
+                    assert _bits(clamp(x, lo, hi)) == _bits(expected)
+
+    def test_keeps_the_value_on_a_tie(self):
+        assert _bits(clamp(-0.0, 0.0, 1.0)) == _bits(-0.0)
+        assert _bits(clamp(0.0, -1.0, -0.0)) == _bits(0.0)
+        assert math.isnan(clamp(math.nan, -1.0, 1.0))
+
+
+class TestUnitRows:
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-1e6, 1e6, allow_nan=False),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_matches_unit_per_row(self, rows):
+        vectors = np.array(rows)
+        units, nonzero = unit_rows(vectors)
+        for vector, row, moving in zip(vectors, units, nonzero):
+            np.testing.assert_allclose(row, unit(vector), rtol=1e-15)
+            assert moving == bool(np.any(unit(vector)))
 
 
 class TestHeadingVector:
