@@ -27,6 +27,7 @@ from repro.rl.pnn import ProgressivePolicy
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.sim.batch import NoBatchTwin
 from repro.sim.config import EPSILON_MECH
+from repro.utils.geometry import clamp_array
 
 
 class BatchModularActor:
@@ -57,7 +58,7 @@ class BatchModularActor:
         speed = batch.speed[:, 0]
 
         cfg = self.config
-        lookahead = np.clip(
+        lookahead = clamp_array(
             cfg.lookahead_gain * speed, cfg.lookahead_min, cfg.lookahead_max
         )
         target_s = ego_s + lookahead
@@ -114,8 +115,8 @@ class BatchPolicyActor:
             actions = self.policy.act_batch(
                 obs, deterministic=True, plan=self.plan
             )
-        steer = np.clip(actions[:, 0], -EPSILON_MECH, EPSILON_MECH)
-        thrust = np.clip(actions[:, 1], -EPSILON_MECH, EPSILON_MECH)
+        steer = clamp_array(actions[:, 0], -EPSILON_MECH, EPSILON_MECH)
+        thrust = clamp_array(actions[:, 1], -EPSILON_MECH, EPSILON_MECH)
         return steer, thrust
 
 

@@ -106,7 +106,11 @@ class DrivingReward:
         )
 
     def step_batch(
-        self, batch, plan, collided: np.ndarray
+        self,
+        batch,
+        plan,
+        collided: np.ndarray,
+        reference: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-episode reward totals for a batch tick, shape ``[N]``.
 
@@ -114,16 +118,19 @@ class DrivingReward:
             batch: the :class:`~repro.sim.batch.BatchWorld` after ticking.
             plan: the privileged :class:`BatchPlan` computed pre-tick.
             collided: boolean mask of episodes that collided this tick.
+            reference: ``plan.reference_offset`` at each ego's arc-length,
+                when the caller has worked it out already.
         """
         cfg = self.config
-        ego_s, ego_d, _ = batch.geometry().ego
+        geometry = batch.geometry()
+        ego_s, ego_d, _ = geometry.ego
 
         target_s = ego_s + cfg.lookahead
         target_d = plan.reference_offset(target_s)
         target_xy, _ = batch.road.to_world_batch(target_s, target_d)
-        unit_wp, _ = unit_rows(target_xy - batch.ego_position)
+        unit_wp, _ = unit_rows(target_xy - geometry.ego_position)
         progress = np.minimum(
-            np.einsum("nj,nj->n", batch.ego_velocity, unit_wp)
+            np.einsum("nj,nj->n", geometry.ego_velocity, unit_wp)
             / cfg.reference_speed,
             1.0,
         )
@@ -134,7 +141,9 @@ class DrivingReward:
         )
         speed = -cfg.speed_weight * speed_error
 
-        deviation_m = np.abs(ego_d - plan.reference_offset(ego_s))
+        if reference is None:
+            reference = plan.reference_offset(ego_s)
+        deviation_m = np.abs(ego_d - reference)
         deviation = -cfg.deviation_weight * (
             deviation_m / batch.road.config.lane_width
         )

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.sim.road import Road
 from repro.sim.world import World, WorldGeometry
-from repro.utils.geometry import clamp
+from repro.utils.geometry import clamp, clamp_array
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ class BatchPlan:
     def reference_offset(self, s: np.ndarray) -> np.ndarray:
         """Vectorized ``d_ref(s)`` per episode, same blend as scalar."""
         span = np.where(self.changing, self.s1 - self.s0, 1.0)
-        phase = np.clip((s - self.s0) / span, 0.0, 1.0)
+        phase = clamp_array((s - self.s0) / span, 0.0, 1.0)
         blend = self.d0 + (self.d1 - self.d0) * 0.5 * (
             1.0 - np.cos(math.pi * phase)
         )
@@ -341,7 +341,7 @@ class BatchBehaviorPlanner:
         target_speed = np.full(n, cfg.target_speed)
         acc = near & ~started
         if acc.any():
-            acc_speed = np.clip(
+            acc_speed = clamp_array(
                 leader_speed + cfg.acc_gain * (gap - cfg.min_gap),
                 0.0,
                 cfg.target_speed,

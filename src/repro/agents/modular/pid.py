@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.geometry import clamp
+from repro.utils.geometry import clamp, clamp_array
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class BatchPid:
     def step(self, error: np.ndarray) -> np.ndarray:
         """Advance all loops one tick; returns the saturated outputs."""
         error = np.asarray(error, dtype=float)
-        self._integral = np.clip(
+        self._integral = clamp_array(
             self._integral + error * self.dt,
             -self.integral_limit,
             self.integral_limit,
@@ -103,7 +103,7 @@ class BatchPid:
         self._has_last[:] = True
         g = self.gains
         output = g.kp * error + g.ki * self._integral + g.kd * derivative
-        return np.clip(output, -self.output_limit, self.output_limit)
+        return clamp_array(output, -self.output_limit, self.output_limit)
 
     def reset(self) -> None:
         self._integral[:] = 0.0

@@ -245,7 +245,8 @@ class BatchOracleAttacker:
         """The oracle's per-episode decisions in [-1, 1]."""
         if batch.m == 0:
             return np.zeros(batch.n)
-        nearest = batch.geometry().nearest
+        geometry = batch.geometry()
+        nearest = geometry.nearest
         window = (
             (nearest.distance <= self.max_range)
             & nearest.moving
@@ -253,8 +254,8 @@ class BatchOracleAttacker:
         )
         # Ego-frame lateral offset of the target (footprint().to_local y).
         offset = (
-            batch.npc_positions[np.arange(batch.n), nearest.index]
-            - batch.ego_position
+            geometry.npc_positions[np.arange(batch.n), nearest.index]
+            - geometry.ego_position
         )
         yaw = batch.yaw[:, 0]
         local_y = -offset[:, 0] * np.sin(yaw) + offset[:, 1] * np.cos(yaw)

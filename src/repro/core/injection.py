@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.config import EPSILON_MECH
-from repro.utils.geometry import clamp
+from repro.utils.geometry import clamp, clamp_array
 
 #: Smallest |delta| that counts as a meaningful injection: below this the
 #: attacker is considered to be lurking (used for the attack-effort
@@ -158,7 +158,7 @@ class BatchInjectionChannel:
         (and noise generators) untouched.
         """
         cfg = self.config
-        delta = np.clip(normalized_actions, -1.0, 1.0) * cfg.budget
+        delta = clamp_array(normalized_actions, -1.0, 1.0) * cfg.budget
         if cfg.quantization > 0.0:
             delta = np.round(delta / cfg.quantization) * cfg.quantization
         if cfg.noise_std > 0.0:
@@ -166,7 +166,7 @@ class BatchInjectionChannel:
                 raise ValueError("noise_std > 0 requires per-lane rngs")
             for i in np.flatnonzero(active):
                 delta[i] += float(self.rngs[i].normal(0.0, cfg.noise_std))
-        delta = np.clip(delta, -cfg.budget, cfg.budget)
+        delta = clamp_array(delta, -cfg.budget, cfg.budget)
         delta = np.where(active, delta, 0.0)
         magnitude = np.abs(delta)
         self.total_effort[active] += magnitude[active]

@@ -158,10 +158,11 @@ class AdversarialReward:
         )
         collision_term = cfg.collision_reward * label
 
-        nearest = batch.geometry().nearest
+        geometry = batch.geometry()
+        nearest = geometry.nearest
         critical = nearest.moving & (np.abs(nearest.omega) <= cfg.beta)
 
-        ego_dir, _ = unit_rows(batch.ego_velocity)
+        ego_dir, _ = unit_rows(geometry.ego_velocity)
         potential = np.where(
             critical, np.einsum("nj,nj->n", nearest.direction, ego_dir), 0.0
         )

@@ -179,31 +179,46 @@ class Lockstep:
 
                 striking = live & (np.abs(delta) >= strike_level)
                 stamp = striking & np.isnan(first_attack_time)
-                first_attack_time[stamp] = result.time[stamp] - scenario.dt
-
-                collided = result.collision_kind != KIND_NONE
-                nominal_step = nominal_reward.step_batch(batch, plan, collided)
-                adversarial_step = adversarial_reward.step_batch(
-                    batch, delta, result.collision_kind
+                np.subtract(
+                    result.time, scenario.dt, out=first_attack_time,
+                    where=stamp,
                 )
-                nominal_total[live] += nominal_step[live]
-                adversarial_total[live] += adversarial_step[live]
 
                 geometry = batch.geometry()
                 ego_s, ego_d, _ = geometry.ego
-                deviation = (
-                    np.abs(ego_d - plan.reference_offset(ego_s)) / lane_width
+                reference = plan.reference_offset(ego_s)
+                collided = result.collision_kind != KIND_NONE
+                nominal_step = nominal_reward.step_batch(
+                    batch, plan, collided, reference=reference
                 )
-                deviation_sq_sum[live] += deviation[live] ** 2
-                deviation_max[live] = np.maximum(
-                    deviation_max[live], deviation[live]
+                adversarial_step = adversarial_reward.step_batch(
+                    batch, delta, result.collision_kind
                 )
-                deviation_ticks[live] += 1
+                np.add(
+                    nominal_total, nominal_step, out=nominal_total, where=live
+                )
+                np.add(
+                    adversarial_total, adversarial_step,
+                    out=adversarial_total, where=live,
+                )
+
+                deviation = np.abs(ego_d - reference) / lane_width
+                np.add(
+                    deviation_sq_sum, deviation ** 2, out=deviation_sq_sum,
+                    where=live,
+                )
+                np.maximum(
+                    deviation_max, deviation, out=deviation_max, where=live
+                )
+                np.add(deviation_ticks, 1, out=deviation_ticks, where=live)
 
                 is_active = live & (np.abs(delta) >= ACTIVE_THRESHOLD)
-                active_ticks[is_active] += 1
-                activations[is_active & ~previously_active] += 1
-                previously_active[live] = is_active[live]
+                np.add(active_ticks, 1, out=active_ticks, where=is_active)
+                np.add(
+                    activations, 1, out=activations,
+                    where=is_active & ~previously_active,
+                )
+                np.copyto(previously_active, is_active, where=live)
 
                 if trace is not None:
                     columns = [
@@ -216,7 +231,7 @@ class Lockstep:
                         closing = (previous_gap - gap) / scenario.dt
                         ttc = np.full(n, np.nan)
                         np.divide(gap, closing, out=ttc, where=closing > 1e-6)
-                        previous_gap[live] = gap[live]
+                        np.copyto(previous_gap, gap, where=live)
                         columns += [gap, ttc]
                     tick_log.append(np.stack(columns))
                     live_log.append(live)

@@ -291,7 +291,9 @@ def run_seeds(
     ``attacker_factory`` is called once per episode so attackers with
     internal state (sensors, channels) start fresh each time; lockstep
     row ``i`` draws channel noise from episode ``i``'s attacker. Trace
-    records carry each episode's seed as its id.
+    records carry each episode's seed as its id. Episodes run on the
+    scalar engine count into ``eval_scalar_episodes_total``, labelled
+    ``reason=no_twin`` or ``reason=one_seed``.
     """
     # Imported here: repro.eval.batch builds on this module.
     from repro.eval.batch import Lockstep
@@ -305,14 +307,19 @@ def run_seeds(
             for _ in chunk
         ]
         lockstep = None
+        reason = "one_seed"
         if len(chunk) >= 2:
             try:
                 lockstep = Lockstep(victim_factory, attackers, chunk, scenario)
             except NoBatchTwin as error:
+                reason = "no_twin"
                 log.debug("eval.scalar_engine", reason=str(error))
         if lockstep is not None:
             results += lockstep.run(reward_config, adversarial_config, trace)
             continue
+        get_registry().counter(
+            "eval_scalar_episodes_total", reason=reason
+        ).inc(len(chunk))
         results += [
             run_episode(
                 victim_factory, attacker, seed, scenario, reward_config,

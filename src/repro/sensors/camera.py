@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.sim.batch import BatchWorld
 from repro.sim.road import Road
 from repro.sim.world import World
 from repro.telemetry.spans import timed
-from repro.utils.geometry import reach
+from repro.utils.geometry import clamp_array, reach
 
 
 class SemanticClass(enum.IntEnum):
@@ -47,16 +48,36 @@ _MARKING_HALF_WIDTH = 0.2
 
 def _classify_road(road: Road, d: np.ndarray) -> np.ndarray:
     """Off-road / road / lane-marking class per lateral offset ``d``
-    (any shape), ``uint8``."""
-    classes = np.full(d.shape, int(SemanticClass.OFF_ROAD), dtype=np.uint8)
-    on_road = np.abs(d) <= road.half_width
-    classes[on_road] = int(SemanticClass.ROAD)
-    near_marking = np.zeros(d.shape, dtype=bool)
-    for i in range(road.config.n_lanes + 1):
-        boundary = -road.half_width + i * road.config.lane_width
-        near_marking |= np.abs(d - boundary) <= _MARKING_HALF_WIDTH
-    classes[on_road & near_marking] = int(SemanticClass.LANE_MARKING)
-    return classes
+    (any shape), ``uint8``.
+
+    A point is marking when it lies within the marking half-width of the
+    lane boundary nearest to it, ``-half_width + k * lane_width`` with
+    ``k`` its offset rounded to whole lanes. No other boundary can be that
+    close while lanes are wider than two marking half-widths, so this one
+    test per point classifies as testing every boundary would.
+
+    Raises:
+        ValueError: on a road whose lanes are too narrow for that.
+    """
+    half, width = road.half_width, road.config.lane_width
+    if width <= 2.0 * _MARKING_HALF_WIDTH:
+        raise ValueError(
+            "lane markings need lanes wider than "
+            f"{2.0 * _MARKING_HALF_WIDTH} m; the road has lane_width={width}"
+        )
+    # One buffer, in place: the nearest boundary, then the distance to it.
+    gap = d + half
+    gap /= width
+    np.rint(gap, out=gap)
+    clamp_array(gap, 0, road.config.n_lanes, out=gap)
+    gap *= width
+    np.add(-half, gap, out=gap)
+    np.subtract(d, gap, out=gap)
+    marking = np.abs(gap, out=gap) <= _MARKING_HALF_WIDTH
+    on_road = np.abs(d, out=gap) <= half
+    marking &= on_road
+    # OFF_ROAD 0, ROAD 1, LANE_MARKING 2.
+    return np.add(on_road, marking, dtype=np.uint8)
 
 
 def _cloud_gap2(
@@ -86,77 +107,93 @@ def _classify_points(world: World, points: np.ndarray) -> np.ndarray:
     """Semantic class per world point, shape ``(n,)`` of ``uint8``.
 
     NPCs whose footprint :func:`reach` does not touch the bounding box of
-    ``points`` cannot paint any of them and are skipped.
+    ``points`` cannot paint any of them and are skipped; the test reads
+    the vehicle states, so no footprint is built.
     """
     _, d, _ = world.road.frenet_batch(points)
     classes = _classify_road(world.road, d)
-    boxes = [npc.vehicle.footprint() for npc in world.npcs]
+    vehicles = [npc.vehicle for npc in world.npcs]
     gap2 = _cloud_gap2(
         points[:, 0],
         points[:, 1],
-        np.array([box.center[0] for box in boxes]),
-        np.array([box.center[1] for box in boxes]),
+        np.array([vehicle.state.x for vehicle in vehicles]),
+        np.array([vehicle.state.y for vehicle in vehicles]),
     )
-    for box, box_gap2 in zip(boxes, gap2):
-        limit = reach((box.length, box.width))
-        if box_gap2 > limit * limit:
+    for vehicle, vehicle_gap2 in zip(vehicles, gap2):
+        state, cfg = vehicle.state, vehicle.config
+        limit = reach((cfg.length, cfg.width))
+        if vehicle_gap2 > limit * limit:
             continue
-        rel = points - np.asarray(box.center)
-        cos_yaw, sin_yaw = math.cos(box.yaw), math.sin(box.yaw)
+        rel = points - np.array([state.x, state.y])
+        cos_yaw, sin_yaw = math.cos(state.yaw), math.sin(state.yaw)
         local_x = rel[:, 0] * cos_yaw + rel[:, 1] * sin_yaw
         local_y = -rel[:, 0] * sin_yaw + rel[:, 1] * cos_yaw
-        inside = (np.abs(local_x) <= box.length / 2.0) & (
-            np.abs(local_y) <= box.width / 2.0
+        inside = (np.abs(local_x) <= cfg.length / 2.0) & (
+            np.abs(local_y) <= cfg.width / 2.0
         )
         classes[inside] = int(SemanticClass.VEHICLE)
     return classes
 
 
-def _classify_points_batch(
-    batch: BatchWorld, px: np.ndarray, py: np.ndarray, cells: np.ndarray
-) -> np.ndarray:
-    """Semantic class per point ``(px, py)`` for every episode, ``[N, P]``.
+def _paint_vehicles_batch(
+    classes: np.ndarray,
+    batch: BatchWorld,
+    px: np.ndarray,
+    py: np.ndarray,
+    cells: np.ndarray,
+) -> None:
+    """Paint every episode's NPCs into ``classes`` (``[N, P]``), in place.
 
-    The road/marking layers depend only on geometry shared by the whole
-    batch, so they run over the flattened ``N * P`` points in one pass.
-    The vehicle layer runs the exact footprint test of NPC ``j`` of
-    episode ``i`` only on the points ``cells[i, j]`` (``[N, M, K]`` flat
-    indices into the ``[N, P]`` point arrays), which must hold every point
-    that NPC can cover.
+    The exact footprint test of NPC ``j`` of episode ``i`` runs only on
+    the points ``cells[i, j]`` (``[N, M, K]`` flat indices into the
+    ``[N, P]`` grid) at world ``(px, py)`` (``[N, M, K]`` each); they must
+    hold every point that NPC can cover.
     """
-    n, p = px.shape
-    _, d, _ = batch.road.frenet_batch(
-        np.stack([px.ravel(), py.ravel()], axis=1)
-    )
-    classes = _classify_road(batch.road, d.reshape(n, p))
     vcfg = batch.config.vehicle
     half_l, half_w = vcfg.length / 2.0, vcfg.width / 2.0
-    rel_x = px.take(cells) - batch.x[:, 1:, None]
-    rel_y = py.take(cells) - batch.y[:, 1:, None]
+    rel_x = px - batch.x[:, 1:, None]
+    rel_y = py - batch.y[:, 1:, None]
     cos_yaw = np.cos(batch.yaw[:, 1:, None])
     sin_yaw = np.sin(batch.yaw[:, 1:, None])
     local_x = rel_x * cos_yaw + rel_y * sin_yaw
-    local_y = -rel_x * sin_yaw + rel_y * cos_yaw
+    # -rel_x * sin + rel_y * cos, bit for bit, one negation fewer.
+    local_y = rel_y * cos_yaw - rel_x * sin_yaw
     inside = (np.abs(local_x) <= half_l) & (np.abs(local_y) <= half_w)
     classes.put(cells[inside], int(SemanticClass.VEHICLE))
-    return classes
 
 
-def _lattice_window(
-    centre: np.ndarray, radius: float, origin: float, step: float, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Windows over the lattice ``origin + k * step`` (``0 <= k < count``)
-    that hold every lattice point within ``radius`` of each ``centre``.
+@lru_cache(maxsize=16)
+def _window_plan(config: BevCameraConfig, radius: float) -> tuple:
+    """How :meth:`BevCamera.render_batch` places, on ``config``'s grid,
+    the lattice windows that hold every cell within ``radius`` of a point.
 
-    Returns each window's first index and the offsets ``0 .. size - 1``.
-    A span of ``2 * radius`` holds at most ``floor(2 * radius / step) + 1``
-    lattice points, so every window has that many (at most ``count``),
+    Returns, rows then columns, each lattice's origin and step and the
+    largest first index a window may take (``[2, 1, 1]`` arrays), and the
+    flat grid offsets of a window's cells from its first cell. A span of
+    ``2 * radius`` holds at most ``floor(2 * radius / step) + 1`` lattice
+    points, so every window has that many (at most the lattice's count),
     from the first point at or past ``centre - radius``; a window that
     would run off the lattice is slid back onto it.
     """
-    size = min(math.floor(2.0 * radius / step) + 1, count)
-    first = np.ceil((centre - radius - origin) / step).astype(np.intp)
-    return np.minimum(np.maximum(first, 0), count - size), np.arange(size)
+    steps = np.array(
+        [
+            (config.forward + config.backward) / (config.rows - 1),
+            2.0 * config.half_width / (config.cols - 1),
+        ]
+    )
+    counts = np.array([config.rows, config.cols])
+    spans = np.minimum(np.floor(2.0 * radius / steps).astype(int) + 1, counts)
+    origin = np.array([-config.backward, -config.half_width])
+    offsets = (
+        np.arange(spans[0])[:, None] * config.cols + np.arange(spans[1])
+    ).ravel()
+    plan = (
+        *(a.reshape(2, 1, 1) for a in (origin, steps, counts - spans)),
+        offsets,
+    )
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def _shared_frame(
@@ -228,8 +265,6 @@ class BevCamera(Sensor):
         ys = np.linspace(-cfg.half_width, cfg.half_width, cfg.cols)
         grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
         self._local = np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)
-        self._row_step = (cfg.forward + cfg.backward) / (cfg.rows - 1)
-        self._col_step = 2.0 * cfg.half_width / (cfg.cols - 1)
 
     @timed("camera.bev.render")
     def render(self, world: World) -> np.ndarray:
@@ -256,48 +291,51 @@ class BevCamera(Sensor):
         """All N ego-centric class grids in one pass, ``[N, rows, cols]``.
 
         One call replaces N :meth:`render` invocations: the local grid is
-        rotated/translated into every episode's ego frame by broadcasting,
-        and classification runs over the stacked point cloud. Each NPC is
+        rotated/translated into every episode's ego frame by broadcasting.
+        The road layers read only each cell's lateral offset, and the
+        road works out world x for that only where the offset depends on
+        it (:meth:`~repro.sim.road.Road.lateral_batch`). Each NPC is
         tested only on the lattice window of cells within
         :func:`~repro.utils.geometry.reach` of its centre, taken in the
         ego grid frame (2 x 3 cells for the policy camera); no cell
-        outside it can lie in its footprint.
+        outside it can lie in its footprint. World x is worked out for
+        those cells alone.
         """
         cfg = self.config
-        cos_yaw = np.cos(batch.yaw[:, 0])
-        sin_yaw = np.sin(batch.yaw[:, 0])
+        cos_yaw = np.cos(batch.yaw[:, 0])[:, None]
+        sin_yaw = np.sin(batch.yaw[:, 0])[:, None]
+        ego_x, ego_y = batch.x[:, :1], batch.y[:, :1]
         lx, ly = self._local[:, 0], self._local[:, 1]
-        px = (
-            lx[None, :] * cos_yaw[:, None]
-            - ly[None, :] * sin_yaw[:, None]
-            + batch.x[:, 0, None]
+        # World y of every cell, (lx sin + ly cos) + ego y, in place.
+        py = lx * sin_yaw
+        py += ly * cos_yaw
+        py += ego_y
+        d = batch.road.lateral_batch(
+            py, lambda: lx * cos_yaw - ly * sin_yaw + ego_x
         )
-        py = (
-            lx[None, :] * sin_yaw[:, None]
-            + ly[None, :] * cos_yaw[:, None]
-            + batch.y[:, 0, None]
-        )
+        classes = _classify_road(batch.road, d)
         # NPC centres in the ego grid frame: along and across the heading.
-        dx = batch.x[:, 1:] - batch.x[:, :1]
-        dy = batch.y[:, 1:] - batch.y[:, :1]
-        along = dx * cos_yaw[:, None] + dy * sin_yaw[:, None]
-        across = dy * cos_yaw[:, None] - dx * sin_yaw[:, None]
+        dx = batch.x[:, 1:] - ego_x
+        dy = batch.y[:, 1:] - ego_y
+        along = dx * cos_yaw + dy * sin_yaw
+        across = dy * cos_yaw - dx * sin_yaw
         # A painted point lies within the footprint's circumradius of its
         # centre, up to ~1e-12 m of rounding; the reach's 1e-6 m margin
         # covers that, so the windows hold every cell the NPC can paint.
         vcfg = batch.config.vehicle
         radius = reach((vcfg.length, vcfg.width))
-        row0, drow = _lattice_window(
-            along, radius, -cfg.backward, self._row_step, cfg.rows
+        origin, step, last, offsets = _window_plan(cfg, radius)
+        first = np.ceil((np.stack([along, across]) - radius - origin) / step)
+        row0, col0 = np.minimum(np.maximum(first.astype(np.intp), 0), last)
+        # Each window's cells: index in the grid, then in the [N, P] batch.
+        local = (row0 * cfg.cols + col0)[..., None] + offsets
+        cells = local + cfg.cells * np.arange(batch.n)[:, None, None]
+        window_x = (
+            lx.take(local) * cos_yaw[..., None]
+            - ly.take(local) * sin_yaw[..., None]
+            + ego_x[..., None]
         )
-        col0, dcol = _lattice_window(
-            across, radius, -cfg.half_width, self._col_step, cfg.cols
-        )
-        # Flat index of each window's first cell, then of all its cells.
-        episode = cfg.cells * np.arange(batch.n)[:, None]
-        first = episode + row0 * cfg.cols + col0
-        cells = first[..., None] + (drow[:, None] * cfg.cols + dcol).ravel()
-        classes = _classify_points_batch(batch, px, py, cells)
+        _paint_vehicles_batch(classes, batch, window_x, py.take(cells), cells)
         return classes.reshape(batch.n, cfg.rows, cfg.cols)
 
     def observe_batch(self, batch: BatchWorld) -> np.ndarray:

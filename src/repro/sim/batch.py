@@ -43,7 +43,7 @@ from repro.sim.npc import LaneKeepGains
 from repro.sim.road import Road, default_road
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
-from repro.utils.geometry import clamp, reach, unit_rows
+from repro.utils.geometry import clamp, clamp_array, reach, unit_rows
 
 #: Integer collision codes used by the SoA bookkeeping arrays.
 KIND_NONE = 0
@@ -127,13 +127,19 @@ class BatchNearest:
 
 @dataclass(frozen=True)
 class BatchGeometry:
-    """Where every actor of every episode sits relative to the road and to
-    its ego, for one batch state (SoA mirror of
+    """Where every actor of every episode sits and moves, relative to the
+    world, the road and its ego, for one batch state (SoA mirror of
     :class:`repro.sim.world.WorldGeometry`); read-only arrays worked out
     once by :meth:`BatchWorld.geometry`."""
 
     #: The :meth:`BatchWorld.pose_key` of the state it describes.
     key: tuple
+    #: Ego world positions and velocity vectors, ``[N, 2]`` each.
+    ego_position: np.ndarray
+    ego_velocity: np.ndarray
+    #: NPC world positions and velocity vectors, ``[N, M, 2]`` each.
+    npc_positions: np.ndarray
+    npc_velocities: np.ndarray
     #: Ego ``(s, d, tangent_yaw)``, ``[N]`` each.
     ego: tuple[np.ndarray, np.ndarray, np.ndarray]
     #: NPC ``(s, d, lane_yaw)``, ``[N, M]`` each.
@@ -143,18 +149,21 @@ class BatchGeometry:
     @classmethod
     def of(cls, batch: "BatchWorld", key: tuple) -> "BatchGeometry":
         n, m = batch.n, batch.m
+        ego_position, npc_positions = batch.ego_position, batch.npc_positions
+        npc_velocities = batch.npc_velocities
         if m:
             rows = np.arange(n)
-            ego, npc = batch.ego_position, batch.npc_positions
             npcs = tuple(
                 a.reshape(n, m)
-                for a in batch.road.frenet_batch(npc.reshape(-1, 2))
+                for a in batch.road.frenet_batch(
+                    npc_positions.reshape(-1, 2)
+                )
             )
-            diff = npc - ego[:, None, :]
+            diff = npc_positions - ego_position[:, None, :]
             dist = np.sqrt(np.einsum("nmj,nmj->nm", diff, diff))
             index = np.argmin(dist, axis=1)
             direction, _ = unit_rows(diff[rows, index])
-            heading, moving = unit_rows(batch.npc_velocities[rows, index])
+            heading, moving = unit_rows(npc_velocities[rows, index])
             omega = np.where(
                 moving, np.einsum("nj,nj->n", direction, heading), 0.0
             )
@@ -168,10 +177,17 @@ class BatchGeometry:
                 np.full(n, -1), np.full(n, np.inf), np.zeros((n, 2)),
                 np.zeros((n, 2)), np.zeros(n, dtype=bool), np.zeros(n),
             )
-        ego = batch.ego_frenet()
-        for array in (*ego, *npcs, *vars(nearest).values()):
+        ego = batch.ego_frenet(ego_position)
+        ego_velocity = batch.ego_velocity
+        for array in (
+            ego_position, ego_velocity, npc_positions, npc_velocities,
+            *ego, *npcs, *vars(nearest).values(),
+        ):
             array.flags.writeable = False
-        return cls(key=key, ego=ego, npcs=npcs, nearest=nearest)
+        return cls(
+            key, ego_position, ego_velocity, npc_positions, npc_velocities,
+            ego, npcs, nearest,
+        )
 
 
 class BatchWorld:
@@ -276,10 +292,10 @@ class BatchWorld:
                 steer_delta = np.zeros(self.n)
 
             # Control.clipped: both channels to the mechanical limit.
-            p_steer = np.clip(
+            p_steer = clamp_array(
                 ego_steer + steer_delta, -EPSILON_MECH, EPSILON_MECH
             )
-            p_thrust = np.clip(ego_thrust, -EPSILON_MECH, EPSILON_MECH)
+            p_thrust = clamp_array(ego_thrust, -EPSILON_MECH, EPSILON_MECH)
             npc_steer, npc_thrust = self._npc_controls()
             steer_cmd = np.concatenate([p_steer[:, None], npc_steer], axis=1)
             thrust_cmd = np.concatenate(
@@ -295,27 +311,27 @@ class BatchWorld:
                 (1.0 - vcfg.thrust_retain) * thrust_cmd
                 + vcfg.thrust_retain * self.thrust_act
             )
-            x, y = self.x.copy(), self.y.copy()
-            yaw, speed = self.yaw.copy(), self.speed.copy()
+            # The actuation holds over the substeps.
+            drive = np.where(
+                thrust_act >= 0.0,
+                thrust_act * vcfg.max_accel,
+                thrust_act * vcfg.max_brake,
+            )
+            tan_wheel = np.tan(steer_act * vcfg.max_steer_angle)
+            x, y, yaw, speed = self.x, self.y, self.yaw, self.speed
             sub_dt = cfg.dt / cfg.substeps
             for _ in range(cfg.substeps):
-                accel = np.where(
-                    thrust_act >= 0.0,
-                    thrust_act * vcfg.max_accel,
-                    thrust_act * vcfg.max_brake,
-                )
-                accel = accel - vcfg.drag * speed * speed
-                new_speed = np.clip(
+                accel = drive - vcfg.drag * speed * speed
+                new_speed = clamp_array(
                     speed + accel * sub_dt, 0.0, vcfg.max_speed
                 )
-                wheel = steer_act * vcfg.max_steer_angle
-                yaw_rate = -new_speed / vcfg.wheelbase * np.tan(wheel)
+                yaw_rate = -new_speed / vcfg.wheelbase * tan_wheel
                 moving = new_speed > 1e-6
                 limit = vcfg.max_lateral_accel / np.where(
                     moving, new_speed, 1.0
                 )
                 yaw_rate = np.where(
-                    moving, np.clip(yaw_rate, -limit, limit), yaw_rate
+                    moving, clamp_array(yaw_rate, -limit, limit), yaw_rate
                 )
                 mid_yaw = yaw + 0.5 * yaw_rate * sub_dt
                 mid_speed = 0.5 * (speed + new_speed)
@@ -325,14 +341,15 @@ class BatchWorld:
                 speed = new_speed
 
             # Frozen rows keep their old state verbatim.
-            self.x[active] = x[active]
-            self.y[active] = y[active]
-            self.yaw[active] = yaw[active]
-            self.speed[active] = speed[active]
-            self.steer_act[active] = steer_act[active]
-            self.thrust_act[active] = thrust_act[active]
-            self.step_count[active] += 1
-            self.time[active] += cfg.dt
+            row_active = active[:, None]
+            np.copyto(self.x, x, where=row_active)
+            np.copyto(self.y, y, where=row_active)
+            np.copyto(self.yaw, yaw, where=row_active)
+            np.copyto(self.speed, speed, where=row_active)
+            np.copyto(self.steer_act, steer_act, where=row_active)
+            np.copyto(self.thrust_act, thrust_act, where=row_active)
+            np.add(self.step_count, 1, out=self.step_count, where=active)
+            np.add(self.time, cfg.dt, out=self.time, where=active)
 
             kind, other = self._detect_collisions()
             new_hit = active & (kind != KIND_NONE)
@@ -350,17 +367,17 @@ class BatchWorld:
 
             geometry = self.geometry()
             ego_s, npc_s = geometry.ego[0], geometry.npcs[0]
-            overtaken = (
-                ego_s[:, None] > npc_s + vcfg.length
+            overtaken = ego_s[:, None] > npc_s + vcfg.length
+            np.logical_or(
+                self.passed, overtaken, out=self.passed, where=row_active
             )
-            self.passed[active] |= overtaken[active]
             out_of_road = ego_s >= self.road.length - vcfg.length
             finished = (
                 new_hit
                 | (self.step_count >= cfg.max_steps)
                 | out_of_road
             )
-            self.done[active] |= finished[active]
+            np.logical_or(self.done, finished, out=self.done, where=active)
 
             tick_kind = np.where(new_hit, kind, KIND_NONE).astype(np.int8)
         return BatchTickResult(
@@ -379,12 +396,12 @@ class BatchWorld:
         cross_track = d - self._npc_lane_offset
         heading_error = _normalize_angles(self.yaw[:, 1:] - lane_yaw)
         g = self.gains
-        steer = np.clip(
+        steer = clamp_array(
             g.cross_track * cross_track + g.heading * heading_error,
             -1.0,
             1.0,
         )
-        thrust = np.clip(
+        thrust = clamp_array(
             g.speed * (self.npc_target_speed - self.speed[:, 1:]),
             -1.0,
             1.0,
@@ -394,24 +411,25 @@ class BatchWorld:
     # -- collision detection -----------------------------------------------
 
     def _footprint_corners(
-        self, rows: np.ndarray, cols: np.ndarray | int
-    ) -> np.ndarray:
+        self, rows: np.ndarray | slice, cols: np.ndarray | int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """World-frame footprint corners of actor ``cols`` in episodes
-        ``rows`` (ego = column 0), ``[K, 4, 2]``."""
+        ``rows`` (ego = column 0): their x and y, ``[K, 4]`` each."""
         yaw = self.yaw[rows, cols]
         cos, sin = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
         lx = self._corner_local[:, 0]
         ly = self._corner_local[:, 1]
         cx = lx * cos - ly * sin + self.x[rows, cols][:, None]
         cy = lx * sin + ly * cos + self.y[rows, cols][:, None]
-        return np.stack([cx, cy], axis=-1)
+        return cx, cy
 
     def _overlapping(
         self, ego_corners: np.ndarray, rows: np.ndarray, cols: np.ndarray
     ) -> np.ndarray:
         """Separating-axis test of the ego against NPC ``cols`` in episodes
-        ``rows``; ``ego_corners`` are those rows' ego corners. ``[K]`` bool."""
-        npc_corners = self._footprint_corners(rows, 1 + cols)
+        ``rows``; ``ego_corners`` are those rows' ego corners, ``[K, 4, 2]``.
+        ``[K]`` bool."""
+        npc_corners = np.stack(self._footprint_corners(rows, 1 + cols), -1)
         # SAT axes: ego's two face normals + the NPC's two, mirroring
         # OrientedBox.axes (heading_vector(yaw) and yaw + pi/2), [K, 4].
         ego_yaw = self.yaw[rows, 0, None]
@@ -438,14 +456,15 @@ class BatchWorld:
         """
         kind = np.zeros(self.n, dtype=np.int8)
         other = np.full(self.n, -1, dtype=int)
-        ego_corners = self._footprint_corners(np.arange(self.n), 0)
+        ego_x, ego_y = self._footprint_corners(slice(None), 0)
         dx = self.x[:, 1:] - self.x[:, :1]
         dy = self.y[:, 1:] - self.y[:, :1]
         rows, cols = np.nonzero(
             dx * dx + dy * dy <= self._contact_reach * self._contact_reach
         )
         if len(rows):
-            hit = self._overlapping(ego_corners[rows], rows, cols)
+            ego_corners = np.stack([ego_x[rows], ego_y[rows]], axis=-1)
+            hit = self._overlapping(ego_corners, rows, cols)
             # nonzero lists pairs row-major, so each row's first hit is
             # its lowest-index NPC.
             rows, first = np.unique(rows[hit], return_index=True)
@@ -465,11 +484,8 @@ class BatchWorld:
         # only where no vehicle collision was found.
         clear = kind == KIND_NONE
         if clear.any():
-            flat = ego_corners.reshape(-1, 2)
-            _, d, _ = self.road.frenet_batch(flat)
-            off = (
-                np.abs(d.reshape(self.n, 4)) >= self.road.barrier_offset
-            ).any(axis=1)
+            d = self.road.lateral_batch(ego_y, lambda: ego_x)
+            off = (np.abs(d) >= self.road.barrier_offset).any(axis=1)
             barrier = clear & off
             kind[barrier] = KIND_BARRIER
             other[barrier] = -1
@@ -480,6 +496,9 @@ class BatchWorld:
     @property
     def all_done(self) -> bool:
         return bool(self.done.all())
+
+    # Worked out afresh on each read; :meth:`geometry` holds the current
+    # state's.
 
     @property
     def ego_position(self) -> np.ndarray:
@@ -505,11 +524,15 @@ class BatchWorld:
             [np.cos(self.yaw[:, 1:]), np.sin(self.yaw[:, 1:])], axis=2
         )
 
-    def ego_frenet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def ego_frenet(
+        self, position: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ego ``(s, d, tangent_yaw)`` arrays on the road reference line,
-        worked out afresh; :meth:`geometry` holds them for the current
-        state."""
-        return self.road.frenet_batch(self.ego_position)
+        of the ego positions ``position`` (default: :attr:`ego_position`).
+        """
+        if position is None:
+            position = self.ego_position
+        return self.road.frenet_batch(position)
 
     # -- geometry of the current state ---------------------------------------
 

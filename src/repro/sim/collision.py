@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.sim.road import Road
 from repro.sim.vehicle import Vehicle
-from repro.utils.geometry import normalize_angle
+from repro.utils.geometry import OrientedBox, normalize_angle, reach
 
 
 class CollisionKind(enum.Enum):
@@ -72,16 +72,37 @@ def classify_vehicle_collision(ego: Vehicle, other: Vehicle) -> CollisionKind:
     return CollisionKind.SIDE
 
 
-def check_vehicle_pair(ego: Vehicle, other: Vehicle) -> CollisionKind | None:
-    """Overlap test + classification; ``None`` when not in contact."""
-    if not ego.footprint().intersects(other.footprint()):
+def check_vehicle_pair(
+    ego: Vehicle, other: Vehicle, ego_box: OrientedBox | None = None
+) -> CollisionKind | None:
+    """Overlap test + classification; ``None`` when not in contact.
+
+    ``ego_box`` is ``ego.footprint()``, if the caller has built it. An
+    ``other`` whose centre lies beyond the contact :func:`reach` cannot
+    touch the ego: it is ruled out before its footprint is built, and only
+    a pair within reach runs the separating-axis test.
+    """
+    box = ego.footprint() if ego_box is None else ego_box
+    dx = other.state.x - box.center[0]
+    dy = other.state.y - box.center[1]
+    limit = reach(
+        (box.length, box.width), (other.config.length, other.config.width)
+    )
+    if dx * dx + dy * dy > limit * limit:
+        return None
+    if not box.intersects(other.footprint()):
         return None
     return classify_vehicle_collision(ego, other)
 
 
-def check_barrier(vehicle: Vehicle, road: Road) -> bool:
-    """Whether any corner of ``vehicle`` crosses the roadside barriers."""
-    corners = vehicle.footprint().corners()
+def check_barrier(
+    vehicle: Vehicle, road: Road, box: OrientedBox | None = None
+) -> bool:
+    """Whether any corner of ``vehicle`` crosses the roadside barriers.
+
+    ``box`` is ``vehicle.footprint()``, if the caller has built it.
+    """
+    corners = (vehicle.footprint() if box is None else box).corners()
     for corner in corners:
         _, d, _ = road.to_frenet(corner)
         if road.off_road(d):

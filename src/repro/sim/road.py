@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.sim.config import RoadConfig
 from repro.utils.geometry import (
+    clamp_array,
     interpolate_polyline,
     polyline_arclength,
     project_to_polyline,
@@ -26,6 +27,10 @@ from repro.utils.geometry import (
 
 if TYPE_CHECKING:
     import networkx as nx
+
+#: The normal ``(-sin 0, cos 0)`` of an axis-aligned reference line.
+_AXIS_NORMAL = np.array([-0.0, 1.0])
+_AXIS_NORMAL.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -122,14 +127,14 @@ class Road:
         """
         pts = np.asarray(points, dtype=float)
         if self._axis_aligned:
-            s = np.clip(pts[:, 0] - self._base_x, 0.0, self.length)
+            s = clamp_array(pts[:, 0] - self._base_x, 0.0, self.length)
             return s, pts[:, 1] - self._base_y, np.zeros(len(pts))
         starts = self.centerline[:-1]
         segs = self.centerline[1:] - starts
         seg_len2 = np.maximum(np.einsum("ij,ij->i", segs, segs), 1e-12)
         rel = pts[:, None, :] - starts[None, :, :]
         t = np.einsum("nmj,mj->nm", rel, segs) / seg_len2[None, :]
-        t = np.clip(t, 0.0, 1.0)
+        t = clamp_array(t, 0.0, 1.0)
         foot = starts[None, :, :] + t[..., None] * segs[None, :, :]
         diff = pts[:, None, :] - foot
         dist2 = np.einsum("nmj,nmj->nm", diff, diff)
@@ -145,6 +150,21 @@ class Road:
         yaw = np.arctan2(tangents[idx, 1], tangents[idx, 0])
         return s, d, yaw
 
+    def lateral_batch(
+        self, y: np.ndarray, x: Callable[[], np.ndarray]
+    ) -> np.ndarray:
+        """The :meth:`frenet_batch` lateral offset ``d`` of the points
+        ``(x(), y)``, same shape as ``y``.
+
+        ``x`` is called only on a road whose lateral offset depends on it:
+        on an axis-aligned road ``d`` is ``y`` less the line's ``y``, so a
+        caller that would build ``x`` just for this skips it.
+        """
+        if self._axis_aligned:
+            return y - self._base_y
+        points = np.stack([np.ravel(x()), np.ravel(y)], axis=1)
+        return self.frenet_batch(points)[1].reshape(np.shape(y))
+
     def to_world(self, s: float, d: float) -> tuple[np.ndarray, float]:
         """Frenet ``(s, d)`` -> world position and tangent heading."""
         base, yaw = interpolate_polyline(s, self.centerline, self.arclength)
@@ -159,13 +179,15 @@ class Road:
         Evaluates the same interpolation formula as
         :func:`~repro.utils.geometry.interpolate_polyline` element-wise
         (same segment choice via ``searchsorted``, same lerp), so straight
-        roads reproduce the scalar result bit-for-bit.
+        roads reproduce the scalar result bit-for-bit. An axis-aligned
+        road, like :meth:`frenet_batch`, skips the trigonometry: its
+        heading is 0 and its normal ``(-0.0, 1.0)``.
         """
         s = np.asarray(s, dtype=float)
         d = np.asarray(d, dtype=float)
-        s_c = np.clip(s, 0.0, self.length)
+        s_c = clamp_array(s, 0.0, self.length)
         idx = np.searchsorted(self.arclength, s_c, side="right") - 1
-        idx = np.clip(idx, 0, len(self.centerline) - 2)
+        idx = clamp_array(idx, 0, len(self.centerline) - 2)
         seg_start = self.arclength[idx]
         span = np.maximum(self.arclength[idx + 1] - seg_start, 1e-12)
         t = (s_c - seg_start) / span
@@ -173,6 +195,8 @@ class Road:
             self.centerline[idx] * (1.0 - t)[:, None]
             + self.centerline[idx + 1] * t[:, None]
         )
+        if self._axis_aligned:
+            return base + d[:, None] * _AXIS_NORMAL, np.zeros(len(t))
         direction = self.centerline[idx + 1] - self.centerline[idx]
         yaw = np.arctan2(direction[:, 1], direction[:, 0])
         normal = np.stack([-np.sin(yaw), np.cos(yaw)], axis=1)

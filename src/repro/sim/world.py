@@ -212,8 +212,9 @@ class World:
     # -- collision handling ------------------------------------------------------
 
     def _detect_collision(self) -> Collision | None:
+        box = self.ego.footprint()
         for npc in self.npcs:
-            kind = check_vehicle_pair(self.ego, npc.vehicle)
+            kind = check_vehicle_pair(self.ego, npc.vehicle, box)
             if kind is not None:
                 return Collision(
                     kind=kind,
@@ -222,7 +223,7 @@ class World:
                     step=self.step_count,
                     time=self.time,
                 )
-        if check_barrier(self.ego, self.road):
+        if check_barrier(self.ego, self.road, box):
             return Collision(
                 kind=CollisionKind.BARRIER,
                 ego=self.ego.name,

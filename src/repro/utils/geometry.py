@@ -9,8 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+try:  # numpy >= 2
+    from numpy._core.umath import clip as _clip_ufunc
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip as _clip_ufunc
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,6 +26,7 @@ TWO_PI = 2.0 * math.pi
 REACH_MARGIN = 1e-6
 
 
+@lru_cache(maxsize=64)
 def reach(*extents: tuple[float, float]) -> float:
     """Centre distance beyond which rectangles of these sizes cannot touch.
 
@@ -27,7 +34,8 @@ def reach(*extents: tuple[float, float]) -> float:
     circumradii plus :data:`REACH_MARGIN`. Two footprints whose centres
     lie farther apart than ``reach((l1, w1), (l2, w2))`` cannot overlap,
     and a footprint farther than ``reach((l, w))`` from a point cannot
-    contain it, so the exact test may be skipped for them.
+    contain it, so the exact test may be skipped for them. Worked out
+    once per set of extents.
     """
     return (
         sum(math.hypot(length / 2.0, width / 2.0) for length, width in extents)
@@ -45,6 +53,24 @@ def clamp(x: float, lo: float, hi: float) -> float:
     scalar.
     """
     return float(lo if x < lo else hi if x > hi else x)
+
+
+def clamp_array(
+    x: np.ndarray,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``x`` limited to ``[lo, hi]`` elementwise, for arrays.
+
+    Returns what ``np.clip(x, lo, hi, out=out)`` returns, bit for bit, for
+    bounds ``x``'s dtype can hold: it calls the ufunc ``np.clip`` ends in,
+    without ``np.clip``'s Python-level argument handling (about four times
+    the ufunc's cost on the ``[N]`` arrays of a lockstep tick). So ties on
+    signed zeros break as ``np.clip`` breaks them: a float bound keeps
+    ``x``, an array bound returns the bound.
+    """
+    return _clip_ufunc(x, lo, hi, out=out)
 
 
 def normalize_angle(angle: float) -> float:
@@ -141,14 +167,10 @@ class OrientedBox:
     def intersects(self, other: "OrientedBox") -> bool:
         """Separating-axis test between two oriented boxes.
 
-        Boxes whose centres lie beyond :func:`reach` are disjoint without
-        building corners.
+        Callers that test many pairs cull first: boxes whose centres lie
+        beyond :func:`reach` are disjoint (see
+        :func:`repro.sim.collision.check_vehicle_pair`).
         """
-        dx = other.center[0] - self.center[0]
-        dy = other.center[1] - self.center[1]
-        limit = reach((self.length, self.width), (other.length, other.width))
-        if dx * dx + dy * dy > limit * limit:
-            return False
         corners_a, corners_b = self.corners(), other.corners()
         for axis in np.concatenate([self.axes(), other.axes()]):
             proj_a = corners_a @ axis
@@ -192,7 +214,7 @@ def project_to_polyline(
     seg_len2 = np.einsum("ij,ij->i", seg, seg)
     seg_len2 = np.maximum(seg_len2, 1e-12)
     t = np.einsum("ij,ij->i", pt - starts, seg) / seg_len2
-    t = np.clip(t, 0.0, 1.0)
+    t = clamp_array(t, 0.0, 1.0)
     foot = starts + t[:, None] * seg
     dist2 = np.einsum("ij,ij->i", pt - foot, pt - foot)
     idx = int(np.argmin(dist2))

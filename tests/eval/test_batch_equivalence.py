@@ -16,6 +16,7 @@ import pytest
 from repro.agents.e2e import EndToEndAgent
 from repro.agents.modular import ModularAgent
 from repro.core import (
+    ImuAttackObservation,
     InjectionChannel,
     InjectionChannelConfig,
     LearnedAttacker,
@@ -27,7 +28,10 @@ from repro.experiments import registry
 from repro.experiments.fig6 import victim_factory_for
 from repro.obsv.loader import split_episodes
 from repro.obsv.replay import DEFAULT_TOLERANCES, diff_ticks
+from repro.rl.policy import SquashedGaussianPolicy
+from repro.sim import ScenarioConfig
 from repro.sim.batch import BatchWorld
+from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import TraceWriter
 
 pytestmark = pytest.mark.batch
@@ -268,6 +272,39 @@ class TestEngineChoice:
         )
         assert len(results) == n_episodes
         assert lockstep_ticks == []
+
+    def test_scalar_episodes_are_counted(self):
+        """``eval_scalar_episodes_total`` counts the episodes of every
+        chunk that ran scalar, by reason; a lockstep chunk adds none."""
+        def counts():
+            return tuple(
+                get_registry()
+                .counter("eval_scalar_episodes_total", reason=reason)
+                .value
+                for reason in ("no_twin", "one_seed")
+            )
+
+        sensor = ImuAttackObservation()
+        policy = SquashedGaussianPolicy(
+            sensor.observation_dim, 1, (8,), np.random.default_rng(3)
+        )
+
+        def imu_attacker():
+            return LearnedAttacker(
+                policy,
+                ImuAttackObservation(),
+                channel=InjectionChannel(InjectionChannelConfig(budget=0.5)),
+                name="imu",
+            )
+
+        scenario = ScenarioConfig(max_steps=5)
+        before = counts()
+        run_episodes(modular_victim, imu_attacker, 2, scenario=scenario)
+        assert counts() == (before[0] + 2, before[1])
+        run_episodes(modular_victim, None, 2, scenario=scenario)
+        assert counts() == (before[0] + 2, before[1])
+        run_episodes(modular_victim, None, 1, scenario=scenario)
+        assert counts() == (before[0] + 2, before[1] + 1)
 
     def test_lockstep_error_propagates(self, monkeypatch):
         def broken_tick(*args, **kwargs):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sensors.camera import (
     BevCamera,
@@ -9,8 +11,11 @@ from repro.sensors.camera import (
     PanoramaCamera,
     PanoramaCameraConfig,
     SemanticClass,
+    _classify_road,
 )
-from repro.sim import Control, make_world
+from repro.sim import Control, RoadConfig, ScenarioConfig, make_world
+from repro.sim.batch import make_batch_world
+from repro.sim.road import Road
 
 
 class TestBevCamera:
@@ -127,6 +132,104 @@ class TestBevCameraBatch:
         obs = camera.observe_batch(batch)
         for i, world in enumerate(worlds):
             np.testing.assert_array_equal(obs[i], camera.observe(world))
+
+
+def loop_classes(road: Road, d: np.ndarray) -> np.ndarray:
+    """Road classes with every lane boundary tested (the oracle)."""
+    classes = np.full(d.shape, int(SemanticClass.OFF_ROAD), dtype=np.uint8)
+    on_road = np.abs(d) <= road.half_width
+    classes[on_road] = int(SemanticClass.ROAD)
+    near_marking = np.zeros(d.shape, dtype=bool)
+    for i in range(road.config.n_lanes + 1):
+        boundary = -road.half_width + i * road.config.lane_width
+        near_marking |= np.abs(d - boundary) <= 0.2
+    classes[on_road & near_marking] = int(SemanticClass.LANE_MARKING)
+    return classes
+
+
+ROADS = [
+    Road.straight(),
+    Road.straight(RoadConfig(n_lanes=3, lane_width=3.0)),
+    Road.straight(RoadConfig(n_lanes=6, lane_width=0.41)),
+]
+
+
+def edge_offsets(road: Road) -> np.ndarray:
+    """Each boundary +-0.2 and the half-width, one ulp either side, and
+    +-0.0."""
+    half = road.half_width
+    centres = [
+        -half + i * road.config.lane_width
+        for i in range(road.config.n_lanes + 1)
+    ]
+    edges = [b + 0.2 for b in centres] + [b - 0.2 for b in centres]
+    edges += [half, -half]
+    values = [0.0, -0.0]
+    for edge in edges:
+        values += [edge, np.nextafter(edge, 99.0), np.nextafter(edge, -99.0)]
+    return np.array(values)
+
+
+class TestRoadClasses:
+    """One distance test, to the nearest lane boundary, classifies as the
+    loop over every boundary does."""
+
+    @pytest.mark.parametrize("road", ROADS, ids=["default", "3x3", "narrow"])
+    def test_edges(self, road):
+        d = edge_offsets(road)
+        np.testing.assert_array_equal(
+            _classify_road(road, d), loop_classes(road, d)
+        )
+
+    @pytest.mark.parametrize("road", ROADS, ids=["default", "3x3", "narrow"])
+    @given(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_random_offsets(self, road, values):
+        d = np.array(values).reshape(1, -1)
+        np.testing.assert_array_equal(
+            _classify_road(road, d), loop_classes(road, d)
+        )
+
+    @pytest.mark.parametrize("lane_width", [0.4, 0.2])
+    def test_lanes_too_narrow_for_markings_raise(self, lane_width):
+        road = Road.straight(RoadConfig(lane_width=lane_width))
+        with pytest.raises(ValueError, match="lane_width"):
+            _classify_road(road, np.zeros(3))
+        config = ScenarioConfig(road=RoadConfig(lane_width=lane_width))
+        with pytest.raises(ValueError, match="lane_width"):
+            BevCamera().render_batch(make_batch_world(config, n=2))
+
+
+class TestCurvedRoad:
+    """``render_batch`` on a road whose lateral offset depends on x."""
+
+    @pytest.mark.parametrize("width", [2, 7])
+    def test_render_batch_matches_scalar(self, width):
+        road = Road.curved()
+        config = ScenarioConfig()
+        seeds = list(range(width))
+        batch = make_batch_world(config, seeds=seeds, road=road)
+        worlds = [
+            make_world(config, rng=np.random.default_rng(s), road=road)
+            for s in seeds
+        ]
+        # Spawn poses, then the egos shifted across lanes and turned.
+        rng = np.random.default_rng(width)
+        for shift in range(3):
+            if shift:
+                batch.x[:, 0] += rng.uniform(0.0, 60.0, width)
+                batch.y[:, 0] += rng.uniform(-4.0, 4.0, width)
+                batch.yaw[:, 0] = rng.uniform(-0.5, 0.5, width)
+                for i, world in enumerate(worlds):
+                    state = world.ego.state
+                    state.x, state.y = batch.x[i, 0], batch.y[i, 0]
+                    state.yaw = batch.yaw[i, 0]
+            for camera in (BevCamera(), BevCamera(BevCameraConfig(rows=40))):
+                grids = camera.render_batch(batch)
+                for i, world in enumerate(worlds):
+                    np.testing.assert_array_equal(
+                        grids[i], camera.render(world)
+                    )
 
 
 class TestPanoramaCamera:

@@ -36,6 +36,12 @@ from repro.sim.batch import (
     BatchWorld,
     _normalize_angles,
 )
+from repro.sim.collision import (
+    CollisionKind,
+    check_vehicle_pair,
+    classify_vehicle_collision,
+)
+from repro.sim.config import VehicleConfig
 from repro.sim.npc import LaneKeepingDriver
 from repro.sim.vehicle import Vehicle, VehicleState
 from repro.sim.world import NpcActor, World
@@ -243,6 +249,20 @@ def brute_collisions(batch: BatchWorld) -> tuple[np.ndarray, np.ndarray]:
     return kind, other
 
 
+def brute_scalar_collision(world: World):
+    """``World._detect_collision`` with SAT on every pair, as
+    ``(kind, other)`` or None."""
+    ego = world.ego
+    for npc in world.npcs:
+        other = npc.vehicle
+        if brute_intersects(ego.footprint(), other.footprint()):
+            return classify_vehicle_collision(ego, other), other.name
+    for corner in ego.footprint().corners():
+        if world.road.off_road(world.road.to_frenet(corner)[1]):
+            return CollisionKind.BARRIER, "barrier"
+    return None
+
+
 def brute_road(road, d: np.ndarray) -> np.ndarray:
     classes = np.full(d.shape, int(SemanticClass.OFF_ROAD), dtype=np.uint8)
     on_road = np.abs(d) <= road.half_width
@@ -346,6 +366,36 @@ class TestBroadphaseMatchesBruteForce:
         ref_kind, ref_other = brute_collisions(batch)
         assert np.array_equal(kind, ref_kind)
         assert np.array_equal(other, ref_other)
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_pairs())
+    def test_vehicle_pair(self, pair):
+        # Footprints of two sizes: the contact reach sums both.
+        ego, other = (
+            Vehicle(
+                f"v{i}",
+                config=VehicleConfig(length=box.length, width=box.width),
+                state=VehicleState(*box.center, yaw=box.yaw),
+            )
+            for i, box in enumerate(pair)
+        )
+        for a, b in ((ego, other), (other, ego)):
+            found = check_vehicle_pair(a, b) is not None
+            assert found == brute_intersects(a.footprint(), b.footprint())
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_contact_rows(BEV))
+    def test_scalar_collisions(self, rows):
+        x, y, yaw, _ = rows
+        for row in zip(x, y, yaw):
+            world = make_scalar_world(*row)
+            collision = world._detect_collision()
+            found = (
+                None
+                if collision is None
+                else (collision.kind, collision.other)
+            )
+            assert found == brute_scalar_collision(world)
 
     @settings(max_examples=300, deadline=None)
     @given(near_contact_rows(BEV))

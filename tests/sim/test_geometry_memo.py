@@ -168,6 +168,20 @@ def expected_batch(batch: BatchWorld):
     )
 
 
+def expected_motion(batch: BatchWorld):
+    """Ego and NPC positions and velocity vectors from the state arrays:
+    ``(ego_position, ego_velocity, npc_positions, npc_velocities)``."""
+    x, y, yaw, speed = batch.x, batch.y, batch.yaw, batch.speed
+    ego_heading = np.stack([np.cos(yaw[:, 0]), np.sin(yaw[:, 0])], axis=1)
+    npc_heading = np.stack([np.cos(yaw[:, 1:]), np.sin(yaw[:, 1:])], axis=2)
+    return (
+        np.stack([x[:, 0], y[:, 0]], axis=1),
+        speed[:, 0, None] * ego_heading,
+        np.stack([x[:, 1:], y[:, 1:]], axis=2),
+        speed[:, 1:, None] * npc_heading,
+    )
+
+
 def assert_batch_fresh(batch: BatchWorld) -> None:
     geometry = batch.geometry()
     ego_s, ego_d, npc_s, npc_d, index, distance = expected_batch(batch)
@@ -177,6 +191,12 @@ def assert_batch_fresh(batch: BatchWorld) -> None:
     np.testing.assert_array_equal(geometry.npcs[1], npc_d)
     np.testing.assert_array_equal(geometry.nearest.index, index)
     np.testing.assert_array_equal(geometry.nearest.distance, distance)
+    motion = (
+        geometry.ego_position, geometry.ego_velocity,
+        geometry.npc_positions, geometry.npc_velocities,
+    )
+    for held, fresh in zip(motion, expected_motion(batch)):
+        assert held.tobytes() == fresh.tobytes() and held.shape == fresh.shape
 
 
 class TestBatchStaleness:
@@ -202,6 +222,14 @@ class TestBatchStaleness:
         batch = self.change(move)
         assert not batch.geometry().nearest.moving.any()
         np.testing.assert_array_equal(batch.geometry().nearest.omega, 0.0)
+        np.testing.assert_array_equal(batch.geometry().npc_velocities, 0.0)
+
+    def test_in_place_heading_write(self):
+        def move(batch):
+            batch.yaw[:, 0] += 0.25
+            batch.yaw[1, 1:] -= 0.5
+
+        self.change(move)
 
     def test_tick(self):
         self.change(lambda batch: batch.tick(np.zeros(2), np.ones(2)))
@@ -216,6 +244,45 @@ class TestBatchStaleness:
             geometry.ego[0][0] = 1.0
         with pytest.raises(ValueError):
             geometry.nearest.omega[0] = 1.0
+        for array in (
+            geometry.ego_position, geometry.ego_velocity,
+            geometry.npc_positions, geometry.npc_velocities,
+        ):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_consumers_read_the_held_arrays(self):
+        """The rewards and the oracle read positions and velocities from
+        the geometry; the state-array properties are not consulted."""
+        from repro.agents.e2e.reward import DrivingReward
+        from repro.agents.modular.behavior import BatchBehaviorPlanner
+        from repro.core.attackers import BatchOracleAttacker
+        from repro.core.rewards import AdversarialReward
+
+        batch = make_batch_world(SCENARIO, seeds=[0, 1])
+        planner = BatchBehaviorPlanner(batch.road)
+        planner.reset(batch)
+        plan = planner.update(batch)
+        oracle = BatchOracleAttacker(batch.n)
+        delta = oracle.deltas(batch)
+        result = batch.tick(np.zeros(2), np.ones(2), steer_delta=delta)
+        batch.geometry()
+        names = ("ego_position", "ego_velocity", "npc_positions")
+        with contextlib.ExitStack() as stack:
+            reads = [
+                stack.enter_context(
+                    mock.patch.object(
+                        BatchWorld, name, new_callable=mock.PropertyMock
+                    )
+                )
+                for name in names
+            ]
+            DrivingReward().step_batch(batch, plan, result.collided)
+            AdversarialReward().step_batch(
+                batch, delta, result.collision_kind
+            )
+            oracle.normalized_actions(batch)
+        assert [read.call_count for read in reads] == [0, 0, 0]
 
 
 class TestOncePerState:

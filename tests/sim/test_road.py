@@ -132,6 +132,71 @@ class TestFrenet:
         assert yaw == pytest.approx(0.0)
 
 
+def _bits(array) -> bytes:
+    return np.asarray(array, dtype=float).tobytes()
+
+
+class TestBatchShortcuts:
+    """The axis-aligned shortcuts of the batch conversions move no bit."""
+
+    #: Arc-lengths and offsets at the ends, on vertices and signed zeros.
+    S = [-5.0, -0.0, 0.0, 5e-324, 1.0, 2.0, 3.0, 100.25, 449.0, 450.0, 451.0]
+    D = [-0.0, 0.0, 5e-324, -5e-324, 1.75, -1.75, 5.25, -7.0, 12.0]
+
+    @staticmethod
+    def generic(road: Road) -> Road:
+        """The same road, forced onto the polyline formulas."""
+        twin = Road(road.config, np.array(road.centerline))
+        twin._axis_aligned = False
+        return twin
+
+    def test_to_world_batch_matches_scalar(self):
+        road = default_road()
+        s, d = (a.ravel() for a in np.meshgrid(self.S, self.D))
+        positions, yaw = road.to_world_batch(s, d)
+        for i in range(len(s)):
+            position, heading = road.to_world(float(s[i]), float(d[i]))
+            assert _bits(positions[i]) == _bits(position), (s[i], d[i])
+            assert _bits(yaw[i]) == _bits(heading)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(-10.0, 460.0), st.floats(-12.0, 12.0)),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_to_world_batch_matches_generic_path(self, pairs):
+        # Also a line off the x axis, starting left of the origin, at a y
+        # whose lerp with itself is not always exact.
+        xs = np.linspace(-50.0, 400.0, 226)
+        line = np.stack([xs, np.full_like(xs, -2.9)], axis=1)
+        s, d = np.array(pairs).T
+        for road in (default_road(), Road(RoadConfig(), line)):
+            positions, yaw = road.to_world_batch(s, d)
+            expected, expected_yaw = self.generic(road).to_world_batch(s, d)
+            assert _bits(positions) == _bits(expected)
+            assert _bits(yaw) == _bits(expected_yaw)
+
+    def test_lateral_batch_matches_frenet_batch(self):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-5.0, 455.0, (3, 40))
+        y = rng.uniform(-12.0, 12.0, (3, 40))
+        for road in (default_road(), Road.curved(RoadConfig(length=200.0))):
+            _, d, _ = road.frenet_batch(np.stack([x.ravel(), y.ravel()], 1))
+            lateral = road.lateral_batch(y, lambda: x)
+            assert lateral.shape == y.shape
+            assert _bits(lateral) == _bits(d.reshape(y.shape))
+
+    def test_lateral_batch_skips_x_on_an_axis_aligned_road(self):
+        def no_x():
+            raise AssertionError("x worked out on an axis-aligned road")
+
+        y = np.array([[-0.0, 0.0, 3.5]])
+        assert _bits(default_road().lateral_batch(y, no_x)) == _bits(y - 0.0)
+
+
 class TestWaypoints:
     def test_waypoints_ordered(self, road):
         points = road.waypoints(0)

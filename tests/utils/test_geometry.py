@@ -12,6 +12,7 @@ from repro.utils.geometry import (
     OrientedBox,
     angle_diff,
     clamp,
+    clamp_array,
     heading_vector,
     interpolate_polyline,
     normalize_angle,
@@ -123,6 +124,78 @@ class TestClamp:
         assert _bits(clamp(-0.0, 0.0, 1.0)) == _bits(-0.0)
         assert _bits(clamp(0.0, -1.0, -0.0)) == _bits(0.0)
         assert math.isnan(clamp(math.nan, -1.0, 1.0))
+
+
+def _same_bits(a, b) -> bool:
+    """Equal arrays bit for bit: dtype, shape, signed zeros and NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and a.tobytes() == b.tobytes()
+    )
+
+
+class TestClampArray:
+    """``clamp_array`` returns what ``np.clip`` returns, bit for bit."""
+
+    X = np.array(_EDGES)
+
+    def test_float_bounds(self):
+        bounds = [v for v in _EDGES if not math.isnan(v)]
+        for lo in bounds:
+            for hi in bounds:
+                # np.clip keeps x on a +-0.0 tie against float bounds.
+                assert _same_bits(
+                    clamp_array(self.X, lo, hi), np.clip(self.X, lo, hi)
+                ), (lo, hi)
+
+    def test_array_bounds(self):
+        # Every (x, lo, hi) triple of edge values at once; np.clip returns
+        # the bound on a +-0.0 tie against array bounds.
+        x, lo, hi = (a.ravel() for a in np.meshgrid(self.X, self.X, self.X))
+        assert _same_bits(clamp_array(x, lo, hi), np.clip(x, lo, hi))
+        assert _same_bits(
+            clamp_array(x, -np.abs(hi), np.abs(hi)),
+            np.clip(x, -np.abs(hi), np.abs(hi)),
+        )
+
+    def test_signed_zero_ties(self):
+        zeros = np.array([0.0, -0.0])
+        for lo, hi in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]:
+            expected = np.clip(zeros, lo, hi)
+            assert _same_bits(clamp_array(zeros, lo, hi), expected)
+            lo_a, hi_a = np.full(2, lo), np.full(2, hi)
+            expected = np.clip(zeros, lo_a, hi_a)
+            assert _same_bits(clamp_array(zeros, lo_a, hi_a), expected)
+
+    def test_out(self):
+        x = np.array(_EDGES)
+        out, expected = np.empty_like(x), np.empty_like(x)
+        got = clamp_array(x, -0.0, 1.0, out=out)
+        assert got is out
+        np.clip(x, -0.0, 1.0, out=expected)
+        assert _same_bits(out, expected)
+        in_place = x.copy()
+        clamp_array(in_place, 0.0, 0.5, out=in_place)
+        assert _same_bits(in_place, np.clip(x, 0.0, 0.5))
+
+    def test_integer_arrays(self):
+        idx = np.array([-3, 0, 2, 7, 450], dtype=np.intp)
+        assert _same_bits(clamp_array(idx, 0, 224), np.clip(idx, 0, 224))
+
+    @given(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1),
+        st.floats(allow_nan=False, allow_infinity=True),
+        st.floats(allow_nan=False, allow_infinity=True),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_numpy(self, values, a, b):
+        x = np.array(values)
+        lo, hi = min(a, b), max(a, b)
+        assert _same_bits(clamp_array(x, lo, hi), np.clip(x, lo, hi))
+        lo_a, hi_a = np.full(len(x), lo), np.full(len(x), hi)
+        assert _same_bits(clamp_array(x, lo_a, hi_a), np.clip(x, lo_a, hi_a))
 
 
 class TestUnitRows:
