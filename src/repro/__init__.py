@@ -5,7 +5,8 @@ Subpackages:
     sim: freeway driving simulator (CARLA substitute).
     sensors: semantic-segmentation camera and IMU models.
     agents: modular PID pipeline and end-to-end DRL driving agents.
-    rl: numpy DRL substrate (autodiff, SAC, behaviour cloning, PNN).
+    rl: numpy DRL substrate (closed-form gradients, SAC, behaviour
+        cloning, PNN).
     core: the paper's contribution — learning-based action-space attacks.
     defense: adversarial fine-tuning and PNN enhancement with a switcher.
     eval: episode runner and metrics.

@@ -3,8 +3,8 @@
 The span tracer answers "how long does ``agent.e2e.act`` take"; it cannot
 answer "which lines *inside* it" without adding spans everywhere. A
 sampling profiler can: a background thread wakes at ``hz`` and records
-the interpreter's current Python stack, so hot frames (autograd tape
-construction, BEV rasterization inner loops) surface statistically with
+the interpreter's current Python stack, so hot frames (the SAC update's
+backward passes, BEV rasterization inner loops) surface statistically with
 no per-call instrumentation and no external dependencies.
 
 Samples are aggregated as *folded stacks* — ``frame;frame;frame`` from

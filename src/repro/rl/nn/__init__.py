@@ -1,9 +1,16 @@
-"""Numpy neural-network core: autodiff tensors, layers, optimizers."""
+"""Numpy neural-network core: parameters, layers, Adam, FLOP accounting."""
 
-from repro.rl.nn.autograd import Tensor, concat, gaussian_log_prob, minimum
 from repro.rl.nn.flops import FlopCounter, get_flop_counter
-from repro.rl.nn.layers import InferencePlan, Linear, Mlp, Module, relu, tanh
-from repro.rl.nn.optim import Adam, Sgd
+from repro.rl.nn.layers import (
+    InferencePlan,
+    Linear,
+    Mlp,
+    Module,
+    Parameter,
+    relu,
+    tanh,
+)
+from repro.rl.nn.optim import Adam
 
 __all__ = [
     "Adam",
@@ -12,12 +19,8 @@ __all__ = [
     "Linear",
     "Mlp",
     "Module",
-    "Sgd",
-    "Tensor",
-    "concat",
-    "gaussian_log_prob",
+    "Parameter",
     "get_flop_counter",
-    "minimum",
     "relu",
     "tanh",
 ]

@@ -1,18 +1,13 @@
 """FLOP/byte accounting for the numpy NN substrate.
 
-The policy nets are the benchmark's hottest code (200k+ forwards per
-bench session), and the planned fused/batched inference work needs the
-number that justifies it: achieved MFLOP/s and arithmetic intensity
-(FLOPs per byte moved). This module counts floating-point work and
-memory traffic of the layers in :mod:`repro.rl.nn.layers` — the taped
-autograd path (forward *and* backward), the tape-free ``forward_np``
-fast path, and the tape-free SAC update (``forward_train`` and
-``backward``).
+Counts the floating-point work and memory traffic of the layers in
+:mod:`repro.rl.nn.layers` and the policies built on them (the
+``forward_np`` inference path and the SAC and behaviour-cloning training
+steps), for achieved MFLOP/s and arithmetic intensity (FLOPs per byte).
 
-Counting is **off by default** and hooked in with a single module-global
-truthiness check per op (``autograd.FLOP_HOOK``), so disabled runs pay
-one pointer comparison — within noise. When enabled, every op adds to a
-process-wide :class:`FlopCounter` and to cached
+Counting is **off by default**: each call site checks :data:`FLOP_HOOK`
+once, so disabled runs pay one pointer comparison. When enabled, every
+op adds to a process-wide :class:`FlopCounter` and to cached
 :mod:`repro.telemetry.metrics` counters (``nn_flops_total{op=...}`` /
 ``nn_bytes_total{op=...}``), so FLOP totals appear in every metrics
 snapshot alongside the span timings.
@@ -21,8 +16,8 @@ Conventions (the usual roofline bookkeeping):
 
 * matmul ``[m,k] @ [k,n]`` — ``2*m*k*n`` FLOPs (multiply + add),
   ``8*(m*k + k*n + m*n)`` bytes (read A and B, write C, float64);
-* its backward — two matmuls, ``4*m*k*n`` FLOPs, or ``2*m*k*n`` for
-  each product the tape-free update computes on its own;
+* each backward product (a weight gradient or an input gradient) —
+  ``2*m*k*n`` FLOPs on its own, under ``matmul_bwd``;
 * elementwise ops (bias add, relu, tanh, ...) — one FLOP per element,
   ``16`` bytes per element (read + write). ``tanh`` is counted as one
   FLOP like everything else; hardware cost differs, but the counter
@@ -35,6 +30,11 @@ the determinism proofs hold with it enabled.
 from __future__ import annotations
 
 _ITEMSIZE = 8  # float64 throughout the substrate
+
+#: FLOP-accounting hook: ``None`` (the default) means counting is off.
+#: :meth:`FlopCounter.enable` sets it to that counter; the layers and
+#: policies then report their matmul and elementwise work to it.
+FLOP_HOOK: "FlopCounter | None" = None
 
 
 class FlopCounter:
@@ -56,18 +56,16 @@ class FlopCounter:
     # -- switches ---------------------------------------------------------------
 
     def enable(self) -> None:
-        """Start counting (installs the autograd hook)."""
-        from repro.rl.nn import autograd
-
+        """Start counting (installs :data:`FLOP_HOOK`)."""
+        global FLOP_HOOK
         self.enabled = True
-        autograd.FLOP_HOOK = self
+        FLOP_HOOK = self
 
     def disable(self) -> None:
-        from repro.rl.nn import autograd
-
+        global FLOP_HOOK
         self.enabled = False
-        if autograd.FLOP_HOOK is self:
-            autograd.FLOP_HOOK = None
+        if FLOP_HOOK is self:
+            FLOP_HOOK = None
 
     def reset(self) -> None:
         self.flops.clear()
@@ -98,27 +96,18 @@ class FlopCounter:
         flop_counter.inc(flops)
         byte_counter.inc(nbytes)
 
-    def matmul(self, m: int, k: int, n: int, backward: bool = False) -> None:
-        """One ``[m,k] @ [k,n]`` product (or its two backward products)."""
-        if backward:
-            self._record(
-                "matmul_bwd",
-                4.0 * m * k * n,
-                _ITEMSIZE * (3.0 * m * n + 2.0 * m * k + 2.0 * k * n),
-            )
-        else:
-            self._record(
-                "matmul_fwd",
-                2.0 * m * k * n,
-                _ITEMSIZE * (m * k + k * n + m * n),
-            )
+    def matmul(self, m: int, k: int, n: int) -> None:
+        """One forward ``[m,k] @ [k,n]`` product."""
+        self._record(
+            "matmul_fwd", 2.0 * m * k * n, _ITEMSIZE * (m * k + k * n + m * n)
+        )
 
     def matmul_grad(self, m: int, k: int, n: int) -> None:
-        """One backward ``[m,k] @ [k,n]`` product on its own.
+        """One backward ``[m,k] @ [k,n]`` product.
 
-        The tape-free SAC update computes a layer's weight gradient and
-        its input gradient only where they are read, so it reports each
-        backward product by itself, under the taped pair's label.
+        The backward passes compute a layer's weight gradient and its
+        input gradient only where they are read, so each product is
+        reported by itself.
         """
         self._record(
             "matmul_bwd", 2.0 * m * k * n, _ITEMSIZE * (m * k + k * n + m * n)

@@ -1,4 +1,10 @@
-"""Neural-network modules built on the autodiff core."""
+"""Neural-network modules: parameters, layers and ReLU/tanh stacks.
+
+Networks run forward in plain numpy (:meth:`Mlp.forward_np`) and train
+through closed-form backward passes (:meth:`Mlp.forward_train` and
+:meth:`Mlp.backward`) that write each parameter's gradient into buffers
+allocated once.
+"""
 
 from __future__ import annotations
 
@@ -7,32 +13,43 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.rl.nn import autograd
-from repro.rl.nn.autograd import Tensor
+from repro.rl.nn import flops
+
+
+class Parameter:
+    """A trainable array: its value, its gradient and whether it trains.
+
+    ``grad`` is ``None`` until a backward pass points it at a buffer;
+    :meth:`Module.freeze` clears ``requires_grad``.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad")
+
+    def __init__(self, data, requires_grad: bool = True) -> None:
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad: np.ndarray | None = None
+        self.requires_grad = bool(requires_grad)
 
 
 class Module:
     """Base class: parameter registration and checkpoint (de)serialization."""
 
-    def parameters(self) -> list[Tensor]:
-        """All trainable tensors, discovered recursively."""
-        params: list[Tensor] = []
-        for value in self.__dict__.values():
-            params.extend(_collect(value))
-        return params
+    def parameters(self) -> list[Parameter]:
+        """All parameters, discovered recursively, in checkpoint order."""
+        return list(self.named_parameters().values())
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        """Stable ``name -> tensor`` mapping for checkpoints."""
-        named: dict[str, Tensor] = {}
+    def named_parameters(self) -> dict[str, Parameter]:
+        """Stable ``name -> parameter`` mapping for checkpoints."""
+        named: dict[str, Parameter] = {}
         for key, value in self.__dict__.items():
-            for suffix, tensor in _collect_named(value):
-                named[f"{key}{suffix}"] = tensor
+            for suffix, param in _collect_named(value):
+                named[f"{key}{suffix}"] = param
         return named
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {
-            name: tensor.data.copy()
-            for name, tensor in self.named_parameters().items()
+            name: param.data.copy()
+            for name, param in self.named_parameters().items()
         }
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
@@ -44,51 +61,34 @@ class Module:
                 f"state dict mismatch: missing={sorted(missing)}, "
                 f"extra={sorted(extra)}"
             )
-        for name, tensor in named.items():
+        for name, param in named.items():
             value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != tensor.data.shape:
+            if value.shape != param.data.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: "
-                    f"{value.shape} vs {tensor.data.shape}"
+                    f"{value.shape} vs {param.data.shape}"
                 )
-            tensor.data = value.copy()
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
+            param.data = value.copy()
 
     def freeze(self) -> None:
         """Mark all parameters non-trainable (used for PNN column 1)."""
         for param in self.parameters():
             param.requires_grad = False
 
-    def trainable_parameters(self) -> list[Tensor]:
+    def trainable_parameters(self) -> list[Parameter]:
         return [p for p in self.parameters() if p.requires_grad]
 
 
-def _collect(value) -> list[Tensor]:
-    if isinstance(value, Tensor):
-        return [value]
-    if isinstance(value, Module):
-        return value.parameters()
-    if isinstance(value, (list, tuple)):
-        out: list[Tensor] = []
-        for item in value:
-            out.extend(_collect(item))
-        return out
-    return []
-
-
-def _collect_named(value, prefix: str = "") -> list[tuple[str, Tensor]]:
-    if isinstance(value, Tensor):
+def _collect_named(value, prefix: str = "") -> list[tuple[str, Parameter]]:
+    if isinstance(value, Parameter):
         return [(prefix, value)]
     if isinstance(value, Module):
         return [
-            (f"{prefix}.{name}", tensor)
-            for name, tensor in value.named_parameters().items()
+            (f"{prefix}.{name}", param)
+            for name, param in value.named_parameters().items()
         ]
     if isinstance(value, (list, tuple)):
-        out: list[tuple[str, Tensor]] = []
+        out: list[tuple[str, Parameter]] = []
         for index, item in enumerate(value):
             out.extend(_collect_named(item, f"{prefix}.{index}"))
         return out
@@ -107,13 +107,12 @@ class Linear(Module):
     ) -> None:
         rng = rng or np.random.default_rng(0)
         limit = scale if scale is not None else math.sqrt(2.0 / in_dim)
-        self.weight = Tensor(
-            rng.normal(0.0, limit, size=(in_dim, out_dim)), requires_grad=True
-        )
-        self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
+        self.weight = Parameter(rng.normal(0.0, limit, size=(in_dim, out_dim)))
+        self.bias = Parameter(np.zeros(out_dim))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+    def grad_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Buffers for :meth:`write_grads`, shaped like the weight and bias."""
+        return np.empty_like(self.weight.data), np.empty_like(self.bias.data)
 
     def write_grads(
         self,
@@ -122,15 +121,14 @@ class Linear(Module):
         weight_grad: np.ndarray,
         bias_grad: np.ndarray,
     ) -> None:
-        """Tape-free weight and bias gradients of ``y = x @ W + b``.
+        """Weight and bias gradients of ``y = x @ W + b``.
 
-        Writes them for ``grad`` (d loss / d y) into the two buffers, with
-        the ops the autodiff tape uses, and points the parameters'
-        ``grad`` at the buffers.
+        Writes them for ``grad`` (d loss / d y) into the two buffers (see
+        :meth:`grad_buffers`) and points the parameters' ``grad`` at them.
         """
         self.weight.grad = np.matmul(x.T, grad, out=weight_grad)
         self.bias.grad = np.sum(grad, axis=0, out=bias_grad)
-        hook = autograd.FLOP_HOOK
+        hook = flops.FLOP_HOOK
         if hook is not None:
             hook.matmul_grad(self.in_dim, grad.shape[0], self.out_dim)
 
@@ -143,11 +141,21 @@ class Linear(Module):
         return self.weight.data.shape[1]
 
 
-Activation = Callable[[Tensor], Tensor]
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
+
+
+def tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.tanh(x, out=out)
+
+
+#: :func:`relu` or :func:`tanh`, the activations with a closed-form
+#: derivative in :meth:`Mlp.backward`.
+Activation = Callable[..., np.ndarray]
 
 
 class InferencePlan:
-    """Preallocated activation buffers for tape-free batched inference.
+    """Preallocated activation buffers for batched inference.
 
     One plan pins a ``[max_batch, width]`` output buffer per layer so a
     steady-state inference loop (policy rollouts, batched evaluation)
@@ -175,7 +183,7 @@ class InferencePlan:
 
 
 class TrainingPlan:
-    """Buffers for one :class:`Mlp`'s tape-free training step.
+    """Buffers for one :class:`Mlp`'s training step.
 
     The training twin of :class:`InferencePlan`: :meth:`Mlp.forward_train`
     runs the fused forward through the ``forward`` inference plan, whose
@@ -187,11 +195,6 @@ class TrainingPlan:
     """
 
     def __init__(self, mlp: "Mlp", batch: int) -> None:
-        for activation in (mlp.activation, mlp.output_activation):
-            if activation not in (relu, tanh, None):
-                raise TypeError(
-                    f"no closed-form derivative for activation {activation!r}"
-                )
         self.batch = int(batch)
         self.forward = mlp.inference_plan(self.batch)
         #: The input of the last forward (not copied; see forward_train).
@@ -200,20 +203,7 @@ class TrainingPlan:
         self.input_grads = [
             np.empty((self.batch, layer.in_dim)) for layer in mlp.layers[1:]
         ]
-        self.weight_grads = [
-            np.empty_like(layer.weight.data) for layer in mlp.layers
-        ]
-        self.bias_grads = [
-            np.empty_like(layer.bias.data) for layer in mlp.layers
-        ]
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
+        self.grads = [layer.grad_buffers() for layer in mlp.layers]
 
 
 class Mlp(Module):
@@ -222,8 +212,11 @@ class Mlp(Module):
     Args:
         sizes: layer widths including input and output,
             e.g. ``(obs_dim, 128, 128, act_dim)``.
-        activation: hidden-layer nonlinearity.
+        activation: hidden-layer nonlinearity, :func:`relu` or :func:`tanh`.
         output_activation: applied to the final layer (``None`` = linear).
+
+    Raises:
+        TypeError: an activation other than those.
     """
 
     def __init__(
@@ -235,6 +228,13 @@ class Mlp(Module):
     ) -> None:
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
+        if activation not in (relu, tanh) or output_activation not in (
+            relu, tanh, None
+        ):
+            raise TypeError(
+                f"no closed-form derivative for activations {activation!r}, "
+                f"{output_activation!r}"
+            )
         rng = rng or np.random.default_rng(0)
         self.layers = [
             Linear(a, b, rng=rng) for a, b in zip(sizes[:-1], sizes[1:])
@@ -242,22 +242,6 @@ class Mlp(Module):
         self.activation = activation
         self.output_activation = output_activation
         self.sizes = tuple(sizes)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers[:-1]:
-            x = self.activation(layer(x))
-        x = self.layers[-1](x)
-        if self.output_activation is not None:
-            x = self.output_activation(x)
-        return x
-
-    def hidden_features(self, x: Tensor) -> list[Tensor]:
-        """Activations after each hidden layer (PNN lateral sources)."""
-        features = []
-        for layer in self.layers[:-1]:
-            x = self.activation(layer(x))
-            features.append(x)
-        return features
 
     def inference_plan(self, max_batch: int) -> InferencePlan:
         """Buffers for the fused :meth:`forward_np` path on this stack."""
@@ -268,7 +252,7 @@ class Mlp(Module):
     def forward_np(
         self, x: np.ndarray, plan: InferencePlan | None = None
     ) -> np.ndarray:
-        """Fast inference path without building an autodiff graph.
+        """The network's output, in plain numpy.
 
         With ``plan`` (from :meth:`inference_plan`) and a 2-D input that
         fits, every Linear+activation pair runs fused into the plan's
@@ -277,11 +261,11 @@ class Mlp(Module):
         ops as the allocating expressions). The returned array aliases the
         plan's last buffer and is only valid until the next planned call.
         """
-        hook = autograd.FLOP_HOOK
+        hook = flops.FLOP_HOOK
         if hook is not None:
             # One batched sweep over the whole stack: matmul + bias +
-            # activation per layer, same bookkeeping as the taped path
-            # (shared by the allocating and the fused plan path).
+            # activation per layer (shared by the allocating and the
+            # fused plan path).
             batch = 1 if x.ndim == 1 else x.shape[0]
             for layer in self.layers:
                 hook.matmul(batch, layer.in_dim, layer.out_dim)
@@ -307,15 +291,15 @@ class Mlp(Module):
                     else self.output_activation
                 )
                 if activation is not None:
-                    _apply_np_inplace(activation, out)
+                    activation(out, out=out)
                 x = out
             return x
         for layer in self.layers[:-1]:
             x = x @ layer.weight.data + layer.bias.data
-            x = _apply_np(self.activation, x)
+            x = self.activation(x)
         x = x @ self.layers[-1].weight.data + self.layers[-1].bias.data
         if self.output_activation is not None:
-            x = _apply_np(self.output_activation, x)
+            x = self.output_activation(x)
         return x
 
     def training_plan(self, batch: int) -> TrainingPlan:
@@ -358,10 +342,9 @@ class Mlp(Module):
             input_columns: the input columns whose gradient to return;
                 ``None`` computes no input gradient at all.
 
-        Each parameter gets exactly one gradient contribution, computed
-        with the same ops as the autodiff tape.
+        Each parameter gets exactly one gradient contribution.
         """
-        hook = autograd.FLOP_HOOK
+        hook = flops.FLOP_HOOK
         for index in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[index]
             activation = self._activation_at(index)
@@ -381,8 +364,7 @@ class Mlp(Module):
                     if index
                     else plan.input,
                     grad,
-                    plan.weight_grads[index],
-                    plan.bias_grads[index],
+                    *plan.grads[index],
                 )
             if index:
                 grad = np.matmul(
@@ -399,26 +381,4 @@ class Mlp(Module):
 
 
 def _activation_op(activation: Activation) -> str:
-    if activation is relu:
-        return "relu_fwd"
-    if activation is tanh:
-        return "tanh_fwd"
-    return "activation_fwd"
-
-
-def _apply_np(activation: Activation, x: np.ndarray) -> np.ndarray:
-    if activation is relu:
-        return np.maximum(x, 0.0)
-    if activation is tanh:
-        return np.tanh(x)
-    return activation(Tensor(x)).data
-
-
-def _apply_np_inplace(activation: Activation, x: np.ndarray) -> None:
-    """In-place activation for the fused buffer path."""
-    if activation is relu:
-        np.maximum(x, 0.0, out=x)
-    elif activation is tanh:
-        np.tanh(x, out=x)
-    else:
-        x[...] = activation(Tensor(x)).data
+    return "relu_fwd" if activation is relu else "tanh_fwd"

@@ -1,88 +1,48 @@
-"""Gradient-descent optimizers for the autodiff tensors."""
+"""Adam, the one optimizer of the numpy NN substrate."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.rl.nn.autograd import Tensor
-
-
-class Optimizer:
-    """Base optimizer over an explicit parameter list."""
-
-    def __init__(self, params: list[Tensor], lr: float) -> None:
-        if lr <= 0.0:
-            raise ValueError("learning rate must be positive")
-        self.params = [p for p in params if p.requires_grad]
-        self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
+from repro.rl.nn.layers import Parameter
 
 
 def _load_slots(
-    name: str, slots: list[np.ndarray], state: dict[str, np.ndarray], key: str
+    slots: list[np.ndarray], state: dict[str, np.ndarray], key: str
 ) -> None:
     for i, slot in enumerate(slots):
         value = state[f"{key}_{i}"]
         if value.shape != slot.shape:
             raise ValueError(
-                f"{name} state {key}_{i} has shape {value.shape}, "
+                f"Adam state {key}_{i} has shape {value.shape}, "
                 f"expected {slot.shape}"
             )
         slot[...] = value
 
 
-class Sgd(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self, params: list[Tensor], lr: float, momentum: float = 0.0
-    ) -> None:
-        super().__init__(params, lr)
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            velocity *= self.momentum
-            velocity -= self.lr * param.grad
-            param.data += velocity
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Momentum slots, keyed by parameter index (the order is fixed)."""
-        return {
-            f"velocity_{i}": v.copy() for i, v in enumerate(self._velocity)
-        }
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        _load_slots("Sgd", self._velocity, state, "velocity")
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba, 2015) with bias correction.
 
     The step runs in place: the moments, the clipping scale and the update
     are computed with the same numpy ops in the same order as the textbook
     expressions, but into two scratch buffers allocated once, so a step
-    allocates no parameter-sized arrays and gives the same bits.
+    allocates no parameter-sized arrays and gives the same bits. Only
+    parameters with ``requires_grad`` are stepped; a parameter whose
+    ``grad`` is ``None`` is skipped.
     """
 
     def __init__(
         self,
-        params: list[Tensor],
+        params: list[Parameter],
         lr: float = 3e-4,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         max_grad_norm: float | None = None,
     ) -> None:
-        super().__init__(params, lr)
+        if lr <= 0.0:
+            raise ValueError("learning rate must be positive")
+        self.params = [p for p in params if p.requires_grad]
+        self.lr = float(lr)
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self.max_grad_norm = max_grad_norm
@@ -139,8 +99,8 @@ class Adam(Optimizer):
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        _load_slots("Adam", self._m, state, "m")
-        _load_slots("Adam", self._v, state, "v")
+        _load_slots(self._m, state, "m")
+        _load_slots(self._v, state, "v")
         self._t = int(state["t"])
 
     def _clip_grads(self) -> float:

@@ -2,9 +2,13 @@
 
 The actor is a tanh-squashed diagonal Gaussian (actions in ``[-1, 1]^n``),
 the critic an action-value MLP. Both offer a fast numpy inference path for
-rollouts and target computation. SAC trains both tape-free, through
-closed-form backward passes into preallocated buffers; behaviour cloning
-trains the actor through the autodiff path (:meth:`distribution`).
+rollouts and target computation, and trains through closed-form
+backward passes into preallocated buffers: SAC through the actor's
+reparameterized sample (:meth:`SquashedGaussianPolicy.forward_train` and
+:meth:`~SquashedGaussianPolicy.backward`), behaviour cloning through the
+Gaussian's mean and log-std (:meth:`~SquashedGaussianPolicy.forward_gaussian`
+and :meth:`~SquashedGaussianPolicy.backward_gaussian`, which the SAC pair
+is built on).
 """
 
 from __future__ import annotations
@@ -13,12 +17,12 @@ import math
 
 import numpy as np
 
-from repro.rl.nn import autograd
-from repro.rl.nn.autograd import GAUSSIAN_LOG_NORM, Tensor
+from repro.rl.nn import flops
 from repro.rl.nn.layers import Linear, Mlp, Module, relu
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
+GAUSSIAN_LOG_NORM = 0.5 * math.log(2.0 * math.pi)
 _LOG2 = math.log(2.0)
 
 
@@ -51,21 +55,22 @@ class PolicyInferencePlan:
 
 
 class PolicyTrainingPlan:
-    """Buffers for the policy's tape-free SAC training step.
+    """Buffers for the policy's training step (SAC or behaviour cloning).
 
     Holds the trunk's :class:`~repro.rl.nn.layers.TrainingPlan`, the
-    heads' gradient buffers and what :meth:`SquashedGaussianPolicy.backward`
-    reads of the last :meth:`~SquashedGaussianPolicy.forward_train`.
+    heads' gradient buffers and what the backward passes read of the
+    last training forward.
     """
 
     def __init__(self, policy: "SquashedGaussianPolicy", batch: int) -> None:
         self.trunk = policy.trunk.training_plan(batch)
         self.features_grad = np.empty((batch, policy.hidden[-1]))
         self.head_grads = [
-            (np.empty_like(head.weight.data), np.empty_like(head.bias.data))
-            for head in (policy.mean_head, policy.log_std_head)
+            head.grad_buffers() for head in (policy.mean_head, policy.log_std_head)
         ]
-        #: tanh of the raw log-std head, ``std * noise`` and the action.
+        #: The heads' input, the tanh of the raw log-std head,
+        #: ``std * noise`` and the action, from the last forward.
+        self.features: np.ndarray | None = None
         self.squashed_log_std: np.ndarray | None = None
         self.std_noise: np.ndarray | None = None
         self.action: np.ndarray | None = None
@@ -91,23 +96,39 @@ class SquashedGaussianPolicy(Module):
         self.mean_head = Linear(hidden[-1], action_dim, rng=rng, scale=1e-2)
         self.log_std_head = Linear(hidden[-1], action_dim, rng=rng, scale=1e-2)
 
-    # -- autodiff path ---------------------------------------------------------
-
-    def distribution(self, obs: Tensor) -> tuple[Tensor, Tensor]:
-        """Mean and (bounded) log-std of the pre-squash Gaussian."""
-        features = self.trunk(obs)
-        mean = self.mean_head(features)
-        raw = self.log_std_head(features)
-        log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (
-            raw.tanh() + 1.0
-        )
-        return mean, log_std
-
-    # -- tape-free training path ----------------------------------------------
+    # -- training path ----------------------------------------------------------
 
     def training_plan(self, batch: int) -> PolicyTrainingPlan:
-        """Buffers for :meth:`forward_train` and :meth:`backward`."""
+        """Buffers for the training forwards and backward passes."""
         return PolicyTrainingPlan(self, batch)
+
+    def forward_gaussian(
+        self, obs: np.ndarray, plan: PolicyTrainingPlan
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and log-std of the pre-squash Gaussian, bit for bit as
+        :meth:`forward_np` gives them, keeping what
+        :meth:`backward_gaussian` reads.
+
+        ``obs`` is ``(plan batch, obs_dim)`` and must stay unchanged until
+        the backward has run.
+        """
+        features = self.trunk.forward_train(obs, plan.trunk)
+        return gaussian_heads(self, features, plan)
+
+    def backward_gaussian(
+        self,
+        mean_grad: np.ndarray,
+        log_std_grad: np.ndarray,
+        plan: PolicyTrainingPlan,
+    ) -> None:
+        """Parameter gradients of the last :meth:`forward_gaussian` on
+        ``plan``, for d loss / d mean and d loss / d log-std (both
+        ``(batch, action_dim)``); writes them into the plan and points
+        the parameters' ``grad`` at them."""
+        self.trunk.backward(
+            gaussian_heads_backward(self, mean_grad, log_std_grad, plan),
+            plan.trunk,
+        )
 
     def forward_train(
         self, obs: np.ndarray, noise: np.ndarray, plan: PolicyTrainingPlan
@@ -121,19 +142,11 @@ class SquashedGaussianPolicy(Module):
         Returns:
             ``(action, log_prob)``. The log-density carries the tanh
             change-of-variables correction in its stable softplus form
-            and forms ``z`` as the autodiff tape divides (times the
-            reciprocal std), so it matches the taped computation bit for
-            bit.
+            and forms ``z`` times the reciprocal std, as the reference in
+            ``tests/rl/test_sac_gradients.py`` does, so the log-probability
+            and the temperature step match it bit for bit.
         """
-        features = self.trunk.forward_train(obs, plan.trunk)
-        mean = features @ self.mean_head.weight.data + self.mean_head.bias.data
-        squashed = np.tanh(
-            features @ self.log_std_head.weight.data
-            + self.log_std_head.bias.data
-        )
-        log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (
-            squashed + 1.0
-        )
+        mean, log_std = self.forward_gaussian(obs, plan)
         std = np.exp(log_std)
         std_noise = std * noise
         pre_squash = mean + std_noise
@@ -147,16 +160,10 @@ class SquashedGaussianPolicy(Module):
             (_LOG2 - pre_squash) - np.logaddexp(0.0, -2.0 * pre_squash)
         ) * 2.0
         log_prob = log_prob - correction.sum(axis=-1)
-        plan.squashed_log_std, plan.std_noise, plan.action = (
-            squashed, std_noise, action,
-        )
-        hook = autograd.FLOP_HOOK
+        plan.std_noise, plan.action = std_noise, action
+        hook = flops.FLOP_HOOK
         if hook is not None:
-            batch = obs.shape[0]
-            for head in (self.mean_head, self.log_std_head):
-                hook.matmul(batch, head.in_dim, head.out_dim)
-                hook.elementwise("add_fwd", batch * head.out_dim)
-            hook.elementwise("tanh_fwd", 2 * batch * self.action_dim)
+            hook.elementwise("tanh_fwd", action.size)
         return action, log_prob
 
     def backward(
@@ -175,7 +182,8 @@ class SquashedGaussianPolicy(Module):
         ``grad`` at it. Under the reparameterization ``z`` is the noise, so
         the log-density reaches the pre-squash sample ``u`` only through
         the tanh correction (d/du log(1 - tanh(u)^2) = -2 tanh(u)) and the
-        log-std only through its ``-log_std`` term.
+        log-std only through its ``-log_std`` term; ``u`` moves with the
+        mean one for one.
         """
         action = plan.action
         pre_grad = (
@@ -183,29 +191,7 @@ class SquashedGaussianPolicy(Module):
             + (2.0 * log_prob_grad) * action
         )
         log_std_grad = pre_grad * plan.std_noise - log_prob_grad
-        squashed = plan.squashed_log_std
-        raw_grad = (
-            log_std_grad
-            * (0.5 * (LOG_STD_MAX - LOG_STD_MIN))
-            * (1.0 - squashed * squashed)
-        )
-        features = plan.trunk.forward.out(-1, plan.trunk.batch)
-        for head, grad, (weight_grad, bias_grad) in zip(
-            (self.mean_head, self.log_std_head),
-            (pre_grad, raw_grad),
-            plan.head_grads,
-        ):
-            head.write_grads(features, grad, weight_grad, bias_grad)
-        features_grad = np.matmul(
-            pre_grad, self.mean_head.weight.data.T, out=plan.features_grad
-        )
-        features_grad += raw_grad @ self.log_std_head.weight.data.T
-        hook = autograd.FLOP_HOOK
-        if hook is not None:
-            batch = action.shape[0]
-            for head in (self.mean_head, self.log_std_head):
-                hook.matmul_grad(batch, head.out_dim, head.in_dim)
-        self.trunk.backward(features_grad, plan.trunk)
+        self.backward_gaussian(pre_grad, log_std_grad, plan)
 
     # -- numpy inference path ------------------------------------------------------
 
@@ -218,13 +204,13 @@ class SquashedGaussianPolicy(Module):
         obs: np.ndarray,
         plan: PolicyInferencePlan | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and log-std without building a graph.
+        """Mean and log-std of the pre-squash Gaussian.
 
         With ``plan``, the trunk and both heads write into preallocated
         buffers (same ops, fused in place); the returned arrays alias the
         plan and stay valid until its next use.
         """
-        hook = autograd.FLOP_HOOK
+        hook = flops.FLOP_HOOK
         if hook is not None:
             batch = 1 if obs.ndim == 1 else obs.shape[0]
             for head in (self.mean_head, self.log_std_head):
@@ -336,6 +322,73 @@ class SquashedGaussianPolicy(Module):
         )
         log_prob = log_prob - correction.sum(axis=-1)
         return action, log_prob
+
+
+def gaussian_heads(
+    policy, features: np.ndarray, plan
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and bounded log-std heads of ``policy`` on ``features``.
+
+    The training forward shared by :class:`SquashedGaussianPolicy` and
+    the progressive policy, with the ops of ``forward_np``; keeps
+    ``features`` and the tanh of the raw log-std in ``plan`` for
+    :func:`gaussian_heads_backward`.
+    """
+    mean = features @ policy.mean_head.weight.data + policy.mean_head.bias.data
+    squashed = np.tanh(
+        features @ policy.log_std_head.weight.data
+        + policy.log_std_head.bias.data
+    )
+    log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (
+        squashed + 1.0
+    )
+    plan.features, plan.squashed_log_std = features, squashed
+    hook = flops.FLOP_HOOK
+    if hook is not None:
+        batch = features.shape[0]
+        for head in (policy.mean_head, policy.log_std_head):
+            hook.matmul(batch, head.in_dim, head.out_dim)
+            hook.elementwise("add_fwd", batch * head.out_dim)
+        hook.elementwise("tanh_fwd", squashed.size)
+    return mean, log_std
+
+
+def gaussian_heads_backward(
+    policy,
+    mean_grad: np.ndarray,
+    log_std_grad: np.ndarray,
+    plan,
+    rows: slice = slice(None),
+) -> np.ndarray:
+    """Both heads' weight and bias gradients for d loss / d mean and
+    d loss / d log-std of the last :func:`gaussian_heads` on ``plan``.
+
+    Returns d loss / d ``features[:, rows]`` in ``plan.features_grad``;
+    the other feature columns get no gradient.
+    """
+    features = plan.features
+    squashed = plan.squashed_log_std
+    raw_grad = (
+        log_std_grad
+        * (0.5 * (LOG_STD_MAX - LOG_STD_MIN))
+        * (1.0 - squashed * squashed)
+    )
+    heads = (policy.mean_head, policy.log_std_head)
+    for head, grad, (weight_grad, bias_grad) in zip(
+        heads, (mean_grad, raw_grad), plan.head_grads
+    ):
+        head.write_grads(features, grad, weight_grad, bias_grad)
+    features_grad = np.matmul(
+        mean_grad, policy.mean_head.weight.data[rows].T, out=plan.features_grad
+    )
+    features_grad += raw_grad @ policy.log_std_head.weight.data[rows].T
+    hook = flops.FLOP_HOOK
+    if hook is not None:
+        for head in heads:
+            hook.matmul_grad(
+                mean_grad.shape[0], head.out_dim, features_grad.shape[1]
+            )
+    return features_grad
 
 
 class QNetwork(Module):

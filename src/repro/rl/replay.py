@@ -10,7 +10,7 @@ class ReplayBuffer:
 
     Observations are stored as ``float32`` to halve memory (the default
     camera observation is ~400 floats per frame stack); samples are
-    returned as ``float64`` for the autodiff update.
+    returned as ``float64`` for the SAC update.
     """
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int) -> None:

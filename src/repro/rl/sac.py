@@ -5,11 +5,12 @@ adversarial attack policies, and adversarial fine-tuning. Twin Q critics
 with polyak-averaged targets, a tanh-Gaussian actor, and automatic
 entropy-temperature tuning.
 
-The update is tape-free: closed-form backward passes write only the
+The update runs closed-form backward passes that write only the
 gradients the update reads into buffers allocated once per learner, and
-Adam and the polyak average run in place. The critic step computes the
-same ops as the autodiff tape, so it matches it bit for bit; the actor
-step differs from the tape in the last bits (at most 1e-12 relative).
+Adam and the polyak average run in place. ``tests/rl/test_sac_gradients.py``
+keeps a reference that evaluates the update expression by expression, as
+an autodiff tape would: the critic step matches it bit for bit, and the
+actor step differs from it in the last bits (at most 1e-12 relative).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import faults
-from repro.rl.nn.autograd import Tensor
+from repro.rl.nn.layers import Parameter
 from repro.rl.nn.optim import Adam
 from repro.rl.policy import QNetwork, SquashedGaussianPolicy
 from repro.rl.replay import ReplayBuffer
@@ -117,9 +118,7 @@ class Sac:
         self.q1_target.load_state_dict(self.q1.state_dict())
         self.q2_target.load_state_dict(self.q2.state_dict())
 
-        self.log_alpha = Tensor(
-            np.array(np.log(cfg.alpha)), requires_grad=cfg.autotune_alpha
-        )
+        self.log_alpha = Parameter(np.log(cfg.alpha), cfg.autotune_alpha)
         self.target_entropy = (
             cfg.target_entropy
             if cfg.target_entropy is not None

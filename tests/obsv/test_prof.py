@@ -24,9 +24,11 @@ from repro.obsv.prof.memory import MemoryProbe
 from repro.obsv.prof.sampler import frame_label
 from repro.obsv.prof.session import FlopSpanProbe, install_from_env
 from repro.obsv.prof import session as session_mod
-from repro.rl.nn import autograd
+from repro.rl.bc import BcConfig, BehaviorCloner
+from repro.rl.nn import flops
 from repro.rl.nn.flops import FlopCounter
 from repro.rl.nn.layers import Mlp
+from repro.rl.policy import SquashedGaussianPolicy
 from repro.telemetry.spans import Tracer
 from repro.telemetry.trace import validate_event
 
@@ -193,8 +195,9 @@ class TestFlopAccounting:
         counter = FlopCounter()
         counter.matmul(4, 8, 2)
         assert counter.total_flops() == pytest.approx(2 * 4 * 8 * 2)
-        counter.matmul(4, 8, 2, backward=True)
-        assert counter.total_flops() == pytest.approx(6 * 4 * 8 * 2)
+        counter.matmul_grad(4, 8, 2)
+        assert counter.total_flops() == pytest.approx(4 * 4 * 8 * 2)
+        assert counter.flops["matmul_bwd"] == pytest.approx(2 * 4 * 8 * 2)
         counter.elementwise("relu_fwd", 100)
         assert counter.flops["relu_fwd"] == pytest.approx(100.0)
         assert counter.intensity() > 0.0
@@ -203,21 +206,38 @@ class TestFlopAccounting:
         counter.reset()
         assert counter.total_flops() == 0.0
 
-    def test_autograd_ops_count_forward_and_backward(self):
+    def test_bc_step_counts_forward_and_backward(self):
+        """One behaviour-cloning step reports every product it computes:
+        the trunk and both heads forward, every weight gradient, and the
+        input gradients of the heads and of all but the first trunk
+        layer; and the tanh of the mean and of the raw log-std."""
+        obs_dim, action_dim, hidden, n = 6, 2, (16, 8), 10
+        policy = SquashedGaussianPolicy(obs_dim, action_dim, hidden)
+        rng = np.random.default_rng(0)
+        obs = rng.normal(size=(n, obs_dim))
+        actions = rng.uniform(-1.0, 1.0, size=(n, action_dim))
+        cloner = BehaviorCloner(policy, BcConfig(batch_size=n, epochs=1))
         counter = FlopCounter()
         counter.enable()
         try:
-            a = autograd.Tensor(np.ones((3, 4)), requires_grad=True)
-            b = autograd.Tensor(np.ones((4, 2)), requires_grad=True)
-            out = (a @ b).relu()
-            out.backward(np.ones((3, 2)))
+            cloner.fit(obs, actions)
         finally:
             counter.disable()
-        assert counter.flops["matmul_fwd"] == pytest.approx(2 * 3 * 4 * 2)
-        assert counter.flops["matmul_bwd"] == pytest.approx(4 * 3 * 4 * 2)
-        assert counter.flops["relu_fwd"] == pytest.approx(6.0)
-        assert counter.flops["relu_bwd"] == pytest.approx(6.0)
-        assert autograd.FLOP_HOOK is None
+
+        def product(m, k, p):
+            return 2.0 * m * k * p
+
+        trunk = list(zip([obs_dim, *hidden[:-1]], hidden))
+        heads = [(hidden[-1], action_dim)] * 2
+        assert counter.flops["matmul_fwd"] == sum(
+            product(n, a, b) for a, b in trunk + heads
+        )
+        weight_grads = sum(product(a, n, b) for a, b in trunk + heads)
+        input_grads = sum(product(n, b, a) for a, b in trunk[1:] + heads)
+        assert counter.flops["matmul_bwd"] == weight_grads + input_grads
+        assert counter.flops["tanh_fwd"] == 2 * n * action_dim
+        assert counter.flops["relu_bwd"] == n * sum(hidden)
+        assert flops.FLOP_HOOK is None
 
     def test_forward_np_fast_path_counts(self):
         counter = FlopCounter()

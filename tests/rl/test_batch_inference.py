@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.rl.nn import autograd
 from repro.rl.nn.flops import FlopCounter
 from repro.rl.nn.layers import Mlp
 from repro.rl.policy import SquashedGaussianPolicy

@@ -31,7 +31,7 @@ from repro.rl.checkpoint import (
 )
 from repro.rl.health import health_interval
 from repro.rl.nn.layers import Mlp
-from repro.rl.nn.optim import Adam, Sgd
+from repro.rl.nn.optim import Adam
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.rl.replay import ReplayBuffer
 from repro.rl.sac import Sac, SacConfig
@@ -144,18 +144,6 @@ class TestOptimizerState:
         state["m_0"] = np.zeros((1, 1))
         with pytest.raises(ValueError, match="shape"):
             opt.load_state_dict(state)
-
-    def test_sgd_velocity_roundtrip(self):
-        rng = np.random.default_rng(0)
-        net = Mlp([3, 4, 1], rng=rng)
-        opt = Sgd(net.parameters(), lr=0.1, momentum=0.9)
-        for param in opt.params:
-            param.grad = np.ones_like(param.data)
-        opt.step()
-        state = opt.state_dict()
-        opt2 = Sgd(net.parameters(), lr=0.1, momentum=0.9)
-        opt2.load_state_dict(state)
-        np.testing.assert_array_equal(opt2._velocity[0], opt._velocity[0])
 
 
 class TestReplayState:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.rl.nn.autograd import Tensor
 from repro.rl.policy import QNetwork, SquashedGaussianPolicy
 from repro.rl.replay import ReplayBuffer
 
@@ -38,12 +37,15 @@ class TestSquashedGaussianPolicy:
         b = policy.act(obs, rng=rng)
         assert not np.allclose(a, b)
 
-    def test_forward_np_matches_autodiff(self, policy):
+    def test_forward_gaussian_matches_forward_np(self, policy):
+        """Behaviour cloning's training forward gives the inference
+        path's bits, with and without an inference plan."""
         obs = np.random.default_rng(3).normal(size=(4, 6))
-        mean_np, log_std_np = policy.forward_np(obs)
-        mean_t, log_std_t = policy.distribution(Tensor(obs))
-        np.testing.assert_allclose(mean_np, mean_t.data)
-        np.testing.assert_allclose(log_std_np, log_std_t.data)
+        trained = policy.forward_gaussian(obs, policy.training_plan(4))
+        planned = policy.forward_np(obs, plan=policy.inference_plan(4))
+        for got, expected, fused in zip(trained, policy.forward_np(obs), planned):
+            assert np.array_equal(got, expected)
+            assert np.array_equal(fused, expected)
 
     def test_log_std_bounded(self, policy):
         obs = np.random.default_rng(4).normal(size=(10, 6)) * 100.0

@@ -1,7 +1,11 @@
-"""The tape-free SAC update against its taped reference and finite differences.
+"""The tape-free SAC update against a reference and finite differences.
 
-``taped_update`` below is the update as it ran on the autodiff tape, with
-the textbook (allocating) Adam and polyak steps, kept as the reference:
+``taped_update`` below is the SAC update as a reverse-mode autodiff tape
+evaluates it, written out in plain numpy: allocating expressions, full
+input gradients, the log-density through ``z`` as a Gaussian log-prob op
+forms it, each gradient's contributions summed in the order the tape
+accumulates them, and the textbook (allocating) Adam and polyak steps.
+It is the reference:
 
 - the critic step computes the same ops, so its gradients and 50
   critic-only updates match bit for bit;
@@ -9,7 +13,7 @@ the textbook (allocating) Adam and polyak steps, kept as the reference:
   closed-form log-prob gradient, so it may differ in the last bits (at
   most 1e-12 relative);
 - central finite differences at a tiny shape check the critic, actor and
-  alpha gradients without the tape.
+  alpha gradients without the reference.
 """
 
 import math
@@ -17,33 +21,130 @@ import math
 import numpy as np
 import pytest
 
-from repro.rl.nn.autograd import Tensor, concat, gaussian_log_prob, minimum
 from repro.rl.nn.flops import FlopCounter
+from repro.rl.policy import LOG_STD_MAX, LOG_STD_MIN
 from repro.rl.sac import Sac, SacConfig
 
 _LOG2 = math.log(2.0)
+_LOG_NORM = 0.5 * math.log(2.0 * math.pi)
 
 
-# -- the taped reference ----------------------------------------------------------
+# -- the reference ----------------------------------------------------------------
+
+
+def _relu_at(mlp, index):
+    return index < len(mlp.layers) - 1 or mlp.output_activation is not None
+
+
+def mlp_forward(mlp, x):
+    """``mlp`` on ``x``; returns the output and, per layer, its input and
+    pre-activation (the SAC networks are ReLU stacks)."""
+    inputs, pres = [], []
+    for index, layer in enumerate(mlp.layers):
+        inputs.append(x)
+        x = x @ layer.weight.data + layer.bias.data
+        pres.append(x)
+        if _relu_at(mlp, index):
+            x = np.maximum(x, 0.0)
+    return x, (inputs, pres)
+
+
+def mlp_backward(mlp, cache, grad):
+    """Every weight and bias gradient of :func:`mlp_forward` for ``grad``
+    (d loss / d output); returns the full input gradient."""
+    inputs, pres = cache
+    for index in range(len(mlp.layers) - 1, -1, -1):
+        layer = mlp.layers[index]
+        if _relu_at(mlp, index):
+            grad = grad * (pres[index] > 0.0)
+        layer.weight.grad = inputs[index].T @ grad
+        layer.bias.grad = grad.sum(axis=0)
+        grad = grad @ layer.weight.data.T
+    return grad
 
 
 def taped_q(q, obs, action):
-    return q.net(concat([obs, action], axis=-1)).sum(axis=-1)
+    out, cache = mlp_forward(q.net, np.concatenate([obs, action], axis=-1))
+    return out[:, 0], cache
 
 
-def taped_rsample(policy, obs, noise):
-    mean, log_std = policy.distribution(obs)
-    std = log_std.exp()
-    pre_squash = mean + std * Tensor(noise)
-    action = pre_squash.tanh()
-    log_prob = gaussian_log_prob(pre_squash, mean, log_std)
-    correction = ((-pre_squash + _LOG2) - (pre_squash * -2.0).softplus()) * 2.0
-    return action, log_prob - correction.sum(axis=-1)
+def taped_actor_step(sac, obs, noise, alpha):
+    """The actor loss ``mean(alpha * log_prob - min(q1, q2))`` at
+    reparameterized actions; sets the actor's gradients and returns the
+    loss and the log-probabilities."""
+    actor, n = sac.actor, obs.shape[0]
+    features, trunk = mlp_forward(actor.trunk, obs)
+    mean = features @ actor.mean_head.weight.data + actor.mean_head.bias.data
+    squashed = np.tanh(
+        features @ actor.log_std_head.weight.data + actor.log_std_head.bias.data
+    )
+    log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (squashed + 1.0)
+    std = np.exp(log_std)
+    pre = mean + std * noise
+    action = np.tanh(pre)
+    # The Gaussian log-density of ``pre``, through z, with its own exp.
+    density_std = np.exp(log_std)
+    centred = pre - mean
+    inverse = density_std ** -1.0
+    z = centred * inverse
+    log_prob = np.sum(-(z ** 2.0) * 0.5 - log_std - _LOG_NORM, axis=-1)
+    doubled = pre * -2.0
+    correction = ((-pre + _LOG2) - np.logaddexp(0.0, doubled)) * 2.0
+    log_prob = log_prob - correction.sum(axis=-1)
+    (q1, cache1), (q2, cache2) = (
+        taped_q(q, obs, action) for q in (sac.q1, sac.q2)
+    )
+    loss = np.sum(log_prob * alpha - np.minimum(q1, q2)) * (1.0 / n)
+
+    row_grad = np.full(n, 1.0 / n)
+    log_prob_grad = row_grad * alpha
+    # min(q1, q2) routes the gradient to the smaller critic, split evenly
+    # on exact ties; the critics' input gradient is computed in full.
+    ties = 0.5 * (q1 == q2)
+    joint1, joint2 = (
+        mlp_backward(q.net, cache, (-row_grad * (smaller + ties))[:, None])
+        for q, cache, smaller in (
+            (sac.q1, cache1, q1 < q2), (sac.q2, cache2, q2 < q1)
+        )
+    )
+    action_grad = joint1[:, sac.obs_dim:] + joint2[:, sac.obs_dim:]
+    # Contributions are summed in the tape's order: into ``pre`` the
+    # density's (through z), the tanh correction's two (its ``-pre`` and
+    # its softplus), then the action's; into ``log_std`` the density's
+    # ``-log_std`` and exp terms, then the sample's exp.
+    correction_grad = np.broadcast_to(
+        -log_prob_grad[:, None], correction.shape
+    ) * 2.0
+    density_grad = np.broadcast_to(log_prob_grad[:, None], z.shape)
+    z_grad = -(density_grad * 0.5) * 2.0 * z ** 1.0
+    centred_grad = z_grad * inverse
+    pre_grad = centred_grad + -correction_grad
+    pre_grad += (-correction_grad / (1.0 + np.exp(-doubled))) * -2.0
+    pre_grad += action_grad * (1.0 - action * action)
+    mean_grad = pre_grad + -centred_grad
+    log_std_grad = -density_grad + (
+        z_grad * centred * -1.0 * density_std ** -2.0 * density_std
+    )
+    log_std_grad += pre_grad * noise * std
+    raw_grad = (
+        log_std_grad
+        * (0.5 * (LOG_STD_MAX - LOG_STD_MIN))
+        * (1.0 - squashed * squashed)
+    )
+    for head, grad in ((actor.mean_head, mean_grad), (actor.log_std_head, raw_grad)):
+        head.weight.grad = features.T @ grad
+        head.bias.grad = grad.sum(axis=0)
+    features_grad = (
+        mean_grad @ actor.mean_head.weight.data.T
+        + raw_grad @ actor.log_std_head.weight.data.T
+    )
+    mlp_backward(actor.trunk, trunk, features_grad)
+    return float(loss), log_prob
 
 
 def textbook_adam_step(opt):
-    """``Adam.step`` as it was before it ran in place; returns the
-    pre-clip global norm, as ``Sac._grad_norm`` measured it."""
+    """``Adam.step`` with allocating expressions; returns the pre-clip
+    global norm, as ``Adam.step`` does."""
     opt._t += 1
     total = 0.0
     for param in opt.params:
@@ -72,9 +173,10 @@ def textbook_adam_step(opt):
 
 
 def taped_update(sac):
-    """One SAC update on the autodiff tape (the pre-closed-form code)."""
+    """One SAC update as the tape ran it (see the module docstring)."""
     cfg = sac.config
-    batch = sac.replay.sample(cfg.batch_size, sac.rng)
+    n = cfg.batch_size
+    batch = sac.replay.sample(n, sac.rng)
     obs, actions = batch["obs"], batch["actions"]
     next_actions, next_log_prob = sac.actor.sample_np(batch["next_obs"], sac.rng)
     q_next = np.minimum(
@@ -86,37 +188,28 @@ def taped_update(sac):
         q_next - alpha * next_log_prob
     )
 
-    obs_t, act_t, target_t = Tensor(obs), Tensor(actions), Tensor(targets)
-    q1_pred = taped_q(sac.q1, obs_t, act_t)
-    q2_pred = taped_q(sac.q2, obs_t, act_t)
-    critic_loss = ((q1_pred - target_t) ** 2.0).mean() + (
-        (q2_pred - target_t) ** 2.0
-    ).mean()
-    sac.critic_opt.zero_grad()
-    critic_loss.backward()
+    critic_loss = 0.0
+    preds = []
+    for q in (sac.q1, sac.q2):
+        pred, cache = taped_q(q, obs, actions)
+        error = pred - targets
+        critic_loss = critic_loss + np.sum(error ** 2.0) * (1.0 / n)
+        mlp_backward(q.net, cache, ((1.0 / n) * 2.0 * error)[:, None])
+        preds.append(pred)
     critic_grad_norm = textbook_adam_step(sac.critic_opt)
 
     actor_loss_value = 0.0
     log_prob = None
     if sac.total_updates >= cfg.actor_delay:
-        noise = sac.rng.standard_normal((cfg.batch_size, sac.action_dim))
-        new_actions, log_prob = taped_rsample(sac.actor, obs_t, noise)
-        q_new = minimum(
-            taped_q(sac.q1, obs_t, new_actions),
-            taped_q(sac.q2, obs_t, new_actions),
-        )
-        actor_loss = (log_prob * alpha - q_new).mean()
-        sac.actor_opt.zero_grad()
-        sac.critic_opt.zero_grad()
-        actor_loss.backward()
+        noise = sac.rng.standard_normal((n, sac.action_dim))
+        actor_loss_value, log_prob = taped_actor_step(sac, obs, noise, alpha)
         textbook_adam_step(sac.actor_opt)
-        actor_loss_value = float(actor_loss.data)
 
     if cfg.autotune_alpha and log_prob is not None:
-        entropy_gap = Tensor(log_prob.data + sac.target_entropy)
-        alpha_loss = -(sac.log_alpha * entropy_gap).mean()
-        sac.alpha_opt.zero_grad()
-        alpha_loss.backward()
+        entropy_gap = log_prob + sac.target_entropy
+        sac.log_alpha.grad = np.asarray(
+            (np.full(n, -1.0 * (1.0 / n)) * entropy_gap).sum(axis=0)
+        )
         textbook_adam_step(sac.alpha_opt)
 
     tau = cfg.tau
@@ -127,9 +220,9 @@ def taped_update(sac):
             param.data += tau * source_params[name].data
     sac.total_updates += 1
     return {
-        "critic_loss": float(critic_loss.data),
+        "critic_loss": float(critic_loss),
         "actor_loss": actor_loss_value,
-        "q_mean": float(q1_pred.data.mean()),
+        "q_mean": float(preds[0].mean()),
         "critic_grad_norm": critic_grad_norm,
     }
 

@@ -82,12 +82,12 @@ def test_profiling_disabled_by_default_and_zero_footprint():
     import os
 
     from repro.obsv.prof import env_session
-    from repro.rl.nn import autograd
+    from repro.rl.nn import flops
 
     assert os.environ.get("REPRO_PROF") in (None, "", "0")
     assert env_session() is None
     assert get_tracer()._probes == []
-    assert autograd.FLOP_HOOK is None
+    assert flops.FLOP_HOOK is None
 
 
 def test_trajectory_bit_identical_under_full_profiling():
