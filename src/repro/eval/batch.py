@@ -245,16 +245,13 @@ class Lockstep:
             batch_total = time.perf_counter() - batch_start
             steps = np.maximum(batch.step_count.astype(float), 1.0)
             shares = steps / steps.sum()
-            offset = batch_start
             for i in range(n):
-                duration = float(batch_total * shares[i])
                 # No parent child_total credit: the tick spans inside the
                 # batch already credited it, and double-counting would zero
                 # out episode_batch's self time in profiles.
                 tracer.record(
-                    f"{batch_path}/episode", duration, start=offset
+                    f"{batch_path}/episode", float(batch_total * shares[i])
                 )
-                offset += duration
 
         if trace is not None:
             logged = np.stack(tick_log)  # [ticks, C, N]

@@ -21,11 +21,8 @@ span timings; this package *reads* them:
   regression) over streaming trace events.
 * :mod:`repro.obsv.watch` — live monitor that tails a growing training
   trace (or every trace in a run directory, multiplexed), renders a
-  refreshing terminal view, and fires the watchdogs.
-* :mod:`repro.obsv.serve` — localhost HTTP server fronting one run:
-  live HTML dashboard, flamegraph, JSON query API, run comparison
-  (``/compare``), and a Server-Sent-Events stream of new trace events
-  and watchdog alerts.
+  refreshing terminal view, fires the watchdogs, and annotates metric
+  drift with the ``regress --metrics`` gate.
 * :mod:`repro.obsv.compare` — statistical A/B comparison of recorded
   runs (seeded bootstrap CIs, permutation tests, effect sizes, Holm
   correction) and the metric-snapshot regression gate behind
@@ -34,6 +31,6 @@ span timings; this package *reads* them:
 The package re-exports nothing, so importing one submodule (the training
 loop imports :mod:`repro.obsv.alerts`) does not import the others.
 
-Entry point: ``python -m repro.obsv
-{forensics,replay,dashboard,compare,regress,profile,ingest,query,watch,serve,verify-artifacts}``.
+Entry point, the one front end of every view: ``python -m repro.obsv
+{forensics,replay,dashboard,compare,regress,profile,ingest,query,watch,verify-artifacts}``.
 """

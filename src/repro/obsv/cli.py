@@ -30,9 +30,6 @@ Subcommands:
 * ``watch <trace.jsonl|dir>`` — tail a growing training trace (or
   every trace in a run directory, multiplexed) with a live terminal
   view and watchdog alerts (``--exit-on-alert`` for CI).
-* ``serve <dir|store.sqlite>`` — HTTP dashboard server on localhost:
-  live HTML dashboard, flamegraph, JSON query API, and an SSE stream of
-  new events and watchdog alerts across every trace in the run.
 * ``verify-artifacts [dir]`` — audit every ``.npz`` checkpoint under a
   directory (default ``artifacts/``) with checksum/load validation;
   exits 1 on corruption.
@@ -448,42 +445,7 @@ def _cmd_verify_artifacts(args) -> int:
     return 1 if (args.strict and legacy and not args.upgrade) else 0
 
 
-def _cmd_serve(args) -> int:
-    import time
-
-    from repro.obsv.serve import DashboardServer
-
-    server = DashboardServer(
-        args.dir, host=args.host, port=args.port, poll=args.poll
-    )
-    server.start()
-    sys.stdout.write(
-        f"serving {args.dir} at {server.url}  (Ctrl-C to stop)\n"
-        f"  dashboard {server.url}\n"
-        f"  API       {server.url}api/status\n"
-        f"  SSE       {server.url}events\n"
-    )
-    sys.stdout.flush()
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
 def _cmd_watch(args) -> int:
-    try:
-        baseline = (
-            None
-            if args.baseline_metrics is None
-            else load_snapshot(args.baseline_metrics, kind="metrics")
-        )
-    except ValueError as error:
-        sys.stderr.write(f"watch: {error}\n")
-        return 1
     config = WatchConfig.from_env(
         q_limit=args.q_limit,
         entropy_floor=args.entropy_floor,
@@ -491,19 +453,28 @@ def _cmd_watch(args) -> int:
         starvation_updates=args.starvation_updates,
         throughput_ratio=args.throughput_ratio,
     )
-    return watch_trace(
-        args.trace,
-        config=config,
-        poll=args.poll,
-        once=args.once,
-        exit_on_alert=args.exit_on_alert,
-        total_steps=args.total_steps,
-        write_alerts=not args.no_write_alerts,
-        idle_exit=args.idle_exit,
-        on_alert=args.on_alert,
-        baseline_metrics=baseline,
-        drift_min_n=args.drift_min_n,
-    )
+    try:
+        baseline = (
+            None
+            if args.baseline_metrics is None
+            else load_snapshot(args.baseline_metrics, kind="metrics")
+        )
+        return watch_trace(
+            args.trace,
+            config=config,
+            poll=args.poll,
+            once=args.once,
+            exit_on_alert=args.exit_on_alert,
+            total_steps=args.total_steps,
+            write_alerts=not args.no_write_alerts,
+            idle_exit=args.idle_exit,
+            on_alert=args.on_alert,
+            baseline_metrics=baseline,
+            drift_min_n=args.drift_min_n,
+        )
+    except ValueError as error:  # a bad baseline or a format-1 trace
+        sys.stderr.write(f"watch: {error}\n")
+        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -753,28 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--out", help="write the report to this file")
     ver.set_defaults(fn=_cmd_verify_artifacts)
-
-    srv = sub.add_parser(
-        "serve",
-        help="HTTP dashboard + query API + SSE event stream (localhost)",
-    )
-    srv.add_argument(
-        "dir",
-        help="run directory of *.jsonl traces, or a telemetry store",
-    )
-    srv.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default 127.0.0.1)",
-    )
-    srv.add_argument(
-        "--port", type=int, default=0,
-        help="port (default 0 = ephemeral, printed at startup)",
-    )
-    srv.add_argument(
-        "--poll", type=float, default=0.5,
-        help="seconds between trace polls for the SSE stream",
-    )
-    srv.set_defaults(fn=_cmd_serve)
 
     wat = sub.add_parser(
         "watch", help="live-monitor a growing training trace"

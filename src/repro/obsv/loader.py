@@ -2,7 +2,7 @@
 
 A trace file may interleave events from many episodes (``run_episodes``
 stamps consecutive seeds as episode ids) plus non-episode events
-(``train_step``, ``span``); :func:`split_episodes` keeps only the episode
+(``train_step``, ``alert``); :func:`split_episodes` keeps only the episode
 vocabulary and buckets it by episode id. It is the one reader of the
 trace-format-2 tick layout: each ``episode_end`` carries its episode's
 tick fields as columns, which it expands into one dict per tick, in
@@ -110,7 +110,7 @@ def split_episodes(events: Iterable[dict]) -> list[EpisodeTrace]:
     """Group decoded trace events into per-episode buckets.
 
     Episodes are returned in order of first appearance. Events that carry
-    no episode id (``train_step``, ``span``) are dropped. Episode ids may
+    no episode id (``train_step``, ``alert``) are dropped. Episode ids may
     repeat within one file (e.g. several ``run_episodes`` sweeps sharing a
     seed): a fresh ``episode_start`` for an id that already has one opens a
     new bucket rather than merging two distinct episodes. A format-1

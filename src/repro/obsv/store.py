@@ -21,8 +21,8 @@ Layout (schema version 7):
   query, and aggregates can group by run label, git SHA, or config hash.
 * ``events``    — one row per trace record. The full record is kept as a
   JSON payload column; the hot filter fields (kind, episode, loop, step,
-  name) are hoisted into indexed columns. ``name`` carries span paths
-  from ``span``/``profile`` events, so per-span self-time series are one
+  name) are hoisted into indexed columns. ``name`` carries the span
+  paths of ``profile`` events, so per-span self-time series are one
   indexed filter away. An episode's ticks are one row, its
   ``episode_end`` record, whose payload holds them as columns
   (trace format 2); ``events``, ``series`` and ``aggregate`` answer

@@ -28,15 +28,17 @@ are picked up on the next poll, and fired alerts are appended to
 
 With ``baseline_metrics`` (a metric snapshot from ``obsv compare
 --snapshot`` / ``benchmarks/BASELINE_metrics.json``), the view also
-annotates **scientific drift**: per (victim, attacker, budget) cell,
-episode-end metrics (collision rate, attack success, steps, returns)
-accumulate live, and any cell mean that leaves the baseline's bootstrap
-CI is flagged — the live twin of ``obsv regress --metrics``.
+annotates **scientific drift**: each finished episode's metrics
+(:func:`repro.obsv.compare.episode_metrics`: collision rate, attack
+success, strike effort, minimum TTC, steps to strike, steps, returns)
+accumulate live per ``victim|attacker|budget`` cell, and the gate of
+``obsv regress --metrics``
+(:func:`repro.obsv.compare.compare_metric_snapshots`) flags any cell
+mean that leaves the baseline's bootstrap CI.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -46,11 +48,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obsv.alerts import Alert, WatchConfig, Watchdog
-from repro.obsv.loader import tick_count
+from repro.obsv.compare import (
+    cell_key,
+    compare_metric_snapshots,
+    episode_metrics,
+)
+from repro.obsv.loader import split_episodes, tick_count
 from repro.obsv.render import fmt, sparkline
 from repro.obsv.store import load_snapshot
 from repro.telemetry.log import get_logger
-from repro.telemetry.trace import TraceWriter
+from repro.telemetry.trace import TraceWriter, decode_lines
 
 log = get_logger("obsv.watch")
 
@@ -77,22 +84,21 @@ def poll_interval(configured: float | None = None) -> float:
 
 
 class TraceTail:
-    """Incremental JSONL reader that survives partially written lines."""
+    """Incremental JSONL reader that survives partially written lines.
+
+    A trailing line without its newline is held back until the writer
+    finishes it. Complete lines go through
+    :func:`repro.telemetry.trace.decode_lines`, as in every trace reader:
+    an undecodable line is counted in ``trace_torn_lines_total``, and a
+    format-1 ``tick`` record raises
+    :class:`~repro.telemetry.trace.TraceFormatError`.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._offset = 0
         self._partial = ""
-
-    def skip_to_end(self) -> None:
-        """Fast-forward past the current contents: poll only the future.
-
-        Used by followers that stream "what is happening now" (``obsv
-        serve``'s SSE feed) rather than replaying the backlog.
-        """
-        if self.path.exists():
-            self._offset = self.path.stat().st_size
-            self._partial = ""
+        self._lines = 0  # complete lines read so far
 
     def poll(self) -> list[dict]:
         """Decoded events appended since the previous poll."""
@@ -103,6 +109,7 @@ class TraceTail:
             # Truncated/rotated underneath us: start over.
             self._offset = 0
             self._partial = ""
+            self._lines = 0
         if size == self._offset:
             return []
         with self.path.open("r", encoding="utf-8") as handle:
@@ -112,16 +119,11 @@ class TraceTail:
         text = self._partial + chunk
         lines = text.split("\n")
         self._partial = lines.pop()  # "" on a clean trailing newline
-        events = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError:
-                log.warning("watch.bad_line", bytes=len(line))
-        return events
+        first = self._lines + 1
+        self._lines += len(lines)
+        return [
+            event for event, _ in decode_lines(lines, self.path, first=first)
+        ]
 
 
 class MultiTail:
@@ -140,15 +142,6 @@ class MultiTail:
         if not self.directory.is_dir():
             return []
         return sorted(self.directory.glob(self.pattern))
-
-    def skip_to_end(self) -> None:
-        """Poll only what traces already on disk append from now on.
-
-        Traces that appear later still stream from their first byte.
-        """
-        for path in self._traces():
-            tail = self._tails[path] = TraceTail(path)
-            tail.skip_to_end()
 
     def poll(self) -> list[dict]:
         """New events across all traces, file-ordered within the batch."""
@@ -186,10 +179,11 @@ class WatchState:
     ticks_seen: int = 0
     loops: dict = field(default_factory=dict)
     alerts: dict = field(default_factory=dict)  # (rule, loop) -> Alert
-    #: Live episode-end metric samples per (victim|attacker|budget) cell
-    #: — the inputs to the baseline-drift annotations.
+    #: Live samples of each ``compare.episode_metrics`` metric per
+    #: ``victim|attacker|budget`` cell — the inputs to the baseline-drift
+    #: annotations.
     cells: dict = field(default_factory=dict)
-    _episode_cell: dict = field(default_factory=dict)
+    _starts: dict = field(default_factory=dict)  # episode -> start record
 
     def loop(self, name: str) -> _LoopView:
         view = self.loops.get(name)
@@ -222,30 +216,18 @@ class WatchState:
                     getattr(view, name).append(float(value))
         elif kind == "episode_start":
             self.episodes_seen += 1
-            if event.get("victim") is not None:
-                budget = float(event.get("budget") or 0.0)
-                self._episode_cell[event.get("episode")] = (
-                    f"{event.get('victim')}|{event.get('attacker')}"
-                    f"|{budget:.2f}"
-                )
+            self._starts[event.get("episode")] = event
         elif kind == "episode_end":
             self.ticks_seen += tick_count(event)
-            key = self._episode_cell.pop(event.get("episode"), None)
-            if key is not None:
-                samples = self.cells.setdefault(key, {})
-                collision = event.get("collision")
-                samples.setdefault("collision", []).append(
-                    float(collision is not None)
+            start = self._starts.pop(event.get("episode"), None)
+            if start is not None:
+                (episode,) = split_episodes([start, event])
+                samples = self.cells.setdefault(
+                    cell_key(episode.victim, episode.attacker, episode.budget),
+                    {},
                 )
-                samples.setdefault("attack_success", []).append(
-                    float(collision == "SIDE")
-                )
-                for name in (
-                    "steps", "nominal_return", "adversarial_return"
-                ):
-                    value = event.get(name)
-                    if isinstance(value, (int, float)):
-                        samples.setdefault(name, []).append(float(value))
+                for metric, value in episode_metrics(episode).items():
+                    samples.setdefault(metric, []).append(value)
         elif kind == "alert":
             key = (str(event.get("rule")), str(event.get("loop", "")))
             if key not in self.alerts:
@@ -273,28 +255,29 @@ def metric_drift(
 ) -> list[tuple[str, str, float, int, float, float]]:
     """Cells whose live metric mean left the baseline's bootstrap CI.
 
-    Returns ``(cell, metric, live_mean, n, ci_lo, ci_hi)`` rows, sorted;
-    cells/metrics absent from the baseline — or with fewer than
-    ``min_n`` live episodes — are skipped, not flagged.
+    The live samples go through the ``obsv regress --metrics`` gate
+    (:func:`repro.obsv.compare.compare_metric_snapshots`). Returns
+    ``(cell, metric, live_mean, n, ci_lo, ci_hi)`` rows, sorted; cells
+    and metrics absent from the baseline, and samples of fewer than
+    ``min_n`` episodes on either side, are skipped, not flagged.
     """
+    live = {
+        key: {
+            "metrics": {
+                metric: {"n": len(values), "mean": sum(values) / len(values)}
+                for metric, values in samples.items()
+            }
+        }
+        for key, samples in state.cells.items()
+    }
     rows = []
-    cells = (baseline or {}).get("cells") or {}
-    for key, samples in sorted(state.cells.items()):
-        base_cell = cells.get(key)
-        if not isinstance(base_cell, dict):
-            continue
-        base_metrics = base_cell.get("metrics") or {}
-        for metric, values in sorted(samples.items()):
-            base = base_metrics.get(metric)
-            if not isinstance(base, dict) or len(values) < min_n:
-                continue
-            ci = base.get("ci") or []
-            if len(ci) != 2:
-                continue
-            mean = sum(values) / len(values)
-            lo, hi = float(ci[0]), float(ci[1])
-            if mean < lo - 1e-9 or mean > hi + 1e-9:
-                rows.append((key, metric, mean, len(values), lo, hi))
+    for breach in compare_metric_snapshots(
+        {"cells": live}, baseline, min_n=min_n
+    ):
+        base = baseline["cells"][breach.name]["metrics"][breach.metric]
+        n = live[breach.name]["metrics"][breach.metric]["n"]
+        lo, hi = (float(bound) for bound in base["ci"])
+        rows.append((breach.name, breach.metric, breach.current, n, lo, hi))
     return rows
 
 

@@ -20,6 +20,7 @@ from repro.rl.policy import (
     SquashedGaussianPolicy,
     gaussian_heads,
     gaussian_heads_backward,
+    gaussian_heads_flops,
 )
 
 
@@ -115,10 +116,7 @@ class ProgressivePolicy(Module):
             plan.outputs.append(h)
         hook = flops.FLOP_HOOK
         if hook is not None:
-            for layer in (*self.column1.trunk.layers, *self.column2_layers):
-                hook.matmul(batch, layer.in_dim, layer.out_dim)
-                hook.elementwise("add_fwd", batch * layer.out_dim)
-                hook.elementwise("relu_fwd", batch * layer.out_dim)
+            self._trunk_flops(hook, batch)
         return gaussian_heads(
             self, np.concatenate([h, lateral], axis=-1), plan
         )
@@ -152,6 +150,14 @@ class ProgressivePolicy(Module):
                 if hook is not None:
                     hook.matmul_grad(grad.shape[0], layer.out_dim, own.shape[0])
 
+    def _trunk_flops(self, hook, batch: int) -> None:
+        """Report both columns' products, bias adds and ReLUs on ``batch``
+        rows to the FLOP ``hook``."""
+        for layer in (*self.column1.trunk.layers, *self.column2_layers):
+            hook.matmul(batch, layer.in_dim, layer.out_dim)
+            hook.elementwise("add_fwd", batch * layer.out_dim)
+            hook.elementwise("relu_fwd", batch * layer.out_dim)
+
     # -- numpy inference path --------------------------------------------------------
 
     def _features_np(self, obs: np.ndarray) -> np.ndarray:
@@ -179,6 +185,11 @@ class ProgressivePolicy(Module):
         log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (
             np.tanh(raw) + 1.0
         )
+        hook = flops.FLOP_HOOK
+        if hook is not None:
+            batch = 1 if obs.ndim == 1 else obs.shape[0]
+            self._trunk_flops(hook, batch)
+            gaussian_heads_flops(hook, self, batch)
         return mean, log_std
 
     def act(

@@ -213,10 +213,7 @@ class SquashedGaussianPolicy(Module):
         hook = flops.FLOP_HOOK
         if hook is not None:
             batch = 1 if obs.ndim == 1 else obs.shape[0]
-            for head in (self.mean_head, self.log_std_head):
-                hook.matmul(batch, head.in_dim, head.out_dim)
-                hook.elementwise("add_fwd", batch * head.out_dim)
-            hook.elementwise("tanh_fwd", batch * self.action_dim)
+            gaussian_heads_flops(hook, self, batch)
         if plan is not None and obs.ndim == 2 and plan.fits(obs.shape[0]):
             batch = obs.shape[0]
             features = self.trunk.forward_np(obs, plan=plan.trunk)
@@ -345,12 +342,17 @@ def gaussian_heads(
     plan.features, plan.squashed_log_std = features, squashed
     hook = flops.FLOP_HOOK
     if hook is not None:
-        batch = features.shape[0]
-        for head in (policy.mean_head, policy.log_std_head):
-            hook.matmul(batch, head.in_dim, head.out_dim)
-            hook.elementwise("add_fwd", batch * head.out_dim)
-        hook.elementwise("tanh_fwd", squashed.size)
+        gaussian_heads_flops(hook, policy, features.shape[0])
     return mean, log_std
+
+
+def gaussian_heads_flops(hook, policy, batch: int) -> None:
+    """Report both heads' products and bias adds and the log-std tanh of
+    ``policy`` on ``batch`` rows to the FLOP ``hook``."""
+    for head in (policy.mean_head, policy.log_std_head):
+        hook.matmul(batch, head.in_dim, head.out_dim)
+        hook.elementwise("add_fwd", batch * head.out_dim)
+    hook.elementwise("tanh_fwd", batch * policy.action_dim)
 
 
 def gaussian_heads_backward(

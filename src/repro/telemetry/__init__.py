@@ -13,8 +13,8 @@ state, so instrumented runs are bit-identical to uninstrumented ones.
   (``REPRO_SPANS`` enables at import time; near-free when disabled).
 * :mod:`repro.telemetry.trace` — JSONL event writer for episode traces
   (each episode's ticks as columns on its ``episode_end`` record) and
-  per-step training traces, with a schema validator and a
-  Chrome ``trace_event`` export (``REPRO_TRACE`` installs a default
+  per-step training traces, with a schema validator and the one line
+  decoder every trace reader uses (``REPRO_TRACE`` installs a default
   process-wide writer; ``REPRO_RUN_ID`` labels every record with a run
   id that ``obsv query --label`` and ``obsv compare --run-a`` select by).
 * :mod:`repro.telemetry.provenance` — the git SHA, config hash, weights
@@ -29,7 +29,6 @@ from repro.telemetry.trace import (
     TraceWriter,
     default_writer,
     read_trace,
-    to_chrome_trace,
     validate_event,
     validate_trace,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "TraceWriter",
     "default_writer",
     "read_trace",
-    "to_chrome_trace",
     "validate_event",
     "validate_trace",
 ]

@@ -41,11 +41,6 @@ import time
 from repro.knobs import env_flag
 from repro.telemetry.metrics import Histogram
 
-#: Cap on retained raw events for the Chrome export (oldest kept). Spans
-#: finishing beyond the cap are counted in ``Tracer.events_dropped`` and
-#: the ``spans_dropped_total`` metric instead of vanishing silently.
-MAX_RAW_EVENTS = 500_000
-
 
 class SpanStats:
     """Aggregate timing of one span path."""
@@ -164,11 +159,6 @@ class _LiveSpan:
             if parent is None:
                 parent = tracer._stats[stack[-1]] = SpanStats()
             parent.child_total += duration
-        if tracer.record_events:
-            if len(tracer.events) < MAX_RAW_EVENTS:
-                tracer.events.append((self._path, self._start, duration))
-            else:
-                tracer._drop_event()
         if self._tokens:
             for probe, token in self._tokens:
                 probe.on_exit(self._path, token, duration)
@@ -180,18 +170,9 @@ class Tracer:
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        #: When true, every finished span is also kept as a raw
-        #: ``(path, start_s, duration_s)`` event for the Chrome export.
-        self.record_events = False
-        self.events: list[tuple[str, float, float]] = []
-        #: Spans that finished after ``events`` hit :data:`MAX_RAW_EVENTS`
-        #: (their aggregate stats are still recorded; only the raw event
-        #: for the Chrome export is lost).
-        self.events_dropped = 0
         self._stats: dict[str, SpanStats] = {}
         self._local = threading.local()
         self._probes: list[SpanProbe] = []
-        self._dropped_counter = None
 
     def _stack(self) -> list[str]:
         stack = getattr(self._local, "stack", None)
@@ -199,20 +180,8 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def _drop_event(self) -> None:
-        self.events_dropped += 1
-        if self._dropped_counter is None:
-            from repro.telemetry.metrics import get_registry
-
-            self._dropped_counter = get_registry().counter(
-                "spans_dropped_total"
-            )
-        self._dropped_counter.inc()
-
-    def enable(self, record_events: bool = False) -> None:
+    def enable(self) -> None:
         self.enabled = True
-        if record_events:
-            self.record_events = True
 
     def disable(self) -> None:
         self.enabled = False
@@ -243,11 +212,7 @@ class Tracer:
         return _LiveSpan(self, name)
 
     def record(
-        self,
-        path: str,
-        duration: float,
-        start: float | None = None,
-        parent: str | None = None,
+        self, path: str, duration: float, parent: str | None = None
     ) -> None:
         """Record an externally-timed span at an explicit ``path``.
 
@@ -256,10 +221,9 @@ class Tracer:
         episode's share of that wall-clock as a child span here, giving
         batch runs the same per-episode span coverage as the scalar path
         without N redundant timers in the lockstep loop. Mirrors
-        ``_LiveSpan.__exit__``: aggregate stats, parent ``child_total``
-        credit (so the parent's self time stays exact), and the raw
-        event for the Chrome export when ``record_events`` is on. No-op
-        while the tracer is disabled.
+        ``_LiveSpan.__exit__``: aggregate stats and parent
+        ``child_total`` credit (so the parent's self time stays exact).
+        No-op while the tracer is disabled.
         """
         if not self.enabled:
             return
@@ -272,22 +236,9 @@ class Tracer:
             if parent_stats is None:
                 parent_stats = self._stats[parent] = SpanStats()
             parent_stats.child_total += duration
-        if self.record_events:
-            if len(self.events) < MAX_RAW_EVENTS:
-                self.events.append(
-                    (
-                        path,
-                        start if start is not None else time.perf_counter(),
-                        duration,
-                    )
-                )
-            else:
-                self._drop_event()
 
     def reset(self) -> None:
         self._stats.clear()
-        self.events.clear()
-        self.events_dropped = 0
         self._local = threading.local()
 
     def snapshot(self) -> dict[str, dict[str, float]]:
@@ -296,19 +247,6 @@ class Tracer:
             self._stats.items(), key=lambda item: -item[1].total
         )
         return {path: stats.summary() for path, stats in ordered}
-
-    def chrome_trace(self, path=None) -> dict:
-        """The recorded raw events as a Chrome ``trace_event`` document.
-
-        Embeds a ``spans_truncated`` marker when :data:`MAX_RAW_EVENTS`
-        capped the recording, so a flame graph that silently ends mid-run
-        is distinguishable from a run that actually ended there.
-        """
-        from repro.telemetry.trace import to_chrome_trace
-
-        return to_chrome_trace(
-            self.events, path=path, dropped=self.events_dropped
-        )
 
 
 _TRACER = Tracer(enabled=env_flag("REPRO_SPANS"))

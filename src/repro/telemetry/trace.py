@@ -13,7 +13,6 @@ tier-1 smoke test — can rely on field names and types:
 * ``train_step``     — per-environment-step training record: loop label,
   step index, reward, done flag, episode index (plus optional loss
   fields).
-* ``span``           — one finished wall-clock span (Chrome-exportable).
 
 This is trace format 2 (:data:`TRACE_FORMAT`). Format 1 wrote one
 ``tick`` record per control step; readers refuse it
@@ -24,9 +23,9 @@ process-wide default writer that :func:`default_writer` hands to the
 episode runner and the training loops, so any entry point emits a trace
 without code changes. ``REPRO_RUN_ID`` labels every record a writer
 emits with a ``run`` id, which the telemetry store keeps as the run's
-label. :func:`to_chrome_trace` converts events (or the
-span tracer's raw events) into the Chrome ``trace_event`` JSON format for
-flame-graph viewing in ``chrome://tracing`` / Perfetto.
+label. :func:`decode_lines` is the one line decoder: :func:`read_trace`
+reads a whole file through it and ``repro.obsv watch`` the lines a live
+file appends.
 """
 
 from __future__ import annotations
@@ -113,10 +112,6 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "actor_loss": _NUMBER,
             "alpha": _NUMBER,
         },
-    },
-    "span": {
-        "required": {"name": (str,), "start_s": _NUMBER, "duration_s": _NUMBER},
-        "optional": {},
     },
     "update_health": {
         #: Per-gradient-update learner health record (emitted every
@@ -458,98 +453,45 @@ def iter_trace(
 ) -> Iterator[tuple[object, str]]:
     """:func:`read_trace` as ``(event, line)`` pairs, ``line`` being the
     stripped text the event was decoded from."""
-    from repro.telemetry.log import get_logger
-    from repro.telemetry.metrics import get_registry
-
-    skipped = 0
     with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as error:
-                if strict:
-                    raise
-                skipped += 1
-                get_logger("telemetry.trace").warning(
-                    "trace.torn_line", path=str(path), line=lineno,
-                    error=str(error),
-                )
-                continue
-            if isinstance(event, dict) and event.get("event") == "tick":
-                raise format_1_error(f"{path}, line {lineno}")
-            yield event, line
-    if skipped:
-        get_registry().counter("trace_torn_lines_total").inc(skipped)
+        yield from decode_lines(handle, path, strict)
 
 
-def to_chrome_trace(
-    events: Iterable, path: str | Path | None = None, dropped: int = 0
-) -> dict:
-    """Convert spans into Chrome ``trace_event`` JSON (flame graphs).
+def decode_lines(
+    lines: Iterable[str],
+    source: str | Path,
+    strict: bool = False,
+    first: int = 1,
+) -> Iterator[tuple[object, str]]:
+    """Decode the JSONL ``lines`` of the trace ``source`` into
+    ``(event, line)`` pairs; ``first`` is the number of the first line.
 
-    Accepts decoded trace records, the raw ``(path, start_s, duration_s)``
-    tuples collected by :class:`~repro.telemetry.spans.Tracer` with
-    ``record_events`` on, or a mix. Each ``span`` record and each tuple
-    becomes a complete ``"ph": "X"`` slice. Other records carry no span
-    timing, so they are left out; ``otherData.skipped_records`` counts
-    them.
-
-    ``dropped`` is the number of events lost to the recording cap
-    (:data:`~repro.telemetry.spans.MAX_RAW_EVENTS`); when nonzero a
-    ``spans_truncated`` instant marker is embedded after the last slice
-    so viewers see the recording was cut, not the run.
+    Blank lines are skipped. An undecodable line is skipped with a
+    ``trace.torn_line`` warning and counted in ``trace_torn_lines_total``
+    (raised with ``strict=True``); a format-1 ``tick`` record raises
+    :class:`TraceFormatError`.
     """
-    slices = []
-    skipped = 0
-    for event in events:
-        if isinstance(event, tuple):
-            name, start, duration = event
-        elif event.get("event") == "span":
-            name, start, duration = (
-                event["name"], event["start_s"], event["duration_s"]
-            )
-        else:
-            skipped += 1
+    for lineno, line in enumerate(lines, start=first):
+        line = line.strip()
+        if not line:
             continue
-        slices.append(
-            {
-                "name": name,
-                "ph": "X",
-                "ts": round(start * 1e6, 3),
-                "dur": round(duration * 1e6, 3),
-                "pid": 0,
-                "tid": 0,
-            }
-        )
-    if dropped:
-        last_ts = max(
-            (s["ts"] + s.get("dur", 0.0) for s in slices if "ts" in s),
-            default=0.0,
-        )
-        slices.append(
-            {
-                "name": "spans_truncated",
-                "ph": "i",
-                "ts": last_ts,
-                "pid": 0,
-                "tid": 0,
-                "s": "g",
-                "args": {"dropped": int(dropped)},
-            }
-        )
-    document = {
-        "traceEvents": slices,
-        "displayTimeUnit": "ms",
-        "otherData": {"skipped_records": skipped},
-    }
-    if path is not None:
-        Path(path).write_text(
-            json.dumps(document, default=_json_default), encoding="utf-8"
-        )
-    return document
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as error:
+            if strict:
+                raise
+            from repro.telemetry.log import get_logger
+            from repro.telemetry.metrics import get_registry
+
+            get_logger("telemetry.trace").warning(
+                "trace.torn_line", path=str(source), line=lineno,
+                error=str(error),
+            )
+            get_registry().counter("trace_torn_lines_total").inc()
+            continue
+        if isinstance(event, dict) and event.get("event") == "tick":
+            raise format_1_error(f"{source}, line {lineno}")
+        yield event, line
 
 
 _DEFAULT_WRITER: TraceWriter | None = None

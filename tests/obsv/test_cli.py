@@ -73,12 +73,9 @@ class TestCli:
         from repro.obsv.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(
-            ["serve", "runs/sweep", "--port", "8123", "--poll", "0.2"]
-        )
-        assert args.dir == "runs/sweep"
-        assert args.port == 8123
-        assert args.host == "127.0.0.1"
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["serve", "runs/sweep"])
+        assert excinfo.value.code == 2
         args = parser.parse_args(
             ["query", "s.sqlite", "--label", "A", "--group-by", "label"]
         )

@@ -10,8 +10,6 @@ instead of raising, while an unreadable watch baseline is refused).
 """
 
 import json
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +32,7 @@ from repro.obsv.compare import (
 )
 from repro.obsv.dashboard import build_dashboard
 from repro.obsv.watch import WatchState, metric_drift, watch_trace
-from repro.telemetry.trace import TraceWriter
+from repro.telemetry.trace import TraceWriter, tick_columns
 
 pytestmark = pytest.mark.obsv
 
@@ -413,54 +411,53 @@ class TestWatchDrift:
         )
         assert "metric drift vs baseline: none" in clean
 
-
-# -- serve surfacing ------------------------------------------------------------------
-
-
-@pytest.mark.serve
-class TestServeCompare:
-    @pytest.fixture()
-    def server(self, demo_runs, tmp_path):
-        from repro.obsv.serve import DashboardServer
-
-        a, b, _ = demo_runs
-        run_dir = tmp_path / "served"
-        run_dir.mkdir()
-        for source in (a, b):
-            (run_dir / source.name).write_text(
-                source.read_text(encoding="utf-8"), encoding="utf-8"
+    def test_every_gated_metric_is_watched(self):
+        """The live view gates what ``regress --metrics`` gates: six
+        episodes striking at 0.9 leave a strike-effort CI of [0, 0.1]."""
+        state = WatchState()
+        for episode in range(6):
+            state.ingest(
+                {
+                    "event": "episode_start", "episode": episode,
+                    "seed": episode, "victim": "modular",
+                    "attacker": "oracle", "budget": 1.0,
+                }
             )
-        server = DashboardServer(run_dir, poll=0.05).start()
-        yield server
-        server.stop()
-
-    def _get(self, url):
-        with urllib.request.urlopen(url, timeout=10) as response:
-            return response.read().decode("utf-8")
-
-    def test_picker_lists_sources(self, server):
-        html = self._get(server.url + "compare")
-        assert "Compare runs" in html
-        assert "run_a.jsonl" in html and "run_b.jsonl" in html
-
-    def test_api_inventory(self, server):
-        inventory = json.loads(self._get(server.url + "api/compare"))
-        assert "run_a.jsonl" in inventory["sources"]
-
-    def test_comparison_pages(self, server):
-        url = server.url + "compare?a=run_a.jsonl&b=run_b.jsonl"
-        html = self._get(url)
-        assert "Run comparison" in html
-        report = json.loads(
-            self._get(
-                server.url
-                + "api/compare?a=run_a.jsonl&b=run_b.jsonl&stat_seed=7"
+            state.ingest(
+                {
+                    "event": "episode_end", "episode": episode,
+                    "steps": 3, "duration": 0.3, "collision": None,
+                    "ticks": tick_columns(
+                        {
+                            "tick": [1, 2, 3], "t": [0.1, 0.2, 0.3],
+                            "delta": [0.9, -0.9, 0.9], "x": [0.0] * 3,
+                            "y": [0.0] * 3, "yaw": [0.0] * 3,
+                            "speed": [10.0] * 3,
+                        }
+                    ),
+                }
             )
-        )
-        assert report["stat"]["stat_seed"] == 7
-        assert report["cells"]
+        baseline = {
+            "kind": "metrics",
+            "schema": 1,
+            "cells": {
+                "modular|oracle|1.00": {
+                    "n": 6,
+                    "metrics": {
+                        "effort": {"n": 6, "mean": 0.05, "ci": [0.0, 0.1]},
+                    },
+                }
+            },
+        }
+        rows = metric_drift(state, baseline)
+        assert [(r[0], r[1], r[3], r[4], r[5]) for r in rows] == [
+            ("modular|oracle|1.00", "effort", 6, 0.0, 0.1)
+        ]
+        assert rows[0][2] == pytest.approx(0.9)
 
-    def test_unknown_source_is_404_not_path_read(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(server.url + "compare?a=../../etc&b=run_a.jsonl")
-        assert excinfo.value.code == 404
+    def test_small_baseline_sample_skipped(self):
+        """As in ``regress --metrics``, a baseline sample below ``min_n``
+        is too noisy to gate."""
+        doc = json.loads(json.dumps(self.BASELINE_DOC))
+        doc["cells"]["modular|oracle|1.00"]["metrics"]["collision"]["n"] = 4
+        assert metric_drift(_live_state(collisions=6), doc, min_n=5) == []

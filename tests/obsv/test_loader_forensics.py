@@ -62,9 +62,10 @@ class TestLoader:
         assert all(e.complete for e in episodes)
         assert len(episodes[0].ticks) == len(episodes[1].ticks)
 
-    def test_non_episode_events_dropped(self):
+    def test_drops_non_episode_records(self):
         events = [
-            {"event": "span", "name": "x", "start_s": 0.0, "duration_s": 1.0},
+            {"event": "alert", "rule": "nan_loss", "severity": "critical",
+             "message": "x"},
             {"event": "train_step", "loop": "sac", "step": 1},
         ]
         assert split_episodes(events) == []

@@ -16,7 +16,13 @@ from repro.obsv.watch import (
     render_status,
     watch_trace,
 )
-from repro.telemetry.trace import TraceWriter, read_trace, validate_event
+from repro.telemetry.metrics import get_registry
+from repro.telemetry.trace import (
+    TraceFormatError,
+    TraceWriter,
+    read_trace,
+    validate_event,
+)
 
 pytestmark = [pytest.mark.obsv, pytest.mark.watch]
 
@@ -173,12 +179,40 @@ class TestTail:
         path = tmp_path / "t.jsonl"
         tail = TraceTail(path)
         assert tail.poll() == []
-        path.write_text('{"event": "tick"}\n{"event": "ti', encoding="utf-8")
-        assert [e["event"] for e in tail.poll()] == ["tick"]
+        path.write_text('{"event": "alert"}\n{"event": "al', encoding="utf-8")
+        assert [e["event"] for e in tail.poll()] == ["alert"]
         with path.open("a", encoding="utf-8") as handle:
-            handle.write('ck"}\n')
-        assert [e["event"] for e in tail.poll()] == ["tick"]
+            handle.write('ert"}\n')
+        assert [e["event"] for e in tail.poll()] == ["alert"]
         assert tail.poll() == []
+
+    def test_undecodable_line_is_counted(self, tmp_path):
+        """As in ``read_trace``: a garbage line is skipped and counted; the
+        trailing partial line is held back and not counted."""
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"event": "train_step", "loop": "sac", "step": 1}\n'
+            'not json\n{"event": "train_st',
+            encoding="utf-8",
+        )
+        get_registry().reset()
+        try:
+            events = TraceTail(path).poll()
+            counter = get_registry().counter("trace_torn_lines_total")
+            assert [e["event"] for e in events] == ["train_step"]
+            assert counter.value == 1
+        finally:
+            get_registry().reset()
+
+    def test_format_1_tick_record_raises(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"event": "alert"}\n', encoding="utf-8")
+        tail = TraceTail(path)
+        assert len(tail.poll()) == 1
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"event": "tick"}\n')
+        with pytest.raises(TraceFormatError, match="line 2"):
+            tail.poll()
 
 
 def write_diverging_trace(path):
@@ -204,6 +238,14 @@ class TestWatchTrace:
         out = capsys.readouterr().out
         assert "repro.obsv watch" in out
         assert "alerts: none" in out
+
+    def test_format_1_trace_is_refused(self, tmp_path, capsys):
+        trace = tmp_path / "old.jsonl"
+        trace.write_text('{"event": "tick"}\n', encoding="utf-8")
+        assert main(["watch", str(trace), "--once"]) == 1
+        captured = capsys.readouterr()
+        assert "trace format 1" in captured.err
+        assert captured.out == ""
 
     def test_exit_on_alert_writes_alert_event(self, tmp_path, capsys):
         trace = write_diverging_trace(tmp_path / "div.jsonl")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.rl.nn.flops import FlopCounter
 from repro.rl.nn.layers import Mlp
+from repro.rl.pnn import ProgressivePolicy
 from repro.rl.policy import SquashedGaussianPolicy
 
 pytestmark = pytest.mark.batch
@@ -102,3 +103,29 @@ class TestFlopAccounting:
         assert fused.flops == plain.flops
         assert fused.bytes == plain.bytes
         assert fused.total_flops() > 0.0
+
+    def test_progressive_inference_counts_like_training(self):
+        """The PNN's inference forward books the products, adds and
+        activations its training forward books, heads included."""
+        policy = ProgressivePolicy(
+            SquashedGaussianPolicy(4, 2, hidden=(16, 16))
+        )
+        obs = np.random.default_rng(0).standard_normal((8, 4))
+
+        inference = FlopCounter()
+        inference.enable()
+        try:
+            policy.forward_np(obs)
+        finally:
+            inference.disable()
+
+        training = FlopCounter()
+        training.enable()
+        try:
+            policy.forward_gaussian(obs, policy.training_plan(8))
+        finally:
+            training.disable()
+
+        assert inference.flops == training.flops
+        assert inference.bytes == training.bytes
+        assert inference.total_flops() > 0.0

@@ -22,10 +22,9 @@ def full_telemetry():
     """Enable every telemetry layer; restore the previous state after."""
     tracer = get_tracer()
     was_enabled = tracer.enabled
-    tracer.enable(record_events=True)
+    tracer.enable()
     configure(level="debug", force=True)
     yield TraceWriter()  # in-memory, handed to the runner by the test
-    tracer.record_events = False
     tracer.reset()
     if not was_enabled:
         tracer.disable()

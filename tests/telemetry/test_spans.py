@@ -77,25 +77,12 @@ def test_timed_decorator_uses_global_tracer():
         tracer.enabled = was_enabled
 
 
-def test_record_events_collects_chrome_exportable_tuples():
-    tracer = Tracer(enabled=True)
-    tracer.record_events = True
-    with tracer.span("a"):
-        with tracer.span("b"):
-            pass
-    assert [name for name, _, _ in tracer.events] == ["a/b", "a"]
-    for _, start, duration in tracer.events:
-        assert start > 0.0 and duration >= 0.0
-
-
 def test_reset_clears_stats_and_events():
     tracer = Tracer(enabled=True)
-    tracer.record_events = True
     with tracer.span("a"):
         pass
     tracer.reset()
-    assert tracer.snapshot() == {} and tracer.events == []
-    assert tracer.events_dropped == 0
+    assert tracer.snapshot() == {}
 
 
 def test_self_time_bookkeeping_is_exact():
@@ -128,32 +115,6 @@ def test_self_time_survives_slash_in_span_names():
         snapshot["outer"]["total_s"] - snapshot["outer/a/b"]["total_s"],
         abs=5e-6,
     )
-
-
-def test_event_cap_counts_drops_and_marks_chrome_trace(monkeypatch):
-    monkeypatch.setattr("repro.telemetry.spans.MAX_RAW_EVENTS", 2)
-    tracer = Tracer(enabled=True)
-    tracer.record_events = True
-    for _ in range(5):
-        with tracer.span("tick"):
-            pass
-    assert len(tracer.events) == 2
-    assert tracer.events_dropped == 3
-    # aggregates still cover every span
-    assert tracer.snapshot()["tick"]["count"] == 5
-    document = tracer.chrome_trace()
-    markers = [
-        e for e in document["traceEvents"] if e["name"] == "spans_truncated"
-    ]
-    assert len(markers) == 1
-    assert markers[0]["args"]["dropped"] == 3
-    # the marker lands after the last recorded slice
-    last = max(
-        e["ts"] + e.get("dur", 0.0)
-        for e in document["traceEvents"]
-        if e["name"] != "spans_truncated"
-    )
-    assert markers[0]["ts"] >= last
 
 
 def test_probes_see_enter_exit_with_token_and_duration():

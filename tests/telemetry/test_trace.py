@@ -1,6 +1,4 @@
-"""Trace writer: JSONL round-trip, schema validation, Chrome export."""
-
-import json
+"""Trace writer: JSONL round-trip and schema validation."""
 
 import pytest
 
@@ -10,7 +8,6 @@ from repro.telemetry.trace import (
     read_trace,
     reset_default_writer,
     tick_columns,
-    to_chrome_trace,
     validate_event,
     validate_trace,
 )
@@ -144,42 +141,6 @@ def test_validate_trace_reports_line_indices(tmp_path):
         writer.emit("bogus_kind")
     errors = validate_trace(path)
     assert len(errors) == 1 and errors[0].startswith("event 1:")
-
-
-def test_chrome_export_from_span_tuples(tmp_path):
-    out = tmp_path / "chrome.json"
-    document = to_chrome_trace(
-        [("episode/world.tick", 1.0, 0.002), ("episode", 0.9, 0.5)], out
-    )
-    slices = document["traceEvents"]
-    assert slices[0] == {
-        "name": "episode/world.tick", "ph": "X", "ts": 1e6, "dur": 2000.0,
-        "pid": 0, "tid": 0,
-    }
-    assert json.loads(out.read_text())["traceEvents"] == slices
-
-
-def test_chrome_export_from_trace_events():
-    """Only spans are exported; other records (an ``episode_end`` with its
-    tick columns, a start) are counted, not turned into instants at ts 0
-    carrying the whole record."""
-    document = to_chrome_trace(
-        [
-            {"event": "episode_start", "episode": 0, "seed": 0},
-            {"event": "span", "name": "sac.update", "start_s": 0.5,
-             "duration_s": 0.001},
-            _end(),
-            ("episode/world.tick", 0.75, 0.002),
-        ]
-    )
-    assert document["traceEvents"] == [
-        {"name": "sac.update", "ph": "X", "ts": 5e5, "dur": 1000.0,
-         "pid": 0, "tid": 0},
-        {"name": "episode/world.tick", "ph": "X", "ts": 7.5e5,
-         "dur": 2000.0, "pid": 0, "tid": 0},
-    ]
-    assert document["otherData"] == {"skipped_records": 2}
-    assert to_chrome_trace([])["otherData"] == {"skipped_records": 0}
 
 
 def test_default_writer_reads_env(tmp_path, monkeypatch):
