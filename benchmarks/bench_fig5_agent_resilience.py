@@ -1,39 +1,21 @@
 """Fig. 5 bench — modular vs. end-to-end resilience to camera attacks.
 
-Budgets 0 to 1.2 in steps of 0.1, 10 rounds each (the paper's protocol),
-for both victim agents. Also reproduces the Section V-B time-to-collision
-scalars (paper: e2e 0.87 s / modular 1.14 s, vs. 1.25 s human floor).
+Budgets 0 to 1.2 in steps of 0.1, at the claims registry's size (10
+rounds each, the paper's protocol), for both victim agents, with the
+Section V-B time-to-collision scalars (paper: e2e 0.87 s / modular
+1.14 s, vs. the 1.25 s human floor). Asserts that none of Fig. 5's
+claims (``repro.experiments.claims``) fails.
 """
 
 import pytest
 
-from repro.experiments import fig5
+from repro.experiments import claims, fig5
 
 
 @pytest.mark.experiment
 def test_fig5_resilience_scatter(benchmark, artifacts_ready):
     result = benchmark.pedantic(
-        lambda: fig5.run(rounds=10), rounds=1, iterations=1
+        lambda: fig5.run(rounds=claims.SIZES["fig5"]), rounds=1, iterations=1
     )
     result.table().show()
-
-    # The modular agent holds out to a higher attack-effort level than the
-    # end-to-end agent (paper: ~0.6 vs ~0.5).
-    modular_threshold = result.dominance_threshold("modular")
-    e2e_threshold = result.dominance_threshold("e2e")
-    assert modular_threshold >= e2e_threshold
-
-    # The modular agent tracks the reference path more tightly at low
-    # attack effort (the PID feedback advantage).
-    assert result.low_effort_rmse("modular") < result.low_effort_rmse("e2e")
-
-    # Both victims eventually succumb: the sweep produces successes.
-    assert sum(p.successful for p in result.for_victim("modular")) > 0
-    assert sum(p.successful for p in result.for_victim("e2e")) > 0
-
-    # Time-to-collision: attacks on the e2e agent complete faster.
-    ttc_e2e = result.time_to_collision("e2e")
-    ttc_modular = result.time_to_collision("modular")
-    assert ttc_e2e is not None and ttc_modular is not None
-    assert ttc_e2e.mean < ttc_modular.mean
-    assert ttc_e2e.beats_human_reaction
+    assert claims.failures("fig5", result) == []

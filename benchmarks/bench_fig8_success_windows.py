@@ -1,45 +1,21 @@
 """Fig. 8 bench — attack success rate per attack-effort window.
 
 Windows the deviation-vs-effort episodes (width 0.2, 0.0 to 0.8+) for the
-nominal agent and the four enhanced agents. Paper shape: fine-tuned agents
-show higher success rates than PNN agents; the nominal agent is worst.
+nominal agent and the four enhanced agents, at the claims registry's
+size (10 rounds). Paper shape: fine-tuned agents show higher success
+rates than PNN agents; the nominal agent is worst. Asserts that none of
+Fig. 8's claims (``repro.experiments.claims``) fails.
 """
 
 import pytest
 
-from repro.experiments import fig8
+from repro.experiments import claims, fig8
 
 
 @pytest.mark.experiment
 def test_fig8_success_rate_windows(benchmark, artifacts_ready):
     result = benchmark.pedantic(
-        lambda: fig8.run(rounds=8), rounds=1, iterations=1
+        lambda: fig8.run(rounds=claims.SIZES["fig8"]), rounds=1, iterations=1
     )
     result.table().show()
-
-    # Overall ordering: nominal agent worst, PNN agents best.
-    original = result.overall_success("original")
-    ft11 = result.overall_success("finetuned rho=1/11")
-    ft2 = result.overall_success("finetuned rho=1/2")
-    pnn02 = result.overall_success("pnn sigma=0.2")
-    pnn04 = result.overall_success("pnn sigma=0.4")
-
-    assert original > max(ft11, ft2)
-    assert max(pnn02, pnn04) < original
-    assert min(pnn02, pnn04) <= min(ft11, ft2)
-
-    # Every enhanced agent beats the nominal agent inside the paper's
-    # mid-effort window [0.4, 0.6), where the transition happens.
-    windows_original = dict(
-        (label, rate) for label, rate, _ in result.windows("original")
-    )
-    for agent in (
-        "finetuned rho=1/11",
-        "finetuned rho=1/2",
-        "pnn sigma=0.2",
-        "pnn sigma=0.4",
-    ):
-        windows_agent = dict(
-            (label, rate) for label, rate, _ in result.windows(agent)
-        )
-        assert windows_agent["[0.4,0.6)"] <= windows_original["[0.4,0.6)"]
+    assert claims.failures("fig8", result) == []

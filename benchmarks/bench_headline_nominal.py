@@ -1,30 +1,23 @@
 """Headline scalars bench (paper Sections III-C, V-A, V-B).
 
-Reproduces: nominal driving quality of the end-to-end agent (5.96/6 NPCs,
-180/180 steps, no collisions), the ~84% nominal-reward reduction under the
-full-budget camera attack, and the time-to-collision comparison against
-the 1.25 s human reaction floor.
+Reproduces, at the claims registry's size, the nominal driving quality
+of the end-to-end agent (5.96/6 NPCs, 180/180 steps, no collisions), the
+~84% nominal-reward reduction under the full-budget camera attack, and
+the time-to-collision against the 1.25 s human reaction floor. Fails if
+any headline claim (``repro.experiments.claims``) fails.
 """
 
 import pytest
 
-from repro.experiments import headline
+from repro.experiments import claims, headline
 
 
 @pytest.mark.experiment
 def test_headline_scalars(benchmark, artifacts_ready):
     result = benchmark.pedantic(
-        lambda: headline.run(n_episodes=30), rounds=1, iterations=1
+        lambda: headline.run(n_episodes=claims.SIZES["headline"]),
+        rounds=1,
+        iterations=1,
     )
     result.table().show()
-
-    # Shape assertions (orderings, not absolute values).
-    assert result.mean_passed >= 5.5
-    assert result.nominal_collision_rate == 0.0
-    assert 0.6 <= result.camera_reward_reduction <= 1.0
-    assert result.ttc_e2e_mean is not None
-    assert result.ttc_modular_mean is not None
-    # The end-to-end victim collapses faster than the modular one, and
-    # faster than the best human driver could react.
-    assert result.ttc_e2e_mean < result.ttc_modular_mean
-    assert result.ttc_e2e_mean < 1.25
+    assert claims.failures("headline", result) == []

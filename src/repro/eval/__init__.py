@@ -5,11 +5,6 @@ from repro.eval.episodes import (
     EpisodeResult, run_episode, run_episodes, run_seeds,
 )
 from repro.eval.recorder import Trajectory, record_episode
-from repro.eval.statistics import (
-    Comparison,
-    compare_nominal_rewards,
-    mann_whitney,
-)
 from repro.eval.metrics import (
     HUMAN_REACTION_TIME,
     BoxStats,
@@ -26,11 +21,8 @@ from repro.eval.metrics import (
 
 __all__ = [
     "BoxStats",
-    "Comparison",
     "EpisodeResult",
     "Trajectory",
-    "compare_nominal_rewards",
-    "mann_whitney",
     "record_episode",
     "HUMAN_REACTION_TIME",
     "TimeToCollisionStats",

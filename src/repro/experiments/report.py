@@ -2,7 +2,8 @@
 
 ``python examples/reproduce_all.py`` calls :func:`generate` to run the
 complete evaluation protocol against the shipped checkpoints and write a
-paper-vs-measured record for every table and figure.
+paper-vs-measured record for every table and figure. Every claim row
+comes from the registry in :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations
@@ -10,15 +11,42 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from repro.eval.metrics import HUMAN_REACTION_TIME
-from repro.eval.statistics import compare_nominal_rewards
-from repro.experiments import fig4, fig5, fig6, fig7, fig8, headline
+from repro.experiments import claims, fig4, fig5, fig6, fig7, fig8, headline
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import get_tracer
 
+#: Each figure's section heading, in report order.
+SECTIONS = {
+    "headline": "Headline scalars (Sections III-C, V-A, V-B)",
+    "fig4": "Fig. 4 — attack effects vs. attack budget (e2e victim)",
+    "fig5": "Fig. 5 — modular vs. end-to-end resilience",
+    "fig6": "Fig. 6 — nominal driving rewards of enhanced agents",
+    "fig7": "Fig. 7 — enhanced-agent robustness",
+    "fig8": "Fig. 8 — success rate per attack-effort window",
+}
 
-def _check(ok: bool) -> str:
-    return "reproduced" if ok else "NOT reproduced"
+KNOWN_DEVIATIONS = (
+    "- The top effort windows of Fig. 8 ([0.6,0.8) and 0.8+) hold few"
+    " episodes of the enhanced agents, and an empty window reads 0.00, so"
+    " there the paper's per-window ordering (fine-tuning above PNN, the"
+    " nominal agent worst) can invert. Cause: the effort metric is"
+    " endogenous — for agents that fail quickly the active attack phase is"
+    " short and saturated, so exactly the lost episodes land in the top"
+    " windows. The paper's overall ordering (PNN < fine-tuning < nominal)"
+    " holds, as the Fig. 8 rows decide.",
+    "- Absolute tracking-error magnitudes in Fig. 7 exceed the paper's"
+    " (0.017-0.038) because our enhanced agents admit more full-budget"
+    " losses whose large deviations dominate the mean; the ordering"
+    " between rho=1/2 and rho=1/11 is preserved, but the PNN agents need"
+    " not track better than both fine-tuned agents, and no row checks it.",
+    "- Fig. 5's time-to-collision row checks the e2e victim against the"
+    " 1.25 s floor, not the modular victim, whose mean over the sweep can"
+    " sit above it (the paper has 1.14 s); the headline's times are lower"
+    " because they count eps=1 episodes only. Fig. 5's dominance row"
+    " passes on a tie (the paper has ~0.6 vs ~0.5), and the PNN agents'"
+    " first successful attacks in Fig. 7 come at lower effort than the"
+    " paper's 0.4 / 0.6.",
+)
 
 
 def telemetry_appendix(metrics_path: Path) -> list[str]:
@@ -72,309 +100,72 @@ def telemetry_appendix(metrics_path: Path) -> list[str]:
     return lines
 
 
+def claim_rows(figure: str, result) -> list[str]:
+    """The markdown claims table of ``figure``, one row per registry claim."""
+    lines = [
+        "| paper claim | paper | measured | status |",
+        "|---|---|---|---|",
+    ]
+    for claim, measured, holds in claims.verdicts(figure, result):
+        status = "reproduced" if holds else "NOT reproduced"
+        lines.append(
+            f"| {claim.statement} | {claim.paper} | {measured} | {status} |"
+        )
+    return lines
+
+
 def generate(
     path: str | Path = "EXPERIMENTS.md",
-    episodes: int = 20,
-    rounds: int = 8,
-    seed: int = 42,
+    episodes: int = claims.EPISODES,
+    rounds: int = claims.ROUNDS,
 ) -> Path:
     """Run all experiments and write the markdown report to ``path``.
 
-    Also enables span timing for the duration of the run, appends a
-    "Timing & counters" telemetry appendix to the report, and writes the
-    raw metrics snapshot next to it (``<stem>_metrics.json``).
+    ``episodes`` and ``rounds`` scale the protocol
+    (:func:`repro.experiments.claims.sizes`); the defaults are the
+    paper's. Also enables span timing for the duration of the run,
+    appends a "Timing & counters" telemetry appendix to the report, and
+    writes the raw metrics snapshot next to it (``<stem>_metrics.json``).
     """
     started = time.time()
     tracer = get_tracer()
     spans_were_enabled = tracer.enabled
     tracer.enable()
-    lines: list[str] = []
-    out = lines.append
+    size = claims.sizes(episodes, rounds)
+    results = {
+        "headline": headline.run(n_episodes=size["headline"]),
+        "fig4": fig4.run(n_episodes=size["fig4"]),
+        "fig5": fig5.run(rounds=size["fig5"]),
+        "fig6": fig6.run(n_episodes=size["fig6"]),
+        "fig7": fig7.run(rounds=size["fig7"]),
+    }
+    results["fig8"] = fig8.run(rounds=size["fig8"], fig7=results["fig7"])
 
-    out("# EXPERIMENTS — paper vs. measured")
-    out("")
-    out(
+    lines = [
+        "# EXPERIMENTS — paper vs. measured",
+        "",
         "Generated by `python examples/reproduce_all.py` against the shipped"
-        f" checkpoints (episodes per cell: {episodes}, scatter rounds:"
-        f" {rounds}, seed: {seed}). Absolute numbers are not expected to"
-        " match the paper — the substrate is a from-scratch simulator —"
-        " but the *shapes* (who wins, by roughly what factor, where"
-        " crossovers fall) are asserted below and in `benchmarks/`."
-    )
-    out("")
+        f" checkpoints (episodes per cell: headline {size['headline']},"
+        f" Fig. 4 {size['fig4']}, Fig. 6 {size['fig6']}; rounds per budget:"
+        f" Figs. 5, 7 and 8 {size['fig5']}). Absolute numbers are not"
+        " expected to match the paper — the substrate is a from-scratch"
+        " simulator — but the *shapes* (who wins, by roughly what factor,"
+        " where crossovers fall) are decided below by the rules of"
+        " `repro.experiments.claims`, which the figure benches in"
+        " `benchmarks/` assert.",
+        "",
+    ]
+    for figure, heading in SECTIONS.items():
+        lines += [f"## {heading}", "", "```", results[figure].table().render()]
+        lines += ["```", "", *claim_rows(figure, results[figure]), ""]
+    lines += ["### Known deviations", "", *KNOWN_DEVIATIONS, ""]
 
-    # ---- headline ----------------------------------------------------------
-    head = headline.run(n_episodes=episodes)
-    out("## Headline scalars (Sections III-C, V-A, V-B)")
-    out("")
-    out("| metric | paper | measured | status |")
-    out("|---|---|---|---|")
-    out(
-        f"| NPCs passed per nominal episode | 5.96 / 6 |"
-        f" {head.mean_passed:.2f} / 6 | {_check(head.mean_passed >= 5.5)} |"
-    )
-    out(
-        f"| nominal episode length | 180 steps | {head.mean_steps:.1f} |"
-        f" {_check(head.mean_steps >= 175)} |"
-    )
-    out(
-        f"| nominal collisions | none | rate {head.nominal_collision_rate:.2f}"
-        f" | {_check(head.nominal_collision_rate == 0.0)} |"
-    )
-    out(
-        f"| camera attack (eps=1) nominal-reward reduction | ~84% |"
-        f" {100 * head.camera_reward_reduction:.1f}% |"
-        f" {_check(head.camera_reward_reduction > 0.6)} |"
-    )
-    out(
-        f"| time-to-collision, e2e victim | 0.87 s | {head.ttc_e2e_mean:.2f} s"
-        f" | {_check(head.ttc_e2e_mean < HUMAN_REACTION_TIME)} |"
-    )
-    out(
-        f"| time-to-collision, modular victim | 1.14 s |"
-        f" {head.ttc_modular_mean:.2f} s |"
-        f" {_check(head.ttc_e2e_mean < head.ttc_modular_mean)} |"
-    )
-    out("")
-
-    # ---- fig 4 ---------------------------------------------------------------
-    f4 = fig4.run(n_episodes=episodes)
-    out("## Fig. 4 — attack effects vs. attack budget (e2e victim)")
-    out("")
-    out("```")
-    out(f4.table().render())
-    out("```")
-    camera_mid = f4.cell("camera", 0.5)
-    camera_low = f4.cell("camera", 0.25)
-    imu_mid = f4.cell("imu", 0.5)
-    baseline = f4.cell("camera", 0.0)
-    significance = compare_nominal_rewards(
-        baseline.episodes, f4.cell("camera", 1.0).episodes
-    )
-    out("")
-    out("| paper claim | measured | status |")
-    out("|---|---|---|")
-    out(
-        "| camera attack cuts nominal reward ~84% at eps=1 |"
-        f" {100 * f4.reward_reduction('camera'):.1f}%"
-        f" (Mann-Whitney p={significance.p_value:.2g}) |"
-        f" {_check(f4.reward_reduction('camera') > 0.6)} |"
-    )
-    out(
-        "| nominal driving yields negative adversarial reward |"
-        f" mean {baseline.adversarial.mean:.1f} |"
-        f" {_check(baseline.adversarial.mean < 0)} |"
-    )
-    camera_better = all(
-        f4.cell("camera", b).adversarial.mean
-        >= f4.cell("imu", b).adversarial.mean - 2.0
-        for b in (0.5, 0.75, 1.0)
-    )
-    out(
-        "| camera attack >= IMU attack in mean adversarial reward |"
-        f" eps=0.5: {camera_mid.adversarial.mean:.1f} vs"
-        f" {imu_mid.adversarial.mean:.1f} | {_check(camera_better)} |"
-    )
-    camera_tighter = (
-        f4.cell("camera", 0.75).adversarial.q3
-        - f4.cell("camera", 0.75).adversarial.q1
-        <= f4.cell("imu", 0.75).adversarial.q3
-        - f4.cell("imu", 0.75).adversarial.q1
-        + 1.0
-    )
-    out(
-        "| camera attack has smaller reward variance (IQR) |"
-        " eps=0.75 IQR camera vs imu |"
-        f" {_check(camera_tighter)} |"
-    )
-    sharp = camera_low.success <= 0.2 and f4.cell("camera", 0.75).success >= 0.6
-    out(
-        "| sharp transition between eps=0.25 and 0.75 |"
-        f" success {camera_low.success:.2f} -> "
-        f"{f4.cell('camera', 0.75).success:.2f} | {_check(sharp)} |"
-    )
-    out("")
-
-    # ---- fig 5 -----------------------------------------------------------------
-    f5 = fig5.run(rounds=rounds)
-    out("## Fig. 5 — modular vs. end-to-end resilience")
-    out("")
-    out("```")
-    out(f5.table().render())
-    out("```")
-    out("")
-    out("| paper claim | measured | status |")
-    out("|---|---|---|")
-    modular_thr = f5.dominance_threshold("modular")
-    e2e_thr = f5.dominance_threshold("e2e")
-    out(
-        "| successes dominate above effort ~0.6 (modular) vs ~0.5 (e2e) |"
-        f" {modular_thr:.2f} vs {e2e_thr:.2f} |"
-        f" {_check(modular_thr >= e2e_thr)} |"
-    )
-    out(
-        "| modular keeps smaller tracking error at low effort |"
-        f" {f5.low_effort_rmse('modular'):.3f} vs"
-        f" {f5.low_effort_rmse('e2e'):.3f} |"
-        f" {_check(f5.low_effort_rmse('modular') < f5.low_effort_rmse('e2e'))} |"
-    )
-    ttc_e2e = f5.time_to_collision("e2e")
-    ttc_mod = f5.time_to_collision("modular")
-    out(
-        "| successful attacks beat the 1.25 s human reaction floor |"
-        f" e2e {ttc_e2e.mean:.2f} s (min {ttc_e2e.minimum:.2f}), modular"
-        f" {ttc_mod.mean:.2f} s (min {ttc_mod.minimum:.2f}) |"
-        f" {_check(ttc_e2e.mean < ttc_mod.mean)} |"
-    )
-    out("")
-
-    # ---- fig 6 -------------------------------------------------------------------
-    f6 = fig6.run(n_episodes=max(episodes // 2, 6))
-    out("## Fig. 6 — nominal driving rewards of enhanced agents")
-    out("")
-    out("```")
-    out(f6.table().render())
-    out("```")
-    out("")
-    out("| paper claim | measured | status |")
-    out("|---|---|---|")
-    orig_mid = f6.cell("original", 0.5).nominal.mean
-    raised = all(
-        f6.cell(a, 0.5).nominal.mean > orig_mid + 20.0
-        for a in fig6.AGENTS[1:]
-    )
-    out(
-        "| enhanced agents noticeably raise mean reward under attack |"
-        f" eps=0.5: original {orig_mid:.0f} vs enhanced "
-        + "/".join(
-            f"{f6.cell(a, 0.5).nominal.mean:.0f}" for a in fig6.AGENTS[1:]
-        )
-        + f" | {_check(raised)} |"
-    )
-    orig_clean = f6.cell("original", 0.0).nominal.mean
-    ft11_clean = f6.cell("finetuned rho=1/11", 0.0).nominal.mean
-    ft2_clean = f6.cell("finetuned rho=1/2", 0.0).nominal.mean
-    out(
-        "| fine-tuning sacrifices nominal driving (catastrophic"
-        " forgetting), worse for rho=1/11 |"
-        f" clean rewards {ft11_clean:.1f} (1/11) / {ft2_clean:.1f} (1/2) vs"
-        f" {orig_clean:.1f} |"
-        f" {_check(ft11_clean < orig_clean and ft11_clean <= ft2_clean + 1)} |"
-    )
-    pnn_intact = all(
-        abs(f6.cell(a, 0.0).nominal.mean - orig_clean) < 1e-9
-        for a in ("pnn sigma=0.2", "pnn sigma=0.4")
-    )
-    out(
-        "| PNN keeps nominal driving exactly intact |"
-        f" identical to original at eps=0 | {_check(pnn_intact)} |"
-    )
-    pnn_same = all(
-        abs(
-            f6.cell("pnn sigma=0.2", b).nominal.mean
-            - f6.cell("pnn sigma=0.4", b).nominal.mean
-        )
-        < 1e-9
-        for b in (0.5, 0.75, 1.0)
-    )
-    out(
-        "| the two PNN agents coincide at high budgets (shared column) |"
-        f" equal at eps >= 0.5 | {_check(pnn_same)} |"
-    )
-    out("")
-
-    # ---- fig 7 ---------------------------------------------------------------------
-    f7 = fig7.run(rounds=rounds)
-    out("## Fig. 7 — enhanced-agent robustness")
-    out("")
-    out("```")
-    out(f7.table().render())
-    out("```")
-    out("")
-    out("| paper claim | measured | status |")
-    out("|---|---|---|")
-    err_11 = f7.average_tracking_error("finetuned rho=1/11")
-    err_2 = f7.average_tracking_error("finetuned rho=1/2")
-    out(
-        "| rho=1/2 tracks better than rho=1/11 (0.027 vs 0.038) |"
-        f" {err_2:.3f} vs {err_11:.3f} | {_check(err_2 < err_11)} |"
-    )
-    out(
-        "| no successful attack at very low effort | min successful efforts "
-        + "/".join(
-            f"{f7.min_successful_effort(a):.2f}" for a in fig7.AGENTS
-        )
-        + " | "
-        + _check(
-            all(f7.min_successful_effort(a) > 0.1 for a in fig7.AGENTS)
-        )
-        + " |"
-    )
-    out("")
-
-    # ---- fig 8 ----------------------------------------------------------------------
-    f8 = fig8.run(rounds=rounds, fig7=f7)
-    out("## Fig. 8 — success rate per attack-effort window")
-    out("")
-    out("```")
-    out(f8.table().render())
-    out("```")
-    out("")
-    out("| paper claim | measured | status |")
-    out("|---|---|---|")
-    orig_all = f8.overall_success("original")
-    ft = max(
-        f8.overall_success("finetuned rho=1/11"),
-        f8.overall_success("finetuned rho=1/2"),
-    )
-    pnn = max(
-        f8.overall_success("pnn sigma=0.2"),
-        f8.overall_success("pnn sigma=0.4"),
-    )
-    out(
-        "| nominal agent suffers the highest success rates |"
-        f" overall {orig_all:.2f} vs enhanced max {max(ft, pnn):.2f} |"
-        f" {_check(orig_all > max(ft, pnn))} |"
-    )
-    pnn_min = min(
-        f8.overall_success("pnn sigma=0.2"),
-        f8.overall_success("pnn sigma=0.4"),
-    )
-    ft_min = min(
-        f8.overall_success("finetuned rho=1/11"),
-        f8.overall_success("finetuned rho=1/2"),
-    )
-    out(
-        "| PNN shows lower success rates than fine-tuning |"
-        f" overall {pnn_min:.2f} (pnn) vs {ft_min:.2f} (finetuned) |"
-        f" {_check(pnn_min <= ft_min)} |"
-    )
-    out("")
-    out("### Known deviations")
-    out("")
-    out(
-        "- In the two highest effort windows ([0.6,0.8) and 0.8+) the"
-        " fine-tuned agents can show *lower* success rates than the PNN"
-        " agents, inverting the paper's per-window ordering there. Cause:"
-        " the effort metric is endogenous — for agents that fail quickly"
-        " the active attack phase is short and saturated, so exactly the"
-        " lost episodes land in the top windows. The paper's overall"
-        " ordering (PNN < fine-tuning < nominal) holds, as asserted above."
-    )
-    out(
-        "- Absolute tracking-error magnitudes in Fig. 7 exceed the paper's"
-        " (0.017-0.038) because our enhanced agents admit more full-budget"
-        " losses whose large deviations dominate the mean; the relative"
-        " ordering between rho=1/2 and rho=1/11 is preserved."
-    )
-    # ---- telemetry appendix ------------------------------------------------------
     path = Path(path)
     metrics_path = path.with_name(path.stem + "_metrics.json")
-    lines.extend(telemetry_appendix(metrics_path))
-    out(
+    lines += telemetry_appendix(metrics_path)
+    lines.append(
         f"\n_Total report wall-clock: {time.time() - started:.0f} s._"
     )
-
     if not spans_were_enabled:
         tracer.disable()
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.telemetry.trace import format_1_error, read_trace, validate_event
+from repro.telemetry.trace import (
+    count_invalid_event,
+    format_1_error,
+    read_trace,
+    validate_event,
+)
 
 
 @dataclass
@@ -143,7 +148,9 @@ def load_episodes(
     """Read a JSONL trace file into :class:`EpisodeTrace` buckets.
 
     ``strict=True`` raises on the first schema-invalid event; by default
-    invalid events are skipped so a partially corrupt trace still loads.
+    invalid events are skipped, and counted in
+    ``trace_invalid_events_total``, so a partially corrupt trace still
+    loads.
     A format-1 trace raises
     :class:`~repro.telemetry.trace.TraceFormatError` either way.
     """
@@ -153,6 +160,7 @@ def load_episodes(
         if errors:
             if strict:
                 raise ValueError(f"event {index}: " + "; ".join(errors))
+            count_invalid_event()
             continue
         events.append(event)
     return split_episodes(events)

@@ -69,7 +69,12 @@ from typing import Callable, Iterable, Iterator
 
 from repro.obsv.loader import EpisodeTrace, episode_ticks, split_episodes
 from repro.telemetry.log import get_logger
-from repro.telemetry.trace import TraceFormatError, iter_trace, validate_event
+from repro.telemetry.trace import (
+    TraceFormatError,
+    count_invalid_event,
+    iter_trace,
+    validate_event,
+)
 
 log = get_logger("obsv.store")
 
@@ -410,7 +415,8 @@ class TelemetryStore:
     def ingest_trace(self, path: str | Path, force: bool = False) -> RunInfo:
         """Load one JSONL trace file (idempotent on unchanged files).
 
-        Schema-invalid events are skipped, mirroring the non-strict JSONL
+        Schema-invalid events are skipped and counted in
+        ``trace_invalid_events_total``, mirroring the non-strict JSONL
         loader, so store-backed consumers see the same event stream. A
         trace-format-1 file raises
         :class:`~repro.telemetry.trace.TraceFormatError`.
@@ -425,11 +431,12 @@ class TelemetryStore:
             and existing.size == size
         ):
             return existing
-        records = [
-            (event, line)
-            for event, line in iter_trace(path)
-            if not validate_event(event)
-        ]
+        records = []
+        for event, line in iter_trace(path):
+            if validate_event(event):
+                count_invalid_event()
+            else:
+                records.append((event, line))
         events = [event for event, _ in records]
         # Hoist provenance onto the run row: the run label (the first
         # `run` stamp) and the trace's provenance event.

@@ -24,7 +24,13 @@ checks use on completed traces.
 ``path`` may also be a **run directory**: every ``*.jsonl`` trace in
 it is tailed and multiplexed into one view, traces that appear mid-run
 are picked up on the next poll, and fired alerts are appended to
-``<dir>/alerts.jsonl`` instead of any one trace.
+``<dir>/alerts.jsonl`` instead of any one trace. Episodes are paired by
+(trace, episode id), since each trace numbers its own.
+
+Each decoded record is screened with
+:func:`~repro.telemetry.trace.validate_event` before the view and the
+watchdogs see it; a record that fails is dropped and counted in
+``trace_invalid_events_total``, as the store's ingest counts it.
 
 With ``baseline_metrics`` (a metric snapshot from ``obsv compare
 --snapshot`` / ``benchmarks/BASELINE_metrics.json``), the view also
@@ -57,7 +63,12 @@ from repro.obsv.loader import split_episodes, tick_count
 from repro.obsv.render import fmt, sparkline
 from repro.obsv.store import load_snapshot
 from repro.telemetry.log import get_logger
-from repro.telemetry.trace import TraceWriter, decode_lines
+from repro.telemetry.trace import (
+    TraceWriter,
+    count_invalid_event,
+    decode_lines,
+    validate_event,
+)
 
 log = get_logger("obsv.watch")
 
@@ -127,31 +138,32 @@ class TraceTail:
 
 
 class MultiTail:
-    """Tails every ``*.jsonl`` in a directory, multiplexed into one feed.
+    """Tails one trace, or every ``*.jsonl`` in a directory, as one feed.
 
-    Rescans the directory on each poll, so traces created after the
+    A directory is rescanned on each poll, so traces created after the
     watch started are picked up live.
     """
 
-    def __init__(self, directory: str | Path, pattern: str = "*.jsonl") -> None:
-        self.directory = Path(directory)
+    def __init__(self, path: str | Path, pattern: str = "*.jsonl") -> None:
+        self.path = Path(path)
         self.pattern = pattern
         self._tails: dict[Path, TraceTail] = {}
 
     def _traces(self) -> list[Path]:
-        if not self.directory.is_dir():
-            return []
-        return sorted(self.directory.glob(self.pattern))
+        if not self.path.is_dir():
+            return [self.path]
+        return sorted(self.path.glob(self.pattern))
 
-    def poll(self) -> list[dict]:
-        """New events across all traces, file-ordered within the batch."""
-        events: list[dict] = []
+    def poll(self) -> list[tuple[Path, object]]:
+        """``(trace, record)`` pairs appended since the previous poll,
+        file-ordered within the batch."""
+        records: list[tuple[Path, object]] = []
         for path in self._traces():
             tail = self._tails.get(path)
             if tail is None:
                 tail = self._tails[path] = TraceTail(path)
-            events.extend(tail.poll())
-        return events
+            records.extend((path, record) for record in tail.poll())
+        return records
 
 
 @dataclass
@@ -183,7 +195,9 @@ class WatchState:
     #: ``victim|attacker|budget`` cell — the inputs to the baseline-drift
     #: annotations.
     cells: dict = field(default_factory=dict)
-    _starts: dict = field(default_factory=dict)  # episode -> start record
+    #: (trace, episode) -> start record: two traces in one run directory
+    #: number their episodes independently.
+    _starts: dict = field(default_factory=dict)
 
     def loop(self, name: str) -> _LoopView:
         view = self.loops.get(name)
@@ -191,7 +205,8 @@ class WatchState:
             view = self.loops[name] = _LoopView()
         return view
 
-    def ingest(self, event: dict) -> None:
+    def ingest(self, event: dict, source: Path | None = None) -> None:
+        """Fold one valid record from the trace ``source`` into the view."""
         self.events += 1
         kind = event.get("event")
         if kind == "train_step":
@@ -216,10 +231,10 @@ class WatchState:
                     getattr(view, name).append(float(value))
         elif kind == "episode_start":
             self.episodes_seen += 1
-            self._starts[event.get("episode")] = event
+            self._starts[source, event.get("episode")] = event
         elif kind == "episode_end":
             self.ticks_seen += tick_count(event)
-            start = self._starts.pop(event.get("episode"), None)
+            start = self._starts.pop((source, event.get("episode")), None)
             if start is not None:
                 (episode,) = split_episodes([start, event])
                 samples = self.cells.setdefault(
@@ -429,12 +444,8 @@ def watch_trace(
     baseline = baseline_metrics
     if baseline is not None and not isinstance(baseline, dict):
         baseline = load_snapshot(baseline, kind="metrics")
-    if path.is_dir():
-        tail: TraceTail | MultiTail = MultiTail(path)
-        alert_sink = path / "alerts.jsonl"
-    else:
-        tail = TraceTail(path)
-        alert_sink = path
+    tail = MultiTail(path)
+    alert_sink = path / "alerts.jsonl" if path.is_dir() else path
     watchdog = Watchdog(config)
     state = WatchState()
     writer: TraceWriter | None = None
@@ -443,16 +454,21 @@ def watch_trace(
 
     try:
         while True:
-            events = tail.poll()
+            events = []
+            for source, event in tail.poll():
+                if validate_event(event):
+                    count_invalid_event()
+                else:
+                    events.append((source, event))
             fired: list[Alert] = []
             # Recorded alerts (a previous watch session) sit *after* the
             # events that tripped them; arm the dedup before replaying
             # the batch so re-watching never duplicates an alert.
-            for event in events:
+            for _, event in events:
                 if event.get("event") == "alert":
                     watchdog.observe(event)
-            for event in events:
-                state.ingest(event)
+            for source, event in events:
+                state.ingest(event, source)
                 fired.extend(watchdog.observe(event))
             if events:
                 last_event_time = clock()

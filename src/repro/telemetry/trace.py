@@ -315,6 +315,16 @@ def validate_event(event: object) -> list[str]:
     return errors
 
 
+def count_invalid_event() -> None:
+    """Count one record a reader dropped because :func:`validate_event`
+    rejected it, in ``trace_invalid_events_total``. Every reader that
+    drops records calls it: the telemetry store's ingest, non-strict
+    ``load_episodes`` and ``obsv watch``."""
+    from repro.telemetry.metrics import get_registry
+
+    get_registry().counter("trace_invalid_events_total").inc()
+
+
 def validate_trace(source: str | Path | Iterable[dict]) -> list[str]:
     """Validate a JSONL file (path) or an iterable of decoded events.
 

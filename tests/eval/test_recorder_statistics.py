@@ -1,23 +1,14 @@
-"""Tests for trajectory recording and the statistics helpers."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Tests for trajectory recording."""
 
 import numpy as np
 import pytest
 
-import repro
 from repro.agents.modular import ModularAgent
 from repro.core import OracleAttacker
 from repro.eval import (
     Trajectory,
-    compare_nominal_rewards,
-    mann_whitney,
     record_episode,
     run_episode,
-    run_episodes,
 )
 from repro.obsv.loader import split_episodes
 from repro.obsv.replay import DEFAULT_TOLERANCES, diff_ticks
@@ -137,63 +128,3 @@ class TestRecordEpisode:
         assert recorded_ticks == ticks
         assert recorded_end == end
         assert "nominal_return" in end[0] and "ttc" in ticks[-1]
-
-
-class TestMannWhitney:
-    def test_detects_clear_difference(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(0.0, 1.0, 40)
-        b = rng.normal(3.0, 1.0, 40)
-        comparison = mann_whitney(a, b)
-        assert comparison.significant
-        assert comparison.mean_b > comparison.mean_a
-
-    def test_no_difference_not_significant(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(0.0, 1.0, 40)
-        b = rng.normal(0.0, 1.0, 40)
-        assert not mann_whitney(a, b).significant
-
-    def test_identical_constant_samples(self):
-        comparison = mann_whitney([2.0, 2.0], [2.0, 2.0])
-        assert comparison.p_value == 1.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            mann_whitney([], [1.0])
-
-    def test_scipy_imported_only_when_testing(self):
-        """The entry points' imports leave ``scipy`` out of a fresh
-        interpreter; the first Mann-Whitney test brings it in."""
-        code = (
-            "import sys\n"
-            "import repro, repro.eval, repro.experiments.registry\n"
-            "import repro.experiments.report, repro.obsv\n"
-            "assert 'scipy' not in sys.modules\n"
-            "repro.eval.mann_whitney([0.0, 1.0], [2.0, 3.0])\n"
-            "assert 'scipy' in sys.modules\n"
-        )
-        src = str(Path(repro.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(
-            os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr[-2000:]
-
-    def test_compare_nominal_rewards(self):
-        nominal = run_episodes(modular_victim, None, n_episodes=3, seed=0)
-        attacked = run_episodes(
-            modular_victim,
-            lambda: OracleAttacker(budget=1.0),
-            n_episodes=3,
-            seed=0,
-        )
-        comparison = compare_nominal_rewards(nominal, attacked)
-        assert comparison.mean_a > comparison.mean_b

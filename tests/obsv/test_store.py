@@ -14,6 +14,7 @@ from repro.eval.episodes import run_episodes
 from repro.obsv import store as store_mod
 from repro.obsv.cli import main
 from repro.obsv.dashboard import build_dashboard
+from repro.obsv.loader import load_episodes
 from repro.obsv.store import (
     AGGREGATES,
     GROUP_KEYS,
@@ -23,6 +24,7 @@ from repro.obsv.store import (
     load_snapshot,
     open_run,
 )
+from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import TraceFormatError, TraceWriter
 
 pytestmark = [pytest.mark.obsv, pytest.mark.watch]
@@ -116,6 +118,26 @@ class TestIngest:
         with TelemetryStore(tmp_path / "s.sqlite") as store:
             info = store.ingest_trace(trace)
             assert info.events == 1
+
+    def test_invalid_events_are_counted(self, tmp_path):
+        """The store's ingest and the non-strict loader count each record
+        they drop in the counter ``obsv watch`` uses."""
+        trace = tmp_path / "t.jsonl"
+        good = {"event": "update_health", "loop": "x", "step": 0, "update": 1}
+        trace.write_text(
+            json.dumps(good) + "\n" + json.dumps([1, 2]) + "\n",
+            encoding="utf-8",
+        )
+        get_registry().reset()
+        counter = get_registry().counter("trace_invalid_events_total")
+        try:
+            with TelemetryStore(tmp_path / "s.sqlite") as store:
+                assert store.ingest_trace(trace).events == 1
+            assert counter.value == 1
+            assert load_episodes(trace) == []
+            assert counter.value == 2
+        finally:
+            get_registry().reset()
 
     def test_is_store_path(self, tmp_path):
         store_path = tmp_path / "anything.bin"

@@ -239,6 +239,29 @@ class TestWatchTrace:
         assert "repro.obsv watch" in out
         assert "alerts: none" in out
 
+    def test_invalid_records_are_dropped_and_counted(self, tmp_path, capsys):
+        """A record that decodes but fails ``validate_event`` is dropped
+        before the view and the watchdog, and counted."""
+        trace = tmp_path / "bad.jsonl"
+        with TraceWriter(trace) as writer:
+            writer.emit("update_health", loop="sac", step=10, update=1,
+                        critic_loss=0.5, q_max=2.0)
+        with trace.open("a", encoding="utf-8") as handle:
+            handle.write('[1, 2]\n')
+            handle.write(
+                '{"event": "train_step", "loop": "x", "step": "abc"}\n'
+            )
+        get_registry().reset()
+        try:
+            assert main(["watch", str(trace), "--once"]) == 0
+            counter = get_registry().counter("trace_invalid_events_total")
+            assert counter.value == 2
+        finally:
+            get_registry().reset()
+        out = capsys.readouterr().out
+        assert "(1 events)" in out
+        assert "loop x" not in out
+
     def test_format_1_trace_is_refused(self, tmp_path, capsys):
         trace = tmp_path / "old.jsonl"
         trace.write_text('{"event": "tick"}\n', encoding="utf-8")
@@ -339,14 +362,54 @@ class TestWatchDirectory:
     def test_multitail_follows_every_trace_and_new_files(self, tmp_path):
         self._write_traces(tmp_path)
         tail = MultiTail(tmp_path)
-        events = tail.poll()
+        records = tail.poll()
+        assert [source.name for source, _ in records] == [
+            "a.jsonl", "b.jsonl",
+        ]
+        events = [event for _, event in records]
         assert [e["event"] for e in events] == ["update_health"] * 2
         assert all("worker" not in e for e in events)
         assert tail.poll() == []  # incremental
         with TraceWriter(tmp_path / "late.jsonl") as w:
             w.emit("train_step", loop="sac", step=1)
-        (late,) = tail.poll()
+        ((source, late),) = tail.poll()
+        assert source == tmp_path / "late.jsonl"
         assert late == {"event": "train_step", "loop": "sac", "step": 1}
+
+    def test_episodes_of_different_traces_stay_apart(self, tmp_path):
+        """Two traces each number their episodes from 0; a start and end
+        pair only within one trace, across polls."""
+        writers = {
+            name: TraceWriter(tmp_path / f"{name}.jsonl") for name in "ab"
+        }
+        cells = {"a": ("modular", "camera", 1.0), "b": ("e2e", "imu", 0.5)}
+        for name, (victim, attacker, budget) in cells.items():
+            writers[name].emit(
+                "episode_start", episode=0, seed=0, victim=victim,
+                attacker=attacker, budget=budget,
+            )
+            writers[name].flush()
+        tail, state = MultiTail(tmp_path), WatchState()
+
+        def poll():
+            for source, event in tail.poll():
+                state.ingest(event, source)
+
+        poll()  # both starts
+        for name, collision in (("a", "SIDE"), ("b", None)):
+            with writers[name] as writer:
+                writer.emit(
+                    "episode_end", episode=0, steps=40, duration=4.0,
+                    collision=collision,
+                )
+        poll()  # both ends
+        success = {
+            key: samples["attack_success"]
+            for key, samples in state.cells.items()
+        }
+        assert success == {
+            "modular|camera|1.00": [1.0], "e2e|imu|0.50": [0.0],
+        }
 
     def test_directory_view_merges_traces(self, tmp_path, capsys):
         self._write_traces(tmp_path)
