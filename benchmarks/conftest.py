@@ -48,7 +48,6 @@ Telemetry artifact — ``BENCH_telemetry.json``
 """
 
 import json
-import os
 import platform
 import sys
 import time
@@ -90,6 +89,7 @@ def bench_telemetry(request):
     """Collect spans/metrics for the session; write BENCH_telemetry.json."""
     import numpy as np
 
+    from repro import knobs
     from repro.telemetry.metrics import get_registry
     from repro.telemetry.spans import get_tracer
 
@@ -119,7 +119,7 @@ def bench_telemetry(request):
     if not was_enabled:
         tracer.disable()
 
-    baseline = os.environ.get("REPRO_BENCH_BASELINE")
+    baseline = knobs.get("REPRO_BENCH_BASELINE")
     if baseline is None:
         committed = Path(__file__).with_name("BASELINE_telemetry.json")
         if committed.exists():

@@ -13,19 +13,19 @@ Subpackages:
     experiments: drivers regenerating every figure in the evaluation.
 """
 
-import os as _os
+from repro import knobs as _knobs
 
 __version__ = "1.0.0"
+
+# A malformed REPRO_* knob stops the import, naming the knob and value.
+_knobs.check()
 
 # REPRO_PROF opts the whole process into the profiling layer
 # (repro.obsv.prof): span self-time, optional stack sampling and
 # allocation tracking, FLOP accounting, with the PROFILE_* report bundle
-# written at interpreter exit. One env check when unset — nothing is
-# imported and nothing runs.
-if _os.environ.get("REPRO_PROF", "").strip().lower() not in (
-    "", "0", "false", "no", "off"
-):
+# written at interpreter exit. Unset, nothing is imported and nothing
+# runs.
+if _knobs.get("REPRO_PROF") is not None:
     from repro.obsv.prof import install_from_env as _install_prof
 
     _install_prof()
-

@@ -51,7 +51,8 @@ class Fig8Result:
             rows = self.windows(agent)
             table.add(
                 agent,
-                *[fmt(rate) for _, rate, _ in rows],
+                # "–" marks a window with no episode, not a 0.00 rate.
+                *[fmt(rate) if n else "–" for _, rate, n in rows],
                 fmt(self.overall_success(agent)),
             )
         return table

@@ -8,10 +8,10 @@ attackers each experiment needs.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from pathlib import Path
 
+from repro import knobs
 from repro.agents.base import DrivingAgent
 from repro.agents.e2e.agent import EndToEndAgent, load_progressive
 from repro.agents.modular.agent import ModularAgent
@@ -36,7 +36,7 @@ def artifacts_dir() -> Path:
     Order: ``$REPRO_ARTIFACTS``, ``./artifacts`` under the current
     directory, then ``artifacts/`` next to the repository's source tree.
     """
-    env = os.environ.get("REPRO_ARTIFACTS")
+    env = knobs.get("REPRO_ARTIFACTS")
     if env:
         return Path(env)
     local = Path.cwd() / "artifacts"

@@ -27,7 +27,7 @@ SECTIONS = {
 
 KNOWN_DEVIATIONS = (
     "- The top effort windows of Fig. 8 ([0.6,0.8) and 0.8+) hold few"
-    " episodes of the enhanced agents, and an empty window reads 0.00, so"
+    " episodes of the enhanced agents, and an empty window reads –, so"
     " there the paper's per-window ordering (fine-tuning above PNN, the"
     " nominal agent worst) can invert. Cause: the effort metric is"
     " endogenous — for agents that fail quickly the active attack phase is"

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import knobs
 from repro.telemetry.log import get_logger
 
 log = get_logger("faults")
@@ -157,27 +158,18 @@ def parse_plan(spec: str) -> Plan:
     return Plan(faults=tuple(faults))
 
 
-_active: Plan | None = None
-_active_spec: str | None = None
-
-
 def active_plan() -> Plan | None:
-    """The process-wide plan from ``REPRO_FAULTS``, or None if unset."""
-    global _active, _active_spec
-    spec = os.environ.get(ENV_FAULTS, "")
-    if spec != (_active_spec or ""):
-        _active_spec = spec
-        _active = parse_plan(spec) if spec.strip() else None
-        if _active is not None:
-            log.warning("faults.armed", spec=spec)
-    return _active
+    """The process-wide plan from ``REPRO_FAULTS``, or None if unset.
+
+    The plan, and the faults it has fired, lasts until the knob's text
+    changes or :func:`reset_active_plan` runs.
+    """
+    return knobs.get(ENV_FAULTS)
 
 
 def reset_active_plan() -> None:
     """Drop the cached plan (tests flip ``REPRO_FAULTS`` between runs)."""
-    global _active, _active_spec
-    _active = None
-    _active_spec = None
+    knobs.forget(ENV_FAULTS)
 
 
 def truncate_tail(path: str | Path, drop_bytes: int = 512) -> None:

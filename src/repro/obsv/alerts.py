@@ -36,20 +36,21 @@ reads the ``REPRO_WATCH_*`` environment knobs documented in the README.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
+
+from repro import knobs
 
 #: Severity levels, mild to fatal.
 SEVERITIES = ("warning", "critical")
 
-_ENV_FLOATS = {
+#: WatchConfig field -> the knob that sets it (``watch --q-limit`` etc.
+#: set the same fields through the same parsers).
+KNOBS = {
     "q_limit": "REPRO_WATCH_Q_LIMIT",
     "entropy_floor": "REPRO_WATCH_ENTROPY_FLOOR",
-    "throughput_ratio": "REPRO_WATCH_THROUGHPUT_RATIO",
-}
-_ENV_INTS = {
     "plateau_window": "REPRO_WATCH_PLATEAU_WINDOW",
     "starvation_updates": "REPRO_WATCH_STARVATION_UPDATES",
+    "throughput_ratio": "REPRO_WATCH_THROUGHPUT_RATIO",
 }
 
 
@@ -79,29 +80,13 @@ class WatchConfig:
 
     @classmethod
     def from_env(cls, **overrides) -> "WatchConfig":
-        """Defaults, overridden by ``REPRO_WATCH_*`` env vars, then kwargs.
-
-        A set variable that does not parse raises ``ValueError``.
-        """
-        values: dict = {}
-        for fields, parse, what in (
-            (_ENV_FLOATS, float, "a number"),
-            (_ENV_INTS, int, "an integer"),
-        ):
-            for fld, env in fields.items():
-                raw = os.environ.get(env, "").strip()
-                if not raw:
-                    continue
-                try:
-                    values[fld] = parse(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"{env} must be {what}, got {raw!r}"
-                    ) from None
-        values.update(
-            {k: v for k, v in overrides.items() if v is not None}
+        """Defaults, overridden by the ``REPRO_WATCH_*`` knobs, then by
+        the keyword arguments that are not None."""
+        values = {fld: knobs.get(name) for fld, name in KNOBS.items()}
+        values.update({k: v for k, v in overrides.items() if v is not None})
+        return replace(
+            cls(), **{k: v for k, v in values.items() if v is not None}
         )
-        return replace(cls(), **values)
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,12 @@ import json
 import sys
 from pathlib import Path
 
+from repro import knobs
 from repro.obsv import forensics as forensics_mod
 from repro.obsv import regress as regress_mod
 from repro.obsv import replay as replay_mod
-from repro.obsv.alerts import WatchConfig
+from repro.obsv import watch as watch_mod
+from repro.obsv.alerts import KNOBS as WATCH_KNOBS, WatchConfig
 from repro.obsv.dashboard import build_dashboard, to_html
 from repro.obsv.loader import load_episodes, select_episode
 from repro.obsv.store import (
@@ -59,10 +61,23 @@ from repro.obsv.store import (
     export_csv,
     load_snapshot,
 )
-from repro.obsv.watch import DRIFT_MIN_N, watch_trace
 from repro.telemetry.log import get_logger
 
 log = get_logger("obsv")
+
+
+def _flag(parser):
+    """The argparse ``type`` of a flag read by a :mod:`repro.knobs`
+    parser: a value it rejects is a usage error naming the flag."""
+
+    def parse_flag(text: str):
+        try:
+            return parser(text.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"must be {exc}, got {text!r}")
+
+    return parse_flag
+
 
 def _emit(text: str, out: str | None) -> None:
     if out:
@@ -101,8 +116,6 @@ def _cmd_forensics(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    if args.tolerance is not None:
-        replay_mod.check_tolerance(args.tolerance, "--tolerance")
     episodes = _episodes_for(args)
     failures = 0
     chunks = []
@@ -229,15 +242,10 @@ def _cmd_regress_metrics(args) -> int:
 def _cmd_regress(args) -> int:
     if args.metrics:
         return _cmd_regress_metrics(args)
-    if args.max_ratio is not None:
-        ratio = regress_mod.check_ratio(args.max_ratio, "--max-ratio")
-        thresholds = regress_mod.RegressionThresholds(
-            wall_clock_ratio=ratio,
-            span_mean_ratio=ratio,
-            span_self_ratio=ratio,
-        )
-    else:
-        thresholds = regress_mod.RegressionThresholds.from_env()
+    ratio = args.max_ratio
+    thresholds = regress_mod.RegressionThresholds(
+        wall_clock_ratio=ratio, span_mean_ratio=ratio, span_self_ratio=ratio
+    )
     try:
         current = load_snapshot(args.current)
         baseline = load_snapshot(args.baseline)
@@ -261,15 +269,12 @@ def _profile_demo(args):
     from repro.eval.episodes import run_episode
     from repro.experiments import registry
     from repro.obsv.prof import ProfileConfig, ProfileSession
-    from repro.obsv.prof.memory import parse_mem_spec
 
     if registry.has_artifact(registry.E2E_DRIVER):
         victim_factory, victim = registry.e2e_victim, "e2e"
     else:
         victim_factory, victim = registry.modular_victim, "modular"
-    config = ProfileConfig(
-        hz=args.hz, mem=parse_mem_spec(args.mem), flops=True
-    )
+    config = ProfileConfig(hz=args.hz, mem=args.mem, flops=True)
     session = ProfileSession(config, reset=True).start()
     for seed in range(args.episodes):
         run_episode(victim_factory, seed=seed)
@@ -301,6 +306,7 @@ def _profile_from_snapshot(path: str):
             flops=snapshot.get("flops", {}),
             span_flops=snapshot.get("span_flops", {}),
             memory=snapshot.get("memory", {}),
+            memory_unmatched=snapshot.get("memory_unmatched", []),
             sampler=snapshot.get("sampler", {}),
             folded=snapshot.get("sampler", {}).get("folded", {}),
             config=snapshot.get("config", {}),
@@ -447,11 +453,7 @@ def _cmd_verify_artifacts(args) -> int:
 
 def _cmd_watch(args) -> int:
     config = WatchConfig.from_env(
-        q_limit=args.q_limit,
-        entropy_floor=args.entropy_floor,
-        plateau_window=args.plateau_window,
-        starvation_updates=args.starvation_updates,
-        throughput_ratio=args.throughput_ratio,
+        **{fld: getattr(args, fld) for fld in WATCH_KNOBS}
     )
     try:
         baseline = (
@@ -459,7 +461,7 @@ def _cmd_watch(args) -> int:
             if args.baseline_metrics is None
             else load_snapshot(args.baseline_metrics, kind="metrics")
         )
-        return watch_trace(
+        return watch_mod.watch_trace(
             args.trace,
             config=config,
             poll=args.poll,
@@ -506,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     repl.add_argument("trace", help="JSONL trace file")
     repl.add_argument("--episode", help="replay only this episode id")
     repl.add_argument(
-        "--tolerance", type=float, default=None,
+        "--tolerance", type=_flag(knobs.number(0.0)), default=None,
         help="uniform absolute tolerance for every compared field",
     )
     repl.add_argument("--strict", action="store_true",
@@ -598,8 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
              " benchmarks/BASELINE_metrics.json",
     )
     regr.add_argument(
-        "--max-ratio", type=float, default=None,
-        help="wall-clock / span mean ratio treated as a breach",
+        "--max-ratio", type=_flag(knobs.number(0.0, above=True)),
+        default=regress_mod.RegressionThresholds.wall_clock_ratio,
+        help="wall-clock / span mean ratio treated as a breach"
+             " (default %(default)s)",
     )
     regr.add_argument(
         "--metrics", action="store_true",
@@ -635,11 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="episodes the --demo workload runs (default 3)",
     )
     prof.add_argument(
-        "--hz", type=float, default=0.0,
+        "--hz", type=_flag(knobs.TABLE["REPRO_PROF_HZ"][0]), default=0.0,
         help="--demo sampling-profiler rate (0 = spans only; try 97)",
     )
     prof.add_argument(
-        "--mem", default=None,
+        "--mem", type=knobs.parse_mem_spec, default=False,
         help="--demo allocation tracking: span names, or 'all'",
     )
     prof.add_argument(
@@ -734,8 +738,10 @@ def build_parser() -> argparse.ArgumentParser:
              " traces (multiplexed into one view)",
     )
     wat.add_argument(
-        "--poll", type=float, default=None,
-        help="seconds between polls (default REPRO_WATCH_POLL or 2.0)",
+        "--poll", type=_flag(knobs.number(watch_mod.MIN_POLL_S)),
+        default=watch_mod.DEFAULT_POLL_S,
+        help=f"seconds between polls, >= {watch_mod.MIN_POLL_S}"
+             " (default %(default)s)",
     )
     wat.add_argument(
         "--once", action="store_true",
@@ -768,19 +774,23 @@ def build_parser() -> argparse.ArgumentParser:
              " holding one, to annotate live per-cell drift against",
     )
     wat.add_argument(
-        "--drift-min-n", type=int, default=DRIFT_MIN_N,
+        "--drift-min-n", type=int, default=watch_mod.DRIFT_MIN_N,
         help="live episodes per cell before drift is judged",
     )
-    wat.add_argument("--q-limit", type=float, default=None,
-                     help="q_divergence threshold on max |Q|")
-    wat.add_argument("--entropy-floor", type=float, default=None,
-                     help="entropy_collapse threshold")
-    wat.add_argument("--plateau-window", type=int, default=None,
-                     help="episodes without a new best before reward_plateau")
-    wat.add_argument("--starvation-updates", type=int, default=None,
-                     help="stalled health records before buffer_starvation")
-    wat.add_argument("--throughput-ratio", type=float, default=None,
-                     help="fraction of peak steps/s treated as regression")
+    for fld, text in (
+        ("q_limit", "q_divergence threshold on max |Q|"),
+        ("entropy_floor", "entropy_collapse threshold"),
+        ("plateau_window", "episodes without a new best before"
+         " reward_plateau"),
+        ("starvation_updates", "stalled health records before"
+         " buffer_starvation"),
+        ("throughput_ratio", "fraction of peak steps/s treated as regression"),
+    ):
+        knob = WATCH_KNOBS[fld]
+        wat.add_argument(
+            "--" + fld.replace("_", "-"), type=_flag(knobs.TABLE[knob][0]),
+            help=f"{text} (overrides {knob})",
+        )
     wat.set_defaults(fn=_cmd_watch)
     return parser
 

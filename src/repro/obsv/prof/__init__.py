@@ -22,8 +22,9 @@ by default; the disabled cost is zero (no thread, no probes, a pointer
 check per NN op) — proven bit-identical by the determinism suite.
 """
 
+from repro.knobs import parse_mem_spec
 from repro.obsv.prof.flamegraph import build_tree, render_html, spans_to_folded
-from repro.obsv.prof.memory import MemoryProbe, parse_mem_spec
+from repro.obsv.prof.memory import MemoryProbe
 from repro.obsv.prof.sampler import DEFAULT_HZ, SamplingProfiler
 from repro.obsv.prof.selftime import SelfTimeRow, attribute
 from repro.obsv.prof.session import (

@@ -23,19 +23,6 @@ from repro.obsv.render import fmt, markdown_table
 from repro.telemetry.spans import SpanProbe
 
 
-def parse_mem_spec(raw: str | None) -> set[str] | None | bool:
-    """Parse ``REPRO_PROF_MEM``: falsy -> False, all-ish -> None (track
-    everything), else the set of span names/paths to track."""
-    if raw is None:
-        return False
-    raw = raw.strip()
-    if raw.lower() in ("", "0", "false", "no", "off"):
-        return False
-    if raw.lower() in ("1", "true", "yes", "on", "all", "*"):
-        return None
-    return {part.strip() for part in raw.split(",") if part.strip()}
-
-
 @dataclass
 class MemStats:
     """Aggregate allocation behaviour of one span path."""
@@ -100,31 +87,47 @@ class MemoryProbe(SpanProbe):
 
     # -- output -----------------------------------------------------------------
 
+    def unmatched(self) -> list[str]:
+        """Requested span names/paths that no measured span matched."""
+        if self.filter is None:
+            return []
+        seen = set(self.stats)
+        seen.update(path.rsplit("/", 1)[-1] for path in self.stats)
+        return sorted(self.filter - seen)
+
     def summary(self) -> dict[str, dict[str, float]]:
         ordered = sorted(
             self.stats.items(), key=lambda item: -item[1].peak_max
         )
         return {path: stats.summary() for path, stats in ordered}
 
-    def to_markdown(self, top: int = 10) -> str:
-        if not self.stats:
-            return ""
-        lines = ["## Allocations (tracemalloc, opted-in spans)", ""]
-        rows = [
-            [
-                f"`{path}`",
-                stats["count"],
-                fmt(stats["net_mean_kb"], 1),
-                fmt(stats["net_total_kb"], 1),
-                fmt(stats["peak_max_kb"], 1),
-            ]
-            for path, stats in list(self.summary().items())[:top]
+
+def allocation_markdown(
+    memory: dict[str, dict], unmatched: list[str], top: int
+) -> list[str]:
+    """The report's allocation section: the ``top`` spans of a
+    :meth:`MemoryProbe.summary`, then the requested names that matched
+    no span (no lines when both are empty)."""
+    if not memory and not unmatched:
+        return []
+    lines = ["## Allocations (tracemalloc, opted-in spans)", ""]
+    rows = [
+        [
+            f"`{path}`",
+            stats["count"],
+            fmt(stats["net_mean_kb"], 1),
+            fmt(stats["net_total_kb"], 1),
+            fmt(stats["peak_max_kb"], 1),
         ]
-        lines.extend(
-            markdown_table(
-                ["span", "calls", "net KB/call", "net total KB",
-                 "peak KB"],
-                rows,
-            )
+        for path, stats in list(memory.items())[:top]
+    ]
+    if rows:
+        lines += markdown_table(
+            ["span", "calls", "net KB/call", "net total KB", "peak KB"],
+            rows,
         )
-        return "\n".join(lines) + "\n"
+        lines.append("")
+    if unmatched:
+        names = ", ".join(f"`{name}`" for name in unmatched)
+        lines += [f"Requested spans that matched nothing: {names}", ""]
+    return lines

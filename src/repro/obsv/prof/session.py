@@ -9,7 +9,7 @@ for the lifetime of the workload, and collapses everything into one
 telemetry store and gated by ``obsv regress``), schema-checked
 ``profile`` trace events, and a self-contained HTML flamegraph.
 
-Environment activation: set ``REPRO_PROF`` to a truthy value (or an
+Environment activation: set ``REPRO_PROF`` to an on value (or an
 output directory path) and :func:`install_from_env` — called from
 ``repro/__init__`` at import — starts a session and registers an
 ``atexit`` hook that writes the report. Everything is off, and provably
@@ -19,25 +19,22 @@ zero-overhead, when ``REPRO_PROF`` is unset.
 from __future__ import annotations
 
 import atexit
-import os
 import time
 import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import knobs
 from repro.obsv.prof import flamegraph, sampler as sampler_mod, selftime
-from repro.obsv.prof.memory import MemoryProbe, parse_mem_spec
+from repro.obsv.prof.memory import MemoryProbe, allocation_markdown
 from repro.obsv.render import fmt, markdown_table
+from repro.telemetry.log import get_logger
 from repro.telemetry.spans import SpanProbe, Tracer, get_tracer
+
+log = get_logger("prof")
 
 #: Bumped when the PROFILE_report.json layout changes incompatibly.
 REPORT_SCHEMA = 1
-
-_FALSY = ("", "0", "false", "no", "off")
-
-
-def _truthy(raw: str | None) -> bool:
-    return raw is not None and raw.strip().lower() not in _FALSY
 
 
 @dataclass
@@ -55,18 +52,11 @@ class ProfileConfig:
     all_threads: bool = False
 
     @classmethod
-    def from_env(cls, env=None) -> "ProfileConfig":
-        env = os.environ if env is None else env
-        raw_hz = env.get("REPRO_PROF_HZ", "").strip()
-        try:
-            hz = float(raw_hz) if raw_hz else 0.0
-        except ValueError:
-            hz = -1.0
-        if not 0.0 <= hz < float("inf"):
-            raise ValueError(
-                f"REPRO_PROF_HZ must be a non-negative number, got {raw_hz!r}"
-            )
-        return cls(hz=hz, mem=parse_mem_spec(env.get("REPRO_PROF_MEM")))
+    def from_env(cls) -> "ProfileConfig":
+        """The ``REPRO_PROF_HZ`` and ``REPRO_PROF_MEM`` knobs."""
+        return cls(
+            hz=knobs.get("REPRO_PROF_HZ"), mem=knobs.get("REPRO_PROF_MEM")
+        )
 
 
 class FlopSpanProbe(SpanProbe):
@@ -128,6 +118,8 @@ class ProfileReport:
     flops: dict = field(default_factory=dict)
     span_flops: dict[str, dict] = field(default_factory=dict)
     memory: dict[str, dict] = field(default_factory=dict)
+    #: ``REPRO_PROF_MEM`` span names that matched no measured span.
+    memory_unmatched: list[str] = field(default_factory=list)
     sampler: dict = field(default_factory=dict)
     folded: dict[str, int] = field(default_factory=dict)
     config: dict = field(default_factory=dict)
@@ -170,6 +162,7 @@ class ProfileReport:
             "flops": self.flops,
             "span_flops": self.span_flops,
             "memory": self.memory,
+            "memory_unmatched": self.memory_unmatched,
             "sampler": self.sampler,
         }
 
@@ -264,26 +257,9 @@ class ProfileReport:
                 f" {fmt(self.flops.get('intensity', 0.0), 3)} FLOP/byte."
             )
             lines.append("")
-        if self.memory:
-            lines += ["## Allocations (tracemalloc, opted-in spans)", ""]
-            table = [
-                [
-                    f"`{path}`",
-                    stats["count"],
-                    fmt(stats["net_mean_kb"], 1),
-                    fmt(stats["net_total_kb"], 1),
-                    fmt(stats["peak_max_kb"], 1),
-                ]
-                for path, stats in list(self.memory.items())[:top]
-            ]
-            lines.extend(
-                markdown_table(
-                    ["span", "calls", "net KB/call", "net total KB",
-                     "peak KB"],
-                    table,
-                )
-            )
-            lines.append("")
+        lines += allocation_markdown(
+            self.memory, self.memory_unmatched, top
+        )
         if self.sampler.get("samples"):
             lines.append(
                 f"Sampler: {self.sampler['samples']} samples"
@@ -427,6 +403,9 @@ class ProfileSession:
                 self._flop_probe.summary() if self._flop_probe else {}
             ),
             memory=self._mem_probe.summary() if self._mem_probe else {},
+            memory_unmatched=(
+                self._mem_probe.unmatched() if self._mem_probe else []
+            ),
             sampler=self._sampler.summary() if self._sampler else {},
             folded=self._sampler.folded() if self._sampler else {},
             config={
@@ -439,6 +418,8 @@ class ProfileSession:
                 "flops": self.config.flops,
             },
         )
+        if report.memory_unmatched:
+            log.warning("prof.mem_unmatched", spans=report.memory_unmatched)
         return report
 
     def peek(self) -> dict:
@@ -470,28 +451,22 @@ class ProfileSession:
 _ENV_SESSION: ProfileSession | None = None
 
 
-def install_from_env(env=None) -> ProfileSession | None:
-    """Start a process-wide session when ``REPRO_PROF`` is set.
+def install_from_env() -> ProfileSession | None:
+    """Start a process-wide session when ``REPRO_PROF`` is on.
 
-    ``REPRO_PROF=1`` (or any truthy value) writes the report bundle to
-    ``./profile`` at interpreter exit; a path-like value (contains a
-    separator or names a directory) is used as the output directory.
-    Returns the running session, or None when profiling is off. Called
-    once from ``repro/__init__`` — a second call is a no-op.
+    ``REPRO_PROF=1`` (or another on spelling) writes the report bundle to
+    ``./profile`` at interpreter exit; any value that is not an on/off
+    spelling is the output directory. Returns the running session, or
+    None when profiling is off. Called once from ``repro/__init__`` — a
+    second call is a no-op.
     """
     global _ENV_SESSION
-    env = os.environ if env is None else env
-    raw = env.get("REPRO_PROF", "").strip()
-    if not _truthy(raw):
+    out_dir = knobs.get("REPRO_PROF")
+    if out_dir is None:
         return None
     if _ENV_SESSION is not None:
         return _ENV_SESSION
-    out_dir = (
-        Path(raw)
-        if raw.lower() not in ("1", "true", "yes", "on")
-        else Path("profile")
-    )
-    session = ProfileSession(ProfileConfig.from_env(env))
+    session = ProfileSession(ProfileConfig.from_env())
     session.start()
     _ENV_SESSION = session
 
@@ -502,7 +477,7 @@ def install_from_env(env=None) -> ProfileSession | None:
         report = _ENV_SESSION.stop()
         _ENV_SESSION = None
         try:
-            report.write(out_dir)
+            report.write(Path(out_dir))
         except OSError:  # pragma: no cover - best-effort at exit
             pass
 

@@ -13,36 +13,15 @@ CLI (``python -m repro.obsv regress current baseline``) exits nonzero on
 any breach; ``--json`` emits the machine-readable breach report for CI.
 
 Thresholds are ratios, not absolutes — bench machines differ — and spans
-with very few calls are skipped as noise. The default ratio can be set
-via ``REPRO_OBSV_MAX_RATIO`` (a finite number > 0; anything else raises).
+with very few calls are skipped as noise. ``regress --max-ratio`` sets
+the wall-clock and span ratios (a finite number > 0; anything else
+raises).
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
 from dataclasses import dataclass
-
-
-def check_ratio(value: object, knob: str) -> float:
-    """``value`` as a breach ratio: a finite number > 0.
-
-    Raises ``ValueError`` naming ``knob`` and the value otherwise (a NaN
-    ratio would switch every ratio gate off: nothing is above it).
-    """
-    try:
-        ratio = float(value)
-    except (TypeError, ValueError):
-        ratio = math.nan
-    if not (math.isfinite(ratio) and ratio > 0):
-        raise ValueError(f"{knob} must be a finite number > 0, got {value!r}")
-    return ratio
-
-
-def _env_ratio(default: float = 1.5) -> float:
-    raw = os.environ.get("REPRO_OBSV_MAX_RATIO", "")
-    return check_ratio(raw, "REPRO_OBSV_MAX_RATIO") if raw.strip() else default
 
 
 @dataclass(frozen=True)
@@ -68,15 +47,6 @@ class RegressionThresholds:
     #: than this factor (guards e.g. collision-rate drift, not just perf).
     counter_prefixes: tuple[str, ...] = ("collisions_total",)
     counter_ratio: float = 2.0
-
-    @classmethod
-    def from_env(cls) -> "RegressionThresholds":
-        ratio = _env_ratio()
-        return cls(
-            wall_clock_ratio=ratio,
-            span_mean_ratio=ratio,
-            span_self_ratio=ratio,
-        )
 
 
 @dataclass(frozen=True)
@@ -126,7 +96,7 @@ def compare_snapshots(
     thresholds: RegressionThresholds | None = None,
 ) -> list[Breach]:
     """All threshold breaches of ``current`` against ``baseline``."""
-    thresholds = thresholds or RegressionThresholds.from_env()
+    thresholds = thresholds or RegressionThresholds()
     breaches: list[Breach] = []
 
     base_wall = float(baseline.get("wall_clock_s", 0.0))

@@ -17,7 +17,6 @@ through :mod:`repro.experiments.registry` (learned ones need artifacts).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 from repro.obsv.loader import EpisodeTrace, split_episodes
@@ -157,26 +156,6 @@ def _resolve_attacker(name: str, budget: float, victim: str):
     )
 
 
-def check_tolerance(value: object, knob: str) -> float:
-    """``value`` as an absolute tolerance: a number >= 0, not NaN.
-
-    Raises ``ValueError`` naming ``knob`` and the value otherwise.
-    """
-    try:
-        tolerance = float(value)
-    except (TypeError, ValueError):
-        tolerance = math.nan
-    if not tolerance >= 0:
-        raise ValueError(f"{knob} must be a number >= 0, got {value!r}")
-    return tolerance
-
-
-def default_tolerance() -> float | None:
-    """Uniform tolerance override from ``REPRO_OBSV_TOLERANCE`` (else None)."""
-    raw = os.environ.get("REPRO_OBSV_TOLERANCE", "")
-    return check_tolerance(raw, "REPRO_OBSV_TOLERANCE") if raw.strip() else None
-
-
 def diff_ticks(
     reference: list[dict],
     candidate: list[dict],
@@ -235,7 +214,7 @@ def replay_episode(
         tolerances: per-field absolute tolerances (defaults to
             :data:`DEFAULT_TOLERANCES`).
         tolerance: uniform override applied to every compared field
-            (defaults to ``REPRO_OBSV_TOLERANCE`` when set).
+            (``replay --tolerance``).
 
     Returns:
         A :class:`ReplayReport`; ``report.ok`` is the fidelity verdict.
@@ -259,8 +238,6 @@ def replay_episode(
     attacker = _resolve_attacker(episode.attacker, budget, episode.victim)
 
     tolerances = dict(tolerances or DEFAULT_TOLERANCES)
-    if tolerance is None:
-        tolerance = default_tolerance()
     if tolerance is not None:
         tolerances = {fld: tolerance for fld in tolerances}
 

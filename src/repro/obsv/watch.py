@@ -72,26 +72,10 @@ from repro.telemetry.trace import (
 
 log = get_logger("obsv.watch")
 
-#: Default seconds between polls (``REPRO_WATCH_POLL`` overrides).
+#: Default seconds between polls (``watch --poll`` sets another)...
 DEFAULT_POLL_S = 2.0
-
-
-def poll_interval(configured: float | None = None) -> float:
-    """Effective poll interval: explicit value, else env, else default.
-
-    A ``REPRO_WATCH_POLL`` that is not a number raises ``ValueError``.
-    """
-    if configured is not None:
-        return max(float(configured), 0.05)
-    raw = os.environ.get("REPRO_WATCH_POLL", "").strip()
-    if not raw:
-        return DEFAULT_POLL_S
-    try:
-        return max(float(raw), 0.05)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_WATCH_POLL must be a number, got {raw!r}"
-        ) from None
+#: ...and the least: a shorter one spins a core in follow mode.
+MIN_POLL_S = 0.05
 
 
 class TraceTail:
@@ -414,7 +398,7 @@ def _run_alert_hook(command: str, alert: Alert, trace_path: Path) -> None:
 def watch_trace(
     path: str | Path,
     config: WatchConfig | None = None,
-    poll: float | None = None,
+    poll: float = DEFAULT_POLL_S,
     once: bool = False,
     exit_on_alert: bool = False,
     total_steps: int | None = None,
@@ -433,14 +417,16 @@ def watch_trace(
     (multiplexed; see module docstring). Returns 0, or 1 when
     ``exit_on_alert`` is set and any rule fired. ``idle_exit`` stops the
     follow loop after that many seconds without new events (None =
-    follow until interrupted). ``baseline_metrics`` (a snapshot path or
+    follow until interrupted). ``poll`` below :data:`MIN_POLL_S` seconds
+    raises ``ValueError``. ``baseline_metrics`` (a snapshot path or
     already-decoded document) switches on live drift annotations; a path
     that is not a metric snapshot raises ``ValueError``
     (:func:`repro.obsv.store.load_snapshot`).
     """
+    if not poll >= MIN_POLL_S:
+        raise ValueError(f"poll must be >= {MIN_POLL_S} s, got {poll!r}")
     path = Path(path)
     out = out if out is not None else sys.stdout
-    interval = poll_interval(poll)
     baseline = baseline_metrics
     if baseline is not None and not isinstance(baseline, dict):
         baseline = load_snapshot(baseline, kind="metrics")
@@ -504,7 +490,7 @@ def watch_trace(
             ):
                 log.info("watch.idle_exit", idle_s=idle_exit)
                 break
-            sleep(interval)
+            sleep(poll)
     except KeyboardInterrupt:
         pass
     finally:

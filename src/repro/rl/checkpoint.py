@@ -24,22 +24,19 @@ Configuration comes from :class:`repro.rl.sac.SacConfig`
 (``checkpoint_every``, ``checkpoint_dir``, ``checkpoint_keep``,
 ``resume``, ``halt_on_alert``) with process-wide environment overrides
 ``REPRO_CHECKPOINT_EVERY``, ``REPRO_CHECKPOINT_DIR``,
-``REPRO_CHECKPOINT_KEEP``, ``REPRO_RESUME``, ``REPRO_HALT_ON_ALERT``.
-A malformed override raises ``ValueError`` naming the variable; the two
-flags accept ``1``/``true``/``yes``/``on`` and ``0``/``false``/``no``/``off``.
+``REPRO_CHECKPOINT_KEEP``, ``REPRO_RESUME``, ``REPRO_HALT_ON_ALERT``
+(rows of :mod:`repro.knobs`).
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro import faults
-from repro.knobs import env_flag
+from repro import faults, knobs
 from repro.obsv.alerts import Alert, Watchdog
 from repro.rl.health import HealthEmitter
 from repro.telemetry.log import get_logger
@@ -69,16 +66,6 @@ _WATCH_FIELDS = (
 # -- configuration ------------------------------------------------------------------
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
 def checkpoint_interval(configured: int | None = None) -> int:
     """Snapshot cadence in env steps (0 = disabled).
 
@@ -87,7 +74,7 @@ def checkpoint_interval(configured: int | None = None) -> int:
     """
     if configured:
         return max(int(configured), 0)
-    return max(_env_int("REPRO_CHECKPOINT_EVERY", 0), 0)
+    return knobs.get("REPRO_CHECKPOINT_EVERY")
 
 
 def checkpoint_keep(configured: int | None = None) -> int:
@@ -98,20 +85,20 @@ def checkpoint_keep(configured: int | None = None) -> int:
     """
     if configured:
         return max(int(configured), 1)
-    return max(_env_int("REPRO_CHECKPOINT_KEEP", 3), 1)
+    return knobs.get("REPRO_CHECKPOINT_KEEP")
 
 
 def checkpoint_dir(configured: str | None = None) -> str:
     """Base snapshot directory; each loop appends its label."""
-    return configured or os.environ.get("REPRO_CHECKPOINT_DIR", "") or "checkpoints"
+    return configured or knobs.get("REPRO_CHECKPOINT_DIR")
 
 
 def resume_enabled(configured: bool = False) -> bool:
-    return bool(configured) or env_flag("REPRO_RESUME")
+    return bool(configured) or knobs.get("REPRO_RESUME")
 
 
 def halt_enabled(configured: bool = False) -> bool:
-    return bool(configured) or env_flag("REPRO_HALT_ON_ALERT")
+    return bool(configured) or knobs.get("REPRO_HALT_ON_ALERT")
 
 
 # -- state capture ------------------------------------------------------------------

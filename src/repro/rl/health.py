@@ -18,9 +18,9 @@ back into training.
 
 from __future__ import annotations
 
-import os
 import time
 
+from repro import knobs
 from repro.telemetry.trace import TraceWriter
 
 #: Learner statistics copied verbatim from ``Sac.update()`` results.
@@ -41,22 +41,11 @@ def health_interval(configured: int | None = None) -> int:
     """Effective emission interval in updates (0 = disabled).
 
     An explicit positive ``configured`` value wins; otherwise the
-    ``REPRO_HEALTH_EVERY`` environment variable is consulted.
-
-    Raises:
-        ValueError: ``REPRO_HEALTH_EVERY`` is set but not an integer.
+    ``REPRO_HEALTH_EVERY`` knob is consulted.
     """
     if configured:
         return max(int(configured), 0)
-    raw = os.environ.get("REPRO_HEALTH_EVERY", "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_HEALTH_EVERY must be an integer, got {raw!r}"
-        ) from None
+    return knobs.get("REPRO_HEALTH_EVERY")
 
 
 class HealthEmitter:

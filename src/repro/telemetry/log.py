@@ -9,8 +9,7 @@ Environment switches (read once, at first use):
 
 * ``REPRO_LOG_LEVEL`` — ``debug`` / ``info`` / ``warning`` / ``error``
   (default ``info``; any other value raises ``ValueError``).
-* ``REPRO_LOG_JSON`` — an on/off knob (:func:`repro.knobs.env_flag`);
-  on switches to JSON-lines output.
+* ``REPRO_LOG_JSON`` — an on/off knob; on switches to JSON-lines output.
 
 Disabled levels cost one ``isEnabledFor`` check — field rendering is never
 performed for suppressed records.
@@ -20,20 +19,11 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import sys
 
-from repro.knobs import env_flag
+from repro import knobs
 
 ROOT_NAME = "repro"
-
-_LEVELS = {
-    "debug": logging.DEBUG,
-    "info": logging.INFO,
-    "warning": logging.WARNING,
-    "warn": logging.WARNING,
-    "error": logging.ERROR,
-}
 
 _configured = False
 
@@ -99,19 +89,14 @@ def configure(
     root = logging.getLogger(ROOT_NAME)
     if _configured and not force:
         return root
-    knob = "level"
     if level is None:
-        knob = "REPRO_LOG_LEVEL"
-        level = os.environ.get(knob, "").strip() or "info"
+        level = knobs.get("REPRO_LOG_LEVEL")
+    elif isinstance(level, str):
+        level = knobs.parse(knobs.TABLE["REPRO_LOG_LEVEL"][0], level, "level")
     if isinstance(level, str):
-        name = level.strip().lower()
-        if name not in _LEVELS:
-            raise ValueError(
-                f"{knob} must be one of {', '.join(_LEVELS)}, got {level!r}"
-            )
-        level = _LEVELS[name]
+        level = getattr(logging, level.upper())
     if json_lines is None:
-        json_lines = env_flag("REPRO_LOG_JSON")
+        json_lines = knobs.get("REPRO_LOG_JSON")
     for handler in list(root.handlers):
         root.removeHandler(handler)
     handler = logging.StreamHandler(stream or sys.stderr)

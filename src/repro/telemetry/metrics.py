@@ -15,30 +15,13 @@ leave permanently enabled — and never touch an RNG.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
+from repro import knobs
+
 _PERCENTILES = (50.0, 90.0, 99.0)
-
-#: Environment cap on stored histogram samples (0 / unset = unlimited).
-_HIST_CAP_ENV = "REPRO_HIST_MAX_SAMPLES"
-
-
-def _env_hist_cap() -> int:
-    raw = os.environ.get(_HIST_CAP_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValueError(
-            f"{_HIST_CAP_ENV} must be a non-negative integer, got {raw!r}"
-        )
-    return cap
 
 
 def _label_key(labels: dict[str, object]) -> tuple[tuple[str, str], ...]:
@@ -106,7 +89,9 @@ class Histogram:
         self, initial_capacity: int = 256, max_samples: int | None = None
     ) -> None:
         self._cap = (
-            _env_hist_cap() if max_samples is None else max(int(max_samples), 0)
+            knobs.get("REPRO_HIST_MAX_SAMPLES")
+            if max_samples is None
+            else max(int(max_samples), 0)
         )
         capacity = max(int(initial_capacity), 1)
         if self._cap:

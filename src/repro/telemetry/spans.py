@@ -21,7 +21,7 @@ The tracer is **disabled by default**: ``span()`` then returns a shared
 no-op context manager and ``@timed`` wrappers fall through with a single
 attribute check, so instrumented hot loops stay within noise of the
 uninstrumented code. Set ``REPRO_SPANS=1`` (an on/off knob, see
-:func:`repro.knobs.env_flag`) to enable at import, or
+:mod:`repro.knobs`) to enable at import, or
 call ``get_tracer().enable()`` programmatically. Timing uses
 ``time.perf_counter`` only — no RNG, no simulation state.
 
@@ -38,7 +38,7 @@ import functools
 import threading
 import time
 
-from repro.knobs import env_flag
+from repro import knobs
 from repro.telemetry.metrics import Histogram
 
 
@@ -249,7 +249,7 @@ class Tracer:
         return {path: stats.summary() for path, stats in ordered}
 
 
-_TRACER = Tracer(enabled=env_flag("REPRO_SPANS"))
+_TRACER = Tracer(enabled=knobs.get("REPRO_SPANS"))
 
 
 def get_tracer() -> Tracer:

@@ -31,9 +31,10 @@ file appends.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import IO, Iterable, Iterator
+
+from repro import knobs
 
 _NUMBER = (int, float)
 
@@ -391,7 +392,7 @@ class TraceWriter:
         field the caller passes wins); unset, records carry no label.
         """
         self.validate = validate
-        self.run = os.environ.get(ENV_RUN_ID, "").strip() or None
+        self.run = knobs.get(ENV_RUN_ID)
         self.events: list[dict] = []
         self._own_handle = False
         self._handle: IO[str] | None = None
@@ -517,7 +518,7 @@ def default_writer() -> TraceWriter | None:
     global _DEFAULT_WRITER, _DEFAULT_CHECKED
     if not _DEFAULT_CHECKED:
         _DEFAULT_CHECKED = True
-        target = os.environ.get("REPRO_TRACE")
+        target = knobs.get("REPRO_TRACE")
         if target:
             _DEFAULT_WRITER = TraceWriter(target)
     return _DEFAULT_WRITER

@@ -1,10 +1,9 @@
 """Shared pytest fixtures and the chaos-suite gate."""
 
-import os
-
 import numpy as np
 import pytest
 
+from repro import knobs
 from repro.sim import Road, RoadConfig, ScenarioConfig, make_world
 
 
@@ -14,9 +13,7 @@ def pytest_collection_modifyitems(config, items):
     They spawn subprocesses, SIGKILL them, and corrupt files on purpose
     — opt in with ``REPRO_CHAOS=1`` or an explicit ``-m chaos``.
     """
-    if os.environ.get("REPRO_CHAOS", "").strip().lower() in (
-        "1", "true", "yes", "on"
-    ):
+    if knobs.get("REPRO_CHAOS"):
         return
     if "chaos" in (config.getoption("-m") or ""):
         return

@@ -135,6 +135,18 @@ class TestExperimentDrivers:
         }
         assert f8.table().render()
 
+    def test_fig8_marks_windows_without_episodes(self):
+        from repro.eval.episodes import EpisodeResult
+        from repro.experiments.fig8 import Fig8Result
+
+        episode = EpisodeResult(
+            steps=10, duration=1.0, collision=None, passed_npcs=0,
+            nominal_return=0.0, adversarial_return=0.0, mean_effort=0.1,
+            deviation_rmse=0.0, deviation_max=0.0, time_to_collision=None,
+        )
+        (row,) = Fig8Result(episodes={"original": [episode]}).table().rows
+        assert row == ["original", "0.00", "–", "–", "–", "–", "0.00"]
+
     def test_headline_tiny(self):
         from repro.experiments import headline
 

@@ -20,7 +20,7 @@ from repro.obsv.prof import (
     spans_to_folded,
 )
 from repro.obsv.prof import selftime
-from repro.obsv.prof.memory import MemoryProbe
+from repro.obsv.prof.memory import MemoryProbe, allocation_markdown
 from repro.obsv.prof.sampler import frame_label
 from repro.obsv.prof.session import FlopSpanProbe, install_from_env
 from repro.obsv.prof import session as session_mod
@@ -187,7 +187,9 @@ class TestMemory:
         assert stats["count"] == 1
         assert stats["net_total_kb"] >= 200.0
         assert stats["peak_max_kb"] >= stats["net_total_kb"]
-        assert "net KB/call" in probe.to_markdown()
+        assert "net KB/call" in "\n".join(
+            allocation_markdown(summary, probe.unmatched(), top=10)
+        )
 
 
 class TestFlopAccounting:
@@ -281,12 +283,13 @@ class TestFlopAccounting:
 
 
 class TestProfileSession:
-    def test_config_from_env(self):
-        config = ProfileConfig.from_env(
-            {"REPRO_PROF_HZ": "50", "REPRO_PROF_MEM": "agent.act"}
-        )
+    def test_config_from_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PROF_HZ", "50")
+        monkeypatch.setenv("REPRO_PROF_MEM", "agent.act")
+        config = ProfileConfig.from_env()
         assert config.hz == 50.0 and config.mem == {"agent.act"}
-        assert ProfileConfig.from_env({}).hz == 0.0
+        monkeypatch.delenv("REPRO_PROF_HZ")
+        assert ProfileConfig.from_env().hz == 0.0
 
     def test_session_report_covers_wall_clock(self):
         tracer = Tracer(enabled=False)
@@ -329,18 +332,36 @@ class TestProfileSession:
         assert "MFLOP/s" in markdown
         assert "tracemalloc" in markdown
 
-    def test_install_from_env_off_when_unset(self):
-        assert install_from_env({}) is None
-        assert install_from_env({"REPRO_PROF": "0"}) is None
-        assert install_from_env({"REPRO_PROF": "off"}) is None
+    def test_unmatched_mem_span_is_named(self):
+        from repro.agents.modular import ModularAgent
+        from repro.eval.episodes import run_episode
+        from repro.sim import ScenarioConfig
 
-    def test_install_from_env_starts_and_is_idempotent(self):
+        config = ProfileConfig(mem={"world.tik", "world.tick"}, flops=False)
+        session = ProfileSession(config, reset=True).start()
+        run_episode(
+            lambda w: ModularAgent(w.road),
+            scenario=ScenarioConfig(max_steps=5),
+        )
+        report = session.stop()
+        assert report.memory_unmatched == ["world.tik"]
+        assert report.to_json()["memory_unmatched"] == ["world.tik"]
+        assert "matched nothing: `world.tik`" in report.to_markdown()
+
+    def test_install_from_env_off_when_unset(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PROF", raising=False)
+        assert install_from_env() is None
+        for value in ("0", "off"):
+            monkeypatch.setenv("REPRO_PROF", value)
+            assert install_from_env() is None
+
+    def test_install_from_env_starts_and_is_idempotent(self, monkeypatch):
         assert session_mod._ENV_SESSION is None  # no leak from other tests
-        env = {"REPRO_PROF": "1"}
-        session = install_from_env(env)
+        monkeypatch.setenv("REPRO_PROF", "1")
+        session = install_from_env()
         try:
             assert session is not None and session.running
-            assert install_from_env(env) is session
+            assert install_from_env() is session
         finally:
             session.stop()
             session_mod._ENV_SESSION = None

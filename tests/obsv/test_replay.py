@@ -67,12 +67,6 @@ class TestReplayFidelity:
         assert not replay_episode(episode).ok
         assert replay_episode(episode, tolerance=1e-2).ok
 
-    def test_tolerance_env_override(self, monkeypatch):
-        episode = record(attacker=OracleAttacker(budget=1.0))
-        episode.ticks[5]["speed"] += 1e-4
-        monkeypatch.setenv("REPRO_OBSV_TOLERANCE", "0.01")
-        assert replay_episode(episode).ok
-
 
 class TestReplayErrors:
     def test_missing_start_event(self):

@@ -170,8 +170,11 @@ class TestWatchConfig:
         assert config.entropy_floor == -1.0
         assert config.starvation_updates == WatchConfig().starvation_updates
 
-    def test_none_overrides_ignored(self):
-        assert WatchConfig.from_env(q_limit=None) == WatchConfig.from_env()
+    def test_none_overrides_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WATCH_Q_LIMIT", "500")
+        config = WatchConfig.from_env(q_limit=None)
+        assert config.q_limit == 500.0
+        assert config == WatchConfig.from_env()
 
 
 class TestTail:
@@ -304,6 +307,22 @@ class TestWatchTrace:
             "--q-limit", "1e9", "--no-write-alerts",
         ])
         assert rc == 0
+
+    def test_threshold_knob_applies_without_flag(
+        self, tmp_path, monkeypatch
+    ):
+        trace = write_diverging_trace(tmp_path / "div.jsonl")
+        monkeypatch.setenv("REPRO_WATCH_Q_LIMIT", "1e9")
+        rc = main([
+            "watch", str(trace), "--once", "--exit-on-alert",
+            "--no-write-alerts",
+        ])
+        assert rc == 0
+
+    def test_poll_below_floor_raises(self, tmp_path):
+        trace = write_diverging_trace(tmp_path / "div.jsonl")
+        with pytest.raises(ValueError, match="poll must be >= 0.05 s"):
+            watch_trace(trace, poll=0.0, once=True, write_alerts=False)
 
     def test_on_alert_hook_gets_env(self, tmp_path):
         import io

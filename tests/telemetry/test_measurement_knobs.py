@@ -1,24 +1,51 @@
-"""A malformed measurement knob fails loudly, naming the knob and the
-value, instead of turning into its default."""
+"""The settings table: a malformed knob or flag fails loudly, naming
+itself and the value, instead of turning into its default."""
 
 import functools
 import os
 import re
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from repro import faults, knobs
 from repro.obsv.alerts import WatchConfig
 from repro.obsv.cli import main
 from repro.obsv.prof.session import ProfileConfig
-from repro.obsv.regress import RegressionThresholds
-from repro.obsv.replay import default_tolerance
-from repro.obsv.watch import poll_interval
+from repro.rl.checkpoint import (
+    checkpoint_interval,
+    checkpoint_keep,
+    halt_enabled,
+    resume_enabled,
+)
+from repro.rl.health import health_interval
 from repro.telemetry.log import configure
 from repro.telemetry.metrics import Histogram
 
 pytestmark = pytest.mark.telemetry
+
+TESTS = Path(__file__).resolve().parents[1]
+README = TESTS.parent / "README.md"
+
+
+def _import(module: str) -> None:
+    """Import ``module`` in a fresh interpreter; its failure as ValueError."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True,
+        text=True,
+    )
+    if done.returncode:
+        raise ValueError(done.stderr)
+
+
+def _chaos_gate():
+    """The chaos gate of ``tests/conftest.py``, which reads REPRO_CHAOS."""
+    conftest = runpy.run_path(str(TESTS / "conftest.py"))
+    conftest["pytest_collection_modifyitems"](None, [])
 
 
 @pytest.mark.parametrize(
@@ -32,9 +59,6 @@ pytestmark = pytest.mark.telemetry
             "REPRO_HIST_MAX_SAMPLES", "-3", Histogram, id="hist-cap-negative",
         ),
         pytest.param(
-            "REPRO_WATCH_POLL", "fast", poll_interval, id="watch-poll",
-        ),
-        pytest.param(
             "REPRO_PROF_HZ", "junk", ProfileConfig.from_env, id="prof-hz-text",
         ),
         pytest.param(
@@ -46,36 +70,54 @@ pytestmark = pytest.mark.telemetry
             id="watch-float-threshold",
         ),
         pytest.param(
+            "REPRO_WATCH_Q_LIMIT", "nan", WatchConfig.from_env,
+            id="watch-q-limit-nan",
+        ),
+        pytest.param(
+            "REPRO_WATCH_ENTROPY_FLOOR", "-inf", WatchConfig.from_env,
+            id="watch-entropy-floor-inf",
+        ),
+        pytest.param(
+            "REPRO_WATCH_THROUGHPUT_RATIO", "0", WatchConfig.from_env,
+            id="watch-throughput-ratio-zero",
+        ),
+        pytest.param(
             "REPRO_WATCH_STARVATION_UPDATES", "2.5", WatchConfig.from_env,
             id="watch-int-threshold",
         ),
         pytest.param(
-            "REPRO_OBSV_MAX_RATIO", "nan", RegressionThresholds.from_env,
-            id="max-ratio-nan",
+            "REPRO_WATCH_PLATEAU_WINDOW", "0", WatchConfig.from_env,
+            id="watch-plateau-window-zero",
         ),
         pytest.param(
-            "REPRO_OBSV_MAX_RATIO", "inf", RegressionThresholds.from_env,
-            id="max-ratio-inf",
+            "REPRO_CHECKPOINT_EVERY", "-100", lambda: checkpoint_interval(0),
+            id="checkpoint-every-negative",
         ),
         pytest.param(
-            "REPRO_OBSV_MAX_RATIO", "0", RegressionThresholds.from_env,
-            id="max-ratio-zero",
+            "REPRO_CHECKPOINT_KEEP", "0", lambda: checkpoint_keep(0),
+            id="checkpoint-keep-zero",
         ),
         pytest.param(
-            "REPRO_OBSV_MAX_RATIO", "1.5x", RegressionThresholds.from_env,
-            id="max-ratio-text",
+            "REPRO_HEALTH_EVERY", "-5", lambda: health_interval(0),
+            id="health-every-negative",
         ),
         pytest.param(
-            "REPRO_OBSV_TOLERANCE", "nan", default_tolerance,
-            id="tolerance-nan",
+            "REPRO_RESUME", "ture", resume_enabled, id="resume",
         ),
         pytest.param(
-            "REPRO_OBSV_TOLERANCE", "-1e-9", default_tolerance,
-            id="tolerance-negative",
+            "REPRO_HALT_ON_ALERT", "ture", halt_enabled, id="halt-on-alert",
         ),
         pytest.param(
-            "REPRO_OBSV_TOLERANCE", "tight", default_tolerance,
-            id="tolerance-text",
+            "REPRO_CHAOS", "flase", _chaos_gate, id="chaos-switch",
+        ),
+        pytest.param(
+            "REPRO_FAULTS", "explode@step=1", faults.active_plan,
+            id="faults",
+        ),
+        pytest.param(
+            "REPRO_SPANS", "flase",
+            functools.partial(_import, "repro.telemetry.spans"),
+            id="spans",
         ),
         pytest.param(
             "REPRO_LOG_LEVEL", "verbos", functools.partial(
@@ -93,7 +135,10 @@ pytestmark = pytest.mark.telemetry
 )
 def test_malformed_knob_raises(monkeypatch, name, value, read):
     monkeypatch.setenv(name, value)
-    with pytest.raises(ValueError, match=f"{name}.*{re.escape(repr(value))}"):
+    pattern = f"{name}.*{re.escape(repr(value))}"
+    with pytest.raises(ValueError, match=pattern):
+        knobs.get(name)
+    with pytest.raises(ValueError, match=pattern):
         read()
 
 
@@ -110,23 +155,143 @@ def test_malformed_knob_raises(monkeypatch, name, value, read):
             "--max-ratio", id="regress-max-ratio-negative",
         ),
         pytest.param(
+            ["regress", "current.json", "baseline.json", "--max-ratio",
+             "inf"],
+            "--max-ratio", id="regress-max-ratio-inf",
+        ),
+        pytest.param(
+            ["regress", "current.json", "baseline.json", "--max-ratio", "0"],
+            "--max-ratio", id="regress-max-ratio-zero",
+        ),
+        pytest.param(
+            ["regress", "current.json", "baseline.json", "--max-ratio",
+             "1.5x"],
+            "--max-ratio", id="regress-max-ratio-text",
+        ),
+        pytest.param(
             ["replay", "trace.jsonl", "--tolerance", "nan"], "--tolerance",
             id="replay-tolerance-nan",
         ),
+        pytest.param(
+            ["replay", "trace.jsonl", "--tolerance", "inf"], "--tolerance",
+            id="replay-tolerance-inf",
+        ),
+        pytest.param(
+            ["replay", "trace.jsonl", "--tolerance", "-0.5"], "--tolerance",
+            id="replay-tolerance-negative",
+        ),
+        pytest.param(
+            ["replay", "trace.jsonl", "--tolerance", "tight"], "--tolerance",
+            id="replay-tolerance-text",
+        ),
+        pytest.param(
+            ["watch", "trace.jsonl", "--once", "--q-limit", "nan"],
+            "--q-limit", id="watch-q-limit-nan",
+        ),
+        pytest.param(
+            ["watch", "trace.jsonl", "--once", "--q-limit", "abc"],
+            "--q-limit", id="watch-q-limit-text",
+        ),
+        pytest.param(
+            ["watch", "trace.jsonl", "--once", "--entropy-floor", "inf"],
+            "--entropy-floor", id="watch-entropy-floor-inf",
+        ),
+        pytest.param(
+            ["watch", "trace.jsonl", "--once", "--plateau-window", "2.5"],
+            "--plateau-window", id="watch-plateau-window-text",
+        ),
+        pytest.param(
+            ["watch", "trace.jsonl", "--once", "--starvation-updates", "0"],
+            "--starvation-updates", id="watch-starvation-updates-zero",
+        ),
+        pytest.param(
+            ["watch", "trace.jsonl", "--once", "--throughput-ratio", "0"],
+            "--throughput-ratio", id="watch-throughput-ratio-zero",
+        ),
+        pytest.param(
+            ["watch", "trace.jsonl", "--once", "--poll", "0.01"],
+            "--poll", id="watch-poll-small",
+        ),
+        pytest.param(
+            ["watch", "trace.jsonl", "--once", "--poll", "fast"],
+            "--poll", id="watch-poll-text",
+        ),
+        pytest.param(
+            ["profile", "--demo", "--hz", "-97"], "--hz",
+            id="profile-hz-negative",
+        ),
+        pytest.param(
+            ["profile", "--demo", "--hz", "junk"], "--hz",
+            id="profile-hz-text",
+        ),
     ],
 )
-def test_malformed_flag_raises(argv, flag):
-    with pytest.raises(ValueError, match=f"{flag}.*{argv[-1]}"):
+def test_malformed_flag_raises(capsys, argv, flag):
+    """A rejected flag value is argparse's usage error (exit status 2)
+    naming the flag and the value, before the command runs."""
+    with pytest.raises(SystemExit) as stop:
         main(argv)
+    assert stop.value.code == 2
+    assert re.search(
+        f"argument {flag}: must be .*{re.escape(repr(argv[-1]))}",
+        capsys.readouterr().err,
+    )
 
 
 def test_well_formed_knobs_still_read(monkeypatch):
-    monkeypatch.setenv("REPRO_OBSV_MAX_RATIO", "3")
-    assert RegressionThresholds.from_env().wall_clock_ratio == 3.0
-    monkeypatch.setenv("REPRO_OBSV_TOLERANCE", "0")
-    assert default_tolerance() == 0.0
-    monkeypatch.setenv("REPRO_OBSV_TOLERANCE", "")
-    assert default_tolerance() is None
+    monkeypatch.setenv("REPRO_CHECKPOINT_KEEP", " ")
+    assert knobs.get("REPRO_CHECKPOINT_KEEP") == 3
+    monkeypatch.setenv("REPRO_CHECKPOINT_KEEP", " 5 ")
+    assert checkpoint_keep(0) == 5
+    monkeypatch.setenv("REPRO_WATCH_ENTROPY_FLOOR", "-2.5")
+    assert WatchConfig.from_env().entropy_floor == -2.5
+    monkeypatch.delenv("REPRO_BENCH_BASELINE", raising=False)
+    assert knobs.get("REPRO_BENCH_BASELINE") is None
+    monkeypatch.setenv("REPRO_BENCH_BASELINE", "")
+    assert knobs.get("REPRO_BENCH_BASELINE") == ""
+    for value, out_dir in (("Off", None), ("yes", "profile"), ("p/", "p/")):
+        monkeypatch.setenv("REPRO_PROF", value)
+        assert knobs.get("REPRO_PROF") == out_dir
+
+
+def test_malformed_knob_stops_import_repro(monkeypatch):
+    monkeypatch.setenv("REPRO_WATCH_Q_LIMIT", "nan")
+    with pytest.raises(
+        ValueError,
+        match="ValueError: REPRO_WATCH_Q_LIMIT must be a finite number > 0,"
+        " got 'nan'",
+    ):
+        _import("repro")
+
+
+def test_import_repro_loads_only_the_table():
+    """With no knob set, ``import repro`` loads ``repro.knobs`` and
+    nothing else of the package (no fault plan, no profiler)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro')))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "['repro', 'repro.knobs']"
+
+
+def test_readme_env_table_lists_the_table():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| variable | effect |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(re.match(r"\| `(REPRO_\w+)`", line).group(1))
+    assert rows == list(knobs.TABLE)
 
 
 @pytest.mark.parametrize("value", ["flase", "2"])
@@ -152,11 +317,9 @@ def test_malformed_spans_switch_fails_at_import(value):
     [("1", True), ("On", True), (" yes ", True), ("off", False), ("", False)],
 )
 def test_on_off_knobs_read_the_same_spellings(monkeypatch, value, enabled):
-    from repro.knobs import env_flag
-
     for name in ("REPRO_SPANS", "REPRO_LOG_JSON", "REPRO_RESUME"):
         monkeypatch.setenv(name, value)
-        assert env_flag(name) is enabled
+        assert knobs.get(name) is enabled
 
 
 def test_spans_switch_on_at_import():
