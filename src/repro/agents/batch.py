@@ -1,11 +1,14 @@
 """Lockstep twins of the driving agents for the batch-episode engine.
 
 Each scalar :class:`~repro.agents.base.DrivingAgent` has a batched actor
-exposing ``reset(batch)`` / ``act_batch(batch) -> (steer[N], thrust[N])``.
-The actors replicate the scalar control law per row — same planner state
-machine, same PID arithmetic, same policy forward — so a batched episode
-tracks its scalar counterpart to numerical tolerance (see
-:mod:`repro.sim.batch` for the determinism contract).
+exposing ``reset(batch)`` / ``act_batch(batch, reference) -> (steer[N],
+thrust[N])``, where ``reference`` is the tick's plan from the default
+:class:`~repro.agents.modular.behavior.BehaviorConfig` planner (the
+lockstep runner's privileged planner). The actors replicate the scalar
+control law per row — same planner state machine, same PID arithmetic,
+same policy forward — so a batched episode tracks its scalar counterpart
+to numerical tolerance (see :mod:`repro.sim.batch` for the determinism
+contract).
 
 Use :func:`as_batch_actor` to derive the twin from a configured scalar
 agent; unsupported agents raise :class:`~repro.sim.batch.NoBatchTwin`
@@ -21,7 +24,11 @@ import numpy as np
 from repro.agents.e2e.agent import EndToEndAgent
 from repro.agents.e2e.observation import DrivingObservation
 from repro.agents.modular.agent import ModularAgent, ModularAgentConfig
-from repro.agents.modular.behavior import BatchBehaviorPlanner
+from repro.agents.modular.behavior import (
+    BatchBehaviorPlanner,
+    BatchPlan,
+    BehaviorConfig,
+)
 from repro.agents.modular.pid import BatchPid
 from repro.rl.pnn import ProgressivePolicy
 from repro.rl.policy import SquashedGaussianPolicy
@@ -31,7 +38,12 @@ from repro.utils.geometry import clamp_array
 
 
 class BatchModularActor:
-    """Vectorized plan-then-track pipeline: one update covers N episodes."""
+    """Vectorized plan-then-track pipeline: one update covers N episodes.
+
+    With the default :class:`BehaviorConfig` its planner would run the
+    reference planner's state machine on the same state, so it tracks the
+    reference plan and has no planner of its own (``planner`` is None).
+    """
 
     name = "modular"
 
@@ -43,17 +55,26 @@ class BatchModularActor:
         dt: float = 0.1,
     ) -> None:
         self.config = config or ModularAgentConfig()
-        self.planner = BatchBehaviorPlanner(road, self.config.behavior)
+        self.planner = (
+            None
+            if self.config.behavior == BehaviorConfig()
+            else BatchBehaviorPlanner(road, self.config.behavior)
+        )
         self._lateral = BatchPid(self.config.lateral_gains, dt, n)
         self._longitudinal = BatchPid(self.config.longitudinal_gains, dt, n)
 
     def reset(self, batch) -> None:
-        self.planner.reset(batch)
+        if self.planner is not None:
+            self.planner.reset(batch)
         self._lateral.reset()
         self._longitudinal.reset()
 
-    def act_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
-        plan = self.planner.update(batch)
+    def act_batch(
+        self, batch, reference: BatchPlan
+    ) -> tuple[np.ndarray, np.ndarray]:
+        plan = (
+            reference if self.planner is None else self.planner.update(batch)
+        )
         ego_s = batch.geometry().ego[0]
         speed = batch.speed[:, 0]
 
@@ -107,7 +128,10 @@ class BatchPolicyActor:
     def reset(self, batch) -> None:
         self.observation.reset()
 
-    def act_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
+    def act_batch(
+        self, batch, reference: BatchPlan
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The policy's commands; it drives without the ``reference``."""
         obs = self.observation.observe_batch(batch)
         if self.plan is None:
             actions = np.tanh(self.policy.forward_np(obs)[0])

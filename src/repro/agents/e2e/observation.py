@@ -64,7 +64,7 @@ class DrivingObservation:
 
     def observe_batch(self, batch) -> np.ndarray:
         """Policy observations for every episode of a batch, ``[N, dim]``."""
-        frames = self._stack.observe_batch(batch)
+        frames = self._stack.frames_batch(batch)
         _, d, _ = batch.geometry().ego
         ego = np.stack(
             [
@@ -76,4 +76,4 @@ class DrivingObservation:
             ],
             axis=1,
         )
-        return np.concatenate([frames, ego], axis=1)
+        return np.concatenate([*frames, ego], axis=1)

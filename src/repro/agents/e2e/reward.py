@@ -110,7 +110,7 @@ class DrivingReward:
         batch,
         plan,
         collided: np.ndarray,
-        reference: np.ndarray | None = None,
+        deviation: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-episode reward totals for a batch tick, shape ``[N]``.
 
@@ -118,7 +118,8 @@ class DrivingReward:
             batch: the :class:`~repro.sim.batch.BatchWorld` after ticking.
             plan: the privileged :class:`BatchPlan` computed pre-tick.
             collided: boolean mask of episodes that collided this tick.
-            reference: ``plan.reference_offset`` at each ego's arc-length,
+            deviation: each ego's distance from the reference path in lane
+                widths, ``|d - plan.reference_offset(s)| / lane_width``,
                 when the caller has worked it out already.
         """
         cfg = self.config
@@ -141,12 +142,11 @@ class DrivingReward:
         )
         speed = -cfg.speed_weight * speed_error
 
-        if reference is None:
-            reference = plan.reference_offset(ego_s)
-        deviation_m = np.abs(ego_d - reference)
-        deviation = -cfg.deviation_weight * (
-            deviation_m / batch.road.config.lane_width
-        )
-
+        if deviation is None:
+            deviation = (
+                np.abs(ego_d - plan.reference_offset(ego_s))
+                / batch.road.config.lane_width
+            )
+        precision = -cfg.deviation_weight * deviation
         collision = np.where(collided, -cfg.collision_penalty, 0.0)
-        return progress + speed + deviation + collision
+        return progress + speed + precision + collision

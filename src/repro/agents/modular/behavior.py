@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -215,13 +216,18 @@ class BatchPlan:
     s1: np.ndarray
     d1: np.ndarray
 
+    @cached_property
+    def _blend(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's blend span (1 where not changing) and half rise:
+        the parts of :meth:`reference_offset` that do not depend on ``s``."""
+        span = np.where(self.changing, self.s1 - self.s0, 1.0)
+        return span, (self.d1 - self.d0) * 0.5
+
     def reference_offset(self, s: np.ndarray) -> np.ndarray:
         """Vectorized ``d_ref(s)`` per episode, same blend as scalar."""
-        span = np.where(self.changing, self.s1 - self.s0, 1.0)
+        span, half_rise = self._blend
         phase = clamp_array((s - self.s0) / span, 0.0, 1.0)
-        blend = self.d0 + (self.d1 - self.d0) * 0.5 * (
-            1.0 - np.cos(math.pi * phase)
-        )
+        blend = self.d0 + half_rise * (1.0 - np.cos(math.pi * phase))
         offset = np.where(s <= self.s0, self.d0, blend)
         offset = np.where(s >= self.s1, self.d1, offset)
         return np.where(self.changing, offset, self.lane_offset)
@@ -280,30 +286,33 @@ class BatchBehaviorPlanner:
         ego_speed = batch.speed[:, 0]
 
         # 1. Clear transitions whose blend interval the ego has passed.
-        self._changing &= ego_s < self._s1
+        # The state arrays are rebound, never written in place, so each
+        # plan holds this update's arrays without copying them.
+        changing = self._changing & (ego_s < self._s1)
 
         # 2. Leader search in the current target lane (positions decide
         #    lane membership, matching the scalar planner).
         npc_s, npc_d, _ = geometry.npcs
         npc_lane = self._lane_at(npc_d)
-        npc_speed = batch.speed[:, 1:]
+        rows = np.arange(n)
 
         ahead = (npc_lane == self._target_lane[:, None]) & (
             npc_s > ego_s[:, None]
         )
         masked_s = np.where(ahead, npc_s, np.inf)
-        leader_s = masked_s.min(axis=1)
-        has_leader = np.isfinite(leader_s)
         leader_col = np.argmin(masked_s, axis=1)
-        leader_speed = npc_speed[np.arange(n), leader_col]
+        leader_s = masked_s[rows, leader_col]
+        has_leader = np.isfinite(leader_s)
+        leader_speed = batch.speed[rows, 1 + leader_col]
         gap = leader_s - ego_s
         near = has_leader & (gap < cfg.overtake_trigger)
 
         # 3. Lane-change attempt for non-transitioning rows with a close
         #    leader; candidate order matches the scalar planner (+1 first).
-        attempt = ~self._changing & near
+        attempt = ~changing & near
         started = np.zeros(n, dtype=bool)
-        new_lane = self._target_lane.copy()
+        target_lane = self._target_lane
+        rel = npc_s - ego_s[:, None]
         for delta in (1, -1):
             candidate = self._target_lane + delta
             valid = (
@@ -315,7 +324,6 @@ class BatchBehaviorPlanner:
             if not valid.any():
                 continue
             in_cand = npc_lane == candidate[:, None]
-            rel = npc_s - ego_s[:, None]
             blocking = (
                 in_cand
                 & (rel >= -cfg.change_rear_gap)
@@ -327,14 +335,16 @@ class BatchBehaviorPlanner:
                 distance = np.maximum(
                     speed * cfg.change_time, cfg.min_change_distance
                 )
-                self._s0[go] = ego_s[go]
-                self._d0[go] = ego_d[go]
-                self._s1[go] = ego_s[go] + distance[go]
-                self._d1[go] = self._lane_offsets(candidate)[go]
-                new_lane[go] = candidate[go]
+                self._s0 = np.where(go, ego_s, self._s0)
+                self._d0 = np.where(go, ego_d, self._d0)
+                self._s1 = np.where(go, ego_s + distance, self._s1)
+                self._d1 = np.where(
+                    go, self._lane_offsets(candidate), self._d1
+                )
+                target_lane = np.where(go, candidate, target_lane)
                 started |= go
-        self._changing |= started
-        self._target_lane = new_lane
+        self._changing = changing | started
+        self._target_lane = target_lane
 
         # 4. ACC fallback: boxed-in rows (no change started) and
         #    transitioning rows with a close leader track the leader.
@@ -349,14 +359,14 @@ class BatchBehaviorPlanner:
             target_speed[acc] = acc_speed[acc]
 
         return BatchPlan(
-            target_lane=self._target_lane.copy(),
+            target_lane=self._target_lane,
             target_speed=target_speed,
             lane_offset=self._lane_offsets(self._target_lane),
-            changing=self._changing.copy(),
-            s0=self._s0.copy(),
-            d0=self._d0.copy(),
-            s1=self._s1.copy(),
-            d1=self._d1.copy(),
+            changing=self._changing,
+            s0=self._s0,
+            d0=self._d0,
+            s1=self._s1,
+            d1=self._d1,
         )
 
 

@@ -86,7 +86,8 @@ class BatchPid:
         self.integral_limit = float(integral_limit)
         self._integral = np.zeros(n)
         self._last_error = np.zeros(n)
-        self._has_last = np.zeros(n, dtype=bool)
+        # Every row resets and steps together, so one flag serves them all.
+        self._has_last = False
 
     def step(self, error: np.ndarray) -> np.ndarray:
         """Advance all loops one tick; returns the saturated outputs."""
@@ -96,11 +97,13 @@ class BatchPid:
             -self.integral_limit,
             self.integral_limit,
         )
-        derivative = np.where(
-            self._has_last, (error - self._last_error) / self.dt, 0.0
+        derivative = (
+            (error - self._last_error) / self.dt
+            if self._has_last
+            else np.zeros_like(error)
         )
         self._last_error = error.copy()
-        self._has_last[:] = True
+        self._has_last = True
         g = self.gains
         output = g.kp * error + g.ki * self._integral + g.kd * derivative
         return clamp_array(output, -self.output_limit, self.output_limit)
@@ -108,7 +111,7 @@ class BatchPid:
     def reset(self) -> None:
         self._integral[:] = 0.0
         self._last_error[:] = 0.0
-        self._has_last[:] = False
+        self._has_last = False
 
 
 #: Default gains tuned for the paper's aggressive freeway configuration.

@@ -253,12 +253,10 @@ class BatchOracleAttacker:
             & (np.abs(nearest.omega) <= self.beta)
         )
         # Ego-frame lateral offset of the target (footprint().to_local y).
-        offset = (
-            geometry.npc_positions[np.arange(batch.n), nearest.index]
-            - geometry.ego_position
-        )
-        yaw = batch.yaw[:, 0]
-        local_y = -offset[:, 0] * np.sin(yaw) + offset[:, 1] * np.cos(yaw)
+        rows = np.arange(batch.n)
+        dx, dy = (a[rows, nearest.index] for a in geometry.npc_offsets)
+        cos_yaw, sin_yaw = geometry.ego_heading
+        local_y = -dx * sin_yaw + dy * cos_yaw
         side = np.where(local_y > 0.0, -1.0, 1.0)
         return np.where(window, side, 0.0)
 

@@ -169,11 +169,14 @@ class BatchInjectionChannel:
         delta = clamp_array(delta, -cfg.budget, cfg.budget)
         delta = np.where(active, delta, 0.0)
         magnitude = np.abs(delta)
-        self.total_effort[active] += magnitude[active]
-        self.steps[active] += 1
+        # An inactive row adds 0.0 to a sum that is never -0.0: unchanged.
+        self.total_effort += magnitude
+        self.steps += active
         hot = active & (magnitude > ACTIVE_THRESHOLD)
-        self.active_steps[hot] += 1
-        self.active_effort[hot] += magnitude[hot]
+        self.active_steps += hot
+        np.add(
+            self.active_effort, magnitude, out=self.active_effort, where=hot
+        )
         return delta
 
     @property

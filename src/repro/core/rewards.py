@@ -28,12 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sim.batch import KIND_BARRIER, KIND_NONE, KIND_SIDE
 from repro.sim.collision import Collision, CollisionKind
 from repro.sim.world import Nearest, World
 from repro.utils.geometry import unit, unit_rows
 
 #: The paper's critical-moment threshold, cos(pi/6).
 BETA = math.cos(math.pi / 6.0)
+
+#: ``lambda`` by the batch engine's collision code: 0 none, 1 side,
+#: -1 undesired (front, rear, barrier).
+_LAMBDA_BY_KIND = np.full(KIND_BARRIER + 1, -1.0)
+_LAMBDA_BY_KIND[KIND_NONE] = 0.0
+_LAMBDA_BY_KIND[KIND_SIDE] = 1.0
 
 
 @dataclass(frozen=True)
@@ -148,15 +155,10 @@ class AdversarialReward:
             collision_kind: this tick's collision codes
                 (:data:`repro.sim.batch.KIND_SIDE` etc., 0 = none).
         """
-        from repro.sim.batch import KIND_NONE, KIND_SIDE
-
         cfg = self.config
-        label = np.where(
-            collision_kind == KIND_SIDE,
-            1.0,
-            np.where(collision_kind != KIND_NONE, -1.0, 0.0),
+        collision_term = (cfg.collision_reward * _LAMBDA_BY_KIND).take(
+            collision_kind
         )
-        collision_term = cfg.collision_reward * label
 
         geometry = batch.geometry()
         nearest = geometry.nearest

@@ -31,7 +31,7 @@ from repro.core.attackers import as_batch_attacker
 from repro.core.injection import ACTIVE_THRESHOLD
 from repro.core.rewards import AdversarialReward, AdversarialRewardConfig
 from repro.eval.episodes import EpisodeResult, VictimFactory
-from repro.sim.batch import KIND_NONE, make_batch_world
+from repro.sim.batch import make_batch_world
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import make_world
 from repro.telemetry.metrics import get_registry
@@ -173,11 +173,12 @@ class Lockstep:
             while not batch.all_done:
                 live = ~batch.done
                 plan = planner.update(batch)
-                steer, thrust = actor.act_batch(batch)
+                steer, thrust = actor.act_batch(batch, plan)
                 delta = battacker.deltas(batch)
                 result = batch.tick(steer, thrust, steer_delta=delta)
 
-                striking = live & (np.abs(delta) >= strike_level)
+                magnitude = np.abs(delta)
+                striking = live & (magnitude >= strike_level)
                 stamp = striking & np.isnan(first_attack_time)
                 np.subtract(
                     result.time, scenario.dt, out=first_attack_time,
@@ -187,9 +188,9 @@ class Lockstep:
                 geometry = batch.geometry()
                 ego_s, ego_d, _ = geometry.ego
                 reference = plan.reference_offset(ego_s)
-                collided = result.collision_kind != KIND_NONE
+                deviation = np.abs(ego_d - reference) / lane_width
                 nominal_step = nominal_reward.step_batch(
-                    batch, plan, collided, reference=reference
+                    batch, plan, result.collided, deviation=deviation
                 )
                 adversarial_step = adversarial_reward.step_batch(
                     batch, delta, result.collision_kind
@@ -202,7 +203,6 @@ class Lockstep:
                     out=adversarial_total, where=live,
                 )
 
-                deviation = np.abs(ego_d - reference) / lane_width
                 np.add(
                     deviation_sq_sum, deviation ** 2, out=deviation_sq_sum,
                     where=live,
@@ -210,15 +210,14 @@ class Lockstep:
                 np.maximum(
                     deviation_max, deviation, out=deviation_max, where=live
                 )
-                np.add(deviation_ticks, 1, out=deviation_ticks, where=live)
+                deviation_ticks += live
 
-                is_active = live & (np.abs(delta) >= ACTIVE_THRESHOLD)
-                np.add(active_ticks, 1, out=active_ticks, where=is_active)
-                np.add(
-                    activations, 1, out=activations,
-                    where=is_active & ~previously_active,
-                )
-                np.copyto(previously_active, is_active, where=live)
+                # A frozen row is never active again, so its flag from
+                # the tick before no longer matters.
+                is_active = live & (magnitude >= ACTIVE_THRESHOLD)
+                active_ticks += is_active
+                activations += is_active & ~previously_active
+                previously_active = is_active
 
                 if trace is not None:
                     columns = [
@@ -258,6 +257,8 @@ class Lockstep:
             was_live = np.stack(live_log)  # [ticks, N]
             names = tuple(TICK_COLUMNS)[: logged.shape[1]]
         registry = get_registry()
+        passed_npcs = batch.passed_npcs
+        effort = getattr(battacker, "mean_effort", 0.0)
         results: list[EpisodeResult] = []
         for i in range(n):
             registry.counter("episodes_total").inc()
@@ -296,19 +297,19 @@ class Lockstep:
                     ),
                     nominal_return=float(nominal_total[i]),
                     adversarial_return=float(adversarial_total[i]),
-                    passed_npcs=int(batch.passed_npcs[i]),
+                    passed_npcs=int(passed_npcs[i]),
                     ticks=_episode_ticks(names, logged, was_live, i),
                 )
 
-            mean_effort = getattr(battacker, "mean_effort", 0.0)
-            if isinstance(mean_effort, np.ndarray):
-                mean_effort = float(mean_effort[i])
+            mean_effort = (
+                effort[i] if isinstance(effort, np.ndarray) else effort
+            )
             results.append(
                 EpisodeResult(
                     steps=int(batch.step_count[i]),
                     duration=float(batch.time[i]),
                     collision=collision,
-                    passed_npcs=int(batch.passed_npcs[i]),
+                    passed_npcs=int(passed_npcs[i]),
                     nominal_return=float(nominal_total[i]),
                     adversarial_return=float(adversarial_total[i]),
                     mean_effort=float(mean_effort),

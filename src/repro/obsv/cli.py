@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -64,6 +65,14 @@ from repro.obsv.store import (
 from repro.telemetry.log import get_logger
 
 log = get_logger("obsv")
+
+#: A negative number given as a flag's value, exponent form and -inf/-nan
+#: included: argparse's own pattern accepts only ``-8`` and ``-0.5``, and
+#: reads ``-1e1`` as an option, so the flag would stop with "expected one
+#: argument" before its parser could judge the value.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+)
 
 
 def _flag(parser):
@@ -792,6 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"{text} (overrides {knob})",
         )
     wat.set_defaults(fn=_cmd_watch)
+    for command in (parser, *sub.choices.values()):
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

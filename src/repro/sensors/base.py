@@ -65,12 +65,17 @@ class FrameStack(Sensor):
 
     def observe_batch(self, batch) -> np.ndarray:
         """Stacked frames per episode, ``[N, k * inner_dim]``."""
+        return np.concatenate(self.frames_batch(batch), axis=1)
+
+    def frames_batch(self, batch) -> list[np.ndarray]:
+        """The ``k`` frames :meth:`observe_batch` stacks, oldest first,
+        ``[N, inner_dim]`` each, for a caller that joins them itself."""
         frame = self.inner.observe_batch(batch)
         if not self._frames:
             self._frames = [frame] * self.k
         else:
             self._frames = self._frames[1:] + [frame]
-        return np.concatenate(self._frames, axis=1)
+        return self._frames
 
     def reset(self) -> None:
         self._frames = []

@@ -28,7 +28,7 @@ from repro.sim.batch import BatchWorld
 from repro.sim.road import Road
 from repro.sim.world import World
 from repro.telemetry.spans import timed
-from repro.utils.geometry import clamp_array, reach
+from repro.utils.geometry import reach
 
 
 class SemanticClass(enum.IntEnum):
@@ -66,10 +66,12 @@ def _classify_road(road: Road, d: np.ndarray) -> np.ndarray:
             f"{2.0 * _MARKING_HALF_WIDTH} m; the road has lane_width={width}"
         )
     # One buffer, in place: the nearest boundary, then the distance to it.
+    # An on-road offset rounds to a boundary index in [0, n_lanes]; an
+    # off-road one may round past them, but its class is OFF_ROAD whatever
+    # its marking test says.
     gap = d + half
     gap /= width
     np.rint(gap, out=gap)
-    clamp_array(gap, 0, road.config.n_lanes, out=gap)
     gap *= width
     np.add(-half, gap, out=gap)
     np.subtract(d, gap, out=gap)
@@ -153,8 +155,7 @@ def _paint_vehicles_batch(
     half_l, half_w = vcfg.length / 2.0, vcfg.width / 2.0
     rel_x = px - batch.x[:, 1:, None]
     rel_y = py - batch.y[:, 1:, None]
-    cos_yaw = np.cos(batch.yaw[:, 1:, None])
-    sin_yaw = np.sin(batch.yaw[:, 1:, None])
+    cos_yaw, sin_yaw = (a[..., None] for a in batch.geometry().npc_heading)
     local_x = rel_x * cos_yaw + rel_y * sin_yaw
     # -rel_x * sin + rel_y * cos, bit for bit, one negation fewer.
     local_y = rel_y * cos_yaw - rel_x * sin_yaw
@@ -265,6 +266,9 @@ class BevCamera(Sensor):
         ys = np.linspace(-cfg.half_width, cfg.half_width, cfg.cols)
         grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
         self._local = np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)
+        # The same cells as two contiguous coordinate rows, for the batch
+        # rasteriser's broadcasts.
+        self._lx, self._ly = self._local.T.copy()
 
     @timed("camera.bev.render")
     def render(self, world: World) -> np.ndarray:
@@ -302,10 +306,9 @@ class BevCamera(Sensor):
         those cells alone.
         """
         cfg = self.config
-        cos_yaw = np.cos(batch.yaw[:, 0])[:, None]
-        sin_yaw = np.sin(batch.yaw[:, 0])[:, None]
+        cos_yaw, sin_yaw = (a[:, None] for a in batch.geometry().ego_heading)
         ego_x, ego_y = batch.x[:, :1], batch.y[:, :1]
-        lx, ly = self._local[:, 0], self._local[:, 1]
+        lx, ly = self._lx, self._ly
         # World y of every cell, (lx sin + ly cos) + ego y, in place.
         py = lx * sin_yaw
         py += ly * cos_yaw
@@ -315,8 +318,7 @@ class BevCamera(Sensor):
         )
         classes = _classify_road(batch.road, d)
         # NPC centres in the ego grid frame: along and across the heading.
-        dx = batch.x[:, 1:] - ego_x
-        dy = batch.y[:, 1:] - ego_y
+        dx, dy = batch.geometry().npc_offsets
         along = dx * cos_yaw + dy * sin_yaw
         across = dy * cos_yaw - dx * sin_yaw
         # A painted point lies within the footprint's circumradius of its

@@ -43,7 +43,7 @@ from repro.sim.npc import LaneKeepGains
 from repro.sim.road import Road, default_road
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
-from repro.utils.geometry import clamp, clamp_array, reach, unit_rows
+from repro.utils.geometry import clamp_array, reach, unit_rows
 
 #: Integer collision codes used by the SoA bookkeeping arrays.
 KIND_NONE = 0
@@ -73,9 +73,14 @@ class NoBatchTwin(TypeError):
     """
 
 
-def _normalize_angles(angles: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`repro.utils.geometry.normalize_angle`."""
-    return (angles + math.pi) % _TWO_PI - math.pi
+def _normalize_angles(
+    angles: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Vectorized :func:`repro.utils.geometry.normalize_angle`, into
+    ``out`` when given."""
+    wrapped = np.add(angles, math.pi, out=out)
+    np.remainder(wrapped, _TWO_PI, out=wrapped)
+    return np.subtract(wrapped, math.pi, out=wrapped)
 
 
 @dataclass(frozen=True)
@@ -133,13 +138,23 @@ class BatchGeometry:
     once by :meth:`BatchWorld.geometry`."""
 
     #: The :meth:`BatchWorld.pose_key` of the state it describes.
-    key: tuple
+    key: bytes
     #: Ego world positions and velocity vectors, ``[N, 2]`` each.
     ego_position: np.ndarray
     ego_velocity: np.ndarray
     #: NPC world positions and velocity vectors, ``[N, M, 2]`` each.
     npc_positions: np.ndarray
     npc_velocities: np.ndarray
+    #: NPC positions less their ego's, ``(dx, dy)``, ``[N, M]`` each, and
+    #: the squared centre distances ``dx * dx + dy * dy``, ``[N, M]``.
+    npc_offsets: tuple[np.ndarray, np.ndarray]
+    npc_distance2: np.ndarray
+    #: ``(cos, sin)`` of every ego's yaw, ``[N]`` each, and of every NPC's,
+    #: ``[N, M]`` each. Every consumer of a heading reads these; a vector
+    #: kernel may round a value differently in another array shape, so
+    #: the two shapes are not fused.
+    ego_heading: tuple[np.ndarray, np.ndarray]
+    npc_heading: tuple[np.ndarray, np.ndarray]
     #: Ego ``(s, d, tangent_yaw)``, ``[N]`` each.
     ego: tuple[np.ndarray, np.ndarray, np.ndarray]
     #: NPC ``(s, d, lane_yaw)``, ``[N, M]`` each.
@@ -147,28 +162,41 @@ class BatchGeometry:
     nearest: BatchNearest
 
     @classmethod
-    def of(cls, batch: "BatchWorld", key: tuple) -> "BatchGeometry":
+    def of(cls, batch: "BatchWorld", key: bytes) -> "BatchGeometry":
         n, m = batch.n, batch.m
-        ego_position, npc_positions = batch.ego_position, batch.npc_positions
-        npc_velocities = batch.npc_velocities
+        yaw, speed = batch.yaw, batch.speed
+        ego_heading = (np.cos(yaw[:, 0]), np.sin(yaw[:, 0]))
+        npc_heading = (np.cos(yaw[:, 1:]), np.sin(yaw[:, 1:]))
+        # Every actor's position and velocity, [N, 1 + M, 2] each.
+        position = np.empty((n, 1 + m, 2))
+        position[..., 0] = batch.x
+        position[..., 1] = batch.y
+        velocity = np.empty_like(position)
+        for j in range(2):
+            np.multiply(speed[:, 0], ego_heading[j], out=velocity[:, 0, j])
+            np.multiply(speed[:, 1:], npc_heading[j], out=velocity[:, 1:, j])
+        # Views of a read-only array are read-only.
+        position.setflags(write=False)
+        velocity.setflags(write=False)
+        ego_position, npc_positions = position[:, 0], position[:, 1:]
+        ego_velocity, npc_velocities = velocity[:, 0], velocity[:, 1:]
+        x, y = batch.x, batch.y
+        offsets = (x[:, 1:] - x[:, :1], y[:, 1:] - y[:, :1])
+        distance2 = offsets[0] * offsets[0] + offsets[1] * offsets[1]
         if m:
             rows = np.arange(n)
-            npcs = tuple(
-                a.reshape(n, m)
-                for a in batch.road.frenet_batch(
-                    npc_positions.reshape(-1, 2)
-                )
-            )
-            diff = npc_positions - ego_position[:, None, :]
-            dist = np.sqrt(np.einsum("nmj,nmj->nm", diff, diff))
+            npcs = batch.road.frenet_batch(npc_positions)
+            dist = np.sqrt(distance2)
             index = np.argmin(dist, axis=1)
-            direction, _ = unit_rows(diff[rows, index])
+            distance = dist[rows, index]
+            near = np.stack([a[rows, index] for a in offsets], axis=1)
+            direction, _ = unit_rows(near, distance)
             heading, moving = unit_rows(npc_velocities[rows, index])
             omega = np.where(
                 moving, np.einsum("nj,nj->n", direction, heading), 0.0
             )
             nearest = BatchNearest(
-                index, dist[rows, index], direction, heading, moving, omega
+                index, distance, direction, heading, moving, omega
             )
         else:
             empty = np.zeros((n, 0))
@@ -178,15 +206,14 @@ class BatchGeometry:
                 np.zeros((n, 2)), np.zeros(n, dtype=bool), np.zeros(n),
             )
         ego = batch.ego_frenet(ego_position)
-        ego_velocity = batch.ego_velocity
         for array in (
-            ego_position, ego_velocity, npc_positions, npc_velocities,
-            *ego, *npcs, *vars(nearest).values(),
+            *offsets, distance2, *ego_heading, *npc_heading, *ego, *npcs,
+            *vars(nearest).values(),
         ):
-            array.flags.writeable = False
+            array.setflags(write=False)
         return cls(
             key, ego_position, ego_velocity, npc_positions, npc_velocities,
-            ego, npcs, nearest,
+            offsets, distance2, ego_heading, npc_heading, ego, npcs, nearest,
         )
 
 
@@ -195,7 +222,9 @@ class BatchWorld:
 
     All state is stored as structure-of-arrays with the actor axis second:
     ``x[i, 0]`` is episode ``i``'s ego, ``x[i, 1 + j]`` its NPC ``j``.
-    Build instances with :func:`make_batch_world`.
+    ``x``, ``y``, ``yaw`` and ``speed`` are views into one pose buffer:
+    write into them, do not rebind them. Build instances with
+    :func:`make_batch_world`.
     """
 
     def __init__(
@@ -210,19 +239,21 @@ class BatchWorld:
         npc_target_speed: np.ndarray,
         gains: LaneKeepGains | None = None,
     ) -> None:
-        if x.ndim != 2 or x.shape[1] < 1:
+        states = [np.asarray(a, dtype=float) for a in (x, y, yaw, speed)]
+        if x.ndim != 2 or x.shape[1] < 1 or any(
+            a.shape != x.shape for a in states
+        ):
             raise ValueError("state arrays must have shape (n, 1 + n_npcs)")
         self.road = road
         self.config = config
         self.n, actors = x.shape
         self.m = actors - 1
-        self.x = np.array(x, dtype=float)
-        self.y = np.array(y, dtype=float)
-        self.yaw = np.array(yaw, dtype=float)
-        self.speed = np.array(speed, dtype=float)
+        shape = (self.n, actors)
+        self._pose = np.array(states)
+        self.x, self.y, self.yaw, self.speed = self._pose
         #: Smoothed actuation values a_{t-1} of Eq. (1), per actor.
-        self.steer_act = np.zeros((self.n, actors))
-        self.thrust_act = np.zeros((self.n, actors))
+        self._actuation = np.zeros((2, *shape))
+        self.steer_act, self.thrust_act = self._actuation
         self.npc_lane = np.array(npc_lane, dtype=int)
         self.npc_target_speed = np.array(npc_target_speed, dtype=float)
         self.gains = gains or LaneKeepGains()
@@ -240,6 +271,12 @@ class BatchWorld:
         #: config (see :meth:`repro.sensors.camera.BevCamera.observe_batch`).
         self.frame_memo: dict = {}
         self._geometry: BatchGeometry | None = None
+        # The tick's buffers: the commands, which become the new
+        # actuation; the integrated pose; the substeps' intermediates.
+        self._command = np.zeros((2, *shape))
+        self._next_pose = np.zeros((4, *shape))
+        self._scratch = np.zeros((5, *shape))
+        self._moving = np.zeros(shape, dtype=bool)
 
         cfg = config.vehicle
         half_l, half_w = cfg.length / 2.0, cfg.width / 2.0
@@ -284,75 +321,91 @@ class BatchWorld:
         if bool(self.done.all()):
             raise RuntimeError("all episodes done; create a new batch")
         with span("world.tick_batch"):
-            active = ~self.done
+            live = ~self.done
+            row_live = live[:, None]
             cfg, vcfg = self.config, self.config.vehicle
-            ego_steer = np.asarray(ego_steer, dtype=float)
-            ego_thrust = np.asarray(ego_thrust, dtype=float)
-            if steer_delta is None:
-                steer_delta = np.zeros(self.n)
 
             # Control.clipped: both channels to the mechanical limit.
+            steer, thrust = self._command
             p_steer = clamp_array(
-                ego_steer + steer_delta, -EPSILON_MECH, EPSILON_MECH
+                np.asarray(ego_steer, dtype=float)
+                + (0.0 if steer_delta is None else steer_delta),
+                -EPSILON_MECH,
+                EPSILON_MECH,
             )
-            p_thrust = clamp_array(ego_thrust, -EPSILON_MECH, EPSILON_MECH)
-            npc_steer, npc_thrust = self._npc_controls()
-            steer_cmd = np.concatenate([p_steer[:, None], npc_steer], axis=1)
-            thrust_cmd = np.concatenate(
-                [p_thrust[:, None], npc_thrust], axis=1
+            steer[:, 0] = p_steer
+            clamp_array(
+                np.asarray(ego_thrust, dtype=float),
+                -EPSILON_MECH,
+                EPSILON_MECH,
+                out=thrust[:, 0],
             )
+            self._npc_controls(steer[:, 1:], thrust[:, 1:])
 
-            # Eq. (1) actuation smoothing, then sub-stepped integration.
-            steer_act = (
-                (1.0 - vcfg.steer_retain) * steer_cmd
-                + vcfg.steer_retain * self.steer_act
-            )
-            thrust_act = (
-                (1.0 - vcfg.thrust_retain) * thrust_cmd
-                + vcfg.thrust_retain * self.thrust_act
-            )
+            # Eq. (1) actuation smoothing, over the commands in place:
+            # a_t = (1 - alpha) nu_t + alpha a_{t-1}.
+            steer *= 1.0 - vcfg.steer_retain
+            steer += vcfg.steer_retain * self.steer_act
+            thrust *= 1.0 - vcfg.thrust_retain
+            thrust += vcfg.thrust_retain * self.thrust_act
             # The actuation holds over the substeps.
-            drive = np.where(
-                thrust_act >= 0.0,
-                thrust_act * vcfg.max_accel,
-                thrust_act * vcfg.max_brake,
+            drive = thrust * np.where(
+                thrust >= 0.0, vcfg.max_accel, vcfg.max_brake
             )
-            tan_wheel = np.tan(steer_act * vcfg.max_steer_angle)
-            x, y, yaw, speed = self.x, self.y, self.yaw, self.speed
+            tan_wheel = np.tan(steer * vcfg.max_steer_angle)
+
+            pose = self._next_pose
+            np.copyto(pose, self._pose)
+            x, y, yaw, speed = pose
+            new_speed, yaw_rate, limit, mid_yaw, move = self._scratch
+            moving = self._moving
             sub_dt = cfg.dt / cfg.substeps
             for _ in range(cfg.substeps):
-                accel = drive - vcfg.drag * speed * speed
-                new_speed = clamp_array(
-                    speed + accel * sub_dt, 0.0, vcfg.max_speed
+                # speed + (drive - drag * speed * speed) * dt, clamped.
+                np.multiply(vcfg.drag, speed, out=new_speed)
+                new_speed *= speed
+                np.subtract(drive, new_speed, out=new_speed)
+                new_speed *= sub_dt
+                new_speed += speed
+                clamp_array(new_speed, 0.0, vcfg.max_speed, out=new_speed)
+                # -speed / wheelbase * tan(wheel angle): dividing by
+                # -wheelbase rounds as negating the speed first does.
+                np.divide(new_speed, -vcfg.wheelbase, out=yaw_rate)
+                yaw_rate *= tan_wheel
+                # Moving rows hold the yaw rate under the lateral limit.
+                np.greater(new_speed, 1e-6, out=moving)
+                np.divide(
+                    vcfg.max_lateral_accel,
+                    np.where(moving, new_speed, 1.0),
+                    out=limit,
                 )
-                yaw_rate = -new_speed / vcfg.wheelbase * tan_wheel
-                moving = new_speed > 1e-6
-                limit = vcfg.max_lateral_accel / np.where(
-                    moving, new_speed, 1.0
-                )
-                yaw_rate = np.where(
-                    moving, clamp_array(yaw_rate, -limit, limit), yaw_rate
-                )
-                mid_yaw = yaw + 0.5 * yaw_rate * sub_dt
-                mid_speed = 0.5 * (speed + new_speed)
-                x = x + mid_speed * np.cos(mid_yaw) * sub_dt
-                y = y + mid_speed * np.sin(mid_yaw) * sub_dt
-                yaw = _normalize_angles(yaw + yaw_rate * sub_dt)
-                speed = new_speed
+                limited = clamp_array(yaw_rate, -limit, limit)
+                np.copyto(yaw_rate, limited, where=moving)
+                np.multiply(0.5, yaw_rate, out=mid_yaw)
+                mid_yaw *= sub_dt
+                mid_yaw += yaw
+                # x and y move by mid_speed * (cos, sin)(mid_yaw) * dt,
+                # mid_speed = 0.5 * (speed + new_speed).
+                speed += new_speed
+                speed *= 0.5
+                for position, trig in ((x, np.cos), (y, np.sin)):
+                    trig(mid_yaw, out=move)
+                    move *= speed
+                    move *= sub_dt
+                    position += move
+                yaw_rate *= sub_dt
+                yaw += yaw_rate
+                _normalize_angles(yaw, out=yaw)
+                np.copyto(speed, new_speed)
 
             # Frozen rows keep their old state verbatim.
-            row_active = active[:, None]
-            np.copyto(self.x, x, where=row_active)
-            np.copyto(self.y, y, where=row_active)
-            np.copyto(self.yaw, yaw, where=row_active)
-            np.copyto(self.speed, speed, where=row_active)
-            np.copyto(self.steer_act, steer_act, where=row_active)
-            np.copyto(self.thrust_act, thrust_act, where=row_active)
-            np.add(self.step_count, 1, out=self.step_count, where=active)
-            np.add(self.time, cfg.dt, out=self.time, where=active)
+            np.copyto(self._pose, pose, where=row_live)
+            np.copyto(self._actuation, self._command, where=row_live)
+            self.step_count += live
+            np.add(self.time, cfg.dt, out=self.time, where=live)
 
-            kind, other = self._detect_collisions()
-            new_hit = active & (kind != KIND_NONE)
+            kind, other = self._detect_collisions(live)
+            new_hit = kind != KIND_NONE
             if new_hit.any():
                 registry = get_registry()
                 for i in np.flatnonzero(new_hit):
@@ -367,128 +420,146 @@ class BatchWorld:
 
             geometry = self.geometry()
             ego_s, npc_s = geometry.ego[0], geometry.npcs[0]
-            overtaken = ego_s[:, None] > npc_s + vcfg.length
-            np.logical_or(
-                self.passed, overtaken, out=self.passed, where=row_active
-            )
-            out_of_road = ego_s >= self.road.length - vcfg.length
-            finished = (
-                new_hit
-                | (self.step_count >= cfg.max_steps)
-                | out_of_road
-            )
-            np.logical_or(self.done, finished, out=self.done, where=active)
-
-            tick_kind = np.where(new_hit, kind, KIND_NONE).astype(np.int8)
+            self.passed |= (ego_s[:, None] > npc_s + vcfg.length) & row_live
+            finished = new_hit | (self.step_count >= cfg.max_steps)
+            finished |= ego_s >= self.road.length - vcfg.length
+            self.done |= finished & live
         return BatchTickResult(
             step=self.step_count.copy(),
             time=self.time.copy(),
-            collision_kind=tick_kind,
+            collision_kind=kind,
             done=self.done.copy(),
             applied_steer=p_steer,
         )
 
     # -- NPC drivers -------------------------------------------------------
 
-    def _npc_controls(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized lane-keeping feedback for every NPC, [N, M] each."""
+    def _npc_controls(self, steer: np.ndarray, thrust: np.ndarray) -> None:
+        """Vectorized lane-keeping feedback for every NPC, written into
+        ``steer`` and ``thrust`` ([N, M] each)."""
         _, d, lane_yaw = self.geometry().npcs
         cross_track = d - self._npc_lane_offset
         heading_error = _normalize_angles(self.yaw[:, 1:] - lane_yaw)
         g = self.gains
-        steer = clamp_array(
+        clamp_array(
             g.cross_track * cross_track + g.heading * heading_error,
             -1.0,
             1.0,
+            out=steer,
         )
-        thrust = clamp_array(
+        clamp_array(
             g.speed * (self.npc_target_speed - self.speed[:, 1:]),
             -1.0,
             1.0,
+            out=thrust,
         )
-        return steer, thrust
 
     # -- collision detection -----------------------------------------------
 
-    def _footprint_corners(
-        self, rows: np.ndarray | slice, cols: np.ndarray | int
+    def _corners(
+        self, x: np.ndarray, y: np.ndarray, cos: np.ndarray, sin: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """World-frame footprint corners of actor ``cols`` in episodes
-        ``rows`` (ego = column 0): their x and y, ``[K, 4]`` each."""
-        yaw = self.yaw[rows, cols]
-        cos, sin = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
-        lx = self._corner_local[:, 0]
-        ly = self._corner_local[:, 1]
-        cx = lx * cos - ly * sin + self.x[rows, cols][:, None]
-        cy = lx * sin + ly * cos + self.y[rows, cols][:, None]
-        return cx, cy
+        """World-frame footprint corners of the boxes centred at ``(x, y)``
+        with headings ``(cos, sin)`` (``[K]`` each): their x and y,
+        ``[4, K]`` each, corners first."""
+        lx, ly = self._corner_local.T[..., None]
+        return lx * cos - ly * sin + x, lx * sin + ly * cos + y
 
     def _overlapping(
-        self, ego_corners: np.ndarray, rows: np.ndarray, cols: np.ndarray
+        self,
+        ego_x: np.ndarray,
+        ego_y: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
     ) -> np.ndarray:
         """Separating-axis test of the ego against NPC ``cols`` in episodes
-        ``rows``; ``ego_corners`` are those rows' ego corners, ``[K, 4, 2]``.
-        ``[K]`` bool."""
-        npc_corners = np.stack(self._footprint_corners(rows, 1 + cols), -1)
+        ``rows``; ``ego_x``/``ego_y`` are those rows' ego corners, ``[4, K]``
+        each. ``[K]`` bool."""
+        npc = 1 + cols
+        ego_yaw = self.yaw[rows, 0]
+        npc_yaw = self.yaw[rows, npc]
+        npc_x, npc_y = self._corners(
+            self.x[rows, npc],
+            self.y[rows, npc],
+            np.cos(npc_yaw),
+            np.sin(npc_yaw),
+        )
         # SAT axes: ego's two face normals + the NPC's two, mirroring
         # OrientedBox.axes (heading_vector(yaw) and yaw + pi/2), [K, 4].
-        ego_yaw = self.yaw[rows, 0, None]
-        npc_yaw = self.yaw[rows, 1 + cols, None]
-        a = np.concatenate([ego_yaw, ego_yaw, npc_yaw, npc_yaw], axis=1)
-        a = a + _AXIS_OFFSETS
-        axes = np.stack([np.cos(a), np.sin(a)], axis=-1)
-        # Projections of both footprints on every axis, [K, axis, corner].
-        proj_e = np.einsum("kcj,kaj->kac", ego_corners, axes)
-        proj_o = np.einsum("kcj,kaj->kac", npc_corners, axes)
-        separated = (proj_e.max(axis=2) < proj_o.min(axis=2)) | (
-            proj_o.max(axis=2) < proj_e.min(axis=2)
-        )
-        return ~separated.any(axis=1)
+        a = np.stack((ego_yaw, ego_yaw, npc_yaw, npc_yaw), axis=1)
+        a += _AXIS_OFFSETS
+        # Axes first, [4, K], then the corners' projections on them,
+        # x * axis_x + y * axis_y, [corner, axis, K].
+        axis_x, axis_y = np.cos(a).T, np.sin(a).T
+        proj_e = ego_x[:, None] * axis_x + ego_y[:, None] * axis_y
+        proj_o = npc_x[:, None] * axis_x + npc_y[:, None] * axis_y
+        separated = np.maximum.reduce(proj_e) < np.minimum.reduce(proj_o)
+        separated |= np.maximum.reduce(proj_o) < np.minimum.reduce(proj_e)
+        return ~np.logical_or.reduce(separated)
 
-    def _detect_collisions(self) -> tuple[np.ndarray, np.ndarray]:
-        """First collision per episode: ``(kind[N], other[N])`` arrays.
+    def _classify_contacts(
+        self,
+        kind: np.ndarray,
+        other: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+    ) -> None:
+        """Write into ``kind``/``other`` the contact of each episode in
+        ``rows`` with its lowest-index NPC among ``cols`` (pairs sorted by
+        row, then NPC), classed by the NPC's bearing from the ego."""
+        first = np.ones(len(rows), dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        rows, cols = rows[first], cols[first]
+        dx, dy = (a[rows, cols] for a in self.geometry().npc_offsets)
+        bearing = np.abs(
+            _normalize_angles(np.arctan2(dy, dx) - self.yaw[rows, 0])
+        )
+        k = np.full(len(rows), KIND_SIDE, dtype=np.int8)
+        k[bearing <= _FRONT_SECTOR] = KIND_FRONT
+        k[bearing >= _REAR_SECTOR] = KIND_REAR
+        kind[rows] = k
+        other[rows] = cols
+
+    def _detect_collisions(
+        self, live: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """First collision of each episode ``live`` marks: ``(kind[N],
+        other[N])`` arrays; every other row reads ``KIND_NONE`` / -1.
 
         Mirrors the scalar ``World._detect_collision``: NPCs are tested in
         spawn order (the lowest-index overlapping NPC wins), the barrier
         only when no vehicle contact exists. Only (episode, NPC) pairs
         whose centres lie within the contact :func:`reach` run the
-        separating-axis test; the others cannot overlap.
+        separating-axis test; the others cannot overlap. A finished
+        episode's collision is already recorded, so its row is not tested.
         """
         kind = np.zeros(self.n, dtype=np.int8)
         other = np.full(self.n, -1, dtype=int)
-        ego_x, ego_y = self._footprint_corners(slice(None), 0)
-        dx = self.x[:, 1:] - self.x[:, :1]
-        dy = self.y[:, 1:] - self.y[:, :1]
-        rows, cols = np.nonzero(
-            dx * dx + dy * dy <= self._contact_reach * self._contact_reach
+        live_rows = np.flatnonzero(live)
+        geometry = self.geometry()
+        cos, sin = geometry.ego_heading
+        ego_x, ego_y = self._corners(
+            self.x[live_rows, 0],
+            self.y[live_rows, 0],
+            cos[live_rows],
+            sin[live_rows],
         )
-        if len(rows):
-            ego_corners = np.stack([ego_x[rows], ego_y[rows]], axis=-1)
-            hit = self._overlapping(ego_corners, rows, cols)
-            # nonzero lists pairs row-major, so each row's first hit is
-            # its lowest-index NPC.
-            rows, first = np.unique(rows[hit], return_index=True)
-            cols = cols[hit][first]
-            bearing = np.abs(
-                _normalize_angles(
-                    np.arctan2(dy[rows, cols], dx[rows, cols])
-                    - self.yaw[rows, 0]
-                )
+        reach2 = self._contact_reach * self._contact_reach
+        pairs, cols = np.nonzero(geometry.npc_distance2[live_rows] <= reach2)
+        if len(pairs):
+            rows = live_rows[pairs]
+            hit = self._overlapping(
+                ego_x[:, pairs], ego_y[:, pairs], rows, cols
             )
-            k = np.full(len(rows), KIND_SIDE, dtype=np.int8)
-            k[bearing <= _FRONT_SECTOR] = KIND_FRONT
-            k[bearing >= _REAR_SECTOR] = KIND_REAR
-            kind[rows] = k
-            other[rows] = cols
+            if hit.any():
+                self._classify_contacts(kind, other, rows[hit], cols[hit])
         # Barrier: any ego footprint corner beyond the roadside barriers,
         # only where no vehicle collision was found.
-        clear = kind == KIND_NONE
+        clear = kind[live_rows] == KIND_NONE
         if clear.any():
             d = self.road.lateral_batch(ego_y, lambda: ego_x)
-            off = (np.abs(d) >= self.road.barrier_offset).any(axis=1)
-            barrier = clear & off
-            kind[barrier] = KIND_BARRIER
-            other[barrier] = -1
+            off = np.logical_or.reduce(np.abs(d) >= self.road.barrier_offset)
+            kind[live_rows[clear & off]] = KIND_BARRIER
         return kind, other
 
     # -- queries -----------------------------------------------------------
@@ -536,13 +607,12 @@ class BatchWorld:
 
     # -- geometry of the current state ---------------------------------------
 
-    def pose_key(self) -> tuple:
+    def pose_key(self) -> bytes:
         """The ``x, y, yaw`` and ``speed`` of every actor of every episode,
         as a key: equal keys mean an unchanged state, whatever changed it
-        (a tick or an in-place write to the state arrays)."""
-        return self.x.shape, b"".join(
-            [a.tobytes() for a in (self.x, self.y, self.yaw, self.speed)]
-        )
+        (a tick or an in-place write to the state arrays). One copy of the
+        pose buffer those four arrays view."""
+        return self._pose.tobytes()
 
     def geometry(self) -> BatchGeometry:
         """The current state's :class:`BatchGeometry`, worked out on the
@@ -594,51 +664,43 @@ def make_batch_world(
     """
     config = config or ScenarioConfig()
     road = road or default_road(config.road)
+    m = config.n_npcs
     if seeds is None:
         if n is None:
             raise ValueError("provide seeds or n")
-        rngs = [None] * n
+        jitter = np.zeros((n, m, 2))
     else:
-        rngs = [np.random.default_rng(s) for s in seeds]
-        n = len(rngs)
-    m = config.n_npcs
+        n = len(seeds)
+        # make_world draws, per NPC, the spawn jitter then the speed
+        # jitter, each rng.uniform(-half, half) = low + (high - low) * u.
+        lows = np.tile([-config.spawn_jitter, -config.speed_jitter], m)
+        highs = np.tile([config.spawn_jitter, config.speed_jitter], m)
+        jitter = np.array(
+            [
+                lows + (highs - lows) * np.random.default_rng(s).random(2 * m)
+                for s in seeds
+            ]
+        ).reshape(n, m, 2)
 
-    x = np.zeros((n, 1 + m))
-    y = np.zeros((n, 1 + m))
-    yaw = np.zeros((n, 1 + m))
-    speed = np.zeros((n, 1 + m))
-    npc_lane = np.zeros((n, m), dtype=int)
-    npc_target_speed = np.zeros((n, m))
-
+    lanes = [config.npc_lanes[i % len(config.npc_lanes)] for i in range(m)]
     ego_start_s = 10.0
+    s = ego_start_s + config.first_npc_gap + np.arange(m) * config.npc_spacing
+    s = clamp_array(s + jitter[..., 0], 0.0, road.length - 10.0)
+    npc_speed = np.maximum(config.npc_speed + jitter[..., 1], 0.0)
+    offsets = np.array([road.lane_offset(lane) for lane in lanes])
+    position, npc_yaw = road.to_world_batch(
+        s.ravel(), np.broadcast_to(offsets, s.shape).ravel()
+    )
+
     ego_position, ego_yaw = road.lane_center(config.ego_lane, ego_start_s)
-    x[:, 0] = float(ego_position[0])
-    y[:, 0] = float(ego_position[1])
+    x, y, yaw, speed = np.empty((4, n, 1 + m))
+    x[:, 0], y[:, 0] = ego_position
     yaw[:, 0] = ego_yaw
     speed[:, 0] = config.ego_speed
-
-    for i, rng in enumerate(rngs):
-        for index in range(m):
-            lane = config.npc_lanes[index % len(config.npc_lanes)]
-            s = ego_start_s + config.first_npc_gap + index * config.npc_spacing
-            npc_speed = config.npc_speed
-            if rng is not None:
-                s += float(
-                    rng.uniform(-config.spawn_jitter, config.spawn_jitter)
-                )
-                npc_speed += float(
-                    rng.uniform(-config.speed_jitter, config.speed_jitter)
-                )
-            s = clamp(s, 0.0, road.length - 10.0)
-            position, npc_yaw = road.lane_center(lane, s)
-            col = 1 + index
-            x[i, col] = float(position[0])
-            y[i, col] = float(position[1])
-            yaw[i, col] = npc_yaw
-            speed[i, col] = max(npc_speed, 0.0)
-            npc_lane[i, index] = lane
-            npc_target_speed[i, index] = max(npc_speed, 0.0)
-
+    x[:, 1:] = position[:, 0].reshape(n, m)
+    y[:, 1:] = position[:, 1].reshape(n, m)
+    yaw[:, 1:] = npc_yaw.reshape(n, m)
+    speed[:, 1:] = npc_speed
     return BatchWorld(
         road=road,
         config=config,
@@ -646,6 +708,6 @@ def make_batch_world(
         y=y,
         yaw=yaw,
         speed=speed,
-        npc_lane=npc_lane,
-        npc_target_speed=npc_target_speed,
+        npc_lane=np.broadcast_to(lanes, (n, m)),
+        npc_target_speed=npc_speed,
     )

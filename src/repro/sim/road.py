@@ -72,6 +72,10 @@ class Road:
         )
         self._base_x = float(self.centerline[0, 0])
         self._base_y = float(self.centerline[0, 1])
+        #: Each segment's arc-length span, floored as :meth:`to_world_batch`
+        #: divides by it.
+        self._span = np.maximum(np.diff(self.arclength), 1e-12)
+        self._span.flags.writeable = False
 
     # -- constructors ------------------------------------------------------
 
@@ -116,7 +120,8 @@ class Road:
     def frenet_batch(
         self, points: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`to_frenet`: ``(s, d, tangent_yaw)`` arrays.
+        """Vectorized :meth:`to_frenet`: ``(s, d, tangent_yaw)`` arrays of
+        the ``[..., 2]`` points, each of shape ``points.shape[:-1]``.
 
         Mirrors the scalar conversion element-for-element (the axis-aligned
         fast path is exact; the generic path picks the same nearest segment
@@ -127,8 +132,13 @@ class Road:
         """
         pts = np.asarray(points, dtype=float)
         if self._axis_aligned:
-            s = clamp_array(pts[:, 0] - self._base_x, 0.0, self.length)
-            return s, pts[:, 1] - self._base_y, np.zeros(len(pts))
+            s = clamp_array(pts[..., 0] - self._base_x, 0.0, self.length)
+            return s, pts[..., 1] - self._base_y, np.zeros(pts.shape[:-1])
+        if pts.ndim != 2:
+            return tuple(
+                a.reshape(pts.shape[:-1])
+                for a in self.frenet_batch(pts.reshape(-1, 2))
+            )
         starts = self.centerline[:-1]
         segs = self.centerline[1:] - starts
         seg_len2 = np.maximum(np.einsum("ij,ij->i", segs, segs), 1e-12)
@@ -178,29 +188,43 @@ class Road:
 
         Evaluates the same interpolation formula as
         :func:`~repro.utils.geometry.interpolate_polyline` element-wise
-        (same segment choice via ``searchsorted``, same lerp), so straight
-        roads reproduce the scalar result bit-for-bit. An axis-aligned
-        road, like :meth:`frenet_batch`, skips the trigonometry: its
-        heading is 0 and its normal ``(-0.0, 1.0)``.
+        (same segment choice via ``searchsorted``, same lerp) and takes
+        each segment's heading and normal from the scalar conversion's
+        ``math`` calls, so every road reproduces the scalar result bit for
+        bit. An axis-aligned road, like :meth:`frenet_batch`, skips the
+        lookup: its heading is 0 and its normal ``(-0.0, 1.0)``.
         """
         s = np.asarray(s, dtype=float)
         d = np.asarray(d, dtype=float)
         s_c = clamp_array(s, 0.0, self.length)
-        idx = np.searchsorted(self.arclength, s_c, side="right") - 1
-        idx = clamp_array(idx, 0, len(self.centerline) - 2)
-        seg_start = self.arclength[idx]
-        span = np.maximum(self.arclength[idx + 1] - seg_start, 1e-12)
-        t = (s_c - seg_start) / span
+        idx = np.searchsorted(self.arclength, s_c, side="right")
+        idx -= 1
+        clamp_array(idx, 0, len(self.centerline) - 2, out=idx)
+        t = (s_c - self.arclength[idx]) / self._span[idx]
         base = (
             self.centerline[idx] * (1.0 - t)[:, None]
             + self.centerline[idx + 1] * t[:, None]
         )
         if self._axis_aligned:
             return base + d[:, None] * _AXIS_NORMAL, np.zeros(len(t))
-        direction = self.centerline[idx + 1] - self.centerline[idx]
-        yaw = np.arctan2(direction[:, 1], direction[:, 0])
-        normal = np.stack([-np.sin(yaw), np.cos(yaw)], axis=1)
-        return base + d[:, None] * normal, yaw
+        yaw, normal = self._segment_frames
+        return base + d[:, None] * normal[idx], yaw[idx]
+
+    @cached_property
+    def _segment_frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each centerline segment's heading and left normal, ``[S]`` and
+        ``[S, 2]``: the ``math.atan2``, ``math.sin`` and ``math.cos`` values
+        :meth:`to_world` works out, which a vector kernel may round
+        otherwise."""
+        yaw = np.array(
+            [
+                math.atan2(dy, dx)
+                for dx, dy in np.diff(self.centerline, axis=0).tolist()
+            ]
+        )
+        normal = np.array([[-math.sin(a), math.cos(a)] for a in yaw.tolist()])
+        yaw.flags.writeable = normal.flags.writeable = False
+        return yaw, normal
 
     # -- lanes -------------------------------------------------------------
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,12 @@ from repro.sim.vehicle import Control, Vehicle
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
 from repro.utils.geometry import unit
+
+
+@lru_cache(maxsize=16)
+def _packer(count: int):
+    """``struct`` packing of ``count`` doubles, its format parsed once."""
+    return struct.Struct(f"{count}d").pack
 
 
 @dataclass(frozen=True)
@@ -258,7 +265,7 @@ class World:
         for npc in self.npcs:
             state = npc.vehicle.state
             values += (state.x, state.y, state.yaw, state.speed)
-        return struct.pack(f"{len(values)}d", *values)
+        return _packer(len(values))(*values)
 
     def geometry(self) -> WorldGeometry:
         """The current state's :class:`WorldGeometry`, worked out on the

@@ -104,15 +104,22 @@ def unit(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
-def unit_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def unit_rows(
+    vectors: np.ndarray, norm: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :func:`unit` of ``[N, 2]`` vectors: ``(units, nonzero)``.
 
     Rows shorter than ``1e-12`` become zeros and read False in ``nonzero``.
+    ``norm``: the rows' lengths, when the caller has worked them out as
+    ``sqrt(x * x + y * y)`` already.
     """
-    norm = np.sqrt(np.einsum("nj,nj->n", vectors, vectors))
+    if norm is None:
+        norm = np.sqrt(np.einsum("nj,nj->n", vectors, vectors))
     zero = norm < 1e-12
-    safe = np.where(zero, 1.0, norm)
-    return np.where(zero[:, None], 0.0, vectors / safe[:, None]), ~zero
+    units = vectors / np.where(zero, 1.0, norm)[:, None]
+    if zero.any():
+        units[zero] = 0.0
+    return units, ~zero
 
 
 def heading_vector(yaw: float) -> np.ndarray:

@@ -15,6 +15,8 @@ import pytest
 
 from repro.agents.e2e import EndToEndAgent
 from repro.agents.modular import ModularAgent
+from repro.agents.modular.agent import ModularAgentConfig
+from repro.agents.modular.behavior import BatchBehaviorPlanner, BehaviorConfig
 from repro.core import (
     ImuAttackObservation,
     InjectionChannel,
@@ -151,6 +153,58 @@ class TestModularEquivalence:
         )
         # The sweep must actually exercise the attacked regime.
         assert any(r.collision is not None for r in scalar)
+
+
+def cautious_modular_victim(world):
+    """A modular victim whose planner is not the reference planner: it
+    triggers overtakes later and wants more room to change lanes."""
+    behavior = BehaviorConfig(overtake_trigger=18.0, change_front_gap=16.0)
+    return ModularAgent(world.road, ModularAgentConfig(behavior=behavior))
+
+
+@pytest.fixture()
+def planner_updates(monkeypatch):
+    """Counts ``BatchBehaviorPlanner.update`` calls and lockstep ticks."""
+    counts = {"update": 0, "tick": 0}
+    update, tick = BatchBehaviorPlanner.update, BatchWorld.tick
+
+    def counting_update(self, batch):
+        counts["update"] += 1
+        return update(self, batch)
+
+    def counting_tick(self, *args, **kwargs):
+        counts["tick"] += 1
+        return tick(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchBehaviorPlanner, "update", counting_update)
+    monkeypatch.setattr(BatchWorld, "tick", counting_tick)
+    return counts
+
+
+class TestModularPlanners:
+    """A modular victim of the default behaviour config drives on the
+    reference plan; any other config runs its own planner beside it."""
+
+    def test_default_config_shares_the_reference_plan(self, planner_updates):
+        assert_equivalent(modular_victim, lambda: OracleAttacker(budget=1.0))
+        assert planner_updates["tick"] > 0
+        assert planner_updates["update"] == planner_updates["tick"]
+
+    def test_other_config_runs_its_own_planner(self, planner_updates):
+        scalar, _ = assert_equivalent(
+            cautious_modular_victim, lambda: OracleAttacker(budget=1.0)
+        )
+        assert planner_updates["tick"] > 0
+        assert planner_updates["update"] == 2 * planner_updates["tick"]
+        # The victim's own plans differ from the reference plans: with the
+        # default config's plans its episodes end otherwise.
+        default = [
+            run_episode(
+                modular_victim, attacker=OracleAttacker(budget=1.0), seed=s
+            )
+            for s in SEEDS
+        ]
+        assert scalar != default
 
 
 @needs_artifacts

@@ -88,6 +88,23 @@ class TestCli:
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
 
+    def test_negative_exponent_flag_values(self):
+        """A negative number in exponent form is a flag's value, not an
+        option, whether it follows the flag or is joined to it by ``=``."""
+        from repro.obsv.cli import build_parser
+
+        parser = build_parser()
+        for argv in (
+            ["watch", "t.jsonl", "--entropy-floor", "-1e1", "--once"],
+            ["watch", "t.jsonl", "--entropy-floor=-1e1", "--once"],
+        ):
+            args = parser.parse_args(argv)
+            assert args.entropy_floor == -10.0 and args.once
+        args = parser.parse_args(
+            ["forensics", "t.jsonl", "--strike-fraction", "-2.5E-1"]
+        )
+        assert args.strike_fraction == -0.25
+
     def test_regress_exit_codes(self, tmp_path, capsys):
         base = {
             "wall_clock_s": 100.0,

@@ -185,6 +185,10 @@ def test_malformed_knob_raises(monkeypatch, name, value, read):
             id="replay-tolerance-text",
         ),
         pytest.param(
+            ["replay", "trace.jsonl", "--tolerance", "-1e-9"], "--tolerance",
+            id="replay-tolerance-negative-exponent",
+        ),
+        pytest.param(
             ["watch", "trace.jsonl", "--once", "--q-limit", "nan"],
             "--q-limit", id="watch-q-limit-nan",
         ),
