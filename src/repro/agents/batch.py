@@ -76,7 +76,7 @@ class BatchModularActor:
             reference if self.planner is None else self.planner.update(batch)
         )
         ego_s = batch.geometry().ego[0]
-        speed = batch.speed[:, 0]
+        yaw, speed = batch.pose[2, 0], batch.pose[3, 0]
 
         cfg = self.config
         lookahead = clamp_array(
@@ -85,9 +85,8 @@ class BatchModularActor:
         target_s = ego_s + lookahead
         target_d = plan.reference_offset(target_s)
         target_xy, _ = batch.road.to_world_batch(target_s, target_d)
-        dx = target_xy[:, 0] - batch.x[:, 0]
-        dy = target_xy[:, 1] - batch.y[:, 0]
-        bearing = np.arctan2(dy, dx) - batch.yaw[:, 0]
+        offset = target_xy - batch.pose[:2, 0]
+        bearing = np.arctan2(offset[1], offset[0]) - yaw
         bearing = (bearing + math.pi) % (2.0 * math.pi) - math.pi
         # Positive steer turns right; a target to the left needs negative.
         steer = self._lateral.step(-bearing)

@@ -68,11 +68,11 @@ class DrivingObservation:
         _, d, _ = batch.geometry().ego
         ego = np.stack(
             [
-                batch.speed[:, 0] / self.reference_speed,
-                batch.steer_act[:, 0],
-                batch.thrust_act[:, 0],
+                batch.pose[3, 0] / self.reference_speed,
+                batch.actuation[0, 0],
+                batch.actuation[1, 0],
                 d / batch.road.half_width,
-                batch.yaw[:, 0] / math.pi,
+                batch.pose[2, 0] / math.pi,
             ],
             axis=1,
         )

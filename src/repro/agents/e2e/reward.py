@@ -24,7 +24,7 @@ import numpy as np
 from repro.agents.modular.behavior import Plan
 from repro.sim.collision import Collision
 from repro.sim.world import World
-from repro.utils.geometry import unit, unit_rows
+from repro.utils.geometry import unit, unit_planes
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,15 @@ class DrivingReward:
         target_s = ego_s + cfg.lookahead
         target_d = plan.reference_offset(target_s)
         target_xy, _ = batch.road.to_world_batch(target_s, target_d)
-        unit_wp, _ = unit_rows(target_xy - geometry.ego_position)
+        unit_wp, _ = unit_planes(target_xy - geometry.ego_position)
         progress = np.minimum(
-            np.einsum("nj,nj->n", geometry.ego_velocity, unit_wp)
+            np.einsum("jn,jn->n", geometry.ego_velocity, unit_wp)
             / cfg.reference_speed,
             1.0,
         )
 
         speed_error = (
-            np.abs(batch.speed[:, 0] - plan.target_speed)
+            np.abs(batch.pose[3, 0] - plan.target_speed)
             / cfg.reference_speed
         )
         speed = -cfg.speed_weight * speed_error

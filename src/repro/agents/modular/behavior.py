@@ -283,7 +283,8 @@ class BatchBehaviorPlanner:
         n = batch.n
         geometry = batch.geometry()
         ego_s, ego_d, _ = geometry.ego
-        ego_speed = batch.speed[:, 0]
+        # Egos [N], NPCs [M, N].
+        ego_speed, npc_speed = batch.pose[3, 0], batch.pose[3, 1:]
 
         # 1. Clear transitions whose blend interval the ego has passed.
         # The state arrays are rebound, never written in place, so each
@@ -296,14 +297,12 @@ class BatchBehaviorPlanner:
         npc_lane = self._lane_at(npc_d)
         rows = np.arange(n)
 
-        ahead = (npc_lane == self._target_lane[:, None]) & (
-            npc_s > ego_s[:, None]
-        )
+        ahead = (npc_lane == self._target_lane) & (npc_s > ego_s)
         masked_s = np.where(ahead, npc_s, np.inf)
-        leader_col = np.argmin(masked_s, axis=1)
-        leader_s = masked_s[rows, leader_col]
+        leader_col = np.argmin(masked_s, axis=0)
+        leader_s = masked_s[leader_col, rows]
         has_leader = np.isfinite(leader_s)
-        leader_speed = batch.speed[rows, 1 + leader_col]
+        leader_speed = npc_speed[leader_col, rows]
         gap = leader_s - ego_s
         near = has_leader & (gap < cfg.overtake_trigger)
 
@@ -312,7 +311,7 @@ class BatchBehaviorPlanner:
         attempt = ~changing & near
         started = np.zeros(n, dtype=bool)
         target_lane = self._target_lane
-        rel = npc_s - ego_s[:, None]
+        rel = npc_s - ego_s
         for delta in (1, -1):
             candidate = self._target_lane + delta
             valid = (
@@ -323,12 +322,12 @@ class BatchBehaviorPlanner:
             )
             if not valid.any():
                 continue
-            in_cand = npc_lane == candidate[:, None]
+            in_cand = npc_lane == candidate
             blocking = (
                 in_cand
                 & (rel >= -cfg.change_rear_gap)
                 & (rel <= cfg.change_front_gap)
-            ).any(axis=1)
+            ).any(axis=0)
             go = valid & ~blocking
             if go.any():
                 speed = np.maximum(ego_speed, 4.0)

@@ -253,8 +253,7 @@ class BatchOracleAttacker:
             & (np.abs(nearest.omega) <= self.beta)
         )
         # Ego-frame lateral offset of the target (footprint().to_local y).
-        rows = np.arange(batch.n)
-        dx, dy = (a[rows, nearest.index] for a in geometry.npc_offsets)
+        dx, dy = nearest.offset[0], nearest.offset[1]
         cos_yaw, sin_yaw = geometry.ego_heading
         local_y = -dx * sin_yaw + dy * cos_yaw
         side = np.where(local_y > 0.0, -1.0, 1.0)

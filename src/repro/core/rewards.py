@@ -31,7 +31,7 @@ import numpy as np
 from repro.sim.batch import KIND_BARRIER, KIND_NONE, KIND_SIDE
 from repro.sim.collision import Collision, CollisionKind
 from repro.sim.world import Nearest, World
-from repro.utils.geometry import unit, unit_rows
+from repro.utils.geometry import unit, unit_planes
 
 #: The paper's critical-moment threshold, cos(pi/6).
 BETA = math.cos(math.pi / 6.0)
@@ -164,9 +164,9 @@ class AdversarialReward:
         nearest = geometry.nearest
         critical = nearest.moving & (np.abs(nearest.omega) <= cfg.beta)
 
-        ego_dir, _ = unit_rows(geometry.ego_velocity)
+        ego_dir, _ = unit_planes(geometry.ego_velocity)
         potential = np.where(
-            critical, np.einsum("nj,nj->n", nearest.direction, ego_dir), 0.0
+            critical, np.einsum("jn,jn->n", nearest.direction, ego_dir), 0.0
         )
         maneuver = np.where(
             critical, 0.0, -cfg.maneuver_weight * np.abs(delta)

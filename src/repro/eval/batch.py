@@ -221,8 +221,7 @@ class Lockstep:
 
                 if trace is not None:
                     columns = [
-                        result.step, result.time, delta, batch.x[:, 0],
-                        batch.y[:, 0], batch.yaw[:, 0], batch.speed[:, 0],
+                        result.step, result.time, delta, *batch.pose[:, 0],
                         nominal_step, adversarial_step, deviation,
                     ]
                     if batch.m:

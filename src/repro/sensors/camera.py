@@ -147,15 +147,15 @@ def _paint_vehicles_batch(
     """Paint every episode's NPCs into ``classes`` (``[N, P]``), in place.
 
     The exact footprint test of NPC ``j`` of episode ``i`` runs only on
-    the points ``cells[i, j]`` (``[N, M, K]`` flat indices into the
-    ``[N, P]`` grid) at world ``(px, py)`` (``[N, M, K]`` each); they must
+    the points ``cells[:, j, i]`` (``[K, M, N]`` flat indices into the
+    ``[N, P]`` grid) at world ``(px, py)`` (``[K, M, N]`` each); they must
     hold every point that NPC can cover.
     """
     vcfg = batch.config.vehicle
     half_l, half_w = vcfg.length / 2.0, vcfg.width / 2.0
-    rel_x = px - batch.x[:, 1:, None]
-    rel_y = py - batch.y[:, 1:, None]
-    cos_yaw, sin_yaw = (a[..., None] for a in batch.geometry().npc_heading)
+    rel_x = px - batch.pose[0, 1:]
+    rel_y = py - batch.pose[1, 1:]
+    cos_yaw, sin_yaw = batch.geometry().npc_heading
     local_x = rel_x * cos_yaw + rel_y * sin_yaw
     # -rel_x * sin + rel_y * cos, bit for bit, one negation fewer.
     local_y = rel_y * cos_yaw - rel_x * sin_yaw
@@ -306,21 +306,26 @@ class BevCamera(Sensor):
         those cells alone.
         """
         cfg = self.config
-        cos_yaw, sin_yaw = (a[:, None] for a in batch.geometry().ego_heading)
-        ego_x, ego_y = batch.x[:, :1], batch.y[:, :1]
+        geometry = batch.geometry()
+        # Each ego's heading and position, [N] each, and as [N, 1] columns
+        # for the [N, P] grid.
+        cos_ego, sin_ego = geometry.ego_heading
+        ego_x, ego_y = batch.pose[0, 0], batch.pose[1, 0]
+        cos_yaw, sin_yaw = cos_ego[:, None], sin_ego[:, None]
         lx, ly = self._lx, self._ly
         # World y of every cell, (lx sin + ly cos) + ego y, in place.
         py = lx * sin_yaw
         py += ly * cos_yaw
-        py += ego_y
+        py += ego_y[:, None]
         d = batch.road.lateral_batch(
-            py, lambda: lx * cos_yaw - ly * sin_yaw + ego_x
+            py, lambda: lx * cos_yaw - ly * sin_yaw + ego_x[:, None]
         )
         classes = _classify_road(batch.road, d)
-        # NPC centres in the ego grid frame: along and across the heading.
-        dx, dy = batch.geometry().npc_offsets
-        along = dx * cos_yaw + dy * sin_yaw
-        across = dy * cos_yaw - dx * sin_yaw
+        # NPC centres in the ego grid frame: along and across the heading,
+        # [M, N] each.
+        dx, dy = geometry.npc_offsets
+        along = dx * cos_ego + dy * sin_ego
+        across = dy * cos_ego - dx * sin_ego
         # A painted point lies within the footprint's circumradius of its
         # centre, up to ~1e-12 m of rounding; the reach's 1e-6 m margin
         # covers that, so the windows hold every cell the NPC can paint.
@@ -329,13 +334,12 @@ class BevCamera(Sensor):
         origin, step, last, offsets = _window_plan(cfg, radius)
         first = np.ceil((np.stack([along, across]) - radius - origin) / step)
         row0, col0 = np.minimum(np.maximum(first.astype(np.intp), 0), last)
-        # Each window's cells: index in the grid, then in the [N, P] batch.
-        local = (row0 * cfg.cols + col0)[..., None] + offsets
-        cells = local + cfg.cells * np.arange(batch.n)[:, None, None]
+        # Each window's cells, window cell first, [K, M, N]: index in the
+        # grid, then in the [N, P] batch.
+        local = offsets[:, None, None] + (row0 * cfg.cols + col0)
+        cells = local + cfg.cells * np.arange(batch.n)
         window_x = (
-            lx.take(local) * cos_yaw[..., None]
-            - ly.take(local) * sin_yaw[..., None]
-            + ego_x[..., None]
+            lx.take(local) * cos_ego - ly.take(local) * sin_ego + ego_x
         )
         _paint_vehicles_batch(classes, batch, window_x, py.take(cells), cells)
         return classes.reshape(batch.n, cfg.rows, cfg.cols)

@@ -3,15 +3,23 @@
 The scalar :class:`~repro.sim.world.World` advances one episode per call
 with per-vehicle Python objects; profiling shows a full bench session is
 dominated by that per-episode Python overhead, not by compute. This module
-re-expresses the same physics over ``[N, ...]`` numpy arrays so one
-``tick`` advances every episode of a batch at once:
+re-expresses the same physics over numpy arrays so one ``tick`` advances
+every episode of a batch at once:
 
-* all actor state (ego + NPCs) lives in ``[N, 1 + M]`` arrays (column 0 is
-  the ego, columns ``1..M`` the NPCs in spawn order);
+* the state is actor-major. Every actor's pose lives in one ``[4, 1 + M,
+  N]`` buffer (planes x, y, yaw and speed; row 0 holds the egos, rows
+  ``1..M`` the NPCs in spawn order), the Eq. (1) actuation in one ``[2,
+  1 + M, N]`` buffer, and the NPC lanes, target speeds and passed flags in
+  ``[M, N]`` arrays, so the tick and its consumers read contiguous planes:
+  ego arrays ``[N]``, NPC arrays ``[M, N]``. The ``[N, 1 + M]`` and
+  ``[N, M]`` attributes (``x``, ``y``, ``yaw``, ``speed``, ``steer_act``,
+  ``thrust_act``, ``npc_lane``, ``npc_target_speed``, ``passed``) are
+  transposed views of those buffers, not copies;
 * the kinematic bicycle model, Eq. (1) actuation smoothing, the
   lane-keeping NPC drivers, and the vehicle-pair/barrier collision checks
   are all evaluated as whole-batch array expressions (the vehicle-pair
-  test only for pairs within :func:`~repro.utils.geometry.reach`);
+  test only for pairs within :func:`~repro.utils.geometry.reach`, the
+  barrier test only for egos within reach of a barrier);
 * finished episodes are *frozen* via a per-episode ``done`` mask — their
   rows stop updating while the batch continues, so every episode sees
   exactly the trajectory it would have seen running alone.
@@ -43,7 +51,7 @@ from repro.sim.npc import LaneKeepGains
 from repro.sim.road import Road, default_road
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
-from repro.utils.geometry import clamp_array, reach, unit_rows
+from repro.utils.geometry import clamp_array, reach, unit_planes
 
 #: Integer collision codes used by the SoA bookkeeping arrays.
 KIND_NONE = 0
@@ -60,9 +68,14 @@ _KIND_TO_ENUM = {
 }
 
 _TWO_PI = 2.0 * math.pi
-#: Angle of each separating axis from its box's yaw: the ego's heading
-#: and its normal, then the NPC's.
-_AXIS_OFFSETS = np.array([0.0, math.pi / 2.0, 0.0, math.pi / 2.0])
+#: The box (0 the ego, 1 the NPC) of each separating axis, and the axis's
+#: angle from that box's yaw: the ego's heading and its normal, then the
+#: NPC's.
+_AXIS_BOXES = np.array([0, 0, 1, 1])
+_AXIS_OFFSETS = np.array([[0.0], [math.pi / 2.0], [0.0], [math.pi / 2.0]])
+#: From about this many angles on, two range reductions cost less than the
+#: remainder they may skip (about 16 ns an element on a 2-vCPU host).
+_WRAP_CHECK_SIZE = 128
 
 
 class NoBatchTwin(TypeError):
@@ -77,9 +90,15 @@ def _normalize_angles(
     angles: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Vectorized :func:`repro.utils.geometry.normalize_angle`, into
-    ``out`` when given."""
+    ``out`` when given. The remainder leaves a value in ``[0, 2 pi)`` as
+    it is, bit for bit, so on a large array it runs only when some value
+    lies outside."""
     wrapped = np.add(angles, math.pi, out=out)
-    np.remainder(wrapped, _TWO_PI, out=wrapped)
+    if wrapped.size < _WRAP_CHECK_SIZE or not (
+        np.minimum.reduce(wrapped, axis=None, initial=0.0) >= 0.0
+        and np.maximum.reduce(wrapped, axis=None, initial=0.0) < _TWO_PI
+    ):
+        np.remainder(wrapped, _TWO_PI, out=wrapped)
     return np.subtract(wrapped, math.pi, out=wrapped)
 
 
@@ -120,9 +139,11 @@ class BatchNearest:
 
     index: np.ndarray
     distance: np.ndarray
-    #: Unit vectors from each ego to its nearest NPC, ``[N, 2]``.
+    #: Each nearest NPC's position less its ego's, ``[2, N]`` (x and y
+    #: planes), and its unit vector.
+    offset: np.ndarray
     direction: np.ndarray
-    #: Unit vectors along each nearest NPC's velocity, ``[N, 2]``.
+    #: Unit vectors along each nearest NPC's velocity, ``[2, N]``.
     heading: np.ndarray
     #: Rows whose nearest NPC moves (the scalar ``omega`` is not None).
     moving: np.ndarray
@@ -135,96 +156,104 @@ class BatchGeometry:
     """Where every actor of every episode sits and moves, relative to the
     world, the road and its ego, for one batch state (SoA mirror of
     :class:`repro.sim.world.WorldGeometry`); read-only arrays worked out
-    once by :meth:`BatchWorld.geometry`."""
+    once by :meth:`BatchWorld.geometry`. Vectors are ``[2, ...]`` planes
+    (x, then y), ego arrays ``[N]`` and NPC arrays ``[M, N]``."""
 
     #: The :meth:`BatchWorld.pose_key` of the state it describes.
     key: bytes
-    #: Ego world positions and velocity vectors, ``[N, 2]`` each.
+    #: Ego world positions and velocity vectors, ``[2, N]`` each. The
+    #: positions are read-only views of the pose buffer.
     ego_position: np.ndarray
     ego_velocity: np.ndarray
-    #: NPC world positions and velocity vectors, ``[N, M, 2]`` each.
+    #: NPC world positions and velocity vectors, ``[2, M, N]`` each.
     npc_positions: np.ndarray
     npc_velocities: np.ndarray
-    #: NPC positions less their ego's, ``(dx, dy)``, ``[N, M]`` each, and
-    #: the squared centre distances ``dx * dx + dy * dy``, ``[N, M]``.
+    #: NPC positions less their ego's, ``(dx, dy)``, ``[M, N]`` each (the
+    #: planes of one ``[2, M, N]`` array), and the squared centre
+    #: distances ``dx * dx + dy * dy``, ``[M, N]``.
     npc_offsets: tuple[np.ndarray, np.ndarray]
     npc_distance2: np.ndarray
     #: ``(cos, sin)`` of every ego's yaw, ``[N]`` each, and of every NPC's,
-    #: ``[N, M]`` each. Every consumer of a heading reads these; a vector
-    #: kernel may round a value differently in another array shape, so
-    #: the two shapes are not fused.
+    #: ``[M, N]`` each: planes of one cos and one sin call over the yaw
+    #: plane, which every consumer of a heading reads.
     ego_heading: tuple[np.ndarray, np.ndarray]
     npc_heading: tuple[np.ndarray, np.ndarray]
     #: Ego ``(s, d, tangent_yaw)``, ``[N]`` each.
     ego: tuple[np.ndarray, np.ndarray, np.ndarray]
-    #: NPC ``(s, d, lane_yaw)``, ``[N, M]`` each.
+    #: NPC ``(s, d, lane_yaw)``, ``[M, N]`` each.
     npcs: tuple[np.ndarray, np.ndarray, np.ndarray]
     nearest: BatchNearest
 
     @classmethod
     def of(cls, batch: "BatchWorld", key: bytes) -> "BatchGeometry":
         n, m = batch.n, batch.m
-        yaw, speed = batch.yaw, batch.speed
-        ego_heading = (np.cos(yaw[:, 0]), np.sin(yaw[:, 0]))
-        npc_heading = (np.cos(yaw[:, 1:]), np.sin(yaw[:, 1:]))
-        # Every actor's position and velocity, [N, 1 + M, 2] each.
-        position = np.empty((n, 1 + m, 2))
-        position[..., 0] = batch.x
-        position[..., 1] = batch.y
-        velocity = np.empty_like(position)
-        for j in range(2):
-            np.multiply(speed[:, 0], ego_heading[j], out=velocity[:, 0, j])
-            np.multiply(speed[:, 1:], npc_heading[j], out=velocity[:, 1:, j])
-        # Views of a read-only array are read-only.
-        position.setflags(write=False)
-        velocity.setflags(write=False)
-        ego_position, npc_positions = position[:, 0], position[:, 1:]
-        ego_velocity, npc_velocities = velocity[:, 0], velocity[:, 1:]
-        x, y = batch.x, batch.y
-        offsets = (x[:, 1:] - x[:, :1], y[:, 1:] - y[:, :1])
+        pose = batch.pose
+        heading = np.empty((2, 1 + m, n))
+        np.cos(pose[2], out=heading[0])
+        np.sin(pose[2], out=heading[1])
+        velocity = heading * pose[3]
+        # A read-only view of the pose planes: no copy, and its views are
+        # read-only too.
+        position = pose[:2]
+        for array in (position, heading, velocity):
+            array.setflags(write=False)
+        npc_positions, npc_velocities = position[:, 1:], velocity[:, 1:]
+        offsets = npc_positions - position[:, :1]
         distance2 = offsets[0] * offsets[0] + offsets[1] * offsets[1]
         if m:
-            rows = np.arange(n)
-            npcs = batch.road.frenet_batch(npc_positions)
+            npcs = batch.road.frenet_batch(npc_positions.transpose(1, 2, 0))
             dist = np.sqrt(distance2)
-            index = np.argmin(dist, axis=1)
-            distance = dist[rows, index]
-            near = np.stack([a[rows, index] for a in offsets], axis=1)
-            direction, _ = unit_rows(near, distance)
-            heading, moving = unit_rows(npc_velocities[rows, index])
+            index = dist.argmin(axis=0)
+            # The nearest NPC's flat index in an [M, N] plane, then in a
+            # [1 + M, N] one.
+            flat = index * n
+            flat += np.arange(n)
+            distance = dist.take(flat)
+            offset = offsets.reshape(2, -1).take(flat, axis=1)
+            direction, _ = unit_planes(offset, distance)
+            flat += n
+            npc_heading, moving = unit_planes(
+                velocity.reshape(2, -1).take(flat, axis=1)
+            )
             omega = np.where(
-                moving, np.einsum("nj,nj->n", direction, heading), 0.0
+                moving, np.einsum("jn,jn->n", direction, npc_heading), 0.0
             )
             nearest = BatchNearest(
-                index, distance, direction, heading, moving, omega
+                index, distance, offset, direction, npc_heading, moving, omega
             )
         else:
-            empty = np.zeros((n, 0))
+            empty = np.zeros((0, n))
             npcs = (empty, empty, empty)
             nearest = BatchNearest(
-                np.full(n, -1), np.full(n, np.inf), np.zeros((n, 2)),
-                np.zeros((n, 2)), np.zeros(n, dtype=bool), np.zeros(n),
+                np.full(n, -1), np.full(n, np.inf), np.zeros((2, n)),
+                np.zeros((2, n)), np.zeros((2, n)), np.zeros(n, dtype=bool),
+                np.zeros(n),
             )
-        ego = batch.ego_frenet(ego_position)
+        ego = batch.ego_frenet(position[:, 0])
         for array in (
-            *offsets, distance2, *ego_heading, *npc_heading, *ego, *npcs,
-            *vars(nearest).values(),
+            offsets, distance2, *ego, *npcs, *vars(nearest).values(),
         ):
             array.setflags(write=False)
+        cos, sin = heading[0], heading[1]
         return cls(
-            key, ego_position, ego_velocity, npc_positions, npc_velocities,
-            offsets, distance2, ego_heading, npc_heading, ego, npcs, nearest,
+            key, position[:, 0], velocity[:, 0], npc_positions,
+            npc_velocities, (offsets[0], offsets[1]), distance2,
+            (cos[0], sin[0]), (cos[1:], sin[1:]), ego, npcs, nearest,
         )
 
 
 class BatchWorld:
     """N independent episodes of the overtaking scenario, ticked in lockstep.
 
-    All state is stored as structure-of-arrays with the actor axis second:
-    ``x[i, 0]`` is episode ``i``'s ego, ``x[i, 1 + j]`` its NPC ``j``.
-    ``x``, ``y``, ``yaw`` and ``speed`` are views into one pose buffer:
-    write into them, do not rebind them. Build instances with
-    :func:`make_batch_world`.
+    The state is actor-major: :attr:`pose` is one ``[4, 1 + M, N]``
+    buffer (planes x, y, yaw and speed; ``pose[:, 0]`` the egos,
+    ``pose[:, 1 + j]`` NPC ``j``) and :attr:`actuation` one ``[2, 1 + M,
+    N]`` buffer (steer, thrust). ``x``, ``y``, ``yaw`` and ``speed``
+    (``x[i, 0]`` is episode ``i``'s ego, ``x[i, 1 + j]`` its NPC ``j``),
+    ``steer_act`` and ``thrust_act`` are ``[N, 1 + M]`` transposed views
+    of them, and ``npc_lane``, ``npc_target_speed`` and ``passed``
+    ``[N, M]`` views of ``[M, N]`` arrays: write into them, do not rebind
+    them. Build instances with :func:`make_batch_world`.
     """
 
     def __init__(
@@ -240,28 +269,48 @@ class BatchWorld:
         gains: LaneKeepGains | None = None,
     ) -> None:
         states = [np.asarray(a, dtype=float) for a in (x, y, yaw, speed)]
-        if x.ndim != 2 or x.shape[1] < 1 or any(
-            a.shape != x.shape for a in states
+        shape = states[0].shape
+        if len(shape) != 2 or shape[1] < 1 or any(
+            a.shape != shape for a in states
         ):
             raise ValueError("state arrays must have shape (n, 1 + n_npcs)")
         self.road = road
         self.config = config
-        self.n, actors = x.shape
+        self.n, actors = shape
         self.m = actors - 1
-        shape = (self.n, actors)
-        self._pose = np.array(states)
-        self.x, self.y, self.yaw, self.speed = self._pose
-        #: Smoothed actuation values a_{t-1} of Eq. (1), per actor.
-        self._actuation = np.zeros((2, *shape))
-        self.steer_act, self.thrust_act = self._actuation
-        self.npc_lane = np.array(npc_lane, dtype=int)
-        self.npc_target_speed = np.array(npc_target_speed, dtype=float)
+        # One NPC array of another shape would broadcast into its buffer
+        # unnoticed, or fail only at the first tick.
+        npc_shape = (self.n, self.m)
+        for name, array in (
+            ("npc_lane", npc_lane),
+            ("npc_target_speed", npc_target_speed),
+        ):
+            if np.shape(array) != npc_shape:
+                raise ValueError(
+                    f"{name} must have shape (n, n_npcs) = {npc_shape}, "
+                    f"got {np.shape(array)}"
+                )
+        #: Every actor's pose, actor-major: ``[4, 1 + M, N]``.
+        self.pose = np.array([a.T for a in states])
+        self.x, self.y, self.yaw, self.speed = (a.T for a in self.pose)
+        #: Smoothed actuation values a_{t-1} of Eq. (1), per actor:
+        #: ``[2, 1 + M, N]``.
+        self.actuation = np.zeros((2, actors, self.n))
+        self.steer_act, self.thrust_act = (a.T for a in self.actuation)
+        # The NPC arrays, [M, N] each, and their [N, M] views.
+        self._lane = np.array(np.transpose(npc_lane), dtype=int)
+        self._target_speed = np.array(
+            np.transpose(npc_target_speed), dtype=float
+        )
+        self._passed = np.zeros((self.m, self.n), dtype=bool)
+        self.npc_lane = self._lane.T
+        self.npc_target_speed = self._target_speed.T
+        self.passed = self._passed.T
         self.gains = gains or LaneKeepGains()
 
         self.step_count = np.zeros(self.n, dtype=int)
         self.time = np.zeros(self.n)
         self.done = np.zeros(self.n, dtype=bool)
-        self.passed = np.zeros((self.n, self.m), dtype=bool)
         #: First-collision bookkeeping (KIND_NONE / -1 where none yet).
         self.collision_kind = np.zeros(self.n, dtype=np.int8)
         self.collision_other = np.full(self.n, -1, dtype=int)
@@ -272,13 +321,27 @@ class BatchWorld:
         self.frame_memo: dict = {}
         self._geometry: BatchGeometry | None = None
         # The tick's buffers: the commands, which become the new
-        # actuation; the integrated pose; the substeps' intermediates.
-        self._command = np.zeros((2, *shape))
-        self._next_pose = np.zeros((4, *shape))
-        self._scratch = np.zeros((5, *shape))
-        self._moving = np.zeros(shape, dtype=bool)
+        # actuation; the integrated pose; the substeps' intermediates and
+        # the x/y move. Unpacking an array builds a view per plane on each
+        # call, so the planes the tick reads are held as tuples of views.
+        planes = (actors, self.n)
+        self._command = np.zeros((2, *planes))
+        self._commands = tuple(self._command)
+        self._next_pose = np.zeros((4, *planes))
+        self._next_planes = (
+            self._next_pose[:2], self._next_pose[2], self._next_pose[3]
+        )
+        self._scratch = tuple(np.zeros((4, *planes)))
+        self._move = np.zeros((2, *planes))
+        self._moves = tuple(self._move)
+        self._moving = np.zeros(planes, dtype=bool)
 
         cfg = config.vehicle
+        # Each channel's Eq. (1) weights on the command and on the last
+        # actuation, [2, 1, 1].
+        retain = np.array([cfg.steer_retain, cfg.thrust_retain])
+        self._keep = (1.0 - retain).reshape(2, 1, 1)
+        self._retain = retain.reshape(2, 1, 1)
         half_l, half_w = cfg.length / 2.0, cfg.width / 2.0
         # Same corner order as OrientedBox.corners (CCW from front-left).
         self._corner_local = np.array(
@@ -294,11 +357,20 @@ class BatchWorld:
         self._contact_reach = reach(
             (cfg.length, cfg.width), (cfg.length, cfg.width)
         )
-        # Signed lateral offset of each NPC's lane center, [N, M].
-        centre = (road.config.n_lanes - 1) / 2.0
-        self._npc_lane_offset = (
-            (self.npc_lane - centre) * road.config.lane_width
+        #: Ego centres whose lateral offset is below this in magnitude
+        #: keep every footprint corner short of the barriers, as each
+        #: corner lies within the footprint's reach of its centre and, on
+        #: an axis-aligned road, a corner's offset is its y less the
+        #: line's. Elsewhere the offset is a projection, not a distance,
+        #: and every ego is tested.
+        self._barrier_clear = (
+            road.barrier_offset - reach((cfg.length, cfg.width))
+            if road.axis_aligned
+            else -math.inf
         )
+        # Signed lateral offset of each NPC's lane center, [M, N].
+        centre = (road.config.n_lanes - 1) / 2.0
+        self._npc_lane_offset = (self._lane - centre) * road.config.lane_width
 
     # -- ticking -----------------------------------------------------------
 
@@ -322,32 +394,28 @@ class BatchWorld:
             raise RuntimeError("all episodes done; create a new batch")
         with span("world.tick_batch"):
             live = ~self.done
-            row_live = live[:, None]
             cfg, vcfg = self.config, self.config.vehicle
 
-            # Control.clipped: both channels to the mechanical limit.
-            steer, thrust = self._command
-            p_steer = clamp_array(
-                np.asarray(ego_steer, dtype=float)
-                + (0.0 if steer_delta is None else steer_delta),
-                -EPSILON_MECH,
-                EPSILON_MECH,
+            # The commands, [2, 1 + M, N]: the egos' (the steering
+            # perturbed), then the NPC drivers'. Control.clipped limits
+            # every one to the mechanical limit, which is also the
+            # drivers' own limit of 1.
+            command, move = self._command, self._move
+            np.add(
+                np.asarray(ego_steer, dtype=float),
+                0.0 if steer_delta is None else steer_delta,
+                out=command[0, 0],
             )
-            steer[:, 0] = p_steer
-            clamp_array(
-                np.asarray(ego_thrust, dtype=float),
-                -EPSILON_MECH,
-                EPSILON_MECH,
-                out=thrust[:, 0],
-            )
-            self._npc_controls(steer[:, 1:], thrust[:, 1:])
+            command[1, 0] = np.asarray(ego_thrust, dtype=float)
+            self._npc_controls(command[:, 1:])
+            clamp_array(command, -EPSILON_MECH, EPSILON_MECH, out=command)
+            p_steer = command[0, 0].copy()
 
-            # Eq. (1) actuation smoothing, over the commands in place:
-            # a_t = (1 - alpha) nu_t + alpha a_{t-1}.
-            steer *= 1.0 - vcfg.steer_retain
-            steer += vcfg.steer_retain * self.steer_act
-            thrust *= 1.0 - vcfg.thrust_retain
-            thrust += vcfg.thrust_retain * self.thrust_act
+            # Eq. (1) actuation smoothing of both channels, over the
+            # commands in place: a_t = (1 - alpha) nu_t + alpha a_{t-1}.
+            command *= self._keep
+            command += np.multiply(self._retain, self.actuation, out=move)
+            steer, thrust = self._commands
             # The actuation holds over the substeps.
             drive = thrust * np.where(
                 thrust >= 0.0, vcfg.max_accel, vcfg.max_brake
@@ -355,10 +423,10 @@ class BatchWorld:
             tan_wheel = np.tan(steer * vcfg.max_steer_angle)
 
             pose = self._next_pose
-            np.copyto(pose, self._pose)
-            x, y, yaw, speed = pose
-            new_speed, yaw_rate, limit, mid_yaw, move = self._scratch
-            moving = self._moving
+            np.copyto(pose, self.pose)
+            position, yaw, speed = self._next_planes
+            new_speed, yaw_rate, limit, mid_yaw = self._scratch
+            moving, (move_x, move_y) = self._moving, self._moves
             sub_dt = cfg.dt / cfg.substeps
             for _ in range(cfg.substeps):
                 # speed + (drive - drag * speed * speed) * dt, clamped.
@@ -381,28 +449,32 @@ class BatchWorld:
                 )
                 limited = clamp_array(yaw_rate, -limit, limit)
                 np.copyto(yaw_rate, limited, where=moving)
+                # The yaw moves by yaw_rate * dt, its midpoint by half of
+                # that: halving is exact, so 0.5 * (yaw_rate * dt) rounds
+                # as (0.5 * yaw_rate) * dt does.
+                yaw_rate *= sub_dt
                 np.multiply(0.5, yaw_rate, out=mid_yaw)
-                mid_yaw *= sub_dt
                 mid_yaw += yaw
                 # x and y move by mid_speed * (cos, sin)(mid_yaw) * dt,
-                # mid_speed = 0.5 * (speed + new_speed).
+                # mid_speed = 0.5 * (speed + new_speed), as one op.
                 speed += new_speed
                 speed *= 0.5
-                for position, trig in ((x, np.cos), (y, np.sin)):
-                    trig(mid_yaw, out=move)
-                    move *= speed
-                    move *= sub_dt
-                    position += move
-                yaw_rate *= sub_dt
+                np.cos(mid_yaw, out=move_x)
+                np.sin(mid_yaw, out=move_y)
+                move *= speed
+                move *= sub_dt
+                position += move
                 yaw += yaw_rate
                 _normalize_angles(yaw, out=yaw)
                 np.copyto(speed, new_speed)
 
-            # Frozen rows keep their old state verbatim.
-            np.copyto(self._pose, pose, where=row_live)
-            np.copyto(self._actuation, self._command, where=row_live)
+            # Frozen rows keep their old state verbatim (no mask while
+            # every row is live).
+            commit = True if live.all() else live
+            np.copyto(self.pose, pose, where=commit)
+            np.copyto(self.actuation, command, where=commit)
             self.step_count += live
-            np.add(self.time, cfg.dt, out=self.time, where=live)
+            np.add(self.time, cfg.dt, out=self.time, where=commit)
 
             kind, other = self._detect_collisions(live)
             new_hit = kind != KIND_NONE
@@ -420,10 +492,11 @@ class BatchWorld:
 
             geometry = self.geometry()
             ego_s, npc_s = geometry.ego[0], geometry.npcs[0]
-            self.passed |= (ego_s[:, None] > npc_s + vcfg.length) & row_live
+            self._passed |= (ego_s > npc_s + vcfg.length) & live
+            # Frozen rows are done already: the OR needs no live mask.
             finished = new_hit | (self.step_count >= cfg.max_steps)
             finished |= ego_s >= self.road.length - vcfg.length
-            self.done |= finished & live
+            self.done |= finished
         return BatchTickResult(
             step=self.step_count.copy(),
             time=self.time.copy(),
@@ -434,25 +507,20 @@ class BatchWorld:
 
     # -- NPC drivers -------------------------------------------------------
 
-    def _npc_controls(self, steer: np.ndarray, thrust: np.ndarray) -> None:
+    def _npc_controls(self, command: np.ndarray) -> None:
         """Vectorized lane-keeping feedback for every NPC, written into
-        ``steer`` and ``thrust`` ([N, M] each)."""
+        ``command`` (steer and thrust, ``[2, M, N]``) before the drivers'
+        limit of ±1, which the tick applies with the mechanical one."""
         _, d, lane_yaw = self.geometry().npcs
-        cross_track = d - self._npc_lane_offset
-        heading_error = _normalize_angles(self.yaw[:, 1:] - lane_yaw)
+        steer, thrust = command[0], command[1]
         g = self.gains
-        clamp_array(
-            g.cross_track * cross_track + g.heading * heading_error,
-            -1.0,
-            1.0,
-            out=steer,
-        )
-        clamp_array(
-            g.speed * (self.npc_target_speed - self.speed[:, 1:]),
-            -1.0,
-            1.0,
-            out=thrust,
-        )
+        np.subtract(d, self._npc_lane_offset, out=steer)
+        steer *= g.cross_track
+        heading_error = _normalize_angles(self.pose[2, 1:] - lane_yaw)
+        heading_error *= g.heading
+        steer += heading_error
+        np.subtract(self._target_speed, self.pose[3, 1:], out=thrust)
+        thrust *= g.speed
 
     # -- collision detection -----------------------------------------------
 
@@ -460,45 +528,32 @@ class BatchWorld:
         self, x: np.ndarray, y: np.ndarray, cos: np.ndarray, sin: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """World-frame footprint corners of the boxes centred at ``(x, y)``
-        with headings ``(cos, sin)`` (``[K]`` each): their x and y,
-        ``[4, K]`` each, corners first."""
-        lx, ly = self._corner_local.T[..., None]
+        with headings ``(cos, sin)`` (one shape ``S``): their x and y,
+        ``[4, *S]`` each, corners first."""
+        lx, ly = self._corner_local.T.reshape(2, 4, *(1,) * np.ndim(x))
         return lx * cos - ly * sin + x, lx * sin + ly * cos + y
 
-    def _overlapping(
-        self,
-        ego_x: np.ndarray,
-        ego_y: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-    ) -> np.ndarray:
+    def _overlapping(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Separating-axis test of the ego against NPC ``cols`` in episodes
-        ``rows``; ``ego_x``/``ego_y`` are those rows' ego corners, ``[4, K]``
-        each. ``[K]`` bool."""
-        npc = 1 + cols
-        ego_yaw = self.yaw[rows, 0]
-        npc_yaw = self.yaw[rows, npc]
-        npc_x, npc_y = self._corners(
-            self.x[rows, npc],
-            self.y[rows, npc],
-            np.cos(npc_yaw),
-            np.sin(npc_yaw),
-        )
+        ``rows``. ``[K]`` bool."""
+        # Both boxes of each pair, the ego then the NPC: [2, K] each.
+        boxes = np.stack((np.zeros_like(cols), 1 + cols))
+        x, y, yaw = self.pose[:3, boxes, rows]
+        corner_x, corner_y = self._corners(x, y, np.cos(yaw), np.sin(yaw))
         # SAT axes: ego's two face normals + the NPC's two, mirroring
-        # OrientedBox.axes (heading_vector(yaw) and yaw + pi/2), [K, 4].
-        a = np.stack((ego_yaw, ego_yaw, npc_yaw, npc_yaw), axis=1)
-        a += _AXIS_OFFSETS
-        # Axes first, [4, K], then the corners' projections on them,
-        # x * axis_x + y * axis_y, [corner, axis, K].
-        axis_x, axis_y = np.cos(a).T, np.sin(a).T
-        proj_e = ego_x[:, None] * axis_x + ego_y[:, None] * axis_y
-        proj_o = npc_x[:, None] * axis_x + npc_y[:, None] * axis_y
-        separated = np.maximum.reduce(proj_e) < np.minimum.reduce(proj_o)
-        separated |= np.maximum.reduce(proj_o) < np.minimum.reduce(proj_e)
+        # OrientedBox.axes (heading_vector(yaw) and yaw + pi/2), [4, K].
+        a = yaw[_AXIS_BOXES] + _AXIS_OFFSETS
+        axis_x, axis_y = np.cos(a), np.sin(a)
+        # The corners' projections on them, x * axis_x + y * axis_y,
+        # [corner, box, axis, K]; each box's extent, [box, axis, K].
+        proj = corner_x[:, :, None] * axis_x + corner_y[:, :, None] * axis_y
+        high, low = np.maximum.reduce(proj), np.minimum.reduce(proj)
+        separated = (high[0] < low[1]) | (high[1] < low[0])
         return ~np.logical_or.reduce(separated)
 
     def _classify_contacts(
         self,
+        geometry: BatchGeometry,
         kind: np.ndarray,
         other: np.ndarray,
         rows: np.ndarray,
@@ -510,9 +565,9 @@ class BatchWorld:
         first = np.ones(len(rows), dtype=bool)
         np.not_equal(rows[1:], rows[:-1], out=first[1:])
         rows, cols = rows[first], cols[first]
-        dx, dy = (a[rows, cols] for a in self.geometry().npc_offsets)
+        dx, dy = (a[cols, rows] for a in geometry.npc_offsets)
         bearing = np.abs(
-            _normalize_angles(np.arctan2(dy, dx) - self.yaw[rows, 0])
+            _normalize_angles(np.arctan2(dy, dx) - self.pose[2, 0, rows])
         )
         k = np.full(len(rows), KIND_SIDE, dtype=np.int8)
         k[bearing <= _FRONT_SECTOR] = KIND_FRONT
@@ -530,36 +585,38 @@ class BatchWorld:
         spawn order (the lowest-index overlapping NPC wins), the barrier
         only when no vehicle contact exists. Only (episode, NPC) pairs
         whose centres lie within the contact :func:`reach` run the
-        separating-axis test; the others cannot overlap. A finished
-        episode's collision is already recorded, so its row is not tested.
+        separating-axis test, and only egos within reach of a barrier the
+        barrier test; the others cannot touch. A finished episode's
+        collision is already recorded, so its row is not tested.
         """
         kind = np.zeros(self.n, dtype=np.int8)
         other = np.full(self.n, -1, dtype=int)
-        live_rows = np.flatnonzero(live)
         geometry = self.geometry()
-        cos, sin = geometry.ego_heading
-        ego_x, ego_y = self._corners(
-            self.x[live_rows, 0],
-            self.y[live_rows, 0],
-            cos[live_rows],
-            sin[live_rows],
-        )
         reach2 = self._contact_reach * self._contact_reach
-        pairs, cols = np.nonzero(geometry.npc_distance2[live_rows] <= reach2)
-        if len(pairs):
-            rows = live_rows[pairs]
-            hit = self._overlapping(
-                ego_x[:, pairs], ego_y[:, pairs], rows, cols
-            )
+        close = geometry.npc_distance2 <= reach2
+        close &= live
+        # Pairs in (row, NPC) order, as the contacts are classed.
+        rows, cols = np.nonzero(close.T)
+        if len(rows):
+            hit = self._overlapping(rows, cols)
             if hit.any():
-                self._classify_contacts(kind, other, rows[hit], cols[hit])
+                self._classify_contacts(
+                    geometry, kind, other, rows[hit], cols[hit]
+                )
         # Barrier: any ego footprint corner beyond the roadside barriers,
         # only where no vehicle collision was found.
-        clear = kind[live_rows] == KIND_NONE
-        if clear.any():
+        near = np.abs(geometry.ego[1]) >= self._barrier_clear
+        if near.any():
+            near &= live
+            near &= kind == KIND_NONE
+            rows = np.flatnonzero(near)
+            cos, sin = geometry.ego_heading
+            ego_x, ego_y = self._corners(
+                *self.pose[:2, 0, rows], cos[rows], sin[rows]
+            )
             d = self.road.lateral_batch(ego_y, lambda: ego_x)
             off = np.logical_or.reduce(np.abs(d) >= self.road.barrier_offset)
-            kind[live_rows[clear & off]] = KIND_BARRIER
+            kind[rows[off]] = KIND_BARRIER
         return kind, other
 
     # -- queries -----------------------------------------------------------
@@ -568,42 +625,16 @@ class BatchWorld:
     def all_done(self) -> bool:
         return bool(self.done.all())
 
-    # Worked out afresh on each read; :meth:`geometry` holds the current
-    # state's.
-
-    @property
-    def ego_position(self) -> np.ndarray:
-        """Ego world positions, ``[N, 2]``."""
-        return np.stack([self.x[:, 0], self.y[:, 0]], axis=1)
-
-    @property
-    def ego_velocity(self) -> np.ndarray:
-        """Ego velocity vectors, ``[N, 2]``."""
-        return self.speed[:, 0, None] * np.stack(
-            [np.cos(self.yaw[:, 0]), np.sin(self.yaw[:, 0])], axis=1
-        )
-
-    @property
-    def npc_positions(self) -> np.ndarray:
-        """NPC world positions, ``[N, M, 2]``."""
-        return np.stack([self.x[:, 1:], self.y[:, 1:]], axis=2)
-
-    @property
-    def npc_velocities(self) -> np.ndarray:
-        """NPC velocity vectors, ``[N, M, 2]``."""
-        return self.speed[:, 1:, None] * np.stack(
-            [np.cos(self.yaw[:, 1:]), np.sin(self.yaw[:, 1:])], axis=2
-        )
-
     def ego_frenet(
         self, position: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ego ``(s, d, tangent_yaw)`` arrays on the road reference line,
-        of the ego positions ``position`` (default: :attr:`ego_position`).
+        of the ego positions ``position`` (``[2, N]``, the x and y planes;
+        default: the egos' rows of :attr:`pose`).
         """
         if position is None:
-            position = self.ego_position
-        return self.road.frenet_batch(position)
+            position = self.pose[:2, 0]
+        return self.road.frenet_batch(position.T)
 
     # -- geometry of the current state ---------------------------------------
 
@@ -611,8 +642,8 @@ class BatchWorld:
         """The ``x, y, yaw`` and ``speed`` of every actor of every episode,
         as a key: equal keys mean an unchanged state, whatever changed it
         (a tick or an in-place write to the state arrays). One copy of the
-        pose buffer those four arrays view."""
-        return self._pose.tobytes()
+        pose buffer."""
+        return self.pose.tobytes()
 
     def geometry(self) -> BatchGeometry:
         """The current state's :class:`BatchGeometry`, worked out on the
@@ -627,7 +658,7 @@ class BatchWorld:
     @property
     def passed_npcs(self) -> np.ndarray:
         """How many NPCs each ego has fully overtaken so far, ``[N]``."""
-        return self.passed.sum(axis=1)
+        return self._passed.sum(axis=0)
 
     def collision(self, i: int) -> Collision | None:
         """Episode ``i``'s collision event (None while not collided)."""
@@ -668,7 +699,7 @@ def make_batch_world(
     if seeds is None:
         if n is None:
             raise ValueError("provide seeds or n")
-        jitter = np.zeros((n, m, 2))
+        jitter = np.zeros((2, m, n))
     else:
         n = len(seeds)
         # make_world draws, per NPC, the spawn jitter then the speed
@@ -680,34 +711,35 @@ def make_batch_world(
                 lows + (highs - lows) * np.random.default_rng(s).random(2 * m)
                 for s in seeds
             ]
-        ).reshape(n, m, 2)
+        ).reshape(n, m, 2).T
 
     lanes = [config.npc_lanes[i % len(config.npc_lanes)] for i in range(m)]
     ego_start_s = 10.0
     s = ego_start_s + config.first_npc_gap + np.arange(m) * config.npc_spacing
-    s = clamp_array(s + jitter[..., 0], 0.0, road.length - 10.0)
-    npc_speed = np.maximum(config.npc_speed + jitter[..., 1], 0.0)
+    s = clamp_array(s[:, None] + jitter[0], 0.0, road.length - 10.0)
+    npc_speed = np.maximum(config.npc_speed + jitter[1], 0.0)
     offsets = np.array([road.lane_offset(lane) for lane in lanes])
     position, npc_yaw = road.to_world_batch(
-        s.ravel(), np.broadcast_to(offsets, s.shape).ravel()
+        s.ravel(), np.broadcast_to(offsets[:, None], s.shape).ravel()
     )
 
+    # Actor-major planes, [1 + M, N] each.
     ego_position, ego_yaw = road.lane_center(config.ego_lane, ego_start_s)
-    x, y, yaw, speed = np.empty((4, n, 1 + m))
-    x[:, 0], y[:, 0] = ego_position
-    yaw[:, 0] = ego_yaw
-    speed[:, 0] = config.ego_speed
-    x[:, 1:] = position[:, 0].reshape(n, m)
-    y[:, 1:] = position[:, 1].reshape(n, m)
-    yaw[:, 1:] = npc_yaw.reshape(n, m)
-    speed[:, 1:] = npc_speed
+    x, y, yaw, speed = np.empty((4, 1 + m, n))
+    x[0], y[0] = ego_position
+    yaw[0] = ego_yaw
+    speed[0] = config.ego_speed
+    x[1:] = position[0].reshape(m, n)
+    y[1:] = position[1].reshape(m, n)
+    yaw[1:] = npc_yaw.reshape(m, n)
+    speed[1:] = npc_speed
     return BatchWorld(
         road=road,
         config=config,
-        x=x,
-        y=y,
-        yaw=yaw,
-        speed=speed,
+        x=x.T,
+        y=y.T,
+        yaw=yaw.T,
+        speed=speed.T,
         npc_lane=np.broadcast_to(lanes, (n, m)),
-        npc_target_speed=npc_speed,
+        npc_target_speed=npc_speed.T,
     )

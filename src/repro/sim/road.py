@@ -28,8 +28,9 @@ from repro.utils.geometry import (
 if TYPE_CHECKING:
     import networkx as nx
 
-#: The normal ``(-sin 0, cos 0)`` of an axis-aligned reference line.
-_AXIS_NORMAL = np.array([-0.0, 1.0])
+#: The normal ``(-sin 0, cos 0)`` of an axis-aligned reference line, as
+#: a ``[2, 1]`` column of x and y.
+_AXIS_NORMAL = np.array([[-0.0], [1.0]])
 _AXIS_NORMAL.flags.writeable = False
 
 
@@ -63,6 +64,9 @@ class Road:
         self.arclength = polyline_arclength(self.centerline)
         self.centerline.flags.writeable = False
         self.arclength.flags.writeable = False
+        # The centerline's x and y planes, [2, S], for the batch lookups.
+        self._line = np.ascontiguousarray(self.centerline.T)
+        self._line.flags.writeable = False
         self.length = float(self.arclength[-1])
         # Fast path: an axis-aligned straight road (the default scenario)
         # converts to Frenet in O(1) instead of projecting onto the polyline.
@@ -107,6 +111,12 @@ class Road:
         ys = amplitude * np.sin(2.0 * math.pi * xs / wavelength)
         centerline = np.stack([xs, ys], axis=1)
         return cls(config, centerline)
+
+    @property
+    def axis_aligned(self) -> bool:
+        """Whether the reference line runs straight along +x, so a point's
+        lateral offset is its y less the line's."""
+        return self._axis_aligned
 
     # -- frenet ------------------------------------------------------------
 
@@ -184,7 +194,8 @@ class Road:
     def to_world_batch(
         self, s: np.ndarray, d: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`to_world`: positions ``(n, 2)`` + headings ``(n,)``.
+        """Vectorized :meth:`to_world`: positions as ``[2, n]`` x and y
+        planes, and headings ``(n,)``.
 
         Evaluates the same interpolation formula as
         :func:`~repro.utils.geometry.interpolate_polyline` element-wise
@@ -200,29 +211,32 @@ class Road:
         idx = np.searchsorted(self.arclength, s_c, side="right")
         idx -= 1
         clamp_array(idx, 0, len(self.centerline) - 2, out=idx)
-        t = (s_c - self.arclength[idx]) / self._span[idx]
-        base = (
-            self.centerline[idx] * (1.0 - t)[:, None]
-            + self.centerline[idx + 1] * t[:, None]
-        )
+        t = (s_c - self.arclength.take(idx)) / self._span.take(idx)
+        base = self._line.take(idx, axis=1) * (1.0 - t)
+        base += self._line.take(idx + 1, axis=1) * t
         if self._axis_aligned:
-            return base + d[:, None] * _AXIS_NORMAL, np.zeros(len(t))
+            return base + d * _AXIS_NORMAL, np.zeros(len(t))
         yaw, normal = self._segment_frames
-        return base + d[:, None] * normal[idx], yaw[idx]
+        return base + d * normal.take(idx, axis=1), yaw.take(idx)
 
     @cached_property
     def _segment_frames(self) -> tuple[np.ndarray, np.ndarray]:
         """Each centerline segment's heading and left normal, ``[S]`` and
-        ``[S, 2]``: the ``math.atan2``, ``math.sin`` and ``math.cos`` values
-        :meth:`to_world` works out, which a vector kernel may round
-        otherwise."""
+        ``[2, S]`` (x and y planes): the ``math.atan2``, ``math.sin`` and
+        ``math.cos`` values :meth:`to_world` works out, which a vector
+        kernel may round otherwise."""
         yaw = np.array(
             [
                 math.atan2(dy, dx)
                 for dx, dy in np.diff(self.centerline, axis=0).tolist()
             ]
         )
-        normal = np.array([[-math.sin(a), math.cos(a)] for a in yaw.tolist()])
+        normal = np.array(
+            [
+                [-math.sin(a) for a in yaw.tolist()],
+                [math.cos(a) for a in yaw.tolist()],
+            ]
+        )
         yaw.flags.writeable = normal.flags.writeable = False
         return yaw, normal
 

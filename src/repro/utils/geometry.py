@@ -104,21 +104,24 @@ def unit(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
-def unit_rows(
+def unit_planes(
     vectors: np.ndarray, norm: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`unit` of ``[N, 2]`` vectors: ``(units, nonzero)``.
+    """:func:`unit` of each vector of ``[2, N]`` planes (x, then y):
+    ``(units, nonzero)``, units ``[2, N]``.
 
-    Rows shorter than ``1e-12`` become zeros and read False in ``nonzero``.
-    ``norm``: the rows' lengths, when the caller has worked them out as
-    ``sqrt(x * x + y * y)`` already.
+    Vectors shorter than ``1e-12`` become zeros and read False in
+    ``nonzero``. ``norm``: the vectors' lengths, when the caller has worked
+    them out as ``sqrt(x * x + y * y)`` already.
     """
     if norm is None:
-        norm = np.sqrt(np.einsum("nj,nj->n", vectors, vectors))
+        x, y = vectors[0], vectors[1]
+        norm = np.sqrt(x * x + y * y)
     zero = norm < 1e-12
-    units = vectors / np.where(zero, 1.0, norm)[:, None]
-    if zero.any():
-        units[zero] = 0.0
+    if not zero.any():
+        return vectors / norm, ~zero
+    units = vectors / np.where(zero, 1.0, norm)
+    units[:, zero] = 0.0
     return units, ~zero
 
 

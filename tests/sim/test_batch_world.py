@@ -188,7 +188,7 @@ class TestFrozenContact:
             i
             for i in range(batch.n)
             if batch.collision_kind[i] != KIND_NONE
-            and distance2[i, batch.collision_other[i]] <= reach2
+            and distance2[batch.collision_other[i], i] <= reach2
         ]
         assert len(in_contact) >= 4
         # Long after those rows froze, the batch was still ticking.
@@ -233,6 +233,14 @@ class TestQueries:
         )
         assert batch.n == n and batch.m == m
         assert not batch.all_done
+        # The [N, 1 + M] and [N, M] attributes are views of the
+        # actor-major buffers: a write through one shows in the other.
+        assert batch.pose.shape == (4, 1 + m, n)
+        assert batch.actuation.shape == (2, 1 + m, n)
+        batch.x[1, 1] = 31.0
+        assert batch.pose[0, 1, 1] == 31.0
+        for view in (batch.x, batch.steer_act, batch.npc_lane, batch.passed):
+            assert view.base is not None
         # The four pose arrays share one buffer, so each must have x's
         # shape; a narrower one would broadcast into it unnoticed.
         with pytest.raises(ValueError, match="shape"):
@@ -246,3 +254,27 @@ class TestQueries:
                 npc_lane=np.zeros((n, m), dtype=np.int64),
                 npc_target_speed=np.full((n, m), 6.0),
             )
+        # So must the NPC arrays be (n, m): a wider one used to fail only
+        # at the first tick, a 1-D one to broadcast over the rows.
+        for name, bad in [
+            ("npc_lane", np.zeros((n, m + 1), dtype=np.int64)),
+            ("npc_lane", np.zeros(m, dtype=np.int64)),
+            ("npc_target_speed", np.full((n, m + 1), 6.0)),
+            ("npc_target_speed", np.full(m, 6.0)),
+            ("npc_target_speed", np.full((m, n), 6.0)),
+        ]:
+            arrays = {
+                "npc_lane": np.zeros((n, m), dtype=np.int64),
+                "npc_target_speed": np.full((n, m), 6.0),
+                name: bad,
+            }
+            with pytest.raises(ValueError, match=name):
+                BatchWorld(
+                    road,
+                    cfg,
+                    x=np.full((n, 1 + m), 30.0),
+                    y=np.zeros((n, 1 + m)),
+                    yaw=np.zeros((n, 1 + m)),
+                    speed=np.full((n, 1 + m), 5.0),
+                    **arrays,
+                )

@@ -5,9 +5,10 @@ kept here: the separating-axis test on every pair, and every NPC painted
 on every point with lane markings found by one ``min`` over all
 boundaries. Poses are drawn around the touching distance, half of them
 corner to corner (the only contact a reach can just miss), so a reach too
-small on both engines at once still fails. The batch camera's lattice
-window is checked the same way: ``render_batch`` against every NPC
-painted on every point of every row.
+small on both engines at once still fails; the batch collision test also
+puts egos at a barrier's edge, around the bound of the barrier cull. The
+batch camera's lattice window is checked the same way: ``render_batch``
+against every NPC painted on every point of every row.
 """
 
 import math
@@ -46,7 +47,7 @@ from repro.sim.config import VehicleConfig
 from repro.sim.npc import LaneKeepingDriver
 from repro.sim.vehicle import Vehicle, VehicleState
 from repro.sim.world import NpcActor, World
-from repro.utils.geometry import OrientedBox, normalize_angle
+from repro.utils.geometry import OrientedBox, normalize_angle, reach
 
 CONFIG = ScenarioConfig()
 VEHICLE = CONFIG.vehicle
@@ -62,6 +63,11 @@ yaws = st.one_of(
 #: Centre distance minus the summed circumradii; the second band is where
 #: a reach shrunk by a centimetre culls a real contact.
 gaps = st.one_of(st.floats(-0.5, 0.5), st.floats(-0.02, 0.0))
+#: The barriers' lateral offset, and the bound below which the batch
+#: engine skips an ego's barrier test: the barrier less the footprint's
+#: reach (its circumradius plus the margin).
+BARRIER = default_road().barrier_offset
+BARRIER_BOUND = BARRIER - reach(SIZE)
 
 
 def corner_angles(length: float, width: float) -> list[float]:
@@ -102,6 +108,31 @@ def near(draw, anchor, anchor_box, length, width, bearing=None):
     )
 
 
+@st.composite
+def barrier_edge(draw):
+    """An ego ``(y, yaw)`` at a barrier's edge. The centre lies a
+    circumradius short of the barrier (a corner aimed straight out
+    touches it, the nearest a corner can come across), inside the barrier
+    cull's bound (a corner aimed out crosses from past the circumradius),
+    or just outside the bound (no corner can cross). Half the draws aim a
+    corner at the barrier."""
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    offset = draw(
+        st.one_of(
+            st.just(BARRIER - math.hypot(SIZE[0] / 2.0, SIZE[1] / 2.0)),
+            st.floats(BARRIER_BOUND, BARRIER),
+            st.floats(BARRIER_BOUND - 0.02, BARRIER_BOUND, exclude_max=True),
+        )
+    )
+    if draw(st.booleans()):
+        corner = draw(st.sampled_from(corner_angles(*SIZE)))
+        aim = draw(st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)))
+        yaw = side * math.pi / 2.0 - corner + aim
+    else:
+        yaw = draw(yaws)
+    return side * offset, normalize_angle(yaw)
+
+
 def cloud(camera, x: float, y: float, yaw: float) -> np.ndarray:
     """The world points ``camera`` classifies for an ego pose."""
     rot = np.array(
@@ -121,16 +152,20 @@ def batch_cloud(camera, batch: BatchWorld) -> tuple[np.ndarray, np.ndarray]:
 
 
 @st.composite
-def near_contact_rows(draw, camera):
+def near_contact_rows(draw, camera, barrier_edges=False):
     """Ego poses and NPC poses near contact with the ego or near the edge
-    of the ego's camera point cloud: ``(x, y, yaw, done)`` arrays."""
+    of the ego's camera point cloud: ``(x, y, yaw, done)`` arrays. With
+    ``barrier_edges``, half the egos sit at a barrier's edge."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 4))
     x, y, yaw = (np.zeros((n, 1 + m)) for _ in range(3))
     for i in range(n):
         ex = draw(st.floats(20.0, 420.0))
-        ey = draw(st.floats(-9.0, 9.0))
-        eyaw = draw(yaws)
+        if barrier_edges and draw(st.booleans()):
+            ey, eyaw = draw(barrier_edge())
+        else:
+            ey = draw(st.floats(-9.0, 9.0))
+            eyaw = draw(yaws)
         x[i, 0], y[i, 0], yaw[i, 0] = ex, ey, eyaw
         points = cloud(camera, ex, ey, eyaw)
         # The cloud's extreme points and the way out of its bounding box:
@@ -359,8 +394,8 @@ class TestBroadphaseMatchesBruteForce:
         assert a.intersects(b) == brute_intersects(a, b)
         assert b.intersects(a) == brute_intersects(b, a)
 
-    @settings(max_examples=200, deadline=None)
-    @given(near_contact_rows(BEV))
+    @settings(max_examples=300, deadline=None)
+    @given(near_contact_rows(BEV, barrier_edges=True))
     def test_batch_collisions(self, rows):
         batch = make_batch(*rows)
         live = ~batch.done

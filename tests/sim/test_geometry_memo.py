@@ -29,7 +29,7 @@ from repro.core import (
 from repro.eval import run_episode, run_episode_batch
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.sim import ScenarioConfig, make_batch_world
-from repro.sim.batch import BatchWorld
+from repro.sim.batch import BatchGeometry, BatchWorld
 from repro.sim.road import Road
 from repro.sim.world import World
 from repro.utils.geometry import unit
@@ -153,24 +153,10 @@ class TestScalarStaleness:
             geometry.nearest.direction[0] = 1.0
 
 
-def expected_batch(batch: BatchWorld):
-    """Per-episode geometry of ``batch`` from scratch, as consumers used
-    to work it out: ``(ego_s, ego_d, npc_s, npc_d, index, distance)``."""
-    ego_s, ego_d, _ = batch.road.frenet_batch(batch.ego_position)
-    pts = batch.npc_positions.reshape(-1, 2)
-    npc_s, npc_d, _ = batch.road.frenet_batch(pts)
-    diff = batch.npc_positions - batch.ego_position[:, None, :]
-    dist = np.sqrt(np.einsum("nmj,nmj->nm", diff, diff))
-    shape = (batch.n, batch.m)
-    return (
-        ego_s, ego_d, npc_s.reshape(shape), npc_d.reshape(shape),
-        np.argmin(dist, axis=1), dist.min(axis=1),
-    )
-
-
 def expected_motion(batch: BatchWorld):
-    """Ego and NPC positions and velocity vectors from the state arrays:
-    ``(ego_position, ego_velocity, npc_positions, npc_velocities)``."""
+    """Ego and NPC positions and velocity vectors from the ``[N, 1 + M]``
+    state arrays, row by row: ``(ego_position, ego_velocity,
+    npc_positions, npc_velocities)``, ``[N, 2]`` and ``[N, M, 2]``."""
     x, y, yaw, speed = batch.x, batch.y, batch.yaw, batch.speed
     ego_heading = np.stack([np.cos(yaw[:, 0]), np.sin(yaw[:, 0])], axis=1)
     npc_heading = np.stack([np.cos(yaw[:, 1:]), np.sin(yaw[:, 1:])], axis=2)
@@ -179,6 +165,23 @@ def expected_motion(batch: BatchWorld):
         speed[:, 0, None] * ego_heading,
         np.stack([x[:, 1:], y[:, 1:]], axis=2),
         speed[:, 1:, None] * npc_heading,
+    )
+
+
+def expected_batch(batch: BatchWorld):
+    """Per-episode geometry of ``batch`` from scratch, as consumers used
+    to work it out: ``(ego_s, ego_d, npc_s, npc_d, index, distance)``,
+    the NPC arrays ``[M, N]`` as the geometry holds them."""
+    ego_position, _, npc_positions, _ = expected_motion(batch)
+    ego_s, ego_d, _ = batch.road.frenet_batch(ego_position)
+    pts = npc_positions.reshape(-1, 2)
+    npc_s, npc_d, _ = batch.road.frenet_batch(pts)
+    diff = npc_positions - ego_position[:, None, :]
+    dist = np.sqrt(np.einsum("nmj,nmj->nm", diff, diff))
+    shape = (batch.n, batch.m)
+    return (
+        ego_s, ego_d, npc_s.reshape(shape).T, npc_d.reshape(shape).T,
+        np.argmin(dist, axis=1), dist.min(axis=1),
     )
 
 
@@ -195,7 +198,9 @@ def assert_batch_fresh(batch: BatchWorld) -> None:
         geometry.ego_position, geometry.ego_velocity,
         geometry.npc_positions, geometry.npc_velocities,
     )
+    # The geometry holds x and y planes: [2, N] and [2, M, N].
     for held, fresh in zip(motion, expected_motion(batch)):
+        fresh = np.transpose(fresh)
         assert held.tobytes() == fresh.tobytes() and held.shape == fresh.shape
 
 
@@ -253,7 +258,9 @@ class TestBatchStaleness:
 
     def test_consumers_read_the_held_arrays(self):
         """The rewards and the oracle read positions and velocities from
-        the geometry; the state-array properties are not consulted."""
+        the geometry, whose positions are the pose planes themselves; the
+        world has no property that builds them afresh, and the consumers
+        do not rebuild the geometry."""
         from repro.agents.e2e.reward import DrivingReward
         from repro.agents.modular.behavior import BatchBehaviorPlanner
         from repro.core.attackers import BatchOracleAttacker
@@ -266,23 +273,22 @@ class TestBatchStaleness:
         oracle = BatchOracleAttacker(batch.n)
         delta = oracle.deltas(batch)
         result = batch.tick(np.zeros(2), np.ones(2), steer_delta=delta)
-        batch.geometry()
-        names = ("ego_position", "ego_velocity", "npc_positions")
-        with contextlib.ExitStack() as stack:
-            reads = [
-                stack.enter_context(
-                    mock.patch.object(
-                        BatchWorld, name, new_callable=mock.PropertyMock
-                    )
-                )
-                for name in names
-            ]
+        geometry = batch.geometry()
+        for name in (
+            "ego_position", "ego_velocity", "npc_positions", "npc_velocities",
+        ):
+            assert not hasattr(batch, name)
+        assert np.shares_memory(geometry.ego_position, batch.pose)
+        assert np.shares_memory(geometry.npc_positions, batch.pose)
+        with mock.patch.object(
+            BatchGeometry, "of", side_effect=AssertionError("rebuilt")
+        ) as rebuilt:
             DrivingReward().step_batch(batch, plan, result.collided)
             AdversarialReward().step_batch(
                 batch, delta, result.collision_kind
             )
             oracle.normalized_actions(batch)
-        assert [read.call_count for read in reads] == [0, 0, 0]
+        assert rebuilt.call_count == 0
 
 
 class TestOncePerState:

@@ -156,7 +156,7 @@ class TestBatchShortcuts:
         positions, yaw = road.to_world_batch(s, d)
         for i in range(len(s)):
             position, heading = road.to_world(float(s[i]), float(d[i]))
-            assert _bits(positions[i]) == _bits(position), (s[i], d[i])
+            assert _bits(positions[:, i]) == _bits(position), (s[i], d[i])
             assert _bits(yaw[i]) == _bits(heading)
 
     @given(

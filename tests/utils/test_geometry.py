@@ -20,7 +20,7 @@ from repro.utils.geometry import (
     project_to_polyline,
     rotate,
     unit,
-    unit_rows,
+    unit_planes,
 )
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
@@ -198,7 +198,7 @@ class TestClampArray:
         assert _same_bits(clamp_array(x, lo_a, hi_a), np.clip(x, lo_a, hi_a))
 
 
-class TestUnitRows:
+class TestUnitPlanes:
     @given(
         st.lists(
             st.tuples(
@@ -209,10 +209,11 @@ class TestUnitRows:
             max_size=8,
         )
     )
-    def test_matches_unit_per_row(self, rows):
+    def test_matches_unit_per_vector(self, rows):
         vectors = np.array(rows)
-        units, nonzero = unit_rows(vectors)
-        for vector, row, moving in zip(vectors, units, nonzero):
+        units, nonzero = unit_planes(vectors.T)
+        assert units.shape == (2, len(rows))
+        for vector, row, moving in zip(vectors, units.T, nonzero):
             np.testing.assert_allclose(row, unit(vector), rtol=1e-15)
             assert moving == bool(np.any(unit(vector)))
 
