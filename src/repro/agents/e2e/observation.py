@@ -34,9 +34,8 @@ class DrivingObservation:
         frames: int = 3,
         reference_speed: float = 16.0,
     ) -> None:
-        self._stack = FrameStack(
-            BevCamera(camera_config or POLICY_CAMERA), k=frames
-        )
+        self._camera = BevCamera(camera_config or POLICY_CAMERA)
+        self._stack = FrameStack(self._camera, k=frames)
         self.reference_speed = float(reference_speed)
 
     @property
@@ -48,9 +47,11 @@ class DrivingObservation:
 
     def observe(self, world: World) -> np.ndarray:
         """The full policy observation for the current tick."""
-        frames = self._stack.observe(world)
+        # One geometry read: the camera's frame memo takes its key.
+        geometry = world.geometry()
+        frames = self._stack.push(self._camera.frame(world, geometry.key))
         state = world.ego.state
-        _, d, _ = world.geometry().ego
+        _, d, _ = geometry.ego
         ego = np.array(
             [
                 state.speed / self.reference_speed,
@@ -60,7 +61,7 @@ class DrivingObservation:
                 state.yaw / math.pi,
             ]
         )
-        return np.concatenate([frames, ego])
+        return np.concatenate([*frames, ego])
 
     def observe_batch(self, batch) -> np.ndarray:
         """Policy observations for every episode of a batch, ``[N, dim]``."""

@@ -4,13 +4,15 @@ Runs one victim agent (modular or end-to-end) under an optional attacker
 and records every metric the paper reports: nominal shaped driving reward,
 cumulative adversarial reward, collision outcome, NPCs passed, trajectory
 deviation from the privileged reference path, attack effort, and the time
-from attack initiation to collision.
+from attack initiation to collision. Those measures are worked out in one
+place, :class:`EpisodeLedger`, which the lockstep runner
+(:mod:`repro.eval.batch`) feeds too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -79,6 +81,182 @@ class EpisodeResult:
         return self.side_collision
 
 
+class EpisodeLedger:
+    """The books of ``n`` episodes that tick together, one row each.
+
+    :func:`run_episode` keeps one row here and
+    :class:`~repro.eval.batch.Lockstep` one per seed. Every row is booked
+    by the same arithmetic whoever calls, so its :class:`EpisodeResult`
+    and trace records depend neither on the runner nor on the other rows.
+    Running totals are always kept; the per-tick log only while a trace
+    writer is attached (``trace``, by default the process-wide one).
+    ``episodes`` are the rows' trace ids (default: their seeds); the
+    victim's and attacker's names and the attacker's budget go on each
+    ``episode_start``, and the budget sets the strike level.
+    """
+
+    def __init__(
+        self,
+        seeds: Sequence[int],
+        victim,
+        attacker,
+        scenario: ScenarioConfig,
+        trace: TraceWriter | None = None,
+        episodes: Sequence[int | str] | None = None,
+    ) -> None:
+        self.seeds = list(seeds)
+        self.episodes = self.seeds if episodes is None else list(episodes)
+        self.victim = str(getattr(victim, "name", "agent"))
+        self.attacker = str(getattr(attacker, "name", "none"))
+        self.budget = float(getattr(attacker, "budget", 0.0))
+        self.scenario = scenario
+        self.trace = trace if trace is not None else default_writer()
+        self.n = n = len(self.seeds)
+        # The attack *strike* begins when the injection reaches half the
+        # attacker's budget; smaller values are lurk-phase dithering.
+        self._strike_level = max(ACTIVE_THRESHOLD, 0.5 * self.budget)
+        # Running sums, [5, n]: the nominal and adversarial returns, the
+        # squared deviation, the active ticks and the activations; and a
+        # buffer for one tick's increments to them.
+        self._sums, self._increments = np.zeros((5, n)), np.empty((5, n))
+        self._deviation_max = np.zeros(n)
+        self._first_strike, self._gap = np.full(n, np.inf), np.full(n, np.nan)
+        self._was_active = np.zeros(n, dtype=bool)
+        # Traced: each tick's TICK_COLUMNS ([C, n]) and live rows ([n]).
+        self._ticks: list[np.ndarray] = []
+        self._live: list[np.ndarray] = []
+
+    def start(self) -> None:
+        """Stamp provenance and emit each row's ``episode_start``."""
+        if self.trace is None:
+            return
+        stamp_provenance(self.trace, self.scenario)
+        default = self.scenario == ScenarioConfig()
+        for episode, seed in zip(self.episodes, self.seeds):
+            self.trace.emit(
+                "episode_start", episode=episode, seed=seed,
+                victim=self.victim, attacker=self.attacker,
+                budget=self.budget,
+                scenario="default" if default else "custom",
+            )
+
+    def tick(
+        self, live, step, time, delta, pose, nominal, adversarial,
+        deviation, gap,
+    ) -> None:
+        """Book one control step: each argument is an ``[n]`` array or a
+        scalar for every row. ``live`` marks the rows the tick advanced
+        (a frozen row books nothing); ``step`` and ``time`` are after the
+        tick, ``delta`` the injected perturbation, ``pose`` the ego's
+        ``(x, y, yaw, speed)``, ``nominal`` and ``adversarial`` the step
+        rewards, ``deviation`` the lateral deviation from the reference
+        path in lane widths and ``gap`` the distance to the nearest NPC
+        (NaN without NPCs)."""
+        magnitude = np.abs(delta)
+        striking = live & (magnitude >= self._strike_level)
+        active = live & (magnitude >= ACTIVE_THRESHOLD)
+        dt = self.scenario.dt
+        # Time only grows, so the least strike time is the first.
+        np.minimum(
+            self._first_strike, time - dt, out=self._first_strike,
+            where=striking,
+        )
+        increments = self._increments
+        increments[0] = nominal
+        increments[1] = adversarial
+        increments[2] = deviation * deviation
+        increments[3] = active
+        # A frozen row is never active again, so its flag from the tick
+        # before no longer matters.
+        increments[4] = active > self._was_active
+        self._was_active = active
+        np.add(self._sums, increments, out=self._sums, where=live)
+        np.maximum(
+            self._deviation_max, deviation, out=self._deviation_max, where=live
+        )
+        if self.trace is None:
+            return
+        # Time to collision from the gap's closing rate, where it closes.
+        closing = (self._gap - gap) / dt
+        ttc = np.full(self.n, np.nan)
+        np.divide(gap, closing, out=ttc, where=closing > 1e-6)
+        np.copyto(self._gap, gap, where=live)
+        columns = (
+            step, time, delta, *pose, nominal, adversarial, deviation, gap,
+            ttc,
+        )
+        row = np.empty((len(columns), self.n))
+        for k, column in enumerate(columns):
+            row[k] = column
+        self._ticks.append(row)
+        self._live.append(np.full(self.n, live))
+
+    def finish(
+        self, collisions: Sequence[Collision | None], passed_npcs, effort,
+        steps, duration,
+    ) -> list[EpisodeResult]:
+        """Update the metrics registry, emit each ``episode_end`` (its
+        live ticks as columns) and return each row's result, in order.
+        ``collisions`` lists each row's collision or None; the others are
+        ``[n]`` arrays or scalars, ``effort`` the mean injection effort."""
+        n = self.n
+        steps = np.full(n, steps)
+        nominal, adversarial, deviation_sq, active_ticks, activations = (
+            self._sums
+        )
+        rmse = np.sqrt(deviation_sq / np.maximum(steps, 1))
+        to_collision = [
+            None if c is None or strike == np.inf else c.time - strike
+            for c, strike in zip(collisions, self._first_strike.tolist())
+        ]
+        results = [
+            EpisodeResult(*row)
+            for row in zip(
+                steps.tolist(), np.full(n, duration, dtype=float).tolist(),
+                collisions, np.full(n, passed_npcs).tolist(),
+                nominal.tolist(), adversarial.tolist(),
+                np.full(n, effort, dtype=float).tolist(), rmse.tolist(),
+                self._deviation_max.tolist(), to_collision,
+            )
+        ]
+        registry = get_registry()
+        for result, activations, active_ticks in zip(
+            results, activations.astype(np.int64).tolist(),
+            active_ticks.astype(np.int64).tolist(),
+        ):
+            registry.counter("episodes_total").inc()
+            if activations:
+                registry.counter("attack_activations_total").inc(activations)
+            if active_ticks:
+                registry.counter("attack_active_ticks_total").inc(active_ticks)
+            registry.histogram("episode_steps").observe(result.steps)
+            registry.histogram("episode_nominal_return").observe(
+                result.nominal_return
+            )
+            registry.histogram("episode_adversarial_return").observe(
+                result.adversarial_return
+            )
+        if self.trace is None:
+            return results
+        logged = np.stack(self._ticks)  # [ticks, C, n]
+        was_live = np.stack(self._live)  # [ticks, n]
+        for i, (episode, result) in enumerate(zip(self.episodes, results)):
+            collision = result.collision
+            columns = dict(zip(TICK_COLUMNS, logged[was_live[:, i], :, i].T))
+            columns["tick"] = columns["tick"].astype(np.int64)
+            self.trace.emit(
+                "episode_end", episode=episode, steps=result.steps,
+                duration=result.duration,
+                collision=None if collision is None else collision.kind.name,
+                collision_with=None if collision is None else collision.other,
+                nominal_return=result.nominal_return,
+                adversarial_return=result.adversarial_return,
+                passed_npcs=result.passed_npcs, ticks=tick_columns(columns),
+            )
+        self.trace.flush()
+        return results
+
+
 def run_episode(
     victim_factory: VictimFactory,
     attacker=None,
@@ -97,9 +275,9 @@ def run_episode(
         seed: controls spawn jitter; equal seeds give equal worlds.
         trace: optional JSONL event writer receiving ``episode_start``
             and ``episode_end`` records (the latter carries the tick
-            fields as columns); defaults to the
-            process-wide writer installed via ``REPRO_TRACE`` (usually
-            none). Telemetry is read-only: it never changes the episode.
+            fields as columns); defaults to the process-wide writer
+            installed via ``REPRO_TRACE`` (usually none). Telemetry is
+            read-only: it never changes the episode.
         episode_id: id stamped on trace events (defaults to ``seed``).
     """
     return _run_episode(
@@ -131,43 +309,16 @@ def _run_episode(
     victim.reset(world)
     attacker = attacker if attacker is not None else NullAttacker()
     attacker.reset(world)
-
     planner = BehaviorPlanner(world.road)
     planner.reset(world)
     nominal_reward = DrivingReward(reward_config)
     adversarial_reward = AdversarialReward(adversarial_config)
-
-    trace = trace if trace is not None else default_writer()
-    episode_id = episode_id if episode_id is not None else seed
-    if trace is not None:
-        stamp_provenance(trace, scenario)
-        trace.emit(
-            "episode_start",
-            episode=episode_id,
-            seed=seed,
-            victim=str(getattr(victim, "name", "agent")),
-            attacker=str(getattr(attacker, "name", "none")),
-            budget=float(getattr(attacker, "budget", 0.0)),
-            scenario=(
-                "default" if scenario == ScenarioConfig() else "custom"
-            ),
-        )
-
-    nominal_total = 0.0
-    adversarial_total = 0.0
-    deviations: list[float] = []
-    first_attack_time: float | None = None
-    result = None
-    # The attack *strike* begins when the injection reaches half the
-    # attacker's budget; smaller values are lurk-phase dithering.
-    strike_level = max(
-        ACTIVE_THRESHOLD, 0.5 * float(getattr(attacker, "budget", 0.0))
+    lane_width = world.road.config.lane_width
+    ledger = EpisodeLedger(
+        [seed], victim, attacker, scenario, trace,
+        episodes=[seed if episode_id is None else episode_id],
     )
-    active_ticks = 0
-    activations = 0
-    previously_active = False
-    previous_gap: float | None = None
-    ticks: list[tuple] = []  # traced: one row of TICK_COLUMNS per tick
+    ledger.start()
 
     if observe is not None:
         observe(world, 0.0)
@@ -179,93 +330,21 @@ def _run_episode(
             result = world.tick(control, steer_delta=delta)
             if observe is not None:
                 observe(world, delta)
-            if abs(delta) >= strike_level and first_attack_time is None:
-                first_attack_time = result.time - scenario.dt
-
-            nominal_step = nominal_reward.step(
-                world, plan, result.collision
-            ).total
-            adversarial_step = adversarial_reward.step(
-                world, delta, result.collision
-            ).total
-            nominal_total += nominal_step
-            adversarial_total += adversarial_step
-            geometry = world.geometry()
+            geometry, state = world.geometry(), world.ego.state
             ego_s, ego_d, _ = geometry.ego
-            deviation = abs(ego_d - plan.reference_offset(ego_s))
-            deviations.append(deviation / world.road.config.lane_width)
+            ledger.tick(
+                True, result.step, result.time, delta,
+                (state.x, state.y, state.yaw, state.speed),
+                nominal_reward.step(world, plan, result.collision).total,
+                adversarial_reward.step(world, delta, result.collision).total,
+                abs(ego_d - plan.reference_offset(ego_s)) / lane_width,
+                np.nan if geometry.nearest is None
+                else geometry.nearest.distance,
+            )
 
-            is_active = abs(delta) >= ACTIVE_THRESHOLD
-            if is_active:
-                active_ticks += 1
-                if not previously_active:
-                    activations += 1
-            previously_active = is_active
-
-            if trace is not None:
-                state = world.ego.state
-                gap = ttc = None
-                if geometry.nearest is not None:
-                    gap = geometry.nearest.distance
-                    if previous_gap is not None:
-                        closing = (previous_gap - gap) / scenario.dt
-                        if closing > 1e-6:
-                            ttc = gap / closing
-                    previous_gap = gap
-                ticks.append((
-                    result.step, result.time, delta, state.x, state.y,
-                    state.yaw, state.speed, nominal_step, adversarial_step,
-                    deviations[-1], gap, ttc,
-                ))
-
-    time_to_collision = None
-    if result.collision is not None and first_attack_time is not None:
-        time_to_collision = result.collision.time - first_attack_time
-
-    registry = get_registry()
-    registry.counter("episodes_total").inc()
-    if activations:
-        registry.counter("attack_activations_total").inc(activations)
-    if active_ticks:
-        registry.counter("attack_active_ticks_total").inc(active_ticks)
-    registry.histogram("episode_steps").observe(result.step)
-    registry.histogram("episode_nominal_return").observe(nominal_total)
-    registry.histogram("episode_adversarial_return").observe(adversarial_total)
-
-    if trace is not None:
-        trace.emit(
-            "episode_end",
-            episode=episode_id,
-            steps=result.step,
-            duration=result.time,
-            collision=(
-                result.collision.kind.name
-                if result.collision is not None
-                else None
-            ),
-            collision_with=(
-                result.collision.other
-                if result.collision is not None
-                else None
-            ),
-            nominal_return=nominal_total,
-            adversarial_return=adversarial_total,
-            passed_npcs=world.passed_npcs,
-            ticks=tick_columns(dict(zip(TICK_COLUMNS, zip(*ticks)))),
-        )
-        trace.flush()
-
-    episode = EpisodeResult(
-        steps=result.step,
-        duration=result.time,
-        collision=result.collision,
-        passed_npcs=world.passed_npcs,
-        nominal_return=nominal_total,
-        adversarial_return=adversarial_total,
-        mean_effort=float(getattr(attacker, "mean_effort", 0.0)),
-        deviation_rmse=float(np.sqrt(np.mean(np.square(deviations)))),
-        deviation_max=float(np.max(deviations)),
-        time_to_collision=time_to_collision,
+    (episode,) = ledger.finish(
+        [result.collision], world.passed_npcs,
+        getattr(attacker, "mean_effort", 0.0), result.step, result.time,
     )
     return episode, world
 
@@ -306,7 +385,6 @@ def run_seeds(
             attacker_factory() if attacker_factory is not None else None
             for _ in chunk
         ]
-        lockstep = None
         reason = "one_seed"
         if len(chunk) >= 2:
             try:
@@ -314,9 +392,11 @@ def run_seeds(
             except NoBatchTwin as error:
                 reason = "no_twin"
                 log.debug("eval.scalar_engine", reason=str(error))
-        if lockstep is not None:
-            results += lockstep.run(reward_config, adversarial_config, trace)
-            continue
+            else:
+                results += lockstep.run(
+                    reward_config, adversarial_config, trace
+                )
+                continue
         get_registry().counter(
             "eval_scalar_episodes_total", reason=reason
         ).inc(len(chunk))

@@ -157,10 +157,5 @@ def effort_windows(
         else:
             bucket = [r for r in results if low <= r.mean_effort < high]
             label = f"[{low:.1f},{high:.1f})"
-        rate = (
-            sum(r.attack_successful for r in bucket) / len(bucket)
-            if bucket
-            else 0.0
-        )
-        rows.append((label, rate, len(bucket)))
+        rows.append((label, success_rate(bucket), len(bucket)))
     return rows

@@ -40,22 +40,13 @@ class Trajectory:
 
     def record(self, world: World, delta: float = 0.0) -> None:
         """Append the current world state."""
-        frame = [
-            ActorSample(
-                "ego",
-                world.ego.state.x,
-                world.ego.state.y,
-                world.ego.state.yaw,
-                world.ego.state.speed,
-            )
+        actors = [("ego", world.ego.state)] + [
+            (npc.vehicle.name, npc.vehicle.state) for npc in world.npcs
         ]
-        for npc in world.npcs:
-            state = npc.vehicle.state
-            frame.append(
-                ActorSample(
-                    npc.vehicle.name, state.x, state.y, state.yaw, state.speed
-                )
-            )
+        frame = [
+            ActorSample(name, state.x, state.y, state.yaw, state.speed)
+            for name, state in actors
+        ]
         self.times.append(world.time)
         self.samples.append(frame)
         self.deltas.append(float(delta))
@@ -64,12 +55,8 @@ class Trajectory:
         return len(self.times)
 
     def positions(self) -> dict[str, np.ndarray]:
-        """Per-actor position arrays, each shape ``(ticks, 2)``.
-
-        Computed in one pass over the recording and cached until another
-        tick is recorded (the renderer below used to rescan every frame
-        per actor per frame — O(actors x frames^2)).
-        """
+        """Per-actor position arrays, each shape ``(ticks, 2)``, worked
+        out in one pass and cached until another tick is recorded."""
         cached = getattr(self, "_positions_cache", None)
         if cached is not None and cached[0] == len(self.times):
             return cached[1]
@@ -200,8 +187,8 @@ def record_episode(
     Returns the trajectory and the final world (for collision inspection).
     The episode is :func:`~repro.eval.episodes.run_episode`'s, so ``trace``
     (or the ``REPRO_TRACE`` default writer) receives the same
-    ``episode_start`` / ``tick`` / ``episode_end`` records; tracing is
-    read-only and never changes the recorded trajectory.
+    ``episode_start`` and ``episode_end`` records; tracing is read-only
+    and never changes the recorded trajectory.
     """
     trajectory = Trajectory()
     _, world = _run_episode(

@@ -14,6 +14,7 @@ and 0.75.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.eval.episodes import EpisodeResult, run_episodes
 from repro.eval.metrics import (
@@ -86,24 +87,30 @@ def run(
     seed: int = 42,
     budgets: tuple[float, ...] = BUDGETS,
 ) -> Fig4Result:
-    """Run the Fig. 4 sweep with ``n_episodes`` per (attacker, budget)."""
+    """Run the Fig. 4 sweep with ``n_episodes`` per (attacker, budget).
+
+    At budget 0 no attacker runs, so the camera and IMU rows share one
+    run of the nominal episodes.
+    """
+    attackers = {
+        "camera": registry.camera_attacker, "imu": registry.imu_attacker,
+    }
+    nominal = None
     cells: list[Fig4Cell] = []
     for attacker_kind in ATTACKERS:
         for budget in budgets:
-            if budget == 0.0:
-                attacker_factory = None
-            elif attacker_kind == "camera":
-                attacker_factory = (
-                    lambda b=budget: registry.camera_attacker(b)
-                )
+            if budget == 0.0 and nominal is not None:
+                episodes = nominal
             else:
-                attacker_factory = lambda b=budget: registry.imu_attacker(b)
-            episodes = run_episodes(
-                registry.e2e_victim,
-                attacker_factory,
-                n_episodes=n_episodes,
-                seed=seed,
-            )
+                episodes = run_episodes(
+                    registry.e2e_victim,
+                    None if budget == 0.0
+                    else partial(attackers[attacker_kind], budget),
+                    n_episodes=n_episodes,
+                    seed=seed,
+                )
+                if budget == 0.0:
+                    nominal = episodes
             cells.append(
                 Fig4Cell(
                     attacker=attacker_kind,

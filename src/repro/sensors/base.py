@@ -56,12 +56,7 @@ class FrameStack(Sensor):
         self._frames: list[np.ndarray] = []
 
     def observe(self, world: World) -> np.ndarray:
-        frame = self.inner.observe(world)
-        if not self._frames:
-            self._frames = [frame] * self.k
-        else:
-            self._frames = self._frames[1:] + [frame]
-        return np.concatenate(self._frames)
+        return np.concatenate(self.push(self.inner.observe(world)))
 
     def observe_batch(self, batch) -> np.ndarray:
         """Stacked frames per episode, ``[N, k * inner_dim]``."""
@@ -70,7 +65,11 @@ class FrameStack(Sensor):
     def frames_batch(self, batch) -> list[np.ndarray]:
         """The ``k`` frames :meth:`observe_batch` stacks, oldest first,
         ``[N, inner_dim]`` each, for a caller that joins them itself."""
-        frame = self.inner.observe_batch(batch)
+        return self.push(self.inner.observe_batch(batch))
+
+    def push(self, frame: np.ndarray) -> list[np.ndarray]:
+        """Append a frame of the inner sensor; the ``k`` frames held,
+        oldest first."""
         if not self._frames:
             self._frames = [frame] * self.k
         else:

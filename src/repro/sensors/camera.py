@@ -254,7 +254,8 @@ class BevCamera(Sensor):
     and :meth:`observe_batch` keep the normalized frame in the world's
     ``frame_memo`` and hand the same read-only array to every camera of
     that config until the world's ``pose_key`` changes (an actor's ``x``,
-    ``y``, ``yaw`` or ``speed``). So the victim and the attacker watching
+    ``y``, ``yaw`` or ``speed``); they key it with the world's geometry's
+    ``key``, the same bytes. So the victim and the attacker watching
     one camera share a frame, while each
     :class:`~repro.sensors.base.FrameStack` keeps its own history.
     """
@@ -282,10 +283,15 @@ class BevCamera(Sensor):
 
     def observe(self, world: World) -> np.ndarray:
         """The normalized grid, flattened; shared and read-only."""
+        return self.frame(world, world.geometry().key)
+
+    def frame(self, world: World, key: bytes) -> np.ndarray:
+        """:meth:`observe` for a caller that holds the world's geometry:
+        ``key`` is its :attr:`~repro.sim.world.WorldGeometry.key`."""
         return _shared_frame(
             world.frame_memo,
             self.config,
-            world.pose_key(),
+            key,
             lambda: self.render(world).astype(np.float64).ravel()
             / _MAX_CLASS,
         )
@@ -350,7 +356,7 @@ class BevCamera(Sensor):
         return _shared_frame(
             batch.frame_memo,
             self.config,
-            batch.pose_key(),
+            batch.geometry().key,
             lambda: self.render_batch(batch)
             .astype(np.float64)
             .reshape(batch.n, -1)

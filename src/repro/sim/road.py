@@ -178,9 +178,15 @@ class Road:
 
         ``x`` is called only on a road whose lateral offset depends on it:
         on an axis-aligned road ``d`` is ``y`` less the line's ``y``, so a
-        caller that would build ``x`` just for this skips it.
+        caller that would build ``x`` just for this skips it. On such a
+        road whose line lies on ``y = +0.0`` (the default road) ``d`` is
+        ``y`` itself, not a copy: ``y - 0.0`` has ``y``'s bits for every
+        float, ``-0.0`` and NaN included. Read the result; do not write
+        to it.
         """
         if self._axis_aligned:
+            if self._base_y == 0.0 and math.copysign(1.0, self._base_y) > 0:
+                return y
             return y - self._base_y
         points = np.stack([np.ravel(x()), np.ravel(y)], axis=1)
         return self.frenet_batch(points)[1].reshape(np.shape(y))

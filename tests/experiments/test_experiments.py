@@ -1,5 +1,7 @@
 """Tests for experiment drivers (tiny protocols over shipped artifacts)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -79,8 +81,15 @@ class TestExperimentDrivers:
     def test_fig4_tiny(self):
         from repro.experiments import fig4
 
-        result = fig4.run(n_episodes=2, budgets=(0.0, 1.0))
+        with mock.patch.object(
+            fig4, "run_episodes", wraps=fig4.run_episodes
+        ) as runs:
+            result = fig4.run(n_episodes=2, budgets=(0.0, 1.0))
         assert len(result.cells) == 4  # 2 attackers x 2 budgets
+        # Budget 0 runs no attacker: both rows share one nominal run.
+        assert runs.call_count == 3
+        nominal = result.cell("camera", 0.0).episodes
+        assert result.cell("imu", 0.0).episodes is nominal
         cell = result.cell("camera", 1.0)
         assert 0.0 <= cell.success <= 1.0
         assert result.table().render()

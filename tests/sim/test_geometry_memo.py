@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.agents.e2e import EndToEndAgent
-from repro.agents.e2e.observation import DrivingObservation
+from repro.agents.e2e.observation import POLICY_CAMERA, DrivingObservation
 from repro.agents.modular import ModularAgent
 from repro.core import (
     CameraAttackObservation,
@@ -317,6 +317,28 @@ class TestOncePerState:
         assert ticks.call_count > 0
         # The spawn state, then one state per tick.
         assert conversions.call_count == ticks.call_count + 1
+
+    def test_driving_observation_builds_the_pose_key_once(self, quiet_world):
+        """The camera's frame memo takes the geometry's key, so one
+        observation of a fresh state builds the pose key once, for both
+        the frame lookup and the ego's lateral offset."""
+        encoder = DrivingObservation()
+        fresh = (
+            lambda world: None,
+            lambda world: world.tick(world.ego.pending_control),
+            lambda world: setattr(world.ego.state, "y", 1.0),
+        )
+        for move in fresh:
+            move(quiet_world)
+            with counting(World, "pose_key") as keys:
+                encoder.observe(quiet_world)
+            assert keys.call_count == 1
+        # The same state again: one key build, and the held frame.
+        frame = quiet_world.frame_memo[POLICY_CAMERA][1]
+        with counting(World, "pose_key") as keys:
+            encoder.observe(quiet_world)
+        assert keys.call_count == 1
+        assert quiet_world.frame_memo[POLICY_CAMERA][1] is frame
 
     def test_scalar_episode_converts_each_actor_once_per_tick(self):
         with counting(Road, "to_frenet") as conversions, counting(

@@ -193,8 +193,15 @@ class TestBatchShortcuts:
         def no_x():
             raise AssertionError("x worked out on an axis-aligned road")
 
-        y = np.array([[-0.0, 0.0, 3.5]])
-        assert _bits(default_road().lateral_batch(y, no_x)) == _bits(y - 0.0)
+        y = np.array([[-0.0, 0.0, 3.5, np.nan]])
+        # On a line at y = +0.0 the offset is y itself (y - 0.0 has y's
+        # bits); at -0.0 it is not (-0.0 - -0.0 is +0.0), nor off the axis.
+        assert default_road().lateral_batch(y, no_x) is y
+        for base in (-0.0, -2.9):
+            xs = np.linspace(0.0, 400.0, 201)
+            line = np.stack([xs, np.full_like(xs, base)], axis=1)
+            lateral = Road(RoadConfig(), line).lateral_batch(y, no_x)
+            assert _bits(lateral) == _bits(y - base)
 
 
 class TestWaypoints:
