@@ -60,14 +60,16 @@ class BatchModularActor:
             if self.config.behavior == BehaviorConfig()
             else BatchBehaviorPlanner(road, self.config.behavior)
         )
-        self._lateral = BatchPid(self.config.lateral_gains, dt, n)
-        self._longitudinal = BatchPid(self.config.longitudinal_gains, dt, n)
+        # The lateral and longitudinal loops, as one on [2, N] errors.
+        self._pid = BatchPid(
+            (self.config.lateral_gains, self.config.longitudinal_gains), dt, n
+        )
+        self._error = np.empty((2, n))
 
     def reset(self, batch) -> None:
         if self.planner is not None:
             self.planner.reset(batch)
-        self._lateral.reset()
-        self._longitudinal.reset()
+        self._pid.reset()
 
     def act_batch(
         self, batch, reference: BatchPlan
@@ -79,18 +81,24 @@ class BatchModularActor:
         yaw, speed = batch.pose[2, 0], batch.pose[3, 0]
 
         cfg = self.config
-        lookahead = clamp_array(
+        target_s = clamp_array(
             cfg.lookahead_gain * speed, cfg.lookahead_min, cfg.lookahead_max
         )
-        target_s = ego_s + lookahead
+        target_s += ego_s
         target_d = plan.reference_offset(target_s)
         target_xy, _ = batch.road.to_world_batch(target_s, target_d)
-        offset = target_xy - batch.pose[:2, 0]
-        bearing = np.arctan2(offset[1], offset[0]) - yaw
-        bearing = (bearing + math.pi) % (2.0 * math.pi) - math.pi
-        # Positive steer turns right; a target to the left needs negative.
-        steer = self._lateral.step(-bearing)
-        thrust = self._longitudinal.step(plan.target_speed - speed)
+        target_xy -= batch.pose[:2, 0]
+        # The errors: the target's bearing, wrapped to [-pi, pi) and
+        # negated (positive steer turns right), and the speed error.
+        error = self._error
+        bearing = np.arctan2(target_xy[1], target_xy[0], out=error[0])
+        bearing -= yaw
+        bearing += math.pi
+        bearing %= 2.0 * math.pi
+        bearing -= math.pi
+        np.negative(bearing, out=bearing)
+        np.subtract(plan.target_speed, speed, out=error[1])
+        steer, thrust = self._pid.step(error)
         return steer, thrust
 
 
@@ -138,8 +146,7 @@ class BatchPolicyActor:
             actions = self.policy.act_batch(
                 obs, deterministic=True, plan=self.plan
             )
-        steer = clamp_array(actions[:, 0], -EPSILON_MECH, EPSILON_MECH)
-        thrust = clamp_array(actions[:, 1], -EPSILON_MECH, EPSILON_MECH)
+        steer, thrust = clamp_array(actions, -EPSILON_MECH, EPSILON_MECH).T
         return steer, thrust
 
 

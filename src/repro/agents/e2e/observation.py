@@ -65,16 +65,14 @@ class DrivingObservation:
 
     def observe_batch(self, batch) -> np.ndarray:
         """Policy observations for every episode of a batch, ``[N, dim]``."""
-        frames = self._stack.frames_batch(batch)
+        frames = self._stack.push(self._camera.observe_batch(batch))
         _, d, _ = batch.geometry().ego
-        ego = np.stack(
-            [
+        ego = np.array(
+            (
                 batch.pose[3, 0] / self.reference_speed,
-                batch.actuation[0, 0],
-                batch.actuation[1, 0],
+                *batch.actuation[:, 0],
                 d / batch.road.half_width,
                 batch.pose[2, 0] / math.pi,
-            ],
-            axis=1,
+            )
         )
-        return np.concatenate([*frames, ego], axis=1)
+        return np.concatenate([*frames, ego.T], axis=1)

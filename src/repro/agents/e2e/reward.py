@@ -24,7 +24,7 @@ import numpy as np
 from repro.agents.modular.behavior import Plan
 from repro.sim.collision import Collision
 from repro.sim.world import World
-from repro.utils.geometry import unit, unit_planes
+from repro.utils.geometry import dot_planes, unit, unit_planes
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ class DrivingReward:
 
     def __init__(self, config: DrivingRewardConfig | None = None) -> None:
         self.config = config or DrivingRewardConfig()
+        self._collision_terms = np.array([0.0, -self.config.collision_penalty])
 
     def step(
         self,
@@ -118,35 +119,34 @@ class DrivingReward:
             batch: the :class:`~repro.sim.batch.BatchWorld` after ticking.
             plan: the privileged :class:`BatchPlan` computed pre-tick.
             collided: boolean mask of episodes that collided this tick.
-            deviation: each ego's distance from the reference path in lane
-                widths, ``|d - plan.reference_offset(s)| / lane_width``,
-                when the caller has worked it out already.
+            deviation: an ``[N]`` array to receive each ego's distance
+                from the reference path in lane widths,
+                ``|d - plan.reference_offset(s)| / lane_width``.
         """
         cfg = self.config
         geometry = batch.geometry()
         ego_s, ego_d, _ = geometry.ego
 
-        target_s = ego_s + cfg.lookahead
-        target_d = plan.reference_offset(target_s)
-        target_xy, _ = batch.road.to_world_batch(target_s, target_d)
-        unit_wp, _ = unit_planes(target_xy - geometry.ego_position)
-        progress = np.minimum(
-            np.einsum("jn,jn->n", geometry.ego_velocity, unit_wp)
-            / cfg.reference_speed,
-            1.0,
-        )
+        # The reference path at the ego and the lookahead point, at once.
+        s = np.array((ego_s, ego_s + cfg.lookahead))
+        reference = plan.reference_offset(s)
+        target_xy, _ = batch.road.to_world_batch(s[1], reference[1])
+        target_xy -= geometry.ego_position
+        unit_wp, _ = unit_planes(target_xy)
+        progress = dot_planes(geometry.ego_velocity, unit_wp)
+        progress /= cfg.reference_speed
+        np.minimum(progress, 1.0, out=progress)
 
-        speed_error = (
-            np.abs(batch.pose[3, 0] - plan.target_speed)
-            / cfg.reference_speed
-        )
-        speed = -cfg.speed_weight * speed_error
+        speed = np.subtract(batch.pose[3, 0], plan.target_speed)
+        np.abs(speed, out=speed)
+        speed /= cfg.reference_speed
+        speed *= -cfg.speed_weight
 
-        if deviation is None:
-            deviation = (
-                np.abs(ego_d - plan.reference_offset(ego_s))
-                / batch.road.config.lane_width
-            )
+        deviation = np.subtract(ego_d, reference[0], out=deviation)
+        np.abs(deviation, out=deviation)
+        deviation /= batch.road.config.lane_width
         precision = -cfg.deviation_weight * deviation
-        collision = np.where(collided, -cfg.collision_penalty, 0.0)
-        return progress + speed + precision + collision
+        progress += speed
+        progress += precision
+        progress += self._collision_terms.take(collided)
+        return progress

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.sim.road import Road
 from repro.sim.world import World, WorldGeometry
-from repro.utils.geometry import clamp, clamp_array
+from repro.utils.geometry import clamp, clamp_array, count_nonzero
 
 
 @dataclass(frozen=True)
@@ -217,20 +217,28 @@ class BatchPlan:
     d1: np.ndarray
 
     @cached_property
-    def _blend(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's blend span (1 where not changing) and half rise:
-        the parts of :meth:`reference_offset` that do not depend on ``s``."""
+    def _blend(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Each row's blend span (1 where not changing), half rise and
+        steady flag; None while no row changes lanes."""
+        if not count_nonzero(self.changing):
+            return None
         span = np.where(self.changing, self.s1 - self.s0, 1.0)
-        return span, (self.d1 - self.d0) * 0.5
+        return span, (self.d1 - self.d0) * 0.5, ~self.changing
 
     def reference_offset(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized ``d_ref(s)`` per episode, same blend as scalar."""
-        span, half_rise = self._blend
+        """Vectorized ``d_ref(s)`` per episode, same blend as scalar:
+        ``s`` is ``[N]``, or ``[K, N]`` for ``K`` points per episode."""
+        if self._blend is None:
+            offset = np.empty(np.shape(s))
+            np.copyto(offset, self.lane_offset)
+            return offset
+        span, half_rise, steady = self._blend
         phase = clamp_array((s - self.s0) / span, 0.0, 1.0)
-        blend = self.d0 + half_rise * (1.0 - np.cos(math.pi * phase))
-        offset = np.where(s <= self.s0, self.d0, blend)
-        offset = np.where(s >= self.s1, self.d1, offset)
-        return np.where(self.changing, offset, self.lane_offset)
+        offset = self.d0 + half_rise * (1.0 - np.cos(math.pi * phase))
+        np.copyto(offset, self.d0, where=s <= self.s0)
+        np.copyto(offset, self.d1, where=s >= self.s1)
+        np.copyto(offset, self.lane_offset, where=steady)
+        return offset
 
 
 class BatchBehaviorPlanner:
@@ -269,7 +277,8 @@ class BatchBehaviorPlanner:
             ((d + half) / road.config.lane_width).astype(int),
             road.config.n_lanes - 1,
         )
-        return np.where(np.abs(d) > half, -1, lane)
+        np.copyto(lane, -1, where=np.abs(d) > half)
+        return lane
 
     def _lane_offsets(self, lane: np.ndarray) -> np.ndarray:
         centre = (self.road.config.n_lanes - 1) / 2.0
@@ -283,8 +292,6 @@ class BatchBehaviorPlanner:
         n = batch.n
         geometry = batch.geometry()
         ego_s, ego_d, _ = geometry.ego
-        # Egos [N], NPCs [M, N].
-        ego_speed, npc_speed = batch.pose[3, 0], batch.pose[3, 1:]
 
         # 1. Clear transitions whose blend interval the ego has passed.
         # The state arrays are rebound, never written in place, so each
@@ -295,63 +302,67 @@ class BatchBehaviorPlanner:
         #    lane membership, matching the scalar planner).
         npc_s, npc_d, _ = geometry.npcs
         npc_lane = self._lane_at(npc_d)
-        rows = np.arange(n)
 
         ahead = (npc_lane == self._target_lane) & (npc_s > ego_s)
         masked_s = np.where(ahead, npc_s, np.inf)
-        leader_col = np.argmin(masked_s, axis=0)
-        leader_s = masked_s[leader_col, rows]
-        has_leader = np.isfinite(leader_s)
-        leader_speed = npc_speed[leader_col, rows]
-        gap = leader_s - ego_s
-        near = has_leader & (gap < cfg.overtake_trigger)
+        # Each row's leader, as a flat index into the [M, N] planes.
+        leader = masked_s.argmin(axis=0)
+        leader *= n
+        leader += batch.rows
+        # A row without a leader reads an infinite (or NaN) gap: not near.
+        gap = masked_s.take(leader)
+        gap -= ego_s
+        near = gap < cfg.overtake_trigger
 
         # 3. Lane-change attempt for non-transitioning rows with a close
         #    leader; candidate order matches the scalar planner (+1 first).
+        #    Most ticks no row attempts one.
         attempt = ~changing & near
-        started = np.zeros(n, dtype=bool)
-        target_lane = self._target_lane
-        rel = npc_s - ego_s
-        for delta in (1, -1):
-            candidate = self._target_lane + delta
-            valid = (
-                attempt
-                & ~started
-                & (candidate >= 0)
-                & (candidate < self.road.n_lanes)
-            )
-            if not valid.any():
-                continue
-            in_cand = npc_lane == candidate
-            blocking = (
-                in_cand
-                & (rel >= -cfg.change_rear_gap)
-                & (rel <= cfg.change_front_gap)
-            ).any(axis=0)
-            go = valid & ~blocking
-            if go.any():
-                speed = np.maximum(ego_speed, 4.0)
-                distance = np.maximum(
-                    speed * cfg.change_time, cfg.min_change_distance
+        target_lane, acc = self._target_lane, near
+        if count_nonzero(attempt):
+            started = np.zeros(n, dtype=bool)
+            rel = npc_s - ego_s
+            for delta in (1, -1):
+                candidate = self._target_lane + delta
+                valid = (
+                    attempt
+                    & ~started
+                    & (candidate >= 0)
+                    & (candidate < self.road.n_lanes)
                 )
-                self._s0 = np.where(go, ego_s, self._s0)
-                self._d0 = np.where(go, ego_d, self._d0)
-                self._s1 = np.where(go, ego_s + distance, self._s1)
-                self._d1 = np.where(
-                    go, self._lane_offsets(candidate), self._d1
-                )
-                target_lane = np.where(go, candidate, target_lane)
-                started |= go
-        self._changing = changing | started
-        self._target_lane = target_lane
+                if not count_nonzero(valid):
+                    continue
+                in_cand = npc_lane == candidate
+                blocking = (
+                    in_cand
+                    & (rel >= -cfg.change_rear_gap)
+                    & (rel <= cfg.change_front_gap)
+                ).any(axis=0)
+                go = valid & ~blocking
+                if count_nonzero(go):
+                    speed = np.maximum(batch.pose[3, 0], 4.0)
+                    distance = np.maximum(
+                        speed * cfg.change_time, cfg.min_change_distance
+                    )
+                    self._s0 = np.where(go, ego_s, self._s0)
+                    self._d0 = np.where(go, ego_d, self._d0)
+                    self._s1 = np.where(go, ego_s + distance, self._s1)
+                    self._d1 = np.where(
+                        go, self._lane_offsets(candidate), self._d1
+                    )
+                    target_lane = np.where(go, candidate, target_lane)
+                    started |= go
+            changing |= started
+            acc = near & ~started
+        self._changing, self._target_lane = changing, target_lane
 
         # 4. ACC fallback: boxed-in rows (no change started) and
         #    transitioning rows with a close leader track the leader.
         target_speed = np.full(n, cfg.target_speed)
-        acc = near & ~started
-        if acc.any():
+        if count_nonzero(acc):
             acc_speed = clamp_array(
-                leader_speed + cfg.acc_gain * (gap - cfg.min_gap),
+                batch.pose[3, 1:].take(leader)
+                + cfg.acc_gain * (gap - cfg.min_gap),
                 0.0,
                 cfg.target_speed,
             )

@@ -63,16 +63,16 @@ class Pid:
 
 
 class BatchPid:
-    """N independent :class:`Pid` loops advanced as one array expression.
+    """``[K, N]`` independent :class:`Pid` loops as one array expression.
 
-    Row ``i`` reproduces a scalar ``Pid`` fed episode ``i``'s errors: the
-    integral clamp, first-step derivative suppression, and output
-    saturation all evaluate per row.
+    Row ``(k, i)`` reproduces a scalar ``Pid`` with ``gains[k]`` fed
+    episode ``i``'s errors: the integral clamp, first-step derivative
+    suppression, and output saturation all evaluate per row.
     """
 
     def __init__(
         self,
-        gains: PidGains,
+        gains: tuple[PidGains, ...],
         dt: float,
         n: int,
         output_limit: float = 1.0,
@@ -80,22 +80,27 @@ class BatchPid:
     ) -> None:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        self.gains = gains
+        self.gains = tuple(gains)
         self.dt = dt
         self.output_limit = float(output_limit)
         self.integral_limit = float(integral_limit)
-        self._integral = np.zeros(n)
-        self._last_error = np.zeros(n)
+        self._kp, self._ki, self._kd = (  # [K, 1] columns
+            np.array([[getattr(g, name)] for g in self.gains], dtype=float)
+            for name in ("kp", "ki", "kd")
+        )
+        shape = (len(self.gains), n)
+        self._integral = np.zeros(shape)
+        self._last_error = np.zeros(shape)
         # Every row resets and steps together, so one flag serves them all.
         self._has_last = False
 
     def step(self, error: np.ndarray) -> np.ndarray:
         """Advance all loops one tick; returns the saturated outputs."""
         error = np.asarray(error, dtype=float)
+        integral = np.multiply(error, self.dt)
+        integral += self._integral
         self._integral = clamp_array(
-            self._integral + error * self.dt,
-            -self.integral_limit,
-            self.integral_limit,
+            integral, -self.integral_limit, self.integral_limit, out=integral
         )
         derivative = (
             (error - self._last_error) / self.dt
@@ -104,8 +109,7 @@ class BatchPid:
         )
         self._last_error = error.copy()
         self._has_last = True
-        g = self.gains
-        output = g.kp * error + g.ki * self._integral + g.kd * derivative
+        output = self._kp * error + self._ki * integral + self._kd * derivative
         return clamp_array(output, -self.output_limit, self.output_limit)
 
     def reset(self) -> None:

@@ -267,9 +267,9 @@ class BatchLearnedAttacker:
     """Batched deterministic rollout of one :class:`LearnedAttacker` per row.
 
     Rebuilds the camera observation pipeline with batch support and runs
-    the policy through its fused inference plan. Rows share the first
-    attacker's policy and channel configuration; row ``i`` draws channel
-    noise from attacker ``i``'s rng. Only deterministic camera attackers
+    the policy through its fused inference plan. Rows share one policy
+    and channel configuration; row ``i`` draws channel noise from
+    attacker ``i``'s rng. Only deterministic camera attackers
     are supported: the IMU trace sensor has no batched observation path,
     and stochastic evaluation is done on the scalar path where noise
     streams are per-episode by construction.
@@ -324,17 +324,37 @@ class BatchLearnedAttacker:
         return self.channel.inject(self.normalized_actions(batch), ~batch.done)
 
 
+def _row_config(attacker) -> tuple:
+    """What a lockstep twin takes from one row's attacker."""
+    if attacker is None or isinstance(attacker, NullAttacker):
+        return (NullAttacker,)
+    if isinstance(attacker, OracleAttacker):
+        return (
+            OracleAttacker, attacker.budget, attacker.beta, attacker.max_range
+        )
+    if isinstance(attacker, LearnedAttacker):
+        stack = getattr(attacker.sensor, "_stack", None)
+        return (
+            LearnedAttacker, attacker.name, id(attacker.policy),
+            attacker.deterministic, type(attacker.sensor),
+            stack and (stack.inner.config, stack.k), attacker.channel.config,
+        )
+    return (type(attacker),)
+
+
 def as_batch_attacker(attackers: Sequence):
     """The lockstep twin of one scalar attacker per batch row.
 
     ``attackers[i]`` is episode ``i``'s attacker (``None`` = nominal);
-    rows share the first one's type and configuration. Raises
-    :class:`~repro.sim.batch.NoBatchTwin` for attackers with no batched
-    path (IMU sensors, stochastic policies, custom injectors, a noisy
-    channel shared by several rows).
+    all must agree in type and configuration, as one factory's do. Raises
+    :class:`~repro.sim.batch.NoBatchTwin` for rows that differ and for
+    attackers with no batched path (IMU sensors, stochastic policies,
+    custom injectors, a noisy channel shared by several rows).
     """
     n = len(attackers)
     attacker = attackers[0]
+    if len({_row_config(a) for a in attackers}) > 1:
+        raise NoBatchTwin("the rows' attackers differ in configuration")
     if attacker is None or isinstance(attacker, NullAttacker):
         return BatchNullAttacker(n)
     if isinstance(attacker, OracleAttacker):

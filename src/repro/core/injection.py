@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.config import EPSILON_MECH
-from repro.utils.geometry import clamp, clamp_array
+from repro.utils.geometry import clamp, clamp_array, count_nonzero
 
 #: Smallest |delta| that counts as a meaningful injection: below this the
 #: attacker is considered to be lurking (used for the attack-effort
@@ -158,7 +158,8 @@ class BatchInjectionChannel:
         (and noise generators) untouched.
         """
         cfg = self.config
-        delta = clamp_array(normalized_actions, -1.0, 1.0) * cfg.budget
+        delta = clamp_array(normalized_actions, -1.0, 1.0)
+        delta *= cfg.budget
         if cfg.quantization > 0.0:
             delta = np.round(delta / cfg.quantization) * cfg.quantization
         if cfg.noise_std > 0.0:
@@ -166,8 +167,9 @@ class BatchInjectionChannel:
                 raise ValueError("noise_std > 0 requires per-lane rngs")
             for i in np.flatnonzero(active):
                 delta[i] += float(self.rngs[i].normal(0.0, cfg.noise_std))
-        delta = clamp_array(delta, -cfg.budget, cfg.budget)
-        delta = np.where(active, delta, 0.0)
+        clamp_array(delta, -cfg.budget, cfg.budget, out=delta)
+        if count_nonzero(active) < self.n:
+            np.copyto(delta, 0.0, where=~active)
         magnitude = np.abs(delta)
         # An inactive row adds 0.0 to a sum that is never -0.0: unchanged.
         self.total_effort += magnitude

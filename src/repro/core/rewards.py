@@ -31,7 +31,7 @@ import numpy as np
 from repro.sim.batch import KIND_BARRIER, KIND_NONE, KIND_SIDE
 from repro.sim.collision import Collision, CollisionKind
 from repro.sim.world import Nearest, World
-from repro.utils.geometry import unit, unit_planes
+from repro.utils.geometry import dot_planes, unit, unit_planes
 
 #: The paper's critical-moment threshold, cos(pi/6).
 BETA = math.cos(math.pi / 6.0)
@@ -97,6 +97,8 @@ class AdversarialReward:
 
     def __init__(self, config: AdversarialRewardConfig | None = None) -> None:
         self.config = config or AdversarialRewardConfig()
+        #: ``C(lambda)`` by the batch engine's collision code.
+        self._collision_terms = self.config.collision_reward * _LAMBDA_BY_KIND
 
     def step(
         self,
@@ -156,19 +158,20 @@ class AdversarialReward:
                 (:data:`repro.sim.batch.KIND_SIDE` etc., 0 = none).
         """
         cfg = self.config
-        collision_term = (cfg.collision_reward * _LAMBDA_BY_KIND).take(
-            collision_kind
-        )
+        total = self._collision_terms.take(collision_kind)
 
         geometry = batch.geometry()
         nearest = geometry.nearest
-        critical = nearest.moving & (np.abs(nearest.omega) <= cfg.beta)
+        critical = np.abs(nearest.omega) <= cfg.beta
+        critical &= nearest.moving
 
+        # Potential inside the window, maneuver penalty outside, else 0.0.
         ego_dir, _ = unit_planes(geometry.ego_velocity)
-        potential = np.where(
-            critical, np.einsum("jn,jn->n", nearest.direction, ego_dir), 0.0
-        )
-        maneuver = np.where(
-            critical, 0.0, -cfg.maneuver_weight * np.abs(delta)
-        )
-        return collision_term + potential + maneuver
+        potential = dot_planes(nearest.direction, ego_dir)
+        np.copyto(potential, 0.0, where=~critical)
+        maneuver = np.abs(delta)
+        maneuver *= -cfg.maneuver_weight
+        np.copyto(maneuver, 0.0, where=critical)
+        total += potential
+        total += maneuver
+        return total

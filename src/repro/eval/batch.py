@@ -82,7 +82,7 @@ class Lockstep:
     :class:`~repro.sim.batch.NoBatchTwin` before any tick when the victim
     or the attackers (``attackers[i]`` is episode ``i``'s, ``None`` =
     nominal) have no batched twin. :meth:`run` then plays the episodes,
-    once.
+    once: a second call raises :class:`RuntimeError` before any record.
     """
 
     def __init__(
@@ -101,6 +101,7 @@ class Lockstep:
         template = make_world(self.scenario, rng=rng, road=self.batch.road)
         self.victim = victim_factory(template)
         self.actor = as_batch_actor(self.victim, self.batch)
+        self._spent = False
 
     def run(
         self,
@@ -109,13 +110,18 @@ class Lockstep:
         trace: TraceWriter | None = None,
     ) -> list[EpisodeResult]:
         """Play the episodes; one result per seed, in seed order."""
+        if self._spent:
+            raise RuntimeError(
+                "Lockstep.run plays its episodes once; build a new Lockstep"
+            )
+        self._spent = True
         batch, battacker = self.batch, self.attacker
         self.actor.reset(batch)
         planner = BatchBehaviorPlanner(batch.road)
         planner.reset(batch)
         nominal_reward = DrivingReward(reward_config)
         adversarial_reward = AdversarialReward(adversarial_config)
-        lane_width = batch.road.config.lane_width
+        deviation = np.empty(batch.n)  # written by the nominal reward
         ledger = EpisodeLedger(
             self.seeds, self.victim, battacker, self.scenario, trace
         )
@@ -133,20 +139,17 @@ class Lockstep:
                 steer, thrust = self.actor.act_batch(batch, plan)
                 delta = battacker.deltas(batch)
                 result = batch.tick(steer, thrust, steer_delta=delta)
-                geometry = batch.geometry()
-                ego_s, ego_d, _ = geometry.ego
-                reference = plan.reference_offset(ego_s)
-                deviation = np.abs(ego_d - reference) / lane_width
+                nominal = nominal_reward.step_batch(
+                    batch, plan, result.collided, deviation=deviation
+                )
                 ledger.tick(
                     live, result.step, result.time, delta, batch.pose[:, 0],
-                    nominal_reward.step_batch(
-                        batch, plan, result.collided, deviation=deviation
-                    ),
+                    nominal,
                     adversarial_reward.step_batch(
                         batch, delta, result.collision_kind
                     ),
                     deviation,
-                    geometry.nearest.distance if batch.m else np.nan,
+                    batch.geometry().nearest.distance if batch.m else np.nan,
                 )
 
         if batch_path:

@@ -156,19 +156,20 @@ class EpisodeLedger:
         striking = live & (magnitude >= self._strike_level)
         active = live & (magnitude >= ACTIVE_THRESHOLD)
         dt = self.scenario.dt
-        # Time only grows, so the least strike time is the first.
-        np.minimum(
-            self._first_strike, time - dt, out=self._first_strike,
-            where=striking,
-        )
+        if np.count_nonzero(striking):
+            # Time only grows, so the least strike time is the first.
+            np.minimum(
+                self._first_strike, time - dt, out=self._first_strike,
+                where=striking,
+            )
         increments = self._increments
         increments[0] = nominal
         increments[1] = adversarial
-        increments[2] = deviation * deviation
+        np.multiply(deviation, deviation, out=increments[2])
         increments[3] = active
         # A frozen row is never active again, so its flag from the tick
         # before no longer matters.
-        increments[4] = active > self._was_active
+        np.greater(active, self._was_active, out=increments[4])
         self._was_active = active
         np.add(self._sums, increments, out=self._sums, where=live)
         np.maximum(

@@ -276,13 +276,24 @@ class SquashedGaussianPolicy(Module):
         if obs.ndim != 2:
             raise ValueError("act_batch expects a [batch, obs_dim] matrix")
         batch = obs.shape[0]
-        mean, log_std = self.forward_np(obs, plan=plan)
         if deterministic:
-            if plan is not None and plan.fits(batch):
-                action = plan.action(batch)
-                np.tanh(mean, out=action)
-                return action
-            return np.tanh(mean)
+            # tanh(mean), as forward_np gives it; no log-std head.
+            hook = flops.FLOP_HOOK
+            if hook is not None:
+                hook.matmul(batch, self.mean_head.in_dim, self.action_dim)
+                hook.elementwise("add_fwd", batch * self.action_dim)
+            if plan is None or not plan.fits(batch):
+                features = self.trunk.forward_np(obs)
+                return np.tanh(
+                    features @ self.mean_head.weight.data
+                    + self.mean_head.bias.data
+                )
+            features = self.trunk.forward_np(obs, plan=plan.trunk)
+            action = plan.action(batch)
+            np.matmul(features, self.mean_head.weight.data, out=action)
+            action += self.mean_head.bias.data
+            return np.tanh(action, out=action)
+        mean, log_std = self.forward_np(obs, plan=plan)
         if rngs is None:
             rngs = [np.random.default_rng() for _ in range(batch)]
         if len(rngs) != batch:

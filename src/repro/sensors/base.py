@@ -60,12 +60,9 @@ class FrameStack(Sensor):
 
     def observe_batch(self, batch) -> np.ndarray:
         """Stacked frames per episode, ``[N, k * inner_dim]``."""
-        return np.concatenate(self.frames_batch(batch), axis=1)
-
-    def frames_batch(self, batch) -> list[np.ndarray]:
-        """The ``k`` frames :meth:`observe_batch` stacks, oldest first,
-        ``[N, inner_dim]`` each, for a caller that joins them itself."""
-        return self.push(self.inner.observe_batch(batch))
+        return np.concatenate(
+            self.push(self.inner.observe_batch(batch)), axis=1
+        )
 
     def push(self, frame: np.ndarray) -> list[np.ndarray]:
         """Append a frame of the inner sensor; the ``k`` frames held,

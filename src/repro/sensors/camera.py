@@ -28,7 +28,7 @@ from repro.sim.batch import BatchWorld
 from repro.sim.road import Road
 from repro.sim.world import World
 from repro.telemetry.spans import timed
-from repro.utils.geometry import reach
+from repro.utils.geometry import clamp_array, reach
 
 
 class SemanticClass(enum.IntEnum):
@@ -78,8 +78,8 @@ def _classify_road(road: Road, d: np.ndarray) -> np.ndarray:
     marking = np.abs(gap, out=gap) <= _MARKING_HALF_WIDTH
     on_road = np.abs(d, out=gap) <= half
     marking &= on_road
-    # OFF_ROAD 0, ROAD 1, LANE_MARKING 2.
-    return np.add(on_road, marking, dtype=np.uint8)
+    # OFF_ROAD 0, ROAD 1, LANE_MARKING 2: the flags' bytes are 0 or 1.
+    return np.add(on_road.view(np.uint8), marking.view(np.uint8))
 
 
 def _cloud_gap2(
@@ -140,6 +140,7 @@ def _classify_points(world: World, points: np.ndarray) -> np.ndarray:
 def _paint_vehicles_batch(
     classes: np.ndarray,
     batch: BatchWorld,
+    heading: tuple[np.ndarray, np.ndarray],
     px: np.ndarray,
     py: np.ndarray,
     cells: np.ndarray,
@@ -149,13 +150,14 @@ def _paint_vehicles_batch(
     The exact footprint test of NPC ``j`` of episode ``i`` runs only on
     the points ``cells[:, j, i]`` (``[K, M, N]`` flat indices into the
     ``[N, P]`` grid) at world ``(px, py)`` (``[K, M, N]`` each); they must
-    hold every point that NPC can cover.
+    hold every point that NPC can cover. ``heading`` is the NPCs' ``(cos,
+    sin)`` of yaw, ``[M, N]`` each.
     """
     vcfg = batch.config.vehicle
     half_l, half_w = vcfg.length / 2.0, vcfg.width / 2.0
     rel_x = px - batch.pose[0, 1:]
     rel_y = py - batch.pose[1, 1:]
-    cos_yaw, sin_yaw = batch.geometry().npc_heading
+    cos_yaw, sin_yaw = heading
     local_x = rel_x * cos_yaw + rel_y * sin_yaw
     # -rel_x * sin + rel_y * cos, bit for bit, one negation fewer.
     local_y = rel_y * cos_yaw - rel_x * sin_yaw
@@ -170,11 +172,11 @@ def _window_plan(config: BevCameraConfig, radius: float) -> tuple:
 
     Returns, rows then columns, each lattice's origin and step and the
     largest first index a window may take (``[2, 1, 1]`` arrays), and the
-    flat grid offsets of a window's cells from its first cell. A span of
-    ``2 * radius`` holds at most ``floor(2 * radius / step) + 1`` lattice
-    points, so every window has that many (at most the lattice's count),
-    from the first point at or past ``centre - radius``; a window that
-    would run off the lattice is slid back onto it.
+    flat grid offsets of a window's cells from its first cell (``[K, 1,
+    1]``). A span of ``2 * radius`` holds at most ``floor(2 * radius /
+    step) + 1`` lattice points, so every window has that many (at most the
+    lattice's count), from the first point at or past ``centre - radius``;
+    a window that would run off the lattice is slid back onto it.
     """
     steps = np.array(
         [
@@ -187,7 +189,7 @@ def _window_plan(config: BevCameraConfig, radius: float) -> tuple:
     origin = np.array([-config.backward, -config.half_width])
     offsets = (
         np.arange(spans[0])[:, None] * config.cols + np.arange(spans[1])
-    ).ravel()
+    ).reshape(-1, 1, 1)
     plan = (
         *(a.reshape(2, 1, 1) for a in (origin, steps, counts - spans)),
         offsets,
@@ -327,27 +329,33 @@ class BevCamera(Sensor):
             py, lambda: lx * cos_yaw - ly * sin_yaw + ego_x[:, None]
         )
         classes = _classify_road(batch.road, d)
-        # NPC centres in the ego grid frame: along and across the heading,
-        # [M, N] each.
+        # NPC centres in the ego grid frame, along and across the heading.
         dx, dy = geometry.npc_offsets
-        along = dx * cos_ego + dy * sin_ego
-        across = dy * cos_ego - dx * sin_ego
+        first = np.array(
+            (dx * cos_ego + dy * sin_ego, dy * cos_ego - dx * sin_ego)
+        )
         # A painted point lies within the footprint's circumradius of its
         # centre, up to ~1e-12 m of rounding; the reach's 1e-6 m margin
         # covers that, so the windows hold every cell the NPC can paint.
         vcfg = batch.config.vehicle
         radius = reach((vcfg.length, vcfg.width))
         origin, step, last, offsets = _window_plan(cfg, radius)
-        first = np.ceil((np.stack([along, across]) - radius - origin) / step)
-        row0, col0 = np.minimum(np.maximum(first.astype(np.intp), 0), last)
+        first -= radius
+        first -= origin
+        first /= step
+        np.ceil(first, out=first)
+        row0, col0 = clamp_array(first.astype(np.intp), 0, last)
         # Each window's cells, window cell first, [K, M, N]: index in the
         # grid, then in the [N, P] batch.
-        local = offsets[:, None, None] + (row0 * cfg.cols + col0)
-        cells = local + cfg.cells * np.arange(batch.n)
+        local = offsets + (row0 * cfg.cols + col0)
+        cells = local + batch.rows * cfg.cells
         window_x = (
             lx.take(local) * cos_ego - ly.take(local) * sin_ego + ego_x
         )
-        _paint_vehicles_batch(classes, batch, window_x, py.take(cells), cells)
+        _paint_vehicles_batch(
+            classes, batch, geometry.npc_heading, window_x, py.take(cells),
+            cells,
+        )
         return classes.reshape(batch.n, cfg.rows, cfg.cols)
 
     def observe_batch(self, batch: BatchWorld) -> np.ndarray:

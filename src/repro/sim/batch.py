@@ -51,7 +51,9 @@ from repro.sim.npc import LaneKeepGains
 from repro.sim.road import Road, default_road
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
-from repro.utils.geometry import clamp_array, reach, unit_planes
+from repro.utils.geometry import (
+    clamp_array, count_nonzero, dot_planes, reach, unit_planes
+)
 
 #: Integer collision codes used by the SoA bookkeeping arrays.
 KIND_NONE = 0
@@ -67,7 +69,10 @@ _KIND_TO_ENUM = {
     KIND_BARRIER: CollisionKind.BARRIER,
 }
 
-_TWO_PI = 2.0 * math.pi
+#: The tick's float operands as 0-d arrays, same bits as Python floats: a
+#: ufunc converts a Python float on every call (about 0.2 us).
+_PI, _TWO_PI = np.array(math.pi), np.array(2.0 * math.pi)
+_HALF, _MOVING_SPEED = np.array(0.5), np.array(1e-6)  # m/s
 #: The box (0 the ego, 1 the NPC) of each separating axis, and the axis's
 #: angle from that box's yaw: the ego's heading and its normal, then the
 #: NPC's.
@@ -93,13 +98,13 @@ def _normalize_angles(
     ``out`` when given. The remainder leaves a value in ``[0, 2 pi)`` as
     it is, bit for bit, so on a large array it runs only when some value
     lies outside."""
-    wrapped = np.add(angles, math.pi, out=out)
+    wrapped = np.add(angles, _PI, out=out)
     if wrapped.size < _WRAP_CHECK_SIZE or not (
         np.minimum.reduce(wrapped, axis=None, initial=0.0) >= 0.0
         and np.maximum.reduce(wrapped, axis=None, initial=0.0) < _TWO_PI
     ):
         np.remainder(wrapped, _TWO_PI, out=wrapped)
-    return np.subtract(wrapped, math.pi, out=wrapped)
+    return np.subtract(wrapped, _PI, out=wrapped)
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,8 @@ class BatchGeometry:
             array.setflags(write=False)
         npc_positions, npc_velocities = position[:, 1:], velocity[:, 1:]
         offsets = npc_positions - position[:, :1]
-        distance2 = offsets[0] * offsets[0] + offsets[1] * offsets[1]
+        squares = offsets * offsets
+        distance2 = np.add(squares[0], squares[1], out=squares[0])
         if m:
             npcs = batch.road.frenet_batch(npc_positions.transpose(1, 2, 0))
             dist = np.sqrt(distance2)
@@ -207,7 +213,7 @@ class BatchGeometry:
             # The nearest NPC's flat index in an [M, N] plane, then in a
             # [1 + M, N] one.
             flat = index * n
-            flat += np.arange(n)
+            flat += batch.rows
             distance = dist.take(flat)
             offset = offsets.reshape(2, -1).take(flat, axis=1)
             direction, _ = unit_planes(offset, distance)
@@ -215,9 +221,9 @@ class BatchGeometry:
             npc_heading, moving = unit_planes(
                 velocity.reshape(2, -1).take(flat, axis=1)
             )
-            omega = np.where(
-                moving, np.einsum("jn,jn->n", direction, npc_heading), 0.0
-            )
+            omega = dot_planes(direction, npc_heading)
+            if count_nonzero(moving) < n:
+                np.copyto(omega, 0.0, where=~moving)
             nearest = BatchNearest(
                 index, distance, offset, direction, npc_heading, moving, omega
             )
@@ -308,6 +314,10 @@ class BatchWorld:
         self.passed = self._passed.T
         self.gains = gains or LaneKeepGains()
 
+        #: ``arange(n)``, read-only: flat indexing into ``[..., N]`` planes.
+        self.rows = np.arange(self.n)
+        self.rows.setflags(write=False)
+        self._no_contact = np.full(self.n, -1)
         self.step_count = np.zeros(self.n, dtype=int)
         self.time = np.zeros(self.n)
         self.done = np.zeros(self.n, dtype=bool)
@@ -329,14 +339,21 @@ class BatchWorld:
         self._commands = tuple(self._command)
         self._next_pose = np.zeros((4, *planes))
         self._next_planes = (
-            self._next_pose[:2], self._next_pose[2], self._next_pose[3]
+            self._next_pose[:3], self._next_pose[2], self._next_pose[3]
         )
         self._scratch = tuple(np.zeros((4, *planes)))
-        self._move = np.zeros((2, *planes))
+        # A substep's move of x, y and yaw, [3, 1 + M, N].
+        self._step = np.zeros((3, *planes))
+        self._move = self._step[:2]
         self._moves = tuple(self._move)
         self._moving = np.zeros(planes, dtype=bool)
 
         cfg = config.vehicle
+        # The substeps' float operands (see _PI).
+        operands = (cfg.drag, config.dt / config.substeps, -cfg.wheelbase)
+        self._substep_operands = tuple(
+            np.array(v) for v in (*operands, cfg.max_lateral_accel)
+        )
         # Each channel's Eq. (1) weights on the command and on the last
         # actuation, [2, 1, 1].
         retain = np.array([cfg.steer_retain, cfg.thrust_retain])
@@ -390,7 +407,7 @@ class BatchWorld:
         Raises:
             RuntimeError: when every episode is already done.
         """
-        if bool(self.done.all()):
+        if self.all_done:
             raise RuntimeError("all episodes done; create a new batch")
         with span("world.tick_batch"):
             live = ~self.done
@@ -417,20 +434,22 @@ class BatchWorld:
             command += np.multiply(self._retain, self.actuation, out=move)
             steer, thrust = self._commands
             # The actuation holds over the substeps.
-            drive = thrust * np.where(
-                thrust >= 0.0, vcfg.max_accel, vcfg.max_brake
+            drive = thrust * vcfg.max_brake
+            np.multiply(
+                thrust, vcfg.max_accel, out=drive, where=thrust >= 0.0
             )
             tan_wheel = np.tan(steer * vcfg.max_steer_angle)
 
             pose = self._next_pose
             np.copyto(pose, self.pose)
-            position, yaw, speed = self._next_planes
-            new_speed, yaw_rate, limit, mid_yaw = self._scratch
+            position_yaw, yaw, speed = self._next_planes
+            new_speed, low, limit, mid_yaw = self._scratch
+            yaw_rate = self._step[2]
             moving, (move_x, move_y) = self._moving, self._moves
-            sub_dt = cfg.dt / cfg.substeps
+            drag, sub_dt, neg_wheelbase, max_lateral = self._substep_operands
             for _ in range(cfg.substeps):
                 # speed + (drive - drag * speed * speed) * dt, clamped.
-                np.multiply(vcfg.drag, speed, out=new_speed)
+                np.multiply(drag, speed, out=new_speed)
                 new_speed *= speed
                 np.subtract(drive, new_speed, out=new_speed)
                 new_speed *= sub_dt
@@ -438,49 +457,49 @@ class BatchWorld:
                 clamp_array(new_speed, 0.0, vcfg.max_speed, out=new_speed)
                 # -speed / wheelbase * tan(wheel angle): dividing by
                 # -wheelbase rounds as negating the speed first does.
-                np.divide(new_speed, -vcfg.wheelbase, out=yaw_rate)
+                np.divide(new_speed, neg_wheelbase, out=yaw_rate)
                 yaw_rate *= tan_wheel
-                # Moving rows hold the yaw rate under the lateral limit.
-                np.greater(new_speed, 1e-6, out=moving)
-                np.divide(
-                    vcfg.max_lateral_accel,
-                    np.where(moving, new_speed, 1.0),
-                    out=limit,
+                # Moving rows hold the yaw rate under the lateral limit;
+                # the limit of a row standing still is never read.
+                np.greater(new_speed, _MOVING_SPEED, out=moving)
+                np.divide(max_lateral, new_speed, out=limit, where=moving)
+                clamp_array(
+                    yaw_rate, np.negative(limit, out=low), limit,
+                    out=yaw_rate, where=moving,
                 )
-                limited = clamp_array(yaw_rate, -limit, limit)
-                np.copyto(yaw_rate, limited, where=moving)
                 # The yaw moves by yaw_rate * dt, its midpoint by half of
                 # that: halving is exact, so 0.5 * (yaw_rate * dt) rounds
                 # as (0.5 * yaw_rate) * dt does.
                 yaw_rate *= sub_dt
-                np.multiply(0.5, yaw_rate, out=mid_yaw)
+                np.multiply(_HALF, yaw_rate, out=mid_yaw)
                 mid_yaw += yaw
                 # x and y move by mid_speed * (cos, sin)(mid_yaw) * dt,
                 # mid_speed = 0.5 * (speed + new_speed), as one op.
                 speed += new_speed
-                speed *= 0.5
+                speed *= _HALF
                 np.cos(mid_yaw, out=move_x)
                 np.sin(mid_yaw, out=move_y)
                 move *= speed
                 move *= sub_dt
-                position += move
-                yaw += yaw_rate
+                position_yaw += self._step
                 _normalize_angles(yaw, out=yaw)
                 np.copyto(speed, new_speed)
 
             # Frozen rows keep their old state verbatim (no mask while
             # every row is live).
-            commit = True if live.all() else live
+            commit = True if count_nonzero(live) == self.n else live
             np.copyto(self.pose, pose, where=commit)
             np.copyto(self.actuation, command, where=commit)
             self.step_count += live
             np.add(self.time, cfg.dt, out=self.time, where=commit)
 
             kind, other = self._detect_collisions(live)
-            new_hit = kind != KIND_NONE
-            if new_hit.any():
+            # The committed state's geometry, which the collision test read.
+            geometry = self._geometry
+            # KIND_NONE is 0: the rows that collided are the nonzero ones.
+            if count_nonzero(kind):
                 registry = get_registry()
-                for i in np.flatnonzero(new_hit):
+                for i in np.flatnonzero(kind):
                     self.collision_kind[i] = kind[i]
                     self.collision_other[i] = other[i]
                     self.collision_step[i] = self.step_count[i]
@@ -489,14 +508,13 @@ class BatchWorld:
                         "collisions_total",
                         kind=_KIND_TO_ENUM[int(kind[i])].name,
                     ).inc()
+                self.done |= kind != KIND_NONE
 
-            geometry = self.geometry()
             ego_s, npc_s = geometry.ego[0], geometry.npcs[0]
             self._passed |= (ego_s > npc_s + vcfg.length) & live
-            # Frozen rows are done already: the OR needs no live mask.
-            finished = new_hit | (self.step_count >= cfg.max_steps)
-            finished |= ego_s >= self.road.length - vcfg.length
-            self.done |= finished
+            # Frozen rows are done already: the ORs need no live mask.
+            self.done |= self.step_count >= cfg.max_steps
+            self.done |= ego_s >= self.road.length - vcfg.length
         return BatchTickResult(
             step=self.step_count.copy(),
             time=self.time.copy(),
@@ -590,23 +608,23 @@ class BatchWorld:
         collision is already recorded, so its row is not tested.
         """
         kind = np.zeros(self.n, dtype=np.int8)
-        other = np.full(self.n, -1, dtype=int)
+        other = self._no_contact.copy()
         geometry = self.geometry()
         reach2 = self._contact_reach * self._contact_reach
         close = geometry.npc_distance2 <= reach2
         close &= live
-        # Pairs in (row, NPC) order, as the contacts are classed.
-        rows, cols = np.nonzero(close.T)
-        if len(rows):
+        if count_nonzero(close):
+            # Pairs in (row, NPC) order, as the contacts are classed.
+            rows, cols = close.T.nonzero()
             hit = self._overlapping(rows, cols)
-            if hit.any():
+            if count_nonzero(hit):
                 self._classify_contacts(
                     geometry, kind, other, rows[hit], cols[hit]
                 )
         # Barrier: any ego footprint corner beyond the roadside barriers,
         # only where no vehicle collision was found.
         near = np.abs(geometry.ego[1]) >= self._barrier_clear
-        if near.any():
+        if count_nonzero(near):
             near &= live
             near &= kind == KIND_NONE
             rows = np.flatnonzero(near)
@@ -623,7 +641,7 @@ class BatchWorld:
 
     @property
     def all_done(self) -> bool:
-        return bool(self.done.all())
+        return count_nonzero(self.done) == self.n
 
     def ego_frenet(
         self, position: np.ndarray | None = None

@@ -76,10 +76,14 @@ class Road:
         )
         self._base_x = float(self.centerline[0, 0])
         self._base_y = float(self.centerline[0, 1])
-        #: Each segment's arc-length span, floored as :meth:`to_world_batch`
-        #: divides by it.
-        self._span = np.maximum(np.diff(self.arclength), 1e-12)
-        self._span.flags.writeable = False
+        # to_world_batch's segment table, one column per segment: start
+        # arc length, span (floored, it divides), start and end points.
+        span = np.maximum(np.diff(self.arclength), 1e-12)
+        self._segments = np.vstack(
+            (self.arclength[:-1], span, self._line[:, :-1], self._line[:, 1:])
+        )
+        self._segments.flags.writeable = False
+        self._knots = self.arclength[1:-1]
 
     # -- constructors ------------------------------------------------------
 
@@ -214,12 +218,15 @@ class Road:
         s = np.asarray(s, dtype=float)
         d = np.asarray(d, dtype=float)
         s_c = clamp_array(s, 0.0, self.length)
-        idx = np.searchsorted(self.arclength, s_c, side="right")
-        idx -= 1
-        clamp_array(idx, 0, len(self.centerline) - 2, out=idx)
-        t = (s_c - self.arclength.take(idx)) / self._span.take(idx)
-        base = self._line.take(idx, axis=1) * (1.0 - t)
-        base += self._line.take(idx + 1, axis=1) * t
+        # searchsorted(arclength, s_c, "right") - 1 clamped to a segment.
+        idx = self._knots.searchsorted(s_c, side="right")
+        (start, span), low, high = self._segments.take(idx, axis=1).reshape(
+            3, 2, *idx.shape
+        )
+        t = np.subtract(s_c, start)
+        t /= span
+        base = low * (1.0 - t)
+        base += high * t
         if self._axis_aligned:
             return base + d * _AXIS_NORMAL, np.zeros(len(t))
         yaw, normal = self._segment_frames

@@ -34,6 +34,8 @@ import json
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
+import numpy as np
+
 from repro import knobs
 
 _NUMBER = (int, float)
@@ -364,9 +366,14 @@ def tick_columns(columns: dict) -> dict[str, list]:
         column = columns[name]
         values = column.tolist() if hasattr(column, "tolist") else list(column)
         if name not in REQUIRED_TICK_COLUMNS:
-            values = [None if v is None or v != v else v for v in values]
-            if values.count(None) == len(values):
+            if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+                missing = np.isnan(column)  # one pass over the array
+            else:
+                missing = np.array([v is None or v != v for v in values])
+            if missing.all():
                 continue
+            if missing.any():
+                values = [None if m else v for v, m in zip(values, missing)]
         ticks[name] = values
     return ticks
 

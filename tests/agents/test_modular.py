@@ -1,8 +1,12 @@
 """Tests for the modular pipeline: PID, behaviour layer, and full agent."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.agents.modular.behavior import BatchPlan
+from repro.agents.modular.pid import BatchPid
 from repro.agents.modular import (
     BehaviorConfig,
     BehaviorPlanner,
@@ -13,6 +17,26 @@ from repro.agents.modular import (
     PidGains,
 )
 from repro.sim import Control, make_world
+
+
+class TestBatchPid:
+    def test_rows_match_scalar_loops(self):
+        """Row (k, i) of a stacked BatchPid is a scalar Pid with gains k
+        fed episode i's errors, bit for bit."""
+        gains = (
+            PidGains(kp=1.9, ki=0.05, kd=0.25), PidGains(kp=0.55, ki=0.08)
+        )
+        rng = np.random.default_rng(2)
+        batch = BatchPid(gains, dt=0.1, n=5)
+        scalar = [[Pid(g, dt=0.1) for _ in range(5)] for g in gains]
+        for _ in range(30):
+            error = rng.uniform(-3.0, 3.0, (2, 5))
+            out = batch.step(error)
+            expected = [
+                [pid.step(float(e)) for pid, e in zip(loops, row)]
+                for loops, row in zip(scalar, error)
+            ]
+            assert out.tobytes() == np.array(expected).tobytes()
 
 
 class TestPid:
@@ -134,6 +158,46 @@ class TestBehaviorPlanner:
                 assert abs(value - previous) < 0.6
             previous = value
             quiet_world.tick(Control())
+
+
+def where_reference_offset(plan: BatchPlan, s: np.ndarray) -> np.ndarray:
+    """``BatchPlan.reference_offset`` as three ``np.where`` selections,
+    the reference the buffered evaluation must equal bit for bit."""
+    span = np.where(plan.changing, plan.s1 - plan.s0, 1.0)
+    half_rise = (plan.d1 - plan.d0) * 0.5
+    phase = np.clip((s - plan.s0) / span, 0.0, 1.0)
+    blend = plan.d0 + half_rise * (1.0 - np.cos(math.pi * phase))
+    offset = np.where(s <= plan.s0, plan.d0, blend)
+    offset = np.where(s >= plan.s1, plan.d1, offset)
+    return np.where(plan.changing, offset, plan.lane_offset)
+
+
+class TestBatchPlanReference:
+    @pytest.mark.parametrize("changing", ["none", "some", "all"])
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_matches_the_where_reference(self, changing, points):
+        rng = np.random.default_rng(points)
+        n = 9
+        s0 = rng.uniform(0.0, 300.0, n)
+        plan = BatchPlan(
+            target_lane=rng.integers(0, 3, n),
+            target_speed=np.full(n, 16.0),
+            lane_offset=rng.choice([-3.5, 0.0, 3.5], n),
+            changing={
+                "none": np.zeros(n, bool),
+                "some": np.arange(n) % 2 == 0,
+                "all": np.ones(n, bool),
+            }[changing],
+            s0=s0, d0=rng.uniform(-5.0, 5.0, n),
+            s1=s0 + rng.uniform(16.0, 30.0, n), d1=rng.uniform(-5.0, 5.0, n),
+        )
+        # Before, on, inside and past each row's blend interval.
+        s = s0 + rng.uniform(-10.0, 40.0, (points, n))
+        s[0, 0], s[0, 1], s[0, 2] = plan.s0[0], plan.s1[1], -0.0
+        s = s[0] if points == 1 else s
+        got = plan.reference_offset(s)
+        assert got.shape == s.shape
+        assert got.tobytes() == where_reference_offset(plan, s).tobytes()
 
 
 class TestGlobalRoutePlanner:

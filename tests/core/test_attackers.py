@@ -13,8 +13,16 @@ from repro.core import (
     NullAttacker,
     OracleAttacker,
 )
+from repro.core.attackers import (
+    BatchLearnedAttacker,
+    BatchNullAttacker,
+    BatchOracleAttacker,
+    as_batch_attacker,
+)
 from repro.rl.policy import SquashedGaussianPolicy
+from repro.sensors.camera import BevCameraConfig
 from repro.sim import Control, CollisionKind, make_world
+from repro.sim.batch import NoBatchTwin
 
 
 class TestNullAttacker:
@@ -164,3 +172,70 @@ class TestAttackObservations:
         raw = sensor.observe(quiet_world)
         small = scaled.observe(quiet_world)
         np.testing.assert_allclose(small * 10.0, raw, atol=1e-12)
+
+
+def _learned(policy=None, budget=0.5, deterministic=True, sensor=None):
+    sensor = sensor or CameraAttackObservation()
+    policy = policy or _POLICY
+    return LearnedAttacker(
+        policy,
+        sensor,
+        channel=InjectionChannel(InjectionChannelConfig(budget=budget)),
+        name="camera",
+        deterministic=deterministic,
+    )
+
+
+_POLICY = SquashedGaussianPolicy(
+    CameraAttackObservation().observation_dim, 1, (8,),
+    np.random.default_rng(0),
+)
+
+
+class TestBatchTwinRows:
+    """A lockstep twin drives every row alike, so the rows' attackers
+    must agree; lists from one factory do."""
+
+    @pytest.mark.parametrize(
+        "rows, twin",
+        [
+            ([None, NullAttacker(), None], BatchNullAttacker),
+            ([OracleAttacker(0.5) for _ in range(3)], BatchOracleAttacker),
+            ([_learned() for _ in range(3)], BatchLearnedAttacker),
+            ([_learned().with_budget(0.25) for _ in range(2)],
+             BatchLearnedAttacker),
+        ],
+        ids=["nominal", "oracle", "learned", "learned-with-budget"],
+    )
+    def test_one_factory_shares_a_twin(self, rows, twin):
+        assert isinstance(as_batch_attacker(rows), twin)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [OracleAttacker(0.25), OracleAttacker(1.0)],
+            [None, OracleAttacker(1.0)],
+            [OracleAttacker(1.0), None],
+            [OracleAttacker(1.0, beta=0.5), OracleAttacker(1.0)],
+            [OracleAttacker(1.0), OracleAttacker(1.0, max_range=10.0)],
+            [_learned(), _learned(budget=1.0)],
+            [_learned(), _learned(policy=SquashedGaussianPolicy(
+                CameraAttackObservation().observation_dim, 1, (8,),
+                np.random.default_rng(0),
+            ))],
+            [_learned(), _learned(deterministic=False)],
+            [_learned(), _learned(sensor=CameraAttackObservation(frames=2))],
+            [_learned(), _learned(sensor=CameraAttackObservation(
+                camera_config=BevCameraConfig(rows=16, cols=10)
+            ))],
+            [_learned(), OracleAttacker(0.5)],
+        ],
+        ids=[
+            "oracle-budget", "none-first", "none-last", "oracle-beta",
+            "oracle-range", "channel", "policy", "deterministic", "frames",
+            "camera", "type",
+        ],
+    )
+    def test_differing_rows_have_no_twin(self, rows):
+        with pytest.raises(NoBatchTwin, match="differ"):
+            as_batch_attacker(rows)

@@ -360,6 +360,26 @@ class TestEngineChoice:
         run_episodes(modular_victim, None, 1, scenario=scenario)
         assert counts() == (before[0] + 2, before[1] + 1)
 
+    def test_differing_attackers_run_scalar(self, lockstep_ticks):
+        """Rows whose attackers differ have no lockstep twin: each episode
+        runs scalar with its own attacker and counts as ``no_twin``."""
+        budgets = iter([0.25, 1.0, 0.25])
+        counter = get_registry().counter(
+            "eval_scalar_episodes_total", reason="no_twin"
+        )
+        before = counter.value
+        results = run_episodes(
+            modular_victim, lambda: OracleAttacker(next(budgets)),
+            n_episodes=3, seed=3,
+        )
+        assert lockstep_ticks == []
+        assert counter.value == before + 3
+        reference = [
+            run_episode(modular_victim, OracleAttacker(budget), seed=seed)
+            for seed, budget in zip((3, 4, 5), (0.25, 1.0, 0.25))
+        ]
+        assert results == reference
+
     def test_lockstep_error_propagates(self, monkeypatch):
         def broken_tick(*args, **kwargs):
             raise TypeError("engine bug")

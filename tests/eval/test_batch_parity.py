@@ -9,7 +9,9 @@ from batched runs still show per-episode cost.
 import pytest
 
 from repro.agents.modular import ModularAgent
+from repro.core import OracleAttacker
 from repro.eval import run_episode, run_episode_batch
+from repro.eval.batch import Lockstep
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import get_tracer
 from repro.telemetry.trace import TraceWriter
@@ -119,3 +121,28 @@ class TestTraceParity:
         assert kinds[0] == "provenance"
         assert kinds.count("provenance") == 1
         assert kinds.count("episode_start") == len(SEEDS)
+
+
+class TestSpentLockstep:
+    """A Lockstep plays its episodes once; a second run raises before it
+    writes anything."""
+
+    def lockstep(self):
+        return Lockstep(
+            modular_victim, [OracleAttacker(1.0) for _ in SEEDS], SEEDS
+        )
+
+    def test_untraced(self):
+        lockstep = self.lockstep()
+        results = lockstep.run()
+        assert any(r.nominal_return != 0.0 for r in results)
+        with pytest.raises(RuntimeError, match="Lockstep.run"):
+            lockstep.run()
+
+    def test_traced(self):
+        lockstep = self.lockstep()
+        lockstep.run(trace=TraceWriter(None))
+        writer = TraceWriter(None)
+        with pytest.raises(RuntimeError, match="Lockstep.run"):
+            lockstep.run(trace=writer)
+        assert writer.events == []

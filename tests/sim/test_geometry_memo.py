@@ -26,8 +26,9 @@ from repro.core import (
     LearnedAttacker,
     OracleAttacker,
 )
+from repro.agents.modular.behavior import BatchPlan
 from repro.eval import run_episode, run_episode_batch
-from repro.rl.policy import SquashedGaussianPolicy
+from repro.rl.policy import PolicyInferencePlan, SquashedGaussianPolicy
 from repro.sim import ScenarioConfig, make_batch_world
 from repro.sim.batch import BatchGeometry, BatchWorld
 from repro.sim.road import Road
@@ -357,3 +358,72 @@ class TestOncePerState:
         assert ticks.call_count > 10
         per_tick = (conversions.call_count - actors) / ticks.call_count
         assert actors <= per_tick <= actors + 4 == 11
+
+
+def modular_victim(world):
+    return ModularAgent(world.road)
+
+
+class TestLockstepStepWork:
+    """Count gates on a lockstep step: work it does once, or not at all,
+    stays so."""
+
+    def test_modular_step_evaluates_the_reference_path_twice(self):
+        """Once at the victim's lookahead before the tick, and once after
+        it for the deviation and the reward's lookahead together."""
+        with counting(BatchPlan, "reference_offset") as references, counting(
+            BatchWorld, "tick"
+        ) as ticks:
+            run_episode_batch(
+                modular_victim, OracleAttacker(budget=1.0), SEEDS,
+                scenario=SCENARIO,
+            )
+        assert ticks.call_count > 10
+        assert references.call_count == 2 * ticks.call_count
+
+    def test_deterministic_inference_skips_the_log_std_head(self):
+        with counting(
+            SquashedGaussianPolicy, "act_batch"
+        ) as actions, counting(
+            SquashedGaussianPolicy, "forward_np"
+        ) as forwards, counting(PolicyInferencePlan, "log_std") as heads:
+            run_episode_batch(
+                e2e_victim, learned_attacker(CameraAttackObservation()),
+                SEEDS, scenario=SCENARIO,
+            )
+        assert actions.call_count > 10
+        assert forwards.call_count == heads.call_count == 0
+
+    @pytest.mark.parametrize(
+        "victim, attacker, per_tick",
+        [
+            pytest.param(
+                e2e_victim,
+                lambda: learned_attacker(CameraAttackObservation()),
+                10,
+                id="e2e-camera",
+            ),
+            pytest.param(
+                modular_victim,
+                lambda: learned_attacker(CameraAttackObservation()),
+                9,
+                id="modular-camera",
+            ),
+            pytest.param(
+                modular_victim, lambda: OracleAttacker(budget=1.0), 8,
+                id="modular-oracle",
+            ),
+        ],
+    )
+    def test_pose_key_builds_per_step(self, victim, attacker, per_tick):
+        """Each ``geometry()`` call builds the pose key: the planner, each
+        agent, the camera, the tick (before and after), both rewards and
+        the runner read it (the e2e observation twice: its frame's key,
+        then the ego's offset), and nothing else does."""
+        with counting(BatchWorld, "pose_key") as keys, counting(
+            BatchWorld, "tick"
+        ) as ticks:
+            run_episode_batch(victim, attacker(), SEEDS, scenario=SCENARIO)
+        assert ticks.call_count > 10
+        # The planner's reset reads the spawn state once more.
+        assert keys.call_count <= per_tick * ticks.call_count + 1

@@ -128,6 +128,48 @@ def test_tick_columns_builds_the_ticks_object():
         tick_columns({"tick": [1], "warp": [1.0]})
 
 
+@pytest.mark.parametrize(
+    "column, expected",
+    [
+        ([0.5, -0.0, float("inf")], [0.5, -0.0, float("inf")]),
+        ([float("nan"), 2.5, float("nan")], [None, 2.5, None]),
+        ([float("nan"), float("nan"), float("nan")], None),
+    ],
+    ids=["no-nan", "some-nan", "all-nan"],
+)
+@pytest.mark.parametrize("kind", ["array", "list"])
+def test_tick_columns_nulls_nan(column, expected, kind):
+    """An optional column's NaNs become nulls, array or list alike; a
+    column of NaNs only is left out; no other value moves."""
+    import numpy as np
+
+    ticks = tick_columns({
+        "tick": np.array([1, 2, 3]), "t": [0.1, 0.2, 0.3],
+        "delta": [0.0] * 3, "x": [0.0] * 3, "y": [0.0] * 3,
+        "yaw": [0.0] * 3, "speed": [9.0] * 3,
+        "ttc": np.array(column) if kind == "array" else column,
+    })
+    if expected is None:
+        assert "ttc" not in ticks
+    else:
+        assert ticks["ttc"] == expected
+        assert [type(v) for v in ticks["ttc"]] == [
+            type(v) for v in expected
+        ]
+        # Signed zeros and infinities keep their bits.
+        assert [repr(v) for v in ticks["ttc"]] == [repr(v) for v in expected]
+
+
+def test_tick_columns_list_with_none():
+    ticks = tick_columns({
+        "tick": [1, 2], "t": [0.1, 0.2], "delta": [0.0, 0.1],
+        "x": [0.0, 1.0], "y": [0.0, 0.0], "yaw": [0.0, 0.0],
+        "speed": [9.0, 9.5], "npc_gap": [None, 4.0], "ttc": [None, None],
+    })
+    assert ticks["npc_gap"] == [None, 4.0]
+    assert "ttc" not in ticks
+
+
 def test_emit_time_validation():
     writer = TraceWriter(validate=True)
     with pytest.raises(ValueError):
