@@ -25,7 +25,11 @@ from repro.sim.world import World
 
 
 class SteerInjector(Protocol):
-    """Per-tick action-space perturbation source (an attacker)."""
+    """Per-tick action-space perturbation source (an attacker).
+
+    The runner measures the attack effort from the deltas it returns, so
+    an injector keeps no books of its own.
+    """
 
     def reset(self, world: World) -> None:
         """Prepare for a new episode."""

@@ -43,12 +43,15 @@ class DrivingRewardConfig:
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    """Per-term diagnostics, summed into ``total``."""
+    """Per-term diagnostics; all but ``lateral`` sum into ``total``."""
 
     progress: float
     speed: float
     deviation: float
     collision: float
+    #: The ego's distance from the reference path in lane widths, which
+    #: the precision term ``deviation`` weighs.
+    lateral: float
 
     @property
     def total(self) -> float:
@@ -93,10 +96,11 @@ class DrivingReward:
         speed_error = abs(state.speed - plan.target_speed) / cfg.reference_speed
         speed = -cfg.speed_weight * speed_error
 
-        deviation_m = abs(ego_d - plan.reference_offset(ego_s))
-        deviation = -cfg.deviation_weight * (
-            deviation_m / world.road.config.lane_width
+        lateral = (
+            abs(ego_d - plan.reference_offset(ego_s))
+            / world.road.config.lane_width
         )
+        deviation = -cfg.deviation_weight * lateral
 
         collision_term = -cfg.collision_penalty if collision is not None else 0.0
         return RewardBreakdown(
@@ -104,6 +108,7 @@ class DrivingReward:
             speed=speed,
             deviation=deviation,
             collision=collision_term,
+            lateral=lateral,
         )
 
     def step_batch(

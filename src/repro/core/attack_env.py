@@ -68,7 +68,6 @@ class AttackEnv:
         self.victim = self.victim_factory(self.world)
         self.victim.reset(self.world)
         self.sensor.reset()
-        self.channel.reset()
         if self.teacher is not None:
             self.teacher.reset(self.world)
         return self.sensor.observe(self.world)
@@ -97,7 +96,6 @@ class AttackEnv:
             "breakdown": breakdown,
             "delta": delta,
             "teacher_delta": teacher_delta,
-            "mean_effort": self.channel.mean_effort,
             "step": result.step,
             "truncated": result.done and result.collision is None,
         }

@@ -42,10 +42,6 @@ class NullAttacker:
     def delta(self, world: World, control: Control) -> float:
         return 0.0
 
-    @property
-    def mean_effort(self) -> float:
-        return 0.0
-
 
 class OracleAttacker:
     """Geometry-aware scripted attacker (model-based baseline).
@@ -73,12 +69,8 @@ class OracleAttacker:
     def budget(self) -> float:
         return self.channel.budget
 
-    @property
-    def mean_effort(self) -> float:
-        return self.channel.mean_effort
-
     def reset(self, world: World) -> None:
-        self.channel.reset()
+        """Nothing to prepare: the oracle reads each state afresh."""
 
     def normalized_action(self, world: World) -> float:
         """The oracle's decision in [-1, 1] (before budget scaling)."""
@@ -120,10 +112,6 @@ class LearnedAttacker:
     def budget(self) -> float:
         return self.channel.budget
 
-    @property
-    def mean_effort(self) -> float:
-        return self.channel.mean_effort
-
     def with_budget(self, budget: float) -> "LearnedAttacker":
         """A copy of this attacker operating under a different budget."""
         return LearnedAttacker(
@@ -137,7 +125,6 @@ class LearnedAttacker:
 
     def reset(self, world: World) -> None:
         self.sensor.reset()
-        self.channel.reset()
 
     def normalized_action(self, world: World) -> float:
         obs = self.sensor.observe(world)
@@ -194,8 +181,8 @@ class LearnedAttacker:
 #
 # Each scalar attacker has a lockstep counterpart exposing
 # ``deltas(batch) -> [N]`` (called once per tick, before ``batch.tick``).
-# Rows that are already done inject 0 and freeze their effort bookkeeping,
-# so per-episode statistics match a scalar run of the same seed.
+# Rows that are already done inject 0 and draw no channel noise, so each
+# row's deltas match a scalar run of the same seed.
 
 
 class BatchNullAttacker:
@@ -208,10 +195,6 @@ class BatchNullAttacker:
         self.n = int(n)
 
     def deltas(self, batch) -> np.ndarray:
-        return np.zeros(self.n)
-
-    @property
-    def mean_effort(self) -> np.ndarray:
         return np.zeros(self.n)
 
 
@@ -236,10 +219,6 @@ class BatchOracleAttacker:
     @property
     def budget(self) -> float:
         return self.channel.budget
-
-    @property
-    def mean_effort(self) -> np.ndarray:
-        return self.channel.mean_effort
 
     def normalized_actions(self, batch) -> np.ndarray:
         """The oracle's per-episode decisions in [-1, 1]."""
@@ -308,10 +287,6 @@ class BatchLearnedAttacker:
     @property
     def budget(self) -> float:
         return self.channel.budget
-
-    @property
-    def mean_effort(self) -> np.ndarray:
-        return self.channel.mean_effort
 
     def normalized_actions(self, batch) -> np.ndarray:
         obs = self.sensor.observe_batch(batch)

@@ -22,10 +22,17 @@ import numpy as np
 from repro.sim.config import EPSILON_MECH
 from repro.utils.geometry import clamp, clamp_array, count_nonzero
 
-#: Smallest |delta| that counts as a meaningful injection: below this the
-#: attacker is considered to be lurking (used for the attack-effort
-#: denominator and for dating attack initiation).
+#: A tick injects when its |delta| is above this; at or below it the
+#: attacker is lurking. Only injecting ticks count toward the attack
+#: effort, the active ticks and the activations.
 ACTIVE_THRESHOLD = 0.05
+
+
+def strike_level(budget: float, fraction: float = 0.5) -> float:
+    """The |delta| from which an injection is a strike, not lurk-phase
+    dithering: ``fraction`` of the attack budget, floored at
+    :data:`ACTIVE_THRESHOLD`."""
+    return max(ACTIVE_THRESHOLD, fraction * float(budget))
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,11 @@ class InjectionChannelConfig:
 
 
 class InjectionChannel:
-    """Converts normalized attack actions into physical steering deltas."""
+    """Converts normalized attack actions into physical steering deltas.
+
+    Stateless but for the noise generator: the runner books the effort of
+    the deltas it is handed (:class:`~repro.eval.episodes.EpisodeLedger`).
+    """
 
     def __init__(
         self,
@@ -59,20 +70,6 @@ class InjectionChannel:
     ) -> None:
         self.config = config or InjectionChannelConfig()
         self.rng = rng or np.random.default_rng(0)
-        #: Total |delta| injected since the last reset.
-        self.total_effort = 0.0
-        self.steps = 0
-        #: Steps with a non-negligible injection (the "attack attempt"),
-        #: and the |delta| injected during those steps (the numerator of
-        #: the paper's *attack effort* metric).
-        self.active_steps = 0
-        self.active_effort = 0.0
-
-    def reset(self) -> None:
-        self.total_effort = 0.0
-        self.steps = 0
-        self.active_steps = 0
-        self.active_effort = 0.0
 
     @property
     def budget(self) -> float:
@@ -86,39 +83,17 @@ class InjectionChannel:
             delta = round(delta / cfg.quantization) * cfg.quantization
         if cfg.noise_std > 0.0:
             delta += float(self.rng.normal(0.0, cfg.noise_std))
-        delta = clamp(delta, -cfg.budget, cfg.budget)
-        self.total_effort += abs(delta)
-        self.steps += 1
-        if abs(delta) > ACTIVE_THRESHOLD:
-            self.active_steps += 1
-            self.active_effort += abs(delta)
-        return delta
-
-    @property
-    def mean_effort(self) -> float:
-        """Mean |delta| over the steps of the attack attempt (Fig. 5 x-axis).
-
-        Per Section V-B the effort is "the total amount of perturbation
-        injected during the attack attempt ... averaged over the number of
-        steps in each attack attempt" — i.e. the average over the steps in
-        which the attacker actually injected, not over the whole episode.
-        Sub-threshold (lurking) perturbations count toward neither the
-        numerator nor the denominator, so the mean never exceeds the budget.
-        """
-        if self.active_steps == 0:
-            return 0.0
-        return self.active_effort / self.active_steps
+        return clamp(delta, -cfg.budget, cfg.budget)
 
 
 class BatchInjectionChannel:
     """N independent :class:`InjectionChannel` lanes advanced per tick.
 
     Lane ``i`` reproduces a scalar channel fed episode ``i``'s actions:
-    the clip → quantize → noise → clip pipeline and the effort
-    bookkeeping all evaluate per row. Finished episodes are excluded via
-    the ``active`` mask — neither their noise streams nor their effort
-    counters advance, matching a scalar channel that simply stops being
-    called.
+    the clip → quantize → noise → clip pipeline evaluates per row.
+    Finished episodes are excluded via the ``active`` mask: they inject 0
+    and their noise streams do not advance, matching a scalar channel
+    that simply stops being called.
     """
 
     def __init__(
@@ -134,16 +109,6 @@ class BatchInjectionChannel:
                 f"need one rng per lane: got {len(rngs)} for n={self.n}"
             )
         self.rngs = rngs
-        self.total_effort = np.zeros(self.n)
-        self.steps = np.zeros(self.n, dtype=np.int64)
-        self.active_steps = np.zeros(self.n, dtype=np.int64)
-        self.active_effort = np.zeros(self.n)
-
-    def reset(self) -> None:
-        self.total_effort[:] = 0.0
-        self.steps[:] = 0
-        self.active_steps[:] = 0
-        self.active_effort[:] = 0.0
 
     @property
     def budget(self) -> float:
@@ -154,8 +119,8 @@ class BatchInjectionChannel:
     ) -> np.ndarray:
         """Per-episode perturbations for policy outputs in [-1, 1], ``[N]``.
 
-        Rows where ``active`` is False return 0 and leave all bookkeeping
-        (and noise generators) untouched.
+        Rows where ``active`` is False return 0 and leave their noise
+        generators untouched.
         """
         cfg = self.config
         delta = clamp_array(normalized_actions, -1.0, 1.0)
@@ -170,22 +135,4 @@ class BatchInjectionChannel:
         clamp_array(delta, -cfg.budget, cfg.budget, out=delta)
         if count_nonzero(active) < self.n:
             np.copyto(delta, 0.0, where=~active)
-        magnitude = np.abs(delta)
-        # An inactive row adds 0.0 to a sum that is never -0.0: unchanged.
-        self.total_effort += magnitude
-        self.steps += active
-        hot = active & (magnitude > ACTIVE_THRESHOLD)
-        self.active_steps += hot
-        np.add(
-            self.active_effort, magnitude, out=self.active_effort, where=hot
-        )
         return delta
-
-    @property
-    def mean_effort(self) -> np.ndarray:
-        """Per-episode mean |delta| over active steps (0 where none)."""
-        return np.where(
-            self.active_steps > 0,
-            self.active_effort / np.maximum(self.active_steps, 1),
-            0.0,
-        )

@@ -56,7 +56,3 @@ class BudgetRandomizedAttacker:
         if self._active is None:
             return 0.0
         return self._active.delta(world, control)
-
-    @property
-    def mean_effort(self) -> float:
-        return 0.0 if self._active is None else self._active.mean_effort

@@ -169,7 +169,6 @@ class Lockstep:
         return ledger.finish(
             [batch.collision(i) for i in range(batch.n)],
             batch.passed_npcs,
-            getattr(battacker, "mean_effort", 0.0),
             batch.step_count,
             batch.time,
         )

@@ -20,7 +20,7 @@ from repro.agents.base import DrivingAgent
 from repro.agents.e2e.reward import DrivingReward, DrivingRewardConfig
 from repro.agents.modular.behavior import BehaviorPlanner
 from repro.core.attackers import NullAttacker
-from repro.core.injection import ACTIVE_THRESHOLD
+from repro.core.injection import ACTIVE_THRESHOLD, strike_level
 from repro.core.rewards import AdversarialReward, AdversarialRewardConfig
 from repro.sim.batch import NoBatchTwin
 from repro.sim.collision import Collision, CollisionKind
@@ -57,7 +57,10 @@ class EpisodeResult:
     passed_npcs: int
     nominal_return: float
     adversarial_return: float
-    #: Mean |delta| over active attack steps (Fig. 5 / 7 x-axis).
+    #: The attack effort (Section V-B, Fig. 5 / 7 x-axis): mean |delta|
+    #: over the steps of the attack attempt, the ticks whose |delta|
+    #: exceeds :data:`~repro.core.injection.ACTIVE_THRESHOLD` (0.0 when
+    #: none does). Lurking ticks count in neither the sum nor the count.
     mean_effort: float
     #: RMSE of lateral deviation from the reference path, normalized by
     #: the lane width (Fig. 5 / 7 y-axis).
@@ -112,13 +115,11 @@ class EpisodeLedger:
         self.scenario = scenario
         self.trace = trace if trace is not None else default_writer()
         self.n = n = len(self.seeds)
-        # The attack *strike* begins when the injection reaches half the
-        # attacker's budget; smaller values are lurk-phase dithering.
-        self._strike_level = max(ACTIVE_THRESHOLD, 0.5 * self.budget)
-        # Running sums, [5, n]: the nominal and adversarial returns, the
-        # squared deviation, the active ticks and the activations; and a
-        # buffer for one tick's increments to them.
-        self._sums, self._increments = np.zeros((5, n)), np.empty((5, n))
+        self._strike_level = strike_level(self.budget)
+        # Running sums, [6, n]: the nominal and adversarial returns, the
+        # squared deviation, the active ticks, the activations and the
+        # active ticks' |delta|; and a buffer for one tick's increments.
+        self._sums, self._increments = np.zeros((6, n)), np.empty((6, n))
         self._deviation_max = np.zeros(n)
         self._first_strike, self._gap = np.full(n, np.inf), np.full(n, np.nan)
         self._was_active = np.zeros(n, dtype=bool)
@@ -154,7 +155,7 @@ class EpisodeLedger:
         (NaN without NPCs)."""
         magnitude = np.abs(delta)
         striking = live & (magnitude >= self._strike_level)
-        active = live & (magnitude >= ACTIVE_THRESHOLD)
+        active = magnitude > ACTIVE_THRESHOLD
         dt = self.scenario.dt
         if np.count_nonzero(striking):
             # Time only grows, so the least strike time is the first.
@@ -167,10 +168,12 @@ class EpisodeLedger:
         increments[1] = adversarial
         np.multiply(deviation, deviation, out=increments[2])
         increments[3] = active
-        # A frozen row is never active again, so its flag from the tick
-        # before no longer matters.
+        # A frozen row never books again, so its flag from the tick before
+        # no longer matters.
         np.greater(active, self._was_active, out=increments[4])
         self._was_active = active
+        np.multiply(magnitude, active, out=increments[5])
+        # The one live mask of every sum.
         np.add(self._sums, increments, out=self._sums, where=live)
         np.maximum(
             self._deviation_max, deviation, out=self._deviation_max, where=live
@@ -193,19 +196,24 @@ class EpisodeLedger:
         self._live.append(np.full(self.n, live))
 
     def finish(
-        self, collisions: Sequence[Collision | None], passed_npcs, effort,
-        steps, duration,
+        self, collisions: Sequence[Collision | None], passed_npcs, steps,
+        duration,
     ) -> list[EpisodeResult]:
         """Update the metrics registry, emit each ``episode_end`` (its
         live ticks as columns) and return each row's result, in order.
         ``collisions`` lists each row's collision or None; the others are
-        ``[n]`` arrays or scalars, ``effort`` the mean injection effort."""
+        ``[n]`` arrays or scalars."""
         n = self.n
         steps = np.full(n, steps)
-        nominal, adversarial, deviation_sq, active_ticks, activations = (
-            self._sums
-        )
+        (
+            nominal, adversarial, deviation_sq, active_ticks, activations,
+            active_effort,
+        ) = self._sums
         rmse = np.sqrt(deviation_sq / np.maximum(steps, 1))
+        effort = np.zeros(n)
+        np.divide(
+            active_effort, active_ticks, out=effort, where=active_ticks > 0
+        )
         to_collision = [
             None if c is None or strike == np.inf else c.time - strike
             for c, strike in zip(collisions, self._first_strike.tolist())
@@ -215,8 +223,8 @@ class EpisodeLedger:
             for row in zip(
                 steps.tolist(), np.full(n, duration, dtype=float).tolist(),
                 collisions, np.full(n, passed_npcs).tolist(),
-                nominal.tolist(), adversarial.tolist(),
-                np.full(n, effort, dtype=float).tolist(), rmse.tolist(),
+                nominal.tolist(), adversarial.tolist(), effort.tolist(),
+                rmse.tolist(),
                 self._deviation_max.tolist(), to_collision,
             )
         ]
@@ -314,7 +322,6 @@ def _run_episode(
     planner.reset(world)
     nominal_reward = DrivingReward(reward_config)
     adversarial_reward = AdversarialReward(adversarial_config)
-    lane_width = world.road.config.lane_width
     ledger = EpisodeLedger(
         [seed], victim, attacker, scenario, trace,
         episodes=[seed if episode_id is None else episode_id],
@@ -331,21 +338,18 @@ def _run_episode(
             result = world.tick(control, steer_delta=delta)
             if observe is not None:
                 observe(world, delta)
-            geometry, state = world.geometry(), world.ego.state
-            ego_s, ego_d, _ = geometry.ego
+            nominal = nominal_reward.step(world, plan, result.collision)
+            nearest, state = world.geometry().nearest, world.ego.state
             ledger.tick(
                 True, result.step, result.time, delta,
-                (state.x, state.y, state.yaw, state.speed),
-                nominal_reward.step(world, plan, result.collision).total,
+                (state.x, state.y, state.yaw, state.speed), nominal.total,
                 adversarial_reward.step(world, delta, result.collision).total,
-                abs(ego_d - plan.reference_offset(ego_s)) / lane_width,
-                np.nan if geometry.nearest is None
-                else geometry.nearest.distance,
+                nominal.lateral,
+                np.nan if nearest is None else nearest.distance,
             )
 
     (episode,) = ledger.finish(
-        [result.collision], world.passed_npcs,
-        getattr(attacker, "mean_effort", 0.0), result.step, result.time,
+        [result.collision], world.passed_npcs, result.step, result.time
     )
     return episode, world
 

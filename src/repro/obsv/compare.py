@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.injection import ACTIVE_THRESHOLD
+from repro.core.injection import ACTIVE_THRESHOLD, strike_level
 from repro.obsv.loader import EpisodeTrace
 from repro.obsv.regress import Breach
 from repro.obsv.render import fmt, markdown_table
@@ -91,8 +91,9 @@ def cell_key(victim: str, attacker: str, budget: float | None) -> str:
 def episode_metrics(episode: EpisodeTrace) -> dict[str, float]:
     """Episode-level metric values from one complete episode trace.
 
-    ``effort`` matches the dashboard's strike-effort definition (mean
-    |delta| over ticks above :data:`ACTIVE_THRESHOLD`); ``ttc_min`` and
+    ``effort`` is the episode ledger's ``mean_effort`` read off the
+    ``delta`` column (mean |delta| over ticks above
+    :data:`ACTIVE_THRESHOLD`, 0.0 when none is); ``ttc_min`` and
     ``steps_to_strike`` are omitted when the episode never records a TTC
     / never strikes, so their sample sizes may be smaller than ``n``.
     """
@@ -116,10 +117,9 @@ def episode_metrics(episode: EpisodeTrace) -> dict[str, float]:
     ttc = episode.series("ttc")
     if ttc:
         metrics["ttc_min"] = float(min(ttc))
-    budget = episode.budget or 0.0
-    strike_level = max(ACTIVE_THRESHOLD, 0.5 * float(budget))
+    level = strike_level(episode.budget or 0.0)
     for index, delta in enumerate(deltas):
-        if delta >= strike_level:
+        if delta >= level:
             metrics["steps_to_strike"] = float(index + 1)
             break
     return metrics

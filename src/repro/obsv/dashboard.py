@@ -24,7 +24,7 @@ from __future__ import annotations
 import html as _html
 from pathlib import Path
 
-from repro.core.injection import ACTIVE_THRESHOLD
+from repro.obsv.compare import episode_metrics
 from repro.obsv.loader import EpisodeTrace
 from repro.obsv.render import fmt, markdown_table, sparkline
 from repro.obsv.store import open_run
@@ -35,12 +35,6 @@ _SHORT_HASH = 10
 
 def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
-
-
-def _strike_effort(episode: EpisodeTrace) -> float | None:
-    """Mean |delta| over active ticks (the paper's attack-effort metric)."""
-    active = [d for d in episode.deltas() if d > ACTIVE_THRESHOLD]
-    return _mean(active)
 
 
 def _episode_rows(episodes: list[EpisodeTrace]) -> list[list[str]]:
@@ -57,14 +51,11 @@ def _episode_rows(episodes: list[EpisodeTrace]) -> list[list[str]]:
     rows = []
     for (victim, attacker, budget), bucket in sorted(cells.items()):
         n = len(bucket)
-        side = sum(e.collision == "SIDE" for e in bucket) / n
-        collided = sum(e.collision is not None for e in bucket) / n
-        efforts = [e for e in (_strike_effort(ep) for ep in bucket)
-                   if e is not None]
+        metrics = [episode_metrics(episode) for episode in bucket]
+        # Effort averages over the episodes that injected.
+        efforts = [m["effort"] for m in metrics if m["effort"] > 0.0]
         returns = [
-            float(e.end["nominal_return"])
-            for e in bucket
-            if "nominal_return" in (e.end or {})
+            m["nominal_return"] for m in metrics if "nominal_return" in m
         ]
         rows.append(
             [
@@ -72,8 +63,8 @@ def _episode_rows(episodes: list[EpisodeTrace]) -> list[list[str]]:
                 attacker,
                 budget,
                 n,
-                fmt(side, 2),
-                fmt(collided, 2),
+                fmt(sum(m["attack_success"] for m in metrics) / n, 2),
+                fmt(sum(m["collision"] for m in metrics) / n, 2),
                 fmt(_mean(efforts), 2),
                 fmt(_mean(returns), 1),
                 sparkline(returns, width=24) if returns else "",

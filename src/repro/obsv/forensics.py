@@ -6,8 +6,8 @@ NPC (Fig. 8's success-window analysis). This module recovers that
 structure from a recorded trace alone:
 
 * lurk/strike **phase segmentation** of the injection-effort timeline
-  (the strike threshold mirrors the episode runner: half the attack
-  budget, floored at :data:`~repro.core.injection.ACTIVE_THRESHOLD`);
+  (the strike threshold is the episode runner's,
+  :func:`~repro.core.injection.strike_level`);
 * per-phase effort and lateral-deviation statistics;
 * **safety timelines** — nearest-NPC gap and estimated time-to-collision
   per tick, with minima;
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from repro.core.injection import ACTIVE_THRESHOLD
+from repro.core.injection import strike_level
 from repro.obsv.loader import EpisodeTrace
 from repro.obsv.render import fmt, markdown_table, sparkline
 
@@ -53,13 +53,13 @@ def strike_threshold(
 ) -> float:
     """|delta| level separating strike from lurk.
 
-    Mirrors the episode runner's attack-initiation rule: ``fraction`` of
-    the attack budget, floored at the active threshold. When the trace
-    predates the ``budget`` field the peak injection stands in for it.
+    The episode runner's attack-initiation rule,
+    :func:`~repro.core.injection.strike_level`. When the trace predates
+    the ``budget`` field the peak injection stands in for it.
     """
     if budget is None or budget <= 0.0:
         budget = max(deltas, default=0.0)
-    return max(ACTIVE_THRESHOLD, fraction * float(budget))
+    return strike_level(budget, fraction)
 
 
 def _stats(ticks: list[dict]) -> tuple[float, float, float | None, float | None]:

@@ -1,4 +1,4 @@
-"""Shared utilities: geometry, random streams, configuration, checkpoints."""
+"""Shared utilities: geometry, configuration, checkpoints."""
 
 from repro.utils.geometry import (
     OrientedBox,
@@ -6,7 +6,6 @@ from repro.utils.geometry import (
     rotate,
     unit,
 )
-from repro.utils.rng import RngStreams, seed_everything
 from repro.utils.serialization import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -14,8 +13,6 @@ __all__ = [
     "normalize_angle",
     "rotate",
     "unit",
-    "RngStreams",
-    "seed_everything",
     "load_checkpoint",
     "save_checkpoint",
 ]

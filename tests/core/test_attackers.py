@@ -19,9 +19,10 @@ from repro.core.attackers import (
     BatchOracleAttacker,
     as_batch_attacker,
 )
+from repro.eval import run_episode
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.sensors.camera import BevCameraConfig
-from repro.sim import Control, CollisionKind, make_world
+from repro.sim import Control, CollisionKind, ScenarioConfig, make_world
 from repro.sim.batch import NoBatchTwin
 
 
@@ -30,7 +31,6 @@ class TestNullAttacker:
         attacker = NullAttacker()
         attacker.reset(quiet_world)
         assert attacker.delta(quiet_world, Control()) == 0.0
-        assert attacker.mean_effort == 0.0
         assert attacker.budget == 0.0
 
 
@@ -127,12 +127,27 @@ class TestLearnedAttacker:
         assert scaled.budget == 0.25
         assert attacker.budget == 1.0
 
-    def test_reset_clears_channel(self, quiet_world):
-        attacker = self.make()
-        attacker.reset(quiet_world)
-        attacker.delta(quiet_world, Control())
-        attacker.reset(quiet_world)
-        assert attacker.channel.steps == 0
+    def test_reset_clears_channel(self):
+        """Nothing of one episode carries into the next: the channel keeps
+        no books, and a reused attacker's second episode measures as a
+        fresh attacker's does."""
+        scenario = ScenarioConfig(max_steps=40)
+        attacker = self.make(budget=0.5)
+        # Loud enough to inject above the activity threshold.
+        attacker.policy.mean_head.weight.data *= 300.0
+        fresh = LearnedAttacker(
+            attacker.policy, CameraAttackObservation(),
+            channel=InjectionChannel(InjectionChannelConfig(budget=0.5)),
+        )
+        first, again, anew = (
+            run_episode(
+                lambda world: ModularAgent(world.road), injector, seed=3,
+                scenario=scenario,
+            )
+            for injector in (attacker, attacker, fresh)
+        )
+        assert first.mean_effort > 0.0
+        assert again == first == anew
 
     def test_save_load_roundtrip_camera(self, tmp_path, quiet_world):
         attacker = self.make()

@@ -3,8 +3,9 @@
 :class:`repro.eval.episodes.EpisodeLedger` keeps the books of every
 episode, whether :func:`run_episode` feeds it one row or the lockstep
 runner one row per seed. These tests pin the one definition of the
-deviation RMSE against each runner's own trace, and that a row's books
-do not depend on the other rows or on the ledger's width.
+deviation RMSE against each runner's own trace, the effort it books from
+the deltas it is handed, and that a row's books do not depend on the
+other rows or on the ledger's width.
 """
 
 import math
@@ -15,10 +16,11 @@ import pytest
 from repro.agents.modular import ModularAgent
 from repro.core import OracleAttacker
 from repro.eval import run_episode, run_episode_batch
-from repro.eval.episodes import EpisodeLedger
+from repro.eval.episodes import EpisodeLedger, run_seeds
 from repro.obsv.loader import split_episodes
 from repro.sim import ScenarioConfig
 from repro.sim.collision import Collision, CollisionKind
+from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import TraceWriter
 
 SEEDS = range(20)
@@ -64,6 +66,40 @@ def test_deviation_rmse_is_the_trace_lateral_rms(runner, attacker_factory):
         assert result.deviation_max == max(t["lateral"] for t in ticks)
 
 
+class ConstantInjector:
+    """A ``SteerInjector`` and no more: ``reset``, ``delta``, a name and a
+    budget."""
+
+    name = "constant"
+    budget = 0.25
+
+    def reset(self, world):
+        pass
+
+    def delta(self, world, control):
+        return 0.25
+
+
+def test_a_protocol_only_injector_reports_its_effort():
+    """Effort is booked from the deltas the runner is handed, so an
+    injector with no books of its own reports the effort it injected."""
+    result = run_episode(modular_victim, ConstantInjector(), seed=3)
+    assert result.mean_effort == 0.25
+
+
+def test_a_delta_at_the_threshold_is_lurking():
+    """|delta| exactly ``ACTIVE_THRESHOLD`` (the oracle at a budget of
+    0.05) is not active on either engine: no effort, no active ticks and
+    no activations."""
+    registry = get_registry()
+    names = ("attack_active_ticks_total", "attack_activations_total")
+    before = [registry.counter(name).value for name in names]
+    results = [run_episode(modular_victim, OracleAttacker(0.05), seed=3)]
+    results += run_seeds(modular_victim, lambda: OracleAttacker(0.05), [3, 4])
+    assert [r.mean_effort for r in results] == [0.0, 0.0, 0.0]
+    assert [registry.counter(name).value for name in names] == before
+
+
 WIDTH, TICKS = 7, 40
 SCENARIO = ScenarioConfig()
 
@@ -105,7 +141,6 @@ def test_a_row_does_not_depend_on_the_ledger_width():
         for i, end in enumerate(ends)
     ]
     passed = rng.integers(0, 6, WIDTH)
-    effort = rng.uniform(0.0, 1.0, WIDTH)
     steps, duration = inputs["step"][-1], inputs["time"][-1]
     attacker = OracleAttacker(budget=1.0)
 
@@ -114,7 +149,7 @@ def test_a_row_does_not_depend_on_the_ledger_width():
     wide.start()
     for t in range(TICKS):
         wide.tick(*(inputs[name][t] for name in inputs))
-    wide_results = wide.finish(collisions, passed, effort, steps, duration)
+    wide_results = wide.finish(collisions, passed, steps, duration)
 
     for i, seed in enumerate(seeds):
         writer = TraceWriter()
@@ -129,8 +164,8 @@ def test_a_row_does_not_depend_on_the_ledger_width():
                 float(row["deviation"]), float(row["gap"]),
             )
         (result,) = ledger.finish(
-            [collisions[i]], int(passed[i]), float(effort[i]),
-            int(steps[i]), float(duration[i]),
+            [collisions[i]], int(passed[i]), int(steps[i]),
+            float(duration[i]),
         )
         assert result == wide_results[i]
         records = [e for e in writer.events if e["event"] != "provenance"]

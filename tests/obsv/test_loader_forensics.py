@@ -6,10 +6,12 @@ import pytest
 
 from repro.agents.modular import ModularAgent
 from repro.core.attackers import NullAttacker, OracleAttacker
-from repro.core.injection import ACTIVE_THRESHOLD
+from repro.core.injection import ACTIVE_THRESHOLD, strike_level
 from repro.eval.episodes import run_episode
+from repro.obsv.compare import episode_metrics
 from repro.obsv.forensics import analyze, segment_phases, strike_threshold
 from repro.obsv.loader import load_episodes, select_episode, split_episodes
+from repro.sim import ScenarioConfig
 from repro.telemetry.trace import TraceWriter, validate_trace
 
 pytestmark = pytest.mark.obsv
@@ -141,6 +143,42 @@ class TestSegmentation:
         assert strike_threshold(None, [0.02, 0.8]) == pytest.approx(0.4)
         # Tiny budgets floor at the active threshold.
         assert strike_threshold(0.05, []) == ACTIVE_THRESHOLD
+
+
+def traced_oracle(budget, seed=3):
+    """The result and trace of one modular episode against the oracle."""
+    writer = TraceWriter()
+    result = run_episode(
+        lambda w: ModularAgent(w.road), OracleAttacker(budget=budget),
+        seed=seed, trace=writer,
+    )
+    (episode,) = split_episodes(writer.events)
+    return result, episode
+
+
+class TestOneStrikeRule:
+    """The ledger, the comparison metrics and the post-mortem date an
+    attack's strike by one rule, ``strike_level``."""
+
+    @pytest.mark.parametrize(
+        "budget, level", [(1.0, 0.5), (0.1, ACTIVE_THRESHOLD)]
+    )
+    def test_readers_name_the_same_first_strike(self, budget, level):
+        _, episode = traced_oracle(budget)
+        report = analyze(episode)
+        assert report.strike_level == strike_level(budget) == level
+        assert report.strike_onset_tick is not None
+        assert episode_metrics(episode)["steps_to_strike"] == (
+            report.strike_onset_tick
+        )
+
+    def test_ledger_dates_the_strike_on_the_same_tick(self):
+        result, episode = traced_oracle(1.0)
+        assert result.collision is not None
+        onset = episode.ticks[analyze(episode).strike_onset_tick - 1]
+        # The ledger's strike time is the start of the striking tick.
+        strike = onset["t"] - ScenarioConfig().dt
+        assert result.time_to_collision == result.collision.time - strike
 
 
 class TestForensics:

@@ -26,7 +26,7 @@ from repro.core import (
     LearnedAttacker,
     OracleAttacker,
 )
-from repro.agents.modular.behavior import BatchPlan
+from repro.agents.modular.behavior import BatchPlan, Plan
 from repro.eval import run_episode, run_episode_batch
 from repro.rl.policy import PolicyInferencePlan, SquashedGaussianPolicy
 from repro.sim import ScenarioConfig, make_batch_world
@@ -358,6 +358,16 @@ class TestOncePerState:
         assert ticks.call_count > 10
         per_tick = (conversions.call_count - actors) / ticks.call_count
         assert actors <= per_tick <= actors + 4 == 11
+
+    def test_scalar_tick_evaluates_the_reference_path_twice(self):
+        """At the reward's lookahead and at the ego, for its precision
+        term, which is the deviation the runner books too."""
+        with counting(Plan, "reference_offset") as references, counting(
+            World, "tick"
+        ) as ticks:
+            run_episode(e2e_victim, None, seed=3, scenario=SCENARIO)
+        assert ticks.call_count > 10
+        assert references.call_count == 2 * ticks.call_count
 
 
 def modular_victim(world):

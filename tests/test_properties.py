@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.agents.modular import BehaviorPlanner, ModularAgent
 from repro.core import InjectionChannel, InjectionChannelConfig, OracleAttacker
-from repro.sim import Control, make_world
+from repro.eval.episodes import EpisodeLedger
+from repro.sim import Control, ScenarioConfig, make_world
 
 controls = st.lists(
     st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=5, max_size=40
@@ -95,11 +96,16 @@ class TestAttackInvariants:
     )
     @settings(max_examples=30, deadline=None)
     def test_channel_effort_never_exceeds_budget(self, actions, budget):
+        """The mean effort a one-row ledger books for a channel's deltas."""
         channel = InjectionChannel(InjectionChannelConfig(budget=budget))
-        for action in actions:
-            channel.inject(action)
-        assert channel.mean_effort <= budget + 1e-9
-        assert channel.total_effort <= budget * len(actions) + 1e-9
+        ledger = EpisodeLedger([0], None, None, ScenarioConfig())
+        for step, action in enumerate(actions, start=1):
+            ledger.tick(
+                True, step, 0.1 * step, channel.inject(action), (0.0,) * 4,
+                0.0, 0.0, 0.0, np.nan,
+            )
+        (result,) = ledger.finish([None], 0, len(actions), 0.1 * len(actions))
+        assert result.mean_effort <= budget + 1e-9
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=20, deadline=None)
