@@ -25,6 +25,9 @@ Run:  python examples/train_all.py [--fast] [--sac] [--health N]
   --checkpoint-dir  where snapshots go (default: <out>/checkpoints)
   --resume  continue each SAC stage from its newest snapshot; a run
             killed mid-stage picks up where it left off, bit-identically
+  --halt-on-alert
+            on a critical watchdog alert (nan_loss, q_divergence), write
+            a forensic snapshot and stop with TrainingHalted
 """
 
 from __future__ import annotations
@@ -71,6 +74,10 @@ def main() -> None:
         "--resume", action="store_true",
         help="resume each SAC stage from its newest snapshot",
     )
+    parser.add_argument(
+        "--halt-on-alert", action="store_true",
+        help="snapshot and stop a SAC stage on a critical watchdog alert",
+    )
     args = parser.parse_args()
 
     out = Path(args.out) if args.out else registry.artifacts_dir()
@@ -92,6 +99,7 @@ def main() -> None:
         sac_cfg.checkpoint_every = args.checkpoint_every
         sac_cfg.checkpoint_dir = str(ckpt_base / stage)
         sac_cfg.resume = args.resume
+        sac_cfg.halt_on_alert = args.halt_on_alert
 
     # 1. End-to-end driver.
     stamp("training end-to-end driver (BC from modular expert)")

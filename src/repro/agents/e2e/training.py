@@ -5,8 +5,8 @@ privileged planner. On this repository's CPU-only numpy substrate the same
 recipe is staged for tractability:
 
 1. **Behaviour cloning** of the modular pipeline (the privileged agent)
-   with exploration noise injected during collection (DAgger-style), which
-   supplies a driving-competent initialization in seconds.
+   with exploration noise injected during collection, which supplies a
+   driving-competent initialization in seconds.
 2. **SAC refinement** on the shaped reward of Section III-C, which is the
    paper's actual objective; the refined checkpoint is kept only when its
    evaluation return improves on the warm start.
@@ -70,17 +70,14 @@ def collect_expert_dataset(
     action_noise: float = 0.0,
     scenario: ScenarioConfig | None = None,
     attacker: SteerInjector | None = None,
-    student: EndToEndAgent | None = None,
     expert_factory=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roll out episodes, recording (observation, expert action) pairs.
 
     The expert (``expert_factory(road)``, default the modular pipeline)
-    labels every state. It also drives unless a ``student`` is given, in
-    which case the student drives while the expert labels (a DAgger
-    round), covering the off-path states the student actually reaches.
-    ``attacker`` injects its steering perturbation into every tick (the
-    adversarial-training datasets of Section VI). A nonzero
+    drives and labels every state, and ``attacker`` injects its steering
+    perturbation into every tick (the adversarial-training datasets of
+    Section VI). A nonzero
     ``action_noise`` perturbs the executed action (labels stay clean) so
     the dataset covers slightly off-nominal states; the noise is drawn
     from ``rng`` only when nonzero.
@@ -94,16 +91,13 @@ def collect_expert_dataset(
         world = make_world(scenario, rng=rng)
         expert = expert_factory(world.road)
         expert.reset(world)
-        if student is not None:
-            student.reset(world)
         encoder.reset()
         if attacker is not None:
             attacker.reset(world)
         while not world.done:
             observations.append(encoder.observe(world))
-            label = expert.act(world)
-            actions.append(np.array([label.steer, label.thrust]))
-            executed = label if student is None else student.act(world)
+            executed = expert.act(world)
+            actions.append(np.array([executed.steer, executed.thrust]))
             if action_noise:
                 noisy = np.clip(
                     np.array([executed.steer, executed.thrust])

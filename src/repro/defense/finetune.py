@@ -8,10 +8,13 @@ controlling overfit to adversarial cases (the paper evaluates
 
 Two mechanisms are provided:
 
-* :func:`adversarial_finetune` — imitation-style fine-tuning (DAgger): the
+* :func:`adversarial_finetune` — fine-tuning by behaviour cloning: the
   privileged modular expert demonstrates recovery while the attacker is
   live; the policy is fine-tuned on the mixed nominal/adversarial dataset.
-  Deterministic and CPU-cheap; used for the shipped checkpoints.
+  Deterministic and CPU-cheap; used for the shipped checkpoints. The
+  expert drives its own demonstrations: states reached by the student
+  would diverge from the expert's own plan, which makes the labels
+  mutually inconsistent.
 * :func:`adversarial_finetune_sac` — the paper's literal recipe: SAC
   continues on the shaped driving reward with the attacker injected into
   the environment. Exercised in tests; needs a larger step budget to beat
@@ -47,17 +50,8 @@ class FinetuneConfig:
 
     #: Ratio of nominal (zero-budget) episodes, the paper's rho.
     rho: float = 1.0 / 11.0
-    #: Episodes collected per round.
+    #: Episodes of expert demonstrations collected.
     episodes: int = 44
-    #: DAgger rounds after the initial expert-driven round: the partially
-    #: fine-tuned student drives (under attack) while the expert labels.
-    #: Disabled by default: student-driven trajectories diverge from the
-    #: expert's own plan, which makes the labels mutually inconsistent.
-    dagger_rounds: int = 0
-    #: Builds the labelling expert from a road; defaults to the plain
-    #: modular pipeline. ``repro.defense.rescue.RescueExpert`` is the
-    #: brake-on-hijack ablation variant.
-    expert_factory: object = None
     bc: BcConfig = field(
         default_factory=lambda: BcConfig(epochs=15, lr=3e-4)
     )
@@ -86,22 +80,9 @@ def adversarial_finetune(
     cloner = BehaviorCloner(policy, config.bc, rng=rng)
 
     observations, actions = collect_expert_dataset(
-        config.episodes, rng, attacker=randomized,
-        expert_factory=config.expert_factory,
+        config.episodes, rng, attacker=randomized
     )
     losses = cloner.fit(observations, actions)
-    for round_index in range(config.dagger_rounds):
-        new_obs, new_actions = collect_expert_dataset(
-            config.episodes, rng, attacker=randomized, student=agent,
-            expert_factory=config.expert_factory,
-        )
-        observations = np.concatenate([observations, new_obs])
-        actions = np.concatenate([actions, new_actions])
-        losses = cloner.fit(observations, actions)
-        (log.info if progress else log.debug)(
-            "finetune.dagger_round", rho=config.rho,
-            round=round_index + 1, dataset=len(observations),
-        )
     (log.info if progress else log.debug)(
         "finetune.fit", rho=config.rho, dataset=len(observations),
         loss=float(losses[-1]),

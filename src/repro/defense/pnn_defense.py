@@ -30,24 +30,23 @@ from repro.telemetry.log import get_logger
 log = get_logger("defense.pnn")
 
 
+#: The PNN column's labelling expert, the modular pipeline with a mild
+#: rescue reflex (brake + boosted counter-steer past ~a quarter lane of
+#: hijack deviation): the column is a dedicated recovery policy.
+RESCUE = RescueConfig(
+    deviation_threshold=0.9, brake_command=-0.5, counter_steer_gain=1.5
+)
+
+
 @dataclass
 class PnnTrainConfig:
     """Training budget for the adversarial (second) PNN column."""
 
-    #: Adversarial episodes to collect per round (all with non-zero attack
-    #: budgets: the second column specializes in adversarial scenarios).
-    #: The from-scratch column must learn both driving and recovery, so it
-    #: gets a larger dataset than the fine-tuned agents.
+    #: Adversarial episodes to collect (all with non-zero attack budgets:
+    #: the second column specializes in adversarial scenarios). The
+    #: from-scratch column must learn both driving and recovery, so it gets
+    #: a larger dataset than the fine-tuned agents.
     episodes: int = 120
-    #: DAgger rounds after the initial expert-driven round (disabled by
-    #: default; see FinetuneConfig.dagger_rounds).
-    dagger_rounds: int = 0
-    #: Labelling expert factory. ``None`` selects the mildly
-    #: rescue-augmented expert (brake + boosted counter-steer once the
-    #: hijack deviation exceeds ~a quarter lane): the adversarial column is
-    #: a dedicated recovery policy, unlike the fine-tuned agents which stay
-    #: close to nominal behaviour.
-    expert_factory: object = None
     bc: BcConfig = field(default_factory=lambda: BcConfig(epochs=30, lr=5e-4))
     seed: int = 0
 
@@ -61,16 +60,6 @@ def train_pnn_column(
     """Train the adversarial column on top of the frozen base policy."""
     config = config or PnnTrainConfig()
     rng = np.random.default_rng(config.seed)
-    expert_factory = config.expert_factory
-    if expert_factory is None:
-        expert_factory = lambda road: RescueExpert(
-            road,
-            RescueConfig(
-                deviation_threshold=0.9,
-                brake_command=-0.5,
-                counter_steer_gain=1.5,
-            ),
-        )
 
     # Freeze a copy of the base policy as column 1.
     column1 = SquashedGaussianPolicy(
@@ -83,18 +72,10 @@ def train_pnn_column(
     randomized = BudgetRandomizedAttacker(attacker, rho=0.0, rng=rng)
     cloner = BehaviorCloner(progressive, config.bc, rng=rng)
     observations, actions = collect_expert_dataset(
-        config.episodes, rng, attacker=randomized, expert_factory=expert_factory
+        config.episodes, rng, attacker=randomized,
+        expert_factory=lambda road: RescueExpert(road, RESCUE),
     )
     losses = cloner.fit(observations, actions)
-    student = EndToEndAgent(progressive, observation=DrivingObservation())
-    for _ in range(config.dagger_rounds):
-        new_obs, new_actions = collect_expert_dataset(
-            config.episodes, rng, attacker=randomized, student=student,
-            expert_factory=expert_factory,
-        )
-        observations = np.concatenate([observations, new_obs])
-        actions = np.concatenate([actions, new_actions])
-        losses = cloner.fit(observations, actions)
     (log.info if progress else log.debug)(
         "pnn.fit", dataset=len(observations), loss=float(losses[-1])
     )

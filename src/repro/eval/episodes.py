@@ -95,7 +95,9 @@ class EpisodeLedger:
     writer is attached (``trace``, by default the process-wide one).
     ``episodes`` are the rows' trace ids (default: their seeds); the
     victim's and attacker's names and the attacker's budget go on each
-    ``episode_start``, and the budget sets the strike level.
+    ``episode_start``, and the budget sets the strike level. An attacker
+    without a ``name`` or a ``budget`` is refused with ``TypeError``:
+    it could not be told apart from nominal driving in the trace.
     """
 
     def __init__(
@@ -107,11 +109,17 @@ class EpisodeLedger:
         trace: TraceWriter | None = None,
         episodes: Sequence[int | str] | None = None,
     ) -> None:
+        for label in ("name", "budget"):
+            if not hasattr(attacker, label):
+                raise TypeError(
+                    f"attacker {type(attacker).__name__} has no {label!r}"
+                    " to label its trace records with"
+                )
         self.seeds = list(seeds)
         self.episodes = self.seeds if episodes is None else list(episodes)
         self.victim = str(getattr(victim, "name", "agent"))
-        self.attacker = str(getattr(attacker, "name", "none"))
-        self.budget = float(getattr(attacker, "budget", 0.0))
+        self.attacker = str(attacker.name)
+        self.budget = float(attacker.budget)
         self.scenario = scenario
         self.trace = trace if trace is not None else default_writer()
         self.n = n = len(self.seeds)
@@ -280,7 +288,10 @@ def run_episode(
 
     Args:
         victim_factory: builds the victim for the fresh world.
-        attacker: a ``SteerInjector`` (``None`` = nominal driving).
+        attacker: a ``SteerInjector`` (``None`` = nominal driving) that
+            also has a ``name`` and a ``budget``, which label its trace
+            records; one without either raises ``TypeError`` before any
+            record is written.
         seed: controls spawn jitter; equal seeds give equal worlds.
         trace: optional JSONL event writer receiving ``episode_start``
             and ``episode_end`` records (the latter carries the tick

@@ -8,9 +8,10 @@ since tests set knobs after import, and keeps the parsed value until the
 text changes, so a knob read in a loop costs one environ lookup. A value
 its parser rejects raises ``ValueError`` naming the knob and the value;
 ``import repro`` runs :func:`check`, so a malformed knob stops the
-process at start-up. The ``obsv`` CLI flags that set the same value as a
-knob hand the same parsers to argparse, so a rejected flag value is a
-usage error naming the flag.
+process at start-up and an undeclared ``REPRO_*`` name is logged. The
+``obsv`` CLI flags that set the same value as a knob hand the same
+parsers to argparse, so a rejected flag value is a usage error naming
+the flag.
 """
 
 from __future__ import annotations
@@ -120,20 +121,10 @@ TABLE: dict[str, tuple] = {
     "REPRO_PROF": (profile_dir, None),
     "REPRO_PROF_HZ": (number(0.0), 0.0),
     "REPRO_PROF_MEM": (parse_mem_spec, False),
-    "REPRO_HEALTH_EVERY": (number(0, kind=int), 0),
     "REPRO_HIST_MAX_SAMPLES": (number(0, kind=int), 0),
     "REPRO_RUN_ID": (str, None),
     # None: the WatchConfig default.
     "REPRO_WATCH_Q_LIMIT": (number(0.0, above=True), None),
-    "REPRO_WATCH_ENTROPY_FLOOR": (number(), None),
-    "REPRO_WATCH_PLATEAU_WINDOW": (number(1, kind=int), None),
-    "REPRO_WATCH_STARVATION_UPDATES": (number(1, kind=int), None),
-    "REPRO_WATCH_THROUGHPUT_RATIO": (number(0.0, above=True), None),
-    "REPRO_CHECKPOINT_EVERY": (number(0, kind=int), 0),
-    "REPRO_CHECKPOINT_DIR": (str, "checkpoints"),
-    "REPRO_CHECKPOINT_KEEP": (number(1, kind=int), 3),
-    "REPRO_RESUME": (on_off, False),
-    "REPRO_HALT_ON_ALERT": (on_off, False),
     "REPRO_FAULTS": (fault_plan, None),
     "REPRO_CHAOS": (on_off, False),
 }
@@ -170,7 +161,20 @@ def forget(name: str) -> None:
 
 
 def check() -> None:
-    """Parse every knob that is set, so a malformed one raises now."""
+    """Parse every knob that is set, so a malformed one raises now, and
+    log the set ``REPRO_*`` names the table does not declare, sorted
+    (except the ``REPRO_ALERT_*`` that ``obsv watch --on-alert`` sets)."""
     for name in TABLE:
         if name in os.environ:
             get(name)
+    undeclared = sorted(
+        name for name in os.environ
+        if name.startswith("REPRO_") and name not in TABLE
+        and not name.startswith("REPRO_ALERT_")
+    )
+    if undeclared:
+        from repro.telemetry.log import get_logger
+
+        get_logger("knobs").warning(
+            "knobs.undeclared", names=",".join(undeclared)
+        )

@@ -29,8 +29,10 @@ fires at most once per (rule, loop) pair, and ``alert`` events already in
 the trace (a previous watch session) pre-arm the dedup, so re-watching a
 file never duplicates alerts.
 
-All thresholds live in :class:`WatchConfig`; ``WatchConfig.from_env()``
-reads the ``REPRO_WATCH_*`` environment knobs documented in the README.
+All thresholds live in :class:`WatchConfig`. ``obsv watch`` sets them
+from its flags; ``WatchConfig.from_env()`` reads ``REPRO_WATCH_Q_LIMIT``,
+the one threshold of the critical rules, which the SAC loop's in-loop
+halt (``SacConfig.halt_on_alert``) acts on.
 """
 
 from __future__ import annotations
@@ -42,17 +44,6 @@ from repro import knobs
 
 #: Severity levels, mild to fatal.
 SEVERITIES = ("warning", "critical")
-
-#: WatchConfig field -> the knob that sets it (``watch --q-limit`` etc.
-#: set the same fields through the same parsers).
-KNOBS = {
-    "q_limit": "REPRO_WATCH_Q_LIMIT",
-    "entropy_floor": "REPRO_WATCH_ENTROPY_FLOOR",
-    "plateau_window": "REPRO_WATCH_PLATEAU_WINDOW",
-    "starvation_updates": "REPRO_WATCH_STARVATION_UPDATES",
-    "throughput_ratio": "REPRO_WATCH_THROUGHPUT_RATIO",
-}
-
 
 @dataclass(frozen=True)
 class WatchConfig:
@@ -80,9 +71,9 @@ class WatchConfig:
 
     @classmethod
     def from_env(cls, **overrides) -> "WatchConfig":
-        """Defaults, overridden by the ``REPRO_WATCH_*`` knobs, then by
-        the keyword arguments that are not None."""
-        values = {fld: knobs.get(name) for fld, name in KNOBS.items()}
+        """Defaults, with ``q_limit`` from ``REPRO_WATCH_Q_LIMIT`` if set,
+        overridden by the keyword arguments that are not None."""
+        values = {"q_limit": knobs.get("REPRO_WATCH_Q_LIMIT")}
         values.update({k: v for k, v in overrides.items() if v is not None})
         return replace(
             cls(), **{k: v for k, v in values.items() if v is not None}

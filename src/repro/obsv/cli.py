@@ -52,7 +52,7 @@ from repro.obsv import forensics as forensics_mod
 from repro.obsv import regress as regress_mod
 from repro.obsv import replay as replay_mod
 from repro.obsv import watch as watch_mod
-from repro.obsv.alerts import KNOBS as WATCH_KNOBS, WatchConfig
+from repro.obsv.alerts import WatchConfig
 from repro.obsv.dashboard import build_dashboard, to_html
 from repro.obsv.loader import load_episodes, select_episode
 from repro.obsv.store import (
@@ -86,6 +86,21 @@ def _flag(parser):
             raise argparse.ArgumentTypeError(f"must be {exc}, got {text!r}")
 
     return parse_flag
+
+
+#: ``watch``'s threshold flags: the WatchConfig field, its parser and
+#: what it sets. Only ``--q-limit`` shares a knob, REPRO_WATCH_Q_LIMIT.
+_WATCH_THRESHOLDS = (
+    ("q_limit", knobs.TABLE["REPRO_WATCH_Q_LIMIT"][0],
+     "q_divergence threshold on max |Q|; overrides REPRO_WATCH_Q_LIMIT"),
+    ("entropy_floor", knobs.number(), "entropy_collapse threshold"),
+    ("plateau_window", knobs.number(1, kind=int),
+     "episodes without a new best before reward_plateau"),
+    ("starvation_updates", knobs.number(1, kind=int),
+     "stalled health records before buffer_starvation"),
+    ("throughput_ratio", knobs.number(0.0, above=True),
+     "fraction of peak steps/s treated as regression"),
+)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -462,7 +477,7 @@ def _cmd_verify_artifacts(args) -> int:
 
 def _cmd_watch(args) -> int:
     config = WatchConfig.from_env(
-        **{fld: getattr(args, fld) for fld in WATCH_KNOBS}
+        **{fld: getattr(args, fld) for fld, _, _ in _WATCH_THRESHOLDS}
     )
     try:
         baseline = (
@@ -786,19 +801,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--drift-min-n", type=int, default=watch_mod.DRIFT_MIN_N,
         help="live episodes per cell before drift is judged",
     )
-    for fld, text in (
-        ("q_limit", "q_divergence threshold on max |Q|"),
-        ("entropy_floor", "entropy_collapse threshold"),
-        ("plateau_window", "episodes without a new best before"
-         " reward_plateau"),
-        ("starvation_updates", "stalled health records before"
-         " buffer_starvation"),
-        ("throughput_ratio", "fraction of peak steps/s treated as regression"),
-    ):
-        knob = WATCH_KNOBS[fld]
+    for fld, parse, text in _WATCH_THRESHOLDS:
         wat.add_argument(
-            "--" + fld.replace("_", "-"), type=_flag(knobs.TABLE[knob][0]),
-            help=f"{text} (overrides {knob})",
+            "--" + fld.replace("_", "-"), type=_flag(parse),
+            help=f"{text} (default {getattr(WatchConfig(), fld):g})",
         )
     wat.set_defaults(fn=_cmd_watch)
     for command in (parser, *sub.choices.values()):

@@ -111,9 +111,12 @@ def episode_metrics(episode: EpisodeTrace) -> dict[str, float]:
 
     deltas = episode.deltas()
     strikes = [d for d in deltas if d > ACTIVE_THRESHOLD]
-    metrics["effort"] = (
-        float(np.mean(strikes)) if strikes else 0.0
-    )
+    # In tick order from 0.0, as the ledger adds, for equal bits (np.mean
+    # sums pairwise, and sum() compensates from Python 3.12 on).
+    effort = 0.0
+    for strike in strikes:
+        effort += strike
+    metrics["effort"] = effort / len(strikes) if strikes else 0.0
     ttc = episode.series("ttc")
     if ttc:
         metrics["ttc_min"] = float(min(ttc))

@@ -1,4 +1,4 @@
-"""Behaviour cloning (and DAgger-style dataset aggregation).
+"""Behaviour cloning.
 
 Used to warm-start SAC policies: the end-to-end driver clones the modular
 pipeline (the paper's privileged agent), and the camera attacker clones the

@@ -20,12 +20,11 @@ keep-last-K rotation, corrupt-snapshot fallback), and
 hooks, periodic snapshots, and watchdog checkpoint-and-halt — behind
 the four calls the loop makes.
 
-Configuration comes from :class:`repro.rl.sac.SacConfig`
-(``checkpoint_every``, ``checkpoint_dir``, ``checkpoint_keep``,
-``resume``, ``halt_on_alert``) with process-wide environment overrides
-``REPRO_CHECKPOINT_EVERY``, ``REPRO_CHECKPOINT_DIR``,
-``REPRO_CHECKPOINT_KEEP``, ``REPRO_RESUME``, ``REPRO_HALT_ON_ALERT``
-(rows of :mod:`repro.knobs`).
+The run settings are :class:`repro.rl.sac.SacConfig` fields and
+nothing else: ``health_every``, ``checkpoint_every``,
+``checkpoint_dir``, ``checkpoint_keep``, ``resume`` and
+``halt_on_alert``. :func:`run_sac_loop` refuses an out-of-range one
+before its first step.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import faults, knobs
+from repro import faults
 from repro.obsv.alerts import Alert, Watchdog
 from repro.rl.health import HealthEmitter
 from repro.telemetry.log import get_logger
@@ -61,44 +60,6 @@ _ALERT_PREFIX = "state_alert_"
 _WATCH_FIELDS = (
     "critic_loss", "actor_loss", "alpha", "q_mean", "q_max", "entropy",
 )
-
-
-# -- configuration ------------------------------------------------------------------
-
-
-def checkpoint_interval(configured: int | None = None) -> int:
-    """Snapshot cadence in env steps (0 = disabled).
-
-    An explicit positive ``configured`` value wins; otherwise
-    ``REPRO_CHECKPOINT_EVERY`` is consulted.
-    """
-    if configured:
-        return max(int(configured), 0)
-    return knobs.get("REPRO_CHECKPOINT_EVERY")
-
-
-def checkpoint_keep(configured: int | None = None) -> int:
-    """How many periodic snapshots to retain (minimum 1).
-
-    An explicit positive ``configured`` value wins; otherwise
-    ``REPRO_CHECKPOINT_KEEP`` is consulted, and 3 when it is unset.
-    """
-    if configured:
-        return max(int(configured), 1)
-    return knobs.get("REPRO_CHECKPOINT_KEEP")
-
-
-def checkpoint_dir(configured: str | None = None) -> str:
-    """Base snapshot directory; each loop appends its label."""
-    return configured or knobs.get("REPRO_CHECKPOINT_DIR")
-
-
-def resume_enabled(configured: bool = False) -> bool:
-    return bool(configured) or knobs.get("REPRO_RESUME")
-
-
-def halt_enabled(configured: bool = False) -> bool:
-    return bool(configured) or knobs.get("REPRO_HALT_ON_ALERT")
 
 
 # -- state capture ------------------------------------------------------------------
@@ -339,28 +300,23 @@ class SacLoopGuard:
     """
 
     def __init__(
-        self,
-        sac,
-        loop: str,
-        rng: np.random.Generator,
-        trace=None,
-        watch_config=None,
+        self, sac, loop: str, rng: np.random.Generator, trace=None
     ) -> None:
         cfg = sac.config
         self.sac = sac
         self.loop = loop
         self.rng = rng
         self.trace = trace
-        self.every = checkpoint_interval(cfg.checkpoint_every)
-        self.resume = resume_enabled(cfg.resume)
-        self.halt = halt_enabled(cfg.halt_on_alert)
-        base = Path(checkpoint_dir(cfg.checkpoint_dir)) / loop
+        self.every = cfg.checkpoint_every
+        self.resume = cfg.resume
+        self.halt = cfg.halt_on_alert
         self.snapshotter: Snapshotter | None = None
         if self.every > 0 or self.resume or self.halt:
             self.snapshotter = Snapshotter(
-                base, self.every, checkpoint_keep(cfg.checkpoint_keep), loop
+                Path(cfg.checkpoint_dir) / loop, self.every,
+                cfg.checkpoint_keep, loop,
             )
-        self._watchdog = Watchdog(watch_config) if self.halt else None
+        self._watchdog = Watchdog() if self.halt else None
         #: Finished episodes as of the last boundary (or resumed snapshot).
         self.episode = 0
 
@@ -454,20 +410,31 @@ def run_sac_loop(
     which are not bootstrapping terminals. The reset is deferred to the
     top of the next iteration, so an episode boundary is pure learner
     state: :class:`SacLoopGuard` snapshots there when
-    ``sac.config.checkpoint_every`` (or ``REPRO_CHECKPOINT_EVERY``) is
-    set, and ``sac.config.resume`` (or ``REPRO_RESUME``) continues
-    bit-identically from the newest snapshot. Snapshots capture ``rng``,
-    so for an exact resume it must be the generator the env and the
-    learner draw from.
+    ``sac.config.checkpoint_every`` is set, and ``sac.config.resume``
+    continues bit-identically from the newest snapshot. Snapshots
+    capture ``rng``, so for an exact resume it must be the generator the
+    env and the learner draw from.
 
     ``trace`` (or the ``REPRO_TRACE`` default writer) receives one
     ``train_step`` record per step, tagged ``loop`` and with the index
     of the ``episode`` it belongs to, plus ``update_health`` records
-    every ``sac.config.health_every`` (or ``REPRO_HEALTH_EVERY``)
-    updates.
+    every ``sac.config.health_every`` updates.
+
+    Raises:
+        ValueError: before the first step, naming the field, when
+            ``checkpoint_every`` or ``health_every`` is negative or
+            ``checkpoint_keep`` is below 1.
     """
-    trace = trace if trace is not None else default_writer()
     config = sac.config
+    for name, least in (
+        ("checkpoint_every", 0), ("health_every", 0), ("checkpoint_keep", 1),
+    ):
+        value = getattr(config, name)
+        if value < least:
+            raise ValueError(
+                f"SacConfig.{name} must be >= {least}, got {value!r}"
+            )
+    trace = trace if trace is not None else default_writer()
     health = HealthEmitter(trace, loop, every=config.health_every)
     guard = SacLoopGuard(sac, loop, rng, trace=trace)
     start = guard.start()

@@ -10,8 +10,7 @@ evaluate: losses, alpha, Q-value mean/max, policy entropy, actor/critic
 gradient norms, replay-buffer occupancy, and environment steps per second.
 
 Emission is off by default (``health_every = 0``); enable it per-config
-(:attr:`repro.rl.sac.SacConfig.health_every`) or process-wide with the
-``REPRO_HEALTH_EVERY`` environment variable. Like the rest of the
+(:attr:`repro.rl.sac.SacConfig.health_every`). Like the rest of the
 telemetry layer it is a pure observer — it never touches an RNG or feeds
 back into training.
 """
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import time
 
-from repro import knobs
 from repro.telemetry.trace import TraceWriter
 
 #: Learner statistics copied verbatim from ``Sac.update()`` results.
@@ -37,17 +35,6 @@ _HEALTH_FIELDS = (
 )
 
 
-def health_interval(configured: int | None = None) -> int:
-    """Effective emission interval in updates (0 = disabled).
-
-    An explicit positive ``configured`` value wins; otherwise the
-    ``REPRO_HEALTH_EVERY`` knob is consulted.
-    """
-    if configured:
-        return max(int(configured), 0)
-    return knobs.get("REPRO_HEALTH_EVERY")
-
-
 class HealthEmitter:
     """Writes one ``update_health`` record every N gradient updates."""
 
@@ -55,12 +42,12 @@ class HealthEmitter:
         self,
         trace: TraceWriter | None,
         loop: str,
-        every: int | None = None,
+        every: int = 0,
         clock=time.perf_counter,
     ) -> None:
         self.trace = trace
         self.loop = loop
-        self.every = health_interval(every)
+        self.every = every
         self._clock = clock
         self._last_time: float | None = None
         self._last_step = 0

@@ -59,9 +59,8 @@ class ProgressivePolicy(Module):
     Only column-2 weights (including laterals) are trainable.
 
     The object implements the acting and behaviour-cloning interface of
-    :class:`SquashedGaussianPolicy`, so behaviour cloning and DAgger train
-    column 2 through :meth:`forward_gaussian` and
-    :meth:`backward_gaussian`.
+    :class:`SquashedGaussianPolicy`, so behaviour cloning trains column 2
+    through :meth:`forward_gaussian` and :meth:`backward_gaussian`.
     """
 
     def __init__(

@@ -37,8 +37,6 @@ def run_driver(loop, ckpt_dir, *, fault="", resume=False, halt=False,
                steps=STEPS, timeout=240):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    env.pop("REPRO_CHECKPOINT_EVERY", None)
-    env.pop("REPRO_RESUME", None)
     if fault:
         env["REPRO_FAULTS"] = fault
     else:

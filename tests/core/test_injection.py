@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.attackers import NullAttacker
 from repro.core.injection import (
     ACTIVE_THRESHOLD,
     InjectionChannel,
@@ -75,7 +76,7 @@ def book(deltas):
     the active ticks it added to the registry."""
     registry = get_registry()
     before = registry.counter("attack_active_ticks_total").value
-    ledger = EpisodeLedger([0], None, None, SCENARIO)
+    ledger = EpisodeLedger([0], None, NullAttacker(), SCENARIO)
     for step, delta in enumerate(deltas, start=1):
         ledger.tick(
             True, step, step * SCENARIO.dt, delta, (0.0,) * 4, 0.0, 0.0,

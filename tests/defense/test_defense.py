@@ -106,16 +106,6 @@ class TestCollectAdversarialDataset:
         assert actions.shape[1] == 2
         assert np.all(np.abs(actions) <= 1.0)
 
-    def test_student_driven_collection(self):
-        wrapper = BudgetRandomizedAttacker(
-            make_attacker(), rho=0.0, rng=np.random.default_rng(0)
-        )
-        student = make_base_agent()
-        obs, actions = collect_expert_dataset(
-            1, np.random.default_rng(0), attacker=wrapper, student=student
-        )
-        assert len(obs) > 0
-
     def test_rescue_expert_factory(self):
         wrapper = BudgetRandomizedAttacker(
             make_attacker(), rho=0.0, rng=np.random.default_rng(0)

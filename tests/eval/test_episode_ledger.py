@@ -4,8 +4,9 @@
 episode, whether :func:`run_episode` feeds it one row or the lockstep
 runner one row per seed. These tests pin the one definition of the
 deviation RMSE against each runner's own trace, the effort it books from
-the deltas it is handed, and that a row's books do not depend on the
-other rows or on the ledger's width.
+the deltas it is handed (and that a trace reader reads it back bit for
+bit), that an attacker without trace labels is refused, and that a row's
+books do not depend on the other rows or on the ledger's width.
 """
 
 import math
@@ -17,6 +18,8 @@ from repro.agents.modular import ModularAgent
 from repro.core import OracleAttacker
 from repro.eval import run_episode, run_episode_batch
 from repro.eval.episodes import EpisodeLedger, run_seeds
+from repro.experiments import registry
+from repro.obsv.compare import episode_metrics
 from repro.obsv.loader import split_episodes
 from repro.sim import ScenarioConfig
 from repro.sim.collision import Collision, CollisionKind
@@ -85,6 +88,50 @@ def test_a_protocol_only_injector_reports_its_effort():
     injector with no books of its own reports the effort it injected."""
     result = run_episode(modular_victim, ConstantInjector(), seed=3)
     assert result.mean_effort == 0.25
+
+
+class UnlabelledInjector:
+    """A ``SteerInjector`` and no more: ``reset`` and ``delta``."""
+
+    def reset(self, world):
+        pass
+
+    def delta(self, world, control):
+        return 0.25
+
+
+class NamedInjector(UnlabelledInjector):
+    name = "constant"
+
+
+@pytest.mark.parametrize(
+    "injector, missing",
+    [(UnlabelledInjector, "name"), (NamedInjector, "budget")],
+)
+def test_an_attacker_without_trace_labels_is_refused(injector, missing):
+    """Traced as attacker ``none`` at budget 0.0, its episodes would pool
+    with nominal ones; the runner refuses it before any record."""
+    writer = TraceWriter()
+    with pytest.raises(TypeError, match=f"has no '{missing}'"):
+        run_episode(modular_victim, injector(), seed=3, trace=writer)
+    assert writer.events == []
+
+
+@pytest.mark.parametrize("victim, budget", [("e2e", 0.5), ("modular", 1.0)])
+def test_the_trace_effort_is_the_ledger_effort(victim, budget):
+    """``episode_metrics`` reads the effort off the trace's ``delta``
+    column with the ledger's arithmetic (a running sum in tick order), so
+    it equals each ``EpisodeResult.mean_effort`` bit for bit."""
+    writer = TraceWriter()
+    results = run_episode_batch(
+        getattr(registry, f"{victim}_victim"),
+        registry.camera_attacker(budget, victim=victim),
+        seeds=range(1000, 1064), trace=writer,
+    )
+    episodes = split_episodes(writer.events)
+    assert [float.hex(episode_metrics(e)["effort"]) for e in episodes] == [
+        float.hex(r.mean_effort) for r in results
+    ]
 
 
 def test_a_delta_at_the_threshold_is_lurking():

@@ -162,13 +162,15 @@ class TestRules:
 
 class TestWatchConfig:
     def test_env_and_overrides(self, monkeypatch):
+        """The environment sets only the Q limit; every other threshold
+        is the default unless a keyword (a ``watch`` flag) sets it."""
         monkeypatch.setenv("REPRO_WATCH_Q_LIMIT", "123.5")
         monkeypatch.setenv("REPRO_WATCH_PLATEAU_WINDOW", "7")
         config = WatchConfig.from_env(entropy_floor=-1.0)
         assert config.q_limit == 123.5
-        assert config.plateau_window == 7
         assert config.entropy_floor == -1.0
-        assert config.starvation_updates == WatchConfig().starvation_updates
+        assert config == WatchConfig(q_limit=123.5, entropy_floor=-1.0)
+        assert WatchConfig.from_env(q_limit=7.0).q_limit == 7.0
 
     def test_none_overrides_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_WATCH_Q_LIMIT", "500")

@@ -20,16 +20,11 @@ from repro.rl.checkpoint import (
     Snapshotter,
     TrainingHalted,
     capture,
-    checkpoint_interval,
-    checkpoint_keep,
-    halt_enabled,
     load_state,
     restore,
-    resume_enabled,
     run_sac_loop,
     save_state,
 )
-from repro.rl.health import health_interval
 from repro.rl.nn.layers import Mlp
 from repro.rl.nn.optim import Adam
 from repro.rl.policy import SquashedGaussianPolicy
@@ -268,78 +263,62 @@ class TestSnapshotter:
         state = snap.latest_state()
         assert state.step == 10
 
-    def test_interval_env_override(self, monkeypatch):
-        assert checkpoint_interval(25) == 25
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "40")
-        assert checkpoint_interval(0) == 40
-        assert checkpoint_interval(25) == 25  # explicit config wins
+    def test_environment_sets_no_interval(self, tmp_path, monkeypatch):
+        """The cadence is the config's alone: a shell that still exports
+        the retired REPRO_CHECKPOINT_EVERY knob turns nothing on."""
+        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "5")
+        sac, env, rng = attack_learner(
+            checkpoint_every=0, checkpoint_dir=str(tmp_path)
+        )
+        run_sac_loop(sac, env, STEPS, rng, "sac-attack", trace=TraceWriter())
+        assert not (tmp_path / "sac-attack").exists()
 
-    def test_keep_env_applies_under_default_config(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_CHECKPOINT_KEEP", raising=False)
-        assert checkpoint_keep(SacConfig().checkpoint_keep) == 3
-        monkeypatch.setenv("REPRO_CHECKPOINT_KEEP", "1")
-        rng = np.random.default_rng(42)
-        env = AttackEnv(
-            lambda w: ModularAgent(w.road),
-            CameraAttackObservation(),
-            budget=1.0,
-            scenario=SCENARIO,
-            rng=rng,
+    def test_keep_one(self, tmp_path):
+        assert SacConfig().checkpoint_keep == 3
+        # A periodic snapshot every 30 steps, only one kept.
+        sac, env, rng = attack_learner(
+            checkpoint_every=EVERY, checkpoint_dir=str(tmp_path),
+            checkpoint_keep=1,
         )
-        # Every SacConfig field but the cadence and the directory at its
-        # default: a periodic snapshot every 30 steps, only one kept.
-        config = SacConfig(
-            checkpoint_every=EVERY, checkpoint_dir=str(tmp_path)
-        )
-        sac = Sac(env.observation_dim, env.action_dim, config, rng=rng)
         run_sac_loop(sac, env, STEPS, rng, "sac-attack", trace=TraceWriter())
         kept = sorted((tmp_path / "sac-attack").glob("state_step*.npz"))
         assert len(kept) == 1
 
 
-class TestMalformedKnobs:
-    """A malformed loop knob fails loudly, naming the knob and the value,
-    instead of turning into "off"."""
+def attack_learner(**settings):
+    """A fresh ``sac-attack`` learner of every default but ``settings``,
+    its environment and their shared generator."""
+    rng = np.random.default_rng(42)
+    env = AttackEnv(
+        lambda w: ModularAgent(w.road),
+        CameraAttackObservation(),
+        budget=1.0,
+        scenario=SCENARIO,
+        rng=rng,
+    )
+    sac = Sac(
+        env.observation_dim, env.action_dim, SacConfig(**settings), rng=rng
+    )
+    return sac, env, rng
+
+
+class TestRunSettings:
+    """An out-of-range run setting stops the loop before its first step,
+    naming the field, instead of turning into "off" or a clamped value."""
 
     @pytest.mark.parametrize(
-        "name, read",
-        [
-            ("REPRO_CHECKPOINT_EVERY", lambda: checkpoint_interval(0)),
-            ("REPRO_CHECKPOINT_KEEP", lambda: checkpoint_keep(0)),
-            ("REPRO_HEALTH_EVERY", lambda: health_interval(0)),
-        ],
+        "field, value",
+        [("checkpoint_every", -5), ("health_every", -1), ("checkpoint_keep", 0)],
     )
-    def test_non_integer_rejected(self, monkeypatch, name, read):
-        monkeypatch.setenv(name, "abc")
-        with pytest.raises(ValueError, match=f"{name}.*'abc'"):
-            read()
-
-    @pytest.mark.parametrize(
-        "name, read",
-        [
-            ("REPRO_RESUME", resume_enabled),
-            ("REPRO_HALT_ON_ALERT", halt_enabled),
-        ],
-    )
-    def test_flags_accept_only_documented_spellings(
-        self, monkeypatch, name, read
-    ):
-        for raw in ("1", "true", " YES ", "on"):
-            monkeypatch.setenv(name, raw)
-            assert read() is True
-        for raw in ("", "0", "false", "No", "off"):
-            monkeypatch.setenv(name, raw)
-            assert read() is False
-        monkeypatch.setenv(name, "ture")
-        with pytest.raises(ValueError, match=f"{name}.*'ture'"):
-            read()
-
-    def test_malformed_resume_stops_the_loop(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESUME", "ture")
-        with pytest.raises(ValueError, match="REPRO_RESUME"):
-            run_attack_loop(tmp_path)
+    def test_out_of_range_setting_refused(self, tmp_path, field, value):
+        sac, env, rng = attack_learner(
+            checkpoint_dir=str(tmp_path), **{field: value}
+        )
+        trace = TraceWriter()
+        with pytest.raises(ValueError, match=f"SacConfig.{field} must be"):
+            run_sac_loop(sac, env, STEPS, rng, "sac-attack", trace=trace)
+        assert trace.events == []
+        assert list(tmp_path.iterdir()) == []
 
 
 # -- resume determinism: the tentpole acceptance proof ------------------------------

@@ -15,13 +15,6 @@ from repro import faults, knobs
 from repro.obsv.alerts import WatchConfig
 from repro.obsv.cli import main
 from repro.obsv.prof.session import ProfileConfig
-from repro.rl.checkpoint import (
-    checkpoint_interval,
-    checkpoint_keep,
-    halt_enabled,
-    resume_enabled,
-)
-from repro.rl.health import health_interval
 from repro.telemetry.log import configure
 from repro.telemetry.metrics import Histogram
 
@@ -72,40 +65,6 @@ def _chaos_gate():
         pytest.param(
             "REPRO_WATCH_Q_LIMIT", "nan", WatchConfig.from_env,
             id="watch-q-limit-nan",
-        ),
-        pytest.param(
-            "REPRO_WATCH_ENTROPY_FLOOR", "-inf", WatchConfig.from_env,
-            id="watch-entropy-floor-inf",
-        ),
-        pytest.param(
-            "REPRO_WATCH_THROUGHPUT_RATIO", "0", WatchConfig.from_env,
-            id="watch-throughput-ratio-zero",
-        ),
-        pytest.param(
-            "REPRO_WATCH_STARVATION_UPDATES", "2.5", WatchConfig.from_env,
-            id="watch-int-threshold",
-        ),
-        pytest.param(
-            "REPRO_WATCH_PLATEAU_WINDOW", "0", WatchConfig.from_env,
-            id="watch-plateau-window-zero",
-        ),
-        pytest.param(
-            "REPRO_CHECKPOINT_EVERY", "-100", lambda: checkpoint_interval(0),
-            id="checkpoint-every-negative",
-        ),
-        pytest.param(
-            "REPRO_CHECKPOINT_KEEP", "0", lambda: checkpoint_keep(0),
-            id="checkpoint-keep-zero",
-        ),
-        pytest.param(
-            "REPRO_HEALTH_EVERY", "-5", lambda: health_interval(0),
-            id="health-every-negative",
-        ),
-        pytest.param(
-            "REPRO_RESUME", "ture", resume_enabled, id="resume",
-        ),
-        pytest.param(
-            "REPRO_HALT_ON_ALERT", "ture", halt_enabled, id="halt-on-alert",
         ),
         pytest.param(
             "REPRO_CHAOS", "flase", _chaos_gate, id="chaos-switch",
@@ -243,12 +202,12 @@ def test_malformed_flag_raises(capsys, argv, flag):
 
 
 def test_well_formed_knobs_still_read(monkeypatch):
-    monkeypatch.setenv("REPRO_CHECKPOINT_KEEP", " ")
-    assert knobs.get("REPRO_CHECKPOINT_KEEP") == 3
-    monkeypatch.setenv("REPRO_CHECKPOINT_KEEP", " 5 ")
-    assert checkpoint_keep(0) == 5
-    monkeypatch.setenv("REPRO_WATCH_ENTROPY_FLOOR", "-2.5")
-    assert WatchConfig.from_env().entropy_floor == -2.5
+    monkeypatch.setenv("REPRO_HIST_MAX_SAMPLES", " ")
+    assert knobs.get("REPRO_HIST_MAX_SAMPLES") == 0
+    monkeypatch.setenv("REPRO_HIST_MAX_SAMPLES", " 5 ")
+    assert knobs.get("REPRO_HIST_MAX_SAMPLES") == 5
+    monkeypatch.setenv("REPRO_WATCH_Q_LIMIT", "2.5e2")
+    assert WatchConfig.from_env().q_limit == 250.0
     monkeypatch.delenv("REPRO_BENCH_BASELINE", raising=False)
     assert knobs.get("REPRO_BENCH_BASELINE") is None
     monkeypatch.setenv("REPRO_BENCH_BASELINE", "")
@@ -287,6 +246,35 @@ def test_import_repro_loads_only_the_table():
     assert done.stdout.strip() == "['repro', 'repro.knobs']"
 
 
+def _import_repro_with(**variables) -> str:
+    """Stderr of ``import repro`` with no knob set but ``variables``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    done = subprocess.run(
+        [sys.executable, "-c", "import repro"],
+        env={**env, **variables},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stderr
+
+
+def test_an_undeclared_name_warns_at_import():
+    """A retired or misspelt knob would be ignored; ``import repro`` says
+    so, naming every such variable, sorted, in one warning."""
+    err = _import_repro_with(REPRO_CHECKPOINT_EVERY="5", REPRO_TRACE_X="1")
+    assert re.search(
+        r"warning .*knobs\.undeclared"
+        r" names=REPRO_CHECKPOINT_EVERY,REPRO_TRACE_X$",
+        err.strip(),
+    ), err
+
+
+def test_alert_hook_variables_are_not_undeclared():
+    """``watch --on-alert`` sets REPRO_ALERT_*: outputs, not knobs."""
+    assert _import_repro_with(REPRO_ALERT_RULE="x") == ""
+
+
 def test_readme_env_table_lists_the_table():
     lines = README.read_text(encoding="utf-8").splitlines()
     start = lines.index("| variable | effect |")
@@ -321,7 +309,7 @@ def test_malformed_spans_switch_fails_at_import(value):
     [("1", True), ("On", True), (" yes ", True), ("off", False), ("", False)],
 )
 def test_on_off_knobs_read_the_same_spellings(monkeypatch, value, enabled):
-    for name in ("REPRO_SPANS", "REPRO_LOG_JSON", "REPRO_RESUME"):
+    for name in ("REPRO_SPANS", "REPRO_LOG_JSON", "REPRO_CHAOS"):
         monkeypatch.setenv(name, value)
         assert knobs.get(name) is enabled
 

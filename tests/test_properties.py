@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agents.modular import BehaviorPlanner, ModularAgent
-from repro.core import InjectionChannel, InjectionChannelConfig, OracleAttacker
+from repro.core import (
+    InjectionChannel,
+    InjectionChannelConfig,
+    NullAttacker,
+    OracleAttacker,
+)
 from repro.eval.episodes import EpisodeLedger
 from repro.sim import Control, ScenarioConfig, make_world
 
@@ -98,7 +103,7 @@ class TestAttackInvariants:
     def test_channel_effort_never_exceeds_budget(self, actions, budget):
         """The mean effort a one-row ledger books for a channel's deltas."""
         channel = InjectionChannel(InjectionChannelConfig(budget=budget))
-        ledger = EpisodeLedger([0], None, None, ScenarioConfig())
+        ledger = EpisodeLedger([0], None, NullAttacker(), ScenarioConfig())
         for step, action in enumerate(actions, start=1):
             ledger.tick(
                 True, step, 0.1 * step, channel.inject(action), (0.0,) * 4,
