@@ -141,7 +141,7 @@ class BatchPolicyActor:
         """The policy's commands; it drives without the ``reference``."""
         obs = self.observation.observe_batch(batch)
         if self.plan is None:
-            actions = np.tanh(self.policy.forward_np(obs)[0])
+            actions = np.tanh(self.policy.mean_np(obs))
         else:
             actions = self.policy.act_batch(
                 obs, deterministic=True, plan=self.plan

@@ -65,8 +65,11 @@ class DrivingObservation:
 
     def observe_batch(self, batch) -> np.ndarray:
         """Policy observations for every episode of a batch, ``[N, dim]``."""
-        frames = self._stack.push(self._camera.observe_batch(batch))
-        _, d, _ = batch.geometry().ego
+        geometry = batch.geometry()
+        frames = self._stack.push(
+            self._camera.frame_batch(batch, geometry.key)
+        )
+        _, d, _ = geometry.ego
         ego = np.array(
             (
                 batch.pose[3, 0] / self.reference_speed,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from repro.core.injection import strike_level
-from repro.obsv.loader import EpisodeTrace
+from repro.obsv.loader import EpisodeTrace, Ticks
 from repro.obsv.render import fmt, markdown_table, sparkline
 
 #: Lurk runs at most this long between two strike runs are absorbed into
@@ -62,10 +62,10 @@ def strike_threshold(
     return strike_level(budget, fraction)
 
 
-def _stats(ticks: list[dict]) -> tuple[float, float, float | None, float | None]:
-    deltas = [abs(float(t["delta"])) for t in ticks]
-    laterals = [float(t["lateral"]) for t in ticks if "lateral" in t]
-    gaps = [float(t["npc_gap"]) for t in ticks if "npc_gap" in t]
+def _stats(ticks: Ticks) -> tuple[float, float, float | None, float | None]:
+    deltas = [abs(float(d)) for d in ticks.column("delta")]
+    laterals = ticks.series("lateral")
+    gaps = ticks.series("npc_gap")
     return (
         sum(deltas) / len(deltas),
         max(deltas),
@@ -74,9 +74,7 @@ def _stats(ticks: list[dict]) -> tuple[float, float, float | None, float | None]
     )
 
 
-def segment_phases(
-    ticks: list[dict], strike_level: float
-) -> list[Phase]:
+def segment_phases(ticks: Ticks, strike_level: float) -> list[Phase]:
     """Split a tick stream into alternating lurk/strike phases.
 
     Each tick is classified by ``|delta| >= strike_level``; consecutive
@@ -87,8 +85,8 @@ def segment_phases(
     if not ticks:
         return []
     labels = [
-        "strike" if abs(float(t["delta"])) >= strike_level else "lurk"
-        for t in ticks
+        "strike" if abs(float(d)) >= strike_level else "lurk"
+        for d in ticks.column("delta")
     ]
     # Bridge short lurk gaps flanked by strikes.
     index = 0
@@ -111,11 +109,12 @@ def segment_phases(
         if index == len(labels) or labels[index] != labels[run_start]:
             run = ticks[run_start:index]
             mean_delta, max_delta, mean_lateral, min_gap = _stats(run)
+            tick = run.column("tick")
             phases.append(
                 Phase(
                     kind=labels[run_start],
-                    start_tick=int(run[0]["tick"]),
-                    end_tick=int(run[-1]["tick"]),
+                    start_tick=int(tick[0]),
+                    end_tick=int(tick[-1]),
                     ticks=len(run),
                     mean_abs_delta=mean_delta,
                     max_abs_delta=max_delta,
@@ -171,7 +170,7 @@ class EpisodeForensics:
     def to_json(self) -> dict:
         return asdict(self)
 
-    def to_markdown(self, ticks: list[dict] | None = None) -> str:
+    def to_markdown(self, ticks: Ticks | None = None) -> str:
         lines: list[str] = []
         out = lines.append
         out(f"# Forensics — episode {self.episode}")
@@ -250,16 +249,14 @@ class EpisodeForensics:
             out("## Timelines")
             out("")
             out("```")
-            out(f"|delta|  {sparkline([abs(float(t['delta'])) for t in ticks])}")
-            gaps = [t for t in ticks if "npc_gap" in t]
+            deltas = [abs(float(d)) for d in ticks.column("delta")]
+            out(f"|delta|  {sparkline(deltas)}")
+            gaps = ticks.series("npc_gap")
             if gaps:
-                out(f"npc_gap  {sparkline([float(t['npc_gap']) for t in gaps])}")
-            lateral = [t for t in ticks if "lateral" in t]
+                out(f"npc_gap  {sparkline(gaps)}")
+            lateral = [abs(v) for v in ticks.series("lateral")]
             if lateral:
-                out(
-                    "lateral  "
-                    + sparkline([abs(float(t["lateral"])) for t in lateral])
-                )
+                out(f"lateral  {sparkline(lateral)}")
             out("```")
         return "\n".join(lines) + "\n"
 
@@ -306,17 +303,18 @@ def analyze(
         ticks_to_collision = int(final["tick"]) - strike_onset + 1
         dt = None
         if len(ticks) >= 2:
-            dt = float(ticks[1]["t"]) - float(ticks[0]["t"])
+            dt = float(ticks.column("t")[1]) - float(ticks.column("t")[0])
         if dt:
             seconds_to_collision = ticks_to_collision * dt
 
-    gap_ticks = [t for t in ticks if "npc_gap" in t]
+    gaps = ticks.column("npc_gap")
+    gap_ticks = [i for i, gap in enumerate(gaps) if gap is not None]
     min_gap = min_gap_tick = None
     if gap_ticks:
-        smallest = min(gap_ticks, key=lambda t: float(t["npc_gap"]))
-        min_gap = float(smallest["npc_gap"])
-        min_gap_tick = int(smallest["tick"])
-    ttcs = [float(t["ttc"]) for t in ticks if "ttc" in t]
+        smallest = min(gap_ticks, key=lambda i: float(gaps[i]))
+        min_gap = float(gaps[smallest])
+        min_gap_tick = int(ticks.column("tick")[smallest])
+    ttcs = episode.series("ttc")
     min_ttc = min(ttcs) if ttcs else None
 
     steps = int(end.get("steps", final["tick"]))

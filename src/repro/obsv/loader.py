@@ -5,13 +5,15 @@ stamps consecutive seeds as episode ids) plus non-episode events
 (``train_step``, ``alert``); :func:`split_episodes` keeps only the episode
 vocabulary and buckets it by episode id. It is the one reader of the
 trace-format-2 tick layout: each ``episode_end`` carries its episode's
-tick fields as columns, which it expands into one dict per tick, in
-tick order.
+tick fields as columns, which an :class:`EpisodeTrace` keeps as they
+were decoded, behind the :class:`Ticks` view.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import eq
 from pathlib import Path
 from typing import Iterable
 
@@ -23,20 +25,86 @@ from repro.telemetry.trace import (
 )
 
 
+class Ticks(Sequence):
+    """An ``episode_end`` record's tick columns, read as one dict per tick.
+
+    The columns are kept as decoded. Indexing or iterating builds a
+    tick's dict: the fields of that tick plus the ``event`` kind
+    ``"tick"``, the ``episode`` id and the ``run`` label of the end
+    record; a tick without a field (a ``null`` in its column) lacks the
+    key. A slice is a view of the same ticks; :meth:`column` reads one
+    field over every tick without building any dict.
+    """
+
+    __slots__ = ("columns", "_episode", "_run", "_len")
+
+    def __init__(
+        self,
+        columns: dict[str, list] | None = None,
+        episode: int | str | None = None,
+        run: str | None = None,
+    ) -> None:
+        self.columns = columns or {}
+        self._episode, self._run = episode, run
+        self._len = len(next(iter(self.columns.values()), ()))
+
+    @classmethod
+    def of(cls, end: dict) -> "Ticks":
+        """The ticks an ``episode_end`` record carries."""
+        return cls(end.get("ticks"), end.get("episode"), end.get("run"))
+
+    def column(self, name: str) -> list:
+        """One tick field over every tick, ``None`` where a tick lacks it."""
+        return self.columns.get(name) or [None] * self._len
+
+    def series(self, name: str) -> list[float]:
+        """One tick field over the ticks that hold it."""
+        return [float(v) for v in self.column(name) if v is not None]
+
+    def _row(self, index: int) -> dict:
+        tick = {"event": "tick", "episode": self._episode}
+        for name, values in self.columns.items():
+            tick[name] = values[index]
+            if tick[name] is None:
+                del tick[name]
+        if self._run is not None:
+            tick["run"] = self._run
+        return tick
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            columns = {name: c[index] for name, c in self.columns.items()}
+            return Ticks(columns, self._episode, self._run)
+        if not -self._len <= index < self._len:
+            raise IndexError("tick index out of range")
+        return self._row(index)
+
+    def __iter__(self):
+        return map(self._row, range(self._len))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class EpisodeTrace:
     """One recorded episode: its start and end records and its ticks.
 
-    ``ticks`` holds one dict per tick, the fields of that tick plus the
-    ``event`` kind ``"tick"``, the ``episode`` id and the ``run`` label
-    of the end record; a tick without a field (a ``null`` in its column)
-    lacks the key. ``end`` is the ``episode_end`` record without its
-    ``ticks`` columns.
+    ``ticks`` is the :class:`Ticks` view of the end record's columns.
+    ``end`` is the ``episode_end`` record without its ``ticks`` columns.
     """
 
     episode: int | str
     start: dict | None = None
-    ticks: list[dict] = field(default_factory=list)
+    ticks: Ticks = field(default_factory=Ticks)
     end: dict | None = None
 
     @property
@@ -77,38 +145,11 @@ class EpisodeTrace:
 
     def deltas(self) -> list[float]:
         """Per-tick injected |delta| magnitudes."""
-        return [abs(float(t["delta"])) for t in self.ticks]
+        return [abs(float(d)) for d in self.ticks.column("delta")]
 
     def series(self, fld: str) -> list[float]:
         """One tick field over time, skipping ticks where it is absent."""
-        return [float(t[fld]) for t in self.ticks if fld in t]
-
-
-def tick_count(end: dict) -> int:
-    """How many ticks an ``episode_end`` record carries."""
-    columns = end.get("ticks") or {}
-    return len(next(iter(columns.values()), ()))
-
-
-def episode_ticks(end: dict) -> list[dict]:
-    """An ``episode_end`` record's tick columns as one dict per tick
-    (the :attr:`EpisodeTrace.ticks` layout)."""
-    columns = end.get("ticks") or {}
-    names = list(columns)
-    sparse = [name for name, values in columns.items() if None in values]
-    base = {"event": "tick", "episode": end.get("episode")}
-    run = end.get("run")
-    ticks = []
-    for values in zip(*columns.values()):
-        tick = dict(base)
-        tick.update(zip(names, values))
-        for name in sparse:
-            if tick[name] is None:
-                del tick[name]
-        if run is not None:
-            tick["run"] = run
-        ticks.append(tick)
-    return ticks
+        return self.ticks.series(fld)
 
 
 def split_episodes(events: Iterable[dict]) -> list[EpisodeTrace]:
@@ -137,7 +178,7 @@ def split_episodes(events: Iterable[dict]) -> list[EpisodeTrace]:
         if kind == "episode_start":
             bucket.start = event
         else:
-            bucket.ticks = episode_ticks(event)
+            bucket.ticks = Ticks.of(event)
             bucket.end = {k: v for k, v in event.items() if k != "ticks"}
     return episodes
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.obsv.loader import EpisodeTrace, split_episodes
+from repro.obsv.loader import EpisodeTrace, Ticks, split_episodes
 from repro.telemetry.trace import TraceWriter
 
 #: Fields of a tick compared during replay, with absolute
@@ -157,8 +157,8 @@ def _resolve_attacker(name: str, budget: float, victim: str):
 
 
 def diff_ticks(
-    reference: list[dict],
-    candidate: list[dict],
+    reference: Ticks,
+    candidate: Ticks,
     tolerances: dict[str, float] | None = None,
 ) -> tuple[list[FieldDiff], dict[str, float], int]:
     """Field-by-field comparison of two tick streams of one episode.
@@ -170,33 +170,36 @@ def diff_ticks(
 
     Returns:
         ``(diffs, max_error, fields_compared)`` — the out-of-tolerance
-        disagreements, the largest |reference - candidate| per field,
-        and how many comparisons ran.
+        disagreements (tick by tick, in ``tolerances`` order), the
+        largest |reference - candidate| per field, and how many
+        comparisons ran.
     """
     tolerances = dict(tolerances or DEFAULT_TOLERANCES)
     diffs: list[FieldDiff] = []
     max_error: dict[str, float] = {}
     compared = 0
-    for recorded, replayed in zip(reference, candidate):
-        tick = int(recorded["tick"])
-        for fld, tol in tolerances.items():
-            if fld not in recorded:
+    columns = [
+        (fld, tol, reference.column(fld), candidate.column(fld))
+        for fld, tol in tolerances.items()
+    ]
+    for index, tick in enumerate(reference.column("tick")[: len(candidate)]):
+        tick = int(tick)
+        for fld, tol, recorded_values, replayed_values in columns:
+            recorded = recorded_values[index]
+            if recorded is None:
                 continue
-            if fld not in replayed:
+            replayed = replayed_values[index]
+            if replayed is None:
                 diffs.append(
-                    FieldDiff(
-                        tick, fld, recorded[fld], None, float("inf"), tol
-                    )
+                    FieldDiff(tick, fld, recorded, None, float("inf"), tol)
                 )
                 continue
             compared += 1
-            error = abs(float(recorded[fld]) - float(replayed[fld]))
+            error = abs(float(recorded) - float(replayed))
             max_error[fld] = max(max_error.get(fld, 0.0), error)
             if not (error <= tol) or math.isnan(error):
                 diffs.append(
-                    FieldDiff(
-                        tick, fld, recorded[fld], replayed[fld], error, tol
-                    )
+                    FieldDiff(tick, fld, recorded, replayed, error, tol)
                 )
     return diffs, max_error, compared
 

@@ -64,10 +64,12 @@ import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.obsv.loader import EpisodeTrace, episode_ticks, split_episodes
+from repro.obsv.loader import EpisodeTrace, Ticks, split_episodes
 from repro.telemetry.log import get_logger
 from repro.telemetry.trace import (
     TraceFormatError,
@@ -144,6 +146,11 @@ CREATE TABLE IF NOT EXISTS snapshots (
 );
 """
 
+#: Upsert of one ``meta`` key (the version stamp included).
+_SET_META = (
+    "INSERT INTO meta (key, value) VALUES (?, ?) "
+    "ON CONFLICT(key) DO UPDATE SET value = excluded.value"
+)
 
 #: The ``runs`` columns selected into :class:`RunInfo`, in field order.
 _RUN_COLUMNS = (
@@ -244,10 +251,14 @@ class TelemetryStore:
             )
         if version is not None and version < SCHEMA_VERSION:
             self._rebuild(version)
-            return
-        self._conn.executescript(_DDL)
-        if version is None:
-            self.set_meta("schema_version", str(SCHEMA_VERSION))
+        elif version is None:  # a new store: schema and stamp at once
+            self._write(self._create)
+
+    @staticmethod
+    def _create(conn: sqlite3.Connection) -> None:
+        for statement in _DDL.split(";")[:-1]:
+            conn.execute(statement)
+        conn.execute(_SET_META, ("schema_version", str(SCHEMA_VERSION)))
 
     def _connect(self) -> sqlite3.Connection:
         # Autocommit mode: _write issues its own BEGIN IMMEDIATE, and the
@@ -385,13 +396,7 @@ class TelemetryStore:
     # -- meta ---------------------------------------------------------------------
 
     def set_meta(self, key: str, value: str) -> None:
-        self._write(
-            lambda conn: conn.execute(
-                "INSERT INTO meta (key, value) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                (key, str(value)),
-            )
-        )
+        self._write(lambda conn: conn.execute(_SET_META, (key, str(value))))
 
     def get_meta(self, key: str) -> str | None:
         row = self._conn.execute(
@@ -431,26 +436,26 @@ class TelemetryStore:
             and existing.size == size
         ):
             return existing
-        records = []
+        # Keep each valid record's hoisted columns and strict payload line,
+        # not the record. The run row takes its provenance: the run label
+        # (the first `run` stamp) and the trace's provenance event.
+        rows = []
+        label = prov = None
         for event, line in iter_trace(path):
             if validate_event(event):
                 count_invalid_event()
-            else:
-                records.append((event, line))
-        events = [event for event, _ in records]
-        # Hoist provenance onto the run row: the run label (the first
-        # `run` stamp) and the trace's provenance event.
-        label = next(
-            (
-                str(e["run"])
-                for e in events
-                if e.get("run") is not None
-            ),
-            None,
-        )
-        prov = next(
-            (e for e in events if e.get("event") == "provenance"), None
-        )
+                continue
+            kind = str(event.get("event", ""))
+            episode, name = event.get("episode"), event.get("name")
+            rows.append((
+                kind, None if episode is None else str(episode),
+                event.get("loop"), event.get("step"),
+                None if name is None else str(name), _strict_line(line, event),
+            ))
+            if label is None and event.get("run") is not None:
+                label = str(event["run"])
+            if prov is None and kind == "provenance":
+                prov = event
         git_sha = None if prov is None else prov.get("git_sha")
         dirty = None if prov is None else int(bool(prov.get("git_dirty")))
         config_hash = None if prov is None else prov.get("config_hash")
@@ -479,7 +484,7 @@ class TelemetryStore:
                 " label, git_sha, dirty, config_hash, provenance) "
                 "VALUES (?, 'trace', ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
-                    str(path), mtime, size, len(events),
+                    str(path), mtime, size, len(rows),
                     label, git_sha, dirty, config_hash, prov_json,
                 ),
             )
@@ -488,29 +493,13 @@ class TelemetryStore:
                 "INSERT INTO events "
                 "(run_id, seq, kind, episode, loop, step, name, payload) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    (
-                        run_id,
-                        seq,
-                        str(event.get("event", "")),
-                        None
-                        if event.get("episode") is None
-                        else str(event["episode"]),
-                        event.get("loop"),
-                        event.get("step"),
-                        None
-                        if event.get("name") is None
-                        else str(event["name"]),
-                        _strict_line(line, event),
-                    )
-                    for seq, (event, line) in enumerate(records)
-                ),
+                ((run_id, seq, *row) for seq, row in enumerate(rows)),
             )
             return run_id
 
         run_id = self._write(txn)
         return RunInfo(
-            run_id, str(path), "trace", len(events), mtime, size,
+            run_id, str(path), "trace", len(rows), mtime, size,
             label, git_sha, dirty, config_hash,
         )
 
@@ -670,10 +659,10 @@ class TelemetryStore:
     ) -> list[dict]:
         """Decoded event records in ingestion order.
 
-        ``kind="tick"`` lists each matching episode's ticks, episode by
-        episode, as :attr:`~repro.obsv.loader.EpisodeTrace.ticks` holds
-        them. The loader expands them, not json1: SQLite renders a float
-        it writes as JSON with 15 significant digits, not bit for bit.
+        ``kind="tick"`` lists each matching episode's tick dicts, episode
+        by episode, as :class:`~repro.obsv.loader.Ticks` builds them; the
+        loader's view expands them, not json1: SQLite renders a float it
+        writes as JSON with 15 significant digits, not bit for bit.
         """
         tick = kind == TICK_KIND
         where, params = self._where(
@@ -687,7 +676,7 @@ class TelemetryStore:
             json.loads(row[0]) for row in self._conn.execute(sql, params)
         ]
         if tick:
-            records = [t for end in records for t in episode_ticks(end)]
+            records = [t for end in records for t in Ticks.of(end)]
             records = records[:limit] if limit is not None else records
         return records
 
@@ -702,23 +691,18 @@ class TelemetryStore:
         of one labelled run.
         """
         where, params = self._where(None, None, None, run, label=label)
+        # `+kind` keeps the kind index out, so rows come in primary-key
+        # order with no sort.
         where += (" AND" if where else " WHERE") + (
-            " kind IN ('episode_start', 'episode_end')"
+            " +kind IN ('episode_start', 'episode_end')"
         )
         sql = (
             f"SELECT run_id, payload FROM events{where} ORDER BY run_id, seq"
         )
         episodes: list[EpisodeTrace] = []
-        current_run: int | None = None
-        bucket: list[dict] = []
-        for run_id, payload in self._conn.execute(sql, params):
-            if run_id != current_run:
-                if bucket:
-                    episodes.extend(split_episodes(bucket))
-                current_run, bucket = run_id, []
-            bucket.append(json.loads(payload))
-        if bucket:
-            episodes.extend(split_episodes(bucket))
+        rows = self._conn.execute(sql, params)
+        for _, run_rows in groupby(rows, key=itemgetter(0)):
+            episodes.extend(split_episodes(json.loads(p) for _, p in run_rows))
         return episodes
 
     def snapshot(self, name: str) -> dict | None:

@@ -59,7 +59,7 @@ from repro.obsv.compare import (
     compare_metric_snapshots,
     episode_metrics,
 )
-from repro.obsv.loader import split_episodes, tick_count
+from repro.obsv.loader import Ticks, split_episodes
 from repro.obsv.render import fmt, sparkline
 from repro.obsv.store import load_snapshot
 from repro.telemetry.log import get_logger
@@ -217,7 +217,7 @@ class WatchState:
             self.episodes_seen += 1
             self._starts[source, event.get("episode")] = event
         elif kind == "episode_end":
-            self.ticks_seen += tick_count(event)
+            self.ticks_seen += len(Ticks.of(event))
             start = self._starts.pop((source, event.get("episode")), None)
             if start is not None:
                 (episode,) = split_episodes([start, event])

@@ -191,6 +191,17 @@ class ProgressivePolicy(Module):
             gaussian_heads_flops(hook, self, batch)
         return mean, log_std
 
+    def mean_np(self, obs: np.ndarray) -> np.ndarray:
+        """:meth:`forward_np`'s mean alone, without the log-std head."""
+        features = self._features_np(obs)
+        hook = flops.FLOP_HOOK
+        if hook is not None:
+            batch = 1 if obs.ndim == 1 else obs.shape[0]
+            self._trunk_flops(hook, batch)
+            hook.matmul(batch, self.mean_head.in_dim, self.action_dim)
+            hook.elementwise("add_fwd", batch * self.action_dim)
+        return features @ self.mean_head.weight.data + self.mean_head.bias.data
+
     def act(
         self,
         obs: np.ndarray,

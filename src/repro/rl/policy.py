@@ -240,6 +240,31 @@ class SquashedGaussianPolicy(Module):
         )
         return mean, log_std
 
+    def mean_np(
+        self,
+        obs: np.ndarray,
+        plan: PolicyInferencePlan | None = None,
+    ) -> np.ndarray:
+        """The mean :meth:`forward_np` gives, without the log-std head:
+        all that deterministic inference reads. With a ``plan`` that fits
+        a 2-d ``obs``, the result aliases the plan."""
+        batch = 1 if obs.ndim == 1 else obs.shape[0]
+        hook = flops.FLOP_HOOK
+        if hook is not None:
+            hook.matmul(batch, self.mean_head.in_dim, self.action_dim)
+            hook.elementwise("add_fwd", batch * self.action_dim)
+        if plan is None or obs.ndim != 2 or not plan.fits(batch):
+            features = self.trunk.forward_np(obs)
+            return (
+                features @ self.mean_head.weight.data
+                + self.mean_head.bias.data
+            )
+        features = self.trunk.forward_np(obs, plan=plan.trunk)
+        mean = plan.mean(batch)
+        np.matmul(features, self.mean_head.weight.data, out=mean)
+        mean += self.mean_head.bias.data
+        return mean
+
     def act(
         self,
         obs: np.ndarray,
@@ -249,10 +274,10 @@ class SquashedGaussianPolicy(Module):
         """Action for a single observation (or batch), in ``[-1, 1]``."""
         squeeze = obs.ndim == 1
         batch = obs[None, :] if squeeze else obs
-        mean, log_std = self.forward_np(batch)
         if deterministic:
-            action = np.tanh(mean)
+            action = np.tanh(self.mean_np(batch))
         else:
+            mean, log_std = self.forward_np(batch)
             rng = rng or np.random.default_rng()
             noise = rng.standard_normal(mean.shape)
             action = np.tanh(mean + np.exp(log_std) * noise)
@@ -277,22 +302,11 @@ class SquashedGaussianPolicy(Module):
             raise ValueError("act_batch expects a [batch, obs_dim] matrix")
         batch = obs.shape[0]
         if deterministic:
-            # tanh(mean), as forward_np gives it; no log-std head.
-            hook = flops.FLOP_HOOK
-            if hook is not None:
-                hook.matmul(batch, self.mean_head.in_dim, self.action_dim)
-                hook.elementwise("add_fwd", batch * self.action_dim)
-            if plan is None or not plan.fits(batch):
-                features = self.trunk.forward_np(obs)
-                return np.tanh(
-                    features @ self.mean_head.weight.data
-                    + self.mean_head.bias.data
-                )
-            features = self.trunk.forward_np(obs, plan=plan.trunk)
-            action = plan.action(batch)
-            np.matmul(features, self.mean_head.weight.data, out=action)
-            action += self.mean_head.bias.data
-            return np.tanh(action, out=action)
+            fused = plan is not None and plan.fits(batch)
+            return np.tanh(
+                self.mean_np(obs, plan=plan),
+                out=plan.action(batch) if fused else None,
+            )
         mean, log_std = self.forward_np(obs, plan=plan)
         if rngs is None:
             rngs = [np.random.default_rng() for _ in range(batch)]

@@ -361,10 +361,15 @@ class BevCamera(Sensor):
     def observe_batch(self, batch: BatchWorld) -> np.ndarray:
         """Flattened normalized grids for every episode, ``[N, cells]``;
         shared and read-only, as for :meth:`observe`."""
+        return self.frame_batch(batch, batch.geometry().key)
+
+    def frame_batch(self, batch: BatchWorld, key: bytes) -> np.ndarray:
+        """:meth:`observe_batch` for a caller that holds the batch's
+        geometry: ``key`` is its ``key``, as for :meth:`frame`."""
         return _shared_frame(
             batch.frame_memo,
             self.config,
-            batch.geometry().key,
+            key,
             lambda: self.render_batch(batch)
             .astype(np.float64)
             .reshape(batch.n, -1)

@@ -10,7 +10,12 @@ from repro.core.injection import ACTIVE_THRESHOLD, strike_level
 from repro.eval.episodes import run_episode
 from repro.obsv.compare import episode_metrics
 from repro.obsv.forensics import analyze, segment_phases, strike_threshold
-from repro.obsv.loader import load_episodes, select_episode, split_episodes
+from repro.obsv.loader import (
+    Ticks,
+    load_episodes,
+    select_episode,
+    split_episodes,
+)
 from repro.sim import ScenarioConfig
 from repro.telemetry.trace import TraceWriter, validate_trace
 
@@ -29,12 +34,18 @@ def oracle_episode(seed=3, budget=1.0):
     return writer.events
 
 
-def make_tick(tick, delta, **extra):
-    return {
-        "event": "tick", "episode": 0, "tick": tick, "t": 0.1 * tick,
-        "delta": delta, "x": 0.0, "y": 0.0, "yaw": 0.0, "speed": 16.0,
-        **extra,
-    }
+def make_ticks(*deltas):
+    """Ticks 1, 2, ... injecting ``deltas``, as an episode_end holds them."""
+    ticks = range(1, len(deltas) + 1)
+    still = [0.0] * len(deltas)
+    return Ticks(
+        {
+            "tick": list(ticks), "t": [0.1 * tick for tick in ticks],
+            "delta": list(deltas), "x": still, "y": still, "yaw": still,
+            "speed": [16.0] * len(deltas),
+        },
+        episode=0,
+    )
 
 
 class TestLoader:
@@ -106,31 +117,20 @@ class TestLoader:
 
 class TestSegmentation:
     def test_alternating_runs_merge(self):
-        ticks = (
-            [make_tick(i, 0.01) for i in range(1, 6)]
-            + [make_tick(i, 0.9) for i in range(6, 11)]
-            + [make_tick(i, 0.0) for i in range(11, 16)]
-        )
+        ticks = make_ticks(*[0.01] * 5, *[0.9] * 5, *[0.0] * 5)
         phases = segment_phases(ticks, strike_level=0.5)
         assert [p.kind for p in phases] == ["lurk", "strike", "lurk"]
         assert phases[1].start_tick == 6 and phases[1].end_tick == 10
 
     def test_short_lurk_gap_is_bridged(self):
-        ticks = (
-            [make_tick(1, 0.9), make_tick(2, 0.9)]
-            + [make_tick(3, 0.0)]  # one quiet tick inside the strike
-            + [make_tick(4, 0.9), make_tick(5, 0.9)]
-        )
+        # One quiet tick inside the strike.
+        ticks = make_ticks(0.9, 0.9, 0.0, 0.9, 0.9)
         phases = segment_phases(ticks, strike_level=0.5)
         assert [p.kind for p in phases] == ["strike"]
         assert phases[0].ticks == 5
 
     def test_long_lurk_gap_splits_strikes(self):
-        ticks = (
-            [make_tick(1, 0.9)]
-            + [make_tick(i, 0.0) for i in range(2, 7)]
-            + [make_tick(7, 0.9)]
-        )
+        ticks = make_ticks(0.9, *[0.0] * 5, 0.9)
         phases = segment_phases(ticks, strike_level=0.5)
         assert [p.kind for p in phases] == ["strike", "lurk", "strike"]
 

@@ -25,6 +25,15 @@ def record(seed=3, attacker=None, runner=run_episode):
     return split_episodes(writer.events)[0]
 
 
+def doctored(episode, index, fld, change):
+    """``episode`` with ``change`` added to one recorded tick field."""
+    columns = {name: list(c) for name, c in episode.ticks.columns.items()}
+    columns[fld][index] += change
+    end = dict(episode.end, ticks=columns)
+    (falsified,) = split_episodes([episode.start, end])
+    return falsified
+
+
 class TestReplayFidelity:
     def test_oracle_episode_replays_exactly(self):
         episode = record(attacker=OracleAttacker(budget=1.0))
@@ -51,8 +60,9 @@ class TestReplayFidelity:
         assert report.ok, report.to_markdown()
 
     def test_doctored_trace_is_flagged(self):
-        episode = record(attacker=OracleAttacker(budget=1.0))
-        episode.ticks[10]["x"] += 0.5  # falsify one recorded pose
+        episode = doctored(  # falsify one recorded pose
+            record(attacker=OracleAttacker(budget=1.0)), 10, "x", 0.5
+        )
         report = replay_episode(episode)
         assert not report.ok
         assert any(
@@ -62,8 +72,9 @@ class TestReplayFidelity:
         assert "MISMATCH" in report.to_markdown()
 
     def test_uniform_tolerance_can_mask_small_doctoring(self):
-        episode = record(attacker=OracleAttacker(budget=1.0))
-        episode.ticks[10]["x"] += 1e-4
+        episode = doctored(
+            record(attacker=OracleAttacker(budget=1.0)), 10, "x", 1e-4
+        )
         assert not replay_episode(episode).ok
         assert replay_episode(episode, tolerance=1e-2).ok
 

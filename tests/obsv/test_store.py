@@ -583,6 +583,76 @@ def store_view(store):
     )
 
 
+def traced_statements(monkeypatch):
+    """Every SQL statement the stores opened from now on run."""
+    statements = []
+    connect = TelemetryStore._connect
+
+    def traced(self):
+        conn = connect(self)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(TelemetryStore, "_connect", traced)
+    return statements
+
+
+class TestOpen:
+    """A new store is made in one transaction; an up-to-date one opens
+    without writing; the episode query needs no sort."""
+
+    def test_a_new_store_is_made_in_one_transaction(
+        self, tmp_path, monkeypatch
+    ):
+        statements = traced_statements(monkeypatch)
+        TelemetryStore(tmp_path / "s.sqlite").close()
+        writes = [s.strip() for s in statements if not s.startswith("SELECT")]
+        assert writes[0] == "BEGIN IMMEDIATE" and writes[-1] == "COMMIT"
+        assert writes.count("COMMIT") == 1
+        assert sum(s.startswith("CREATE") for s in writes) == (
+            store_mod._DDL.count("CREATE")
+        )
+        # The schema is the DDL's, as a script of it makes it.
+        dump = "SELECT type, name, tbl_name, sql FROM sqlite_master"
+        reference = sqlite3.connect(":memory:")
+        reference.executescript(store_mod._DDL)
+        made = sqlite3.connect(tmp_path / "s.sqlite")
+        try:
+            assert sorted(made.execute(dump)) == sorted(
+                reference.execute(dump)
+            )
+        finally:
+            made.close()
+            reference.close()
+        with TelemetryStore(tmp_path / "s.sqlite") as store:
+            assert store.get_meta("schema_version") == str(
+                store_mod.SCHEMA_VERSION
+            )
+
+    def test_a_current_store_opens_without_writing(
+        self, tmp_path, monkeypatch
+    ):
+        TelemetryStore(tmp_path / "s.sqlite").close()
+        statements = traced_statements(monkeypatch)
+        TelemetryStore(tmp_path / "s.sqlite").close()
+        assert statements
+        assert all(s.startswith("SELECT") for s in statements)
+
+    def test_the_episode_query_reads_in_key_order(self, run_dir, tmp_path):
+        with TelemetryStore(tmp_path / "s.sqlite") as store:
+            store.ingest_dir(run_dir)
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            for scope in ({}, {"run": 1}, {"label": "x"}):
+                statements.clear()
+                store.episodes(**scope)
+                (query,) = statements
+                plan = store._conn.execute(f"EXPLAIN QUERY PLAN {query}")
+                details = [row[-1] for row in plan]
+                assert not any("TEMP B-TREE" in d for d in details), details
+            assert [e.seed for e in store.episodes()] == [3, 4]
+
+
 class TestSchemaMigration:
     def test_v4_store_opens_and_takes_new_ingests(self, run_dir, tmp_path):
         path = make_v4_store(tmp_path / "v4.sqlite", tmp_path)

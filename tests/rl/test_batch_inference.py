@@ -1,5 +1,7 @@
 """The fused no-grad inference path: buffers, parity, FLOP truthfulness."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,25 @@ class TestPolicyActBatch:
         mean_p, log_std_p = policy.forward_np(obs)
         assert np.array_equal(mean_f, mean_p)
         assert np.array_equal(log_std_f, log_std_p)
+
+
+class TestDeterministicInference:
+    """Deterministic inference reads the mean head alone: with the
+    log-std head gone it acts as before, bit for bit."""
+
+    @pytest.mark.parametrize("progressive", [False, True])
+    def test_scalar_act_needs_no_log_std_head(self, progressive):
+        policy = SquashedGaussianPolicy(10, 2, hidden=(16, 16))
+        if progressive:
+            policy = ProgressivePolicy(policy)
+        obs = np.random.default_rng(4).standard_normal((3, 10))
+        rows = [np.tanh(policy.forward_np(row[None])[0][0]) for row in obs]
+        batch = np.tanh(policy.forward_np(obs)[0])
+        with mock.patch.object(policy, "log_std_head", None):
+            for row, want in zip(obs, rows):
+                action = policy.act(row, deterministic=True)
+                assert np.array_equal(action, want)
+            assert np.array_equal(policy.act(obs, deterministic=True), batch)
 
 
 class TestFlopAccounting:

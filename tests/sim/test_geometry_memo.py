@@ -28,6 +28,7 @@ from repro.core import (
 )
 from repro.agents.modular.behavior import BatchPlan, Plan
 from repro.eval import run_episode, run_episode_batch
+from repro.rl.pnn import ProgressivePolicy
 from repro.rl.policy import PolicyInferencePlan, SquashedGaussianPolicy
 from repro.sim import ScenarioConfig, make_batch_world
 from repro.sim.batch import BatchGeometry, BatchWorld
@@ -404,13 +405,45 @@ class TestLockstepStepWork:
         assert actions.call_count > 10
         assert forwards.call_count == heads.call_count == 0
 
+    def test_progressive_inference_skips_the_log_std_head(self):
+        """A PNN victim's lockstep twin drives on the mean head alone,
+        to the same episodes."""
+        policy = ProgressivePolicy(
+            SquashedGaussianPolicy(
+                DrivingObservation().observation_dim, 2, (16,),
+                np.random.default_rng(1),
+            )
+        )
+
+        def run():
+            return run_episode_batch(
+                lambda world: EndToEndAgent(
+                    policy, observation=DrivingObservation()
+                ),
+                OracleAttacker(budget=1.0), SEEDS, scenario=SCENARIO,
+            )
+
+        expected = run()
+        with counting(BatchWorld, "tick") as ticks, mock.patch.object(
+            policy, "log_std_head", None
+        ):
+            headless = run()
+        assert ticks.call_count > 10
+        assert [
+            (r.steps, r.nominal_return, r.adversarial_return)
+            for r in headless
+        ] == [
+            (r.steps, r.nominal_return, r.adversarial_return)
+            for r in expected
+        ]
+
     @pytest.mark.parametrize(
         "victim, attacker, per_tick",
         [
             pytest.param(
                 e2e_victim,
                 lambda: learned_attacker(CameraAttackObservation()),
-                10,
+                9,
                 id="e2e-camera",
             ),
             pytest.param(
@@ -428,8 +461,8 @@ class TestLockstepStepWork:
     def test_pose_key_builds_per_step(self, victim, attacker, per_tick):
         """Each ``geometry()`` call builds the pose key: the planner, each
         agent, the camera, the tick (before and after), both rewards and
-        the runner read it (the e2e observation twice: its frame's key,
-        then the ego's offset), and nothing else does."""
+        the runner read it (the e2e observation once, for its frame's key
+        and the ego's offset), and nothing else does."""
         with counting(BatchWorld, "pose_key") as keys, counting(
             BatchWorld, "tick"
         ) as ticks:

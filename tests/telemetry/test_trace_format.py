@@ -11,12 +11,14 @@ and every reader must refuse the golden itself, naming its format.
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.eval import run_episode_batch, run_episodes
 from repro.experiments import registry
-from repro.obsv.loader import load_episodes, split_episodes
+from repro.obsv.compare import episode_metrics
+from repro.obsv.loader import Ticks, load_episodes, split_episodes
 from repro.obsv.store import TelemetryStore, open_run
 from repro.telemetry.trace import (
     TraceFormatError,
@@ -72,7 +74,7 @@ def assert_bit_identical(episodes, expected):
         reference = expected[episode.episode]
         assert episode.ticks == reference, episode.episode
         # Same keys in the same order, same float bits (repr round-trips).
-        assert json.dumps(episode.ticks) == json.dumps(reference)
+        assert json.dumps(list(episode.ticks)) == json.dumps(reference)
 
 
 class TestGolden:
@@ -150,6 +152,55 @@ class TestGolden:
         for key, mean in rows:
             # SQLite may sum in another order: equal to the last bits.
             assert mean == pytest.approx(expected[key], rel=1e-12, abs=0)
+
+
+def hexed_columns(columns):
+    """Tick columns with every float written as ``float.hex``."""
+    return {
+        name: [v.hex() if isinstance(v, float) else v for v in values]
+        for name, values in columns.items()
+    }
+
+
+class TestColumnarReads:
+    """Both readers keep an episode's tick columns as the trace holds
+    them, and reading an episode's size, outcome and metrics builds no
+    tick dict."""
+
+    def test_readers_hold_the_recorded_columns(self, format2_trace, tmp_path):
+        recorded = [
+            hexed_columns(record["ticks"])
+            for record in read_trace(format2_trace)
+            if record["event"] == "episode_end"
+        ]
+        with TelemetryStore(tmp_path / "s.sqlite") as store:
+            store.ingest_trace(format2_trace)
+            stored = store.episodes()
+        loaded = load_episodes(format2_trace)
+        for episodes in (loaded, stored):
+            assert [hexed_columns(e.ticks.columns) for e in episodes] == (
+                recorded
+            )
+        # The lockstep camera cell has ticks without a TTC; the scalar
+        # cell is the IMU attacker's.
+        lockstep = [e for e in loaded if e.attacker == "camera"]
+        assert lockstep
+        assert all(None in e.ticks.column("ttc") for e in lockstep)
+        assert [e.attacker for e in loaded].count("imu") == 2
+
+    def test_metrics_build_no_tick_dict(self, format2_trace, tmp_path):
+        with mock.patch.object(
+            Ticks, "_row", autospec=True, side_effect=Ticks._row
+        ) as rows, TelemetryStore(tmp_path / "s.sqlite") as store:
+            store.ingest_trace(format2_trace)
+            episodes = store.episodes()
+            for episode in episodes:
+                assert len(episode.ticks) == episode.end["steps"] > 0
+                assert episode.complete
+                assert episode_metrics(episode)["steps"] == len(episode.ticks)
+            assert rows.call_count == 0
+            first = episodes[0].ticks[0]
+            assert rows.call_count == 1 and first["tick"] == 1
 
 
 def ingest(path, store_path):
